@@ -9,11 +9,13 @@ become box and inequality rows of one small QP per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .dynamics import Trajectory, rk4_step
+from .dynamics import DIVERGENCE_LIMIT, Trajectory, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
 from .numerics import QpProblem, solve_qp_info
 from .sysid import DelayCoordinates
@@ -85,7 +87,11 @@ class CondensedMpc:
 
     Everything that does not depend on the current lifted state or the
     previous input (Hessian, prediction maps, constraint rows) is built once;
-    :meth:`qp` then assembles the per-step problem cheaply.
+    :meth:`qp` then assembles the per-step problem cheaply. When the Hessian
+    is positive definite, its inverse (from one Cholesky factorization) is
+    kept too, so a step whose unconstrained minimizer ``-H^{-1} g``
+    satisfies every bound is solved without building a QP (Bemporad et al.
+    2002, explicit LQR).
     """
 
     def __init__(self, model, cfg):
@@ -125,6 +131,15 @@ class CondensedMpc:
 
         half = smat.T @ qbar @ smat + rubar + lmat.T @ rdubar @ lmat
         self.h = half + half.T  # = 2 * half, exactly symmetric
+        try:
+            # H^{-1} from one Cholesky factorization: a matvec per step is far
+            # cheaper than a triangular solve through scipy's wrappers.
+            factor = scipy.linalg.cho_factor(self.h)
+            self._h_inv = scipy.linalg.cho_solve(factor, np.eye(n * q_in))
+        except np.linalg.LinAlgError:
+            # Not positive definite (possible with ru = rdu = 0): every step
+            # goes to the active-set solver.
+            self._h_inv = None
         self.g_state = 2.0 * smat.T @ qbar @ pred
         self.g_const = -2.0 * smat.T @ qbar @ np.tile(cfg.reference, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
@@ -137,23 +152,29 @@ class CondensedMpc:
         self._du_max = du_max
         self._du_min = du_min
         self._emat = emat
+        self.ru = ru
+        self.rdu = rdu
         self.model = model
         self.cfg = cfg
         self.horizon = n
         self.input_dim = q_in
 
-    def qp(self, z0, u_prev):
+    def _gradient(self, z0, u_prev):
         z0 = np.asarray(z0, dtype=float).reshape(-1)
         u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         if z0.size != self.model.a.shape[0]:
             raise InvalidInputError("lifted state length does not match the model")
         if u_prev.size != self.input_dim:
             raise InvalidInputError("u_prev length does not match the model input")
-        g = self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
-        b_ineq = None
-        if self.a_ineq is not None:
-            shift = self._emat @ u_prev
-            b_ineq = np.concatenate([self._du_max + shift, -self._du_min - shift])
+        return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
+
+    def _rate_rhs(self, u_prev):
+        shift = self._emat @ np.asarray(u_prev, dtype=float).reshape(-1)
+        return np.concatenate([self._du_max + shift, -self._du_min - shift])
+
+    def qp(self, z0, u_prev):
+        g = self._gradient(z0, u_prev)
+        b_ineq = None if self.a_ineq is None else self._rate_rhs(u_prev)
         return QpProblem(
             h=self.h, g=g, a_ineq=self.a_ineq, b_ineq=b_ineq, lb=self.lb, ub=self.ub
         )
@@ -164,8 +185,26 @@ class CondensedMpc:
             return False
         if self.a_ineq is None:
             return True
-        qp = self.qp(np.zeros(self.model.a.shape[0]), u_prev)
-        return bool(np.all(qp.a_ineq @ u_seq <= qp.b_ineq + tol))
+        return bool(np.all(self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol))
+
+    def _unconstrained_plan(self, z0, u_prev, tol):
+        """The unconstrained minimizer and its residual, if it solves the QP.
+
+        Returns ``(x, ||H x + g||_inf)`` for ``x = -H^{-1} g`` when ``H`` is
+        positive definite, ``x`` satisfies every box and rate row exactly,
+        and the residual is at most ``tol``; otherwise None. Inputs are
+        validated either way.
+        """
+        g = self._gradient(z0, u_prev)
+        if self._h_inv is None:
+            return None
+        x = -(self._h_inv @ g)
+        if not ((self.lb <= x).all() and (x <= self.ub).all()):
+            return None
+        if self.a_ineq is not None and not (self.a_ineq @ x <= self._rate_rhs(u_prev)).all():
+            return None
+        residual = float(np.max(np.abs(self.h @ x + g)))
+        return (x, residual) if residual <= tol else None
 
 
 def condense_qp(model, z0, u_prev, cfg):
@@ -175,14 +214,27 @@ def condense_qp(model, z0, u_prev, cfg):
 
 @dataclass
 class MpcStep:
-    """Outcome of one receding-horizon solve."""
+    """Outcome of one receding-horizon solve.
+
+    A step whose unconstrained minimizer satisfies every bound reports
+    ``qp_iterations == 0`` and that minimizer's finite stationarity residual
+    ``||H u + g||_inf`` as ``kkt_residual``. Any other step reports the
+    iterations and KKT residual of the active-set solver.
+    ``predicted_states`` is computed from the model on first access.
+    """
 
     u: np.ndarray                 # applied input (first element of the plan)
     input_sequence: np.ndarray    # (q, N) planned inputs
-    predicted_states: np.ndarray  # (ny, N+1) recovered states along the plan
     qp_iterations: int
     kkt_residual: float
+    lifted_state: np.ndarray      # lifted measurement the plan starts from
+    model: object = field(repr=False, compare=False)
     warm_started: bool = False
+
+    @cached_property
+    def predicted_states(self):
+        """(ny, N+1) recovered states along the plan."""
+        return _plan_states(self.model, self.lifted_state, self.input_sequence)
 
 
 def _plan_states(model, z0, u_seq):
@@ -213,26 +265,41 @@ def mpc_step(
     kinds); the model's own predictions are never fed back in. The returned
     ``u`` is the first element of the optimized sequence, clipped to the
     input box to remove solver-tolerance dust.
+
+    The unconstrained minimizer is taken when it satisfies every box and rate
+    row and its stationarity residual is within ``qp_tol``. Otherwise the
+    condensed QP goes to the active-set solver, started from ``warm_start``
+    when that plan is feasible.
+
+    Raises:
+        InfeasibleError: the bounds admit no plan, or the first planned
+            input change breaks the rate bound by more than 1e-7.
     """
     cond = CondensedMpc(model, cfg) if _condensed is None else _condensed
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
-    qp = cond.qp(z0, u_prev)
+    fast = cond._unconstrained_plan(z0, u_prev, qp_tol)
     warm = None
     if warm_start is not None and cond.is_feasible(warm_start, u_prev):
         warm = np.asarray(warm_start, dtype=float).reshape(-1)
-    sol, info = solve_qp_info(qp, x0=warm, tol=qp_tol)
+    if fast is not None:
+        sol, residual = fast
+        iterations = 0
+    else:
+        sol, info = solve_qp_info(cond.qp(z0, u_prev), x0=warm, tol=qp_tol)
+        iterations, residual = info["iterations"], info["kkt_residual"]
     q_in = cond.input_dim
-    u_seq = np.clip(sol.reshape(cond.horizon, q_in).T, qp.lb[:q_in, None], qp.ub[:q_in, None])
+    u_seq = np.clip(sol.reshape(cond.horizon, q_in).T, cond.lb[:q_in, None], cond.ub[:q_in, None])
     du0 = u_seq[:, 0] - u_prev
-    assert np.all(du0 <= _bound_vector(cfg.du_max, q_in) + 1e-7)
-    assert np.all(du0 >= _bound_vector(cfg.du_min, q_in) - 1e-7)
+    if np.any(du0 > cond._du_max[:q_in] + 1e-7) or np.any(du0 < cond._du_min[:q_in] - 1e-7):
+        raise InfeasibleError(f"first planned input change {du0} breaks the rate bound")
     return MpcStep(
         u=u_seq[:, 0].copy(),
         input_sequence=u_seq,
-        predicted_states=_plan_states(model, z0, u_seq),
-        qp_iterations=info["iterations"],
-        kkt_residual=info["kkt_residual"],
+        qp_iterations=iterations,
+        kkt_residual=residual,
+        lifted_state=z0,
+        model=model,
         warm_started=warm is not None,
     )
 
@@ -256,12 +323,10 @@ class ClosedLoopResult:
         return self.trajectory.states[:, -1]
 
 
-def _stage_cost(cfg, x, u, u_prev):
-    err = x - cfg.reference
+def _stage_cost(cond, x, u, u_prev):
+    err = x - cond.cfg.reference
     du = u - u_prev
-    ru = _weight_matrix(cfg.ru, u.size, "ru")
-    rdu = _weight_matrix(cfg.rdu, u.size, "rdu")
-    return float(err @ cfg.q @ err + u @ ru @ u + du @ rdu @ du)
+    return float(err @ cond.cfg.q @ err + u @ cond.ru @ u + du @ cond.rdu @ du)
 
 
 def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
@@ -272,6 +337,11 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     planned input is applied to the plant for one integrator step. Stage
     costs are evaluated on the true state with the applied input. Delay
     models idle with u = 0 while the measurement history fills.
+
+    ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
+    ``warm_started`` arrays. A step solved by the unconstrained law has 0
+    iterations and a finite residual; a delay warm-up step, which solves
+    nothing, has 0 iterations and a NaN residual.
     """
     if abs(dt - model.dt) > 1e-12 * max(1.0, abs(model.dt)):
         raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
@@ -337,14 +407,15 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             resid[k] = step.kkt_residual
             warm_flags[k] = step.warm_started
         inputs[:, k] = u
-        stage[k] = _stage_cost(cfg, x, u, u_prev)
+        stage[k] = _stage_cost(cond, x, u, u_prev)
         try:
             x = rk4_step(plant, x, u, times[k], dt)
         except DivergenceError as err:
             raise DivergenceError(str(err), partial=partial(k)) from None
-        if np.max(np.abs(x)) > 1e6:
+        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"plant state exceeded 1e6 at t={times[k + 1]:.4g}", partial=partial(k)
+                f"plant state exceeded {DIVERGENCE_LIMIT:.0e} at t={times[k + 1]:.4g}",
+                partial=partial(k),
             )
         states[:, k + 1] = x
         u_prev = u

@@ -255,6 +255,25 @@ def _kkt_residual(qp, x, rows, rhs, working, lam):
     return max(feas, float(np.max(np.abs(stat))), comp)
 
 
+def _ratio_test(rows, rhs, x, p, working):
+    """Longest step (at most 1) from ``x`` along ``p``, and the row that blocks it.
+
+    Rows in ``working`` and rows that ``p`` does not approach are skipped.
+    The blocking row is the one with the smallest step below 1, the first
+    such row on ties; it is -1 when no row blocks the full step.
+    """
+    d = rows @ p
+    approach = d > 1e-13
+    approach[working] = False
+    if not np.any(approach):
+        return 1.0, -1
+    steps = np.full(d.size, np.inf)
+    slack = np.maximum(rhs - rows @ x, 0.0)
+    steps[approach] = slack[approach] / d[approach]
+    i = int(np.argmin(steps))
+    return (float(steps[i]), i) if steps[i] < 1.0 else (1.0, -1)
+
+
 def solve_qp(qp, x0=None, tol=1e-8, max_iter=None):
     """Primal active-set solver for convex QPs with box and inequality rows.
 
@@ -296,18 +315,7 @@ def solve_qp_info(qp, x0=None, tol=1e-8, max_iter=None):
                 )
             working.pop(int(np.argmin(lam)))
             continue
-        alpha = 1.0
-        blocking = -1
-        for i in range(n_rows):
-            if i in working:
-                continue
-            d = float(rows[i] @ p)
-            if d <= 1e-13:
-                continue
-            step = max(float(rhs[i] - rows[i] @ x), 0.0) / d
-            if step < alpha:
-                alpha = step
-                blocking = i
+        alpha, blocking = _ratio_test(rows, rhs, x, p, working)
         x = x + alpha * p
         if blocking >= 0:
             working.append(blocking)

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import koopmpc.mpc
 from koopmpc import (
+    ConvergenceError,
     DelaySpec,
     InfeasibleError,
     InvalidInputError,
@@ -19,7 +25,8 @@ from koopmpc import (
     snapshots_from_trajectories,
 )
 from koopmpc.dynamics import ForcingSignal, generate_training_trajectories, product_sines_family
-from conftest import discrete_linear_samples
+from koopmpc.numerics import solve_qp_info
+from conftest import A0, B0, discrete_linear_samples
 
 from test_numerics import brute_force_qp
 
@@ -111,6 +118,99 @@ class TestMpcStep:
         cfg = base_cfg(du_min=-1.0, du_max=1.0)
         with pytest.raises(InfeasibleError):
             mpc_step(linear_model, np.array([1.0, 1.0]), np.array([100.0]), cfg)
+
+    def test_solver_plan_breaking_rate_bound_raises(self, linear_model, monkeypatch):
+        calls = []
+
+        def rate_breaking_solve(qp, x0=None, tol=1e-8):
+            calls.append(qp)
+            return np.ones(qp.n), {"iterations": 1, "kkt_residual": 0.0}
+
+        monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", rate_breaking_solve)
+        cfg = base_cfg(du_min=-0.1, du_max=0.1)
+        with pytest.raises(InfeasibleError, match="rate bound"):
+            mpc_step(linear_model, np.array([4.0, 4.0]), np.zeros(1), cfg)
+        assert len(calls) == 1  # the unconstrained plan broke a bound
+
+
+@st.composite
+def bounded_step(draw, **cfg_overrides):
+    """A start state, a previous input inside the box, and random box/rate bounds.
+
+    The bounds are tight enough that many draws have active constraints.
+    """
+    lo = draw(st.floats(0.2, 3.0))
+    hi = draw(st.floats(0.2, 3.0))
+    du = draw(st.floats(0.05, 2.0))
+    z0 = np.array([draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))])
+    u_prev = np.array([-lo + draw(st.floats(0.0, 1.0)) * (lo + hi)])
+    cfg = base_cfg(u_min=-lo, u_max=hi, du_min=-du, du_max=du, **cfg_overrides)
+    return cfg, z0, u_prev
+
+
+def plan_of(step):
+    return step.input_sequence.T.reshape(-1)
+
+
+@pytest.fixture(scope="module")
+def singular_model(linear_model):
+    """Exact linear model whose last planned input moves only x1, at the last step.
+
+    With no weight on x1 and ru = rdu = 0, the condensed Hessian then has a
+    zero row and column.
+    """
+    return dataclasses.replace(linear_model, a=A0, b=B0, c=np.eye(2))
+
+
+class TestUnconstrainedFastPath:
+    QP_TOL = 1e-8
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=bounded_step())
+    def test_step_matches_active_set_solver(self, linear_model, case):
+        cfg, z0, u_prev = case
+        warm = np.full(cfg.horizon, u_prev[0])  # feasible: no input change
+        step = mpc_step(linear_model, z0, u_prev, cfg, warm_start=warm, qp_tol=self.QP_TOL)
+        qp = condense_qp(linear_model, linear_model.lift(z0), u_prev, cfg)
+        ref, _ = solve_qp_info(qp, tol=self.QP_TOL)
+        # Plans of this strongly convex QP (lambda_min(H) >= 2 ru = 0.2) whose
+        # KKT residuals are within 1e-8 differ by at most about 1e-8 / 0.2.
+        np.testing.assert_allclose(plan_of(step), ref, rtol=0.0, atol=1e-7)
+        assert step.kkt_residual <= self.QP_TOL
+        assert step.warm_started
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        z0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        u_prev=st.floats(-2.0, 2.0),
+    )
+    def test_accepted_step_reports_its_kkt_residual(self, linear_model, z0, u_prev):
+        cfg = base_cfg()  # |u| <= 5 and |du| <= 50 stay inactive from these states
+        z0, u_prev = np.array(z0), np.array([u_prev])
+        step = mpc_step(linear_model, z0, u_prev, cfg, qp_tol=self.QP_TOL)
+        qp = condense_qp(linear_model, linear_model.lift(z0), u_prev, cfg)
+        assert step.qp_iterations == 0
+        assert step.kkt_residual == np.max(np.abs(qp.h @ plan_of(step) + qp.g))
+        assert step.kkt_residual <= self.QP_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bounded_step(q=np.diag([1.0, 0.0]), ru=0.0, rdu=0.0))
+    def test_singular_hessian_uses_active_set_solver(self, singular_model, case):
+        cfg, z0, u_prev = case
+        qp = condense_qp(singular_model, singular_model.lift(z0), u_prev, cfg)
+        assert np.all(qp.h[-1] == 0.0)
+        try:
+            ref, info = solve_qp_info(qp, tol=self.QP_TOL)
+        except ConvergenceError:
+            # The active-set solver can stall on a singular H; the step must
+            # then fail the same way, not return another plan.
+            with pytest.raises(ConvergenceError):
+                mpc_step(singular_model, z0, u_prev, cfg, qp_tol=self.QP_TOL)
+            return
+        step = mpc_step(singular_model, z0, u_prev, cfg, qp_tol=self.QP_TOL)
+        assert step.qp_iterations == info["iterations"] >= 1
+        assert step.kkt_residual == info["kkt_residual"]
+        assert np.array_equal(plan_of(step), np.clip(ref, qp.lb, qp.ub))
 
 
 class TestClosedLoop:

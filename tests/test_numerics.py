@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
     ConvergenceError,
@@ -11,6 +14,7 @@ from koopmpc import (
     stationary_vector,
     truncated_svd,
 )
+from koopmpc.numerics import _ratio_test
 
 
 class TestTruncatedSvd:
@@ -217,3 +221,38 @@ class TestSolveQp:
             QpProblem(h=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2))
         with pytest.raises(InvalidInputError):
             QpProblem(h=np.eye(2), g=np.zeros(2), lb=[1.0, 0.0], ub=[0.0, 0.0])
+
+
+def loop_ratio_test(rows, rhs, x, p, working):
+    """Row-by-row blocking test, the reference for the vectorized one."""
+    alpha, blocking = 1.0, -1
+    for i in range(rows.shape[0]):
+        if i in working:
+            continue
+        d = float(rows[i] @ p)
+        if d <= 1e-13:
+            continue
+        step = max(float(rhs[i] - rows[i] @ x), 0.0) / d
+        if step < alpha:
+            alpha, blocking = step, i
+    return alpha, blocking
+
+
+@st.composite
+def ratio_test_inputs(draw):
+    # Small integers keep every product and sum exact, so both versions do
+    # the same arithmetic and ties (repeated rows) are common.
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8))
+    ints = st.integers(-3, 3).map(float)
+    rows = draw(arrays(float, (m, n), elements=ints))
+    rhs = draw(arrays(float, m, elements=ints))
+    x = draw(arrays(float, n, elements=ints))
+    p = draw(arrays(float, n, elements=ints))
+    working = draw(st.lists(st.integers(0, m - 1), unique=True)) if m else []
+    return rows, rhs, x, p, working
+
+
+@given(ratio_test_inputs())
+def test_ratio_test_matches_row_loop(inputs):
+    assert _ratio_test(*inputs) == loop_ratio_test(*inputs)
