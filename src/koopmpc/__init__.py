@@ -52,6 +52,7 @@ from .numerics import (
     truncated_svd,
 )
 from .observables import (
+    DelayCoordinates,
     DelaySpec,
     Dictionary,
     delay_embed,
@@ -61,7 +62,6 @@ from .observables import (
     recovery_matrix,
 )
 from .sysid import (
-    DelayCoordinates,
     Eigenfunction,
     EigenfunctionModel,
     LinearControlModel,

@@ -25,7 +25,7 @@ from .dynamics import (
 from .errors import DivergenceError, InfeasibleError, InvalidInputError, KoopmpcError
 from .mpc import MpcConfig, closed_loop_run
 from .observables import DelaySpec, monomials_dictionary
-from .sysid import DELAY_KINDS, fit_delay_augmented, fit_dmdc, fit_edmdc, predict_rollout
+from .sysid import fit_delay_augmented, fit_dmdc, fit_edmdc, predict_rollout
 
 
 def derive_seed(seed, tag):
@@ -109,66 +109,40 @@ def make_validation_trajectories(cfg, plant):
     return trajectories
 
 
-def _rollout_states(model, traj, start, horizon):
-    if model.kind in DELAY_KINDS:
-        return predict_rollout(
-            model,
-            traj.states[:, start],
-            traj.inputs[:, start : start + horizon],
-            history_states=traj.states[:, :start],
-            history_inputs=traj.inputs[:, :start],
-        ).states
-    return predict_rollout(
-        model, traj.states[:, start], traj.inputs[:, start : start + horizon]
-    ).states
-
-
-def _recovered_coords(model):
-    """Indices of the plant state coordinates the model's recovery returns."""
-    if model.kind in DELAY_KINDS:
-        return list(model.lifting.coords)
-    return list(range(model.recovered_dim))
-
-
 def prediction_errors(models, trajectories, horizon):
     """Per-trajectory one-step and multi-step rollout RMS for each model.
 
     All models are scored over the same window: predictions start at the
-    earliest index every fitted model supports (delay kinds need history),
-    so the errors are directly comparable. Errors are taken on whatever
-    coordinates each model recovers (partial-state delay models are scored
-    on their observed coordinate only).
+    earliest index every fitted model supports (delay liftings need
+    history), so the errors are directly comparable. Errors are taken on the
+    coordinates each model's lifting recovers (partial-state delay models are
+    scored on their observed coordinate only). One-step predictions come
+    from a single ``C (A Z + B U)`` product over the lifted window.
     """
-    start = 0
-    for model in models.values():
-        if model.kind in DELAY_KINDS:
-            start = max(start, model.lifting.history_steps)
+    start = max((model.lifting.history_steps for model in models.values()), default=0)
     out = {}
     for name, model in models.items():
-        coords = _recovered_coords(model)
+        coords = list(model.lifting.coords)
+        first = start - model.lifting.history_steps
         one_step, rollout = [], []
         for traj in trajectories:
             if traj.n_steps < start + horizon:
                 raise InvalidInputError(
                     f"validation trajectories too short for horizon {horizon} from index {start}"
                 )
-            pred = _rollout_states(model, traj, start, horizon)
-            truth = traj.states[coords, start : start + horizon + 1]
-            rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth[:, 1:]) ** 2))))
-            steps = []
-            for k in range(start, start + horizon):
-                if model.kind in DELAY_KINDS:
-                    p1 = predict_rollout(
-                        model,
-                        traj.states[:, k],
-                        traj.inputs[:, k : k + 1],
-                        history_states=traj.states[:, :k],
-                        history_inputs=traj.inputs[:, :k],
-                    ).states
-                else:
-                    p1 = predict_rollout(model, traj.states[:, k], traj.inputs[:, k : k + 1]).states
-                steps.append(p1[:, 1] - traj.states[coords, k + 1])
-            one_step.append(float(np.sqrt(np.mean(np.square(steps)))))
+            inputs = traj.inputs[:, start : start + horizon]
+            truth = traj.states[coords, start + 1 : start + horizon + 1]
+            pred = predict_rollout(
+                model,
+                traj.states[:, start],
+                inputs,
+                history_states=traj.states[:, :start],
+                history_inputs=traj.inputs[:, :start],
+            ).states
+            rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth) ** 2))))
+            z = model.lifting.lift_many(traj)[:, first : first + horizon]
+            step = model.c @ (model.a @ z + model.b @ inputs)
+            one_step.append(float(np.sqrt(np.mean((step - truth) ** 2))))
         out[name] = {
             "one_step_rms": one_step,
             "rollout_rms": rollout,

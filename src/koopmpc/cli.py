@@ -39,7 +39,7 @@ from .io import (
     write_json,
 )
 from .mpc import closed_loop_run
-from .sysid import DELAY_KINDS, predict_rollout
+from .sysid import predict_rollout
 from .transfer import BoxPartition, estimate_controlled_transition, invariant_density
 
 
@@ -102,7 +102,8 @@ def cmd_predict(args):
     n, q = int(manifest["state_dim"]), int(manifest["input_dim"])
     trajectories = trajectories_from_csv(data_dir / "trajectories.csv", n, q)
     horizon = cfg.prediction_horizon
-    start = model.lifting.history_steps if model.kind in DELAY_KINDS else 0
+    start = model.lifting.history_steps
+    coords = list(model.lifting.coords)
     path = out / f"predictions_{model.kind}.csv"
     errors = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -116,17 +117,16 @@ def cmd_predict(args):
         for idx, traj in enumerate(trajectories):
             if traj.n_steps < start + horizon:
                 continue
-            kwargs = {}
-            if model.kind in DELAY_KINDS:
-                kwargs = {
-                    "history_states": traj.states[:, :start],
-                    "history_inputs": traj.inputs[:, :start],
-                }
             pred = predict_rollout(
-                model, traj.states[:, start], traj.inputs[:, start : start + horizon], **kwargs
+                model,
+                traj.states[:, start],
+                traj.inputs[:, start : start + horizon],
+                history_states=traj.states[:, :start],
+                history_inputs=traj.inputs[:, :start],
             )
             truth = traj.states[:, start : start + horizon + 1]
-            errors.append(float(np.sqrt(np.mean((pred.states[:, 1:] - truth[:, 1:]) ** 2))))
+            err = pred.states[:, 1:] - truth[coords, 1:]
+            errors.append(float(np.sqrt(np.mean(err**2))))
             for k in range(horizon + 1):
                 writer.writerow(
                     [idx, start + k, repr(float(traj.times[start + k]))]

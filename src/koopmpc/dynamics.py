@@ -59,20 +59,26 @@ def make_vanderpol(mu=0.2):
     return ControlSystem(state_dim=2, input_dim=1, rhs=VanDerPolRhs(mu))
 
 
+def rk4_update(rhs, x, u, t, dt):
+    """The classical 4th-order Runge-Kutta update of ``x`` with ``u`` held constant.
+
+    Works on one state (n,) or on columns (n, m) alike, with no checks: a
+    batch may carry non-finite columns through.
+    """
+    k1 = rhs(x, u, t)
+    k2 = rhs(x + 0.5 * dt * k1, u, t + 0.5 * dt)
+    k3 = rhs(x + 0.5 * dt * k2, u, t + 0.5 * dt)
+    k4 = rhs(x + dt * k3, u, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_step(sys, x, u, t, dt):
     """One classical 4th-order Runge-Kutta step with ``u`` held constant."""
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    f = sys.rhs
-    k1 = f(x, u, t)
-    k2 = f(x + 0.5 * dt * k1, u, t + 0.5 * dt)
-    k3 = f(x + 0.5 * dt * k2, u, t + 0.5 * dt)
-    k4 = f(x + dt * k3, u, t + dt)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
     if not np.all(np.isfinite(out)):
         raise DivergenceError(f"integration produced non-finite state at t={t}")
     return out

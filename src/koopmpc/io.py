@@ -16,15 +16,8 @@ import numpy as np
 
 from .dynamics import SampleSet, Trajectory
 from .errors import InvalidInputError
-from .observables import (
-    DelaySpec,
-    Dictionary,
-    Monomial,
-    MonomialGradient,
-    monomial_label,
-    recovery_matrix,
-)
-from .sysid import DelayCoordinates, LinearControlModel, ParametrizedFamily
+from .observables import DelayCoordinates, DelaySpec, Dictionary, recovery_matrix
+from .sysid import LinearControlModel, ParametrizedFamily
 from .transfer import BoxPartition, ControlledChain, TransitionMatrix
 
 
@@ -60,25 +53,34 @@ def _state_header(n, q):
     return ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
 
 
-def trajectory_to_csv(traj, path):
-    """One row per snapshot: t, states, inputs.
+def _cells(values):
+    return [repr(float(v)) for v in values]
+
+
+def _snapshot_rows(traj):
+    """One row per snapshot: t, states, held input.
 
     The input is a zero-order hold over each step; the final row repeats the
     last held input so the schema stays rectangular.
     """
+    q = traj.input_dim
+    for k in range(traj.times.size):
+        uk = traj.inputs[:, min(k, traj.n_steps - 1)] if traj.n_steps else np.zeros(q)
+        yield [repr(float(traj.times[k]))] + _cells(traj.states[:, k]) + _cells(uk)
+
+
+def _write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n, q = traj.state_dim, traj.input_dim
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_state_header(n, q))
-        for k in range(traj.times.size):
-            uk = traj.inputs[:, min(k, traj.n_steps - 1)] if traj.n_steps else np.zeros(q)
-            writer.writerow(
-                [repr(float(traj.times[k]))]
-                + [repr(float(v)) for v in traj.states[:, k]]
-                + [repr(float(v)) for v in uk]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def trajectory_to_csv(traj, path):
+    """One row per snapshot: t, states, inputs (the last row repeats the held input)."""
+    _write_csv(path, _state_header(traj.state_dim, traj.input_dim), _snapshot_rows(traj))
 
 
 def trajectory_from_csv(path, state_dim, input_dim):
@@ -92,21 +94,13 @@ def trajectory_from_csv(path, state_dim, input_dim):
 
 def trajectories_to_csv(trajectories, path):
     """Several trajectories in one file, tagged by a leading traj column."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     first = trajectories[0]
-    n, q = first.state_dim, first.input_dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj"] + _state_header(n, q))
-        for idx, traj in enumerate(trajectories):
-            for k in range(traj.times.size):
-                uk = traj.inputs[:, min(k, traj.n_steps - 1)] if traj.n_steps else np.zeros(q)
-                writer.writerow(
-                    [idx, repr(float(traj.times[k]))]
-                    + [repr(float(v)) for v in traj.states[:, k]]
-                    + [repr(float(v)) for v in uk]
-                )
+    rows = (
+        [idx] + row
+        for idx, traj in enumerate(trajectories)
+        for row in _snapshot_rows(traj)
+    )
+    _write_csv(path, ["traj"] + _state_header(first.state_dim, first.input_dim), rows)
 
 
 def trajectories_from_csv(path, state_dim, input_dim):
@@ -123,21 +117,14 @@ def trajectories_from_csv(path, state_dim, input_dim):
 
 def sampleset_to_csv(data, path):
     """One row per snapshot pair: t, x, u, and the shifted state x'."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     n, q = data.state_dim, data.input_dim
     header = _state_header(n, q) + [f"xp{i + 1}" for i in range(n)]
     t = data.t if data.t is not None else np.arange(data.n_samples) * data.dt
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(data.n_samples):
-            writer.writerow(
-                [repr(float(t[k]))]
-                + [repr(float(v)) for v in data.x[:, k]]
-                + [repr(float(v)) for v in data.u[:, k]]
-                + [repr(float(v)) for v in data.xp[:, k]]
-            )
+    rows = (
+        [repr(float(t[k]))] + _cells(data.x[:, k]) + _cells(data.u[:, k]) + _cells(data.xp[:, k])
+        for k in range(data.n_samples)
+    )
+    _write_csv(path, header, rows)
 
 
 def sampleset_manifest(data):
@@ -187,15 +174,10 @@ def _lifting_descriptor(lifting):
             "input_dim": lifting.input_dim,
         }
     if isinstance(lifting, Dictionary):
-        if not all(isinstance(f, Monomial) for f in lifting.funcs):
-            raise InvalidInputError(
-                "only monomial dictionaries can be serialized; custom observables "
-                "must be reconstructed in code"
-            )
         return {
             "type": "monomials",
             "n_in": lifting.n_in,
-            "exponents": [list(f.exponents) for f in lifting.funcs],
+            "exponents": lifting.exponents,
             "labels": list(lifting.labels),
         }
     raise InvalidInputError(f"cannot serialize lifting of type {type(lifting)!r}")
@@ -210,13 +192,7 @@ def _lifting_from_descriptor(desc):
             input_dim=desc["input_dim"],
         )
     if desc["type"] == "monomials":
-        exps = [tuple(e) for e in desc["exponents"]]
-        return Dictionary(
-            n_in=desc["n_in"],
-            funcs=tuple(Monomial(e) for e in exps),
-            grads=tuple(MonomialGradient(e) for e in exps),
-            labels=tuple(monomial_label(e) for e in exps),
-        )
+        return Dictionary(desc["n_in"], desc["exponents"])
     raise InvalidInputError(f"unknown lifting descriptor type {desc.get('type')!r}")
 
 
@@ -330,25 +306,17 @@ def closed_loop_to_csv(result, path):
     The final row carries the terminal state with the last held input; its
     stage cost is written as nan and the running cost repeats the total.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
-    n, q = traj.state_dim, traj.input_dim
-    header = _state_header(n, q) + ["stage_cost", "cumulative_cost"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.times.size):
+    header = _state_header(traj.state_dim, traj.input_dim) + ["stage_cost", "cumulative_cost"]
+
+    def rows():
+        for k, row in enumerate(_snapshot_rows(traj)):
             last = k >= traj.n_steps
-            uk = traj.inputs[:, min(k, traj.n_steps - 1)] if traj.n_steps else np.zeros(q)
             stage = float("nan") if last else float(result.stage_costs[k])
             cum = result.total_cost if last else float(result.cumulative_cost[k])
-            writer.writerow(
-                [repr(float(traj.times[k]))]
-                + [repr(float(v)) for v in traj.states[:, k]]
-                + [repr(float(v)) for v in uk]
-                + [repr(stage), repr(cum)]
-            )
+            yield row + [repr(stage), repr(cum)]
+
+    _write_csv(path, header, rows())
 
 
 def closed_loop_summary(result, success_threshold=None):

@@ -18,7 +18,6 @@ import scipy.linalg
 from .dynamics import DIVERGENCE_LIMIT, Trajectory, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
 from .numerics import QpProblem, solve_qp_info
-from .sysid import DelayCoordinates
 
 
 def _weight_matrix(w, dim, name):
@@ -352,7 +351,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     if x.size != plant.state_dim:
         raise InvalidInputError("x0 length must match the plant")
     q_in = model.input_dim
-    warmup = model.lifting.history_steps if isinstance(model.lifting, DelayCoordinates) else 0
+    warmup = model.lifting.history_steps
     cond = CondensedMpc(model, cfg)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))

@@ -1,4 +1,14 @@
-"""Observable dictionaries and time-delay embeddings used to lift states."""
+"""Liftings of plant states: monomial dictionaries and delay coordinates.
+
+Every lifting exposes the same interface, so fitting, rollout, control and
+scoring never branch on the kind of lifting:
+
+- ``history_steps``: past steps needed beyond the current sample;
+- ``coords``: the plant coordinates a model on this lifting recovers;
+- ``lift(x, history_states=None, history_inputs=None)``: one lifted state;
+- ``lift_many(traj)``: lifted states at steps ``history_steps .. n_steps-1``
+  of a trajectory, one column per step.
+"""
 
 from __future__ import annotations
 
@@ -7,53 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, UnsupportedDictionaryError
-
-
-class Monomial:
-    """x -> prod_i x_i ** e_i, vectorized over a trailing sample axis."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents):
-        self.exponents = tuple(int(e) for e in exponents)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(self.exponents)
-        if x.ndim == 1:
-            return float(np.prod(x**e))
-        return np.prod(x ** e[:, None], axis=0)
-
-    def __repr__(self):
-        return f"Monomial({self.exponents})"
-
-
-class MonomialGradient:
-    """Analytic gradient of a monomial, same vectorization as Monomial."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents):
-        self.exponents = tuple(int(e) for e in exponents)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
-        n, m = x.shape
-        out = np.zeros((n, m))
-        for j, ej in enumerate(self.exponents):
-            if ej == 0:
-                continue
-            reduced = np.asarray(self.exponents, dtype=float)
-            reduced[j] -= 1.0
-            out[j] = ej * np.prod(x ** reduced[:, None], axis=0)
-        return out[:, 0] if single else out
-
-    def __repr__(self):
-        return f"MonomialGradient({self.exponents})"
+from .errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    MissingHistoryError,
+    UnsupportedDictionaryError,
+)
 
 
 def monomial_label(exponents, prefix="x"):
@@ -65,37 +34,69 @@ def monomial_label(exponents, prefix="x"):
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """Ordered scalar observables with analytic gradients.
+def _exponent_matrix(n_in, exponents):
+    """Validated read-only (d, n_in) matrix of nonnegative integer exponents."""
+    if not isinstance(n_in, (int, np.integer)) or isinstance(n_in, bool) or n_in < 1:
+        raise InvalidInputError(f"n_in must be a positive integer, got {n_in!r}")
+    try:
+        e = np.array(exponents)
+    except ValueError:
+        raise InvalidInputError("exponent rows must all have the same length") from None
+    if e.dtype.kind not in "iu":
+        raise InvalidInputError(f"exponents must be integers, got dtype {e.dtype}")
+    if e.ndim != 2 or e.shape[0] == 0 or e.shape[1] != n_in:
+        raise InvalidInputError(
+            f"exponents must be a nonempty (d, {n_in}) matrix, got shape {e.shape}"
+        )
+    if np.any(e < 0):
+        raise InvalidInputError("exponents must be nonnegative")
+    e = e.astype(int, copy=False)
+    e.flags.writeable = False
+    return e
 
-    ``funcs[i]`` maps a state (n_in,) or batch (n_in, m) to a scalar or (m,);
-    ``grads[i]`` returns the matching gradient of shape (n_in,) or (n_in, m).
+
+@dataclass(frozen=True, eq=False)
+class Dictionary:
+    """Monomial observables prod_j x_j ** exponents[i, j], one per row.
+
+    Implements the lifting interface shared with :class:`DelayCoordinates`:
+    ``history_steps``, ``coords``, ``lift`` and ``lift_many``. A dictionary
+    needs no history, recovers every plant coordinate, and ignores the
+    history arguments of ``lift``.
     """
 
     n_in: int
-    funcs: tuple
-    grads: tuple
-    labels: tuple
+    exponents: np.ndarray  # (d, n_in) nonnegative integers, read-only
 
     def __post_init__(self):
-        if not (len(self.funcs) == len(self.grads) == len(self.labels)):
-            raise InvalidInputError("funcs, grads, and labels must have equal length")
-        if len(self.funcs) == 0:
-            raise InvalidInputError("dictionary must contain at least one observable")
+        object.__setattr__(self, "exponents", _exponent_matrix(self.n_in, self.exponents))
 
     @property
     def n_out(self):
-        return len(self.funcs)
+        return self.exponents.shape[0]
+
+    @property
+    def labels(self):
+        return tuple(monomial_label(row) for row in self.exponents.tolist())
+
+    @property
+    def history_steps(self):
+        return 0
+
+    @property
+    def coords(self):
+        return tuple(range(self.n_in))
 
     def subset(self, indices):
-        idx = [int(i) for i in indices]
-        return Dictionary(
-            n_in=self.n_in,
-            funcs=tuple(self.funcs[i] for i in idx),
-            grads=tuple(self.grads[i] for i in idx),
-            labels=tuple(self.labels[i] for i in idx),
-        )
+        return Dictionary(self.n_in, self.exponents[[int(i) for i in indices]])
+
+    def lift(self, x, history_states=None, history_inputs=None):
+        """Observables at one state (n_in,) -> (d,)."""
+        return eval_dictionary(self, np.asarray(x, dtype=float).reshape(-1))
+
+    def lift_many(self, traj):
+        """Observables at every step but the last, one column per step."""
+        return eval_dictionary(self, traj.states[:, :-1])
 
 
 def monomials_dictionary(n, max_order, include_constant=False):
@@ -108,19 +109,14 @@ def monomials_dictionary(n, max_order, include_constant=False):
     """
     if n < 1 or max_order < 1:
         raise InvalidInputError("n and max_order must be >= 1")
-    funcs, grads, labels = [], [], []
-    for degree in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(n), degree):
-            e = np.bincount(combo, minlength=n)
-            funcs.append(Monomial(e))
-            grads.append(MonomialGradient(e))
-            labels.append(monomial_label(e))
+    rows = [
+        np.bincount(combo, minlength=n)
+        for degree in range(1, max_order + 1)
+        for combo in itertools.combinations_with_replacement(range(n), degree)
+    ]
     if include_constant:
-        e = np.zeros(n, dtype=int)
-        funcs.append(Monomial(e))
-        grads.append(MonomialGradient(e))
-        labels.append(monomial_label(e))
-    return Dictionary(n_in=n, funcs=tuple(funcs), grads=tuple(grads), labels=tuple(labels))
+        rows.append(np.zeros(n, dtype=int))
+    return Dictionary(n, np.stack(rows))
 
 
 def identity_dictionary(n):
@@ -128,44 +124,48 @@ def identity_dictionary(n):
     return monomials_dictionary(n, 1)
 
 
-def eval_dictionary(dic, x):
-    """Apply all observables columnwise; (n_in,) -> (d,) and (n_in, m) -> (d, m)."""
+def _columns(dic, x):
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
+    cols = x[:, None] if x.ndim == 1 else x
     if cols.shape[0] != dic.n_in:
         raise InvalidInputError(f"state rows {cols.shape[0]} do not match n_in {dic.n_in}")
-    out = np.empty((dic.n_out, cols.shape[1]))
+    return cols
+
+
+def _monomials(exponents, cols):
+    """prod_j cols[j] ** exponents[:, j]: (d, n) exponents, (n, m) columns -> (d, m)."""
+    return np.prod(cols[None, :, :] ** exponents[:, :, None], axis=1)
+
+
+def eval_dictionary(dic, x):
+    """Apply all observables columnwise; (n_in,) -> (d,) and (n_in, m) -> (d, m)."""
+    cols = _columns(dic, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, f in enumerate(dic.funcs):
-            out[i] = f(cols)
+        out = _monomials(dic.exponents, cols)
     if out.size and not np.all(np.isfinite(out)):
         raise InvalidInputError("dictionary evaluation produced non-finite values")
-    return out[:, 0] if single else out
+    return out[:, 0] if np.ndim(x) == 1 else out
 
 
 def eval_gradients(dic, x):
     """Stack all observable gradients at states x: (d, n_in) or (d, n_in, m)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    out = np.empty((dic.n_out, dic.n_in, cols.shape[1]))
-    for i, g in enumerate(dic.grads):
-        out[i] = g(cols)
-    return out[:, :, 0] if single else out
+    cols = _columns(dic, x)
+    e = dic.exponents
+    out = np.zeros((dic.n_out, dic.n_in, cols.shape[1]))
+    for j in range(dic.n_in):
+        rows = e[:, j] != 0
+        reduced = e[rows]
+        reduced[:, j] -= 1
+        out[rows, j] = e[rows, j, None] * _monomials(reduced, cols)
+    return out[:, :, 0] if np.ndim(x) == 1 else out
 
-
-_PROBE_RNG_SEED = 20240
 
 def recovery_matrix(dic):
     """Selector C with C @ f(x) = x for dictionaries led by the state coordinates."""
     n, d = dic.n_in, dic.n_out
     if d < n:
         raise UnsupportedDictionaryError("dictionary has fewer observables than state coordinates")
-    rng = np.random.default_rng(_PROBE_RNG_SEED)
-    probes = rng.uniform(-2.0, 2.0, size=(n, 4))
-    lifted = eval_dictionary(dic, probes)
-    if np.max(np.abs(lifted[:n] - probes)) > 1e-12:
+    if not np.array_equal(dic.exponents[:n], np.eye(n, dtype=int)):
         raise UnsupportedDictionaryError(
             "dictionary does not start with the identity state coordinates"
         )
@@ -209,3 +209,57 @@ def delay_embed(traj, spec, coords=None):
     zn_blocks = [s[:, k_min + 1 - j * tau : n_steps + 1 - j * tau] for j in range(spec.d1)]
     v_blocks = [u[:, k_min - j * tau : n_steps - j * tau] for j in range(spec.d2)]
     return np.vstack(z_blocks), np.vstack(v_blocks), np.vstack(zn_blocks)
+
+
+@dataclass(frozen=True)
+class DelayCoordinates:
+    """Input-augmented delay lifting [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}].
+
+    States are taken over ``coords`` only and lags are ``tau_steps`` apart;
+    history arrays passed to :meth:`lift` end just before the current step.
+    """
+
+    spec: DelaySpec
+    coords: tuple
+    state_dim: int
+    input_dim: int
+
+    @property
+    def n_embed(self):
+        return len(self.coords)
+
+    @property
+    def z_dim(self):
+        return self.spec.d1 * self.n_embed
+
+    @property
+    def aug_dim(self):
+        return self.z_dim + (self.spec.d2 - 1) * self.input_dim
+
+    @property
+    def history_steps(self):
+        """Past steps needed (beyond the current sample) to build a lifted state."""
+        return (max(self.spec.d1, self.spec.d2) - 1) * self.spec.tau_steps
+
+    def lift(self, x, history_states=None, history_inputs=None):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        tau = self.spec.tau_steps
+        need_s = (self.spec.d1 - 1) * tau
+        need_u = (self.spec.d2 - 1) * tau
+        hs = None if history_states is None else np.atleast_2d(np.asarray(history_states, float))
+        hi = None if history_inputs is None else np.atleast_2d(np.asarray(history_inputs, float))
+        if need_s and (hs is None or hs.shape[1] < need_s):
+            raise MissingHistoryError(f"need {need_s} past states for the delay lifting")
+        if need_u and (hi is None or hi.shape[1] < need_u):
+            raise MissingHistoryError(f"need {need_u} past inputs for the delay lifting")
+        coords = list(self.coords)
+        blocks = [x[coords]]
+        for j in range(1, self.spec.d1):
+            blocks.append(hs[coords, -j * tau])
+        for j in range(1, self.spec.d2):
+            blocks.append(hi[:, -j * tau])
+        return np.concatenate(blocks)
+
+    def lift_many(self, traj):
+        z, v, _ = delay_embed(traj, self.spec, coords=self.coords)
+        return np.vstack([z, v[self.input_dim :]])

@@ -15,15 +15,13 @@ from .dynamics import Trajectory, sample_hash
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
-    MissingHistoryError,
     NoEigenfunctionError,
     UnknownLevelError,
 )
 from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
 from .observables import (
-    DelaySpec,
+    DelayCoordinates,
     Dictionary,
-    delay_embed,
     eval_dictionary,
     eval_gradients,
     identity_dictionary,
@@ -32,36 +30,7 @@ from .observables import (
 
 KIND_DMDC = "dmdc"
 KIND_EDMDC = "edmdc"
-KIND_DELAY_MISO = "delay-miso"
 KIND_DELAY_AUGMENTED = "delay-augmented"
-DELAY_KINDS = (KIND_DELAY_MISO, KIND_DELAY_AUGMENTED)
-
-
-@dataclass(frozen=True)
-class DelayCoordinates:
-    """Descriptor of the delay-coordinate lifting attached to delay models."""
-
-    spec: DelaySpec
-    coords: tuple
-    state_dim: int
-    input_dim: int
-
-    @property
-    def n_embed(self):
-        return len(self.coords)
-
-    @property
-    def z_dim(self):
-        return self.spec.d1 * self.n_embed
-
-    @property
-    def aug_dim(self):
-        return self.z_dim + (self.spec.d2 - 1) * self.input_dim
-
-    @property
-    def history_steps(self):
-        """Past steps needed (beyond the current sample) to build a lifted state."""
-        return (max(self.spec.d1, self.spec.d2) - 1) * self.spec.tau_steps
 
 
 @dataclass
@@ -71,7 +40,7 @@ class LinearControlModel:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    lifting: object  # Dictionary or DelayCoordinates
+    lifting: Dictionary | DelayCoordinates
     dt: float
     kind: str
     fit_residual: float = float("nan")
@@ -98,26 +67,8 @@ class LinearControlModel:
         return self.c.shape[0]
 
     def lift(self, x, history_states=None, history_inputs=None):
-        """Lifted coordinates for a measured state (plus history for delay kinds)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if isinstance(self.lifting, Dictionary):
-            return eval_dictionary(self.lifting, x)
-        dc = self.lifting
-        tau = dc.spec.tau_steps
-        need_s = (dc.spec.d1 - 1) * tau
-        need_u = (dc.spec.d2 - 1) * tau
-        hs = None if history_states is None else np.atleast_2d(np.asarray(history_states, float))
-        hi = None if history_inputs is None else np.atleast_2d(np.asarray(history_inputs, float))
-        if need_s and (hs is None or hs.shape[1] < need_s):
-            raise MissingHistoryError(f"need {need_s} past states for the delay lifting")
-        if need_u and (hi is None or hi.shape[1] < need_u):
-            raise MissingHistoryError(f"need {need_u} past inputs for the delay lifting")
-        blocks = [x[list(dc.coords)]]
-        for j in range(1, dc.spec.d1):
-            blocks.append(hs[list(dc.coords), -j * tau])
-        for j in range(1, dc.spec.d2):
-            blocks.append(hi[:, -j * tau])
-        return np.concatenate(blocks)
+        """Lifted coordinates for a measured state; liftings without history ignore it."""
+        return self.lifting.lift(x, history_states, history_inputs)
 
 
 @dataclass
@@ -141,6 +92,10 @@ class ParametrizedFamily:
     @property
     def lifted_dim(self):
         return self.mats[0].shape[0]
+
+    def lift(self, x, history_states=None, history_inputs=None):
+        """Lifted coordinates of a state through the family's dictionary."""
+        return self.lifting.lift(x, history_states, history_inputs)
 
 
 def _regress(reg, target, svd_tol):
@@ -211,24 +166,19 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
     q = trajectories[0].input_dim
     coords = tuple(range(n)) if coords is None else tuple(int(c) for c in coords)
     dc = DelayCoordinates(spec=spec, coords=coords, state_dim=n, input_dim=q)
-    zs, vs, zns = [], [], []
-    for traj in trajectories:
-        z, v, zn = delay_embed(traj, spec, coords=coords)
-        zs.append(z)
-        vs.append(v)
-        zns.append(zn)
-    z = np.hstack(zs)
-    v = np.hstack(vs)
-    zn = np.hstack(zns)
+    h = dc.history_steps
+    reg = np.vstack([
+        np.hstack([dc.lift_many(traj) for traj in trajectories]),
+        np.hstack([traj.inputs[:, h:] for traj in trajectories]),
+    ])
+    target = np.hstack([traj.states[list(coords), h + 1 :] for traj in trajectories])
     n_e = dc.n_embed
     dim = dc.aug_dim
-    aug = np.vstack([z, v[q:]]) if spec.d2 > 1 else z
-    reg = np.vstack([aug, v[:q]])
     if reg.shape[1] < dim + q:
         raise InsufficientDataError(
             f"need at least {dim + q} embedded columns, got {reg.shape[1]}"
         )
-    w, residual = _regress(reg, zn[:n_e], svd_tol)
+    w, residual = _regress(reg, target, svd_tol)
     a = np.zeros((dim, dim))
     b = np.zeros((dim, q))
     a[:n_e] = w[:, :dim]
@@ -458,16 +408,12 @@ def predict_rollout(model, x0, inputs, history_states=None, history_inputs=None)
     """
     if isinstance(model, ParametrizedFamily):
         u = _as_input_matrix(inputs, model.levels[0].size)
-        z = eval_dictionary(model.lifting, np.asarray(x0, dtype=float).reshape(-1))
-        c = model.c
         steps = [model.mats[model.level_index(u[:, k])] for k in range(u.shape[1])]
-        dt = model.dt
     else:
         u = _as_input_matrix(inputs, model.input_dim)
-        z = model.lift(x0, history_states=history_states, history_inputs=history_inputs)
-        c = model.c
         steps = None
-        dt = model.dt
+    z = model.lift(x0, history_states=history_states, history_inputs=history_inputs)
+    c = model.c
     n_steps = u.shape[1]
     states = np.empty((c.shape[0], n_steps + 1))
     states[:, 0] = c @ z
@@ -477,5 +423,5 @@ def predict_rollout(model, x0, inputs, history_states=None, history_inputs=None)
         else:
             z = model.a @ z + model.b @ u[:, k]
         states[:, k + 1] = c @ z
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(n_steps + 1) * model.dt
     return Trajectory(times=times, states=states, inputs=u)

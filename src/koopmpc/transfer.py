@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import rk4_update
 from .errors import InvalidInputError, UnknownLevelError
 from .numerics import stationary_vector
 
@@ -168,14 +169,6 @@ class DensityVector:
         object.__setattr__(self, "p", np.maximum(arr, 0.0) / max(total, 1e-300))
 
 
-def _rk4_batch(rhs, x, u, t, dt):
-    k1 = rhs(x, u, t)
-    k2 = rhs(x + 0.5 * dt * k1, u, t + 0.5 * dt)
-    k3 = rhs(x + 0.5 * dt * k2, u, t + 0.5 * dt)
-    k4 = rhs(x + dt * k3, u, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _flow_batch(sys, x, level, tau, flow_dt):
     """Flow sample columns for duration tau under a constant input level.
 
@@ -193,7 +186,7 @@ def _flow_batch(sys, x, level, tau, flow_dt):
     t = 0.0
     with np.errstate(all="ignore"):
         for _ in range(n_sub):
-            x = _rk4_batch(sys.rhs, x, u, t, h)
+            x = rk4_update(sys.rhs, x, u, t, h)
             t += h
     return x
 

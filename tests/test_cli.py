@@ -141,6 +141,57 @@ class TestFitRoundTrip:
         assert summary["n_steps"] == 40
 
 
+@pytest.fixture(scope="module")
+def fitted_edmdc(tmp_path_factory):
+    """Generated data and a fitted edmdc model file, shared by the tests below."""
+    root = tmp_path_factory.mktemp("edmdc")
+    cfg = write_config(root)
+    main(["generate", "--config", str(cfg), "--out", str(root / "data")])
+    main(["fit", str(root / "data"), "--model", "edmdc", "--config", str(cfg), "--out", str(root / "fit")])
+    return cfg, root / "data", root / "fit" / "model_edmdc.json"
+
+
+def _edit_exponent(rows, value):
+    rows[3][0] = value
+
+
+def _drop_column(rows):
+    for row in rows:
+        row.pop()
+
+
+class TestMalformedModelFile:
+    EDITS = {
+        "non-integer": lambda rows: _edit_exponent(rows, 1.5),
+        "negative": lambda rows: _edit_exponent(rows, -1),
+        "wrong-shape": _drop_column,
+        "ragged": lambda rows: rows[4].append(0),
+    }
+
+    def _edited(self, path, tmp_path, edit):
+        raw = read_json(path)
+        self.EDITS[edit](raw["lifting"]["exponents"])
+        out = tmp_path / "edited.json"
+        out.write_text(json.dumps(raw))
+        return out
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_model_from_json_rejects(self, fitted_edmdc, tmp_path, edit):
+        from koopmpc import InvalidInputError
+
+        _, _, model_path = fitted_edmdc
+        with pytest.raises(InvalidInputError):
+            model_from_json(self._edited(model_path, tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", ["non-integer", "negative"])
+    def test_predict_exits_3(self, fitted_edmdc, tmp_path, edit):
+        cfg, data, model_path = fitted_edmdc
+        assert main([
+            "predict", str(self._edited(model_path, tmp_path, edit)), str(data),
+            "--config", str(cfg), "--out", str(tmp_path / "pred"),
+        ]) == 3
+
+
 class TestUlamCommand:
     def test_identity_plant_keeps_uniform_density(self, tmp_path):
         cfg = write_config(tmp_path, {"ulam_plant": "zero", "ulam_levels": [0.0, 1.0]})
@@ -273,6 +324,23 @@ class TestPartialStateDelay:
         rms = errors["delay"]["rollout_rms"]
         assert len(rms) == 4
         assert all(np.isfinite(v) for v in rms)
+
+    def test_predict_scores_observed_coordinate(self, tmp_path):
+        cfg = write_config(tmp_path, {"delay_full_state": False})
+        data = tmp_path / "data"
+        main(["generate", "--config", str(cfg), "--out", str(data)])
+        main(["fit", str(data), "--model", "delay", "--config", str(cfg), "--out", str(tmp_path)])
+        out = tmp_path / "pred"
+        assert main([
+            "predict", str(tmp_path / "model_delay.json"), str(data),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 0
+        summary = read_json(out / "prediction_errors_delay-augmented.json")
+        rows = np.genfromtxt(out / "predictions_delay-augmented.csv", delimiter=",", names=True)
+        for idx, got in enumerate(summary["rollout_rms_per_trajectory"]):
+            mine = rows[(rows["traj"] == idx) & (rows["step"] > summary["start_index"])]
+            expected = np.sqrt(np.mean((mine["pred1"] - mine["x1"]) ** 2))
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestStageErrors:

@@ -13,12 +13,16 @@ from koopmpc import (
     sample_training_set,
     simulate,
 )
+from koopmpc.dynamics import rk4_update
 from koopmpc.io import (
+    closed_loop_to_csv,
     sampleset_from_csv,
     sampleset_to_csv,
+    trajectories_to_csv,
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from koopmpc.mpc import ClosedLoopResult
 from koopmpc.io import write_json, sampleset_manifest
 
 
@@ -57,6 +61,15 @@ class TestVanDerPol:
 
 
 class TestRk4:
+    def test_batch_update_matches_rk4_step_per_column(self):
+        sys = make_vanderpol(0.2)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-4.0, 4.0, size=(2, 9))
+        u = rng.uniform(-5.0, 5.0, size=(1, 9))
+        batch = rk4_update(sys.rhs, x, u, 0.3, 0.05)
+        for k in range(x.shape[1]):
+            assert np.array_equal(batch[:, k], rk4_step(sys, x[:, k], u[:, k], 0.3, 0.05))
+
     def test_zero_field_keeps_state(self):
         sys = ControlSystem(2, 1, ZeroRhs())
         x = np.array([1.5, -2.0])
@@ -201,6 +214,44 @@ class TestSerialization:
         assert np.allclose(back.states, traj.states)
         assert np.allclose(back.inputs, traj.inputs)
         assert np.allclose(back.times, traj.times)
+
+    @staticmethod
+    def _two_step_trajectory():
+        return Trajectory(
+            times=[0.0, 0.5, 1.0],
+            states=[[1.0, 2.0, 3.0], [-0.5, 0.25, 0.0]],
+            inputs=[[0.1, -0.2]],
+        )
+
+    def test_trajectory_csv_exact_text(self, tmp_path):
+        traj = self._two_step_trajectory()
+        trajectory_to_csv(traj, tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == (
+            b"t,x1,x2,u1\r\n"
+            b"0.0,1.0,-0.5,0.1\r\n"
+            b"0.5,2.0,0.25,-0.2\r\n"
+            b"1.0,3.0,0.0,-0.2\r\n"
+        )
+        trajectories_to_csv([traj, traj], tmp_path / "trajs.csv")
+        assert (tmp_path / "trajs.csv").read_bytes().splitlines()[3:5] == [
+            b"0,1.0,3.0,0.0,-0.2",
+            b"1,0.0,1.0,-0.5,0.1",
+        ]
+
+    def test_closed_loop_csv_exact_text(self, tmp_path):
+        result = ClosedLoopResult(
+            trajectory=self._two_step_trajectory(),
+            stage_costs=np.array([0.5, 0.25]),
+            cumulative_cost=np.array([0.5, 0.75]),
+            solve_stats={},
+        )
+        closed_loop_to_csv(result, tmp_path / "cl.csv")
+        assert (tmp_path / "cl.csv").read_bytes() == (
+            b"t,x1,x2,u1,stage_cost,cumulative_cost\r\n"
+            b"0.0,1.0,-0.5,0.1,0.5,0.5\r\n"
+            b"0.5,2.0,0.25,-0.2,0.25,0.75\r\n"
+            b"1.0,3.0,0.0,-0.2,nan,0.75\r\n"
+        )
 
     def test_sampleset_csv_round_trip(self, tmp_path):
         sys = make_vanderpol(0.2)

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
+    DelayCoordinates,
     DelaySpec,
+    Dictionary,
     InsufficientDataError,
+    InvalidInputError,
     Trajectory,
     UnsupportedDictionaryError,
     delay_embed,
@@ -41,7 +47,7 @@ class TestMonomials:
     def test_gradient_of_square(self):
         dic = monomials_dictionary(2, 2)
         i = dic.labels.index("x1^2")
-        grad = dic.grads[i](np.array([3.0, 1.0]))
+        grad = eval_gradients(dic, np.array([3.0, 1.0]))[i]
         assert np.allclose(grad, [6.0, 0.0])
 
     def test_graded_lex_ordering(self):
@@ -55,6 +61,72 @@ class TestMonomials:
         assert dic.labels[-1] == "1"
         assert dic.labels[:2] == ("x1", "x2")
         assert np.allclose(eval_dictionary(dic, np.array([2.0, 3.0]))[-1], 1.0)
+
+
+class TestExponentMatrix:
+    def test_exponents_are_read_only(self):
+        dic = monomials_dictionary(2, 2)
+        with pytest.raises(ValueError):
+            dic.exponents[0, 0] = 3
+
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            [[1, 0], [1.5, 0]],  # non-integer
+            [[1, 0], [-1, 0]],  # negative
+            [[1, 0, 0], [0, 1, 0]],  # wrong row length
+            [[1, 0], [0]],  # ragged
+            [],  # no observable
+            [["1", "0"]],  # not numbers
+        ],
+    )
+    def test_malformed_exponents_rejected(self, exponents):
+        with pytest.raises(InvalidInputError):
+            Dictionary(2, exponents)
+
+
+@st.composite
+def exponent_matrices(draw):
+    """(d, n) exponents with n in 1..3, total degree <= 5, optionally a constant row."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(lambda r: 0 < sum(r) <= 5)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    return np.array(rows)
+
+
+def _reference_monomials(e, x):
+    """Per-row, per-column np.prod(x ** e): the loop the vectorized form replaces."""
+    return np.array([[np.prod(x[:, k] ** row) for k in range(x.shape[1])] for row in e])
+
+
+def _reference_gradients(e, x):
+    out = np.zeros((e.shape[0], e.shape[1], x.shape[1]))
+    for i, row in enumerate(e):
+        for j, ej in enumerate(row):
+            if ej:
+                reduced = row.copy()
+                reduced[j] -= 1
+                out[i, j] = ej * _reference_monomials(reduced[None, :], x)[0]
+    return out
+
+
+class TestEvalAgainstPerRowReference:
+    @given(e=exponent_matrices(), m=st.integers(1, 6), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_values_and_gradients(self, e, m, data):
+        n = e.shape[1]
+        x = data.draw(arrays(float, (n, m), elements=st.floats(-3.0, 3.0)))
+        dic = Dictionary(n, e)
+        rel = 1e-15
+        ref = _reference_monomials(e, x)
+        assert np.all(np.abs(eval_dictionary(dic, x) - ref) <= rel * np.abs(ref))
+        assert np.all(np.abs(eval_dictionary(dic, x[:, 0]) - ref[:, 0]) <= rel * np.abs(ref[:, 0]))
+        gref = _reference_gradients(e, x)
+        assert np.all(np.abs(eval_gradients(dic, x) - gref) <= rel * np.abs(gref))
+        single = eval_gradients(dic, x[:, 0])
+        assert np.all(np.abs(single - gref[:, :, 0]) <= rel * np.abs(gref[:, :, 0]))
 
 
 class TestEvalDictionary:
@@ -153,3 +225,36 @@ class TestDelayEmbed:
         assert np.array_equal(v[:, 0], [12.0, 11.0, 10.0])
         assert np.array_equal(z[:, 0], [2.0, 1.0])
         assert np.array_equal(zn[:, 0], [3.0, 2.0])
+
+
+class TestLiftingInterface:
+    def test_dictionary_needs_no_history(self):
+        dic = monomials_dictionary(2, 2)
+        assert dic.history_steps == 0
+        assert dic.coords == (0, 1)
+        x = np.array([2.0, 3.0])
+        assert np.array_equal(dic.lift(x, np.ones((2, 3)), np.ones((1, 3))), dic.lift(x))
+
+    @given(
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        tau=st.integers(1, 3),
+        coords=st.sampled_from([(0,), (1,), (0, 1), (1, 0)]),
+        extra=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delay_lift_many_columns_match_lift(self, d1, d2, tau, coords, extra, data):
+        lifting = DelayCoordinates(DelaySpec(d1, d2, tau), coords, state_dim=2, input_dim=1)
+        h = lifting.history_steps
+        n_steps = h + extra
+        states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-5.0, 5.0)))
+        inputs = data.draw(arrays(float, (1, n_steps), elements=st.floats(-5.0, 5.0)))
+        traj = Trajectory(times=np.arange(n_steps + 1.0), states=states, inputs=inputs)
+        z = lifting.lift_many(traj)
+        assert z.shape == (lifting.aug_dim, n_steps - h)
+        for k in range(n_steps - h):
+            expected = lifting.lift(
+                states[:, k + h], history_states=states[:, : k + h], history_inputs=inputs[:, : k + h]
+            )
+            assert np.array_equal(z[:, k], expected)

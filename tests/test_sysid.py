@@ -1,5 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
     DelaySpec,
@@ -368,3 +373,66 @@ class TestPredictRollout:
         pred = predict_rollout(family, np.array([1.0, 2.0]), u_seq)
         expected = mats[1] @ mats[1] @ mats[0] @ np.array([1.0, 2.0])
         assert np.max(np.abs(pred.states[:, -1] - expected)) < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _small_study():
+    """dmdc, edmdc, full-state and x1-only delay models on a small van der Pol study."""
+    from koopmpc.benchmark import fit_models, make_training_data, make_validation_trajectories
+    from koopmpc.config import config_from_mapping
+
+    cfg = config_from_mapping({"seed": 4, "n_trajectories": 30, "n_validation": 3})
+    plant, trajs, samples = make_training_data(cfg)
+    models = fit_models(cfg, trajs, samples)
+    models["delay-x1"] = fit_delay_augmented(trajs, DelaySpec(5, 5), coords=(0,))
+    return models, make_validation_trajectories(cfg, plant)
+
+
+MODEL_NAMES = ("dmdc", "edmdc", "delay", "delay-x1")
+
+
+class TestLiftingInterface:
+    @given(name=st.sampled_from(MODEL_NAMES), n_steps=st.integers(5, 12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lift_many_columns_match_lift(self, name, n_steps, data):
+        model = _small_study()[0][name]
+        states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-3.0, 3.0)))
+        inputs = data.draw(arrays(float, (1, n_steps), elements=st.floats(-3.0, 3.0)))
+        traj = Trajectory(times=np.arange(n_steps + 1) * model.dt, states=states, inputs=inputs)
+        h = model.lifting.history_steps
+        z = model.lifting.lift_many(traj)
+        assert z.shape == (model.lifted_dim, n_steps - h)
+        for k in range(n_steps - h):
+            expected = model.lift(
+                states[:, k + h], history_states=states[:, : k + h], history_inputs=inputs[:, : k + h]
+            )
+            assert np.array_equal(z[:, k], expected)
+
+    @given(
+        names=st.sets(st.sampled_from(MODEL_NAMES), min_size=1),
+        horizon=st.integers(1, 15),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_one_step_rms_matches_per_step_rollouts(self, names, horizon):
+        from koopmpc.benchmark import prediction_errors
+
+        all_models, validation = _small_study()
+        models = {name: all_models[name] for name in sorted(names)}
+        errors = prediction_errors(models, validation, horizon)
+        start = max(model.lifting.history_steps for model in models.values())
+        for name, model in models.items():
+            assert errors[name]["start_index"] == start
+            coords = list(model.lifting.coords)
+            for traj, got in zip(validation, errors[name]["one_step_rms"]):
+                steps = []
+                for k in range(start, start + horizon):
+                    pred = predict_rollout(
+                        model,
+                        traj.states[:, k],
+                        traj.inputs[:, k : k + 1],
+                        history_states=traj.states[:, :k],
+                        history_inputs=traj.inputs[:, :k],
+                    ).states
+                    steps.append(pred[:, 1] - traj.states[coords, k + 1])
+                expected = float(np.sqrt(np.mean(np.square(steps))))
+                assert abs(got - expected) <= 1e-8 * expected
