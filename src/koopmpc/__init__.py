@@ -17,7 +17,6 @@ from .dynamics import (
     make_vanderpol,
     product_sines_family,
     rk4_step,
-    sample_training_set,
     simulate,
     snapshots_from_trajectories,
 )
@@ -40,7 +39,6 @@ from .mpc import (
     MpcConfig,
     MpcStep,
     closed_loop_run,
-    condense_qp,
     mpc_step,
 )
 from .numerics import (

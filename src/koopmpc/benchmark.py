@@ -10,6 +10,7 @@ regardless of how many workers run the control sweeps.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 
 import numpy as np
@@ -185,20 +186,19 @@ def grid_initial_conditions(cfg):
     """Row-major regular grid of initial conditions over the sweep box."""
     box = np.asarray(cfg.ic_grid_box, dtype=float)
     axes = [np.linspace(lo, hi, cfg.ic_grid_n) for lo, hi in box]
-    ics = []
-    for i in range(cfg.ic_grid_n):
-        for j in range(cfg.ic_grid_n):
-            ics.append(np.array([axes[0][i], axes[1][j]]))
-    return ics
+    return [np.array(ic) for ic in itertools.product(*axes)]
 
 
 def grid_band_rates(results, n):
-    """Success rate per Chebyshev ring of the n-by-n grid, center outward."""
+    """Success rate per Chebyshev ring of the row-major n-per-axis grid, center outward."""
     center = (n - 1) / 2.0
+    dim = 1
+    while n > 1 and n**dim < len(results):  # the grid has n**dim points
+        dim += 1
     rings = {}
     for idx, res in enumerate(results):
-        i, j = divmod(idx, n)
-        ring = max(abs(i - center), abs(j - center))
+        cell = np.unravel_index(idx, (n,) * dim)
+        ring = float(max(abs(i - center) for i in cell))
         rings.setdefault(ring, []).append(1.0 if res["stabilized"] else 0.0)
     return [
         {"ring": ring, "success_rate": float(np.mean(vals)), "n_ics": len(vals)}

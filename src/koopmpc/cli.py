@@ -8,7 +8,6 @@ JSON; nothing is plotted here.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -25,6 +24,7 @@ from .config import ExperimentConfig, parse_config
 from .dynamics import ControlSystem, make_vanderpol
 from .errors import ConfigError, KoopmpcError
 from .io import (
+    _write_csv,
     chain_to_json,
     closed_loop_summary,
     closed_loop_to_csv,
@@ -105,34 +105,29 @@ def cmd_predict(args):
     start = model.lifting.history_steps
     coords = list(model.lifting.coords)
     path = out / f"predictions_{model.kind}.csv"
-    errors = []
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        ny = model.recovered_dim
-        writer.writerow(
-            ["traj", "step", "t"]
-            + [f"x{i + 1}" for i in range(n)]
-            + [f"pred{i + 1}" for i in range(ny)]
+    errors, rows = [], []
+    for idx, traj in enumerate(trajectories):
+        if traj.n_steps < start + horizon:
+            continue
+        pred = predict_rollout(
+            model,
+            traj.states[:, start],
+            traj.inputs[:, start : start + horizon],
+            history_states=traj.states[:, :start],
+            history_inputs=traj.inputs[:, :start],
         )
-        for idx, traj in enumerate(trajectories):
-            if traj.n_steps < start + horizon:
-                continue
-            pred = predict_rollout(
-                model,
-                traj.states[:, start],
-                traj.inputs[:, start : start + horizon],
-                history_states=traj.states[:, :start],
-                history_inputs=traj.inputs[:, :start],
-            )
-            truth = traj.states[:, start : start + horizon + 1]
-            err = pred.states[:, 1:] - truth[coords, 1:]
-            errors.append(float(np.sqrt(np.mean(err**2))))
-            for k in range(horizon + 1):
-                writer.writerow(
-                    [idx, start + k, repr(float(traj.times[start + k]))]
-                    + [repr(float(v)) for v in truth[:, k]]
-                    + [repr(float(v)) for v in pred.states[:, k]]
-                )
+        truth = traj.states[:, start : start + horizon + 1]
+        err = pred.states[:, 1:] - truth[coords, 1:]
+        errors.append(float(np.sqrt(np.mean(err**2))))
+        rows += [
+            [idx, start + k, repr(float(traj.times[start + k]))]
+            + [repr(float(v)) for v in truth[:, k]]
+            + [repr(float(v)) for v in pred.states[:, k]]
+            for k in range(horizon + 1)
+        ]
+    header = ["traj", "step", "t"] + [f"x{i + 1}" for i in range(n)]
+    header += [f"pred{i + 1}" for i in range(model.recovered_dim)]
+    _write_csv(path, header, rows)
     write_json(
         {
             "model_kind": model.kind,
@@ -287,48 +282,40 @@ def _write_error_table(report, path):
     if not pred:
         return
     names = list(report["models"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory"] + [f"{n}_one_step_rms" for n in names]
-                        + [f"{n}_rollout_rms" for n in names])
-        n_rows = len(pred["per_trajectory"][names[0]]["one_step_rms"])
-        for k in range(n_rows):
-            writer.writerow(
-                [k]
-                + [repr(pred["per_trajectory"][n]["one_step_rms"][k]) for n in names]
-                + [repr(pred["per_trajectory"][n]["rollout_rms"][k]) for n in names]
-            )
+    per_traj = pred["per_trajectory"]
+    header = ["trajectory"] + [f"{n}_one_step_rms" for n in names]
+    header += [f"{n}_rollout_rms" for n in names]
+    rows = (
+        [k]
+        + [repr(per_traj[n]["one_step_rms"][k]) for n in names]
+        + [repr(per_traj[n]["rollout_rms"][k]) for n in names]
+        for k in range(len(per_traj[names[0]]["one_step_rms"]))
+    )
+    _write_csv(path, header, rows)
 
 
 def _write_cost_table(report, path):
-    rows = []
+    header, rows = None, []
     for section in ("validation", "grid"):
         data = report["mpc"].get(section)
         if not data:
             continue
         names = list(data)
-        n_ics = len(data[names[0]]["per_ic"])
-        for k in range(n_ics):
-            ic = data[names[0]]["per_ic"][k]["ic"]
-            row = [section, k] + [repr(float(v)) for v in ic]
+        for k, first in enumerate(data[names[0]]["per_ic"]):
+            if header is None:
+                header = ["section", "index"] + [f"ic{i + 1}" for i in range(len(first["ic"]))]
+                for name in names:
+                    header += [f"{name}_cost", f"{name}_stabilized"]
+            row = [section, k] + [repr(float(v)) for v in first["ic"]]
             for name in names:
                 entry = data[name]["per_ic"][k]
                 row += [
                     "" if entry["cost"] is None else repr(entry["cost"]),
                     int(entry["stabilized"]),
                 ]
-            rows.append((names, row))
-    if not rows:
-        return
-    names = rows[0][0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["section", "index", "ic1", "ic2"]
-        for name in names:
-            header += [f"{name}_cost", f"{name}_stabilized"]
-        writer.writerow(header)
-        for _, row in rows:
-            writer.writerow(row)
+            rows.append(row)
+    if rows:
+        _write_csv(path, header, rows)
 
 
 def build_parser():

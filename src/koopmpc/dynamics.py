@@ -73,14 +73,18 @@ def rk4_update(rhs, x, u, t, dt):
 
 
 def rk4_step(sys, x, u, t, dt):
-    """One classical 4th-order Runge-Kutta step with ``u`` held constant."""
+    """One classical 4th-order Runge-Kutta step with ``u`` held constant.
+
+    Raises DivergenceError when any component of the new state is not within
+    ``DIVERGENCE_LIMIT`` in magnitude, NaN and infinity included.
+    """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
     out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"integration produced non-finite state at t={t}")
+    if not (np.abs(out) <= DIVERGENCE_LIMIT).all():
+        raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
     return out
 
 
@@ -231,7 +235,7 @@ def product_sines_family(amplitude=5.0, omega_std=10.0):
     """Family of product-of-sines signals with frequencies drawn N(0, omega_std^2).
 
     Returns a callable taking an ``numpy.random.Generator`` and producing one
-    ForcingSignal, for use with :func:`sample_training_set`.
+    ForcingSignal, for use with :func:`generate_training_trajectories`.
     """
 
     def make(rng):
@@ -248,8 +252,8 @@ def _n_steps(t_end, dt):
 def simulate(sys, x0, forcing, t_end, dt):
     """Integrate a flow system with zero-order-hold inputs sampled at step starts.
 
-    Raises DivergenceError (carrying the partial trajectory) as soon as any
-    state component exceeds ``DIVERGENCE_LIMIT`` in magnitude.
+    Raises DivergenceError (carrying the partial trajectory) as soon as a
+    step of :func:`rk4_step` diverges.
     """
     if sys.kind != "flow":
         raise InvalidInputError("simulate requires a continuous-time system")
@@ -271,12 +275,6 @@ def simulate(sys, x0, forcing, t_end, dt):
         except DivergenceError as err:
             partial = Trajectory(times[: k + 1], states[:, : k + 1], inputs[:, :k])
             raise DivergenceError(str(err), partial=partial) from None
-        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            partial = Trajectory(times[: k + 1], states[:, : k + 1], inputs[:, :k])
-            raise DivergenceError(
-                f"state magnitude exceeded {DIVERGENCE_LIMIT:.0e} at t={times[k + 1]:.4g}",
-                partial=partial,
-            )
         states[:, k + 1] = x
     return Trajectory(times, states, inputs)
 
@@ -321,19 +319,3 @@ def snapshots_from_trajectories(trajectories, dt, meta=None):
     t = np.concatenate([tr.times[:-1] for tr in trajectories])
     return SampleSet(x=x, xp=xp, u=u, dt=dt, t=t, meta=dict(meta or {}))
 
-
-def sample_training_set(sys, n_traj, box, t_end, dt, forcing_family, seed):
-    """Generate a training SampleSet of forced-trajectory snapshot pairs."""
-    trajectories, n_divergent = generate_training_trajectories(
-        sys, n_traj, box, t_end, dt, forcing_family, seed
-    )
-    if not trajectories:
-        raise DivergenceError("all training trajectories diverged")
-    meta = {
-        "seed": int(seed),
-        "n_trajectories": int(n_traj),
-        "n_divergent": int(n_divergent),
-        "t_end": float(t_end),
-        "box": np.asarray(box, dtype=float).tolist(),
-    }
-    return snapshots_from_trajectories(trajectories, dt, meta=meta)

@@ -15,9 +15,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .dynamics import DIVERGENCE_LIMIT, Trajectory, rk4_step
+from .dynamics import Trajectory, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
 from .numerics import QpProblem, solve_qp_info
+from .sysid import rollout_from_lifted
 
 
 def _weight_matrix(w, dim, name):
@@ -98,12 +99,18 @@ class CondensedMpc:
         dim = a.shape[0]
         q_in = b.shape[1]
         ny = c.shape[0]
-        if cfg.q.shape[0] != ny:
-            raise InvalidInputError(
-                f"state weight is {cfg.q.shape[0]}-dimensional but the model recovers {ny} states"
-            )
+        q, ref = cfg.q, cfg.reference
+        qf = q if cfg.terminal_weight is None else cfg.terminal_weight
+        if q.shape[0] != ny:
+            coords = list(model.lifting.coords)
+            if q.shape[0] != model.lifting.state_dim or len(coords) != ny:
+                raise InvalidInputError(
+                    f"state weight is {q.shape[0]}-dimensional but the model recovers {ny} states"
+                )
+            # A partial-state model is weighted on the plant coordinates it recovers.
+            rows = np.ix_(coords, coords)
+            q, qf, ref = q[rows], qf[rows], ref[coords]
         n = cfg.horizon
-        qf = cfg.q if cfg.terminal_weight is None else cfg.terminal_weight
         ru = _weight_matrix(cfg.ru, q_in, "ru")
         rdu = _weight_matrix(cfg.rdu, q_in, "rdu")
 
@@ -119,7 +126,7 @@ class CondensedMpc:
 
         qbar = np.zeros((n * ny, n * ny))
         for k in range(n - 1):
-            qbar[k * ny : (k + 1) * ny, k * ny : (k + 1) * ny] = cfg.q
+            qbar[k * ny : (k + 1) * ny, k * ny : (k + 1) * ny] = q
         qbar[(n - 1) * ny :, (n - 1) * ny :] = qf
         rubar = np.kron(np.eye(n), ru)
         rdubar = np.kron(np.eye(n), rdu)
@@ -140,7 +147,7 @@ class CondensedMpc:
             # goes to the active-set solver.
             self._h_inv = None
         self.g_state = 2.0 * smat.T @ qbar @ pred
-        self.g_const = -2.0 * smat.T @ qbar @ np.tile(cfg.reference, n)
+        self.g_const = -2.0 * smat.T @ qbar @ np.tile(ref, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
         self.lb = np.tile(_bound_vector(cfg.u_min, q_in), n)
         self.ub = np.tile(_bound_vector(cfg.u_max, q_in), n)
@@ -178,13 +185,15 @@ class CondensedMpc:
             h=self.h, g=g, a_ineq=self.a_ineq, b_ineq=b_ineq, lb=self.lb, ub=self.ub
         )
 
-    def is_feasible(self, u_seq, u_prev, tol=1e-9):
-        u_seq = np.asarray(u_seq, dtype=float).reshape(-1)
-        if np.any(u_seq < self.lb - tol) or np.any(u_seq > self.ub + tol):
+    def _within_rows(self, u_seq, u_prev, tol):
+        """Whether a stacked plan meets every box and rate row to within ``tol``."""
+        if not ((self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()):
             return False
-        if self.a_ineq is None:
-            return True
-        return bool(np.all(self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol))
+        rates = self.a_ineq is None or (self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol).all()
+        return bool(rates)
+
+    def is_feasible(self, u_seq, u_prev, tol=1e-9):
+        return self._within_rows(np.asarray(u_seq, dtype=float).reshape(-1), u_prev, tol)
 
     def _unconstrained_plan(self, z0, u_prev, tol):
         """The unconstrained minimizer and its residual, if it solves the QP.
@@ -198,17 +207,10 @@ class CondensedMpc:
         if self._h_inv is None:
             return None
         x = -(self._h_inv @ g)
-        if not ((self.lb <= x).all() and (x <= self.ub).all()):
-            return None
-        if self.a_ineq is not None and not (self.a_ineq @ x <= self._rate_rhs(u_prev)).all():
+        if not self._within_rows(x, u_prev, 0.0):
             return None
         residual = float(np.max(np.abs(self.h @ x + g)))
         return (x, residual) if residual <= tol else None
-
-
-def condense_qp(model, z0, u_prev, cfg):
-    """Single-shot condensation of the horizon problem into a QpProblem."""
-    return CondensedMpc(model, cfg).qp(z0, u_prev)
 
 
 @dataclass
@@ -233,18 +235,7 @@ class MpcStep:
     @cached_property
     def predicted_states(self):
         """(ny, N+1) recovered states along the plan."""
-        return _plan_states(self.model, self.lifted_state, self.input_sequence)
-
-
-def _plan_states(model, z0, u_seq):
-    n = u_seq.shape[1]
-    out = np.empty((model.c.shape[0], n + 1))
-    z = z0
-    out[:, 0] = model.c @ z
-    for k in range(n):
-        z = model.a @ z + model.b @ u_seq[:, k]
-        out[:, k + 1] = model.c @ z
-    return out
+        return rollout_from_lifted(self.model, self.lifted_state, self.input_sequence)
 
 
 def mpc_step(
@@ -411,11 +402,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             x = rk4_step(plant, x, u, times[k], dt)
         except DivergenceError as err:
             raise DivergenceError(str(err), partial=partial(k)) from None
-        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"plant state exceeded {DIVERGENCE_LIMIT:.0e} at t={times[k + 1]:.4g}",
-                partial=partial(k),
-            )
         states[:, k + 1] = x
         u_prev = u
 

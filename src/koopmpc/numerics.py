@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import ConvergenceError, InfeasibleError, InvalidInputError
+from .errors import ConvergenceError, InfeasibleError, InvalidInputError, UnknownLevelError
 
 DEFAULT_SVD_TOL = 1e-10
 
@@ -30,6 +30,15 @@ def _as_vector(v, name="vector"):
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
+
+
+def level_index(levels, u, tol=1e-9):
+    """Index of the discrete level within ``tol`` (max-norm) of input ``u``."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    for i, lv in enumerate(levels):
+        if lv.size == u.size and np.max(np.abs(lv - u)) <= tol:
+            return i
+    raise UnknownLevelError(f"input {u} does not match any level")
 
 
 @dataclass(frozen=True)

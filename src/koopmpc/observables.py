@@ -4,6 +4,7 @@ Every lifting exposes the same interface, so fitting, rollout, control and
 scoring never branch on the kind of lifting:
 
 - ``history_steps``: past steps needed beyond the current sample;
+- ``state_dim``: the plant state dimension it lifts from;
 - ``coords``: the plant coordinates a model on this lifting recovers;
 - ``lift(x, history_states=None, history_inputs=None)``: one lifted state;
 - ``lift_many(traj)``: lifted states at steps ``history_steps .. n_steps-1``
@@ -60,9 +61,9 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``coords``, ``lift`` and ``lift_many``. A dictionary
-    needs no history, recovers every plant coordinate, and ignores the
-    history arguments of ``lift``.
+    ``history_steps``, ``state_dim``, ``coords``, ``lift`` and ``lift_many``.
+    A dictionary needs no history, recovers every plant coordinate, and
+    ignores the history arguments of ``lift``.
     """
 
     n_in: int
@@ -82,6 +83,10 @@ class Dictionary:
     @property
     def history_steps(self):
         return 0
+
+    @property
+    def state_dim(self):
+        return self.n_in
 
     @property
     def coords(self):

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, sample_hash
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    NoEigenfunctionError,
-    UnknownLevelError,
-)
-from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
+from .errors import InsufficientDataError, InvalidInputError, NoEigenfunctionError
+from .numerics import DEFAULT_SVD_TOL, level_index, lstsq_min_norm
 from .observables import (
     DelayCoordinates,
     Dictionary,
@@ -70,6 +65,10 @@ class LinearControlModel:
         """Lifted coordinates for a measured state; liftings without history ignore it."""
         return self.lifting.lift(x, history_states, history_inputs)
 
+    def step(self, z, u):
+        """Next lifted state from lifted state ``z`` under input ``u``."""
+        return self.a @ z + self.b @ u
+
 
 @dataclass
 class ParametrizedFamily:
@@ -82,20 +81,21 @@ class ParametrizedFamily:
     dt: float
     fit_residuals: tuple = ()
 
-    def level_index(self, u, tol=1e-9):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        for i, lv in enumerate(self.levels):
-            if lv.size == u.size and np.max(np.abs(lv - u)) <= tol:
-                return i
-        raise UnknownLevelError(f"input {u} does not match any fitted level")
-
     @property
     def lifted_dim(self):
         return self.mats[0].shape[0]
 
+    @property
+    def input_dim(self):
+        return self.levels[0].size
+
     def lift(self, x, history_states=None, history_inputs=None):
         """Lifted coordinates of a state through the family's dictionary."""
         return self.lifting.lift(x, history_states, history_inputs)
+
+    def step(self, z, u):
+        """Next lifted state: the operator of the level ``u`` matches."""
+        return self.mats[level_index(self.levels, u)] @ z
 
 
 def _regress(reg, target, svd_tol):
@@ -399,6 +399,16 @@ def _as_input_matrix(inputs, q):
     return u
 
 
+def rollout_from_lifted(model, z, u):
+    """(ny, N+1) recovered states of ``model`` stepped from lifted ``z`` under (q, N) ``u``."""
+    states = np.empty((model.c.shape[0], u.shape[1] + 1))
+    states[:, 0] = model.c @ z
+    for k in range(u.shape[1]):
+        z = model.step(z, u[:, k])
+        states[:, k + 1] = model.c @ z
+    return states
+
+
 def predict_rollout(model, x0, inputs, history_states=None, history_inputs=None):
     """Roll a fitted model forward under an input sequence.
 
@@ -406,22 +416,7 @@ def predict_rollout(model, x0, inputs, history_states=None, history_inputs=None)
     the lifted space and states are recovered through the model's selector at
     every step, never re-lifting intermediate predictions.
     """
-    if isinstance(model, ParametrizedFamily):
-        u = _as_input_matrix(inputs, model.levels[0].size)
-        steps = [model.mats[model.level_index(u[:, k])] for k in range(u.shape[1])]
-    else:
-        u = _as_input_matrix(inputs, model.input_dim)
-        steps = None
+    u = _as_input_matrix(inputs, model.input_dim)
     z = model.lift(x0, history_states=history_states, history_inputs=history_inputs)
-    c = model.c
-    n_steps = u.shape[1]
-    states = np.empty((c.shape[0], n_steps + 1))
-    states[:, 0] = c @ z
-    for k in range(n_steps):
-        if steps is not None:
-            z = steps[k] @ z
-        else:
-            z = model.a @ z + model.b @ u[:, k]
-        states[:, k + 1] = c @ z
-    times = np.arange(n_steps + 1) * model.dt
-    return Trajectory(times=times, states=states, inputs=u)
+    states = rollout_from_lifted(model, z, u)
+    return Trajectory(times=np.arange(u.shape[1] + 1) * model.dt, states=states, inputs=u)

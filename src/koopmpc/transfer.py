@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rk4_update
-from .errors import InvalidInputError, UnknownLevelError
-from .numerics import stationary_vector
+from .errors import InvalidInputError
+from .numerics import level_index, stationary_vector
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ class ControlledChain:
         if len(dims) != 1:
             raise InvalidInputError("all transition matrices must share one dimension")
 
-    def level_index(self, u, tol=1e-9):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        for i, lv in enumerate(self.levels):
-            if lv.size == u.size and np.max(np.abs(lv - u)) <= tol:
-                return i
-        raise UnknownLevelError(f"input {u} does not match any chain level")
-
     @property
     def dim(self):
         return self.mats[0].dim
@@ -262,7 +255,7 @@ def propagate_density(chain, p0, input_sequence):
     p = _density_array(p0, chain.dim)
     out = [DensityVector(p)]
     for u in input_sequence:
-        mat = chain.mats[chain.level_index(u)]
+        mat = chain.mats[level_index(chain.levels, u)]
         p = mat.p @ p
         total = p.sum()
         if abs(total - 1.0) > 1e-9:

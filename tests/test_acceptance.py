@@ -13,13 +13,13 @@ import pytest
 
 from koopmpc import (
     BoxPartition,
+    CondensedMpc,
     ControlSystem,
     ForcingSignal,
     MpcConfig,
     QpProblem,
     TransitionMatrix,
     closed_loop_run,
-    condense_qp,
     estimate_controlled_transition,
     fit_dmdc,
     fit_edmdc,
@@ -240,7 +240,7 @@ def test_criterion_7_qp_matches_grid_oracle(default_benchmark):
         u_min=-1.0, u_max=1.0, du_min=-0.3, du_max=0.3, reference=np.zeros(2),
     )
     model = models["dmdc"]
-    qp = condense_qp(model, model.lift([2.0, 1.0]), np.zeros(1), mpc_cfg)
+    qp = CondensedMpc(model, mpc_cfg).qp(model.lift([2.0, 1.0]), np.zeros(1))
     x = solve_qp(qp)
     ref = brute_force_qp(qp)
 

@@ -343,6 +343,57 @@ class TestPartialStateDelay:
             assert got == pytest.approx(expected, rel=1e-12)
 
 
+    def test_control_runs_for_partial_state_delay(self, tmp_path):
+        from koopmpc.benchmark import run_benchmark
+        from koopmpc.config import config_from_mapping
+
+        cfg = config_from_mapping(dict(SMALL_CONFIG, delay_full_state=False))
+        report, models = run_benchmark(cfg)
+        assert models["delay"].recovered_dim == 1
+        for section in ("validation", "grid"):
+            for name in ("dmdc", "edmdc", "delay"):
+                per_ic = report["mpc"][section][name]["per_ic"]
+                assert per_ic and all(entry["failed"] is None for entry in per_ic)
+
+        path = write_config(tmp_path, {"delay_full_state": False})
+        data = tmp_path / "data"
+        main(["generate", "--config", str(path), "--out", str(data)])
+        main(["fit", str(data), "--model", "delay", "--config", str(path), "--out", str(tmp_path)])
+        assert main([
+            "mpc", str(tmp_path / "model_delay.json"), "--config", str(path),
+            "--out", str(tmp_path / "mpc"),
+        ]) == 0
+
+
+class TestGridInAnyDimension:
+    CFG = ExperimentConfig(ic_grid_box=[[-1.0, 1.0], [-2.0, 2.0], [-3.0, 3.0]], ic_grid_n=2)
+
+    def test_corners_in_row_major_order(self):
+        from koopmpc.benchmark import grid_initial_conditions
+
+        ics = grid_initial_conditions(self.CFG)
+        expected = [[a, b, c] for a in (-1.0, 1.0) for b in (-2.0, 2.0) for c in (-3.0, 3.0)]
+        assert [ic.tolist() for ic in ics] == expected
+
+    def test_band_rates_count_every_corner(self):
+        from koopmpc.benchmark import grid_band_rates, grid_initial_conditions
+
+        ics = grid_initial_conditions(self.CFG)
+        results = [{"ic": ic.tolist(), "stabilized": k % 2 == 0} for k, ic in enumerate(ics)]
+        assert grid_band_rates(results, 2) == [{"ring": 0.5, "success_rate": 0.5, "n_ics": 8}]
+
+    def test_cost_table_header_follows_the_ic_length(self, tmp_path):
+        from koopmpc.cli import _write_cost_table
+
+        entry = {"ic": [1.0, 2.0, 3.0], "cost": 0.5, "stabilized": True}
+        report = {"mpc": {"grid": {"dmdc": {"per_ic": [entry]}}}}
+        _write_cost_table(report, tmp_path / "costs.csv")
+        assert (tmp_path / "costs.csv").read_bytes() == (
+            b"section,index,ic1,ic2,ic3,dmdc_cost,dmdc_stabilized\r\n"
+            b"grid,0,1.0,2.0,3.0,0.5,1\r\n"
+        )
+
+
 class TestStageErrors:
     def test_failing_stage_is_named_and_partials_survive(self, tmp_path):
         from koopmpc import InsufficientDataError

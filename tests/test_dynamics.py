@@ -7,13 +7,14 @@ from koopmpc import (
     ForcingSignal,
     InvalidInputError,
     Trajectory,
+    generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
     rk4_step,
-    sample_training_set,
     simulate,
+    snapshots_from_trajectories,
 )
-from koopmpc.dynamics import rk4_update
+from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
 from koopmpc.io import (
     closed_loop_to_csv,
     sampleset_from_csv,
@@ -39,6 +40,14 @@ class ZeroRhs:
 class DecayRhs:
     def __call__(self, x, u, t):
         return -x
+
+
+def training_set(sys, n_traj, box, t_end, dt, forcing_family, seed):
+    """Snapshot pairs of forced training trajectories, as the benchmark builds them."""
+    trajectories, _ = generate_training_trajectories(
+        sys, n_traj, box, t_end, dt, forcing_family, seed
+    )
+    return snapshots_from_trajectories(trajectories, dt)
 
 
 class TestVanDerPol:
@@ -108,6 +117,19 @@ class TestRk4:
         with pytest.raises(DivergenceError):
             simulate(sys, [3.0], ForcingSignal.zero(1), 10.0, 0.5)
 
+    def test_finite_state_past_the_limit_raises(self):
+        sys = ControlSystem(1, 1, ZeroRhs())
+        at_limit = np.array([DIVERGENCE_LIMIT])
+        assert np.array_equal(rk4_step(sys, at_limit, np.zeros(1), 0.0, 0.1), at_limit)
+        with pytest.raises(DivergenceError):
+            rk4_step(sys, np.array([2.0 * DIVERGENCE_LIMIT]), np.zeros(1), 0.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_raises(self, bad):
+        sys = ControlSystem(2, 1, ZeroRhs())
+        with pytest.raises(DivergenceError):
+            rk4_step(sys, np.array([0.0, bad]), np.zeros(1), 0.0, 0.1)
+
 
 class TestSimulate:
     def test_zero_field_constant_trajectory(self):
@@ -147,6 +169,18 @@ class TestSimulate:
         assert isinstance(partial, Trajectory)
         assert partial.times.size >= 1
 
+    def test_finite_divergence_partial_ends_at_last_state_within_the_limit(self):
+        # x' = x grows by about 1.65 per RK4 step of 0.5: step 28 is the first
+        # state past DIVERGENCE_LIMIT, and it is still finite.
+        sys = ControlSystem(1, 1, ExpRhs())
+        with pytest.raises(DivergenceError) as exc:
+            simulate(sys, [1.0], ForcingSignal.zero(1), 20.0, 0.5)
+        partial = exc.value.partial
+        assert partial.n_steps == 27
+        assert np.all(np.abs(partial.states) <= DIVERGENCE_LIMIT)
+        nxt = rk4_update(sys.rhs, partial.states[:, -1], np.zeros(1), 0.0, 0.5)
+        assert np.isfinite(nxt).all() and np.abs(nxt).max() > DIVERGENCE_LIMIT
+
 
 class TestForcing:
     def test_product_sines_formula(self):
@@ -165,14 +199,14 @@ class TestForcing:
 class TestSampleTrainingSet:
     def test_benchmark_column_count(self):
         sys = make_vanderpol(0.2)
-        data = sample_training_set(
+        data = training_set(
             sys, 200, [[-6, 6], [-6, 6]], 1.0, 0.05, product_sines_family(), 0
         )
         assert data.n_samples == 4000
 
     def test_single_step_single_column(self):
         sys = make_vanderpol(0.2)
-        data = sample_training_set(
+        data = training_set(
             sys, 1, [[-6, 6], [-6, 6]], 0.05, 0.05, product_sines_family(), 0
         )
         assert data.n_samples == 1
@@ -180,15 +214,15 @@ class TestSampleTrainingSet:
     def test_seed_determinism_is_bitwise(self):
         sys = make_vanderpol(0.2)
         args = (sys, 10, [[-6, 6], [-6, 6]], 0.5, 0.05, product_sines_family(), 123)
-        d1 = sample_training_set(*args)
-        d2 = sample_training_set(*args)
+        d1 = training_set(*args)
+        d2 = training_set(*args)
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.xp, d2.xp)
         assert np.array_equal(d1.u, d2.u)
 
     def test_columns_match_one_step_simulation_bitwise(self):
         sys = make_vanderpol(0.2)
-        data = sample_training_set(
+        data = training_set(
             sys, 3, [[-6, 6], [-6, 6]], 0.25, 0.05, product_sines_family(), 5
         )
         for j in range(data.n_samples):
@@ -197,7 +231,7 @@ class TestSampleTrainingSet:
 
     def test_initial_conditions_inside_box(self):
         sys = make_vanderpol(0.2)
-        data = sample_training_set(
+        data = training_set(
             sys, 20, [[-2, -1], [3, 4]], 0.05, 0.05, product_sines_family(0.0, 1.0), 2
         )
         assert np.all(data.x[0] >= -2) and np.all(data.x[0] <= -1)
@@ -255,7 +289,7 @@ class TestSerialization:
 
     def test_sampleset_csv_round_trip(self, tmp_path):
         sys = make_vanderpol(0.2)
-        data = sample_training_set(
+        data = training_set(
             sys, 2, [[-1, 1], [-1, 1]], 0.2, 0.05, product_sines_family(), 4
         )
         sampleset_to_csv(data, tmp_path / "s.csv")

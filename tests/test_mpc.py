@@ -8,25 +8,34 @@ from hypothesis import strategies as st
 
 import koopmpc.mpc
 from koopmpc import (
+    CondensedMpc,
+    ControlSystem,
     ConvergenceError,
     DelaySpec,
+    DivergenceError,
     InfeasibleError,
     InvalidInputError,
+    LinearControlModel,
     MpcConfig,
     closed_loop_run,
-    condense_qp,
     fit_dmdc,
     fit_edmdc,
     fit_delay_augmented,
+    identity_dictionary,
     mpc_step,
     monomials_dictionary,
     simulate,
     solve_qp,
     snapshots_from_trajectories,
 )
-from koopmpc.dynamics import ForcingSignal, generate_training_trajectories, product_sines_family
+from koopmpc.dynamics import (
+    DIVERGENCE_LIMIT,
+    ForcingSignal,
+    generate_training_trajectories,
+    product_sines_family,
+)
 from koopmpc.numerics import solve_qp_info
-from conftest import A0, B0, discrete_linear_samples
+from conftest import A0, B0, LinearRhs, discrete_linear_samples
 
 from test_numerics import brute_force_qp
 
@@ -58,7 +67,7 @@ class TestCondenseQp:
         )
         model.b = np.zeros_like(model.b)
         cfg = base_cfg(horizon=5)
-        qp = condense_qp(model, model.lift([1.0, -2.0]), np.zeros(1), cfg)
+        qp = CondensedMpc(model, cfg).qp(model.lift([1.0, -2.0]), np.zeros(1))
         u = solve_qp(qp)
         assert np.max(np.abs(u)) < 1e-10
 
@@ -66,7 +75,7 @@ class TestCondenseQp:
         cfg = base_cfg(horizon=1, u_min=-np.inf, u_max=np.inf, du_min=-np.inf, du_max=np.inf)
         x0 = np.array([0.8, -0.4])
         u_prev = np.array([0.3])
-        qp = condense_qp(linear_model, linear_model.lift(x0), u_prev, cfg)
+        qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift(x0), u_prev)
         u_star = solve_qp(qp)[0]
 
         u = sympy.Symbol("u")
@@ -79,7 +88,7 @@ class TestCondenseQp:
 
     def test_two_step_with_active_rate_bound_matches_grid(self, linear_model):
         cfg = base_cfg(horizon=2, u_min=-1.0, u_max=1.0, du_min=-0.3, du_max=0.3)
-        qp = condense_qp(linear_model, linear_model.lift([2.0, 1.0]), np.zeros(1), cfg)
+        qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift([2.0, 1.0]), np.zeros(1))
         u = solve_qp(qp)
         ref = brute_force_qp(qp)
 
@@ -94,7 +103,7 @@ class TestCondenseQp:
     def test_dimension_mismatch(self, linear_model):
         cfg = base_cfg()
         with pytest.raises(InvalidInputError):
-            condense_qp(linear_model, np.zeros(5), np.zeros(1), cfg)
+            CondensedMpc(linear_model, cfg).qp(np.zeros(5), np.zeros(1))
 
 
 class TestMpcStep:
@@ -171,7 +180,7 @@ class TestUnconstrainedFastPath:
         cfg, z0, u_prev = case
         warm = np.full(cfg.horizon, u_prev[0])  # feasible: no input change
         step = mpc_step(linear_model, z0, u_prev, cfg, warm_start=warm, qp_tol=self.QP_TOL)
-        qp = condense_qp(linear_model, linear_model.lift(z0), u_prev, cfg)
+        qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift(z0), u_prev)
         ref, _ = solve_qp_info(qp, tol=self.QP_TOL)
         # Plans of this strongly convex QP (lambda_min(H) >= 2 ru = 0.2) whose
         # KKT residuals are within 1e-8 differ by at most about 1e-8 / 0.2.
@@ -188,7 +197,7 @@ class TestUnconstrainedFastPath:
         cfg = base_cfg()  # |u| <= 5 and |du| <= 50 stay inactive from these states
         z0, u_prev = np.array(z0), np.array([u_prev])
         step = mpc_step(linear_model, z0, u_prev, cfg, qp_tol=self.QP_TOL)
-        qp = condense_qp(linear_model, linear_model.lift(z0), u_prev, cfg)
+        qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift(z0), u_prev)
         assert step.qp_iterations == 0
         assert step.kkt_residual == np.max(np.abs(qp.h @ plan_of(step) + qp.g))
         assert step.kkt_residual <= self.QP_TOL
@@ -197,7 +206,7 @@ class TestUnconstrainedFastPath:
     @given(case=bounded_step(q=np.diag([1.0, 0.0]), ru=0.0, rdu=0.0))
     def test_singular_hessian_uses_active_set_solver(self, singular_model, case):
         cfg, z0, u_prev = case
-        qp = condense_qp(singular_model, singular_model.lift(z0), u_prev, cfg)
+        qp = CondensedMpc(singular_model, cfg).qp(singular_model.lift(z0), u_prev)
         assert np.all(qp.h[-1] == 0.0)
         try:
             ref, info = solve_qp_info(qp, tol=self.QP_TOL)
@@ -288,3 +297,54 @@ class TestClosedLoop:
         plant, _, _ = vdp_training
         with pytest.raises(InvalidInputError):
             closed_loop_run(plant, vdp_edmdc, base_cfg(), np.zeros(2), 1.0, 0.1)
+
+    def test_finite_divergence_carries_partial_run(self):
+        # x' = 10 x with u = 0 throughout (zero state weight): the state first
+        # passes DIVERGENCE_LIMIT, still finite, at step 28 of 0.05.
+        plant = ControlSystem(2, 1, LinearRhs(10.0 * np.eye(2), np.zeros((2, 1))))
+        model = LinearControlModel(
+            a=np.eye(2), b=np.zeros((2, 1)), c=np.eye(2),
+            lifting=identity_dictionary(2), dt=0.05, kind="dmdc",
+        )
+        cfg = base_cfg(q=np.zeros((2, 2)), ru=1.0, rdu=0.0)
+        with pytest.raises(DivergenceError) as exc:
+            closed_loop_run(plant, model, cfg, np.array([1.0, -1.0]), 5.0, 0.05)
+        partial = exc.value.partial
+        assert partial.trajectory.n_steps == 27
+        assert partial.stage_costs.shape == (27,)
+        assert partial.solve_stats["iterations"].shape == (27,)
+        assert np.all(np.abs(partial.trajectory.states) <= DIVERGENCE_LIMIT)
+        assert np.all(partial.trajectory.inputs == 0.0)
+
+
+class TestPartialStateWeights:
+    @pytest.fixture(scope="class")
+    def x1_delay(self, vdp_training):
+        _, trajs, _ = vdp_training
+        return fit_delay_augmented(trajs, DelaySpec(3, 3), coords=(0,))
+
+    def test_plant_weight_is_taken_at_recovered_coordinates(self, x1_delay):
+        full = base_cfg(
+            q=np.array([[2.0, 0.5], [0.5, 3.0]]), reference=np.array([0.25, -1.0]),
+            terminal_weight=np.array([[4.0, 0.0], [0.0, 7.0]]),
+        )
+        sub = base_cfg(q=np.array([[2.0]]), reference=np.array([0.25]),
+                       terminal_weight=np.array([[4.0]]))
+        got, want = CondensedMpc(x1_delay, full), CondensedMpc(x1_delay, sub)
+        for attr in ("h", "g_state", "g_const", "g_uprev"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.cfg is full
+
+    def test_other_weight_sizes_still_raise(self, x1_delay, linear_model):
+        with pytest.raises(InvalidInputError):
+            CondensedMpc(x1_delay, base_cfg(q=np.eye(3), reference=np.zeros(3)))
+        with pytest.raises(InvalidInputError):
+            CondensedMpc(linear_model, base_cfg(q=np.eye(3), reference=np.zeros(3)))
+
+    def test_stage_cost_weights_the_full_plant_state(self, vdp_training, x1_delay):
+        plant, _, _ = vdp_training
+        cfg = base_cfg(q=np.diag([1.0, 2.0]), rdu=0.0)
+        result = closed_loop_run(plant, x1_delay, cfg, np.array([1.5, 0.5]), 1.0, 0.05)
+        x, u = result.trajectory.states[:, :-1], result.trajectory.inputs
+        expected = x[0] ** 2 + 2.0 * x[1] ** 2 + 0.1 * u[0] ** 2
+        assert np.allclose(result.stage_costs, expected, rtol=1e-12, atol=0.0)

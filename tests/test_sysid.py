@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
+    BoxPartition,
+    ControlledChain,
     DelaySpec,
+    MpcConfig,
     InsufficientDataError,
     MissingHistoryError,
     NoEigenfunctionError,
@@ -21,12 +24,16 @@ from koopmpc import (
     identify_eigenfunctions,
     lstsq_min_norm,
     monomials_dictionary,
+    mpc_step,
     plant_derivatives,
     predict_rollout,
+    propagate_density,
     simulate,
     snapshots_from_trajectories,
 )
 from koopmpc.dynamics import ForcingSignal
+from koopmpc.numerics import level_index
+from koopmpc.transfer import TransitionMatrix
 from conftest import A0, B0, discrete_linear_samples, simulate_discrete
 
 
@@ -375,6 +382,41 @@ class TestPredictRollout:
         assert np.max(np.abs(pred.states[:, -1] - expected)) < 1e-8
 
 
+class TestLevelIndex:
+    LEVELS = (np.array([-1.0]), np.array([0.0]), np.array([2.5]))
+
+    def test_matches_within_tolerance(self):
+        assert level_index(self.LEVELS, [0.0]) == 1
+        assert level_index(self.LEVELS, 2.5 + 1e-10) == 2
+        with pytest.raises(UnknownLevelError):
+            level_index(self.LEVELS, [2.5 + 1e-8])
+        with pytest.raises(UnknownLevelError):
+            level_index(self.LEVELS, [0.0, 0.0])
+
+    def test_families_and_chains_share_one_lookup(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 30))
+        data = SampleSet(
+            x=np.hstack([x] * 3),
+            xp=np.hstack([A0 @ x] * 3),
+            u=np.repeat(np.array(self.LEVELS).T, 30, axis=1),
+            dt=0.1,
+        )
+        family = fit_parametrized(data, monomials_dictionary(2, 1), self.LEVELS)
+        tm = TransitionMatrix(p=np.eye(2), tau=1.0)
+        chain = ControlledChain(
+            levels=self.LEVELS, mats=(tm,) * 3, partition=BoxPartition.regular([[0.0, 1.0]], [2])
+        )
+        for owner in (family, chain):
+            assert not hasattr(owner, "level_index")
+        z = family.lift(np.ones(2))
+        assert np.array_equal(family.step(z, [2.5]), family.mats[2] @ z)
+        with pytest.raises(UnknownLevelError):
+            family.step(z, [1.0])
+        with pytest.raises(UnknownLevelError):
+            propagate_density(chain, [1.0, 0.0], [np.array([1.0])])
+
+
 @functools.lru_cache(maxsize=None)
 def _small_study():
     """dmdc, edmdc, full-state and x1-only delay models on a small van der Pol study."""
@@ -436,3 +478,14 @@ class TestLiftingInterface:
                     steps.append(pred[:, 1] - traj.states[coords, k + 1])
                 expected = float(np.sqrt(np.mean(np.square(steps))))
                 assert abs(got - expected) <= 1e-8 * expected
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_mpc_plan_states_equal_predict_rollout(self, name):
+        model = _small_study()[0][name]
+        traj = _small_study()[1][0]
+        k = 7
+        history = dict(history_states=traj.states[:, :k], history_inputs=traj.inputs[:, :k])
+        cfg = MpcConfig(q=np.eye(2), ru=0.1, rdu=0.1, horizon=10, u_min=-5.0, u_max=5.0)
+        step = mpc_step(model, traj.states[:, k], traj.inputs[:, k - 1], cfg, **history)
+        pred = predict_rollout(model, traj.states[:, k], step.input_sequence, **history)
+        assert np.array_equal(step.predicted_states, pred.states)
