@@ -53,7 +53,6 @@ from .observables import (
     DelayCoordinates,
     DelaySpec,
     Dictionary,
-    delay_embed,
     eval_dictionary,
     identity_dictionary,
     monomials_dictionary,

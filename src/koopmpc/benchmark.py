@@ -24,6 +24,7 @@ from .dynamics import (
     snapshots_from_trajectories,
 )
 from .errors import DivergenceError, InfeasibleError, InvalidInputError, KoopmpcError
+from .io import closed_loop_summary
 from .mpc import MpcConfig, closed_loop_run
 from .observables import DelaySpec, monomials_dictionary
 from .sysid import fit_delay_augmented, fit_dmdc, fit_edmdc, predict_rollout
@@ -118,18 +119,21 @@ def prediction_errors(models, trajectories, horizon):
     history), so the errors are directly comparable. Errors are taken on the
     coordinates each model's lifting recovers (partial-state delay models are
     scored on their observed coordinate only). One-step predictions come
-    from a single ``C (A Z + B U)`` product over the lifted window.
+    from a single ``C (A Z + B U)`` product over the lifted window. Each
+    entry also holds ``predictions``: per trajectory, the (ny, horizon+1)
+    recovered states of the rollout from ``start_index``.
     """
     start = max((model.lifting.history_steps for model in models.values()), default=0)
     out = {}
     for name, model in models.items():
         coords = list(model.lifting.coords)
         first = start - model.lifting.history_steps
-        one_step, rollout = [], []
+        one_step, rollout, predictions = [], [], []
         for traj in trajectories:
             if traj.n_steps < start + horizon:
                 raise InvalidInputError(
-                    f"validation trajectories too short for horizon {horizon} from index {start}"
+                    f"a trajectory of {traj.n_steps} steps is too short for horizon {horizon} "
+                    f"from index {start}"
                 )
             inputs = traj.inputs[:, start : start + horizon]
             truth = traj.states[coords, start + 1 : start + horizon + 1]
@@ -140,6 +144,7 @@ def prediction_errors(models, trajectories, horizon):
                 history_states=traj.states[:, :start],
                 history_inputs=traj.inputs[:, :start],
             ).states
+            predictions.append(pred)
             rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth) ** 2))))
             z = model.lifting.lift_many(traj)[:, first : first + horizon]
             step = model.c @ (model.a @ z + model.b @ inputs)
@@ -147,6 +152,7 @@ def prediction_errors(models, trajectories, horizon):
         out[name] = {
             "one_step_rms": one_step,
             "rollout_rms": rollout,
+            "predictions": predictions,
             "start_index": start,
         }
     return out
@@ -155,24 +161,20 @@ def prediction_errors(models, trajectories, horizon):
 def _control_task(args):
     """One closed-loop run; returns a summary dict (module-level for pickling)."""
     plant, model, mpc_cfg, ic, t_end, dt, threshold = args
+    ic_list = [float(v) for v in ic]
     try:
         result = closed_loop_run(plant, model, mpc_cfg, ic, t_end, dt)
-        final_norm = float(np.linalg.norm(result.final_state))
-        return {
-            "ic": [float(v) for v in ic],
-            "cost": result.total_cost,
-            "final_norm": final_norm,
-            "stabilized": bool(final_norm < threshold),
-            "failed": None,
-        }
     except (DivergenceError, InfeasibleError) as err:
-        return {
-            "ic": [float(v) for v in ic],
-            "cost": None,
-            "final_norm": None,
-            "stabilized": False,
-            "failed": type(err).__name__,
-        }
+        return {"ic": ic_list, "cost": None, "final_norm": None, "stabilized": False,
+                "failed": type(err).__name__}
+    summary = closed_loop_summary(result, success_threshold=threshold)
+    return {
+        "ic": ic_list,
+        "cost": summary["total_cost"],
+        "final_norm": summary["final_state_norm"],
+        "stabilized": summary["stabilized"],
+        "failed": None,
+    }
 
 
 def _run_control_sweep(plant, model, mpc_cfg, ics, t_end, dt, threshold, pool):
@@ -243,9 +245,14 @@ def _run_benchmark_stages(cfg, parallel, report):
     errors = _staged(
         "prediction-errors", prediction_errors, models, validation, cfg.prediction_horizon
     )
+    sweeps = []
+    if cfg.run_mpc_validation:
+        sweeps.append(("validation", [traj.states[:, 0] for traj in validation]))
+    if cfg.run_mpc_grid:
+        sweeps.append(("grid", grid_initial_conditions(cfg)))
     mpc_cfg = mpc_config_from(cfg)
     pool = None
-    if parallel > 1 and (cfg.run_mpc_validation or cfg.run_mpc_grid):
+    if parallel > 1 and sweeps:
         pool = multiprocessing.get_context("spawn").Pool(parallel)
 
     report["n_training_samples"] = samples.n_samples
@@ -270,36 +277,21 @@ def _run_benchmark_stages(cfg, parallel, report):
     }
 
     try:
-        if cfg.run_mpc_validation:
-            ics = [traj.states[:, 0] for traj in validation]
-            section = {}
+        for section, ics in sweeps:
+            entries = {}
             for name in cfg.models:
                 results = _staged(
-                    f"control-validation-{name}", _run_control_sweep,
+                    f"control-{section}-{name}", _run_control_sweep,
                     plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt,
                     cfg.success_threshold, pool,
                 )
-                section[name] = {
+                entries[name] = {
                     "per_ic": results,
                     "success_rate": float(np.mean([r["stabilized"] for r in results])),
                 }
-            report["mpc"]["validation"] = section
-
-        if cfg.run_mpc_grid:
-            ics = grid_initial_conditions(cfg)
-            section = {}
-            for name in cfg.models:
-                results = _staged(
-                    f"control-grid-{name}", _run_control_sweep,
-                    plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt,
-                    cfg.success_threshold, pool,
-                )
-                section[name] = {
-                    "per_ic": results,
-                    "success_rate": float(np.mean([r["stabilized"] for r in results])),
-                    "band_success_rates": grid_band_rates(results, cfg.ic_grid_n),
-                }
-            report["mpc"]["grid"] = section
+                if section == "grid":
+                    entries[name]["band_success_rates"] = grid_band_rates(results, cfg.ic_grid_n)
+            report["mpc"][section] = entries
     finally:
         if pool is not None:
             pool.close()

@@ -18,6 +18,7 @@ from .benchmark import (
     make_training_data,
     fit_models,
     mpc_config_from,
+    prediction_errors,
     run_benchmark,
 )
 from .config import ExperimentConfig, parse_config
@@ -39,7 +40,6 @@ from .io import (
     write_json,
 )
 from .mpc import closed_loop_run
-from .sysid import predict_rollout
 from .transfer import BoxPartition, estimate_controlled_transition, invariant_density
 
 
@@ -102,29 +102,16 @@ def cmd_predict(args):
     n, q = int(manifest["state_dim"]), int(manifest["input_dim"])
     trajectories = trajectories_from_csv(data_dir / "trajectories.csv", n, q)
     horizon = cfg.prediction_horizon
-    start = model.lifting.history_steps
-    coords = list(model.lifting.coords)
+    scores = prediction_errors({model.kind: model}, trajectories, horizon)[model.kind]
+    start = scores["start_index"]
     path = out / f"predictions_{model.kind}.csv"
-    errors, rows = [], []
-    for idx, traj in enumerate(trajectories):
-        if traj.n_steps < start + horizon:
-            continue
-        pred = predict_rollout(
-            model,
-            traj.states[:, start],
-            traj.inputs[:, start : start + horizon],
-            history_states=traj.states[:, :start],
-            history_inputs=traj.inputs[:, :start],
-        )
-        truth = traj.states[:, start : start + horizon + 1]
-        err = pred.states[:, 1:] - truth[coords, 1:]
-        errors.append(float(np.sqrt(np.mean(err**2))))
-        rows += [
-            [idx, start + k, repr(float(traj.times[start + k]))]
-            + [repr(float(v)) for v in truth[:, k]]
-            + [repr(float(v)) for v in pred.states[:, k]]
-            for k in range(horizon + 1)
-        ]
+    rows = (
+        [idx, start + k, repr(float(traj.times[start + k]))]
+        + [repr(float(v)) for v in traj.states[:, start + k]]
+        + [repr(float(v)) for v in pred[:, k]]
+        for idx, (traj, pred) in enumerate(zip(trajectories, scores["predictions"]))
+        for k in range(horizon + 1)
+    )
     header = ["traj", "step", "t"] + [f"x{i + 1}" for i in range(n)]
     header += [f"pred{i + 1}" for i in range(model.recovered_dim)]
     _write_csv(path, header, rows)
@@ -133,8 +120,8 @@ def cmd_predict(args):
             "model_kind": model.kind,
             "horizon": horizon,
             "start_index": start,
-            "rollout_rms_per_trajectory": errors,
-            "rollout_rms_median": float(np.median(errors)) if errors else None,
+            "rollout_rms_per_trajectory": scores["rollout_rms"],
+            "rollout_rms_median": float(np.median(scores["rollout_rms"])),
         },
         out / f"prediction_errors_{model.kind}.json",
     )

@@ -88,11 +88,9 @@ class ExperimentConfig:
         return out
 
 
-_INT_KEYS = {
-    "n_trajectories", "seed", "edmdc_order", "delay_depth", "n_validation",
-    "prediction_horizon", "mpc_horizon", "ic_grid_n", "ulam_samples_per_box",
-}
-_BOOL_KEYS = {"edmdc_include_constant", "delay_full_state", "run_mpc_validation", "run_mpc_grid"}
+# Annotations are strings here (postponed evaluation), e.g. "int".
+_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
+_BOOL_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
 _BOX_KEYS = {"training_box", "validation_box", "ic_grid_box", "ulam_box"}
 _POSITIVE_KEYS = {
     "n_trajectories", "training_t_end", "dt", "edmdc_order", "delay_depth",

@@ -168,7 +168,6 @@ def _lifting_descriptor(lifting):
             "type": "delay",
             "d1": lifting.spec.d1,
             "d2": lifting.spec.d2,
-            "tau_steps": lifting.spec.tau_steps,
             "coords": list(lifting.coords),
             "state_dim": lifting.state_dim,
             "input_dim": lifting.input_dim,
@@ -185,8 +184,11 @@ def _lifting_descriptor(lifting):
 
 def _lifting_from_descriptor(desc):
     if desc["type"] == "delay":
+        # Files from before lags were fixed at one step may carry tau_steps: 1.
+        if desc.get("tau_steps", 1) != 1:
+            raise InvalidInputError(f"unsupported delay lag tau_steps={desc['tau_steps']!r}")
         return DelayCoordinates(
-            spec=DelaySpec(d1=desc["d1"], d2=desc["d2"], tau_steps=desc["tau_steps"]),
+            spec=DelaySpec(d1=desc["d1"], d2=desc["d2"]),
             coords=tuple(desc["coords"]),
             state_dim=desc["state_dim"],
             input_dim=desc["input_dim"],

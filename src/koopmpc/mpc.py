@@ -31,10 +31,10 @@ def _weight_matrix(w, dim, name):
 
 
 def _bound_vector(v, dim):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        return np.full(dim, float(arr))
-    return arr.reshape(-1)
+    arr = np.asarray(v, dtype=float).reshape(-1)
+    if arr.size not in (1, dim):
+        raise InvalidInputError(f"bound has {arr.size} entries; expected 1 or {dim}")
+    return np.broadcast_to(arr, dim).copy()
 
 
 @dataclass
@@ -153,11 +153,14 @@ class CondensedMpc:
         self.ub = np.tile(_bound_vector(cfg.u_max, q_in), n)
         du_max = np.tile(_bound_vector(cfg.du_max, q_in), n)
         du_min = np.tile(_bound_vector(cfg.du_min, q_in), n)
-        rate_finite = np.isfinite(du_max).any() or np.isfinite(du_min).any()
-        self.a_ineq = np.vstack([lmat, -lmat]) if rate_finite else None
+        # Rate rows u_k - u_{k-1} <= du_max and -(u_k - u_{k-1}) <= -du_min,
+        # kept only where the bound is finite.
+        keep = np.isfinite(np.concatenate([du_max, -du_min]))
+        self.a_ineq = np.vstack([lmat, -lmat])[keep] if keep.any() else None
+        self._rate_bound = np.concatenate([du_max, -du_min])[keep]
+        self._rate_shift = np.vstack([emat, -emat])[keep]
         self._du_max = du_max
         self._du_min = du_min
-        self._emat = emat
         self.ru = ru
         self.rdu = rdu
         self.model = model
@@ -175,8 +178,7 @@ class CondensedMpc:
         return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
 
     def _rate_rhs(self, u_prev):
-        shift = self._emat @ np.asarray(u_prev, dtype=float).reshape(-1)
-        return np.concatenate([self._du_max + shift, -self._du_min - shift])
+        return self._rate_bound + self._rate_shift @ np.asarray(u_prev, dtype=float).reshape(-1)
 
     def qp(self, z0, u_prev):
         g = self._gradient(z0, u_prev)
@@ -405,15 +407,4 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
         states[:, k + 1] = x
         u_prev = u
 
-    traj = Trajectory(times, states, inputs)
-    return ClosedLoopResult(
-        trajectory=traj,
-        stage_costs=stage,
-        cumulative_cost=np.cumsum(stage),
-        solve_stats={
-            "iterations": iters,
-            "kkt_residual": resid,
-            "warm_started": warm_flags,
-        },
-        warmup_steps=warmup,
-    )
+    return partial(n_steps)

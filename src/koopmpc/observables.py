@@ -179,49 +179,22 @@ def recovery_matrix(dic):
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Time-delay embedding depths for states (d1) and inputs (d2)."""
+    """Time-delay embedding depths for states (d1) and inputs (d2), one step apart."""
 
     d1: int
     d2: int
-    tau_steps: int = 1
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1 or self.tau_steps < 1:
-            raise InvalidInputError("d1, d2, and tau_steps must all be >= 1")
-
-
-def delay_embed(traj, spec, coords=None):
-    """Hankel-stack a trajectory into delay coordinates, newest sample first.
-
-    Column k of ``z`` is [x_k, x_{k-tau}, ..., x_{k-(d1-1)tau}] over the
-    selected coordinates, column k of ``v`` is [u_k, u_{k-tau}, ...], and
-    ``z_next`` is ``z`` advanced by one step, so the triple is ready for the
-    regression z_next ~ A z + B v.
-    """
-    coords = list(range(traj.state_dim)) if coords is None else [int(c) for c in coords]
-    s = traj.states[coords, :]
-    u = traj.inputs
-    tau = spec.tau_steps
-    n_steps = traj.n_steps
-    k_min = (max(spec.d1, spec.d2) - 1) * tau
-    m = n_steps - k_min
-    if m < 1:
-        raise InsufficientDataError(
-            f"trajectory with {n_steps} steps is too short for depths "
-            f"d1={spec.d1}, d2={spec.d2}, tau={tau}"
-        )
-    z_blocks = [s[:, k_min - j * tau : n_steps - j * tau] for j in range(spec.d1)]
-    zn_blocks = [s[:, k_min + 1 - j * tau : n_steps + 1 - j * tau] for j in range(spec.d1)]
-    v_blocks = [u[:, k_min - j * tau : n_steps - j * tau] for j in range(spec.d2)]
-    return np.vstack(z_blocks), np.vstack(v_blocks), np.vstack(zn_blocks)
+        if self.d1 < 1 or self.d2 < 1:
+            raise InvalidInputError("d1 and d2 must both be >= 1")
 
 
 @dataclass(frozen=True)
 class DelayCoordinates:
     """Input-augmented delay lifting [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}].
 
-    States are taken over ``coords`` only and lags are ``tau_steps`` apart;
-    history arrays passed to :meth:`lift` end just before the current step.
+    States are taken over ``coords`` only; history arrays passed to
+    :meth:`lift` end just before the current step.
     """
 
     spec: DelaySpec
@@ -244,13 +217,12 @@ class DelayCoordinates:
     @property
     def history_steps(self):
         """Past steps needed (beyond the current sample) to build a lifted state."""
-        return (max(self.spec.d1, self.spec.d2) - 1) * self.spec.tau_steps
+        return max(self.spec.d1, self.spec.d2) - 1
 
     def lift(self, x, history_states=None, history_inputs=None):
         x = np.asarray(x, dtype=float).reshape(-1)
-        tau = self.spec.tau_steps
-        need_s = (self.spec.d1 - 1) * tau
-        need_u = (self.spec.d2 - 1) * tau
+        need_s = self.spec.d1 - 1
+        need_u = self.spec.d2 - 1
         hs = None if history_states is None else np.atleast_2d(np.asarray(history_states, float))
         hi = None if history_inputs is None else np.atleast_2d(np.asarray(history_inputs, float))
         if need_s and (hs is None or hs.shape[1] < need_s):
@@ -260,11 +232,21 @@ class DelayCoordinates:
         coords = list(self.coords)
         blocks = [x[coords]]
         for j in range(1, self.spec.d1):
-            blocks.append(hs[coords, -j * tau])
+            blocks.append(hs[coords, -j])
         for j in range(1, self.spec.d2):
-            blocks.append(hi[:, -j * tau])
+            blocks.append(hi[:, -j])
         return np.concatenate(blocks)
 
     def lift_many(self, traj):
-        z, v, _ = delay_embed(traj, self.spec, coords=self.coords)
-        return np.vstack([z, v[self.input_dim :]])
+        """Hankel columns: column k lifts step ``history_steps + k``, newest sample first."""
+        h = self.history_steps
+        m = traj.n_steps - h
+        if m < 1:
+            raise InsufficientDataError(
+                f"trajectory with {traj.n_steps} steps is too short for depths "
+                f"d1={self.spec.d1}, d2={self.spec.d2}"
+            )
+        s = traj.states[list(self.coords)]
+        blocks = [s[:, h - j : h - j + m] for j in range(self.spec.d1)]
+        blocks += [traj.inputs[:, h - j : h - j + m] for j in range(1, self.spec.d2)]
+        return np.vstack(blocks)

@@ -106,22 +106,10 @@ def _regress(reg, target, svd_tol):
 
 
 def fit_dmdc(data, svd_tol=DEFAULT_SVD_TOL):
-    """Least-squares fit of x' = A x + B u on raw state snapshots."""
-    n, q, m = data.state_dim, data.input_dim, data.n_samples
-    if m < n + q:
-        raise InsufficientDataError(f"need at least {n + q} samples, got {m}")
-    reg = np.vstack([data.x, data.u])
-    w, residual = _regress(reg, data.xp, svd_tol)
-    return LinearControlModel(
-        a=w[:, :n],
-        b=w[:, n:],
-        c=np.eye(n),
-        lifting=identity_dictionary(n),
-        dt=data.dt,
-        kind=KIND_DMDC,
-        fit_residual=residual,
-        training_hash=sample_hash(data),
-    )
+    """Least-squares fit of x' = A x + B u: EDMDc over the state coordinates alone."""
+    model = fit_edmdc(data, identity_dictionary(data.state_dim), svd_tol)
+    model.kind = KIND_DMDC
+    return model
 
 
 def fit_edmdc(data, dic, svd_tol=DEFAULT_SVD_TOL):
@@ -147,7 +135,7 @@ def fit_edmdc(data, dic, svd_tol=DEFAULT_SVD_TOL):
     )
 
 
-def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None, dt=None):
+def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None):
     """Fit a causal delay-coordinate model in input-augmented form.
 
     The augmented state stacks [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}]
@@ -160,8 +148,6 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
     trajectories = list(trajectories)
     if not trajectories:
         raise InsufficientDataError("need at least one trajectory")
-    if spec.tau_steps != 1:
-        raise InvalidInputError("the augmented delay form requires tau_steps == 1")
     n = trajectories[0].state_dim
     q = trajectories[0].input_dim
     coords = tuple(range(n)) if coords is None else tuple(int(c) for c in coords)
@@ -196,7 +182,7 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
         b=b,
         c=c,
         lifting=dc,
-        dt=float(trajectories[0].times[1] - trajectories[0].times[0]) if dt is None else dt,
+        dt=float(trajectories[0].times[1] - trajectories[0].times[0]),
         kind=KIND_DELAY_AUGMENTED,
         fit_residual=residual,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -59,6 +60,17 @@ class TestParseConfig:
         path.write_text('{"n_trajectories": "many"}')
         with pytest.raises(ConfigError, match="n_trajectories"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        [f.name for f in dataclasses.fields(ExperimentConfig) if type(f.default) in (int, bool)],
+    )
+    def test_wrongly_typed_int_or_bool_names_the_key(self, key):
+        from koopmpc.config import config_from_mapping
+
+        wrong = 1 if isinstance(getattr(ExperimentConfig(), key), bool) else 2.5
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: wrong})
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -299,6 +311,68 @@ class TestSeedSweep:
             "benchmark", "--config", str(cfg), "--out", str(tmp_path / "x"),
             "--seeds", "5-2",
         ]) == 2
+
+
+@pytest.fixture(scope="module")
+def fitted_x1(tmp_path_factory):
+    """Generated data and dmdc, edmdc and x1-only delay model files."""
+    root = tmp_path_factory.mktemp("x1")
+    cfg = write_config(root, {"delay_full_state": False})
+    main(["generate", "--config", str(cfg), "--out", str(root / "data")])
+    for name in ("dmdc", "edmdc", "delay"):
+        main(["fit", str(root / "data"), "--model", name, "--config", str(cfg), "--out", str(root)])
+    return cfg, root / "data"
+
+
+class TestPredictScoresLikeTheBenchmark:
+    @pytest.mark.parametrize("name", ["dmdc", "edmdc", "delay"])
+    def test_rms_lists_equal_prediction_errors(self, fitted_x1, tmp_path, name):
+        from koopmpc.benchmark import prediction_errors
+        from koopmpc.io import trajectories_from_csv
+
+        cfg, data = fitted_x1
+        model_path = data.parent / f"model_{name}.json"
+        assert main([
+            "predict", str(model_path), str(data), "--config", str(cfg), "--out", str(tmp_path),
+        ]) == 0
+        model = model_from_json(model_path)
+        summary = read_json(tmp_path / f"prediction_errors_{model.kind}.json")
+        trajectories = trajectories_from_csv(data / "trajectories.csv", 2, 1)
+        scores = prediction_errors({name: model}, trajectories, parse_config(cfg).prediction_horizon)
+        assert summary["rollout_rms_per_trajectory"] == scores[name]["rollout_rms"]
+        assert summary["start_index"] == scores[name]["start_index"]
+
+    def test_delay_file_with_another_lag_exits_3(self, fitted_x1, tmp_path):
+        cfg, data = fitted_x1
+        raw = read_json(data.parent / "model_delay.json")
+        raw["lifting"]["tau_steps"] = 2
+        path = tmp_path / "lagged.json"
+        path.write_text(json.dumps(raw))
+        assert main(["predict", str(path), str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    def test_delay_file_with_unit_lag_still_loads(self, fitted_x1, tmp_path):
+        _, data = fitted_x1
+        raw = read_json(data.parent / "model_delay.json")
+        assert "tau_steps" not in raw["lifting"]
+        raw["lifting"]["tau_steps"] = 1
+        path = tmp_path / "unit_lag.json"
+        path.write_text(json.dumps(raw))
+        back = model_from_json(path)
+        assert back.lifting == model_from_json(data.parent / "model_delay.json").lifting
+
+    def test_trajectories_shorter_than_the_horizon_exit_3(self, fitted_x1, tmp_path):
+        from koopmpc import InvalidInputError
+        from koopmpc.benchmark import prediction_errors
+        from koopmpc.io import trajectories_from_csv
+
+        _, data = fitted_x1
+        cfg = write_config(tmp_path, {"prediction_horizon": 25})  # trajectories have 20 steps
+        model_path = data.parent / "model_dmdc.json"
+        assert main(["predict", str(model_path), str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "prediction_errors_dmdc.json").exists()
+        trajectories = trajectories_from_csv(data / "trajectories.csv", 2, 1)
+        with pytest.raises(InvalidInputError, match="too short"):
+            prediction_errors({"dmdc": model_from_json(model_path)}, trajectories, 25)
 
 
 class TestPartialStateDelay:

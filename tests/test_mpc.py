@@ -317,6 +317,40 @@ class TestClosedLoop:
         assert np.all(partial.trajectory.inputs == 0.0)
 
 
+class TestBounds:
+    @pytest.mark.parametrize(
+        "side, x0",
+        [({"du_min": -0.5}, [-3.0, 1.0]), ({"du_max": 0.5}, [3.0, -1.0])],
+        ids=["du_min", "du_max"],
+    )
+    def test_one_sided_rate_bound_matches_a_far_other_side(self, vdp_training, vdp_edmdc, side, x0):
+        plant, _, _ = vdp_training
+        one = MpcConfig(np.eye(2), ru=0.1, rdu=0.1, horizon=5, **side)
+        far_side = {"du_max": 1e9} if "du_min" in side else {"du_min": -1e9}
+        far = MpcConfig(np.eye(2), ru=0.1, rdu=0.1, horizon=5, **side, **far_side)
+        assert CondensedMpc(vdp_edmdc, one).a_ineq.shape == (5, 5)  # finite rows only
+        got = closed_loop_run(plant, vdp_edmdc, one, np.array(x0), 3.0, 0.05)
+        ref = closed_loop_run(plant, vdp_edmdc, far, np.array(x0), 3.0, 0.05)
+        assert np.any(got.solve_stats["iterations"] > 0)  # the active-set solver ran
+        assert np.array_equal(got.trajectory.inputs, ref.trajectory.inputs)
+        assert np.array_equal(got.trajectory.states, ref.trajectory.states)
+
+    @pytest.mark.parametrize("key", ["u_min", "u_max", "du_min", "du_max"])
+    def test_bound_of_wrong_length_raises(self, linear_model, key):
+        cfg = base_cfg(**{key: [-1.0, 2.0] if key.endswith("min") else [1.0, 2.0]})
+        with pytest.raises(InvalidInputError, match="bound has 2 entries"):
+            CondensedMpc(linear_model, cfg)
+        with pytest.raises(InvalidInputError, match="bound has 2 entries"):
+            mpc_step(linear_model, np.ones(2), np.zeros(1), cfg)
+
+    def test_length_one_bound_equals_scalar(self, linear_model):
+        vec = CondensedMpc(linear_model, base_cfg(u_max=[1.0], du_min=[-0.3]))
+        scalar = CondensedMpc(linear_model, base_cfg(u_max=1.0, du_min=-0.3))
+        assert np.array_equal(vec.ub, scalar.ub)
+        assert np.array_equal(vec.qp(np.ones(2), np.zeros(1)).b_ineq,
+                              scalar.qp(np.ones(2), np.zeros(1)).b_ineq)
+
+
 class TestPartialStateWeights:
     @pytest.fixture(scope="class")
     def x1_delay(self, vdp_training):

@@ -14,7 +14,6 @@ from koopmpc import (
     InvalidInputError,
     Trajectory,
     UnsupportedDictionaryError,
-    delay_embed,
     eval_dictionary,
     identity_dictionary,
     monomials_dictionary,
@@ -188,31 +187,45 @@ class TestRecoveryMatrix:
             recovery_matrix(dic)
 
 
+def delay_columns(traj, spec):
+    """``lift_many`` of a full-state delay lifting of ``traj``."""
+    lifting = DelayCoordinates(
+        spec, tuple(range(traj.state_dim)), state_dim=traj.state_dim, input_dim=traj.input_dim
+    )
+    return lifting.lift_many(traj)
+
+
+def assert_shifts_by_one(z, traj, spec):
+    """Column k+1 is column k advanced one step: a new sample on top, the rest pushed down."""
+    n, h = traj.state_dim, max(spec.d1, spec.d2) - 1
+    assert np.array_equal(z[:n, 1:], traj.states[:, h + 1 : traj.n_steps])
+    assert np.array_equal(z[n : spec.d1 * n, 1:], z[: (spec.d1 - 1) * n, :-1])
+
+
 class TestDelayEmbed:
     def test_depth_one_reduces_to_snapshots(self):
         traj = make_series([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        z, v, zn = delay_embed(traj, DelaySpec(1, 1))
-        assert np.array_equal(z, traj.states[:, :-1])
-        assert np.array_equal(zn, traj.states[:, 1:])
-        assert np.array_equal(v, traj.inputs)
+        z = delay_columns(traj, DelaySpec(1, 1))
+        assert np.array_equal(z, traj.states[:, :-1])  # d2 = 1 stores no past inputs
+        assert_shifts_by_one(z, traj, DelaySpec(1, 1))
 
     def test_hand_stacked_hankel(self):
         traj = make_series([1.0, 2.0, 3.0, 4.0])
-        z, _, zn = delay_embed(traj, DelaySpec(2, 1))
+        z = delay_columns(traj, DelaySpec(2, 1))
         assert np.array_equal(z, [[2.0, 3.0], [1.0, 2.0]])
-        assert np.array_equal(zn, [[3.0, 4.0], [2.0, 3.0]])
+        assert_shifts_by_one(z, traj, DelaySpec(2, 1))
 
     def test_too_short_raises(self):
         traj = make_series([1.0, 2.0])  # two states = depth-2 needs three
         with pytest.raises(InsufficientDataError):
-            delay_embed(traj, DelaySpec(2, 2))
+            delay_columns(traj, DelaySpec(2, 2))
 
     def test_unstack_recovers_series(self):
         rng = np.random.default_rng(8)
         series = rng.standard_normal((1, 12))
         traj = make_series(series)
         d1 = 4
-        z, _, _ = delay_embed(traj, DelaySpec(d1, 1))
+        z = delay_columns(traj, DelaySpec(d1, 1))
         rebuilt = np.concatenate([z[d1 - 1 :: -1, 0], z[0, 1:]])
         assert np.array_equal(rebuilt, series[0, : traj.n_steps])
 
@@ -220,11 +233,11 @@ class TestDelayEmbed:
         states = np.arange(6.0)[None, :]
         inputs = (10.0 + np.arange(5.0))[None, :]
         traj = Trajectory(times=np.arange(6.0), states=states, inputs=inputs)
-        z, v, zn = delay_embed(traj, DelaySpec(2, 3))
-        # first usable index k = 2: v_2 = [u2, u1, u0]
-        assert np.array_equal(v[:, 0], [12.0, 11.0, 10.0])
-        assert np.array_equal(z[:, 0], [2.0, 1.0])
-        assert np.array_equal(zn[:, 0], [3.0, 2.0])
+        z = delay_columns(traj, DelaySpec(2, 3))
+        # first usable index k = 2: the fit regresses on [z_2; u_2] with z_2 = [x2, x1, u1, u0]
+        assert np.array_equal(np.concatenate([inputs[:, 2], z[2:, 0]]), [12.0, 11.0, 10.0])
+        assert np.array_equal(z[:2, 0], [2.0, 1.0])
+        assert np.array_equal(z[:2, 1], [3.0, 2.0])
 
 
 class TestLiftingInterface:
@@ -238,14 +251,13 @@ class TestLiftingInterface:
     @given(
         d1=st.integers(1, 4),
         d2=st.integers(1, 4),
-        tau=st.integers(1, 3),
         coords=st.sampled_from([(0,), (1,), (0, 1), (1, 0)]),
         extra=st.integers(1, 6),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_delay_lift_many_columns_match_lift(self, d1, d2, tau, coords, extra, data):
-        lifting = DelayCoordinates(DelaySpec(d1, d2, tau), coords, state_dim=2, input_dim=1)
+    def test_delay_lift_many_columns_match_lift(self, d1, d2, coords, extra, data):
+        lifting = DelayCoordinates(DelaySpec(d1, d2), coords, state_dim=2, input_dim=1)
         h = lifting.history_steps
         n_steps = h + extra
         states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-5.0, 5.0)))

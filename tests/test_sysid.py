@@ -54,6 +54,15 @@ class TestFitDmdc:
         plain = lstsq_min_norm(x.T, (A0 @ x).T).T
         assert np.max(np.abs(model.a - plain)) < 1e-10
 
+    def test_equals_the_direct_state_regression_bitwise(self, vdp_training):
+        _, _, data = vdp_training
+        model = fit_dmdc(data)
+        w = lstsq_min_norm(np.vstack([data.x, data.u]).T, data.xp.T).T
+        assert np.array_equal(model.a, w[:, :2]) and np.array_equal(model.b, w[:, 2:])
+        assert model.fit_residual == float(np.linalg.norm(w @ np.vstack([data.x, data.u]) - data.xp))
+        assert model.kind == "dmdc"
+        assert model.lifting.labels == ("x1", "x2")
+
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             fit_dmdc(discrete_linear_samples(m=2))
