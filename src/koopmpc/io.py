@@ -263,7 +263,34 @@ def matrix_to_csv(mat, path):
     np.savetxt(path, np.asarray(mat, dtype=float), delimiter=",")
 
 
+def _nonzero_triplets(p):
+    """A matrix as its shape and its nonzero entries in (row, col, value) triplets."""
+    rows, cols = np.nonzero(p)
+    return {"shape": p.shape, "rows": rows, "cols": cols, "values": p[rows, cols]}
+
+
+def _transition_from_entry(entry):
+    """Dense matrix of one ``"matrices"`` entry: nonzero triplets, or a nested list."""
+    if isinstance(entry, list):  # files written before levels were stored sparse
+        return np.asarray(entry, dtype=float)
+    shape = tuple(int(v) for v in entry["shape"])
+    rows = np.asarray(entry["rows"], dtype=int)
+    cols = np.asarray(entry["cols"], dtype=int)
+    values = np.asarray(entry["values"], dtype=float)
+    if (
+        len(shape) != 2
+        or not rows.size == cols.size == values.size
+        or np.any(rows < 0) or np.any(rows >= shape[0])
+        or np.any(cols < 0) or np.any(cols >= shape[1])
+    ):
+        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape}")
+    p = np.zeros(shape)
+    p[rows, cols] = values
+    return p
+
+
 def chain_to_json(chain, path):
+    """Write a chain; each level's transition matrix is stored as its nonzeros only."""
     write_json(
         {
             "partition": {
@@ -273,7 +300,7 @@ def chain_to_json(chain, path):
             },
             "levels": [lv for lv in chain.levels],
             "tau": chain.mats[0].tau,
-            "matrices": [m.p for m in chain.mats],
+            "matrices": [_nonzero_triplets(m.p) for m in chain.mats],
             "counts": [m.counts for m in chain.mats],
             "full_escape": [list(m.full_escape) for m in chain.mats],
         },
@@ -290,7 +317,7 @@ def chain_from_json(path):
     )
     mats = tuple(
         TransitionMatrix(
-            p=np.asarray(m, dtype=float),
+            p=_transition_from_entry(m),
             tau=float(raw["tau"]),
             counts=None if cnt is None else np.asarray(cnt, dtype=float),
             outside=True,

@@ -72,10 +72,15 @@ class MpcConfig:
         )
         if self.reference.size != self.q.shape[0]:
             raise InvalidInputError("reference length must match q")
-        if np.any(np.asarray(self.u_min) > np.asarray(self.u_max)) or np.any(
-            np.asarray(self.du_min) > np.asarray(self.du_max)
-        ):
-            raise InvalidInputError("lower bounds must not exceed upper bounds")
+        for lo_name, hi_name in (("u_min", "u_max"), ("du_min", "du_max")):
+            lo = np.asarray(getattr(self, lo_name), dtype=float).reshape(-1)
+            hi = np.asarray(getattr(self, hi_name), dtype=float).reshape(-1)
+            if lo.size != hi.size and 1 not in (lo.size, hi.size):
+                raise InvalidInputError(
+                    f"{lo_name} has {lo.size} entries but {hi_name} has {hi.size}"
+                )
+            if np.any(lo > hi):
+                raise InvalidInputError("lower bounds must not exceed upper bounds")
         if self.terminal_weight is not None:
             self.terminal_weight = np.asarray(self.terminal_weight, dtype=float)
             if self.terminal_weight.shape != self.q.shape:

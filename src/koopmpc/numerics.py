@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .errors import ConvergenceError, InfeasibleError, InvalidInputError, UnknownLevelError
 
@@ -100,7 +101,9 @@ def stationary_vector(p, start=None, tol=1e-10, max_iter=100_000):
 
     Iterates ``pi <- 0.5 * (pi + p @ pi)``; the damping removes period-2
     oscillation without changing the fixed-point set. Convergence is judged
-    on the undamped residual ``||p @ pi - pi||_1 <= tol``.
+    on the undamped residual ``||p @ pi - pi||_1 <= tol``. The input is
+    validated dense; the iteration runs on its compressed-sparse-row copy,
+    since transition matrices over box partitions are nearly all zeros.
 
     Args:
         p: square column-stochastic matrix (columns sum to 1, entries >= 0).
@@ -124,9 +127,10 @@ def stationary_vector(p, start=None, tol=1e-10, max_iter=100_000):
             raise InvalidInputError("start must be a nonnegative distribution of matching size")
         pi = np.maximum(pi, 0.0)
         pi = pi / pi.sum()
+    sparse = scipy.sparse.csr_array(a)
     residual = np.inf
     for _ in range(max_iter):
-        ap = a @ pi
+        ap = sparse @ pi
         residual = float(np.abs(ap - pi).sum())
         if residual <= tol:
             return pi
@@ -307,11 +311,15 @@ def solve_qp_info(qp, x0=None, tol=1e-8, max_iter=None):
         max_iter = max(100, 10 * (qp.n + n_rows))
     x = _feasible_start(qp, x0)
     working: list[int] = []
+    # ``lam`` holds the multipliers of the rows ``lam_rows``: the working set
+    # as it was when ``lam`` was computed, before any row was added or dropped.
+    lam_rows: list[int] = []
     lam = np.zeros(0)
     for it in range(max_iter):
         grad = qp.h @ x + qp.g
         gw = rows[working] if working else np.zeros((0, qp.n))
         p, lam = _eqp_step(qp.h, grad, gw)
+        lam_rows = list(working)
         if np.max(np.abs(p)) <= 1e-12 * (1.0 + np.max(np.abs(x))):
             if lam.size == 0 or np.min(lam) >= -1e-9:
                 residual = _kkt_residual(qp, x, rows, rhs, working, lam)
@@ -328,7 +336,7 @@ def solve_qp_info(qp, x0=None, tol=1e-8, max_iter=None):
         x = x + alpha * p
         if blocking >= 0:
             working.append(blocking)
-    residual = _kkt_residual(qp, x, rows, rhs, working, lam)
+    residual = _kkt_residual(qp, x, rows, rhs, lam_rows, lam)
     raise ConvergenceError(
         f"active-set QP did not converge in {max_iter} iterations "
         f"(KKT residual {residual:.2e})",

@@ -28,6 +28,8 @@ from koopmpc import (
     solve_qp,
     snapshots_from_trajectories,
 )
+from koopmpc.benchmark import fit_models, make_training_data, mpc_config_from
+from koopmpc.config import ExperimentConfig
 from koopmpc.dynamics import (
     DIVERGENCE_LIMIT,
     ForcingSignal,
@@ -343,12 +345,33 @@ class TestBounds:
         with pytest.raises(InvalidInputError, match="bound has 2 entries"):
             mpc_step(linear_model, np.ones(2), np.zeros(1), cfg)
 
+    @pytest.mark.parametrize("lo, hi", [("u_min", "u_max"), ("du_min", "du_max")])
+    def test_bound_pair_of_different_lengths_raises(self, lo, hi):
+        with pytest.raises(InvalidInputError, match=f"{lo} has 3 entries but {hi} has 2"):
+            MpcConfig(np.eye(2), **{lo: [-1.0, -2.0, -3.0], hi: [1.0, 2.0]})
+
     def test_length_one_bound_equals_scalar(self, linear_model):
         vec = CondensedMpc(linear_model, base_cfg(u_max=[1.0], du_min=[-0.3]))
         scalar = CondensedMpc(linear_model, base_cfg(u_max=1.0, du_min=-0.3))
         assert np.array_equal(vec.ub, scalar.ub)
         assert np.array_equal(vec.qp(np.ones(2), np.zeros(1)).b_ineq,
                               scalar.qp(np.ones(2), np.zeros(1)).b_ineq)
+
+
+@pytest.mark.filterwarnings("ignore:dropped .* divergent training trajectories")
+def test_degenerate_qp_ends_in_convergence_error():
+    # At mu = 2 with tight box and rate bounds, the step-0 QP from (-4, -3)
+    # has a degenerate optimum (16 active rows of rank 15) on which the
+    # active-set solver cycles until its iteration budget runs out.
+    cfg = dataclasses.replace(
+        ExperimentConfig(), mu=2.0, u_min=-2.0, u_max=2.0, du_min=-0.5, du_max=0.5,
+        models=["edmdc"],
+    )
+    plant, trajectories, samples = make_training_data(cfg)
+    model = fit_models(cfg, trajectories, samples)["edmdc"]
+    with pytest.raises(ConvergenceError) as exc:
+        closed_loop_run(plant, model, mpc_config_from(cfg), np.array([-4.0, -3.0]), 1.0, cfg.dt)
+    assert exc.value.best.shape == (cfg.mpc_horizon,)
 
 
 class TestPartialStateWeights:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -127,6 +127,48 @@ class TestStationaryVector:
         assert exc.value.best is not None
 
 
+@st.composite
+def sparse_stochastic(draw, k=None, empty_columns=False):
+    """A column-stochastic ``(k + 1, k + 1)`` matrix, mostly zeros.
+
+    Each of the ``k`` box columns spreads over at most four destinations,
+    the appended outside state among them; the outside state is absorbing.
+    With ``empty_columns``, box columns may be all zero, as for boxes that
+    held no sample.
+    """
+    if k is None:
+        k = draw(st.integers(1, 12))
+    p = np.zeros((k + 1, k + 1))
+    for j in range(k):
+        if empty_columns and draw(st.booleans()):
+            continue
+        dest = draw(st.lists(st.integers(0, k), min_size=1, max_size=4, unique=True))
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(dest), max_size=len(dest))))
+        p[dest, j] = w / w.sum()
+    p[k, k] = 1.0
+    return p
+
+
+def dense_stationary_reference(p, start, tol=1e-10, max_iter=100_000):
+    """The damped power iteration on the dense matrix, as a plain loop."""
+    pi = start / start.sum()
+    for _ in range(max_iter):
+        ap = p @ pi
+        if np.abs(ap - pi).sum() <= tol:
+            return pi
+        pi = np.maximum(0.5 * (pi + ap), 0.0)
+        pi = pi / pi.sum()
+    raise AssertionError("reference iteration did not converge")
+
+
+@settings(deadline=None)
+@given(p=sparse_stochastic())
+def test_stationary_vector_matches_dense_iteration(p):
+    start = np.ones(p.shape[0])
+    start[-1] = 0.0  # no initial mass on the absorbing outside state
+    assert np.max(np.abs(stationary_vector(p, start=start) - dense_stationary_reference(p, start))) <= 1e-12
+
+
 def brute_force_qp(qp, resolution=1e-3, span=1.5):
     """Exhaustive 2-variable grid search over the box (oracle)."""
     lo = np.where(np.isfinite(qp.lb), qp.lb, -span)
@@ -215,6 +257,31 @@ class TestSolveQp:
         )
         with pytest.raises(InfeasibleError):
             solve_qp(qp)
+
+    @pytest.mark.parametrize(
+        "qp, x0, max_iter",
+        [
+            # The last iteration adds the blocking row x0 <= 1 after the
+            # multipliers of the empty working set were computed.
+            (QpProblem(h=np.eye(2), g=np.array([-10.0, 0.0]), ub=[1.0, 1.0]), None, 1),
+            # The last iteration drops a row whose multiplier came out negative.
+            (
+                QpProblem(
+                    h=np.array([[3.0, 2.0], [2.0, 3.0]]), g=np.array([-2.0, 3.0]),
+                    a_ineq=np.array([[1.0, -1.0], [1.0, 0.0]]), b_ineq=np.ones(2),
+                    lb=[-1.0, -1.0], ub=[1.0, 1.0],
+                ),
+                [1.0, 1.0],
+                3,
+            ),
+        ],
+        ids=["row-added", "row-dropped"],
+    )
+    def test_budget_exhausted_raises_convergence_error(self, qp, x0, max_iter):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_qp(qp, x0=x0, max_iter=max_iter)
+        assert np.isfinite(exc.value.residual)
+        assert exc.value.best.shape == (2,)
 
     def test_validates_symmetry_and_bounds(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmpc import (
     BoxPartition,
@@ -16,7 +18,11 @@ from koopmpc import (
     locate,
     propagate_density,
 )
+from koopmpc.dynamics import make_vanderpol
+from koopmpc.io import chain_from_json, chain_to_json, read_json, write_json
 from koopmpc.transfer import locate_many
+
+from test_numerics import sparse_stochastic
 
 
 class DoublingMap:
@@ -229,10 +235,65 @@ class TestCheckAdditive:
         assert not report.nonnegative
 
 
+@pytest.fixture(scope="module")
+def vdp_chain():
+    part = BoxPartition.regular([[-4.0, 4.0], [-4.0, 4.0]], [8, 8])
+    return estimate_controlled_transition(
+        make_vanderpol(0.2), part, [-5.0, 0.0, 5.0], tau=0.5, samples_per_box=40, seed=5, flow_dt=0.05
+    )
+
+
+def write_dense_chain(chain, path):
+    """The chain writer from before levels were stored sparse: every matrix entry, nested."""
+    write_json(
+        {
+            "partition": {
+                "lows": chain.partition.lows,
+                "highs": chain.partition.highs,
+                "counts": chain.partition.counts,
+            },
+            "levels": [lv for lv in chain.levels],
+            "tau": chain.mats[0].tau,
+            "matrices": [m.p for m in chain.mats],
+            "counts": [m.counts for m in chain.mats],
+            "full_escape": [list(m.full_escape) for m in chain.mats],
+        },
+        path,
+    )
+
+
+def assert_same_chain(back, chain):
+    assert len(back.mats) == len(chain.mats)
+    for got, want in zip(back.mats, chain.mats):
+        assert np.array_equal(got.p, want.p)
+        assert (got.counts is None) == (want.counts is None)
+        assert want.counts is None or np.array_equal(got.counts, want.counts)
+        assert got.full_escape == want.full_escape
+        assert got.tau == want.tau
+    for got, want in zip(back.levels, chain.levels):
+        assert np.array_equal(got, want)
+    for key in ("lows", "highs", "counts"):
+        assert np.array_equal(getattr(back.partition, key), getattr(chain.partition, key))
+
+
+@st.composite
+def sparse_chains(draw):
+    k = draw(st.integers(1, 10))
+    empty = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(sparse_stochastic(k, empty_columns=empty))
+        counts = None if draw(st.booleans()) else np.array(
+            draw(st.lists(st.integers(0, 500), min_size=k + 1, max_size=k + 1)), dtype=float
+        )
+        escape = tuple(j for j in range(k) if p[k, j] == 1.0)
+        mats.append(TransitionMatrix(p=p, tau=0.5, counts=counts, outside=True, full_escape=escape))
+    levels = tuple(np.array([float(i)]) for i in range(len(mats)))
+    return ControlledChain(levels=levels, mats=tuple(mats), partition=BoxPartition.regular([[0.0, 1.0]], [k]))
+
+
 class TestChainSerialization:
     def test_json_round_trip(self, doubling_chain, tmp_path):
-        from koopmpc.io import chain_from_json, chain_to_json
-
         path = tmp_path / "chain.json"
         chain_to_json(doubling_chain, path)
         back = chain_from_json(path)
@@ -240,6 +301,46 @@ class TestChainSerialization:
         assert back.mats[0].tau == doubling_chain.mats[0].tau
         assert np.array_equal(back.partition.counts, doubling_chain.partition.counts)
         assert np.allclose(back.levels[0], doubling_chain.levels[0])
+
+    def test_estimated_chain_round_trips_bitwise(self, vdp_chain, tmp_path):
+        path = tmp_path / "chain.json"
+        chain_to_json(vdp_chain, path)
+        assert_same_chain(chain_from_json(path), vdp_chain)
+        # Only the nonzeros are written.
+        level = read_json(path)["matrices"][0]
+        assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p) < vdp_chain.dim**2 // 10
+
+    @settings(deadline=None, max_examples=50)
+    @given(chain=sparse_chains())
+    def test_sparse_chain_round_trips_bitwise(self, chain, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chain") / "chain.json"
+        chain_to_json(chain, path)
+        assert_same_chain(chain_from_json(path), chain)
+
+    def test_dense_file_still_loads(self, vdp_chain, tmp_path):
+        path = tmp_path / "chain.json"
+        write_dense_chain(vdp_chain, path)
+        assert isinstance(read_json(path)["matrices"][0], list)
+        assert_same_chain(chain_from_json(path), vdp_chain)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"shape": [2, 2], "rows": [0, 2], "cols": [0, 1], "values": [1.0, 1.0]},
+            {"shape": [2, 2], "rows": [0, -1], "cols": [0, 1], "values": [1.0, 1.0]},
+            {"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "values": [1.0]},
+            {"shape": [2], "rows": [0], "cols": [0], "values": [1.0]},
+        ],
+        ids=["row-past-end", "negative-row", "short-values", "one-axis"],
+    )
+    def test_malformed_sparse_level_raises(self, doubling_chain, tmp_path, entry):
+        path = tmp_path / "chain.json"
+        chain_to_json(doubling_chain, path)
+        raw = read_json(path)
+        raw["matrices"][0] = entry
+        write_json(raw, path)
+        with pytest.raises(InvalidInputError, match="malformed sparse transition matrix"):
+            chain_from_json(path)
 
 
 class TestDensityVector:
