@@ -29,7 +29,6 @@ from .io import (
     chain_to_json,
     closed_loop_summary,
     closed_loop_to_csv,
-    matrix_to_csv,
     model_from_json,
     model_to_json,
     read_json,
@@ -37,6 +36,7 @@ from .io import (
     sampleset_to_dir,
     trajectories_from_csv,
     trajectories_to_csv,
+    transition_to_csv,
     write_json,
 )
 from .mpc import closed_loop_run
@@ -176,7 +176,7 @@ def cmd_ulam(args):
     chain_to_json(chain, out / "chain.json")
     densities = []
     for i, mat in enumerate(chain.mats):
-        matrix_to_csv(mat.p, out / f"chain_level_{i}.csv")
+        transition_to_csv(mat.p, out / f"chain_level_{i}.csv")
         try:
             density = invariant_density(mat)
             densities.append({"level": list(chain.levels[i]), "density": density.p,

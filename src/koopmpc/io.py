@@ -257,16 +257,16 @@ def family_from_json(path):
     )
 
 
-def matrix_to_csv(mat, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, np.asarray(mat, dtype=float), delimiter=",")
-
-
 def _nonzero_triplets(p):
     """A matrix as its shape and its nonzero entries in (row, col, value) triplets."""
     rows, cols = np.nonzero(p)
     return {"shape": p.shape, "rows": rows, "cols": cols, "values": p[rows, cols]}
+
+
+def transition_to_csv(p, path):
+    """One ``row,col,value`` line per nonzero entry, in the order ``chain.json`` uses."""
+    t = _nonzero_triplets(p)
+    _write_csv(path, ["row", "col", "value"], zip(*(t[k].tolist() for k in ("rows", "cols", "values"))))
 
 
 def _transition_from_entry(entry):

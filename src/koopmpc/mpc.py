@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .dynamics import Trajectory, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
-from .numerics import QpProblem, solve_qp_info
+from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info
 from .sysid import rollout_from_lifted
 
 
@@ -91,12 +91,12 @@ class CondensedMpc:
     """Horizon condensation of one model/config pair.
 
     Everything that does not depend on the current lifted state or the
-    previous input (Hessian, prediction maps, constraint rows) is built once;
-    :meth:`qp` then assembles the per-step problem cheaply. When the Hessian
-    is positive definite, its inverse (from one Cholesky factorization) is
-    kept too, so a step whose unconstrained minimizer ``-H^{-1} g``
-    satisfies every bound is solved without building a QP (Bemporad et al.
-    2002, explicit LQR).
+    previous input (Hessian, prediction maps, constraint rows) is built once.
+    The Hessian must be positive definite. Its inverse, from one Cholesky
+    factorization, is kept too, so a step whose unconstrained minimizer
+    ``-H^{-1} g`` satisfies every bound is solved by a matvec (Bemporad et
+    al. 2002, explicit LQR); the QP solver's data is built on the first step
+    that needs it.
     """
 
     def __init__(self, model, cfg):
@@ -145,12 +145,12 @@ class CondensedMpc:
         try:
             # H^{-1} from one Cholesky factorization: a matvec per step is far
             # cheaper than a triangular solve through scipy's wrappers.
-            factor = scipy.linalg.cho_factor(self.h)
-            self._h_inv = scipy.linalg.cho_solve(factor, np.eye(n * q_in))
+            self._h_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.h), np.eye(n * q_in))
         except np.linalg.LinAlgError:
-            # Not positive definite (possible with ru = rdu = 0): every step
-            # goes to the active-set solver.
-            self._h_inv = None
+            raise InvalidInputError(
+                "the horizon QP's Hessian is not positive definite; make input_weight (ru) "
+                "or input_rate_weight (rdu) positive"
+            ) from None
         self.g_state = 2.0 * smat.T @ qbar @ pred
         self.g_const = -2.0 * smat.T @ qbar @ np.tile(ref, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
@@ -180,6 +180,8 @@ class CondensedMpc:
             raise InvalidInputError("lifted state length does not match the model")
         if u_prev.size != self.input_dim:
             raise InvalidInputError("u_prev length does not match the model input")
+        if not (np.isfinite(z0).all() and np.isfinite(u_prev).all()):
+            raise InvalidInputError("lifted state or previous input is not finite")
         return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
 
     def _rate_rhs(self, u_prev):
@@ -192,32 +194,24 @@ class CondensedMpc:
             h=self.h, g=g, a_ineq=self.a_ineq, b_ineq=b_ineq, lb=self.lb, ub=self.ub
         )
 
-    def _within_rows(self, u_seq, u_prev, tol):
-        """Whether a stacked plan meets every box and rate row to within ``tol``."""
-        if not ((self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()):
-            return False
-        rates = self.a_ineq is None or (self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol).all()
-        return bool(rates)
+    @cached_property
+    def _factored(self):
+        # Rate rows first: only their right-hand sides move with u_prev.
+        rows, rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
+        return FactoredQp.factor(self.h, None, rows, rhs)
+
+    def factored_qp(self, g, u_prev):
+        """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
+        rhs = self._factored.rhs.copy()
+        rhs[: self._rate_bound.size] = self._rate_rhs(u_prev)
+        return self._factored._replace(g=g, rhs=rhs)
 
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
-        return self._within_rows(np.asarray(u_seq, dtype=float).reshape(-1), u_prev, tol)
-
-    def _unconstrained_plan(self, z0, u_prev, tol):
-        """The unconstrained minimizer and its residual, if it solves the QP.
-
-        Returns ``(x, ||H x + g||_inf)`` for ``x = -H^{-1} g`` when ``H`` is
-        positive definite, ``x`` satisfies every box and rate row exactly,
-        and the residual is at most ``tol``; otherwise None. Inputs are
-        validated either way.
-        """
-        g = self._gradient(z0, u_prev)
-        if self._h_inv is None:
-            return None
-        x = -(self._h_inv @ g)
-        if not self._within_rows(x, u_prev, 0.0):
-            return None
-        residual = float(np.max(np.abs(self.h @ x + g)))
-        return (x, residual) if residual <= tol else None
+        """Whether a stacked plan meets every box and rate row to within ``tol``."""
+        u_seq = np.asarray(u_seq, dtype=float).reshape(-1)
+        if not ((self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()):
+            return False
+        return bool(self.a_ineq is None or (self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol).all())
 
 
 @dataclass
@@ -227,7 +221,7 @@ class MpcStep:
     A step whose unconstrained minimizer satisfies every bound reports
     ``qp_iterations == 0`` and that minimizer's finite stationarity residual
     ``||H u + g||_inf`` as ``kkt_residual``. Any other step reports the
-    iterations and KKT residual of the active-set solver.
+    iterations and KKT residual of the dual active-set solver.
     ``predicted_states`` is computed from the model on first access.
     """
 
@@ -237,7 +231,6 @@ class MpcStep:
     kkt_residual: float
     lifted_state: np.ndarray      # lifted measurement the plan starts from
     model: object = field(repr=False, compare=False)
-    warm_started: bool = False
 
     @cached_property
     def predicted_states(self):
@@ -252,7 +245,6 @@ def mpc_step(
     cfg,
     history_states=None,
     history_inputs=None,
-    warm_start=None,
     qp_tol=1e-8,
     _condensed=None,
 ):
@@ -265,25 +257,25 @@ def mpc_step(
 
     The unconstrained minimizer is taken when it satisfies every box and rate
     row and its stationarity residual is within ``qp_tol``. Otherwise the
-    condensed QP goes to the active-set solver, started from ``warm_start``
-    when that plan is feasible.
+    condensed QP goes to the dual active-set solver, which starts from that
+    minimizer.
 
     Raises:
+        InvalidInputError: the lifted measurement or ``u_prev`` is not finite.
         InfeasibleError: the bounds admit no plan, or the first planned
             input change breaks the rate bound by more than 1e-7.
+        ConvergenceError: the solver's plan misses the KKT tolerance.
     """
     cond = CondensedMpc(model, cfg) if _condensed is None else _condensed
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
-    fast = cond._unconstrained_plan(z0, u_prev, qp_tol)
-    warm = None
-    if warm_start is not None and cond.is_feasible(warm_start, u_prev):
-        warm = np.asarray(warm_start, dtype=float).reshape(-1)
-    if fast is not None:
-        sol, residual = fast
-        iterations = 0
-    else:
-        sol, info = solve_qp_info(cond.qp(z0, u_prev), x0=warm, tol=qp_tol)
+    g = cond._gradient(z0, u_prev)
+    sol = -(cond._h_inv @ g)
+    iterations, residual = 0, np.inf
+    if cond.is_feasible(sol, u_prev, 0.0):
+        residual = float(np.max(np.abs(cond.h @ sol + g)))
+    if residual > qp_tol:
+        sol, info = solve_qp_info(cond.factored_qp(g, u_prev), tol=qp_tol)
         iterations, residual = info["iterations"], info["kkt_residual"]
     q_in = cond.input_dim
     u_seq = np.clip(sol.reshape(cond.horizon, q_in).T, cond.lb[:q_in, None], cond.ub[:q_in, None])
@@ -297,7 +289,6 @@ def mpc_step(
         kkt_residual=residual,
         lifted_state=z0,
         model=model,
-        warm_started=warm is not None,
     )
 
 
@@ -330,13 +321,13 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     """Drive the true plant with receding-horizon control on the model.
 
     At every step the true state is measured, lifted, and a fresh horizon
-    problem is solved warm-started from the shifted previous plan; the first
-    planned input is applied to the plant for one integrator step. Stage
+    problem is solved; the first planned input is applied to the plant for
+    one integrator step. Stage
     costs are evaluated on the true state with the applied input. Delay
     models idle with u = 0 while the measurement history fills.
 
-    ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
-    ``warm_started`` arrays. A step solved by the unconstrained law has 0
+    ``solve_stats`` holds per-step ``iterations`` and ``kkt_residual``
+    arrays. A step solved by the unconstrained law has 0
     iterations and a finite residual; a delay warm-up step, which solves
     nothing, has 0 iterations and a NaN residual.
     """
@@ -356,10 +347,8 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     stage = np.empty(n_steps)
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
-    warm_flags = np.zeros(n_steps, dtype=bool)
     states[:, 0] = x
     u_prev = np.zeros(q_in)
-    prev_plan = None
     times = np.arange(n_steps + 1) * dt
 
     def partial(k):
@@ -371,7 +360,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             solve_stats={
                 "iterations": iters[:k].copy(),
                 "kkt_residual": resid[:k].copy(),
-                "warm_started": warm_flags[:k].copy(),
             },
             warmup_steps=warmup,
         )
@@ -381,9 +369,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
         if k < warmup:
             u = u_idle.copy()
         else:
-            warm = None
-            if prev_plan is not None:
-                warm = np.concatenate([prev_plan[q_in:], prev_plan[-q_in:]])
             try:
                 step = mpc_step(
                     model,
@@ -392,17 +377,14 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                     cfg,
                     history_states=states[:, :k],
                     history_inputs=inputs[:, :k],
-                    warm_start=warm,
                     qp_tol=qp_tol,
                     _condensed=cond,
                 )
             except InfeasibleError as err:
                 raise InfeasibleError(f"horizon problem infeasible at step {k}: {err}") from None
             u = step.u
-            prev_plan = step.input_sequence.T.reshape(-1)
             iters[k] = step.qp_iterations
             resid[k] = step.kkt_residual
-            warm_flags[k] = step.warm_started
         inputs[:, k] = u
         stage[k] = _stage_cost(cond, x, u, u_prev)
         try:

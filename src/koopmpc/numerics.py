@@ -1,15 +1,19 @@
 """Dense linear-algebra and small-scale QP kernels.
 
-Every routine is a pure function of its arguments (no caches, no globals),
-so everything here is safe to call concurrently or from worker processes.
+The QP solver is Goldfarb and Idnani's dual active-set method, run in the
+coordinates of the Hessian's Cholesky factor. Every routine is a pure
+function of its arguments (no caches, no globals), so everything here is
+safe to call concurrently or from worker processes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 import scipy.sparse
 
 from .errors import ConvergenceError, InfeasibleError, InvalidInputError, UnknownLevelError
@@ -190,156 +194,169 @@ class QpProblem:
         return self.h.shape[0]
 
 
-def _constraint_rows(qp):
-    """Stack general inequalities and finite box bounds as rows g_i x <= h_i."""
-    rows = []
-    rhs = []
-    if qp.a_ineq is not None:
-        rows.append(qp.a_ineq)
-        rhs.append(qp.b_ineq)
-    n = qp.n
-    eye = np.eye(n)
-    ub_mask = np.isfinite(qp.ub)
-    if np.any(ub_mask):
-        rows.append(eye[ub_mask])
-        rhs.append(qp.ub[ub_mask])
-    lb_mask = np.isfinite(qp.lb)
-    if np.any(lb_mask):
-        rows.append(-eye[lb_mask])
-        rhs.append(-qp.lb[lb_mask])
-    if rows:
-        return np.vstack(rows), np.concatenate(rhs)
-    return np.zeros((0, n)), np.zeros(0)
+def _constraint_rows(a_ineq, b_ineq, lb, ub):
+    """Inequality rows, then finite upper and lower bounds, as ``rows x <= rhs``."""
+    eye = np.eye(lb.size)
+    up, lo = np.isfinite(ub), np.isfinite(lb)
+    a = np.zeros((0, lb.size)) if a_ineq is None else a_ineq
+    b = np.zeros(0) if b_ineq is None else b_ineq
+    return np.vstack([a, eye[up], -eye[lo]]), np.concatenate([b, ub[up], -lb[lo]])
 
 
-def _feasible_start(qp, x0):
-    x = np.zeros(qp.n) if x0 is None else _as_vector(x0, "x0").copy()
-    if x.size != qp.n:
-        raise InvalidInputError("x0 length must match h")
-    x = np.clip(x, qp.lb, qp.ub)
-    if qp.a_ineq is None or np.all(qp.a_ineq @ x <= qp.b_ineq + 1e-9):
-        return x
-    # Phase 1: any point of the polytope will do.
-    bounds = [
-        (lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-        for lo, hi in zip(qp.lb, qp.ub)
-    ]
-    res = scipy.optimize.linprog(
-        c=np.zeros(qp.n), A_ub=qp.a_ineq, b_ub=qp.b_ineq, bounds=bounds, method="highs"
-    )
-    if not res.success:
-        raise InfeasibleError("constraint set is empty")
-    return np.clip(res.x, qp.lb, qp.ub)
+class FactoredQp(NamedTuple):
+    """Strictly convex QP ``min 0.5 x'hx + g'x`` s.t. ``rows x <= rhs``, as the solver takes it.
 
-
-def _eqp_step(h, grad, gw):
-    """Direction and multipliers of the equality-constrained subproblem."""
-    n = h.shape[0]
-    nw = gw.shape[0]
-    if nw == 0:
-        try:
-            p = np.linalg.solve(h, -grad)
-        except np.linalg.LinAlgError:
-            p = np.linalg.lstsq(h, -grad, rcond=None)[0]
-        return p, np.zeros(0)
-    kkt = np.zeros((n + nw, n + nw))
-    kkt[:n, :n] = h
-    kkt[:n, n:] = gw.T
-    kkt[n:, :n] = gw
-    rhs = np.concatenate([-grad, np.zeros(nw)])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:n], sol[n:]
-
-
-def _kkt_residual(qp, x, rows, rhs, working, lam):
-    grad = qp.h @ x + qp.g
-    feas = float(np.max(rows @ x - rhs)) if rows.shape[0] else 0.0
-    feas = max(feas, 0.0)
-    lam_pos = np.maximum(lam, 0.0)
-    stat = grad.copy()
-    comp = 0.0
-    if working:
-        gw = rows[working]
-        stat = stat + gw.T @ lam_pos
-        comp = float(np.max(np.abs(lam_pos * (rhs[working] - gw @ x))))
-    return max(feas, float(np.max(np.abs(stat))), comp)
-
-
-def _ratio_test(rows, rhs, x, p, working):
-    """Longest step (at most 1) from ``x`` along ``p``, and the row that blocks it.
-
-    Rows in ``working`` and rows that ``p`` does not approach are skipped.
-    The blocking row is the one with the smallest step below 1, the first
-    such row on ties; it is -1 when no row blocks the full step.
+    ``u_inv`` is the inverse of the Cholesky factor ``U`` of ``h = U'U`` and
+    ``rows_u = rows @ u_inv`` are the rows in the coordinates ``y = U x``.
+    A caller with many problems of one ``h`` and ``rows`` factors once and
+    replaces ``g`` and ``rhs``. Nothing here is validated or copied.
     """
-    d = rows @ p
-    approach = d > 1e-13
-    approach[working] = False
-    if not np.any(approach):
-        return 1.0, -1
-    steps = np.full(d.size, np.inf)
-    slack = np.maximum(rhs - rows @ x, 0.0)
-    steps[approach] = slack[approach] / d[approach]
-    i = int(np.argmin(steps))
-    return (float(steps[i]), i) if steps[i] < 1.0 else (1.0, -1)
+
+    h: np.ndarray
+    g: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    u_inv: np.ndarray
+    rows_u: np.ndarray
+
+    @classmethod
+    def factor(cls, h, g, rows, rhs):
+        # LAPACK directly: scipy's checked wrappers cost several times more.
+        u, info = scipy.linalg.lapack.dpotrf(h)
+        if info:
+            raise InvalidInputError("h must be positive definite")
+        u_inv = scipy.linalg.lapack.dtrtri(u)[0]
+        return cls(h, g, rows, rhs, u_inv, rows @ u_inv)
+
+    @property
+    def n(self):
+        return self.h.shape[0]
 
 
-def solve_qp(qp, x0=None, tol=1e-8, max_iter=None):
-    """Primal active-set solver for convex QPs with box and inequality rows.
+def _dual_active_set(qp, tol, max_iter):
+    """Goldfarb-Idnani iterations on a :class:`FactoredQp`: ``(active, iterations, converged)``.
 
-    Returns an ``x`` whose KKT residual (feasibility, stationarity,
-    complementarity) is at most ``tol``.
+    In ``y = U x`` the objective is ``0.5 |y - y0|^2`` plus a constant, with
+    ``y0`` the unconstrained minimizer where the iteration starts. The active
+    rows are factored as ``rows_u[active].T = qm[:, :q] @ rm[:q, :q]``.
+    The most violated row ``p`` has its multiplier raised until ``p`` holds
+    (a full step adds it) or an active multiplier reaches zero (a partial
+    step drops that row and tries ``p`` again). A ``p`` that depends linearly
+    on the active rows takes partial steps only, so degenerate vertices need
+    no tie rule. An iteration is one row added or dropped.
+    """
+    y = -(qp.g @ qp.u_inv)
+    qm, rm, lam = np.eye(qp.n), np.zeros((qp.n, qp.n)), np.zeros(qp.n)
+    active, iterations = [], 0
+    while qp.rhs.size:
+        s = qp.rows_u @ y - qp.rhs
+        s[active] = -np.inf
+        p = int(s.argmax())
+        violation = float(s[p])
+        if violation <= 0.1 * tol:  # rows within a tenth of tol count as met
+            break
+        dp, lam_p = qp.rows_u[p], 0.0
+        while True:
+            if iterations == max_iter:
+                return active, iterations, False
+            iterations += 1
+            q = len(active)
+            d = dp @ qm
+            d2 = d[q:]
+            zz = float(d2 @ d2)
+            r = scipy.linalg.blas.dtrsv(rm[:q, :q], d[:q]) if q else d[:0]
+            # steps[0] makes p hold (none when p's part outside the active
+            # rows' span is below 1e-12 of it); steps[1:] zero active multipliers.
+            steps = np.full(q + 1, np.inf)
+            if zz > 1e-24 * float(dp @ dp):
+                steps[0] = violation / zz
+            np.divide(lam[:q], r, out=steps[1:], where=r > 0.0)
+            k = int(steps.argmin())
+            t = float(steps[k])
+            if t == np.inf:
+                raise InfeasibleError("constraint set is empty")
+            lam[:q] -= t * r
+            lam_p += t
+            if steps[0] < np.inf:
+                q2 = qm[:, q:]
+                y -= t * (q2 @ d2)
+                violation -= t * zz
+            if k == 0:
+                # A Householder reflection of qm's free columns maps d2 onto
+                # their first one, which extends the factorization by p.
+                alpha = -math.copysign(math.sqrt(zz), d2[0])
+                v = d2.copy()
+                v[0] -= alpha
+                q2 -= (q2 @ v)[:, None] * (v * (2.0 / float(v @ v)))
+                rm[:q, q], rm[q, q], lam[q] = d[:q], alpha, lam_p
+                active.append(p)
+                break
+            lam[k - 1 : q - 1] = lam[k:q]
+            active.pop(k - 1)
+            qm, rm[:, : q - 1] = scipy.linalg.qr_delete(qm, rm[:, :q], k - 1, which="col", check_finite=False)
+            rm[:, q - 1] = 0.0
+    return active, iterations, True
+
+
+def _kkt_point(qp, active, tol):
+    """``x`` with the ``active`` rows as equalities, and its KKT residual.
+
+    The residual is the largest row violation, stationarity error or
+    complementarity error, with negative multipliers clipped to zero. Above
+    ``tol`` the solve gets one step of iterative refinement: with a large
+    ``g``, rounding in the active rows' slack is magnified by their multipliers.
+    """
+    n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
+    kkt = np.zeros((n + len(active),) * 2)
+    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = qp.h, aw.T, aw
+    rhs = np.concatenate([-qp.g, bw])
+
+    def point(sol):
+        x, lam = sol[:n], np.maximum(sol[n:], 0.0)
+        stat = np.max(np.abs(qp.h @ x + qp.g + aw.T @ lam))
+        comp = np.max(np.abs(lam * (bw - aw @ x)), initial=0.0)
+        return x, float(max(np.max(qp.rows @ x - qp.rhs, initial=0.0), stat, comp))
+
+    sol = np.linalg.solve(kkt, rhs)
+    x, residual = point(sol)
+    if residual > tol:
+        x, residual = point(sol + np.linalg.solve(kkt, rhs - kkt @ sol))
+    return x, residual
+
+
+def solve_qp(qp, tol=1e-8, max_iter=None):
+    """Dual active-set solve of a :class:`QpProblem` or :class:`FactoredQp`.
+
+    Goldfarb & Idnani (1983), "A numerically stable dual method for solving
+    strictly convex quadratic programs": start from the unconstrained
+    minimizer, add violated rows, need no feasible point. ``x`` comes from one
+    equality-constrained solve on the final active rows, and its KKT residual
+    (feasibility, stationarity, complementarity) is at most ``tol``.
 
     Raises:
+        InvalidInputError: ``h`` is not positive definite.
         InfeasibleError: the constraints admit no point.
-        ConvergenceError: iteration budget exhausted; carries the best iterate.
+        ConvergenceError: ``max_iter`` rows added and dropped did not finish,
+            or the residual exceeds ``tol``; carries that ``x`` as ``best``.
     """
-    x, info = solve_qp_info(qp, x0=x0, tol=tol, max_iter=max_iter)
-    return x
+    return solve_qp_info(qp, tol=tol, max_iter=max_iter)[0]
 
 
-def solve_qp_info(qp, x0=None, tol=1e-8, max_iter=None):
+def solve_qp_info(qp, tol=1e-8, max_iter=None):
     """Like :func:`solve_qp` but also returns iteration/residual metadata."""
-    if not isinstance(qp, QpProblem):
-        raise InvalidInputError("qp must be a QpProblem")
-    rows, rhs = _constraint_rows(qp)
-    n_rows = rows.shape[0]
+    if isinstance(qp, QpProblem):
+        qp = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
+    elif not isinstance(qp, FactoredQp):
+        raise InvalidInputError("qp must be a QpProblem or a FactoredQp")
     if max_iter is None:
-        max_iter = max(100, 10 * (qp.n + n_rows))
-    x = _feasible_start(qp, x0)
-    working: list[int] = []
-    # ``lam`` holds the multipliers of the rows ``lam_rows``: the working set
-    # as it was when ``lam`` was computed, before any row was added or dropped.
-    lam_rows: list[int] = []
-    lam = np.zeros(0)
-    for it in range(max_iter):
-        grad = qp.h @ x + qp.g
-        gw = rows[working] if working else np.zeros((0, qp.n))
-        p, lam = _eqp_step(qp.h, grad, gw)
-        lam_rows = list(working)
-        if np.max(np.abs(p)) <= 1e-12 * (1.0 + np.max(np.abs(x))):
-            if lam.size == 0 or np.min(lam) >= -1e-9:
-                residual = _kkt_residual(qp, x, rows, rhs, working, lam)
-                if residual <= tol:
-                    return x, {"iterations": it + 1, "kkt_residual": residual}
-                raise ConvergenceError(
-                    f"stalled with KKT residual {residual:.2e} > {tol:.1e}",
-                    residual=residual,
-                    best=x,
-                )
-            working.pop(int(np.argmin(lam)))
-            continue
-        alpha, blocking = _ratio_test(rows, rhs, x, p, working)
-        x = x + alpha * p
-        if blocking >= 0:
-            working.append(blocking)
-    residual = _kkt_residual(qp, x, rows, rhs, lam_rows, lam)
-    raise ConvergenceError(
-        f"active-set QP did not converge in {max_iter} iterations "
-        f"(KKT residual {residual:.2e})",
-        residual=residual,
-        best=x,
-    )
+        max_iter = max(100, 10 * (qp.n + qp.rhs.size))
+    active, iterations, converged = _dual_active_set(qp, tol, max_iter)
+    x, residual = _kkt_point(qp, active, tol)
+    if not converged or residual > tol:
+        raise ConvergenceError(
+            f"dual active-set QP {'finished' if converged else 'stopped'} after {iterations} "
+            f"iterations with KKT residual {residual:.2e} (tolerance {tol:.1e})",
+            residual=residual,
+            best=x,
+        )
+    return x, {"iterations": iterations, "kkt_residual": residual}

@@ -41,5 +41,5 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace):
     assert tracer.calls["dynamics.generate_training_trajectories"] == 1
     assert tracer.calls["mpc.closed_loop_run"] == 1
     assert tracer.calls["mpc.mpc_step"] == 3
-    assert tracer.calls["mpc.is_feasible"] == 2  # the shifted warm starts only
+    assert tracer.calls["mpc.is_feasible"] == 3  # the unconstrained plan of every step
     assert tracer.calls["mpc.condense"] == 1

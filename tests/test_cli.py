@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from koopmpc import ConfigError
 from koopmpc.cli import main
 from koopmpc.config import ExperimentConfig, parse_config
-from koopmpc.io import model_from_json, read_json
+from koopmpc.io import chain_from_json, model_from_json, read_json
 
 
 SMALL_CONFIG = {
@@ -217,6 +218,21 @@ class TestUlamCommand:
             # Uniform over the 9 in-domain boxes, nothing outside.
             assert np.allclose(density[:-1], 1.0 / 9.0)
             assert density[-1] == 0.0
+
+    def test_level_csv_triplets_rebuild_the_chain(self, tmp_path):
+        cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
+        out = tmp_path / "ulam"
+        assert main(["ulam", "--config", str(cfg), "--out", str(out)]) == 0
+        chain = chain_from_json(out / "chain.json")
+        for i, mat in enumerate(chain.mats):
+            with open(out / f"chain_level_{i}.csv", encoding="utf-8") as fh:
+                lines = list(csv.reader(fh))
+            assert lines[0] == ["row", "col", "value"]
+            p = np.zeros_like(mat.p)
+            for row, col, value in lines[1:]:
+                p[int(row), int(col)] = float(value)
+            assert len(lines) - 1 == np.count_nonzero(mat.p)
+            assert np.array_equal(p, mat.p)
 
 
 class TestBenchmarkCommand:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from koopmpc import (
     stationary_vector,
     truncated_svd,
 )
-from koopmpc.numerics import _ratio_test
+from koopmpc.numerics import FactoredQp, _constraint_rows, _dual_active_set, solve_qp_info
+from qp_reference import _ratio_test, primal_solve_qp_info
 
 
 class TestTruncatedSvd:
@@ -259,29 +262,34 @@ class TestSolveQp:
             solve_qp(qp)
 
     @pytest.mark.parametrize(
-        "qp, x0, max_iter",
+        "qp, max_iter, active",
         [
-            # The last iteration adds the blocking row x0 <= 1 after the
-            # multipliers of the empty working set were computed.
-            (QpProblem(h=np.eye(2), g=np.array([-10.0, 0.0]), ub=[1.0, 1.0]), None, 1),
-            # The last iteration drops a row whose multiplier came out negative.
+            # Both upper bounds are violated at the start; the budget ends
+            # after the first of them was added.
+            (QpProblem(h=np.eye(2), g=np.array([-10.0, -10.0]), ub=[1.0, 1.0]), 1, [0]),
+            # The first row added (the second rate row) is dropped again by
+            # a partial step, which ends the budget with no active row.
             (
                 QpProblem(
-                    h=np.array([[3.0, 2.0], [2.0, 3.0]]), g=np.array([-2.0, 3.0]),
-                    a_ineq=np.array([[1.0, -1.0], [1.0, 0.0]]), b_ineq=np.ones(2),
+                    h=np.array([[6.0, -1.0], [-1.0, 2.0]]), g=np.array([-3.0, -8.0]),
+                    a_ineq=np.array([[-2.0, -2.0], [-2.0, 2.0]]), b_ineq=np.array([1.0, 2.0]),
                     lb=[-1.0, -1.0], ub=[1.0, 1.0],
                 ),
-                [1.0, 1.0],
-                3,
+                2,
+                [],
             ),
         ],
         ids=["row-added", "row-dropped"],
     )
-    def test_budget_exhausted_raises_convergence_error(self, qp, x0, max_iter):
+    def test_budget_exhausted_raises_convergence_error(self, qp, max_iter, active):
+        factored = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
+        assert _dual_active_set(factored, 1e-8, max_iter) == (active, max_iter, False)
         with pytest.raises(ConvergenceError) as exc:
-            solve_qp(qp, x0=x0, max_iter=max_iter)
+            solve_qp(qp, max_iter=max_iter)
         assert np.isfinite(exc.value.residual)
         assert exc.value.best.shape == (2,)
+        x = solve_qp(qp)  # the full budget solves it
+        np.testing.assert_allclose(x, primal_solve_qp_info(qp)[0], rtol=0.0, atol=1e-12)
 
     def test_validates_symmetry_and_bounds(self):
         with pytest.raises(InvalidInputError):
@@ -323,3 +331,71 @@ def ratio_test_inputs(draw):
 @given(ratio_test_inputs())
 def test_ratio_test_matches_row_loop(inputs):
     assert _ratio_test(*inputs) == loop_ratio_test(*inputs)
+
+
+def enumerated_qp_optimum(h, g, rows, rhs):
+    """Optimum of ``min 0.5 x'hx + g'x`` s.t. ``rows x <= rhs`` by active-set enumeration.
+
+    Tries every set of linearly independent rows as equalities and returns
+    the KKT point that is feasible with nonnegative multipliers, or None when
+    no set gives one (the rows admit no point).
+    """
+    n, m = h.shape[0], rows.shape[0]
+    for size in range(min(n, m) + 1):
+        for subset in itertools.combinations(range(m), size):
+            aw = rows[list(subset)]
+            if np.linalg.matrix_rank(aw) < size:
+                continue
+            kkt = np.block([[h, aw.T], [aw, np.zeros((size, size))]])
+            sol = np.linalg.solve(kkt, np.concatenate([-g, rhs[list(subset)]]))
+            x, lam = sol[:n], sol[n:]
+            if np.all(rows @ x <= rhs + 1e-9) and np.all(lam >= -1e-9):
+                return x
+    return None
+
+
+@st.composite
+def small_qp(draw):
+    """A strictly convex QP with n <= 4 and at most 8 integer rows.
+
+    Some rows pass through one common vertex (possibly more than n of them),
+    one row may be repeated, and the unconstrained minimizer lies a few units
+    beyond that vertex, so degenerate optima are common.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 7))
+    ints = st.integers(-2, 2).map(float)
+    f = draw(arrays(float, (n, n), elements=ints))
+    h = f @ f.T + np.eye(n)
+    rows = draw(arrays(float, (m, n), elements=ints))
+    vertex = draw(arrays(float, n, elements=ints))
+    through = draw(st.integers(0, m))
+    rhs = np.concatenate([rows[:through] @ vertex, draw(arrays(float, m - through, elements=ints))])
+    if m and draw(st.booleans()):
+        rows, rhs = np.vstack([rows, rows[:1]]), np.append(rhs, rhs[0])
+    target = vertex + draw(arrays(float, n, elements=st.integers(-3, 3).map(float)))
+    return h, -(h @ target), rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_qp())
+def test_dual_solver_matches_enumeration(case):
+    h, g, rows, rhs = case
+    qp = QpProblem(h=h, g=g, a_ineq=rows if rows.size else None, b_ineq=rhs if rows.size else None)
+    ref = enumerated_qp_optimum(h, g, rows, rhs)
+    if ref is None:
+        with pytest.raises(InfeasibleError):
+            solve_qp(qp)
+        return
+    x, info = solve_qp_info(qp)
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
+    assert info["kkt_residual"] <= 1e-8
+    if info["iterations"]:
+        with pytest.raises(ConvergenceError) as exc:
+            solve_qp(qp, max_iter=info["iterations"] - 1)
+        assert exc.value.best.shape == x.shape
+
+
+def test_rejects_hessian_without_cholesky_factor():
+    with pytest.raises(InvalidInputError, match="positive definite"):
+        solve_qp(QpProblem(h=np.diag([1.0, 0.0]), g=np.ones(2), ub=[1.0, 1.0]))
