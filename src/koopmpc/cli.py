@@ -8,11 +8,14 @@ JSON; nothing is plotted here.
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .benchmark import (
     make_training_data,
@@ -222,8 +225,10 @@ def _benchmark_once(cfg, out, parallel):
     _write_error_table(report, out / "validation_errors.csv")
     _write_cost_table(report, out / "per_ic_costs.csv")
     elapsed = time.time() - t0
-    # Timing lives outside report.json so reports stay byte-reproducible.
-    write_json({"wall_time_seconds": elapsed}, out / "run_info.json")
+    # Timing and the environment live outside report.json so reports stay byte-reproducible.
+    env = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+           "numpy": np.__version__, "scipy": scipy.__version__}
+    write_json({"wall_time_seconds": elapsed, **env}, out / "run_info.json")
     print(f"benchmark finished in {elapsed:.1f}s; report at {out / 'report.json'}")
     for name, row in report["models"].items():
         print(

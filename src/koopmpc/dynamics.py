@@ -49,7 +49,10 @@ class VanDerPolRhs:
 
     def __call__(self, x, u, t):
         x1, x2 = x[0], x[1]
-        return np.stack([x2, self.mu * (1.0 - x1 * x1) * x2 - x1 + u[0]])
+        out = np.empty(np.shape(x))
+        out[0] = x2
+        out[1] = self.mu * (1.0 - x1 * x1) * x2 - x1 + u[0]
+        return out
 
 
 def make_vanderpol(mu=0.2):
@@ -80,8 +83,8 @@ def rk4_step(sys, x, u, t, dt):
     """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
     out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
     if not (np.abs(out) <= DIVERGENCE_LIMIT).all():
         raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
@@ -246,6 +249,8 @@ def product_sines_family(amplitude=5.0, omega_std=10.0):
 
 
 def _n_steps(t_end, dt):
+    if not (math.isfinite(t_end) and 0.0 < dt < math.inf):
+        raise InvalidInputError("t_end must be finite and dt positive and finite")
     return int(math.floor(t_end / dt + 1e-9))
 
 
@@ -261,8 +266,8 @@ def simulate(sys, x0, forcing, t_end, dt):
         raise InvalidInputError("t_end and dt must be positive")
     n_steps = _n_steps(t_end, dt)
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != sys.state_dim:
-        raise InvalidInputError("x0 length must match the system state dimension")
+    if x.size != sys.state_dim or not np.isfinite(x).all():
+        raise InvalidInputError("x0 must be finite and match the system state dimension")
     times = np.arange(n_steps + 1) * dt
     states = np.empty((sys.state_dim, n_steps + 1))
     inputs = np.empty((sys.input_dim, n_steps))

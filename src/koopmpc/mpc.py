@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .dynamics import Trajectory, rk4_step
+from .dynamics import Trajectory, _n_steps, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
 from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info
 from .sysid import rollout_from_lifted
@@ -91,12 +91,13 @@ class CondensedMpc:
     """Horizon condensation of one model/config pair.
 
     Everything that does not depend on the current lifted state or the
-    previous input (Hessian, prediction maps, constraint rows) is built once.
-    The Hessian must be positive definite. Its inverse, from one Cholesky
-    factorization, is kept too, so a step whose unconstrained minimizer
-    ``-H^{-1} g`` satisfies every bound is solved by a matvec (Bemporad et
-    al. 2002, explicit LQR); the QP solver's data is built on the first step
-    that needs it.
+    previous input (Hessian, prediction maps, constraint rows) is built once;
+    the stacked box and rate rows serve both :meth:`is_feasible` and the QP
+    solver. The Hessian must be positive definite. Its inverse, from one
+    Cholesky factorization, is kept too, so a step whose unconstrained
+    minimizer ``-H^{-1} g`` satisfies every bound is solved by a matvec
+    (Bemporad et al. 2002, explicit LQR); the solver factors the rows on the
+    first step that needs it.
     """
 
     def __init__(self, model, cfg):
@@ -122,35 +123,33 @@ class CondensedMpc:
         a_pows = [np.eye(dim)]
         for _ in range(n):
             a_pows.append(a @ a_pows[-1])
-        pred = np.vstack([c @ a_pows[k] for k in range(1, n + 1)])  # (n*ny, dim)
-        smat = np.zeros((n * ny, n * q_in))
-        cab = [c @ a_pows[k] @ b for k in range(n)]  # c a^k b blocks
-        for k in range(1, n + 1):
-            for j in range(k):
-                smat[(k - 1) * ny : k * ny, j * q_in : (j + 1) * q_in] = cab[k - 1 - j]
+        ca = c @ np.stack(a_pows)  # (n+1, ny, dim) blocks c a^k
+        pred = ca[1:].reshape(n * ny, dim)
+        # Block-lower-Toeplitz S: block (k, j) is c a^(k-j) b, zero (index n) above the diagonal.
+        cab = np.concatenate([ca[:n] @ b, np.zeros((1, ny, q_in))])
+        toe = np.subtract.outer(np.arange(n), np.arange(n))
+        smat = cab[np.where(toe >= 0, toe, n)].transpose(0, 2, 1, 3).reshape(n * ny, n * q_in)
 
-        qbar = np.zeros((n * ny, n * ny))
-        for k in range(n - 1):
-            qbar[k * ny : (k + 1) * ny, k * ny : (k + 1) * ny] = q
-        qbar[(n - 1) * ny :, (n - 1) * ny :] = qf
-        rubar = np.kron(np.eye(n), ru)
-        rdubar = np.kron(np.eye(n), rdu)
-        lmat = np.kron(np.eye(n), np.eye(q_in))
-        lmat -= np.kron(np.eye(n, k=-1), np.eye(q_in))
-        emat = np.zeros((n * q_in, q_in))
-        emat[:q_in] = np.eye(q_in)
+        qbar = np.zeros((n, ny, n, ny))
+        qbar[np.arange(n), :, np.arange(n)] = [q] * (n - 1) + [qf]  # block diagonal
+        qbar = qbar.reshape(n * ny, n * ny)
+        # np.kron(np.eye(n), w) as one broadcast product, signed zeros included.
+        eye = np.eye(n)[:, None, :, None]
+        rubar, rdubar = ((eye * w[:, None, :]).reshape(n * q_in, -1) for w in (ru, rdu))
+        lmat = np.eye(n * q_in) - np.eye(n * q_in, k=-q_in)
+        emat = np.eye(n * q_in, q_in)
 
         half = smat.T @ qbar @ smat + rubar + lmat.T @ rdubar @ lmat
         self.h = half + half.T  # = 2 * half, exactly symmetric
-        try:
-            # H^{-1} from one Cholesky factorization: a matvec per step is far
-            # cheaper than a triangular solve through scipy's wrappers.
-            self._h_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.h), np.eye(n * q_in))
-        except np.linalg.LinAlgError:
+        # H^{-1} from one Cholesky factorization, through LAPACK directly: a
+        # matvec per step is far cheaper than a triangular solve.
+        chol, info = scipy.linalg.lapack.dpotrf(self.h)
+        if info or not np.isfinite(chol).all():
             raise InvalidInputError(
-                "the horizon QP's Hessian is not positive definite; make input_weight (ru) "
-                "or input_rate_weight (rdu) positive"
-            ) from None
+                "the horizon QP's Hessian is not positive definite (or not finite); make "
+                "input_weight (ru) or input_rate_weight (rdu) positive"
+            )
+        self._h_inv = scipy.linalg.lapack.dpotrs(chol, np.eye(n * q_in))[0]
         self.g_state = 2.0 * smat.T @ qbar @ pred
         self.g_const = -2.0 * smat.T @ qbar @ np.tile(ref, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
@@ -164,8 +163,10 @@ class CondensedMpc:
         self.a_ineq = np.vstack([lmat, -lmat])[keep] if keep.any() else None
         self._rate_bound = np.concatenate([du_max, -du_min])[keep]
         self._rate_shift = np.vstack([emat, -emat])[keep]
-        self._du_max = du_max
-        self._du_min = du_min
+        # Rate rows first: only their right-hand sides move with u_prev.
+        self._rows, self._rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
+        self._du0_hi = du_max[:q_in] + 1e-7
+        self._du0_lo = du_min[:q_in] - 1e-7
         self.ru = ru
         self.rdu = rdu
         self.model = model
@@ -174,8 +175,8 @@ class CondensedMpc:
         self.input_dim = q_in
 
     def _gradient(self, z0, u_prev):
+        """The step's QP gradient; ``u_prev`` must be a float vector already."""
         z0 = np.asarray(z0, dtype=float).reshape(-1)
-        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         if z0.size != self.model.a.shape[0]:
             raise InvalidInputError("lifted state length does not match the model")
         if u_prev.size != self.input_dim:
@@ -184,34 +185,43 @@ class CondensedMpc:
             raise InvalidInputError("lifted state or previous input is not finite")
         return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
 
-    def _rate_rhs(self, u_prev):
-        return self._rate_bound + self._rate_shift @ np.asarray(u_prev, dtype=float).reshape(-1)
-
     def qp(self, z0, u_prev):
+        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         g = self._gradient(z0, u_prev)
-        b_ineq = None if self.a_ineq is None else self._rate_rhs(u_prev)
+        b_ineq = None if self.a_ineq is None else self._step_rhs(u_prev)[: self._rate_bound.size]
         return QpProblem(
             h=self.h, g=g, a_ineq=self.a_ineq, b_ineq=b_ineq, lb=self.lb, ub=self.ub
         )
 
     @cached_property
     def _factored(self):
-        # Rate rows first: only their right-hand sides move with u_prev.
-        rows, rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
-        return FactoredQp.factor(self.h, None, rows, rhs)
+        return FactoredQp.factor(self.h, None, self._rows, self._rhs)
+
+    def _step_rhs(self, u_prev):
+        rhs = self._rhs.copy()
+        rhs[: self._rate_bound.size] += self._rate_shift @ u_prev
+        return rhs
 
     def factored_qp(self, g, u_prev):
         """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
-        rhs = self._factored.rhs.copy()
-        rhs[: self._rate_bound.size] = self._rate_rhs(u_prev)
-        return self._factored._replace(g=g, rhs=rhs)
+        return self._factored._replace(g=g, rhs=self._step_rhs(u_prev))
 
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
-        """Whether a stacked plan meets every box and rate row to within ``tol``."""
+        """Whether a stacked plan meets every box and rate row to within ``tol``.
+
+        One product with the stacked rows; a non-finite plan meets the box
+        entry by entry instead, as a zero row coefficient makes infinity NaN.
+        """
         u_seq = np.asarray(u_seq, dtype=float).reshape(-1)
-        if not ((self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()):
-            return False
-        return bool(self.a_ineq is None or (self.a_ineq @ u_seq <= self._rate_rhs(u_prev) + tol).all())
+        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
+        if u_seq.size != self._rows.shape[1] or u_prev.size != self.input_dim:
+            raise InvalidInputError("plan or u_prev length does not match the controller")
+        rhs = self._step_rhs(u_prev) + tol
+        if np.isfinite(u_seq).all():
+            return bool((self._rows @ u_seq <= rhs).all())
+        r = self._rate_bound.size
+        box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
+        return bool(box and (self._rows[:r] @ u_seq <= rhs[:r]).all())
 
 
 @dataclass
@@ -255,10 +265,10 @@ def mpc_step(
     ``u`` is the first element of the optimized sequence, clipped to the
     input box to remove solver-tolerance dust.
 
-    The unconstrained minimizer is taken when it satisfies every box and rate
-    row and its stationarity residual is within ``qp_tol``. Otherwise the
-    condensed QP goes to the dual active-set solver, which starts from that
-    minimizer.
+    The unconstrained minimizer is taken when it meets every stacked box and
+    rate row and its stationarity residual is within ``qp_tol``. Otherwise
+    the condensed QP, on the same rows, goes to the dual active-set solver,
+    which starts from that minimizer.
 
     Raises:
         InvalidInputError: the lifted measurement or ``u_prev`` is not finite.
@@ -273,14 +283,14 @@ def mpc_step(
     sol = -(cond._h_inv @ g)
     iterations, residual = 0, np.inf
     if cond.is_feasible(sol, u_prev, 0.0):
-        residual = float(np.max(np.abs(cond.h @ sol + g)))
+        residual = float(np.abs(cond.h @ sol + g).max())
     if residual > qp_tol:
         sol, info = solve_qp_info(cond.factored_qp(g, u_prev), tol=qp_tol)
         iterations, residual = info["iterations"], info["kkt_residual"]
     q_in = cond.input_dim
-    u_seq = np.clip(sol.reshape(cond.horizon, q_in).T, cond.lb[:q_in, None], cond.ub[:q_in, None])
+    u_seq = sol.reshape(cond.horizon, q_in).T.clip(cond.lb[:q_in, None], cond.ub[:q_in, None])
     du0 = u_seq[:, 0] - u_prev
-    if np.any(du0 > cond._du_max[:q_in] + 1e-7) or np.any(du0 < cond._du_min[:q_in] - 1e-7):
+    if (du0 > cond._du0_hi).any() or (du0 < cond._du0_lo).any():
         raise InfeasibleError(f"first planned input change {du0} breaks the rate bound")
     return MpcStep(
         u=u_seq[:, 0].copy(),
@@ -333,12 +343,12 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     """
     if abs(dt - model.dt) > 1e-12 * max(1.0, abs(model.dt)):
         raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
-    n_steps = int(np.floor(t_end / dt + 1e-9))
+    n_steps = _n_steps(t_end, dt)
     if n_steps < 1:
         raise InvalidInputError("t_end must cover at least one step")
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != plant.state_dim:
-        raise InvalidInputError("x0 length must match the plant")
+    if x.size != plant.state_dim or not np.isfinite(x).all():
+        raise InvalidInputError("x0 must be finite and match the plant's state dimension")
     q_in = model.input_dim
     warmup = model.lifting.history_steps
     cond = CondensedMpc(model, cfg)
@@ -364,7 +374,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             warmup_steps=warmup,
         )
 
-    u_idle = np.clip(np.zeros(q_in), _bound_vector(cfg.u_min, q_in), _bound_vector(cfg.u_max, q_in))
+    u_idle = np.clip(np.zeros(q_in), cond.lb[:q_in], cond.ub[:q_in])
     for k in range(n_steps):
         if k < warmup:
             u = u_idle.copy()

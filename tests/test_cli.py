@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from koopmpc import ConfigError
 from koopmpc.cli import main
@@ -270,6 +273,19 @@ class TestBenchmarkCommand:
                 assert np.isfinite(node)
 
         walk(report)
+
+    def test_run_info_records_the_environment_outside_the_report(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        info = read_json(out / "run_info.json")
+        assert info["wall_time_seconds"] > 0.0
+        assert info["cpu_count"] == os.cpu_count()
+        assert info["python"] == platform.python_version()
+        assert (info["numpy"], info["scipy"]) == (np.__version__, scipy.__version__)
+        report = (out / "report.json").read_text()
+        for key in info:
+            assert f'"{key}"' not in report
 
 
 class TestSchemaStability:

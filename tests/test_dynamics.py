@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmpc import (
     ControlSystem,
@@ -68,6 +70,20 @@ class TestVanDerPol:
         with pytest.raises(InvalidInputError):
             make_vanderpol(np.inf)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.floats(-3.0, 3.0), m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_field_equals_the_stacked_formula_bitwise(self, mu, m, seed):
+        rhs = make_vanderpol(mu).rhs
+        rng = np.random.default_rng(seed)
+        for shape in ((), (m,)):
+            x = rng.uniform(-5.0, 5.0, (2, *shape))
+            u = rng.uniform(-5.0, 5.0, (1, *shape))
+            x1, x2 = x[0], x[1]
+            want = np.stack([x2, mu * (1.0 - x1 * x1) * x2 - x1 + u[0]])
+            got = rhs(x, u, 0.0)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestRk4:
     def test_batch_update_matches_rk4_step_per_column(self):
@@ -129,6 +145,27 @@ class TestRk4:
         sys = ControlSystem(2, 1, ZeroRhs())
         with pytest.raises(DivergenceError):
             rk4_step(sys, np.array([0.0, bad]), np.zeros(1), 0.0, 0.1)
+
+
+class TestNonFiniteTimesAndStates:
+    SYS = make_vanderpol(0.2)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1])
+    def test_rk4_step_rejects_a_bad_dt(self, dt):
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            rk4_step(self.SYS, np.ones(2), np.zeros(1), 0.0, dt)
+
+    @pytest.mark.parametrize(
+        "t_end, dt", [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf), (np.nan, np.nan)]
+    )
+    def test_simulate_rejects_non_finite_times(self, t_end, dt):
+        with pytest.raises(InvalidInputError, match="finite"):
+            simulate(self.SYS, [1.0, 0.0], ForcingSignal.zero(1), t_end, dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_simulate_rejects_a_non_finite_x0(self, bad):
+        with pytest.raises(InvalidInputError, match="x0 must be finite"):
+            simulate(self.SYS, [bad, 0.0], ForcingSignal.zero(1), 1.0, 0.1)
 
 
 class TestSimulate:
