@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import time
 
 import numpy as np
 
@@ -208,22 +209,30 @@ def grid_band_rates(results, n):
     ]
 
 
-def _staged(stage, fn, *args, **kwargs):
-    """Run one pipeline stage; on failure, name the stage in the error."""
+def _staged(stage, stage_seconds, fn, *args, **kwargs):
+    """Run one pipeline stage and record its wall seconds in ``stage_seconds``.
+
+    On failure, the error names the stage.
+    """
+    t0 = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except KoopmpcError as err:
         err.stage = stage
         err.args = (f"[stage: {stage}] {err}",) + err.args[1:]
         raise
+    finally:
+        stage_seconds[stage] = time.perf_counter() - t0
 
 
-def run_benchmark(cfg, parallel=1):
+def run_benchmark(cfg, parallel=1, stage_seconds=None):
     """Run the configured experiment and return the (JSON-ready) report.
 
     The report carries the resolved config, so it is sufficient on its own to
     re-run the experiment identically. Wall-clock timings are deliberately
-    excluded; two runs with the same config produce identical reports.
+    excluded; two runs with the same config produce identical reports. A
+    ``stage_seconds`` dict, if given, receives the wall seconds of each stage
+    by the stage's name.
 
     Errors raised mid-run name the failing stage and carry whatever part of
     the report was already assembled in their ``partial_report`` attribute.
@@ -232,18 +241,23 @@ def run_benchmark(cfg, parallel=1):
         raise InvalidInputError("cfg must be an ExperimentConfig")
     report = {"config": cfg.resolved(), "version": __version__, "seed": cfg.seed}
     try:
-        return _run_benchmark_stages(cfg, parallel, report)
+        return _run_benchmark_stages(
+            cfg, parallel, report, {} if stage_seconds is None else stage_seconds
+        )
     except KoopmpcError as err:
         err.partial_report = report
         raise
 
 
-def _run_benchmark_stages(cfg, parallel, report):
-    plant, trajectories, samples = _staged("training-data", make_training_data, cfg)
-    models = _staged("model-fitting", fit_models, cfg, trajectories, samples)
-    validation = _staged("validation-data", make_validation_trajectories, cfg, plant)
+def _run_benchmark_stages(cfg, parallel, report, stage_seconds):
+    plant, trajectories, samples = _staged("training-data", stage_seconds, make_training_data, cfg)
+    models = _staged("model-fitting", stage_seconds, fit_models, cfg, trajectories, samples)
+    validation = _staged(
+        "validation-data", stage_seconds, make_validation_trajectories, cfg, plant
+    )
     errors = _staged(
-        "prediction-errors", prediction_errors, models, validation, cfg.prediction_horizon
+        "prediction-errors", stage_seconds, prediction_errors,
+        models, validation, cfg.prediction_horizon,
     )
     sweeps = []
     if cfg.run_mpc_validation:
@@ -281,7 +295,7 @@ def _run_benchmark_stages(cfg, parallel, report):
             entries = {}
             for name in cfg.models:
                 results = _staged(
-                    f"control-{section}-{name}", _run_control_sweep,
+                    f"control-{section}-{name}", stage_seconds, _run_control_sweep,
                     plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt,
                     cfg.success_threshold, pool,
                 )

@@ -208,8 +208,9 @@ def _parse_seed_range(text):
 
 def _benchmark_once(cfg, out, parallel):
     t0 = time.time()
+    stage_seconds = {}
     try:
-        report, models = run_benchmark(cfg, parallel=parallel)
+        report, models = run_benchmark(cfg, parallel=parallel, stage_seconds=stage_seconds)
     except KoopmpcError as err:
         # Retain whatever was assembled before the failing stage.
         partial = getattr(err, "partial_report", None)
@@ -228,7 +229,10 @@ def _benchmark_once(cfg, out, parallel):
     # Timing and the environment live outside report.json so reports stay byte-reproducible.
     env = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
            "numpy": np.__version__, "scipy": scipy.__version__}
-    write_json({"wall_time_seconds": elapsed, **env}, out / "run_info.json")
+    write_json(
+        {"wall_time_seconds": elapsed, "stage_seconds": stage_seconds, **env},
+        out / "run_info.json",
+    )
     print(f"benchmark finished in {elapsed:.1f}s; report at {out / 'report.json'}")
     for name, row in report["models"].items():
         print(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -62,6 +63,12 @@ def make_vanderpol(mu=0.2):
     return ControlSystem(state_dim=2, input_dim=1, rhs=VanDerPolRhs(mu))
 
 
+def check_dt(dt):
+    """Raise InvalidInputError unless the timestep ``dt`` is positive and finite."""
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
+
+
 def rk4_update(rhs, x, u, t, dt):
     """The classical 4th-order Runge-Kutta update of ``x`` with ``u`` held constant.
 
@@ -83,8 +90,7 @@ def rk4_step(sys, x, u, t, dt):
     """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
-    if not 0.0 < dt < math.inf:
-        raise InvalidInputError("dt must be positive and finite")
+    check_dt(dt)
     out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
     if not (np.abs(out) <= DIVERGENCE_LIMIT).all():
         raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
@@ -156,8 +162,7 @@ class SampleSet:
             raise InvalidInputError("x and xp must be matching (n, m) arrays")
         if self.u.ndim != 2 or self.u.shape[1] != self.x.shape[1]:
             raise InvalidInputError("u must be (q, m) with m matching x")
-        if self.dt <= 0:
-            raise InvalidInputError("dt must be positive")
+        check_dt(self.dt)
         if self.t is not None:
             self.t = np.asarray(self.t, dtype=float).reshape(-1)
             if self.t.size != self.x.shape[1]:
@@ -215,22 +220,30 @@ class ForcingSignal:
 
     @classmethod
     def piecewise(cls, values, dt):
+        check_dt(dt)
         v = np.atleast_2d(np.asarray(values, dtype=float))
         return cls(kind="piecewise-constant-sequence", input_dim=v.shape[0],
                    values=v, dt=float(dt))
 
     def evaluate(self, t):
+        """The input at time ``t``: shape (q,) for a scalar ``t``, (q, k) for k times.
+
+        A 1-D array of times gives the same values, bit for bit, as one scalar
+        call per entry. A piecewise sequence holds its last value past the end.
+        """
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1 or not np.isfinite(t).all():
+            raise InvalidInputError("t must be a finite scalar or 1-D array of times")
         if self.kind == "product-sines":
-            return np.array(
-                [self.amplitude * math.sin(abs(self.omega1) * t) * math.sin(abs(self.omega2) * t)]
-            )
+            u = self.amplitude * np.sin(abs(self.omega1) * t) * np.sin(abs(self.omega2) * t)
+            return u[np.newaxis]
         if self.kind == "constant":
-            return self.values.copy()
+            return np.repeat(self.values.reshape((-1,) + (1,) * t.ndim), t.size, axis=-1)
         if self.kind == "zero":
-            return np.zeros(self.input_dim)
+            return np.zeros((self.input_dim,) + t.shape)
         if self.kind == "piecewise-constant-sequence":
-            k = min(int(math.floor(t / self.dt + 1e-9)), self.values.shape[1] - 1)
-            return self.values[:, max(k, 0)].copy()
+            k = np.clip(np.floor(t / self.dt + 1e-9), 0, self.values.shape[1] - 1)
+            return np.take(self.values, k.astype(np.intp), axis=1)
         raise InvalidInputError(f"unknown forcing kind {self.kind!r}")
 
 
@@ -254,62 +267,115 @@ def _n_steps(t_end, dt):
     return int(math.floor(t_end / dt + 1e-9))
 
 
-def simulate(sys, x0, forcing, t_end, dt):
-    """Integrate a flow system with zero-order-hold inputs sampled at step starts.
-
-    Raises DivergenceError (carrying the partial trajectory) as soon as a
-    step of :func:`rk4_step` diverges.
-    """
+def _time_grid(sys, t_end, dt):
+    """Sample times ``k * dt`` of a flow simulation over ``[0, t_end]``."""
     if sys.kind != "flow":
         raise InvalidInputError("simulate requires a continuous-time system")
     if t_end <= 0 or dt <= 0:
         raise InvalidInputError("t_end and dt must be positive")
-    n_steps = _n_steps(t_end, dt)
+    return np.arange(_n_steps(t_end, dt) + 1) * dt
+
+
+def _integrate_columns(rhs, x0, inputs, times, dt):
+    """RK4 of every column of ``x0`` (n, M) in lockstep under held ``inputs`` (q, M, k).
+
+    Step ``s`` runs from ``times[s]``. Returns the states (n, M, k+1) and, per
+    column, the number of steps taken before its state first left
+    ``|x| <= DIVERGENCE_LIMIT`` (NaN and infinity included), or k if it never
+    did. A column's states after that step are meaningless; the loop stops
+    once every column has left.
+    """
+    n_steps = inputs.shape[2]
+    states = np.empty(x0.shape + (n_steps + 1,))
+    states[:, :, 0] = x = x0
+    steps = np.full(x0.shape[1], n_steps)
+    alive = np.ones(x0.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for s in range(n_steps):
+            x = rk4_update(rhs, x, inputs[:, :, s], times[s], dt)
+            states[:, :, s + 1] = x
+            left = alive & ~(np.abs(x) <= DIVERGENCE_LIMIT).all(axis=0)
+            if left.any():
+                steps[left] = s
+                alive &= ~left
+                if not alive.any():
+                    break
+    return states, steps
+
+
+def simulate(sys, x0, forcing, t_end, dt):
+    """Integrate a flow system with zero-order-hold inputs sampled at step starts.
+
+    The inputs are ``forcing.evaluate`` at every step start, taken in one
+    call; the states are the one-column case of the lockstep RK4 loop that
+    :func:`generate_training_trajectories` runs. Raises DivergenceError,
+    carrying the trajectory up to the last state within ``DIVERGENCE_LIMIT``,
+    at the first step that leaves it.
+    """
+    times = _time_grid(sys, t_end, dt)
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != sys.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the system state dimension")
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((sys.state_dim, n_steps + 1))
-    inputs = np.empty((sys.input_dim, n_steps))
-    states[:, 0] = x
-    for k in range(n_steps):
-        u = np.asarray(forcing.evaluate(times[k]), dtype=float).reshape(-1)
-        inputs[:, k] = u
-        try:
-            x = rk4_step(sys, x, u, times[k], dt)
-        except DivergenceError as err:
-            partial = Trajectory(times[: k + 1], states[:, : k + 1], inputs[:, :k])
-            raise DivergenceError(str(err), partial=partial) from None
-        states[:, k + 1] = x
-    return Trajectory(times, states, inputs)
+    inputs = np.empty((sys.input_dim, 1, times.size - 1))
+    inputs[:, 0] = forcing.evaluate(times[:-1])
+    states, steps = _integrate_columns(sys.rhs, x[:, np.newaxis], inputs, times, dt)
+    k = steps[0]
+    traj = Trajectory(times[: k + 1], states[:, 0, : k + 1], inputs[:, 0, :k])
+    if k < times.size - 1:
+        raise DivergenceError(
+            f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={times[k] + dt:.4g}", partial=traj
+        )
+    return traj
+
+
+def _count(value, name, low):
+    """``value`` as an int of at least ``low``; InvalidInputError otherwise."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer >= {low}") from None
+    if value < low:
+        raise InvalidInputError(f"{name} must be an integer >= {low}")
+    return value
 
 
 def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, seed):
     """Simulate ``n_traj`` forced trajectories from uniform initial conditions.
 
-    Each trajectory gets its own generator derived from ``(seed, index)``, so
-    the output is identical no matter how trajectories are scheduled.
-    Divergent trajectories are dropped; the count is returned alongside.
+    Each trajectory gets its own generator derived from ``(seed, index)``,
+    which draws its initial condition and then its forcing, so the output does
+    not depend on how trajectories are scheduled. All trajectories are
+    integrated as the columns of one lockstep RK4 run; for a field that
+    computes each column on its own (van der Pol does), every trajectory
+    equals its own :func:`simulate` call bit for bit. Divergent trajectories
+    are dropped with a warning; the count is returned alongside.
     """
-    if n_traj < 1:
-        raise InvalidInputError("n_traj must be >= 1")
-    if seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
+    n_traj = _count(n_traj, "n_traj", 1)
+    seed = _count(seed, "seed", 0)
     box = np.asarray(box, dtype=float)
     if box.shape != (sys.state_dim, 2):
         raise InvalidInputError(f"box must be ({sys.state_dim}, 2) of (low, high) pairs")
-    trajectories = []
-    n_divergent = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not (np.isfinite(width) & (width > 0)).all():  # NaN, infinite ends and overflow fail
+        raise InvalidInputError("box must be finite with low < high in every row")
+    times = _time_grid(sys, t_end, dt)
+    if times.size < 2:
+        raise InvalidInputError("t_end must cover at least one step")
+    x0 = np.empty((sys.state_dim, n_traj))
+    inputs = np.empty((sys.input_dim, n_traj, times.size - 1))
     for i in range(n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        x0 = box[:, 0] + rng.random(sys.state_dim) * (box[:, 1] - box[:, 0])
-        forcing = forcing_family(rng)
-        try:
-            trajectories.append(simulate(sys, x0, forcing, t_end, dt))
-        except DivergenceError:
-            n_divergent += 1
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        x0[:, i] = box[:, 0] + rng.random(sys.state_dim) * width
+        inputs[:, i] = forcing_family(rng).evaluate(times[:-1])
+    states, steps = _integrate_columns(sys.rhs, x0, inputs, times, dt)
+    kept = np.flatnonzero(steps == times.size - 1)
+    n_divergent = n_traj - kept.size
     if n_divergent:
         warnings.warn(f"dropped {n_divergent} divergent training trajectories", stacklevel=2)
+    trajectories = [
+        Trajectory(times.copy(), states[:, j].copy(), inputs[:, j].copy()) for j in kept
+    ]
     return trajectories, n_divergent
 
 

@@ -341,9 +341,9 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     iterations and a finite residual; a delay warm-up step, which solves
     nothing, has 0 iterations and a NaN residual.
     """
-    if abs(dt - model.dt) > 1e-12 * max(1.0, abs(model.dt)):
-        raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
     n_steps = _n_steps(t_end, dt)
+    if not abs(dt - model.dt) <= 1e-12 * max(1.0, abs(model.dt)):  # a NaN model.dt fails
+        raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
     if n_steps < 1:
         raise InvalidInputError("t_end must cover at least one step")
     x = np.asarray(x0, dtype=float).reshape(-1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, sample_hash
+from .dynamics import Trajectory, check_dt, sample_hash
 from .errors import InsufficientDataError, InvalidInputError, NoEigenfunctionError
 from .numerics import DEFAULT_SVD_TOL, level_index, lstsq_min_norm
 from .observables import (
@@ -48,6 +48,7 @@ class LinearControlModel:
         d = self.a.shape[0]
         if self.a.shape != (d, d) or self.b.shape[0] != d or self.c.shape[1] != d:
             raise InvalidInputError("model matrices have inconsistent shapes")
+        check_dt(self.dt)
 
     @property
     def lifted_dim(self):
@@ -80,6 +81,9 @@ class ParametrizedFamily:
     c: np.ndarray
     dt: float
     fit_residuals: tuple = ()
+
+    def __post_init__(self):
+        check_dt(self.dt)
 
     @property
     def lifted_dim(self):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 
@@ -207,6 +208,30 @@ class TestMalformedModelFile:
             "--config", str(cfg), "--out", str(tmp_path / "pred"),
         ]) == 3
 
+    @staticmethod
+    def _with_dt(path, tmp_path, dt):
+        raw = read_json(path)
+        raw["dt"] = dt
+        out = tmp_path / "edited_dt.json"
+        out.write_text(json.dumps(raw))  # NaN and Infinity as JSON literals
+        return out
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_model_from_json_rejects_a_bad_dt(self, fitted_edmdc, tmp_path, dt):
+        from koopmpc import InvalidInputError
+
+        _, _, model_path = fitted_edmdc
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            model_from_json(self._with_dt(model_path, tmp_path, dt))
+
+    def test_mpc_exits_3_on_a_nan_dt(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, model_path = fitted_edmdc
+        assert main([
+            "mpc", str(self._with_dt(model_path, tmp_path, float("nan"))),
+            "--config", str(cfg), "--out", str(tmp_path / "mpc"),
+        ]) == 3
+        assert "dt must be positive and finite" in capsys.readouterr().err
+
 
 class TestUlamCommand:
     def test_identity_plant_keeps_uniform_density(self, tmp_path):
@@ -286,6 +311,23 @@ class TestBenchmarkCommand:
         report = (out / "report.json").read_text()
         for key in info:
             assert f'"{key}"' not in report
+
+    def test_run_info_records_stage_seconds_outside_the_report(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        stages = read_json(out / "run_info.json")["stage_seconds"]
+        sweeps = {
+            f"control-{section}-{name}"
+            for section in ("validation", "grid")
+            for name in ("dmdc", "edmdc", "delay")
+        }
+        assert set(stages) == {
+            "training-data", "model-fitting", "validation-data", "prediction-errors"
+        } | sweeps
+        assert all(0.0 < seconds < math.inf for seconds in stages.values())
+        report = (out / "report.json").read_text()
+        assert "stage_seconds" not in report and "training-data" not in report
 
 
 class TestSchemaStability:

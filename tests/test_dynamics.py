@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from koopmpc import (
     DivergenceError,
     ForcingSignal,
     InvalidInputError,
+    SampleSet,
     Trajectory,
     generate_training_trajectories,
     make_vanderpol,
@@ -336,3 +340,266 @@ class TestSerialization:
         assert np.allclose(back.xp, data.xp)
         assert np.allclose(back.u, data.u)
         assert back.dt == data.dt
+
+
+class SquareRhs:
+    """x' = x^2 + u, column by column: blows up in finite time from x0 > 0."""
+
+    def __call__(self, x, u, t):
+        return x * x + u
+
+
+class SqrtRhs:
+    """x' = sqrt(x) + u: NaN at once from x0 < 0, slow growth from x0 >= 0."""
+
+    def __call__(self, x, u, t):
+        return np.sqrt(x) + u
+
+
+ONE_STATE_FIELDS = {"square": SquareRhs(), "sqrt": SqrtRhs()}
+
+
+def reference_simulate(sys, x0, forcing, t_end, dt):
+    """The per-step loop ``simulate`` had before the lockstep integrator.
+
+    One scalar ``forcing.evaluate`` and one ``rk4_step`` per step; a step that
+    leaves the limit raises DivergenceError with the trajectory before it.
+    """
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    times = np.arange(n_steps + 1) * dt
+    states = np.empty((sys.state_dim, n_steps + 1))
+    inputs = np.empty((sys.input_dim, n_steps))
+    states[:, 0] = x
+    for k in range(n_steps):
+        u = np.asarray(forcing.evaluate(times[k]), dtype=float).reshape(-1)
+        inputs[:, k] = u
+        try:
+            x = rk4_step(sys, x, u, times[k], dt)
+        except DivergenceError as err:
+            partial = Trajectory(times[: k + 1], states[:, : k + 1], inputs[:, :k])
+            raise DivergenceError(str(err), partial=partial) from None
+        states[:, k + 1] = x
+    return Trajectory(times, states, inputs)
+
+
+def reference_generate(sys, n_traj, box, t_end, dt, forcing_family, seed):
+    """The one-``simulate``-per-trajectory loop of the batched generator."""
+    box = np.asarray(box, dtype=float)
+    trajectories, n_divergent = [], 0
+    for i in range(n_traj):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        x0 = box[:, 0] + rng.random(sys.state_dim) * (box[:, 1] - box[:, 0])
+        forcing = forcing_family(rng)
+        try:
+            trajectories.append(reference_simulate(sys, x0, forcing, t_end, dt))
+        except DivergenceError:
+            n_divergent += 1
+    if n_divergent:
+        warnings.warn(f"dropped {n_divergent} divergent training trajectories", stacklevel=2)
+    return trajectories, n_divergent
+
+
+FORCING_KINDS = ("product-sines", "constant", "zero", "piecewise-constant-sequence")
+
+
+def random_signal(rng, kind, input_dim=1):
+    if kind == "product-sines":
+        w = rng.normal(0.0, 10.0, size=2)
+        return ForcingSignal.product_sines(rng.uniform(0.0, 5.0), w[0], w[1])
+    if kind == "constant":
+        return ForcingSignal.constant(rng.uniform(-3.0, 3.0, input_dim))
+    if kind == "zero":
+        return ForcingSignal.zero(input_dim)
+    values = rng.uniform(-3.0, 3.0, (input_dim, int(rng.integers(1, 8))))
+    return ForcingSignal.piecewise(values, dt=float(rng.choice([0.03, 0.05, 0.1, 0.25])))
+
+
+def mixed_family(kinds):
+    """A forcing family drawing each signal's kind, then its parameters, from the rng."""
+
+    def make(rng):
+        return random_signal(rng, kinds[int(rng.integers(len(kinds)))])
+
+    return make
+
+
+def recorded(fn, *args):
+    """``fn(*args)`` and the text of every divergence warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+def same_trajectory(a, b):
+    return (
+        a.times.tobytes() == b.times.tobytes()
+        and a.states.tobytes() == b.states.tobytes()
+        and a.inputs.tobytes() == b.inputs.tobytes()
+        and a.states.shape == b.states.shape
+        and a.inputs.shape == b.inputs.shape
+    )
+
+
+class TestLockstepGeneration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plant=st.sampled_from(["vanderpol", "square", "sqrt"]),
+        mu=st.floats(-1.0, 3.0),
+        n_traj=st.integers(1, 40),
+        lows=st.lists(st.floats(-6.0, 2.0), min_size=2, max_size=2),
+        widths=st.lists(st.floats(0.01, 8.0), min_size=2, max_size=2),
+        n_steps=st.integers(1, 25),
+        dt=st.sampled_from([0.02, 0.05, 0.1]),
+        kinds=st.lists(st.sampled_from(FORCING_KINDS), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_trajectory_loop_bitwise(
+        self, plant, mu, n_traj, lows, widths, n_steps, dt, kinds, seed
+    ):
+        if plant == "vanderpol":
+            sys = make_vanderpol(mu)
+        else:
+            sys = ControlSystem(1, 1, ONE_STATE_FIELDS[plant])
+            lows, widths = lows[:1], widths[:1]
+        box = [[lo, lo + w] for lo, w in zip(lows, widths)]
+        args = (sys, n_traj, box, n_steps * dt, dt, mixed_family(kinds), seed)
+        (got, n_got), got_warned = recorded(generate_training_trajectories, *args)
+        (want, n_want), want_warned = recorded(reference_generate, *args)
+        assert n_got == n_want and got_warned == want_warned
+        assert len(got) == len(want) == n_traj - n_want
+        assert all(same_trajectory(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("plant, box", [("square", [[0.0, 2.0]]), ("sqrt", [[-1.0, 1.0]])])
+    def test_some_columns_diverge_without_numpy_warnings(self, plant, box):
+        sys = ControlSystem(1, 1, ONE_STATE_FIELDS[plant])
+        args = (sys, 30, box, 2.0, 0.05, mixed_family(["zero"]), 3)
+        with pytest.warns(UserWarning, match="dropped") as caught:
+            trajectories, n_divergent = generate_training_trajectories(*args)
+        assert 0 < n_divergent < 30 and len(trajectories) == 30 - n_divergent
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        plant=st.sampled_from(sorted(ONE_STATE_FIELDS)),
+        x0=st.floats(-1.0, 3.0),
+        n_steps=st.integers(1, 40),
+        kind=st.sampled_from(FORCING_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_simulate_equals_the_per_step_loop_with_its_divergence(
+        self, plant, x0, n_steps, kind, seed
+    ):
+        sys = ControlSystem(1, 1, ONE_STATE_FIELDS[plant])
+        forcing = random_signal(np.random.default_rng(seed), kind)
+        try:
+            with np.errstate(all="ignore"):  # the per-step loop warns on NaN and overflow
+                want = reference_simulate(sys, [x0], forcing, n_steps * 0.1, 0.1)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as exc:
+                simulate(sys, [x0], forcing, n_steps * 0.1, 0.1)
+            assert str(exc.value) == str(err)
+            assert same_trajectory(exc.value.partial, err.partial)
+        else:
+            assert same_trajectory(simulate(sys, [x0], forcing, n_steps * 0.1, 0.1), want)
+
+
+class TestForcingOnTimeArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(FORCING_KINDS),
+        input_dim=st.integers(1, 3),
+        n_times=st.integers(0, 30),
+        t_max=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_stacked_scalar_calls_bitwise(self, kind, input_dim, n_times, t_max, seed):
+        rng = np.random.default_rng(seed)
+        sig = random_signal(rng, kind, 1 if kind == "product-sines" else input_dim)
+        # Sample times on a grid, at random, and past the end of a piecewise sequence.
+        times = np.concatenate([np.arange(n_times) * 0.05, rng.uniform(0.0, t_max, n_times)])
+        got = sig.evaluate(times)
+        want = np.stack([sig.evaluate(t) for t in times], axis=1) if times.size else None
+        assert got.shape == (sig.input_dim, times.size)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+        for t in (0.0, float(t_max), np.float64(t_max)):
+            assert sig.evaluate(t).shape == (sig.input_dim,)
+
+    def test_piecewise_holds_its_last_value_past_the_end(self):
+        sig = ForcingSignal.piecewise([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]], dt=0.5)
+        got = sig.evaluate(np.array([0.0, 0.49, 0.5, 1.0, 1.49, 1.5, 7.0]))
+        assert np.array_equal(got[0], [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
+        assert np.array_equal(got[1], -got[0])
+
+    def test_scalar_results_do_not_alias_the_signal(self):
+        for sig in (ForcingSignal.constant([1.0, 2.0]), ForcingSignal.piecewise([[1.0, 2.0]], 0.5)):
+            u = sig.evaluate(0.0)
+            u[:] = 99.0
+            assert not np.any(sig.evaluate(np.array([0.0, 0.7])) == 99.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan, np.inf])
+    def test_piecewise_rejects_a_bad_dt(self, dt):
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            ForcingSignal.piecewise([[1.0, 2.0]], dt)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan], [[0.0, 0.1]]])
+    def test_rejects_non_finite_or_2d_times(self, t):
+        with pytest.raises(InvalidInputError, match="t must be"):
+            ForcingSignal.product_sines(1.0, 2.0, 3.0).evaluate(np.asarray(t, dtype=float))
+
+
+class TestGenerationTypedErrors:
+    SYS = make_vanderpol(0.2)
+    BOX = [[-1.0, 1.0], [-1.0, 1.0]]
+
+    def gen(self, n_traj=3, box=None, t_end=0.5, dt=0.05, seed=0):
+        return generate_training_trajectories(
+            self.SYS, n_traj, self.BOX if box is None else box, t_end, dt,
+            product_sines_family(), seed,
+        )
+
+    @pytest.mark.parametrize("n_traj", [2.5, "3", None, 0, -1])
+    def test_n_traj_must_be_a_positive_integer(self, n_traj):
+        with pytest.raises(InvalidInputError, match="n_traj"):
+            self.gen(n_traj=n_traj)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            self.gen(seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        trajectories, _ = self.gen(n_traj=np.int64(2), seed=np.uint32(7))
+        assert len(trajectories) == 2
+        assert same_trajectory(trajectories[1], self.gen(n_traj=2, seed=7)[0][1])
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            [[np.nan, 1.0], [-1.0, 1.0]],
+            [[-1.0, np.inf], [-1.0, 1.0]],
+            [[1.0, -1.0], [-1.0, 1.0]],
+            [[-1.0, 1.0], [0.5, 0.5]],
+            [[np.inf, np.inf], [-1.0, 1.0]],
+            [[-1e308, 1e308], [-1.0, 1.0]],
+        ],
+    )
+    def test_box_must_be_finite_and_ordered(self, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="box must be finite with low < high"):
+                self.gen(box=box)
+
+    @pytest.mark.parametrize("t_end", [0.01, 0.049])
+    def test_t_end_must_cover_one_step(self, t_end):
+        with pytest.raises(InvalidInputError, match="t_end must cover at least one step"):
+            self.gen(t_end=t_end)
+
+
+class TestSampleSetTimestep:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_rejects_a_bad_dt(self, dt):
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            SampleSet(x=np.zeros((2, 3)), xp=np.zeros((2, 3)), u=np.zeros((1, 3)), dt=dt)

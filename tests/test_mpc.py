@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -281,6 +282,17 @@ class TestClosedLoop:
         plant, _, _ = vdp_training
         with pytest.raises(InvalidInputError):
             closed_loop_run(plant, vdp_edmdc, base_cfg(), np.zeros(2), 1.0, 0.1)
+
+    def test_a_nan_timestep_never_matches(self, vdp_training, vdp_edmdc):
+        plant, _, _ = vdp_training
+        with pytest.raises(InvalidInputError, match="finite"):
+            closed_loop_run(plant, vdp_edmdc, base_cfg(), np.zeros(2), 1.0, float("nan"))
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            dataclasses.replace(vdp_edmdc, dt=float("nan"))
+        unchecked = copy.copy(vdp_edmdc)
+        unchecked.dt = float("nan")  # past the constructor's check
+        with pytest.raises(InvalidInputError, match="does not match"):
+            closed_loop_run(plant, unchecked, base_cfg(), np.zeros(2), 1.0, 0.05)
 
     def test_finite_divergence_carries_partial_run(self):
         # x' = 10 x with u = 0 throughout (zero state weight): the state first

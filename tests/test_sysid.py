@@ -247,6 +247,23 @@ class TestFitParametrized:
         assert np.array_equal(back.c, family.c)
         assert back.lifting.labels == family.lifting.labels
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_json_rejects_a_bad_dt(self, tmp_path, dt):
+        import json
+
+        from koopmpc import InvalidInputError
+        from koopmpc.io import family_from_json, family_to_json, read_json
+
+        x = np.random.default_rng(9).standard_normal((2, 30))
+        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
+        path = tmp_path / "family.json"
+        family_to_json(fit_parametrized(data, monomials_dictionary(2, 2), [0.0]), path)
+        raw = read_json(path)
+        raw["dt"] = dt
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            family_from_json(path)
+
 
 class TestIdentifyEigenfunctions:
     def test_scalar_linear_eigenfunction(self):
