@@ -28,7 +28,8 @@ from .errors import DivergenceError, InfeasibleError, InvalidInputError, Koopmpc
 from .io import closed_loop_summary
 from .mpc import MpcConfig, closed_loop_run
 from .observables import DelaySpec, monomials_dictionary
-from .sysid import fit_delay_augmented, fit_dmdc, fit_edmdc, predict_rollout
+from .sysid import fit_delay_augmented, fit_dmdc, fit_edmdc, rollout_from_lifted
+from .sysid import predict_rollout  # noqa: F401  (perfbench traces this name here)
 
 
 def derive_seed(seed, tag):
@@ -119,44 +120,57 @@ def prediction_errors(models, trajectories, horizon):
     earliest index every fitted model supports (delay liftings need
     history), so the errors are directly comparable. Errors are taken on the
     coordinates each model's lifting recovers (partial-state delay models are
-    scored on their observed coordinate only). One-step predictions come
-    from a single ``C (A Z + B U)`` product over the lifted window. Each
-    entry also holds ``predictions``: per trajectory, the (ny, horizon+1)
-    recovered states of the rollout from ``start_index``.
+    scored on their observed coordinate only). Each trajectory contributes
+    its first ``start_index + horizon + 1`` samples; the windows of all
+    trajectories are stacked and scored as the columns of one batch, so each
+    model lifts them once, takes its one-step predictions from a single
+    ``C (A Z + B U)`` product, and rolls all trajectories forward together.
+    Each entry also holds ``predictions``: per trajectory, the
+    (ny, horizon+1) recovered states of the rollout from ``start_index``.
+    A model whose predictions are not finite raises InvalidInputError.
     """
     start = max((model.lifting.history_steps for model in models.values()), default=0)
+    end = start + horizon
+    for traj in trajectories:
+        if traj.n_steps < end:
+            raise InvalidInputError(
+                f"a trajectory of {traj.n_steps} steps is too short for horizon {horizon} "
+                f"from index {start}"
+            )
+    if not trajectories:
+        return {name: {"one_step_rms": [], "rollout_rms": [], "predictions": [],
+                       "start_index": start} for name in models}
+    states = np.stack([traj.states[:, : end + 1] for traj in trajectories], axis=1)
+    inputs = np.stack([traj.inputs[:, :end] for traj in trajectories], axis=1)
+    u = inputs[:, :, start:]
+    u_cols = u.reshape(u.shape[0], -1)
     out = {}
     for name, model in models.items():
         coords = list(model.lifting.coords)
         first = start - model.lifting.history_steps
-        one_step, rollout, predictions = [], [], []
-        for traj in trajectories:
-            if traj.n_steps < start + horizon:
-                raise InvalidInputError(
-                    f"a trajectory of {traj.n_steps} steps is too short for horizon {horizon} "
-                    f"from index {start}"
-                )
-            inputs = traj.inputs[:, start : start + horizon]
-            truth = traj.states[coords, start + 1 : start + horizon + 1]
-            pred = predict_rollout(
-                model,
-                traj.states[:, start],
-                inputs,
-                history_states=traj.states[:, :start],
-                history_inputs=traj.inputs[:, :start],
-            ).states
-            predictions.append(pred)
-            rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth) ** 2))))
-            z = model.lifting.lift_many(traj)[:, first : first + horizon]
-            step = model.c @ (model.a @ z + model.b @ inputs)
-            one_step.append(float(np.sqrt(np.mean((step - truth) ** 2))))
+        z = model.lifting.lift_windows(states[:, :, first:end], inputs[:, :, first:end])
+        step = model.c @ (model.a @ z.reshape(model.lifted_dim, -1) + model.b @ u_cols)
+        step = step.reshape(len(coords), len(trajectories), horizon)
+        pred = rollout_from_lifted(model, z[:, :, 0], u)
+        finite = np.all(np.isfinite(pred), axis=(0, 2)) & np.all(np.isfinite(step), axis=(0, 2))
+        if not np.all(finite):
+            raise InvalidInputError(
+                f"model {name!r} predicts non-finite states on trajectory {int(np.argmin(finite))}"
+            )
+        truth = states[coords, :, start + 1 :]
         out[name] = {
-            "one_step_rms": one_step,
-            "rollout_rms": rollout,
-            "predictions": predictions,
+            "one_step_rms": _rms_per_trajectory(step - truth),
+            "rollout_rms": _rms_per_trajectory(pred[:, :, 1:] - truth),
+            "predictions": list(pred.transpose(1, 0, 2)),
             "start_index": start,
         }
     return out
+
+
+def _rms_per_trajectory(err):
+    """RMS of each trajectory's (ny, horizon) block of an (ny, M, horizon) error array."""
+    per_traj = np.square(err.transpose(1, 0, 2)).reshape(err.shape[1], -1)
+    return [float(v) for v in np.sqrt(np.mean(per_traj, axis=1))]
 
 
 def _control_task(args):

@@ -49,6 +49,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def _read_dt(raw):
+    """The number under ``"dt"`` as a float; missing, null (``jsonify``'s
+    non-finite float) or non-numeric raises InvalidInputError."""
+    dt = raw.get("dt")
+    if isinstance(dt, bool) or not isinstance(dt, (int, float)):
+        raise InvalidInputError(f"dt must be a number, got {dt!r}")
+    return float(dt)
+
+
 def _state_header(n, q):
     return ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
 
@@ -156,7 +165,7 @@ def sampleset_from_csv(path, manifest_path):
         x=rows[:, 1 : 1 + n].T,
         xp=rows[:, 1 + n + q : 1 + 2 * n + q].T,
         u=rows[:, 1 + n : 1 + n + q].T,
-        dt=float(man["dt"]),
+        dt=_read_dt(man),
         t=rows[:, 0],
         meta=meta,
     )
@@ -224,7 +233,7 @@ def model_from_json(path):
         b=np.asarray(raw["b"], dtype=float),
         c=np.asarray(raw["c"], dtype=float),
         lifting=_lifting_from_descriptor(raw["lifting"]),
-        dt=float(raw["dt"]),
+        dt=_read_dt(raw),
         kind=raw["kind"],
         fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
         training_hash=raw.get("training_hash"),
@@ -252,7 +261,7 @@ def family_from_json(path):
         mats=tuple(np.asarray(m, dtype=float) for m in raw["mats"]),
         lifting=lifting,
         c=recovery_matrix(lifting),
-        dt=float(raw["dt"]),
+        dt=_read_dt(raw),
         fit_residuals=tuple(raw.get("fit_residuals", ())),
     )
 

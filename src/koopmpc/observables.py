@@ -7,8 +7,15 @@ scoring never branch on the kind of lifting:
 - ``state_dim``: the plant state dimension it lifts from;
 - ``coords``: the plant coordinates a model on this lifting recovers;
 - ``lift(x, history_states=None, history_inputs=None)``: one lifted state;
-- ``lift_many(traj)``: lifted states at steps ``history_steps .. n_steps-1``
-  of a trajectory, one column per step.
+- ``lift_windows(states, inputs)``: lifted states of sample windows held
+  time-last, ``states`` of shape ``(n, T)`` or ``(n, M, T)`` and ``inputs``
+  of shape ``(q, T-1)`` or ``(q, M, T-1)`` (longer input windows are cut).
+  The result holds the lifts of samples ``history_steps .. T-1`` of every
+  window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
+  ``M`` windows lift as the columns of one batch;
+- ``lift_many(traj)``: the one-window call of ``lift_windows`` on a
+  trajectory, lifted states at steps ``history_steps .. n_steps-1``, one
+  column per step.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords``, ``lift`` and ``lift_many``.
+    ``history_steps``, ``state_dim``, ``coords``, ``lift``, ``lift_windows``
+    and ``lift_many``.
     A dictionary needs no history, recovers every plant coordinate, and
     ignores the history arguments of ``lift``.
     """
@@ -99,9 +107,15 @@ class Dictionary:
         """Observables at one state (n_in,) -> (d,)."""
         return eval_dictionary(self, np.asarray(x, dtype=float).reshape(-1))
 
+    def lift_windows(self, states, inputs=None):
+        """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T)."""
+        states = np.asarray(states, dtype=float)
+        flat = eval_dictionary(self, states.reshape(states.shape[0], -1))
+        return flat.reshape(flat.shape[:1] + states.shape[1:])
+
     def lift_many(self, traj):
         """Observables at every step but the last, one column per step."""
-        return eval_dictionary(self, traj.states[:, :-1])
+        return self.lift_windows(traj.states[:, :-1])
 
 
 def monomials_dictionary(n, max_order, include_constant=False):
@@ -237,16 +251,28 @@ class DelayCoordinates:
             blocks.append(hi[:, -j])
         return np.concatenate(blocks)
 
-    def lift_many(self, traj):
-        """Hankel columns: column k lifts step ``history_steps + k``, newest sample first."""
+    def lift_windows(self, states, inputs):
+        """Hankel columns of (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
+
+        Blocks are stacked newest sample first; the result is
+        (aug_dim, [M,] T - history_steps).
+        """
+        s = np.asarray(states, dtype=float)[list(self.coords)]
+        u = np.asarray(inputs, dtype=float)
         h = self.history_steps
-        m = traj.n_steps - h
+        n_samples = s.shape[-1]
+        m = n_samples - h
         if m < 1:
             raise InsufficientDataError(
-                f"trajectory with {traj.n_steps} steps is too short for depths "
+                f"a window of {n_samples} samples is too short for depths "
                 f"d1={self.spec.d1}, d2={self.spec.d2}"
             )
-        s = traj.states[list(self.coords)]
-        blocks = [s[:, h - j : h - j + m] for j in range(self.spec.d1)]
-        blocks += [traj.inputs[:, h - j : h - j + m] for j in range(1, self.spec.d2)]
-        return np.vstack(blocks)
+        if self.spec.d2 > 1 and u.shape[-1] < n_samples - 1:
+            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+        blocks = [s[..., h - j : h - j + m] for j in range(self.spec.d1)]
+        blocks += [u[..., h - j : h - j + m] for j in range(1, self.spec.d2)]
+        return np.concatenate(blocks)
+
+    def lift_many(self, traj):
+        """Hankel columns of a trajectory: column k lifts step ``history_steps + k``."""
+        return self.lift_windows(traj.states[:, :-1], traj.inputs)

@@ -7,6 +7,7 @@ immutable after fitting and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +158,18 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
     coords = tuple(range(n)) if coords is None else tuple(int(c) for c in coords)
     dc = DelayCoordinates(spec=spec, coords=coords, state_dim=n, input_dim=q)
     h = dc.history_steps
-    reg = np.vstack([
-        np.hstack([dc.lift_many(traj) for traj in trajectories]),
-        np.hstack([traj.inputs[:, h:] for traj in trajectories]),
-    ])
-    target = np.hstack([traj.states[list(coords), h + 1 :] for traj in trajectories])
+    lifted, inputs, target = [], [], []
+    # One stacked lift per run of consecutive equal-length trajectories; the
+    # columns keep the trajectory-major order of a per-trajectory hstack.
+    for _, group in itertools.groupby(trajectories, key=lambda traj: traj.n_steps):
+        run = list(group)
+        states = np.stack([traj.states for traj in run], axis=1)  # (n, M, n_steps + 1)
+        u = np.stack([traj.inputs for traj in run], axis=1)
+        lifted.append(dc.lift_windows(states[..., :-1], u).reshape(dc.aug_dim, -1))
+        inputs.append(u[..., h:].reshape(q, -1))
+        target.append(states[list(coords), :, h + 1 :].reshape(len(coords), -1))
+    reg = np.vstack([np.hstack(lifted), np.hstack(inputs)])
+    target = np.hstack(target)
     n_e = dc.n_embed
     dim = dc.aug_dim
     if reg.shape[1] < dim + q:
@@ -390,12 +398,24 @@ def _as_input_matrix(inputs, q):
 
 
 def rollout_from_lifted(model, z, u):
-    """(ny, N+1) recovered states of ``model`` stepped from lifted ``z`` under (q, N) ``u``."""
-    states = np.empty((model.c.shape[0], u.shape[1] + 1))
-    states[:, 0] = model.c @ z
-    for k in range(u.shape[1]):
-        z = model.step(z, u[:, k])
-        states[:, k + 1] = model.c @ z
+    """Recovered states of ``model`` stepped from lifted ``z`` under inputs ``u``.
+
+    One lifted state ``z`` (d,) under (q, N) inputs gives (ny, N+1) states.
+    ``M`` lifted states as the columns of ``z`` (d, M) under (q, M, N) inputs
+    step in lockstep, one matrix product per step, and give (ny, M, N+1)
+    states. Only a :class:`LinearControlModel` steps columns.
+    """
+    if np.ndim(z) != 1 and isinstance(model, ParametrizedFamily):
+        raise InvalidInputError("a parametrized family steps one lifted state at a time")
+    if np.shape(u)[1:-1] != np.shape(z)[1:]:
+        raise InvalidInputError(
+            f"inputs of shape {np.shape(u)} do not match lifted states of shape {np.shape(z)}"
+        )
+    states = np.empty(model.c.shape[:1] + np.shape(z)[1:] + (u.shape[-1] + 1,))
+    states[..., 0] = model.c @ z
+    for k in range(u.shape[-1]):
+        z = model.step(z, u[..., k])
+        states[..., k + 1] = model.c @ z
     return states
 
 

@@ -212,6 +212,8 @@ class TestMalformedModelFile:
     def _with_dt(path, tmp_path, dt):
         raw = read_json(path)
         raw["dt"] = dt
+        if dt == "missing":
+            del raw["dt"]
         out = tmp_path / "edited_dt.json"
         out.write_text(json.dumps(raw))  # NaN and Infinity as JSON literals
         return out
@@ -231,6 +233,23 @@ class TestMalformedModelFile:
             "--config", str(cfg), "--out", str(tmp_path / "mpc"),
         ]) == 3
         assert "dt must be positive and finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("dt", [None, "missing", "0.05", [0.05], True])
+    def test_model_from_json_rejects_a_null_or_non_numeric_dt(self, fitted_edmdc, tmp_path, dt):
+        from koopmpc import InvalidInputError
+
+        _, _, model_path = fitted_edmdc
+        with pytest.raises(InvalidInputError, match="dt must be a number"):
+            model_from_json(self._with_dt(model_path, tmp_path, dt))
+
+    def test_mpc_exits_3_on_a_null_dt(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, model_path = fitted_edmdc
+        assert main([
+            "mpc", str(self._with_dt(model_path, tmp_path, None)),
+            "--config", str(cfg), "--out", str(tmp_path / "mpc"),
+        ]) == 3
+        assert "dt must be a number, got None" in capsys.readouterr().err
 
 
 class TestUlamCommand:

@@ -341,6 +341,18 @@ class TestSerialization:
         assert np.allclose(back.u, data.u)
         assert back.dt == data.dt
 
+    @pytest.mark.parametrize("dt", [None, "missing", "0.05"])
+    def test_sampleset_manifest_rejects_a_null_or_non_numeric_dt(self, tmp_path, dt):
+        data = SampleSet(x=np.ones((2, 3)), xp=np.ones((2, 3)), u=np.zeros((1, 3)), dt=0.05)
+        sampleset_to_csv(data, tmp_path / "s.csv")
+        manifest = sampleset_manifest(data)
+        manifest["dt"] = dt
+        if dt == "missing":
+            del manifest["dt"]
+        write_json(manifest, tmp_path / "s.json")
+        with pytest.raises(InvalidInputError, match="dt must be a number"):
+            sampleset_from_csv(tmp_path / "s.csv", tmp_path / "s.json")
+
 
 class SquareRhs:
     """x' = x^2 + u, column by column: blows up in finite time from x0 > 0."""

@@ -19,6 +19,7 @@ from koopmpc import (
     monomials_dictionary,
     recovery_matrix,
 )
+from koopmpc.errors import MissingHistoryError
 from koopmpc.observables import eval_gradients
 
 
@@ -214,6 +215,13 @@ class TestDelayEmbed:
         z = delay_columns(traj, DelaySpec(2, 1))
         assert np.array_equal(z, [[2.0, 3.0], [1.0, 2.0]])
         assert_shifts_by_one(z, traj, DelaySpec(2, 1))
+
+    def test_windows_need_an_input_per_step(self):
+        lifting = DelayCoordinates(DelaySpec(2, 3), (0,), state_dim=1, input_dim=1)
+        states = np.arange(12.0).reshape(1, 2, 6)
+        assert lifting.lift_windows(states, np.ones((1, 2, 5))).shape == (lifting.aug_dim, 2, 4)
+        with pytest.raises(MissingHistoryError, match="need 5 inputs"):
+            lifting.lift_windows(states, np.ones((1, 2, 4)))
 
     def test_too_short_raises(self):
         traj = make_series([1.0, 2.0])  # two states = depth-2 needs three

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -12,6 +13,7 @@ from koopmpc import (
     DelaySpec,
     MpcConfig,
     InsufficientDataError,
+    InvalidInputError,
     MissingHistoryError,
     NoEigenfunctionError,
     SampleSet,
@@ -33,6 +35,7 @@ from koopmpc import (
 )
 from koopmpc.dynamics import ForcingSignal
 from koopmpc.numerics import level_index
+from koopmpc.sysid import rollout_from_lifted
 from koopmpc.transfer import TransitionMatrix
 from conftest import A0, B0, discrete_linear_samples, simulate_discrete
 
@@ -198,6 +201,31 @@ class TestFitDelayAugmented:
         rms = np.sqrt(np.mean((pred.states[0] - truth) ** 2))
         assert rms < 1e-3
 
+    @pytest.mark.parametrize("coords", [None, (0,)])
+    @pytest.mark.parametrize("lengths", [[30] * 6, [30, 30, 12, 25, 25, 30, 9]])
+    def test_stacked_regressor_fit_is_bitwise_the_hstack_fit(self, coords, lengths):
+        rng = np.random.default_rng(len(lengths))
+        trajs = []
+        for steps in lengths:
+            u = rng.standard_normal((1, steps))
+            states = simulate_discrete(A0, B0, rng.standard_normal(2), u)
+            trajs.append(Trajectory(times=np.arange(steps + 1) * 0.1, states=states, inputs=u))
+        spec = DelaySpec(4, 3)
+        model = fit_delay_augmented(trajs, spec, coords=coords)
+        # The regression on per-trajectory lift_many columns, joined by hstack.
+        h, rows = model.lifting.history_steps, list(model.lifting.coords)
+        reg = np.vstack([
+            np.hstack([model.lifting.lift_many(traj) for traj in trajs]),
+            np.hstack([traj.inputs[:, h:] for traj in trajs]),
+        ])
+        target = np.hstack([traj.states[rows, h + 1 :] for traj in trajs])
+        w = lstsq_min_norm(reg.T, target.T).T
+        dim, n_e = model.lifting.aug_dim, len(rows)
+        assert np.array_equal(model.a[:n_e], w[:, :dim])
+        assert np.array_equal(model.b[:n_e], w[:, dim:])
+        assert np.array_equal(model.c, np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))]))
+        assert model.fit_residual == float(np.linalg.norm(w @ reg - target))
+
     def test_short_trajectory_raises(self):
         trajs = self._linear_trajs(n_traj=1, steps=3)
         with pytest.raises(InsufficientDataError):
@@ -262,6 +290,24 @@ class TestFitParametrized:
         raw["dt"] = dt
         path.write_text(json.dumps(raw))
         with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
+            family_from_json(path)
+
+    @pytest.mark.parametrize("dt", [None, "missing", "0.1"])
+    def test_json_rejects_a_null_or_non_numeric_dt(self, tmp_path, dt):
+        import json
+
+        from koopmpc.io import family_from_json, family_to_json, read_json
+
+        x = np.random.default_rng(9).standard_normal((2, 30))
+        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
+        path = tmp_path / "family.json"
+        family_to_json(fit_parametrized(data, monomials_dictionary(2, 2), [0.0]), path)
+        raw = read_json(path)
+        raw["dt"] = dt
+        if dt == "missing":
+            del raw["dt"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InvalidInputError, match="dt must be a number"):
             family_from_json(path)
 
 
@@ -390,6 +436,13 @@ class TestPredictRollout:
         with pytest.raises(UnknownLevelError):
             predict_rollout(family, np.ones(2), np.array([[0.5]]))
 
+    def test_parametrized_family_refuses_columns(self):
+        x = np.random.default_rng(13).standard_normal((2, 30))
+        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
+        family = fit_parametrized(data, monomials_dictionary(2, 1), [0.0])
+        with pytest.raises(InvalidInputError, match="one lifted state at a time"):
+            rollout_from_lifted(family, np.ones((2, 3)), np.zeros((1, 3, 2)))
+
     def test_parametrized_rollout_selects_levels(self):
         rng = np.random.default_rng(14)
         levels = [0.0, 1.0]
@@ -515,3 +568,126 @@ class TestLiftingInterface:
         step = mpc_step(model, traj.states[:, k], traj.inputs[:, k - 1], cfg, **history)
         pred = predict_rollout(model, traj.states[:, k], step.input_sequence, **history)
         assert np.array_equal(step.predicted_states, pred.states)
+
+
+def _reference_prediction_errors(models, trajectories, horizon):
+    """The per-trajectory scoring loop: one ``predict_rollout`` and one lift per trajectory."""
+    start = max((model.lifting.history_steps for model in models.values()), default=0)
+    out = {}
+    for name, model in models.items():
+        coords = list(model.lifting.coords)
+        first = start - model.lifting.history_steps
+        one_step, rollout, predictions = [], [], []
+        for traj in trajectories:
+            if traj.n_steps < start + horizon:
+                raise InvalidInputError(f"a trajectory of {traj.n_steps} steps is too short")
+            inputs = traj.inputs[:, start : start + horizon]
+            truth = traj.states[coords, start + 1 : start + horizon + 1]
+            pred = predict_rollout(
+                model,
+                traj.states[:, start],
+                inputs,
+                history_states=traj.states[:, :start],
+                history_inputs=traj.inputs[:, :start],
+            ).states
+            predictions.append(pred)
+            rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth) ** 2))))
+            z = model.lifting.lift_many(traj)[:, first : first + horizon]
+            step = model.c @ (model.a @ z + model.b @ inputs)
+            one_step.append(float(np.sqrt(np.mean((step - truth) ** 2))))
+        out[name] = {"one_step_rms": one_step, "rollout_rms": rollout, "predictions": predictions}
+    return out
+
+
+def _truncated(traj, n_steps):
+    return Trajectory(traj.times[: n_steps + 1], traj.states[:, : n_steps + 1], traj.inputs[:, :n_steps])
+
+
+# Batched products sum in another order than the per-trajectory matrix-vector
+# ones. Differences are bounded relative to the largest |state|: rounding
+# level for dictionary models; the delay operators (entries in the hundreds)
+# amplify it over the horizon (measured up to 2e-10 at 16 steps).
+SCORE_TOL = {"dmdc": 1e-12, "edmdc": 1e-12, "delay": 1e-8, "delay-x1": 1e-8}
+
+
+class TestBatchedScoring:
+    @given(names=st.sets(st.sampled_from(MODEL_NAMES), min_size=1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_trajectory_loop(self, names, data):
+        from koopmpc.benchmark import prediction_errors
+
+        all_models, validation = _small_study()
+        models = {name: all_models[name] for name in sorted(names)}
+        start = max(model.lifting.history_steps for model in models.values())
+        longest = min(traj.n_steps for traj in validation)
+        lengths = data.draw(st.lists(st.integers(start + 1, longest), min_size=1, max_size=6))
+        trajectories = [_truncated(validation[i % len(validation)], n) for i, n in enumerate(lengths)]
+        horizon = data.draw(st.integers(1, longest - start))
+        if min(lengths) < start + horizon:
+            for score in (prediction_errors, _reference_prediction_errors):
+                with pytest.raises(InvalidInputError, match="too short"):
+                    score(models, trajectories, horizon)
+            return
+        got = prediction_errors(models, trajectories, horizon)
+        expected = _reference_prediction_errors(models, trajectories, horizon)
+        scale = max(np.max(np.abs(traj.states)) for traj in trajectories)
+        for name in models:
+            tol = SCORE_TOL[name] * scale
+            assert got[name]["start_index"] == start
+            assert len(got[name]["predictions"]) == len(trajectories)
+            for key in ("one_step_rms", "rollout_rms"):
+                assert np.max(np.abs(np.subtract(got[name][key], expected[name][key]))) <= tol
+            for pred, ref in zip(got[name]["predictions"], expected[name]["predictions"]):
+                assert pred.shape == ref.shape
+                assert np.max(np.abs(pred - ref)) <= tol
+
+    def test_diverging_model_names_the_model_and_the_first_bad_trajectory(self):
+        from koopmpc.benchmark import prediction_errors
+
+        models, validation = _small_study()
+        dmdc = models["dmdc"]
+        blown = dataclasses.replace(dmdc, a=dmdc.a * 1e300)
+        at_rest = Trajectory(validation[0].times, np.zeros_like(validation[0].states),
+                             np.zeros_like(validation[0].inputs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match=r"model 'blown'.* trajectory 1\b"):
+                prediction_errors({"blown": blown}, [at_rest] + validation, 15)
+
+    @given(
+        name=st.sampled_from(MODEL_NAMES),
+        n_cols=st.integers(1, 6),
+        n_steps=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rollout_over_columns_equals_single_column_rollouts(self, name, n_cols, n_steps, seed):
+        model = _small_study()[0][name]
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-2.0, 2.0, (model.lifted_dim, n_cols))
+        u = rng.uniform(-2.0, 2.0, (model.input_dim, n_cols, n_steps))
+        batch = rollout_from_lifted(model, z, u)
+        assert batch.shape == (model.recovered_dim, n_cols, n_steps + 1)
+        # One step agrees to 1e-12 for every model; over more steps the delay
+        # operators amplify the rounding as in the scoring above.
+        tol = 1e-12 if n_steps <= 1 else SCORE_TOL[name]
+        for i in range(n_cols):
+            single = rollout_from_lifted(model, z[:, i], u[:, i])
+            assert np.max(np.abs(batch[:, i] - single)) <= tol * np.max(np.abs(single))
+
+    def test_rollout_rejects_inputs_of_another_batch(self):
+        model = _small_study()[0]["dmdc"]
+        with pytest.raises(InvalidInputError, match="do not match"):
+            rollout_from_lifted(model, np.ones((2, 3)), np.zeros((1, 4)))
+
+    @given(name=st.sampled_from(MODEL_NAMES), n_windows=st.integers(1, 4), extra=st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_lift_windows_equals_lift_many_per_window(self, name, n_windows, extra):
+        model, validation = _small_study()[0][name], _small_study()[1]
+        n_samples = model.lifting.history_steps + extra
+        trajs = [_truncated(validation[i % len(validation)], n_samples) for i in range(n_windows)]
+        states = np.stack([traj.states[:, :-1] for traj in trajs], axis=1)
+        inputs = np.stack([traj.inputs for traj in trajs], axis=1)
+        batch = model.lifting.lift_windows(states, inputs)
+        assert batch.shape == (model.lifted_dim, n_windows, extra)
+        for i, traj in enumerate(trajs):
+            assert np.array_equal(batch[:, i], model.lifting.lift_many(traj))
