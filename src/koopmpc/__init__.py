@@ -1,11 +1,10 @@
 """Linear operator surrogates of controlled nonlinear systems, plus MPC.
 
 The package fits discrete-time linear models in lifted coordinates (raw
-state, monomial observables, time-delay stacks, per-level operator families,
-sparse generator eigenfunctions), estimates box-partition transition chains,
-and closes the loop with receding-horizon quadratic control on the true
-plant. The `cli` module reproduces the forced van der Pol benchmark end to
-end.
+state, monomial observables, time-delay stacks), identifies sparse generator
+eigenfunctions, estimates box-partition transition chains, and closes the
+loop with receding-horizon quadratic control on the true plant. The `cli`
+module reproduces the forced van der Pol benchmark end to end.
 """
 
 from .dynamics import (
@@ -60,13 +59,10 @@ from .observables import (
 )
 from .sysid import (
     Eigenfunction,
-    EigenfunctionModel,
     LinearControlModel,
-    ParametrizedFamily,
     fit_delay_augmented,
     fit_dmdc,
     fit_edmdc,
-    fit_parametrized,
     identify_eigenfunctions,
     plant_derivatives,
     predict_rollout,
@@ -76,8 +72,6 @@ from .transfer import (
     ControlledChain,
     DensityVector,
     TransitionMatrix,
-    check_additive,
-    compose_multiplicative,
     estimate_controlled_transition,
     invariant_density,
     locate,

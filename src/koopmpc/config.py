@@ -1,8 +1,9 @@
 """Experiment configuration: JSON files over explicit defaults, fail-closed.
 
 Unknown keys are rejected rather than ignored so a typo cannot silently run
-the default experiment. An empty file (or missing keys) resolves to the
-benchmark defaults below.
+the default experiment, and so is NaN anywhere (Python's json reads the
+literal) and infinity anywhere but the input bounds. An empty file (or
+missing keys) resolves to the benchmark defaults below.
 """
 
 from __future__ import annotations
@@ -22,8 +23,19 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float_array(key, value):
+    """``value`` as a float array; NaN or an infinity anywhere in it raises ConfigError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must hold numbers") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"config key {key!r} must hold finite numbers")
+    return arr
+
+
 def _check_box(key, v):
-    arr = np.asarray(v, dtype=float)
+    arr = _float_array(key, v)
     if arr.ndim != 2 or arr.shape[1] != 2 or np.any(arr[:, 0] >= arr[:, 1]):
         raise ConfigError(f"config key {key!r} must be a list of (low, high) pairs")
     return [[float(a), float(b)] for a, b in arr]
@@ -92,6 +104,8 @@ class ExperimentConfig:
 _INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
 _BOOL_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
 _BOX_KEYS = {"training_box", "validation_box", "ic_grid_box", "ulam_box"}
+# Input bounds may be infinite (unbounded); every other number must be finite.
+_BOUND_KEYS = {"u_min", "u_max", "du_min", "du_max"}
 _POSITIVE_KEYS = {
     "n_trajectories", "training_t_end", "dt", "edmdc_order", "delay_depth",
     "n_validation", "prediction_horizon", "mpc_horizon", "mpc_t_end",
@@ -129,12 +143,12 @@ def _validate_key(key, value):
             raise ConfigError("config key 'ulam_plant' must be 'vanderpol' or 'zero'")
         return value
     if key in ("state_weight",):
-        arr = np.asarray(value, dtype=float)
+        arr = _float_array(key, value)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("config key 'state_weight' must be a square matrix")
         return [[float(x) for x in row] for row in arr]
     if key in ("reference", "closed_loop_x0", "ulam_levels", "ulam_counts"):
-        arr = np.asarray(value, dtype=float)
+        arr = _float_array(key, value)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError(f"config key {key!r} must be a flat list of numbers")
         if key == "ulam_counts":
@@ -144,6 +158,8 @@ def _validate_key(key, value):
         return [float(x) for x in arr]
     if not _is_number(value):
         raise ConfigError(f"config key {key!r} must be a number")
+    if np.isnan(value) or (np.isinf(value) and key not in _BOUND_KEYS):
+        raise ConfigError(f"config key {key!r} must be a finite number")
     if key in _POSITIVE_KEYS and value <= 0:
         raise ConfigError(f"config key {key!r} must be positive")
     return float(value)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import SampleSet, Trajectory
 from .errors import InvalidInputError
-from .observables import DelayCoordinates, DelaySpec, Dictionary, recovery_matrix
-from .sysid import LinearControlModel, ParametrizedFamily
+from .observables import DelayCoordinates, DelaySpec, Dictionary
+from .sysid import LinearControlModel
 from .transfer import BoxPartition, ControlledChain, TransitionMatrix
 
 
@@ -85,20 +85,6 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def trajectory_to_csv(traj, path):
-    """One row per snapshot: t, states, inputs (the last row repeats the held input)."""
-    _write_csv(path, _state_header(traj.state_dim, traj.input_dim), _snapshot_rows(traj))
-
-
-def trajectory_from_csv(path, state_dim, input_dim):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    times = data[:, 0]
-    states = data[:, 1 : 1 + state_dim].T
-    inputs = data[:-1, 1 + state_dim : 1 + state_dim + input_dim].T
-    return Trajectory(times=times, states=states, inputs=inputs)
 
 
 def trajectories_to_csv(trajectories, path):
@@ -198,7 +184,7 @@ def _lifting_from_descriptor(desc):
             raise InvalidInputError(f"unsupported delay lag tau_steps={desc['tau_steps']!r}")
         return DelayCoordinates(
             spec=DelaySpec(d1=desc["d1"], d2=desc["d2"]),
-            coords=tuple(desc["coords"]),
+            coords=desc["coords"],
             state_dim=desc["state_dim"],
             input_dim=desc["input_dim"],
         )
@@ -237,32 +223,6 @@ def model_from_json(path):
         kind=raw["kind"],
         fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
         training_hash=raw.get("training_hash"),
-    )
-
-
-def family_to_json(family, path):
-    write_json(
-        {
-            "levels": [lv for lv in family.levels],
-            "mats": [m for m in family.mats],
-            "dt": family.dt,
-            "fit_residuals": list(family.fit_residuals),
-            "lifting": _lifting_descriptor(family.lifting),
-        },
-        path,
-    )
-
-
-def family_from_json(path):
-    raw = read_json(path)
-    lifting = _lifting_from_descriptor(raw["lifting"])
-    return ParametrizedFamily(
-        levels=tuple(np.asarray(lv, dtype=float).reshape(-1) for lv in raw["levels"]),
-        mats=tuple(np.asarray(m, dtype=float) for m in raw["mats"]),
-        lifting=lifting,
-        c=recovery_matrix(lifting),
-        dt=_read_dt(raw),
-        fit_residuals=tuple(raw.get("fit_residuals", ())),
     )
 
 

@@ -43,7 +43,9 @@ class MpcConfig:
 
     ``terminal_weight`` defaults to the stage weight ``q``. Bounds may be
     scalars or per-input vectors; rate bounds constrain u_k - u_{k-1} with
-    the first difference taken against the previously applied input.
+    the first difference taken against the previously applied input. An
+    infinite bound means unbounded; NaN anywhere, or a non-finite weight or
+    reference, raises InvalidInputError.
     """
 
     q: np.ndarray
@@ -61,6 +63,9 @@ class MpcConfig:
         self.q = np.asarray(self.q, dtype=float)
         if self.q.ndim != 2 or self.q.shape[0] != self.q.shape[1]:
             raise InvalidInputError("q must be a square matrix")
+        for name in ("q", "ru", "rdu"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise InvalidInputError(f"{name} must be finite")
         if np.min(np.linalg.eigvalsh(0.5 * (self.q + self.q.T))) < -1e-8:
             raise InvalidInputError("q must be positive semidefinite")
         if self.horizon < 1:
@@ -72,6 +77,8 @@ class MpcConfig:
         )
         if self.reference.size != self.q.shape[0]:
             raise InvalidInputError("reference length must match q")
+        if not np.all(np.isfinite(self.reference)):
+            raise InvalidInputError("reference must be finite")
         for lo_name, hi_name in (("u_min", "u_max"), ("du_min", "du_max")):
             lo = np.asarray(getattr(self, lo_name), dtype=float).reshape(-1)
             hi = np.asarray(getattr(self, hi_name), dtype=float).reshape(-1)
@@ -79,12 +86,16 @@ class MpcConfig:
                 raise InvalidInputError(
                     f"{lo_name} has {lo.size} entries but {hi_name} has {hi.size}"
                 )
+            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+                raise InvalidInputError(f"{lo_name} and {hi_name} must not be NaN")
             if np.any(lo > hi):
                 raise InvalidInputError("lower bounds must not exceed upper bounds")
         if self.terminal_weight is not None:
             self.terminal_weight = np.asarray(self.terminal_weight, dtype=float)
             if self.terminal_weight.shape != self.q.shape:
                 raise InvalidInputError("terminal_weight must match q in shape")
+            if not np.all(np.isfinite(self.terminal_weight)):
+                raise InvalidInputError("terminal_weight must be finite")
 
 
 class CondensedMpc:

@@ -203,18 +203,42 @@ class DelaySpec:
             raise InvalidInputError("d1 and d2 must both be >= 1")
 
 
+def _coordinate_tuple(coords, state_dim):
+    """Validated nonempty tuple of plant coordinates, integers in [0, state_dim)."""
+    try:
+        c = np.array(coords)
+    except ValueError:
+        c = None
+    if (
+        c is None
+        or c.dtype.kind not in "iu"
+        or c.ndim != 1
+        or c.size == 0
+        or np.any(c < 0)
+        or np.any(c >= state_dim)
+    ):
+        raise InvalidInputError(
+            f"coords {coords!r} must be a nonempty list of integers in [0, {state_dim})"
+        )
+    return tuple(int(i) for i in c)
+
+
 @dataclass(frozen=True)
 class DelayCoordinates:
     """Input-augmented delay lifting [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}].
 
-    States are taken over ``coords`` only; history arrays passed to
-    :meth:`lift` end just before the current step.
+    States are taken over ``coords`` only, a nonempty sequence of integers
+    in ``[0, state_dim)``; history arrays passed to :meth:`lift` end just
+    before the current step.
     """
 
     spec: DelaySpec
     coords: tuple
     state_dim: int
     input_dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _coordinate_tuple(self.coords, self.state_dim))
 
     @property
     def n_embed(self):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import Trajectory, check_dt, sample_hash
 from .errors import InsufficientDataError, InvalidInputError, NoEigenfunctionError
-from .numerics import DEFAULT_SVD_TOL, level_index, lstsq_min_norm
+from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
 from .observables import (
     DelayCoordinates,
     Dictionary,
@@ -72,37 +72,6 @@ class LinearControlModel:
         return self.a @ z + self.b @ u
 
 
-@dataclass
-class ParametrizedFamily:
-    """One autonomous lifted operator per discrete input level: z' = a(u) z."""
-
-    levels: tuple
-    mats: tuple
-    lifting: Dictionary
-    c: np.ndarray
-    dt: float
-    fit_residuals: tuple = ()
-
-    def __post_init__(self):
-        check_dt(self.dt)
-
-    @property
-    def lifted_dim(self):
-        return self.mats[0].shape[0]
-
-    @property
-    def input_dim(self):
-        return self.levels[0].size
-
-    def lift(self, x, history_states=None, history_inputs=None):
-        """Lifted coordinates of a state through the family's dictionary."""
-        return self.lifting.lift(x, history_states, history_inputs)
-
-    def step(self, z, u):
-        """Next lifted state: the operator of the level ``u`` matches."""
-        return self.mats[level_index(self.levels, u)] @ z
-
-
 def _regress(reg, target, svd_tol):
     """w with w @ reg ~= target, minimum norm; returns (w, frobenius residual)."""
     w = lstsq_min_norm(reg.T, target.T, svd_tol).T
@@ -155,8 +124,9 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
         raise InsufficientDataError("need at least one trajectory")
     n = trajectories[0].state_dim
     q = trajectories[0].input_dim
-    coords = tuple(range(n)) if coords is None else tuple(int(c) for c in coords)
-    dc = DelayCoordinates(spec=spec, coords=coords, state_dim=n, input_dim=q)
+    dc = DelayCoordinates(
+        spec=spec, coords=tuple(range(n)) if coords is None else coords, state_dim=n, input_dim=q
+    )
     h = dc.history_steps
     lifted, inputs, target = [], [], []
     # One stacked lift per run of consecutive equal-length trajectories; the
@@ -167,7 +137,7 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
         u = np.stack([traj.inputs for traj in run], axis=1)
         lifted.append(dc.lift_windows(states[..., :-1], u).reshape(dc.aug_dim, -1))
         inputs.append(u[..., h:].reshape(q, -1))
-        target.append(states[list(coords), :, h + 1 :].reshape(len(coords), -1))
+        target.append(states[list(dc.coords), :, h + 1 :].reshape(dc.n_embed, -1))
     reg = np.vstack([np.hstack(lifted), np.hstack(inputs)])
     target = np.hstack(target)
     n_e = dc.n_embed
@@ -197,36 +167,6 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
         dt=float(trajectories[0].times[1] - trajectories[0].times[0]),
         kind=KIND_DELAY_AUGMENTED,
         fit_residual=residual,
-    )
-
-
-def fit_parametrized(data, dic, levels, svd_tol=DEFAULT_SVD_TOL):
-    """Fit one autonomous lifted operator per discrete input level."""
-    lvals = [np.atleast_1d(np.asarray(lv, dtype=float)) for lv in levels]
-    d = dic.n_out
-    c = recovery_matrix(dic)
-    z = eval_dictionary(dic, data.x)
-    zp = eval_dictionary(dic, data.xp)
-    mats, residuals = [], []
-    for lv in lvals:
-        if lv.size != data.input_dim:
-            raise InvalidInputError(f"level {lv} does not match input dimension")
-        mask = np.all(np.abs(data.u - lv[:, None]) <= 1e-12, axis=0)
-        count = int(np.count_nonzero(mask))
-        if count < d:
-            raise InsufficientDataError(
-                f"level {lv.tolist()} has {count} samples, need at least {d}"
-            )
-        a_i, res = _regress(z[:, mask], zp[:, mask], svd_tol)
-        mats.append(a_i)
-        residuals.append(res)
-    return ParametrizedFamily(
-        levels=tuple(lvals),
-        mats=tuple(mats),
-        lifting=dic,
-        c=c,
-        dt=data.dt,
-        fit_residuals=tuple(residuals),
     )
 
 
@@ -316,52 +256,6 @@ def identify_eigenfunctions(
     )
 
 
-@dataclass
-class EigenfunctionModel:
-    """Collected eigenfunctions over a shared library, optionally with input coupling."""
-
-    library: Dictionary
-    entries: list
-    input_coupling: object = None  # callable x -> (r, q), if attached
-
-    @property
-    def eigenvalues(self):
-        return np.array([e.eigenvalue for e in self.entries])
-
-    @property
-    def coefficients(self):
-        """Stacked coefficient vectors, one row per eigenfunction."""
-        return np.stack([e.coefficients for e in self.entries])
-
-    def evaluate(self, x):
-        """phi_j(x) for all entries: (r,) at one state or (r, m) on a batch."""
-        vals = eval_dictionary(self.library, x)
-        coef = np.stack([e.coefficients for e in self.entries])
-        return coef @ vals
-
-    def attach_known_coupling(self, g):
-        """Input coupling rows grad(phi_j)(x)^T G(x) for a known gain G(x).
-
-        ``g`` maps a state (n,) to the (n, q) input matrix. The attached
-        callable evaluates all eigenfunction gradients analytically through
-        the library, so no numerical differentiation is involved.
-        """
-        library = self.library
-        entries = list(self.entries)
-
-        def coupling(x):
-            x_arr = np.asarray(x, dtype=float).reshape(-1)
-            grads = eval_gradients(library, x_arr)  # (p, n)
-            gmat = np.atleast_2d(np.asarray(g(x_arr), dtype=float))
-            if gmat.shape[0] != x_arr.size:
-                gmat = gmat.T
-            rows = [e.coefficients @ grads @ gmat for e in entries]
-            return np.vstack(rows)
-
-        self.input_coupling = coupling
-        return coupling
-
-
 def plant_derivatives(sys, x, u=None, t=0.0):
     """Analytic state derivatives of a flow plant at sample columns."""
     x = np.asarray(x, dtype=float)
@@ -370,18 +264,6 @@ def plant_derivatives(sys, x, u=None, t=0.0):
         if x.ndim == 1:
             u = u[:, 0]
     return np.asarray(sys.rhs(x, np.asarray(u, dtype=float), t), dtype=float)
-
-
-def difference_derivatives(traj):
-    """Central-difference derivative estimates along a trajectory.
-
-    Returns (x, xdot) at the interior samples; a fallback for plants whose
-    vector field is not available in closed form.
-    """
-    dt = float(traj.times[1] - traj.times[0])
-    x = traj.states[:, 1:-1]
-    xdot = (traj.states[:, 2:] - traj.states[:, :-2]) / (2.0 * dt)
-    return x, xdot
 
 
 def _as_input_matrix(inputs, q):
@@ -403,10 +285,8 @@ def rollout_from_lifted(model, z, u):
     One lifted state ``z`` (d,) under (q, N) inputs gives (ny, N+1) states.
     ``M`` lifted states as the columns of ``z`` (d, M) under (q, M, N) inputs
     step in lockstep, one matrix product per step, and give (ny, M, N+1)
-    states. Only a :class:`LinearControlModel` steps columns.
+    states.
     """
-    if np.ndim(z) != 1 and isinstance(model, ParametrizedFamily):
-        raise InvalidInputError("a parametrized family steps one lifted state at a time")
     if np.shape(u)[1:-1] != np.shape(z)[1:]:
         raise InvalidInputError(
             f"inputs of shape {np.shape(u)} do not match lifted states of shape {np.shape(z)}"

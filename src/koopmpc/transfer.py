@@ -36,6 +36,8 @@ class BoxPartition:
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int).reshape(-1))
         if not (self.lows.size == self.highs.size == self.counts.size):
             raise InvalidInputError("lows, highs, and counts must have equal length")
+        if not (np.all(np.isfinite(self.lows)) and np.all(np.isfinite(self.highs))):
+            raise InvalidInputError("lows and highs must be finite")
         if np.any(self.highs <= self.lows):
             raise InvalidInputError("each high must exceed the matching low")
         if np.any(self.counts < 1):
@@ -114,6 +116,8 @@ class TransitionMatrix:
         k = self.p.shape[0]
         if self.p.ndim != 2 or self.p.shape[1] != k:
             raise InvalidInputError("p must be square")
+        if not np.all(np.isfinite(self.p)):
+            raise InvalidInputError("transition entries must be finite")
         if np.min(self.p) < -1e-12 or np.max(self.p) > 1.0 + 1e-12:
             raise InvalidInputError("transition entries must lie in [0, 1]")
         sums = self.p.sum(axis=0)
@@ -154,6 +158,8 @@ class DensityVector:
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("density entries must be finite")
         if np.min(arr) < -1e-12:
             raise InvalidInputError("density entries must be nonnegative")
         total = arr.sum()
@@ -280,57 +286,3 @@ def invariant_density(tm, start=None, tol=1e-10):
             start = np.full(k, 1.0 / k)
     pi = stationary_vector(tm.p, start=start, tol=tol)
     return DensityVector(pi)
-
-
-def compose_multiplicative(p, pu):
-    """Chain two stochastic matrices: forced kernel first, then transport.
-
-    With ``pu`` equal to the identity this returns ``p`` unchanged entry for
-    entry, and the product of column-stochastic matrices stays
-    column-stochastic.
-    """
-    if p.dim != pu.dim:
-        raise InvalidInputError("transition matrices must share dimensions")
-    prod = p.p @ pu.p
-    return TransitionMatrix(
-        p=prod,
-        tau=p.tau + pu.tau,
-        counts=None,
-        outside=p.outside or pu.outside,
-    )
-
-
-@dataclass(frozen=True)
-class AdditiveCheck:
-    """Report on whether P + P^u is still a stochastic matrix."""
-
-    nonnegative: bool
-    conserving: bool
-    min_entry: float
-    max_column_sum_error: float
-
-    @property
-    def valid(self):
-        return self.nonnegative and self.conserving
-
-
-def check_additive(p, pu, tol=1e-10):
-    """Validate positivity and column conservation of an additive correction.
-
-    ``pu`` is a raw matrix (it may have negative entries); the report states
-    whether ``p.p + pu`` is entrywise nonnegative with unit column sums, the
-    two constraints an additively corrected chain must keep. Inputs are not
-    modified.
-    """
-    pu = np.asarray(pu, dtype=float)
-    if pu.shape != p.p.shape:
-        raise InvalidInputError("pu must match the transition matrix shape")
-    s = p.p + pu
-    min_entry = float(np.min(s))
-    col_err = float(np.max(np.abs(s.sum(axis=0) - 1.0)))
-    return AdditiveCheck(
-        nonnegative=min_entry >= -tol,
-        conserving=col_err <= tol,
-        min_entry=min_entry,
-        max_column_sum_error=col_err,
-    )

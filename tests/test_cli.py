@@ -87,6 +87,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"u_max": NaN}', "u_max"),
+            ('{"du_max": NaN}', "du_max"),
+            ('{"reference": [NaN, 0]}', "reference"),
+            ('{"success_threshold": NaN}', "success_threshold"),
+            ('{"dt": Infinity}', "dt"),
+            ('{"mu": -Infinity}', "mu"),
+            ('{"state_weight": [[1, 0], [0, Infinity]]}', "state_weight"),
+            ('{"ulam_counts": [Infinity, 4]}', "ulam_counts"),
+            ('{"training_box": [[-6, NaN], [-6, 6]]}', "training_box"),
+        ],
+    )
+    def test_non_finite_number_is_rejected(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            parse_config(path)
+
+    def test_non_numeric_list_names_the_key(self):
+        from koopmpc.config import config_from_mapping
+
+        with pytest.raises(ConfigError, match="'reference' must hold numbers"):
+            config_from_mapping({"reference": ["a", 0]})
+
+    def test_input_bounds_may_be_infinite(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"u_min": -Infinity, "u_max": Infinity, "du_min": -Infinity, "du_max": Infinity}')
+        cfg = parse_config(path)
+        assert (cfg.u_min, cfg.u_max, cfg.du_min, cfg.du_max) == (-math.inf, math.inf, -math.inf, math.inf)
+
     def test_resolved_echo_is_complete(self):
         cfg = ExperimentConfig()
         echo = cfg.resolved()
@@ -443,6 +475,28 @@ class TestPredictScoresLikeTheBenchmark:
         path.write_text(json.dumps(raw))
         assert main(["predict", str(path), str(data), "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    @staticmethod
+    def _delay_file_with_coords(data, tmp_path, coords):
+        raw = read_json(data.parent / "model_delay.json")
+        raw["lifting"]["coords"] = coords
+        path = tmp_path / "bad_coords.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("coords", [[0, 7], [], [-1], [0.0], 1])
+    def test_delay_file_with_bad_coords_raises(self, fitted_x1, tmp_path, coords):
+        from koopmpc import InvalidInputError
+
+        _, data = fitted_x1
+        with pytest.raises(InvalidInputError, match="coords"):
+            model_from_json(self._delay_file_with_coords(data, tmp_path, coords))
+
+    def test_mpc_on_a_delay_file_with_bad_coords_exits_3(self, fitted_x1, tmp_path, capsys):
+        cfg, data = fitted_x1
+        path = self._delay_file_with_coords(data, tmp_path, [0, 7])
+        assert main(["mpc", str(path), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        assert "coords [0, 7] must be" in capsys.readouterr().err
+
     def test_delay_file_with_unit_lag_still_loads(self, fitted_x1, tmp_path):
         _, data = fitted_x1
         raw = read_json(data.parent / "model_delay.json")
@@ -585,6 +639,11 @@ class TestExitCodes:
         bad.write_text('{"nope": 1}')
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_nan_in_config_exits_2(self, tmp_path, capsys):
+        bad = write_config(tmp_path, {"n_trajectories": 1, "training_t_end": 0.05, "u_max": math.nan})
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "'u_max' must be a finite number" in capsys.readouterr().err
 
     def test_runtime_error_exits_3(self, tmp_path, capsys):
         # fit pointed at a directory that generate never wrote

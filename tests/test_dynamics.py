@@ -25,9 +25,8 @@ from koopmpc.io import (
     closed_loop_to_csv,
     sampleset_from_csv,
     sampleset_to_csv,
+    trajectories_from_csv,
     trajectories_to_csv,
-    trajectory_from_csv,
-    trajectory_to_csv,
 )
 from koopmpc.mpc import ClosedLoopResult
 from koopmpc.io import write_json, sampleset_manifest
@@ -284,8 +283,8 @@ class TestSerialization:
         sys = make_vanderpol(0.2)
         traj = simulate(sys, [1.0, 0.5], ForcingSignal.product_sines(5, 1, 2), 0.5, 0.05)
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        back = trajectory_from_csv(path, 2, 1)
+        trajectories_to_csv([traj], path)
+        (back,) = trajectories_from_csv(path, 2, 1)
         assert np.allclose(back.states, traj.states)
         assert np.allclose(back.inputs, traj.inputs)
         assert np.allclose(back.times, traj.times)
@@ -300,18 +299,13 @@ class TestSerialization:
 
     def test_trajectory_csv_exact_text(self, tmp_path):
         traj = self._two_step_trajectory()
-        trajectory_to_csv(traj, tmp_path / "traj.csv")
+        trajectories_to_csv([traj], tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == (
-            b"t,x1,x2,u1\r\n"
-            b"0.0,1.0,-0.5,0.1\r\n"
-            b"0.5,2.0,0.25,-0.2\r\n"
-            b"1.0,3.0,0.0,-0.2\r\n"
+            b"traj,t,x1,x2,u1\r\n"
+            b"0,0.0,1.0,-0.5,0.1\r\n"
+            b"0,0.5,2.0,0.25,-0.2\r\n"
+            b"0,1.0,3.0,0.0,-0.2\r\n"
         )
-        trajectories_to_csv([traj, traj], tmp_path / "trajs.csv")
-        assert (tmp_path / "trajs.csv").read_bytes().splitlines()[3:5] == [
-            b"0,1.0,3.0,0.0,-0.2",
-            b"1,0.0,1.0,-0.5,0.1",
-        ]
 
     def test_closed_loop_csv_exact_text(self, tmp_path):
         result = ClosedLoopResult(

@@ -344,6 +344,26 @@ class TestBounds:
         with pytest.raises(InvalidInputError, match=f"{lo} has 3 entries but {hi} has 2"):
             MpcConfig(np.eye(2), **{lo: [-1.0, -2.0, -3.0], hi: [1.0, 2.0]})
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"reference": [np.nan, 0.0]},
+            {"du_max": np.nan},
+            {"u_min": [np.nan]},
+            {"q": np.diag([1.0, np.inf])},
+            {"ru": np.nan},
+            {"terminal_weight": np.full((2, 2), np.nan)},
+        ],
+        ids=["reference", "du_max", "u_min", "q", "ru", "terminal_weight"],
+    )
+    def test_non_finite_value_raises(self, override):
+        with pytest.raises(InvalidInputError, match="finite|NaN"):
+            base_cfg(**override)
+
+    def test_infinite_bounds_mean_unbounded(self, linear_model):
+        cfg = base_cfg(u_min=-np.inf, u_max=np.inf, du_min=-np.inf, du_max=np.inf)
+        assert CondensedMpc(linear_model, cfg).a_ineq is None  # no rate rows
+
     def test_length_one_bound_equals_scalar(self, linear_model):
         vec = CondensedMpc(linear_model, base_cfg(u_max=[1.0], du_min=[-0.3]))
         scalar = CondensedMpc(linear_model, base_cfg(u_max=1.0, du_min=-0.3))

@@ -223,6 +223,11 @@ class TestDelayEmbed:
         with pytest.raises(MissingHistoryError, match="need 5 inputs"):
             lifting.lift_windows(states, np.ones((1, 2, 4)))
 
+    @pytest.mark.parametrize("coords", [(0, 7), (), (-1,), (0.0,), (True,), 0])
+    def test_coords_must_index_the_state(self, coords):
+        with pytest.raises(InvalidInputError, match="coords"):
+            DelayCoordinates(DelaySpec(1, 1), coords, state_dim=2, input_dim=1)
+
     def test_too_short_raises(self):
         traj = make_series([1.0, 2.0])  # two states = depth-2 needs three
         with pytest.raises(InsufficientDataError):

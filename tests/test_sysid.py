@@ -22,7 +22,6 @@ from koopmpc import (
     fit_delay_augmented,
     fit_dmdc,
     fit_edmdc,
-    fit_parametrized,
     identify_eigenfunctions,
     lstsq_min_norm,
     monomials_dictionary,
@@ -226,89 +225,14 @@ class TestFitDelayAugmented:
         assert np.array_equal(model.c, np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))]))
         assert model.fit_residual == float(np.linalg.norm(w @ reg - target))
 
+    def test_coords_outside_the_state_raise(self):
+        with pytest.raises(InvalidInputError, match="coords"):
+            fit_delay_augmented(self._linear_trajs(), DelaySpec(2, 2), coords=(5,))
+
     def test_short_trajectory_raises(self):
         trajs = self._linear_trajs(n_traj=1, steps=3)
         with pytest.raises(InsufficientDataError):
             fit_delay_augmented(trajs, DelaySpec(5, 5))
-
-
-class TestFitParametrized:
-    def test_recovers_level_shifted_operator(self):
-        rng = np.random.default_rng(5)
-        levels = [-1.0, 0.0, 1.0]
-        xs, xps, us = [], [], []
-        for lv in levels:
-            x = rng.standard_normal((2, 30))
-            xs.append(x)
-            xps.append((A0 + lv * np.eye(2)) @ x)
-            us.append(np.full((1, 30), lv))
-        data = SampleSet(x=np.hstack(xs), xp=np.hstack(xps), u=np.hstack(us), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 1), levels)
-        for lv, mat in zip(levels, family.mats):
-            assert np.linalg.norm(mat - (A0 + lv * np.eye(2))) < 1e-8
-
-    def test_single_level_is_plain_dmd(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 25))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 25)), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 1), [0.0])
-        plain = lstsq_min_norm(x.T, (A0 @ x).T).T
-        assert np.max(np.abs(family.mats[0] - plain)) < 1e-12
-
-    def test_absent_level_raises(self):
-        data = discrete_linear_samples(m=30, seed=7)
-        with pytest.raises(InsufficientDataError):
-            fit_parametrized(data, monomials_dictionary(2, 1), [123.0])
-
-    def test_json_round_trip(self, tmp_path):
-        from koopmpc.io import family_from_json, family_to_json
-
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 30))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 2), [0.0])
-        path = tmp_path / "family.json"
-        family_to_json(family, path)
-        back = family_from_json(path)
-        assert np.allclose(back.mats[0], family.mats[0])
-        assert back.dt == family.dt
-        assert np.array_equal(back.c, family.c)
-        assert back.lifting.labels == family.lifting.labels
-
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
-    def test_json_rejects_a_bad_dt(self, tmp_path, dt):
-        import json
-
-        from koopmpc import InvalidInputError
-        from koopmpc.io import family_from_json, family_to_json, read_json
-
-        x = np.random.default_rng(9).standard_normal((2, 30))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
-        path = tmp_path / "family.json"
-        family_to_json(fit_parametrized(data, monomials_dictionary(2, 2), [0.0]), path)
-        raw = read_json(path)
-        raw["dt"] = dt
-        path.write_text(json.dumps(raw))
-        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
-            family_from_json(path)
-
-    @pytest.mark.parametrize("dt", [None, "missing", "0.1"])
-    def test_json_rejects_a_null_or_non_numeric_dt(self, tmp_path, dt):
-        import json
-
-        from koopmpc.io import family_from_json, family_to_json, read_json
-
-        x = np.random.default_rng(9).standard_normal((2, 30))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
-        path = tmp_path / "family.json"
-        family_to_json(fit_parametrized(data, monomials_dictionary(2, 2), [0.0]), path)
-        raw = read_json(path)
-        raw["dt"] = dt
-        if dt == "missing":
-            del raw["dt"]
-        path.write_text(json.dumps(raw))
-        with pytest.raises(InvalidInputError, match="dt must be a number"):
-            family_from_json(path)
 
 
 class TestIdentifyEigenfunctions:
@@ -363,49 +287,6 @@ class TestIdentifyEigenfunctions:
         assert entry.support(threshold=1e-6) == (1, 2)
 
 
-class TestEigenfunctionModel:
-    def test_values_evolve_linearly_along_the_flow(self, slow_manifold):
-        from koopmpc import EigenfunctionModel
-
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-2, 2, (2, 300))
-        xdot = plant_derivatives(slow_manifold, x)
-        theta = monomials_dictionary(2, 2)
-        entries = [
-            identify_eigenfunctions(x, xdot, theta, lam) for lam in (-0.05, -1.0)
-        ]
-        model = EigenfunctionModel(library=theta, entries=entries)
-        traj = simulate(slow_manifold, [1.0, 0.5], ForcingSignal.zero(1), 2.0, 0.01)
-        vals = model.evaluate(traj.states)
-        for j, lam in enumerate(model.eigenvalues):
-            expected = vals[j, 0] * np.exp(lam * traj.times)
-            assert np.max(np.abs(vals[j] - expected)) < 1e-6
-
-    def test_known_gain_coupling_matches_gradient(self, slow_manifold):
-        from koopmpc import EigenfunctionModel
-
-        rng = np.random.default_rng(8)
-        x = rng.uniform(-2, 2, (2, 300))
-        xdot = plant_derivatives(slow_manifold, x)
-        theta = monomials_dictionary(2, 2)
-        entry = identify_eigenfunctions(x, xdot, theta, -1.0)
-        model = EigenfunctionModel(library=theta, entries=[entry])
-        coupling = model.attach_known_coupling(lambda x: np.array([[0.0], [1.0]]))
-        # phi = c2 x2 + c3 x1^2, so grad(phi) . (0, 1) = c2 everywhere.
-        for probe in (np.array([0.3, -1.2]), np.array([-1.5, 0.4])):
-            assert abs(coupling(probe)[0, 0] - entry.coefficients[1]) < 1e-12
-
-
-class TestDerivativeFallback:
-    def test_central_differences_track_the_field(self, slow_manifold):
-        from koopmpc.sysid import difference_derivatives
-
-        traj = simulate(slow_manifold, [1.0, -0.5], ForcingSignal.zero(1), 1.0, 0.01)
-        x, xdot = difference_derivatives(traj)
-        exact = plant_derivatives(slow_manifold, x)
-        assert np.max(np.abs(xdot - exact)) < 1e-4
-
-
 class TestPredictRollout:
     def test_zero_length_input_returns_start(self):
         model = fit_dmdc(discrete_linear_samples(m=40, seed=1))
@@ -428,39 +309,6 @@ class TestPredictRollout:
         with pytest.raises(MissingHistoryError):
             predict_rollout(model, np.zeros(2), np.zeros((1, 5)))
 
-    def test_parametrized_off_grid_input_raises(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((2, 30))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 1), [0.0])
-        with pytest.raises(UnknownLevelError):
-            predict_rollout(family, np.ones(2), np.array([[0.5]]))
-
-    def test_parametrized_family_refuses_columns(self):
-        x = np.random.default_rng(13).standard_normal((2, 30))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 30)), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 1), [0.0])
-        with pytest.raises(InvalidInputError, match="one lifted state at a time"):
-            rollout_from_lifted(family, np.ones((2, 3)), np.zeros((1, 3, 2)))
-
-    def test_parametrized_rollout_selects_levels(self):
-        rng = np.random.default_rng(14)
-        levels = [0.0, 1.0]
-        mats = [A0, A0 + np.eye(2)]
-        xs, xps, us = [], [], []
-        for lv, m in zip(levels, mats):
-            x = rng.standard_normal((2, 30))
-            xs.append(x)
-            xps.append(m @ x)
-            us.append(np.full((1, 30), lv))
-        data = SampleSet(x=np.hstack(xs), xp=np.hstack(xps), u=np.hstack(us), dt=0.1)
-        family = fit_parametrized(data, monomials_dictionary(2, 1), levels)
-        u_seq = np.array([[0.0, 1.0, 1.0]])
-        pred = predict_rollout(family, np.array([1.0, 2.0]), u_seq)
-        expected = mats[1] @ mats[1] @ mats[0] @ np.array([1.0, 2.0])
-        assert np.max(np.abs(pred.states[:, -1] - expected)) < 1e-8
-
-
 class TestLevelIndex:
     LEVELS = (np.array([-1.0]), np.array([0.0]), np.array([2.5]))
 
@@ -472,26 +320,12 @@ class TestLevelIndex:
         with pytest.raises(UnknownLevelError):
             level_index(self.LEVELS, [0.0, 0.0])
 
-    def test_families_and_chains_share_one_lookup(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal((2, 30))
-        data = SampleSet(
-            x=np.hstack([x] * 3),
-            xp=np.hstack([A0 @ x] * 3),
-            u=np.repeat(np.array(self.LEVELS).T, 30, axis=1),
-            dt=0.1,
-        )
-        family = fit_parametrized(data, monomials_dictionary(2, 1), self.LEVELS)
+    def test_chains_share_one_lookup(self):
         tm = TransitionMatrix(p=np.eye(2), tau=1.0)
         chain = ControlledChain(
             levels=self.LEVELS, mats=(tm,) * 3, partition=BoxPartition.regular([[0.0, 1.0]], [2])
         )
-        for owner in (family, chain):
-            assert not hasattr(owner, "level_index")
-        z = family.lift(np.ones(2))
-        assert np.array_equal(family.step(z, [2.5]), family.mats[2] @ z)
-        with pytest.raises(UnknownLevelError):
-            family.step(z, [1.0])
+        assert not hasattr(chain, "level_index")
         with pytest.raises(UnknownLevelError):
             propagate_density(chain, [1.0, 0.0], [np.array([1.0])])
 

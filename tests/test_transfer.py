@@ -11,8 +11,6 @@ from koopmpc import (
     InvalidInputError,
     TransitionMatrix,
     UnknownLevelError,
-    check_additive,
-    compose_multiplicative,
     estimate_controlled_transition,
     invariant_density,
     locate,
@@ -182,59 +180,6 @@ class TestInvariantDensity:
         assert pi[2] == 0.0
 
 
-class TestCompose:
-    def test_identity_kernel_returns_same_entries(self):
-        tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
-        eye = TransitionMatrix(p=np.eye(2), tau=0.0)
-        out = compose_multiplicative(tm, eye)
-        assert np.array_equal(out.p, tm.p)
-
-    def test_hand_product(self):
-        a = TransitionMatrix(p=np.array([[0.5, 0.25], [0.5, 0.75]]), tau=1.0)
-        b = TransitionMatrix(p=np.array([[1.0, 0.5], [0.0, 0.5]]), tau=1.0)
-        out = compose_multiplicative(a, b)
-        assert np.allclose(out.p, a.p @ b.p)
-        assert out.tau == 2.0
-
-    def test_product_stays_stochastic(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            raw1 = rng.random((10, 10)) + 0.01
-            raw2 = rng.random((10, 10)) + 0.01
-            a = TransitionMatrix(p=raw1 / raw1.sum(axis=0), tau=1.0)
-            b = TransitionMatrix(p=raw2 / raw2.sum(axis=0), tau=1.0)
-            out = compose_multiplicative(a, b)
-            assert np.max(np.abs(out.p.sum(axis=0) - 1.0)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        a = TransitionMatrix(p=np.eye(2), tau=1.0)
-        b = TransitionMatrix(p=np.eye(3), tau=1.0)
-        with pytest.raises(InvalidInputError):
-            compose_multiplicative(a, b)
-
-
-class TestCheckAdditive:
-    def test_zero_correction_is_valid(self):
-        tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
-        assert check_additive(tm, np.zeros((2, 2))).valid
-
-    def test_conservation_violation(self):
-        tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
-        report = check_additive(tm, np.array([[0.1, 0.0], [0.0, 0.0]]))
-        assert not report.valid
-        assert not report.conserving
-        assert report.nonnegative
-
-    def test_zero_column_sum_perturbation_is_valid(self):
-        tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
-        delta = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        report = check_additive(tm, 0.05 * delta)
-        assert report.valid
-        # Blow the same perturbation up until positivity snaps.
-        report = check_additive(tm, 0.85 * delta)
-        assert not report.nonnegative
-
-
 @pytest.fixture(scope="module")
 def vdp_chain():
     part = BoxPartition.regular([[-4.0, 4.0], [-4.0, 4.0]], [8, 8])
@@ -323,6 +268,15 @@ class TestChainSerialization:
         assert isinstance(read_json(path)["matrices"][0], list)
         assert_same_chain(chain_from_json(path), vdp_chain)
 
+    def test_null_value_in_a_level_raises(self, doubling_chain, tmp_path):
+        path = tmp_path / "chain.json"
+        chain_to_json(doubling_chain, path)
+        raw = read_json(path)
+        raw["matrices"][0]["values"][0] = None
+        write_json(raw, path)
+        with pytest.raises(InvalidInputError, match="transition entries must be finite"):
+            chain_from_json(path)
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -341,6 +295,21 @@ class TestChainSerialization:
         write_json(raw, path)
         with pytest.raises(InvalidInputError, match="malformed sparse transition matrix"):
             chain_from_json(path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TransitionMatrix(p=np.array([[1.0, np.nan], [0.0, np.nan]]), tau=1.0),
+        lambda: DensityVector(np.array([np.nan, 1.0])),
+        lambda: BoxPartition(lows=[0.0, -np.inf], highs=[1.0, 1.0], counts=[2, 2]),
+        lambda: BoxPartition(lows=[0.0], highs=[np.nan], counts=[2]),
+    ],
+    ids=["transition", "density", "infinite-low", "nan-high"],
+)
+def test_non_finite_entries_raise(build):
+    with pytest.raises(InvalidInputError, match="finite"):
+        build()
 
 
 class TestDensityVector:
