@@ -4,14 +4,12 @@ The pipeline generates forced training trajectories, fits the configured
 model family, scores multi-step prediction on a fresh validation set, and
 runs receding-horizon control from the validation initial conditions and
 from a regular grid. Every stage derives its random stream from the master
-seed, and per-task work is independent, so reports are identical bytes
-regardless of how many workers run the control sweeps.
+seed, so two runs with the same config write identical report bytes.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 
 import numpy as np
@@ -24,7 +22,13 @@ from .dynamics import (
     product_sines_family,
     snapshots_from_trajectories,
 )
-from .errors import DivergenceError, InfeasibleError, InvalidInputError, KoopmpcError
+from .errors import (
+    ConvergenceError,
+    DivergenceError,
+    InfeasibleError,
+    InvalidInputError,
+    KoopmpcError,
+)
 from .io import closed_loop_summary
 from .mpc import MpcConfig, closed_loop_run
 from .observables import DelaySpec, monomials_dictionary
@@ -173,30 +177,27 @@ def _rms_per_trajectory(err):
     return [float(v) for v in np.sqrt(np.mean(per_traj, axis=1))]
 
 
-def _control_task(args):
-    """One closed-loop run; returns a summary dict (module-level for pickling)."""
-    plant, model, mpc_cfg, ic, t_end, dt, threshold = args
-    ic_list = [float(v) for v in ic]
-    try:
-        result = closed_loop_run(plant, model, mpc_cfg, ic, t_end, dt)
-    except (DivergenceError, InfeasibleError) as err:
-        return {"ic": ic_list, "cost": None, "final_norm": None, "stabilized": False,
-                "failed": type(err).__name__}
-    summary = closed_loop_summary(result, success_threshold=threshold)
-    return {
-        "ic": ic_list,
-        "cost": summary["total_cost"],
-        "final_norm": summary["final_state_norm"],
-        "stabilized": summary["stabilized"],
-        "failed": None,
-    }
+def _run_control_sweep(plant, model, mpc_cfg, ics, t_end, dt, threshold):
+    """One closed loop per initial condition, in order; a summary dict per IC.
 
-
-def _run_control_sweep(plant, model, mpc_cfg, ics, t_end, dt, threshold, pool):
-    tasks = [(plant, model, mpc_cfg, np.asarray(ic, float), t_end, dt, threshold) for ic in ics]
-    if pool is not None and len(tasks) > 1:
-        return pool.map(_control_task, tasks)
-    return [_control_task(t) for t in tasks]
+    An IC whose run diverges, turns infeasible or exhausts the QP solver is
+    recorded with its failure type and does not stop the sweep.
+    """
+    results = []
+    for ic in ics:
+        ic = np.asarray(ic, float)
+        entry = {"ic": [float(v) for v in ic], "cost": None, "final_norm": None,
+                 "stabilized": False, "failed": None}
+        try:
+            result = closed_loop_run(plant, model, mpc_cfg, ic, t_end, dt)
+        except (DivergenceError, InfeasibleError, ConvergenceError) as err:
+            entry["failed"] = type(err).__name__
+        else:
+            summary = closed_loop_summary(result, success_threshold=threshold)
+            entry.update(cost=summary["total_cost"], final_norm=summary["final_state_norm"],
+                         stabilized=summary["stabilized"])
+        results.append(entry)
+    return results
 
 
 def grid_initial_conditions(cfg):
@@ -239,7 +240,7 @@ def _staged(stage, stage_seconds, fn, *args, **kwargs):
         stage_seconds[stage] = time.perf_counter() - t0
 
 
-def run_benchmark(cfg, parallel=1, stage_seconds=None):
+def run_benchmark(cfg, stage_seconds=None):
     """Run the configured experiment and return the (JSON-ready) report.
 
     The report carries the resolved config, so it is sufficient on its own to
@@ -255,15 +256,13 @@ def run_benchmark(cfg, parallel=1, stage_seconds=None):
         raise InvalidInputError("cfg must be an ExperimentConfig")
     report = {"config": cfg.resolved(), "version": __version__, "seed": cfg.seed}
     try:
-        return _run_benchmark_stages(
-            cfg, parallel, report, {} if stage_seconds is None else stage_seconds
-        )
+        return _run_benchmark_stages(cfg, report, {} if stage_seconds is None else stage_seconds)
     except KoopmpcError as err:
         err.partial_report = report
         raise
 
 
-def _run_benchmark_stages(cfg, parallel, report, stage_seconds):
+def _run_benchmark_stages(cfg, report, stage_seconds):
     plant, trajectories, samples = _staged("training-data", stage_seconds, make_training_data, cfg)
     models = _staged("model-fitting", stage_seconds, fit_models, cfg, trajectories, samples)
     validation = _staged(
@@ -279,9 +278,6 @@ def _run_benchmark_stages(cfg, parallel, report, stage_seconds):
     if cfg.run_mpc_grid:
         sweeps.append(("grid", grid_initial_conditions(cfg)))
     mpc_cfg = mpc_config_from(cfg)
-    pool = None
-    if parallel > 1 and sweeps:
-        pool = multiprocessing.get_context("spawn").Pool(parallel)
 
     report["n_training_samples"] = samples.n_samples
     report["n_divergent_training"] = samples.meta.get("n_divergent", 0)
@@ -304,26 +300,20 @@ def _run_benchmark_stages(cfg, parallel, report, stage_seconds):
         },
     }
 
-    try:
-        for section, ics in sweeps:
-            entries = {}
-            for name in cfg.models:
-                results = _staged(
-                    f"control-{section}-{name}", stage_seconds, _run_control_sweep,
-                    plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt,
-                    cfg.success_threshold, pool,
-                )
-                entries[name] = {
-                    "per_ic": results,
-                    "success_rate": float(np.mean([r["stabilized"] for r in results])),
-                }
-                if section == "grid":
-                    entries[name]["band_success_rates"] = grid_band_rates(results, cfg.ic_grid_n)
-            report["mpc"][section] = entries
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for section, ics in sweeps:
+        entries = {}
+        for name in cfg.models:
+            results = _staged(
+                f"control-{section}-{name}", stage_seconds, _run_control_sweep,
+                plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt, cfg.success_threshold,
+            )
+            entries[name] = {
+                "per_ic": results,
+                "success_rate": float(np.mean([r["stabilized"] for r in results])),
+            }
+            if section == "grid":
+                entries[name]["band_success_rates"] = grid_band_rates(results, cfg.ic_grid_n)
+        report["mpc"][section] = entries
 
     return report, models
 

@@ -25,9 +25,10 @@ from .benchmark import (
     run_benchmark,
 )
 from .config import ExperimentConfig, parse_config
-from .dynamics import ControlSystem, make_vanderpol
+from .dynamics import ControlSystem, make_vanderpol, snapshots_from_trajectories
 from .errors import ConfigError, KoopmpcError
 from .io import (
+    _read_number,
     _write_csv,
     chain_to_json,
     closed_loop_summary,
@@ -35,8 +36,6 @@ from .io import (
     model_from_json,
     model_to_json,
     read_json,
-    sampleset_from_csv,
-    sampleset_to_dir,
     trajectories_from_csv,
     trajectories_to_csv,
     transition_to_csv,
@@ -65,13 +64,13 @@ def cmd_generate(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     _, trajectories, samples = make_training_data(cfg)
-    sampleset_to_dir(samples, out, stem="samples")
     trajectories_to_csv(trajectories, out / "trajectories.csv")
     write_json(
         {
             "state_dim": samples.state_dim,
             "input_dim": samples.input_dim,
             "dt": cfg.dt,
+            "n_divergent": samples.meta["n_divergent"],
             "config": cfg.resolved(),
         },
         out / "manifest.json",
@@ -87,7 +86,7 @@ def cmd_fit(args):
     manifest = read_json(data_dir / "manifest.json")
     n, q = int(manifest["state_dim"]), int(manifest["input_dim"])
     trajectories = trajectories_from_csv(data_dir / "trajectories.csv", n, q)
-    samples = sampleset_from_csv(data_dir / "samples.csv", data_dir / "samples.json")
+    samples = snapshots_from_trajectories(trajectories, _read_number(manifest, "dt"))
     cfg.models = [args.model]
     models = fit_models(cfg, trajectories, samples)
     path = out / f"model_{args.model}.json"
@@ -206,11 +205,11 @@ def _parse_seed_range(text):
     return list(range(lo, hi + 1))
 
 
-def _benchmark_once(cfg, out, parallel):
+def _benchmark_once(cfg, out):
     t0 = time.time()
     stage_seconds = {}
     try:
-        report, models = run_benchmark(cfg, parallel=parallel, stage_seconds=stage_seconds)
+        report, models = run_benchmark(cfg, stage_seconds=stage_seconds)
     except KoopmpcError as err:
         # Retain whatever was assembled before the failing stage.
         partial = getattr(err, "partial_report", None)
@@ -253,13 +252,13 @@ def cmd_benchmark(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     if args.seeds is None:
-        _benchmark_once(cfg, out, args.parallel)
+        _benchmark_once(cfg, out)
         return 0
     seeds = _parse_seed_range(args.seeds)
     summary = []
     for seed in seeds:
         cfg.seed = seed
-        report = _benchmark_once(cfg, out / f"seed_{seed}", args.parallel)
+        report = _benchmark_once(cfg, out / f"seed_{seed}")
         summary.append(
             {
                 "seed": seed,
@@ -356,7 +355,6 @@ def build_parser():
 
     p = sub.add_parser("benchmark", help="run the full experiment and write a report")
     add_common(p)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes for control sweeps")
     p.add_argument(
         "--seeds", type=str, default=None,
         help="seed sweep, e.g. '0-4'; one report per seed under out/seed_<k>/",

@@ -40,7 +40,7 @@ class ControlSystem:
 
 
 class VanDerPolRhs:
-    """Forced van der Pol field in first-order form (picklable callable).
+    """Forced van der Pol field in first-order form.
 
     x1' = x2, x2' = mu * (1 - x1^2) * x2 - x1 + u.
     """
@@ -151,7 +151,6 @@ class SampleSet:
     xp: np.ndarray  # (n, m)
     u: np.ndarray   # (q, m)
     dt: float
-    t: np.ndarray | None = None  # (m,) sample times, if known
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -163,10 +162,6 @@ class SampleSet:
         if self.u.ndim != 2 or self.u.shape[1] != self.x.shape[1]:
             raise InvalidInputError("u must be (q, m) with m matching x")
         check_dt(self.dt)
-        if self.t is not None:
-            self.t = np.asarray(self.t, dtype=float).reshape(-1)
-            if self.t.size != self.x.shape[1]:
-                raise InvalidInputError("t must have one entry per column")
 
     @property
     def state_dim(self):
@@ -387,6 +382,5 @@ def snapshots_from_trajectories(trajectories, dt, meta=None):
     x = np.hstack([tr.states[:, :-1] for tr in trajectories])
     xp = np.hstack([tr.states[:, 1:] for tr in trajectories])
     u = np.hstack([tr.inputs for tr in trajectories])
-    t = np.concatenate([tr.times[:-1] for tr in trajectories])
-    return SampleSet(x=x, xp=xp, u=u, dt=dt, t=t, meta=dict(meta or {}))
+    return SampleSet(x=x, xp=xp, u=u, dt=dt, meta=dict(meta or {}))
 

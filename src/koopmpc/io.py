@@ -1,4 +1,4 @@
-"""CSV and JSON serialization for trajectories, samples, models, and chains.
+"""CSV and JSON serialization for trajectories, models, chains and closed loops.
 
 CSV schemas are fixed: every writer emits the same header in the same column
 order on every run. Times are in the plant's time unit, states and inputs in
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SampleSet, Trajectory
+from .dynamics import Trajectory
 from .errors import InvalidInputError
 from .observables import DelayCoordinates, DelaySpec, Dictionary
 from .sysid import LinearControlModel
@@ -49,13 +49,13 @@ def read_json(path):
         return json.load(fh)
 
 
-def _read_dt(raw):
-    """The number under ``"dt"`` as a float; missing, null (``jsonify``'s
+def _read_number(raw, key):
+    """The number under ``key`` as a float; missing, null (``jsonify``'s
     non-finite float) or non-numeric raises InvalidInputError."""
-    dt = raw.get("dt")
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)):
-        raise InvalidInputError(f"dt must be a number, got {dt!r}")
-    return float(dt)
+    value = raw.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _state_header(n, q):
@@ -108,53 +108,6 @@ def trajectories_from_csv(path, state_dim, input_dim):
         inputs = rows[:-1, 2 + state_dim : 2 + state_dim + input_dim].T
         out.append(Trajectory(times=times, states=states, inputs=inputs))
     return out
-
-
-def sampleset_to_csv(data, path):
-    """One row per snapshot pair: t, x, u, and the shifted state x'."""
-    n, q = data.state_dim, data.input_dim
-    header = _state_header(n, q) + [f"xp{i + 1}" for i in range(n)]
-    t = data.t if data.t is not None else np.arange(data.n_samples) * data.dt
-    rows = (
-        [repr(float(t[k]))] + _cells(data.x[:, k]) + _cells(data.u[:, k]) + _cells(data.xp[:, k])
-        for k in range(data.n_samples)
-    )
-    _write_csv(path, header, rows)
-
-
-def sampleset_manifest(data):
-    return {
-        "state_dim": data.state_dim,
-        "input_dim": data.input_dim,
-        "n_samples": data.n_samples,
-        "dt": data.dt,
-        "seed": data.meta.get("seed"),
-        "n_trajectories": data.meta.get("n_trajectories"),
-        "n_divergent": data.meta.get("n_divergent"),
-        "t_end": data.meta.get("t_end"),
-        "box": data.meta.get("box"),
-    }
-
-
-def sampleset_to_dir(data, out_dir, stem="samples"):
-    out_dir = Path(out_dir)
-    sampleset_to_csv(data, out_dir / f"{stem}.csv")
-    write_json(sampleset_manifest(data), out_dir / f"{stem}.json")
-
-
-def sampleset_from_csv(path, manifest_path):
-    man = read_json(manifest_path)
-    n, q = int(man["state_dim"]), int(man["input_dim"])
-    rows = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-    meta = {k: man.get(k) for k in ("seed", "n_trajectories", "n_divergent", "t_end", "box")}
-    return SampleSet(
-        x=rows[:, 1 : 1 + n].T,
-        xp=rows[:, 1 + n + q : 1 + 2 * n + q].T,
-        u=rows[:, 1 + n : 1 + n + q].T,
-        dt=_read_dt(man),
-        t=rows[:, 0],
-        meta=meta,
-    )
 
 
 def _lifting_descriptor(lifting):
@@ -219,7 +172,7 @@ def model_from_json(path):
         b=np.asarray(raw["b"], dtype=float),
         c=np.asarray(raw["c"], dtype=float),
         lifting=_lifting_from_descriptor(raw["lifting"]),
-        dt=_read_dt(raw),
+        dt=_read_number(raw, "dt"),
         kind=raw["kind"],
         fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
         training_hash=raw.get("training_hash"),
@@ -284,10 +237,11 @@ def chain_from_json(path):
         highs=raw["partition"]["highs"],
         counts=raw["partition"]["counts"],
     )
+    tau = _read_number(raw, "tau")
     mats = tuple(
         TransitionMatrix(
             p=_transition_from_entry(m),
-            tau=float(raw["tau"]),
+            tau=tau,
             counts=None if cnt is None else np.asarray(cnt, dtype=float),
             outside=True,
             full_escape=tuple(esc),

@@ -2,8 +2,7 @@
 
 The QP solver is Goldfarb and Idnani's dual active-set method, run in the
 coordinates of the Hessian's Cholesky factor. Every routine is a pure
-function of its arguments (no caches, no globals), so everything here is
-safe to call concurrently or from worker processes.
+function of its arguments (no caches, no globals).
 """
 
 from __future__ import annotations

@@ -199,8 +199,10 @@ class DelaySpec:
     d2: int
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise InvalidInputError("d1 and d2 must both be >= 1")
+        for name in ("d1", "d2"):
+            depth = getattr(self, name)
+            if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool) or depth < 1:
+                raise InvalidInputError(f"{name} must be an integer >= 1, got {depth!r}")
 
 
 def _coordinate_tuple(coords, state_dim):

@@ -1,8 +1,7 @@
 """Fitting linear operator models with control, and rolling them forward.
 
 All fits reduce to one minimum-norm least-squares regression over lifted
-snapshots; what differs between model kinds is the lifting. Models are
-immutable after fitting and safe to share across workers.
+snapshots; what differs between model kinds is the lifting.
 """
 
 from __future__ import annotations
@@ -49,6 +48,9 @@ class LinearControlModel:
         d = self.a.shape[0]
         if self.a.shape != (d, d) or self.b.shape[0] != d or self.c.shape[1] != d:
             raise InvalidInputError("model matrices have inconsistent shapes")
+        for name in ("a", "b", "c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"model matrix {name} is not finite")
         check_dt(self.dt)
 
     @property

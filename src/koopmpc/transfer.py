@@ -124,6 +124,8 @@ class TransitionMatrix:
         used = sums > 0
         if np.any(np.abs(sums[used] - 1.0) > 1e-12):
             raise InvalidInputError("nonempty columns must sum to 1 within 1e-12")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise InvalidInputError(f"tau must be positive and finite, got {self.tau!r}")
 
     @property
     def dim(self):
@@ -141,6 +143,8 @@ class ControlledChain:
     def __post_init__(self):
         if len(self.levels) != len(self.mats) or not self.levels:
             raise InvalidInputError("need one transition matrix per level")
+        if not all(np.all(np.isfinite(lv)) for lv in self.levels):
+            raise InvalidInputError("input levels must be finite")
         dims = {m.dim for m in self.mats}
         if len(dims) != 1:
             raise InvalidInputError("all transition matrices must share one dimension")

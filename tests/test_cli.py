@@ -131,8 +131,8 @@ class TestGenerate:
         cfg = write_config(tmp_path, {"n_trajectories": 1, "training_t_end": 0.05})
         out = tmp_path / "data"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = (out / "samples.csv").read_text().strip().splitlines()
-        assert len(rows) == 2  # header + exactly one snapshot pair
+        rows = (out / "trajectories.csv").read_text().strip().splitlines()
+        assert len(rows) == 3  # header + the two states of one snapshot pair
 
     def test_manifest_written(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -141,6 +141,21 @@ class TestGenerate:
         manifest = read_json(out / "manifest.json")
         assert manifest["state_dim"] == 2
         assert manifest["config"]["n_trajectories"] == 12
+        assert manifest["n_divergent"] == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trajectories.csv"]
+
+    @pytest.mark.parametrize("dt", [None, "missing", "0.05"])
+    def test_fit_exits_3_on_a_null_or_non_numeric_manifest_dt(self, tmp_path, capsys, dt):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        main(["generate", "--config", str(cfg), "--out", str(data)])
+        manifest = read_json(data / "manifest.json")
+        manifest["dt"] = dt
+        if dt == "missing":
+            del manifest["dt"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["fit", str(data), "--model", "dmdc", "--out", str(tmp_path / "fit")]) == 3
+        assert "dt must be a number" in capsys.readouterr().err
 
 
 class TestFitRoundTrip:
@@ -161,6 +176,20 @@ class TestFitRoundTrip:
 
         model_to_json(first, again_path)
         assert read_json(again_path) == raw  # reload and re-save is lossless
+
+    def test_fit_matches_the_benchmark_fit(self, tmp_path):
+        from koopmpc.benchmark import fit_models, make_training_data
+
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        main(["generate", "--config", str(cfg), "--out", str(data)])
+        main(["fit", str(data), "--model", "edmdc", "--config", str(cfg), "--out", str(tmp_path)])
+        fitted = model_from_json(tmp_path / "model_edmdc.json")
+        config = parse_config(cfg)
+        _, trajectories, samples = make_training_data(config)
+        want = fit_models(config, trajectories, samples)["edmdc"]
+        assert fitted.training_hash == want.training_hash
+        assert np.array_equal(fitted.a, want.a) and np.array_equal(fitted.b, want.b)
 
     def test_predict_runs_on_fit_output(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -266,6 +295,30 @@ class TestMalformedModelFile:
         ]) == 3
         assert "dt must be positive and finite" in capsys.readouterr().err
 
+
+    @staticmethod
+    def _with_null_entry(path, tmp_path, matrix):
+        raw = read_json(path)
+        raw[matrix][0][0] = None
+        out = tmp_path / f"null_{matrix}.json"
+        out.write_text(json.dumps(raw))
+        return out
+
+    @pytest.mark.parametrize("matrix", ["a", "b", "c"])
+    def test_model_from_json_rejects_a_null_matrix_entry(self, fitted_edmdc, tmp_path, matrix):
+        from koopmpc import InvalidInputError
+
+        _, _, model_path = fitted_edmdc
+        with pytest.raises(InvalidInputError, match=f"model matrix {matrix} is not finite"):
+            model_from_json(self._with_null_entry(model_path, tmp_path, matrix))
+
+    def test_mpc_exits_3_on_a_null_matrix_entry(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, model_path = fitted_edmdc
+        assert main([
+            "mpc", str(self._with_null_entry(model_path, tmp_path, "a")),
+            "--config", str(cfg), "--out", str(tmp_path / "mpc"),
+        ]) == 3
+        assert "model matrix a is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dt", [None, "missing", "0.05", [0.05], True])
     def test_model_from_json_rejects_a_null_or_non_numeric_dt(self, fitted_edmdc, tmp_path, dt):
@@ -386,9 +439,6 @@ class TestSchemaStability:
         cfg = write_config(tmp_path)
         data = tmp_path / "data"
         main(["generate", "--config", str(cfg), "--out", str(data)])
-        assert (data / "samples.csv").read_text().splitlines()[0] == (
-            "t,x1,x2,u1,xp1,xp2"
-        )
         assert (data / "trajectories.csv").read_text().splitlines()[0] == (
             "traj,t,x1,x2,u1"
         )
@@ -496,6 +546,17 @@ class TestPredictScoresLikeTheBenchmark:
         path = self._delay_file_with_coords(data, tmp_path, [0, 7])
         assert main(["mpc", str(path), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
         assert "coords [0, 7] must be" in capsys.readouterr().err
+
+    def test_delay_file_with_a_fractional_depth_raises(self, fitted_x1, tmp_path):
+        from koopmpc import InvalidInputError
+
+        _, data = fitted_x1
+        raw = read_json(data.parent / "model_delay.json")
+        raw["lifting"]["d1"] = 2.5
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InvalidInputError, match="d1 must be an integer >= 1, got 2.5"):
+            model_from_json(path)
 
     def test_delay_file_with_unit_lag_still_loads(self, fitted_x1, tmp_path):
         _, data = fitted_x1
@@ -631,6 +692,28 @@ class TestStageErrors:
             run_benchmark(cfg)
         except InsufficientDataError as err:
             assert err.partial_report["config"]["n_trajectories"] == 8
+
+    def test_a_convergence_failure_is_recorded_per_ic(self, monkeypatch):
+        import koopmpc.mpc
+        from koopmpc import ConvergenceError
+        from koopmpc.benchmark import run_benchmark
+        from koopmpc.config import config_from_mapping
+
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("QP iteration budget exhausted")
+
+        monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", no_convergence)
+        # |u| <= 0.1 binds on the first step from every IC, so every run calls the solver.
+        cfg = config_from_mapping({
+            "n_trajectories": 12, "n_validation": 2, "mpc_t_end": 0.5, "ic_grid_n": 2,
+            "u_min": -0.1, "u_max": 0.1, "models": ["dmdc"],
+        })
+        report, _ = run_benchmark(cfg)
+        per_ic = [entry for sweep in report["mpc"].values() for entry in sweep["dmdc"]["per_ic"]]
+        assert len(per_ic) == 2 + 4
+        for entry in per_ic:
+            assert entry["failed"] == "ConvergenceError"
+            assert entry["cost"] is None and not entry["stabilized"]
 
 
 class TestExitCodes:

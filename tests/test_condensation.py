@@ -196,12 +196,12 @@ class TestIndexedCondensation:
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
 def test_a_model_without_a_finite_hessian_is_rejected(entry):
-    # 1e200 overflows a^2 at horizon 3.
-    model = LinearControlModel(
-        a=np.array([[entry, 0.0], [0.0, 0.5]]), b=np.ones((2, 1)), c=np.eye(2),
-        lifting=identity_dictionary(2), dt=0.1, kind="dmdc",
-    )
+    # nan and inf are rejected by the model itself; 1e200 overflows a^2 at horizon 3.
     with pytest.raises(InvalidInputError, match="not finite"):
+        model = LinearControlModel(
+            a=np.array([[entry, 0.0], [0.0, 0.5]]), b=np.ones((2, 1)), c=np.eye(2),
+            lifting=identity_dictionary(2), dt=0.1, kind="dmdc",
+        )
         CondensedMpc(model, MpcConfig(q=np.eye(2), ru=0.1, horizon=3))
 
 

@@ -21,15 +21,8 @@ from koopmpc import (
     snapshots_from_trajectories,
 )
 from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
-from koopmpc.io import (
-    closed_loop_to_csv,
-    sampleset_from_csv,
-    sampleset_to_csv,
-    trajectories_from_csv,
-    trajectories_to_csv,
-)
+from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
-from koopmpc.io import write_json, sampleset_manifest
 
 
 class ExpRhs:
@@ -321,31 +314,6 @@ class TestSerialization:
             b"0.5,2.0,0.25,-0.2,0.25,0.75\r\n"
             b"1.0,3.0,0.0,-0.2,nan,0.75\r\n"
         )
-
-    def test_sampleset_csv_round_trip(self, tmp_path):
-        sys = make_vanderpol(0.2)
-        data = training_set(
-            sys, 2, [[-1, 1], [-1, 1]], 0.2, 0.05, product_sines_family(), 4
-        )
-        sampleset_to_csv(data, tmp_path / "s.csv")
-        write_json(sampleset_manifest(data), tmp_path / "s.json")
-        back = sampleset_from_csv(tmp_path / "s.csv", tmp_path / "s.json")
-        assert np.allclose(back.x, data.x)
-        assert np.allclose(back.xp, data.xp)
-        assert np.allclose(back.u, data.u)
-        assert back.dt == data.dt
-
-    @pytest.mark.parametrize("dt", [None, "missing", "0.05"])
-    def test_sampleset_manifest_rejects_a_null_or_non_numeric_dt(self, tmp_path, dt):
-        data = SampleSet(x=np.ones((2, 3)), xp=np.ones((2, 3)), u=np.zeros((1, 3)), dt=0.05)
-        sampleset_to_csv(data, tmp_path / "s.csv")
-        manifest = sampleset_manifest(data)
-        manifest["dt"] = dt
-        if dt == "missing":
-            del manifest["dt"]
-        write_json(manifest, tmp_path / "s.json")
-        with pytest.raises(InvalidInputError, match="dt must be a number"):
-            sampleset_from_csv(tmp_path / "s.csv", tmp_path / "s.json")
 
 
 class SquareRhs:

@@ -228,6 +228,11 @@ class TestDelayEmbed:
         with pytest.raises(InvalidInputError, match="coords"):
             DelayCoordinates(DelaySpec(1, 1), coords, state_dim=2, input_dim=1)
 
+    @pytest.mark.parametrize("d1, d2", [(2.5, 3), (3, 2.0), (True, 1), (0, 1), (1, -2)])
+    def test_depths_must_be_integers_of_at_least_one(self, d1, d2):
+        with pytest.raises(InvalidInputError, match="must be an integer >= 1"):
+            DelaySpec(d1, d2)
+
     def test_too_short_raises(self):
         traj = make_series([1.0, 2.0])  # two states = depth-2 needs three
         with pytest.raises(InsufficientDataError):

@@ -1,4 +1,4 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example runs, and its CLI lines parse, against the package as it is."""
 
 import re
 from pathlib import Path
@@ -12,3 +12,15 @@ def test_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     norm, cost = (float(v) for v in capsys.readouterr().out.split())
     assert norm < 0.05 and cost > 0.0
+
+
+def test_cli_block_parses():
+    from koopmpc.cli import build_parser
+
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "koopmpc"]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,25 @@ class TestChainSerialization:
         raw["matrices"][0]["values"][0] = None
         write_json(raw, path)
         with pytest.raises(InvalidInputError, match="transition entries must be finite"):
+            chain_from_json(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tau", None, "tau must be a number, got None"),
+            ("tau", float("nan"), "tau must be positive and finite"),
+            ("tau", float("inf"), "tau must be positive and finite"),
+            ("levels", [[None]], "input levels must be finite"),
+        ],
+        ids=["null-tau", "nan-tau", "inf-tau", "null-level"],
+    )
+    def test_non_finite_tau_or_level_raises(self, doubling_chain, tmp_path, key, value, message):
+        path = tmp_path / "chain.json"
+        chain_to_json(doubling_chain, path)
+        raw = read_json(path)
+        raw[key] = value
+        path.write_text(json.dumps(raw))  # NaN and Infinity as JSON literals
+        with pytest.raises(InvalidInputError, match=message):
             chain_from_json(path)
 
     @pytest.mark.parametrize(
