@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
+    _count,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
@@ -133,6 +134,7 @@ def prediction_errors(models, trajectories, horizon):
     (ny, horizon+1) recovered states of the rollout from ``start_index``.
     A model whose predictions are not finite raises InvalidInputError.
     """
+    horizon = _count(horizon, "horizon", 1)
     start = max((model.lifting.history_steps for model in models.values()), default=0)
     end = start + horizon
     for traj in trajectories:

@@ -63,10 +63,10 @@ def make_vanderpol(mu=0.2):
     return ControlSystem(state_dim=2, input_dim=1, rhs=VanDerPolRhs(mu))
 
 
-def check_dt(dt):
-    """Raise InvalidInputError unless the timestep ``dt`` is positive and finite."""
-    if not 0.0 < dt < math.inf:
-        raise InvalidInputError("dt must be positive and finite")
+def check_positive(value, name):
+    """Raise InvalidInputError naming ``name`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
 def rk4_update(rhs, x, u, t, dt):
@@ -90,7 +90,7 @@ def rk4_step(sys, x, u, t, dt):
     """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
-    check_dt(dt)
+    check_positive(dt, "dt")
     out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
     if not (np.abs(out) <= DIVERGENCE_LIMIT).all():
         raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
@@ -161,7 +161,7 @@ class SampleSet:
             raise InvalidInputError("x and xp must be matching (n, m) arrays")
         if self.u.ndim != 2 or self.u.shape[1] != self.x.shape[1]:
             raise InvalidInputError("u must be (q, m) with m matching x")
-        check_dt(self.dt)
+        check_positive(self.dt, "dt")
 
     @property
     def state_dim(self):
@@ -215,7 +215,7 @@ class ForcingSignal:
 
     @classmethod
     def piecewise(cls, values, dt):
-        check_dt(dt)
+        check_positive(dt, "dt")
         v = np.atleast_2d(np.asarray(values, dtype=float))
         return cls(kind="piecewise-constant-sequence", input_dim=v.shape[0],
                    values=v, dt=float(dt))

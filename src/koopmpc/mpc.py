@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .dynamics import Trajectory, _n_steps, rk4_step
+from .dynamics import Trajectory, _count, _n_steps, check_positive, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
 from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info
 from .sysid import rollout_from_lifted
@@ -68,8 +68,7 @@ class MpcConfig:
                 raise InvalidInputError(f"{name} must be finite")
         if np.min(np.linalg.eigvalsh(0.5 * (self.q + self.q.T))) < -1e-8:
             raise InvalidInputError("q must be positive semidefinite")
-        if self.horizon < 1:
-            raise InvalidInputError("horizon must be >= 1")
+        self.horizon = _count(self.horizon, "horizon", 1)
         self.reference = (
             np.zeros(self.q.shape[0])
             if self.reference is None
@@ -107,8 +106,8 @@ class CondensedMpc:
     solver. The Hessian must be positive definite. Its inverse, from one
     Cholesky factorization, is kept too, so a step whose unconstrained
     minimizer ``-H^{-1} g`` satisfies every bound is solved by a matvec
-    (Bemporad et al. 2002, explicit LQR); the solver factors the rows on the
-    first step that needs it.
+    (Bemporad et al. 2002, explicit LQR); the solver's rows are mapped
+    through the inverse of the same factor.
     """
 
     def __init__(self, model, cfg):
@@ -161,6 +160,7 @@ class CondensedMpc:
                 "input_weight (ru) or input_rate_weight (rdu) positive"
             )
         self._h_inv = scipy.linalg.lapack.dpotrs(chol, np.eye(n * q_in))[0]
+        u_inv = scipy.linalg.lapack.dtrtri(chol)[0]
         self.g_state = 2.0 * smat.T @ qbar @ pred
         self.g_const = -2.0 * smat.T @ qbar @ np.tile(ref, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
@@ -176,6 +176,8 @@ class CondensedMpc:
         self._rate_shift = np.vstack([emat, -emat])[keep]
         # Rate rows first: only their right-hand sides move with u_prev.
         self._rows, self._rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
+        # The solver's form of the step QP, on the same factor.
+        self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
         self._du0_hi = du_max[:q_in] + 1e-7
         self._du0_lo = du_min[:q_in] - 1e-7
         self.ru = ru
@@ -204,10 +206,6 @@ class CondensedMpc:
             h=self.h, g=g, a_ineq=self.a_ineq, b_ineq=b_ineq, lb=self.lb, ub=self.ub
         )
 
-    @cached_property
-    def _factored(self):
-        return FactoredQp.factor(self.h, None, self._rows, self._rhs)
-
     def _step_rhs(self, u_prev):
         rhs = self._rhs.copy()
         rhs[: self._rate_bound.size] += self._rate_shift @ u_prev
@@ -215,7 +213,7 @@ class CondensedMpc:
 
     def factored_qp(self, g, u_prev):
         """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
-        return self._factored._replace(g=g, rhs=self._step_rhs(u_prev))
+        return self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
 
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
         """Whether a stacked plan meets every box and rate row to within ``tol``.
@@ -282,11 +280,13 @@ def mpc_step(
     which starts from that minimizer.
 
     Raises:
-        InvalidInputError: the lifted measurement or ``u_prev`` is not finite.
+        InvalidInputError: the lifted measurement or ``u_prev`` is not
+            finite, or ``qp_tol`` is not positive and finite.
         InfeasibleError: the bounds admit no plan, or the first planned
             input change breaks the rate bound by more than 1e-7.
         ConvergenceError: the solver's plan misses the KKT tolerance.
     """
+    check_positive(qp_tol, "qp_tol")
     cond = CondensedMpc(model, cfg) if _condensed is None else _condensed
     u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
@@ -353,6 +353,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     nothing, has 0 iterations and a NaN residual.
     """
     n_steps = _n_steps(t_end, dt)
+    check_positive(qp_tol, "qp_tol")
     if not abs(dt - model.dt) <= 1e-12 * max(1.0, abs(model.dt)):  # a NaN model.dt fails
         raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
     if n_steps < 1:

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .dynamics import check_positive
 from .errors import ConvergenceError, InfeasibleError, InvalidInputError, UnknownLevelError
 
 DEFAULT_SVD_TOL = 1e-10
@@ -333,7 +334,8 @@ def solve_qp(qp, tol=1e-8, max_iter=None):
     (feasibility, stationarity, complementarity) is at most ``tol``.
 
     Raises:
-        InvalidInputError: ``h`` is not positive definite.
+        InvalidInputError: ``h`` is not positive definite, or ``tol`` is not
+            positive and finite.
         InfeasibleError: the constraints admit no point.
         ConvergenceError: ``max_iter`` rows added and dropped did not finish,
             or the residual exceeds ``tol``; carries that ``x`` as ``best``.
@@ -343,6 +345,7 @@ def solve_qp(qp, tol=1e-8, max_iter=None):
 
 def solve_qp_info(qp, tol=1e-8, max_iter=None):
     """Like :func:`solve_qp` but also returns iteration/residual metadata."""
+    check_positive(tol, "tol")
     if isinstance(qp, QpProblem):
         qp = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
     elif not isinstance(qp, FactoredQp):

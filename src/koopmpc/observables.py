@@ -6,16 +6,12 @@ scoring never branch on the kind of lifting:
 - ``history_steps``: past steps needed beyond the current sample;
 - ``state_dim``: the plant state dimension it lifts from;
 - ``coords``: the plant coordinates a model on this lifting recovers;
-- ``lift(x, history_states=None, history_inputs=None)``: one lifted state;
 - ``lift_windows(states, inputs)``: lifted states of sample windows held
   time-last, ``states`` of shape ``(n, T)`` or ``(n, M, T)`` and ``inputs``
   of shape ``(q, T-1)`` or ``(q, M, T-1)`` (longer input windows are cut).
   The result holds the lifts of samples ``history_steps .. T-1`` of every
   window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
-  ``M`` windows lift as the columns of one batch;
-- ``lift_many(traj)``: the one-window call of ``lift_windows`` on a
-  trajectory, lifted states at steps ``history_steps .. n_steps-1``, one
-  column per step.
+  ``M`` windows lift as the columns of one batch.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _count
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -68,10 +65,9 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords``, ``lift``, ``lift_windows``
-    and ``lift_many``.
+    ``history_steps``, ``state_dim``, ``coords`` and ``lift_windows``.
     A dictionary needs no history, recovers every plant coordinate, and
-    ignores the history arguments of ``lift``.
+    ignores the inputs of ``lift_windows``.
     """
 
     n_in: int
@@ -103,19 +99,11 @@ class Dictionary:
     def subset(self, indices):
         return Dictionary(self.n_in, self.exponents[[int(i) for i in indices]])
 
-    def lift(self, x, history_states=None, history_inputs=None):
-        """Observables at one state (n_in,) -> (d,)."""
-        return eval_dictionary(self, np.asarray(x, dtype=float).reshape(-1))
-
     def lift_windows(self, states, inputs=None):
         """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T)."""
         states = np.asarray(states, dtype=float)
         flat = eval_dictionary(self, states.reshape(states.shape[0], -1))
         return flat.reshape(flat.shape[:1] + states.shape[1:])
-
-    def lift_many(self, traj):
-        """Observables at every step but the last, one column per step."""
-        return self.lift_windows(traj.states[:, :-1])
 
 
 def monomials_dictionary(n, max_order, include_constant=False):
@@ -126,8 +114,7 @@ def monomials_dictionary(n, max_order, include_constant=False):
     appended at the end so that property is preserved. Size without the
     constant is C(n + max_order, n) - 1.
     """
-    if n < 1 or max_order < 1:
-        raise InvalidInputError("n and max_order must be >= 1")
+    n, max_order = _count(n, "n", 1), _count(max_order, "max_order", 1)
     rows = [
         np.bincount(combo, minlength=n)
         for degree in range(1, max_order + 1)
@@ -230,8 +217,7 @@ class DelayCoordinates:
     """Input-augmented delay lifting [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}].
 
     States are taken over ``coords`` only, a nonempty sequence of integers
-    in ``[0, state_dim)``; history arrays passed to :meth:`lift` end just
-    before the current step.
+    in ``[0, state_dim)``.
     """
 
     spec: DelaySpec
@@ -259,24 +245,6 @@ class DelayCoordinates:
         """Past steps needed (beyond the current sample) to build a lifted state."""
         return max(self.spec.d1, self.spec.d2) - 1
 
-    def lift(self, x, history_states=None, history_inputs=None):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        need_s = self.spec.d1 - 1
-        need_u = self.spec.d2 - 1
-        hs = None if history_states is None else np.atleast_2d(np.asarray(history_states, float))
-        hi = None if history_inputs is None else np.atleast_2d(np.asarray(history_inputs, float))
-        if need_s and (hs is None or hs.shape[1] < need_s):
-            raise MissingHistoryError(f"need {need_s} past states for the delay lifting")
-        if need_u and (hi is None or hi.shape[1] < need_u):
-            raise MissingHistoryError(f"need {need_u} past inputs for the delay lifting")
-        coords = list(self.coords)
-        blocks = [x[coords]]
-        for j in range(1, self.spec.d1):
-            blocks.append(hs[coords, -j])
-        for j in range(1, self.spec.d2):
-            blocks.append(hi[:, -j])
-        return np.concatenate(blocks)
-
     def lift_windows(self, states, inputs):
         """Hankel columns of (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
 
@@ -298,7 +266,3 @@ class DelayCoordinates:
         blocks = [s[..., h - j : h - j + m] for j in range(self.spec.d1)]
         blocks += [u[..., h - j : h - j + m] for j in range(1, self.spec.d2)]
         return np.concatenate(blocks)
-
-    def lift_many(self, traj):
-        """Hankel columns of a trajectory: column k lifts step ``history_steps + k``."""
-        return self.lift_windows(traj.states[:, :-1], traj.inputs)

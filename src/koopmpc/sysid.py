@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, check_dt, sample_hash
-from .errors import InsufficientDataError, InvalidInputError, NoEigenfunctionError
+from .dynamics import Trajectory, check_positive, sample_hash
+from .errors import InsufficientDataError, InvalidInputError, MissingHistoryError, NoEigenfunctionError
 from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
 from .observables import (
     DelayCoordinates,
@@ -51,7 +51,7 @@ class LinearControlModel:
         for name in ("a", "b", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"model matrix {name} is not finite")
-        check_dt(self.dt)
+        check_positive(self.dt, "dt")
 
     @property
     def lifted_dim(self):
@@ -66,8 +66,22 @@ class LinearControlModel:
         return self.c.shape[0]
 
     def lift(self, x, history_states=None, history_inputs=None):
-        """Lifted coordinates for a measured state; liftings without history ignore it."""
-        return self.lifting.lift(x, history_states, history_inputs)
+        """Lifted measurement ``x``: the one-window call of ``lift_windows``.
+
+        The window ends with ``x`` after the last ``history_steps`` columns of
+        ``history_states`` and ``history_inputs``; a lifting without history
+        ignores both.
+        """
+        h = self.lifting.history_steps
+        states = np.asarray(x, dtype=float).reshape(-1, 1)
+        inputs = np.empty((self.input_dim, 0))
+        if h:
+            if history_states is None or np.shape(history_states)[-1] < h:
+                raise MissingHistoryError(f"need {h} past states for the lifting")
+            states = np.concatenate([np.atleast_2d(history_states)[:, -h:], states], axis=1)
+            if history_inputs is not None:
+                inputs = np.atleast_2d(history_inputs)[:, -h:]
+        return self.lifting.lift_windows(states, inputs)[:, 0]
 
     def step(self, z, u):
         """Next lifted state from lifted state ``z`` under input ``u``."""
@@ -95,8 +109,8 @@ def fit_edmdc(data, dic, svd_tol=DEFAULT_SVD_TOL):
     if m < d + q:
         raise InsufficientDataError(f"need at least {d + q} samples, got {m}")
     c = recovery_matrix(dic)
-    z = eval_dictionary(dic, data.x)
-    zp = eval_dictionary(dic, data.xp)
+    z = dic.lift_windows(data.x)
+    zp = dic.lift_windows(data.xp)
     reg = np.vstack([z, data.u])
     w, residual = _regress(reg, zp, svd_tol)
     return LinearControlModel(

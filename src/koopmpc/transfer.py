@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rk4_update
+from .dynamics import _count, check_positive, rk4_update
 from .errors import InvalidInputError
 from .numerics import level_index, stationary_vector
 
@@ -124,8 +124,7 @@ class TransitionMatrix:
         used = sums > 0
         if np.any(np.abs(sums[used] - 1.0) > 1e-12):
             raise InvalidInputError("nonempty columns must sum to 1 within 1e-12")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidInputError(f"tau must be positive and finite, got {self.tau!r}")
+        check_positive(self.tau, "tau")
 
     @property
     def dim(self):
@@ -204,24 +203,20 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
     nonempty columns sum to exactly one; escapes land in the absorbing
     outside state.
     """
-    if samples_per_box < 1:
-        raise InvalidInputError("samples_per_box must be >= 1")
-    if tau <= 0:
-        raise InvalidInputError("tau must be positive")
-    if seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
+    spb = _count(samples_per_box, "samples_per_box", 1)
+    seed = _count(seed, "seed", 0)
+    check_positive(tau, "tau")
     levels = tuple(np.atleast_1d(np.asarray(lv, dtype=float)) for lv in levels)
     for lv in levels:
         if lv.size != sys.input_dim:
             raise InvalidInputError(f"level {lv} does not match the plant input dimension")
-    if flow_dt is None:
-        flow_dt = tau / 10.0
+    flow_dt = tau / 10.0 if flow_dt is None else flow_dt
+    check_positive(flow_dt, "flow_dt")
     d = part.n_boxes
     k = d + 1
-    spb = int(samples_per_box)
     pts = np.empty((part.dim, d * spb))
     for j in range(d):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), j]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
         lo, hi = part.box_bounds(j)
         pts[:, j * spb : (j + 1) * spb] = lo[:, None] + rng.random((part.dim, spb)) * (
             hi - lo

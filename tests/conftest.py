@@ -3,7 +3,10 @@ import pytest
 
 from koopmpc import (
     ControlSystem,
+    Dictionary,
+    LinearControlModel,
     SampleSet,
+    eval_dictionary,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
@@ -20,6 +23,33 @@ def discrete_linear_samples(m=50, seed=0, dt=0.1, a0=A0, b0=B0):
     x = rng.standard_normal((a0.shape[0], m))
     u = rng.standard_normal((b0.shape[1], m))
     return SampleSet(x=x, xp=a0 @ x + b0 @ u, u=u, dt=dt)
+
+
+def reference_lift(lifting, x, history_states=None, history_inputs=None):
+    """One lifted state built per state, the reference for ``lift_windows`` columns.
+
+    A dictionary evaluates its observables at ``x``. Delay coordinates stack
+    ``x`` over ``coords``, then the newest ``d1 - 1`` past states over
+    ``coords``, newest first, then the newest ``d2 - 1`` past inputs.
+    History arrays end just before the current step.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if isinstance(lifting, Dictionary):
+        return eval_dictionary(lifting, x)
+    coords = list(lifting.coords)
+    blocks = [x[coords]]
+    for j in range(1, lifting.spec.d1):
+        blocks.append(np.atleast_2d(np.asarray(history_states, float))[coords, -j])
+    for j in range(1, lifting.spec.d2):
+        blocks.append(np.atleast_2d(np.asarray(history_inputs, float))[:, -j])
+    return np.concatenate(blocks)
+
+
+def model_on(lifting, dim):
+    """A model with ``dim`` lifted coordinates on ``lifting``, for its ``lift``."""
+    return LinearControlModel(
+        a=np.eye(dim), b=np.zeros((dim, 1)), c=np.eye(1, dim), lifting=lifting, dt=1.0, kind="test"
+    )
 
 
 def simulate_discrete(a0, b0, x0, u):

@@ -43,3 +43,7 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace):
     assert tracer.calls["mpc.mpc_step"] == 3
     assert tracer.calls["mpc.is_feasible"] == 3  # the unconstrained plan of every step
     assert tracer.calls["mpc.condense"] == 1
+    assert tracer.calls["sysid.lift"] == 3  # one per step
+    # The fit lifts its x and x' snapshots in one call each, then one per step.
+    assert tracer.calls["observables.eval_dictionary"] == 5
+    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples + 3

@@ -178,11 +178,13 @@ class TestIndexedCondensation:
             assert_bitwise(getattr(cond, name), want[name], name)
         rows, rhs = _constraint_rows(want["a_ineq"], want["rate_bound"], want["lb"], want["ub"])
         factored = FactoredQp.factor(want["h"], None, rows, rhs)
-        for name in ("rows", "rhs", "u_inv", "rows_u"):
-            assert_bitwise(getattr(cond._factored, name), getattr(factored, name), name)
+        solver_qp = cond.factored_qp(np.zeros(cond.h.shape[0]), u_prev)
+        for name in ("rows", "u_inv", "rows_u"):
+            assert_bitwise(getattr(solver_qp, name), getattr(factored, name), name)
+        assert_bitwise(cond._rhs, factored.rhs, "rhs")
         step_rhs = rhs.copy()
         step_rhs[: want["rate_bound"].size] = want["rate_bound"] + want["rate_shift"] @ u_prev
-        assert_bitwise(cond.factored_qp(np.zeros(cond.h.shape[0]), u_prev).rhs, step_rhs, "step rhs")
+        assert_bitwise(solver_qp.rhs, step_rhs, "step rhs")
 
     def test_input_weight_with_negative_off_diagonals(self):
         # kron's zero blocks then hold -0.0; h and the maps built from it must not change.

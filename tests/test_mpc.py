@@ -360,6 +360,11 @@ class TestBounds:
         with pytest.raises(InvalidInputError, match="finite|NaN"):
             base_cfg(**override)
 
+    @pytest.mark.parametrize("horizon", [2.5, 0, "3"])
+    def test_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(InvalidInputError, match="horizon must be an integer >= 1"):
+            base_cfg(horizon=horizon)
+
     def test_infinite_bounds_mean_unbounded(self, linear_model):
         cfg = base_cfg(u_min=-np.inf, u_max=np.inf, du_min=-np.inf, du_max=np.inf)
         assert CondensedMpc(linear_model, cfg).a_ineq is None  # no rate rows
@@ -450,6 +455,24 @@ def test_nan_measurement_raises_before_the_solver(vdp_training, monkeypatch, kin
         mpc_step(model, np.array([np.nan, 1.0]), np.zeros(1), cfg, **history)
     with pytest.raises(InvalidInputError, match="not finite"):
         mpc_step(model, np.ones(2), np.array([np.inf]), cfg, **history)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_qp_tolerance_must_be_positive_and_finite(vdp_training, vdp_edmdc, tol):
+    plant, _, _ = vdp_training
+    # Saturated bounds, so the steps need the solver that a NaN tolerance used to skip.
+    cfg = base_cfg(u_min=-1.0, u_max=1.0, du_min=-0.5, du_max=0.5)
+    cond = CondensedMpc(vdp_edmdc, cfg)
+    x, u_prev = np.array([3.0, -2.0]), np.zeros(1)
+    z0 = vdp_edmdc.lift(x)
+    with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
+        solve_qp_info(cond.factored_qp(cond._gradient(z0, u_prev), u_prev), tol=tol)
+    with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
+        solve_qp(cond.qp(z0, u_prev), tol=tol)
+    with pytest.raises(InvalidInputError, match="qp_tol must be positive and finite"):
+        mpc_step(vdp_edmdc, x, u_prev, cfg, qp_tol=tol)
+    with pytest.raises(InvalidInputError, match="qp_tol must be positive and finite"):
+        closed_loop_run(plant, vdp_edmdc, cfg, x, 1.0, 0.05, qp_tol=tol)
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,6 +21,7 @@ from koopmpc import (
 )
 from koopmpc.errors import MissingHistoryError
 from koopmpc.observables import eval_gradients
+from conftest import model_on, reference_lift
 
 
 def make_series(values, q=1):
@@ -34,6 +35,11 @@ class TestMonomials:
         dic = monomials_dictionary(2, 1)
         assert dic.labels == ("x1", "x2")
         assert dic.n_out == 2
+
+    @pytest.mark.parametrize("n, max_order", [(2, 2.5), (2.0, 2), (0, 2), (2, 0)])
+    def test_sizes_must_be_positive_integers(self, n, max_order):
+        with pytest.raises(InvalidInputError, match="must be an integer >= 1"):
+            monomials_dictionary(n, max_order)
 
     def test_order_five_size(self):
         assert monomials_dictionary(2, 5).n_out == 20  # C(7,2) - 1
@@ -189,11 +195,11 @@ class TestRecoveryMatrix:
 
 
 def delay_columns(traj, spec):
-    """``lift_many`` of a full-state delay lifting of ``traj``."""
+    """``lift_windows`` of a full-state delay lifting over the one window ``traj``."""
     lifting = DelayCoordinates(
         spec, tuple(range(traj.state_dim)), state_dim=traj.state_dim, input_dim=traj.input_dim
     )
-    return lifting.lift_many(traj)
+    return lifting.lift_windows(traj.states[:, :-1], traj.inputs)
 
 
 def assert_shifts_by_one(z, traj, spec):
@@ -264,7 +270,11 @@ class TestLiftingInterface:
         assert dic.history_steps == 0
         assert dic.coords == (0, 1)
         x = np.array([2.0, 3.0])
-        assert np.array_equal(dic.lift(x, np.ones((2, 3)), np.ones((1, 3))), dic.lift(x))
+        window = dic.lift_windows(x[:, None])
+        assert np.array_equal(dic.lift_windows(x[:, None], np.ones((1, 3))), window)
+        model = model_on(dic, dic.n_out)
+        assert np.array_equal(model.lift(x, np.ones((2, 3)), np.ones((1, 3))), window[:, 0])
+        assert np.array_equal(model.lift(x), reference_lift(dic, x))
 
     @given(
         d1=st.integers(1, 4),
@@ -274,17 +284,48 @@ class TestLiftingInterface:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_delay_lift_many_columns_match_lift(self, d1, d2, coords, extra, data):
+    def test_delay_window_columns_and_model_lift_match_the_reference(self, d1, d2, coords, extra, data):
         lifting = DelayCoordinates(DelaySpec(d1, d2), coords, state_dim=2, input_dim=1)
+        model = model_on(lifting, lifting.aug_dim)
         h = lifting.history_steps
         n_steps = h + extra
         states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-5.0, 5.0)))
         inputs = data.draw(arrays(float, (1, n_steps), elements=st.floats(-5.0, 5.0)))
-        traj = Trajectory(times=np.arange(n_steps + 1.0), states=states, inputs=inputs)
-        z = lifting.lift_many(traj)
+        z = lifting.lift_windows(states[:, :-1], inputs)
         assert z.shape == (lifting.aug_dim, n_steps - h)
         for k in range(n_steps - h):
-            expected = lifting.lift(
-                states[:, k + h], history_states=states[:, : k + h], history_inputs=inputs[:, : k + h]
-            )
+            history = dict(history_states=states[:, : k + h], history_inputs=inputs[:, : k + h])
+            expected = reference_lift(lifting, states[:, k + h], **history)
             assert np.array_equal(z[:, k], expected)
+            assert np.array_equal(model.lift(states[:, k + h], **history), expected)
+
+    @pytest.mark.parametrize("d1, d2", [(3, 1), (3, 3), (2, 4), (1, 3)])
+    def test_model_lift_needs_history_steps_past_states(self, d1, d2):
+        lifting = DelayCoordinates(DelaySpec(d1, d2), (0, 1), state_dim=2, input_dim=1)
+        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
+        x, inputs = np.ones(2), np.ones((1, h))
+        assert model.lift(x, np.ones((2, h)), inputs).shape == (lifting.aug_dim,)
+        too_few = [None, np.ones((2, h - 1))]
+        if d1 < d2:  # the stacking reads d1 - 1 past states, but the window needs h
+            too_few.append(np.ones((2, d1 - 1)))
+        for past in too_few:
+            with pytest.raises(MissingHistoryError, match=f"need {h} past states"):
+                model.lift(x, past, inputs)
+
+    @pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (4, 2), (2, 4)])
+    def test_model_lift_needs_history_steps_past_inputs_when_it_stores_inputs(self, d1, d2):
+        lifting = DelayCoordinates(DelaySpec(d1, d2), (0,), state_dim=2, input_dim=1)
+        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
+        x, past = np.ones(2), np.ones((2, h))
+        for inputs in (np.ones((1, h - 1)), None):
+            with pytest.raises(MissingHistoryError, match="inputs"):
+                model.lift(x, past, inputs)
+
+    @pytest.mark.parametrize("d1", [1, 3])
+    def test_model_lift_needs_no_inputs_when_it_stores_none(self, d1):
+        lifting = DelayCoordinates(DelaySpec(d1, 1), (0, 1), state_dim=2, input_dim=1)
+        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
+        x, past = np.array([1.0, 2.0]), np.arange(2.0 * h).reshape(2, h)
+        expected = reference_lift(lifting, x, past)
+        assert np.array_equal(model.lift(x, past), expected)
+        assert np.array_equal(model.lift(x, past, np.ones((1, 0))), expected)

@@ -36,7 +36,7 @@ from koopmpc.dynamics import ForcingSignal
 from koopmpc.numerics import level_index
 from koopmpc.sysid import rollout_from_lifted
 from koopmpc.transfer import TransitionMatrix
-from conftest import A0, B0, discrete_linear_samples, simulate_discrete
+from conftest import A0, B0, discrete_linear_samples, reference_lift, simulate_discrete
 
 
 class TestFitDmdc:
@@ -211,10 +211,10 @@ class TestFitDelayAugmented:
             trajs.append(Trajectory(times=np.arange(steps + 1) * 0.1, states=states, inputs=u))
         spec = DelaySpec(4, 3)
         model = fit_delay_augmented(trajs, spec, coords=coords)
-        # The regression on per-trajectory lift_many columns, joined by hstack.
+        # The regression on per-trajectory lift_windows columns, joined by hstack.
         h, rows = model.lifting.history_steps, list(model.lifting.coords)
         reg = np.vstack([
-            np.hstack([model.lifting.lift_many(traj) for traj in trajs]),
+            np.hstack([model.lifting.lift_windows(traj.states[:, :-1], traj.inputs) for traj in trajs]),
             np.hstack([traj.inputs[:, h:] for traj in trajs]),
         ])
         target = np.hstack([traj.states[rows, h + 1 :] for traj in trajs])
@@ -349,18 +349,17 @@ MODEL_NAMES = ("dmdc", "edmdc", "delay", "delay-x1")
 class TestLiftingInterface:
     @given(name=st.sampled_from(MODEL_NAMES), n_steps=st.integers(5, 12), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_lift_many_columns_match_lift(self, name, n_steps, data):
+    def test_model_lift_matches_the_reference_and_the_window_columns(self, name, n_steps, data):
         model = _small_study()[0][name]
         states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-3.0, 3.0)))
         inputs = data.draw(arrays(float, (1, n_steps), elements=st.floats(-3.0, 3.0)))
-        traj = Trajectory(times=np.arange(n_steps + 1) * model.dt, states=states, inputs=inputs)
         h = model.lifting.history_steps
-        z = model.lifting.lift_many(traj)
+        z = model.lifting.lift_windows(states[:, :-1], inputs)
         assert z.shape == (model.lifted_dim, n_steps - h)
         for k in range(n_steps - h):
-            expected = model.lift(
-                states[:, k + h], history_states=states[:, : k + h], history_inputs=inputs[:, : k + h]
-            )
+            history = dict(history_states=states[:, : k + h], history_inputs=inputs[:, : k + h])
+            expected = reference_lift(model.lifting, states[:, k + h], **history)
+            assert np.array_equal(model.lift(states[:, k + h], **history), expected)
             assert np.array_equal(z[:, k], expected)
 
     @given(
@@ -426,7 +425,7 @@ def _reference_prediction_errors(models, trajectories, horizon):
             ).states
             predictions.append(pred)
             rollout.append(float(np.sqrt(np.mean((pred[:, 1:] - truth) ** 2))))
-            z = model.lifting.lift_many(traj)[:, first : first + horizon]
+            z = model.lifting.lift_windows(traj.states[:, :-1], traj.inputs)[:, first : first + horizon]
             step = model.c @ (model.a @ z + model.b @ inputs)
             one_step.append(float(np.sqrt(np.mean((step - truth) ** 2))))
         out[name] = {"one_step_rms": one_step, "rollout_rms": rollout, "predictions": predictions}
@@ -475,6 +474,14 @@ class TestBatchedScoring:
                 assert pred.shape == ref.shape
                 assert np.max(np.abs(pred - ref)) <= tol
 
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5])
+    def test_horizon_below_one_raises(self, horizon):
+        from koopmpc.benchmark import prediction_errors
+
+        models, validation = _small_study()
+        with pytest.raises(InvalidInputError, match="horizon must be an integer >= 1"):
+            prediction_errors(models, validation, horizon)
+
     def test_diverging_model_names_the_model_and_the_first_bad_trajectory(self):
         from koopmpc.benchmark import prediction_errors
 
@@ -515,7 +522,7 @@ class TestBatchedScoring:
 
     @given(name=st.sampled_from(MODEL_NAMES), n_windows=st.integers(1, 4), extra=st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
-    def test_lift_windows_equals_lift_many_per_window(self, name, n_windows, extra):
+    def test_lift_windows_equals_one_window_per_trajectory(self, name, n_windows, extra):
         model, validation = _small_study()[0][name], _small_study()[1]
         n_samples = model.lifting.history_steps + extra
         trajs = [_truncated(validation[i % len(validation)], n_samples) for i in range(n_windows)]
@@ -524,4 +531,4 @@ class TestBatchedScoring:
         batch = model.lifting.lift_windows(states, inputs)
         assert batch.shape == (model.lifted_dim, n_windows, extra)
         for i, traj in enumerate(trajs):
-            assert np.array_equal(batch[:, i], model.lifting.lift_many(traj))
+            assert np.array_equal(batch[:, i], model.lifting.lift_windows(traj.states[:, :-1], traj.inputs))

@@ -126,6 +126,26 @@ class TestEstimate:
         b = estimate_controlled_transition(sys, unit_halves, [0.0], 1, 200, seed=9)
         assert np.array_equal(a.mats[0].p, b.mats[0].p)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"tau": float("nan")}, "tau must be positive and finite"),
+            ({"tau": float("inf")}, "tau must be positive and finite"),
+            ({"flow_dt": 0.0}, "flow_dt must be positive and finite"),
+            ({"flow_dt": float("nan")}, "flow_dt must be positive and finite"),
+            ({"flow_dt": -0.1}, "flow_dt must be positive and finite"),
+            ({"samples_per_box": 2.5}, "samples_per_box must be an integer >= 1"),
+            ({"seed": 1.5}, "seed must be an integer >= 0"),
+        ],
+        ids=["nan-tau", "inf-tau", "zero-flow-dt", "nan-flow-dt", "negative-flow-dt",
+             "fractional-samples", "fractional-seed"],
+    )
+    def test_bad_argument_raises_naming_it(self, override, message):
+        part = BoxPartition.regular([[0.0, 1.0], [0.0, 1.0]], [2, 2])
+        args = dict(tau=0.5, samples_per_box=2, seed=0, flow_dt=0.1) | override
+        with pytest.raises(InvalidInputError, match=message):
+            estimate_controlled_transition(ControlSystem(2, 1, ZeroRhs()), part, [0.0], **args)
+
 
 class TestPropagate:
     @staticmethod
