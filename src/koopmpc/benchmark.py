@@ -89,9 +89,7 @@ def fit_models(cfg, trajectories, samples):
         if name == "dmdc":
             models[name] = fit_dmdc(samples, svd_tol=cfg.svd_tol)
         elif name == "edmdc":
-            dic = monomials_dictionary(
-                samples.state_dim, cfg.edmdc_order, include_constant=cfg.edmdc_include_constant
-            )
+            dic = monomials_dictionary(samples.state_dim, cfg.edmdc_order)
             models[name] = fit_edmdc(samples, dic, svd_tol=cfg.svd_tol)
         elif name == "delay":
             coords = None if cfg.delay_full_state else (0,)

@@ -25,7 +25,7 @@ from .benchmark import (
     run_benchmark,
 )
 from .config import ExperimentConfig, parse_config
-from .dynamics import ControlSystem, make_vanderpol, snapshots_from_trajectories
+from .dynamics import make_vanderpol, snapshots_from_trajectories
 from .errors import ConfigError, KoopmpcError
 from .io import (
     _read_number,
@@ -152,19 +152,10 @@ def cmd_mpc(args):
     return 0
 
 
-class _ZeroRhs:
-    def __call__(self, x, u, t):
-        return np.zeros_like(x)
-
-
 def cmd_ulam(args):
     cfg = _load_config(args)
     out = _out_dir(args)
-    if cfg.ulam_plant == "vanderpol":
-        plant = make_vanderpol(cfg.mu)
-    else:
-        dim = len(cfg.ulam_box)
-        plant = ControlSystem(dim, 1, _ZeroRhs())
+    plant = make_vanderpol(cfg.mu)
     part = BoxPartition.regular(cfg.ulam_box, cfg.ulam_counts)
     chain = estimate_controlled_transition(
         plant,
@@ -191,21 +182,9 @@ def cmd_ulam(args):
     return 0
 
 
-def _parse_seed_range(text):
-    """Parse '7' or '0-4' into an inclusive list of nonnegative seeds."""
-    try:
-        if "-" in text:
-            lo, hi = (int(part) for part in text.split("-", 1))
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise ConfigError(f"bad seed range {text!r}; expected 'N' or 'A-B'") from None
-    if lo < 0 or hi < lo:
-        raise ConfigError(f"bad seed range {text!r}; expected 'N' or 'A-B'")
-    return list(range(lo, hi + 1))
-
-
-def _benchmark_once(cfg, out):
+def cmd_benchmark(args):
+    cfg = _load_config(args)
+    out = _out_dir(args)
     t0 = time.time()
     stage_seconds = {}
     try:
@@ -218,10 +197,7 @@ def _benchmark_once(cfg, out):
         raise
     write_json(report, out / "report.json")
     for name, model in models.items():
-        try:
-            model_to_json(model, out / f"model_{name}.json")
-        except KoopmpcError:
-            pass
+        model_to_json(model, out / f"model_{name}.json")
     _write_error_table(report, out / "validation_errors.csv")
     _write_cost_table(report, out / "per_ic_costs.csv")
     elapsed = time.time() - t0
@@ -245,30 +221,6 @@ def _benchmark_once(cfg, out):
                 for name in report["models"]
             }
             print(f"  stabilization ({section} ICs): {rates}")
-    return report
-
-
-def cmd_benchmark(args):
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    if args.seeds is None:
-        _benchmark_once(cfg, out)
-        return 0
-    seeds = _parse_seed_range(args.seeds)
-    summary = []
-    for seed in seeds:
-        cfg.seed = seed
-        report = _benchmark_once(cfg, out / f"seed_{seed}")
-        summary.append(
-            {
-                "seed": seed,
-                "rollout_rms_median": {
-                    name: report["models"][name]["rollout_rms_median"]
-                    for name in report["models"]
-                },
-            }
-        )
-    write_json({"seeds": summary}, out / "seed_sweep.json")
     return 0
 
 
@@ -321,12 +273,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, out=True):
+    def add_common(p, seed=True):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if out:
-            p.add_argument("--out", type=str, default="out", help="output directory")
+        p.add_argument("--out", type=str, default="out", help="output directory")
 
     p = sub.add_parser("generate", help="simulate forced training trajectories")
     add_common(p)
@@ -355,10 +306,6 @@ def build_parser():
 
     p = sub.add_parser("benchmark", help="run the full experiment and write a report")
     add_common(p)
-    p.add_argument(
-        "--seeds", type=str, default=None,
-        help="seed sweep, e.g. '0-4'; one report per seed under out/seed_<k>/",
-    )
     p.set_defaults(func=cmd_benchmark)
 
     return parser

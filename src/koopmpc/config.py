@@ -58,7 +58,6 @@ class ExperimentConfig:
     models: list = field(default_factory=lambda: list(_MODEL_NAMES))
     svd_tol: float = 1e-10
     edmdc_order: int = 5
-    edmdc_include_constant: bool = False
     delay_depth: int = 5
     delay_full_state: bool = True
     # validation and prediction metrics
@@ -83,7 +82,6 @@ class ExperimentConfig:
     ic_grid_n: int = 9
     ic_grid_box: list = field(default_factory=lambda: [[-4.0, 4.0], [-4.0, 4.0]])
     # transition-chain estimation
-    ulam_plant: str = "vanderpol"
     ulam_box: list = field(default_factory=lambda: [[-4.0, 4.0], [-4.0, 4.0]])
     ulam_counts: list = field(default_factory=lambda: [16, 16])
     ulam_levels: list = field(default_factory=lambda: [-5.0, 0.0, 5.0])
@@ -138,10 +136,6 @@ def _validate_key(key, value):
         ):
             raise ConfigError(f"config key 'models' must be a subset of {list(_MODEL_NAMES)}")
         return list(value)
-    if key == "ulam_plant":
-        if value not in ("vanderpol", "zero"):
-            raise ConfigError("config key 'ulam_plant' must be 'vanderpol' or 'zero'")
-        return value
     if key in ("state_weight",):
         arr = _float_array(key, value)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -271,9 +271,9 @@ def closed_loop_to_csv(result, path):
     _write_csv(path, header, rows())
 
 
-def closed_loop_summary(result, success_threshold=None):
+def closed_loop_summary(result, success_threshold):
     final_norm = float(np.linalg.norm(result.final_state))
-    out = {
+    return {
         "total_cost": result.total_cost,
         "final_state": result.final_state,
         "final_state_norm": final_norm,
@@ -283,7 +283,5 @@ def closed_loop_summary(result, success_threshold=None):
         "qp_max_kkt_residual": float(np.nanmax(result.solve_stats["kkt_residual"]))
         if np.any(np.isfinite(result.solve_stats["kkt_residual"]))
         else None,
+        "stabilized": bool(final_norm < success_threshold),
     }
-    if success_threshold is not None:
-        out["stabilized"] = bool(final_norm < success_threshold)
-    return out

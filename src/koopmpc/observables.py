@@ -106,13 +106,11 @@ class Dictionary:
         return flat.reshape(flat.shape[:1] + states.shape[1:])
 
 
-def monomials_dictionary(n, max_order, include_constant=False):
-    """All monomials of total degree 1..max_order in graded-lex order.
+def monomials_dictionary(n, max_order):
+    """All C(n + max_order, n) - 1 monomials of total degree 1..max_order in graded-lex order.
 
-    The n linear monomials (the state coordinates) come first, which is what
-    :func:`recovery_matrix` relies on. The optional constant observable is
-    appended at the end so that property is preserved. Size without the
-    constant is C(n + max_order, n) - 1.
+    The n linear monomials (the state coordinates) come first, as
+    :func:`recovery_matrix` requires.
     """
     n, max_order = _count(n, "n", 1), _count(max_order, "max_order", 1)
     rows = [
@@ -120,8 +118,6 @@ def monomials_dictionary(n, max_order, include_constant=False):
         for degree in range(1, max_order + 1)
         for combo in itertools.combinations_with_replacement(range(n), degree)
     ]
-    if include_constant:
-        rows.append(np.zeros(n, dtype=int))
     return Dictionary(n, np.stack(rows))
 
 
@@ -251,8 +247,9 @@ class DelayCoordinates:
         Blocks are stacked newest sample first; the result is
         (aug_dim, [M,] T - history_steps).
         """
-        s = np.asarray(states, dtype=float)[list(self.coords)]
-        u = np.asarray(inputs, dtype=float)
+        s = np.asarray(states, dtype=float)
+        if s.ndim < 2 or s.shape[0] != self.state_dim:
+            raise InvalidInputError(f"states of shape {s.shape} do not have {self.state_dim} rows")
         h = self.history_steps
         n_samples = s.shape[-1]
         m = n_samples - h
@@ -261,8 +258,15 @@ class DelayCoordinates:
                 f"a window of {n_samples} samples is too short for depths "
                 f"d1={self.spec.d1}, d2={self.spec.d2}"
             )
-        if self.spec.d2 > 1 and u.shape[-1] < n_samples - 1:
-            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+        s = s[list(self.coords)]
         blocks = [s[..., h - j : h - j + m] for j in range(self.spec.d1)]
-        blocks += [u[..., h - j : h - j + m] for j in range(1, self.spec.d2)]
+        if self.spec.d2 > 1:
+            if inputs is None:
+                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+            u = np.asarray(inputs, dtype=float)
+            if u.ndim != s.ndim or u.shape[0] != self.input_dim:
+                raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
+            if u.shape[-1] < n_samples - 1:
+                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+            blocks += [u[..., h - j : h - j + m] for j in range(1, self.spec.d2)]
         return np.concatenate(blocks)

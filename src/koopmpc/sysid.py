@@ -74,6 +74,8 @@ class LinearControlModel:
         """
         h = self.lifting.history_steps
         states = np.asarray(x, dtype=float).reshape(-1, 1)
+        if states.shape[0] != self.lifting.state_dim:
+            raise InvalidInputError(f"x has {states.shape[0]} entries, not {self.lifting.state_dim}")
         inputs = np.empty((self.input_dim, 0))
         if h:
             if history_states is None or np.shape(history_states)[-1] < h:

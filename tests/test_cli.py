@@ -338,19 +338,6 @@ class TestMalformedModelFile:
 
 
 class TestUlamCommand:
-    def test_identity_plant_keeps_uniform_density(self, tmp_path):
-        cfg = write_config(tmp_path, {"ulam_plant": "zero", "ulam_levels": [0.0, 1.0]})
-        out = tmp_path / "ulam"
-        assert main(["ulam", "--config", str(cfg), "--out", str(out)]) == 0
-        densities = read_json(out / "densities.json")["densities"]
-        assert len(densities) == 2
-        for entry in densities:
-            assert entry["converged"]
-            density = np.asarray(entry["density"])
-            # Uniform over the 9 in-domain boxes, nothing outside.
-            assert np.allclose(density[:-1], 1.0 / 9.0)
-            assert density[-1] == 0.0
-
     def test_level_csv_triplets_rebuild_the_chain(self, tmp_path):
         cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
         out = tmp_path / "ulam"
@@ -462,30 +449,6 @@ class TestReportEcho:
         echoed = config_from_mapping(report["config"])
         report2, _ = run_benchmark(echoed)
         assert jsonify(report) == jsonify(report2)
-
-
-class TestSeedSweep:
-    def test_sweep_writes_per_seed_reports(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"run_mpc_validation": False, "run_mpc_grid": False, "n_trajectories": 8},
-        )
-        out = tmp_path / "sweep"
-        assert main([
-            "benchmark", "--config", str(cfg), "--out", str(out), "--seeds", "0-2",
-        ]) == 0
-        sweep = read_json(out / "seed_sweep.json")["seeds"]
-        assert [entry["seed"] for entry in sweep] == [0, 1, 2]
-        for seed in (0, 1, 2):
-            report = read_json(out / f"seed_{seed}" / "report.json")
-            assert report["seed"] == seed
-
-    def test_bad_range_rejected(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main([
-            "benchmark", "--config", str(cfg), "--out", str(tmp_path / "x"),
-            "--seeds", "5-2",
-        ]) == 2
 
 
 @pytest.fixture(scope="module")

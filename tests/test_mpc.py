@@ -11,7 +11,6 @@ import koopmpc.mpc
 from koopmpc import (
     CondensedMpc,
     ControlSystem,
-    ConvergenceError,
     DelaySpec,
     DivergenceError,
     InfeasibleError,
@@ -37,7 +36,7 @@ from koopmpc.dynamics import (
     generate_training_trajectories,
     product_sines_family,
 )
-from koopmpc.numerics import solve_qp_info
+from koopmpc.numerics import _constraint_rows, solve_qp_info
 from conftest import A0, B0, LinearRhs, discrete_linear_samples
 
 from qp_reference import primal_solve_qp_info
@@ -380,9 +379,10 @@ class TestBounds:
 @pytest.mark.filterwarnings("ignore:dropped .* divergent training trajectories")
 def test_degenerate_qp_loop_completes():
     # At mu = 2 with tight box and rate bounds, the edmdc step-0 QP from
-    # (-4, -3) has a degenerate optimum (16 active rows of rank 15), on which
-    # a primal active-set solver cycles. The dual solver drops a row itself
-    # when it meets a dependent one, so every model's loop runs through.
+    # (-4, -3) has a degenerate optimum: more tight rows than the plan has
+    # entries, and linearly dependent, on which a primal active-set solver can
+    # cycle. The dual solver drops a row itself when it meets a dependent one,
+    # so every model's loop runs through.
     cfg = dataclasses.replace(
         ExperimentConfig(), mu=2.0, u_min=-2.0, u_max=2.0, du_min=-0.5, du_max=0.5,
     )
@@ -391,8 +391,12 @@ def test_degenerate_qp_loop_completes():
     qp = CondensedMpc(models["edmdc"], mpc_config_from(cfg)).qp(
         models["edmdc"].lift([-4.0, -3.0]), np.zeros(1)
     )
-    with pytest.raises(ConvergenceError):
-        primal_solve_qp_info(qp)
+    plan, _ = solve_qp_info(qp)
+    rows, rhs = _constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub)
+    slack = rhs - rows @ plan
+    tight = [np.flatnonzero(slack <= tol) for tol in (1e-12, 1e-10, 1e-9, 1e-8)]
+    assert all(np.array_equal(t, tight[0]) for t in tight)  # the tight set is not a tolerance artefact
+    assert (plan.size, tight[0].size, np.linalg.matrix_rank(rows[tight[0]])) == (15, 16, 15)
     for name, model in models.items():
         result = closed_loop_run(plant, model, mpc_config_from(cfg), np.array([-4.0, -3.0]), 10.0, cfg.dt)
         assert result.stage_costs.size == 200, name

@@ -62,12 +62,6 @@ class TestMonomials:
             "x1", "x2", "x1^2", "x1*x2", "x2^2", "x1^3", "x1^2*x2", "x1*x2^2", "x2^3",
         )
 
-    def test_constant_appended_last(self):
-        dic = monomials_dictionary(2, 2, include_constant=True)
-        assert dic.labels[-1] == "1"
-        assert dic.labels[:2] == ("x1", "x2")
-        assert np.allclose(eval_dictionary(dic, np.array([2.0, 3.0]))[-1], 1.0)
-
 
 class TestExponentMatrix:
     def test_exponents_are_read_only(self):
@@ -229,6 +223,21 @@ class TestDelayEmbed:
         with pytest.raises(MissingHistoryError, match="need 5 inputs"):
             lifting.lift_windows(states, np.ones((1, 2, 4)))
 
+    def test_windows_without_inputs_miss_history(self):
+        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        with pytest.raises(MissingHistoryError, match="need 4 inputs"):
+            lifting.lift_windows(np.ones((2, 5)), None)
+
+    def test_window_state_rows_must_match_the_state_dim(self):
+        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        with pytest.raises(InvalidInputError, match="2 rows"):
+            lifting.lift_windows(np.ones((3, 5)), np.ones((1, 4)))
+
+    def test_window_input_rows_must_match_the_input_dim(self):
+        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        with pytest.raises(InvalidInputError, match="1 rows"):
+            lifting.lift_windows(np.ones((2, 5)), np.ones((2, 4)))
+
     @pytest.mark.parametrize("coords", [(0, 7), (), (-1,), (0.0,), (True,), 0])
     def test_coords_must_index_the_state(self, coords):
         with pytest.raises(InvalidInputError, match="coords"):
@@ -320,6 +329,21 @@ class TestLiftingInterface:
         for inputs in (np.ones((1, h - 1)), None):
             with pytest.raises(MissingHistoryError, match="inputs"):
                 model.lift(x, past, inputs)
+
+    @pytest.mark.parametrize(
+        "lifting",
+        [
+            DelayCoordinates(DelaySpec(3, 3), (0, 1), state_dim=2, input_dim=1),
+            DelayCoordinates(DelaySpec(1, 1), (0, 1), state_dim=2, input_dim=1),
+            monomials_dictionary(2, 2),
+        ],
+        ids=["delay", "delay-depth-1", "dictionary"],
+    )
+    def test_model_lift_needs_state_dim_entries(self, lifting):
+        h = lifting.history_steps
+        model = model_on(lifting, getattr(lifting, "aug_dim", None) or lifting.n_out)
+        with pytest.raises(InvalidInputError, match="x has 3 entries, not 2"):
+            model.lift(np.ones(3), np.ones((2, h)), np.ones((1, h)))
 
     @pytest.mark.parametrize("d1", [1, 3])
     def test_model_lift_needs_no_inputs_when_it_stores_none(self, d1):

@@ -24,3 +24,21 @@ def test_cli_block_parses():
     assert commands
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_cli_section_names_every_option():
+    import argparse
+
+    from koopmpc.cli import build_parser
+
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = {
+        (command, option)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+        and not re.search(re.escape(option) + r"(?![\w-])", section)
+    }
+    assert not missing
