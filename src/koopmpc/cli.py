@@ -286,7 +286,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit one model kind on generated data")
     p.add_argument("data", type=str, help="directory written by 'generate'")
     p.add_argument("--model", choices=["dmdc", "edmdc", "delay"], required=True)
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="roll a fitted model along stored trajectories")

@@ -280,6 +280,7 @@ def closed_loop_summary(result, success_threshold):
         "n_steps": result.trajectory.n_steps,
         "warmup_steps": result.warmup_steps,
         "qp_iterations_total": int(result.solve_stats["iterations"].sum()),
+        "qp_guess_hits": int(result.solve_stats["guess_hit"].sum()),
         "qp_max_kkt_residual": float(np.nanmax(result.solve_stats["kkt_residual"]))
         if np.any(np.isfinite(result.solve_stats["kkt_residual"]))
         else None,

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .dynamics import Trajectory, _count, _n_steps, check_positive, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError
-from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info
+from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info, verify_active_set
 from .sysid import rollout_from_lifted
 
 
@@ -176,6 +176,15 @@ class CondensedMpc:
         self._rate_shift = np.vstack([emat, -emat])[keep]
         # Rate rows first: only their right-hand sides move with u_prev.
         self._rows, self._rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
+        # Each stacked row as (family, plan entry), families in the order
+        # _constraint_rows stacks them: rate up, rate down, box up, box down.
+        # _row_shift maps a row to its family's row one horizon step earlier,
+        # or to -1 for a row on the first step.
+        masks = np.isfinite([du_max, du_min, self.ub, self.lb])
+        family, entry = np.nonzero(masks)
+        row_of = np.full(masks.shape, -1)
+        row_of[family, entry] = np.arange(family.size)
+        self._row_shift = np.where(entry >= q_in, row_of[family, entry - q_in], -1)
         # The solver's form of the step QP, on the same factor.
         self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
         self._du0_hi = du_max[:q_in] + 1e-7
@@ -215,6 +224,10 @@ class CondensedMpc:
         """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
         return self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
 
+    def shift_active(self, active):
+        """Rows ``active`` one horizon step earlier, in order; first-step rows drop out."""
+        return tuple(int(r) for r in self._row_shift[list(active)] if r >= 0)
+
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
         """Whether a stacked plan meets every box and rate row to within ``tol``.
 
@@ -238,10 +251,13 @@ class MpcStep:
     """Outcome of one receding-horizon solve.
 
     A step whose unconstrained minimizer satisfies every bound reports
-    ``qp_iterations == 0`` and that minimizer's finite stationarity residual
-    ``||H u + g||_inf`` as ``kkt_residual``. Any other step reports the
-    iterations and KKT residual of the dual active-set solver.
-    ``predicted_states`` is computed from the model on first access.
+    ``qp_iterations == 0``, that minimizer's finite stationarity residual
+    ``||H u + g||_inf`` as ``kkt_residual``, and no ``active_set``. Any other
+    step reports the KKT residual and the active rows (indices into the
+    condensed QP's stacked rows) of its plan: a verified guess
+    (``guess_hit``) with 0 iterations, or else the dual active-set solve with
+    its iterations. ``predicted_states`` is computed from the model on first
+    access.
     """
 
     u: np.ndarray                 # applied input (first element of the plan)
@@ -250,6 +266,8 @@ class MpcStep:
     kkt_residual: float
     lifted_state: np.ndarray      # lifted measurement the plan starts from
     model: object = field(repr=False, compare=False)
+    active_set: tuple | None = None  # active rows of the plan; None on the unconstrained law
+    guess_hit: bool = False          # the plan came from a verified guess
 
     @cached_property
     def predicted_states(self):
@@ -265,6 +283,7 @@ def mpc_step(
     history_states=None,
     history_inputs=None,
     qp_tol=1e-8,
+    active_guess=None,
     _condensed=None,
 ):
     """Solve the horizon problem from a fresh measurement and return the plan.
@@ -275,9 +294,13 @@ def mpc_step(
     input box to remove solver-tolerance dust.
 
     The unconstrained minimizer is taken when it meets every stacked box and
-    rate row and its stationarity residual is within ``qp_tol``. Otherwise
-    the condensed QP, on the same rows, goes to the dual active-set solver,
-    which starts from that minimizer.
+    rate row and its stationarity residual is within ``qp_tol``. Otherwise,
+    if ``active_guess`` (active rows of an earlier plan, say the previous
+    step's) is given, that set and then the same set shifted one horizon step
+    earlier are each checked with one KKT solve, and the first whose plan is
+    optimal within ``qp_tol`` is taken. A guess is only verified, never
+    iterated from. Failing that, the condensed QP, on the same rows, goes to
+    the dual active-set solver, which starts from the unconstrained minimizer.
 
     Raises:
         InvalidInputError: the lifted measurement or ``u_prev`` is not
@@ -292,12 +315,22 @@ def mpc_step(
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
     g = cond._gradient(z0, u_prev)
     sol = -(cond._h_inv @ g)
-    iterations, residual = 0, np.inf
+    iterations, residual, active, hit = 0, np.inf, None, None
     if cond.is_feasible(sol, u_prev, 0.0):
         residual = float(np.abs(cond.h @ sol + g).max())
     if residual > qp_tol:
-        sol, info = solve_qp_info(cond.factored_qp(g, u_prev), tol=qp_tol)
-        iterations, residual = info["iterations"], info["kkt_residual"]
+        qp = cond.factored_qp(g, u_prev)
+        if active_guess is not None:
+            active = active_guess
+            hit = verify_active_set(qp, active, qp_tol)
+            if hit is None:
+                active = cond.shift_active(active_guess)
+                hit = verify_active_set(qp, active, qp_tol)
+        if hit is not None:
+            sol, residual = hit
+        else:
+            sol, info = solve_qp_info(qp, tol=qp_tol)
+            iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
     q_in = cond.input_dim
     u_seq = sol.reshape(cond.horizon, q_in).T.clip(cond.lb[:q_in, None], cond.ub[:q_in, None])
     du0 = u_seq[:, 0] - u_prev
@@ -309,6 +342,8 @@ def mpc_step(
         qp_iterations=iterations,
         kkt_residual=residual,
         lifted_state=z0,
+        active_set=active,
+        guess_hit=hit is not None,
         model=model,
     )
 
@@ -345,12 +380,14 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     problem is solved; the first planned input is applied to the plant for
     one integrator step. Stage
     costs are evaluated on the true state with the applied input. Delay
-    models idle with u = 0 while the measurement history fills.
+    models idle with u = 0 while the measurement history fills. A step that
+    leaves the unconstrained law first checks the active rows of the last
+    such step's plan as a guess (see :func:`mpc_step`).
 
-    ``solve_stats`` holds per-step ``iterations`` and ``kkt_residual``
-    arrays. A step solved by the unconstrained law has 0
-    iterations and a finite residual; a delay warm-up step, which solves
-    nothing, has 0 iterations and a NaN residual.
+    ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
+    ``guess_hit`` arrays. A step solved by the unconstrained law or by a
+    verified guess has 0 iterations and a finite residual; a delay warm-up
+    step, which solves nothing, has 0 iterations and a NaN residual.
     """
     n_steps = _n_steps(t_end, dt)
     check_positive(qp_tol, "qp_tol")
@@ -369,6 +406,8 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     stage = np.empty(n_steps)
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
+    hits = np.zeros(n_steps, dtype=bool)
+    guess = None  # active rows of the last step that left the unconstrained law
     states[:, 0] = x
     u_prev = np.zeros(q_in)
     times = np.arange(n_steps + 1) * dt
@@ -382,6 +421,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             solve_stats={
                 "iterations": iters[:k].copy(),
                 "kkt_residual": resid[:k].copy(),
+                "guess_hit": hits[:k].copy(),
             },
             warmup_steps=warmup,
         )
@@ -400,6 +440,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                     history_states=states[:, :k],
                     history_inputs=inputs[:, :k],
                     qp_tol=qp_tol,
+                    active_guess=guess,
                     _condensed=cond,
                 )
             except InfeasibleError as err:
@@ -407,6 +448,9 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             u = step.u
             iters[k] = step.qp_iterations
             resid[k] = step.kkt_residual
+            hits[k] = step.guess_hit
+            if step.active_set is not None:
+                guess = step.active_set
         inputs[:, k] = u
         stage[k] = _stage_cost(cond, x, u, u_prev)
         try:

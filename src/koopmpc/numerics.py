@@ -298,13 +298,14 @@ def _dual_active_set(qp, tol, max_iter):
     return active, iterations, True
 
 
-def _kkt_point(qp, active, tol):
+def _kkt_point(qp, active, tol, refine=True):
     """``x`` with the ``active`` rows as equalities, and its KKT residual.
 
     The residual is the largest row violation, stationarity error or
     complementarity error, with negative multipliers clipped to zero. Above
-    ``tol`` the solve gets one step of iterative refinement: with a large
-    ``g``, rounding in the active rows' slack is magnified by their multipliers.
+    ``tol`` the solve gets one step of iterative refinement (unless
+    ``refine`` is false): with a large ``g``, rounding in the active rows'
+    slack is magnified by their multipliers.
     """
     n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
     kkt = np.zeros((n + len(active),) * 2)
@@ -313,15 +314,35 @@ def _kkt_point(qp, active, tol):
 
     def point(sol):
         x, lam = sol[:n], np.maximum(sol[n:], 0.0)
-        stat = np.max(np.abs(qp.h @ x + qp.g + aw.T @ lam))
-        comp = np.max(np.abs(lam * (bw - aw @ x)), initial=0.0)
-        return x, float(max(np.max(qp.rows @ x - qp.rhs, initial=0.0), stat, comp))
+        stat = np.abs(qp.h @ x + qp.g + aw.T @ lam).max()
+        comp = np.abs(lam * (bw - aw @ x)).max(initial=0.0)
+        return x, float(max((qp.rows @ x - qp.rhs).max(initial=0.0), stat, comp))
 
     sol = np.linalg.solve(kkt, rhs)
     x, residual = point(sol)
-    if residual > tol:
+    if refine and residual > tol:
         x, residual = point(sol + np.linalg.solve(kkt, rhs - kkt @ sol))
     return x, residual
+
+
+def verify_active_set(qp, active, tol=1e-8):
+    """``(x, residual)`` on a guessed active set if that is the optimum, else None.
+
+    One :func:`_kkt_point` solve with the ``active`` rows of a
+    :class:`FactoredQp` as equalities, without iterative refinement. The
+    guess is accepted only if the KKT residual is within ``tol``: every row
+    met, multipliers nonnegative, stationary. ``h`` is positive definite, so
+    an accepted ``x`` is the unique optimum, and it is the plan
+    :func:`solve_qp_info` would return were its final active rows the guess.
+    Rows that depend linearly on each other make the KKT system singular;
+    that raises nothing, and such a guess passes only if its solve still
+    meets ``tol``.
+    """
+    try:
+        x, residual = _kkt_point(qp, list(active), tol, refine=False)
+    except np.linalg.LinAlgError:
+        return None
+    return (x, residual) if residual <= tol else None
 
 
 def solve_qp(qp, tol=1e-8, max_iter=None):
@@ -344,7 +365,9 @@ def solve_qp(qp, tol=1e-8, max_iter=None):
 
 
 def solve_qp_info(qp, tol=1e-8, max_iter=None):
-    """Like :func:`solve_qp` but also returns iteration/residual metadata."""
+    """Like :func:`solve_qp` but also returns metadata: the iterations, the
+    KKT residual and the final active rows (``active``, a tuple of row indices
+    into the stacked rows of :func:`_constraint_rows`, in the order added)."""
     check_positive(tol, "tol")
     if isinstance(qp, QpProblem):
         qp = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
@@ -361,4 +384,4 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
             residual=residual,
             best=x,
         )
-    return x, {"iterations": iterations, "kkt_residual": residual}
+    return x, {"iterations": iterations, "kkt_residual": residual, "active": tuple(active)}

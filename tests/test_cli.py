@@ -700,3 +700,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # missing required positional and --model
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["fit", "data", "--model", "dmdc"], ["predict", "m.json", "data"],
+                                         ["mpc", "m.json"]])
+    def test_seed_is_a_usage_error_where_nothing_is_drawn(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

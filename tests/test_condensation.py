@@ -32,6 +32,8 @@ from koopmpc.config import ExperimentConfig
 from koopmpc.numerics import FactoredQp, _constraint_rows
 from conftest import discrete_linear_samples
 
+from cold_loop import cold_closed_loop_run
+
 
 def reference_condensation(model, cfg):
     """The condensed QP's data as the loop-and-kron construction built it."""
@@ -274,6 +276,48 @@ class TestStackedRowCheck:
         assert np.array_equal(cond._rhs, [0.5, 0.5, 1.0, 1.0])
 
 
+def reference_row_shift(cond):
+    """Each stacked row's index one horizon step earlier, found by its coefficients.
+
+    Moving a row's coefficients one step earlier gives that row on the step
+    before: a rate row on step 1 becomes the step-0 rate row against
+    ``u_prev``, and a step-0 row has nothing left (-1). The match is sought
+    among the rows of its own kind, rate or box.
+    """
+    q_in, n_rate, rows = cond.input_dim, cond._rate_bound.size, cond._rows
+    out = []
+    for r, row in enumerate(rows):
+        moved = np.concatenate([row[q_in:], np.zeros(q_in)])
+        kind = range(n_rate) if r < n_rate else range(n_rate, rows.shape[0])
+        match = [s for s in kind if np.array_equal(rows[s], moved)]
+        assert len(match) <= 1
+        out.append(match[0] if match else -1)
+    return out
+
+
+@st.composite
+def partly_finite_bounds(draw):
+    q_in = draw(st.integers(1, 2))
+    horizon = draw(st.integers(1, 4))
+
+    def side(limit):
+        return np.array(draw(st.lists(st.sampled_from([limit, np.inf]), min_size=q_in, max_size=q_in)))
+
+    bounds = {"u_max": side(1.0), "u_min": -side(1.0), "du_max": side(0.5), "du_min": -side(0.5)}
+    return q_in, horizon, bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(partly_finite_bounds())
+def test_row_shift_moves_each_row_one_step_earlier(one_input_model, two_input_model, case):
+    q_in, horizon, bounds = case
+    model = one_input_model if q_in == 1 else two_input_model
+    cond = CondensedMpc(model, MpcConfig(q=np.eye(2), ru=0.1, rdu=0.1, horizon=horizon, **bounds))
+    assert cond._row_shift.tolist() == reference_row_shift(cond)
+    every = tuple(range(cond._rows.shape[0]))
+    assert cond.shift_active(every) == tuple(r for r in reference_row_shift(cond) if r >= 0)
+
+
 @pytest.fixture(scope="module")
 def study_models():
     cfg = ExperimentConfig()
@@ -284,6 +328,8 @@ def study_models():
 # Closed loops of 2 s from the default study's models, recorded before the
 # condensation was indexed and the row check stacked: ((u_max, du_max), model,
 # grid index, total cost, final state, QP iterations, max and sum of KKT residuals).
+# The iterations are those of cold solves: a step whose active-set guess is
+# verified now reports 0, and the cold loop of ``cold_loop.py`` keeps the count.
 RECORDED_LOOPS = [
     ((5.0, 50.0), "dmdc", 0, 645.6810902274366, (-2.2994389561050004, 1.3828516538288358), 12, 1.1102230246251565e-15, 1.6290788162898195e-14),
     ((5.0, 50.0), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.220446049250313e-16, 4.9960036108132044e-15),
@@ -316,7 +362,10 @@ def test_closed_loop_reproduces_the_recorded_run(study_models, bounds, name, ic,
     kkt = result.solve_stats["kkt_residual"]
     assert result.total_cost == pytest.approx(cost, rel=1e-12, abs=0.0)
     assert result.final_state == pytest.approx(np.array(final), rel=1e-12, abs=0.0)
-    assert int(result.solve_stats["iterations"].sum()) == iterations
+    cold = cold_closed_loop_run(plant, models[name], mpc_config_from(cfg), x0, 2.0, study.dt)
+    hit = result.solve_stats["guess_hit"]
+    assert np.array_equal(result.solve_stats["iterations"], np.where(hit, 0, cold.iterations))
+    assert int(cold.iterations.sum()) == iterations
     assert float(np.nanmax(kkt)) == pytest.approx(max_kkt, rel=1e-12, abs=0.0)
     assert float(np.nansum(kkt)) == pytest.approx(sum_kkt, rel=1e-12, abs=0.0)
 

@@ -28,7 +28,7 @@ from koopmpc import (
     solve_qp,
     snapshots_from_trajectories,
 )
-from koopmpc.benchmark import fit_models, make_training_data, mpc_config_from
+from koopmpc.benchmark import fit_models, grid_initial_conditions, make_training_data, mpc_config_from
 from koopmpc.config import ExperimentConfig
 from koopmpc.dynamics import (
     DIVERGENCE_LIMIT,
@@ -36,9 +36,12 @@ from koopmpc.dynamics import (
     generate_training_trajectories,
     product_sines_family,
 )
-from koopmpc.numerics import _constraint_rows, solve_qp_info
+from koopmpc.errors import KoopmpcError
+from koopmpc.io import closed_loop_summary
+from koopmpc.numerics import _constraint_rows, solve_qp_info, verify_active_set
 from conftest import A0, B0, LinearRhs, discrete_linear_samples
 
+from cold_loop import cold_closed_loop_run
 from qp_reference import primal_solve_qp_info
 from test_numerics import brute_force_qp
 
@@ -402,7 +405,8 @@ def test_degenerate_qp_loop_completes():
         assert result.stage_costs.size == 200, name
         assert np.nanmax(result.solve_stats["kkt_residual"]) <= 1e-8, name
         if name == "edmdc":
-            assert np.all(result.solve_stats["iterations"] > 0)  # every step needed the solver
+            # Every step left the unconstrained law: the solver ran or a guess was verified.
+            assert np.all((result.solve_stats["iterations"] > 0) | result.solve_stats["guess_hit"])
 
 
 class TestPartialStateWeights:
@@ -494,3 +498,129 @@ def test_dual_solver_matches_primal_reference_on_mpc_qps(vdp_edmdc, bounds, x, u
     ref, _ = primal_solve_qp_info(cond.qp(z0, u_prev))
     np.testing.assert_allclose(plan, ref, rtol=0.0, atol=1e-9)
     assert info["kkt_residual"] <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def guess_studies():
+    """(config, plant, models) of the study at |u| <= 1, |du| <= 0.5, and at the mu = 2 config."""
+    out = {}
+    for label, overrides in (
+        ("saturated", dict(u_min=-1.0, u_max=1.0, du_min=-0.5, du_max=0.5)),
+        ("mu2", dict(mu=2.0, u_min=-2.0, u_max=2.0, du_min=-0.5, du_max=0.5)),
+    ):
+        cfg = dataclasses.replace(ExperimentConfig(), ic_grid_n=3, **overrides)
+        plant, trajectories, samples = make_training_data(cfg)
+        out[label] = (cfg, plant, fit_models(cfg, trajectories, samples))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:dropped .* divergent training trajectories")
+class TestActiveSetGuesses:
+    # Whole-loop cost tolerance against the cold loop. At mu = 2 the plan at
+    # a degenerate vertex depends on which of several optimal active sets is
+    # verified, by about 1e-14; the delay model's cold solves amplify such
+    # state differences to about 5e-7 in later plans (4.4e-9 relative in cost
+    # from (0, -4)), as they would any rounding difference.
+    COST_RTOL = {"saturated": 1e-9, "mu2": 1e-7}
+
+    @pytest.mark.parametrize("study", ["saturated", "mu2"])
+    @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+    def test_loop_equals_the_cold_loop(self, guess_studies, monkeypatch, study, kind):
+        cfg, plant, models = guess_studies[study]
+        model, mpc_cfg = models[kind], mpc_config_from(cfg)
+        calls, mpc_step_unpatched = [], koopmpc.mpc.mpc_step
+
+        def recording_step(*args, **kwargs):
+            step = mpc_step_unpatched(*args, **kwargs)
+            calls.append((args, kwargs, step))
+            return step
+
+        monkeypatch.setattr(koopmpc.mpc, "mpc_step", recording_step)
+        hits = 0
+        for x0 in grid_initial_conditions(cfg):
+            calls.clear()
+            try:
+                got = closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
+            except KoopmpcError as err:
+                got = type(err).__name__
+            try:
+                want = cold_closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
+            except KoopmpcError as err:
+                want = type(err).__name__
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+                continue
+            # Every step against a cold solve of the same step.
+            for args, kwargs, step in calls:
+                cold = mpc_step_unpatched(*args, **{**kwargs, "active_guess": None})
+                np.testing.assert_allclose(step.input_sequence, cold.input_sequence, rtol=0.0, atol=1e-12)
+                assert step.qp_iterations == (0 if step.guess_hit else cold.qp_iterations)
+                assert not step.guess_hit or cold.qp_iterations > 0
+            hit = got.solve_stats["guess_hit"]
+            hits += int(hit.sum())
+            assert (np.linalg.norm(got.final_state) < cfg.success_threshold) == (
+                np.linalg.norm(want.states[:, -1]) < cfg.success_threshold
+            )
+            assert got.total_cost == pytest.approx(want.total_cost, rel=self.COST_RTOL[study], abs=0.0)
+        assert hits > 0
+
+    def test_summary_counts_the_verified_guesses(self, guess_studies):
+        cfg, plant, models = guess_studies["saturated"]
+        result = closed_loop_run(plant, models["edmdc"], mpc_config_from(cfg), np.array([-4.0, -4.0]), 3.0, cfg.dt)
+        summary = closed_loop_summary(result, success_threshold=cfg.success_threshold)
+        stats = result.solve_stats
+        assert summary["qp_guess_hits"] == int(stats["guess_hit"].sum()) > 0
+        assert summary["qp_iterations_total"] == int(stats["iterations"].sum())
+        assert np.all(stats["iterations"][stats["guess_hit"]] == 0)
+
+    def test_wrong_guesses_at_the_degenerate_vertex_fall_back(self, guess_studies):
+        # The mu = 2 step-0 QP of test_degenerate_qp_loop_completes: 16 rows
+        # of rank 15 are tight at the optimum. Any guess holding a row that is
+        # slack there is wrong and must fall back. Guesses made only of tight
+        # rows, all 16 included (a singular KKT system), raise nothing and may
+        # pass only with the optimal plan.
+        cfg, _, models = guess_studies["mu2"]
+        cond = CondensedMpc(models["edmdc"], mpc_config_from(cfg))
+        z0, u_prev = models["edmdc"].lift([-4.0, -3.0]), np.zeros(1)
+        qp = cond.factored_qp(cond._gradient(z0, u_prev), u_prev)
+        plan, info = solve_qp_info(qp)
+        slack = qp.rhs - qp.rows @ plan
+        tight, loose = np.flatnonzero(slack <= 1e-9), np.flatnonzero(slack > 1e-9)
+        assert (tight.size, len(info["active"])) == (16, 15)
+        assert np.array_equal(verify_active_set(qp, info["active"])[0], plan)
+        for k in range(len(info["active"])):
+            for row in loose:
+                guess = list(info["active"])
+                guess[k] = row
+                assert verify_active_set(qp, guess) is None, (k, row)
+        for guess in [tight, *(np.delete(tight, k) for k in range(tight.size))]:
+            hit = verify_active_set(qp, guess)
+            assert hit is None or np.allclose(hit[0], plan, rtol=0.0, atol=1e-12)
+
+    def test_a_shifted_guess_on_two_rows_of_one_input_falls_back(self, linear_model):
+        # Rate row 1 (u_1 - u_0) and box row 1 (u_1) shift onto rate row 0 and
+        # box row 0, which both hold u_0 alone: a singular KKT system.
+        cfg = base_cfg(u_min=-0.5, u_max=0.5, du_min=-0.2, du_max=0.2)
+        cond = CondensedMpc(linear_model, cfg)
+        n_rate = cond._rate_bound.size
+        guess = (1, n_rate + 1)
+        assert cond.shift_active(guess) == (0, n_rate)
+        x, u_prev = np.array([3.0, -2.0]), np.array([0.4])
+        qp = cond.factored_qp(cond._gradient(linear_model.lift(x), u_prev), u_prev)
+        assert verify_active_set(qp, (0, n_rate)) is None
+        step = mpc_step(linear_model, x, u_prev, cfg, active_guess=guess)
+        cold = mpc_step(linear_model, x, u_prev, cfg)
+        assert not step.guess_hit and step.qp_iterations == cold.qp_iterations > 0
+        assert np.array_equal(step.input_sequence, cold.input_sequence)
+        assert step.active_set == cold.active_set
+
+    def test_a_step_reports_how_its_plan_was_found(self, linear_model):
+        cfg = base_cfg(u_min=-0.5, u_max=0.5, du_min=-0.2, du_max=0.2)
+        x, u_prev = np.array([3.0, -2.0]), np.array([0.4])
+        cold = mpc_step(linear_model, x, u_prev, cfg)
+        assert not cold.guess_hit and cold.active_set
+        warm = mpc_step(linear_model, x, u_prev, cfg, active_guess=cold.active_set)
+        assert warm.guess_hit and warm.qp_iterations == 0 and warm.active_set == cold.active_set
+        assert np.array_equal(warm.input_sequence, cold.input_sequence)
+        free = mpc_step(linear_model, np.zeros(2), np.zeros(1), cfg, active_guess=cold.active_set)
+        assert free.active_set is None and not free.guess_hit and free.qp_iterations == 0

@@ -16,7 +16,13 @@ from koopmpc import (
     stationary_vector,
     truncated_svd,
 )
-from koopmpc.numerics import FactoredQp, _constraint_rows, _dual_active_set, solve_qp_info
+from koopmpc.numerics import (
+    FactoredQp,
+    _constraint_rows,
+    _dual_active_set,
+    solve_qp_info,
+    verify_active_set,
+)
 from qp_reference import _ratio_test, primal_solve_qp_info
 
 
@@ -399,3 +405,46 @@ def test_dual_solver_matches_enumeration(case):
 def test_rejects_hessian_without_cholesky_factor():
     with pytest.raises(InvalidInputError, match="positive definite"):
         solve_qp(QpProblem(h=np.diag([1.0, 0.0]), g=np.ones(2), ub=[1.0, 1.0]))
+
+
+class TestVerifyActiveSet:
+    @settings(max_examples=300, deadline=None)
+    @given(small_qp(), st.data())
+    def test_an_accepted_guess_is_the_dual_solvers_plan(self, case, data):
+        h, g, rows, rhs = case
+        guess = data.draw(st.lists(st.integers(0, rows.shape[0] - 1), unique=True)
+                          if rows.size else st.just([]))
+        qp = FactoredQp.factor(h, g, rows, rhs)
+        hit = verify_active_set(qp, guess)
+        if enumerated_qp_optimum(h, g, rows, rhs) is None:
+            assert hit is None  # no point meets the rows, so no guess can
+            return
+        x, info = solve_qp_info(qp)
+        if hit is not None:
+            assert hit[1] <= 1e-8
+            np.testing.assert_allclose(hit[0], x, rtol=0.0, atol=1e-12)
+        # The solver's own final rows are verified, and give its plan bit for bit.
+        own = verify_active_set(qp, info["active"])
+        assert own is not None and np.array_equal(own[0], x)
+
+    def test_a_negative_multiplier_is_rejected(self):
+        # min |x|^2 / 2 is at 0, inside x0 <= 1: holding the row needs multiplier -1.
+        qp = FactoredQp.factor(np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([1.0]))
+        assert verify_active_set(qp, [0]) is None
+        x, residual = verify_active_set(qp, [])
+        assert np.array_equal(x, [0.0, 0.0]) and residual == 0.0
+
+    def test_a_broken_row_is_rejected(self):
+        # The unconstrained minimizer (2, 0) breaks x0 <= 1.
+        qp = FactoredQp.factor(np.eye(2), np.array([-2.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
+        assert verify_active_set(qp, []) is None
+        x, _ = verify_active_set(qp, [0])
+        assert np.array_equal(x, [1.0, 0.0])
+
+    def test_a_repeated_row_makes_a_singular_system_and_is_rejected(self):
+        rows, rhs = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0])
+        qp = FactoredQp.factor(np.eye(2), np.array([-2.0, 0.0]), rows, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.block([[np.eye(2), rows.T], [rows, np.zeros((2, 2))]]), np.ones(4))
+        assert verify_active_set(qp, [0, 1]) is None
+        assert verify_active_set(qp, [1]) is not None
