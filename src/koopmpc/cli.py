@@ -28,6 +28,7 @@ from .config import ExperimentConfig, parse_config
 from .dynamics import make_vanderpol, snapshots_from_trajectories
 from .errors import ConfigError, KoopmpcError
 from .io import (
+    _read_int,
     _read_number,
     _write_csv,
     chain_to_json,
@@ -60,6 +61,14 @@ def _out_dir(args):
     return out
 
 
+def _load_trajectories(data):
+    """The manifest and the trajectories that ``generate`` wrote to directory ``data``."""
+    data_dir = Path(data)
+    manifest = read_json(data_dir / "manifest.json")
+    n, q = _read_int(manifest, "state_dim"), _read_int(manifest, "input_dim")
+    return manifest, trajectories_from_csv(data_dir / "trajectories.csv", n, q)
+
+
 def cmd_generate(args):
     cfg = _load_config(args)
     out = _out_dir(args)
@@ -82,10 +91,7 @@ def cmd_generate(args):
 def cmd_fit(args):
     cfg = _load_config(args)
     out = _out_dir(args)
-    data_dir = Path(args.data)
-    manifest = read_json(data_dir / "manifest.json")
-    n, q = int(manifest["state_dim"]), int(manifest["input_dim"])
-    trajectories = trajectories_from_csv(data_dir / "trajectories.csv", n, q)
+    manifest, trajectories = _load_trajectories(args.data)
     samples = snapshots_from_trajectories(trajectories, _read_number(manifest, "dt"))
     cfg.models = [args.model]
     models = fit_models(cfg, trajectories, samples)
@@ -99,10 +105,8 @@ def cmd_predict(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     model = model_from_json(args.model_file)
-    data_dir = Path(args.data)
-    manifest = read_json(data_dir / "manifest.json")
-    n, q = int(manifest["state_dim"]), int(manifest["input_dim"])
-    trajectories = trajectories_from_csv(data_dir / "trajectories.csv", n, q)
+    manifest, trajectories = _load_trajectories(args.data)
+    n = manifest["state_dim"]
     horizon = cfg.prediction_horizon
     scores = prediction_errors({model.kind: model}, trajectories, horizon)[model.kind]
     start = scores["start_index"]
@@ -170,13 +174,7 @@ def cmd_ulam(args):
     densities = []
     for i, mat in enumerate(chain.mats):
         transition_to_csv(mat.p, out / f"chain_level_{i}.csv")
-        try:
-            density = invariant_density(mat)
-            densities.append({"level": list(chain.levels[i]), "density": density.p,
-                              "converged": True, "residual": None})
-        except KoopmpcError as err:
-            densities.append({"level": list(chain.levels[i]), "density": None,
-                              "converged": False, "residual": getattr(err, "residual", None)})
+        densities.append({"level": list(chain.levels[i]), "density": invariant_density(mat).p})
     write_json({"densities": densities}, out / "densities.json")
     print(f"wrote chain over {part.n_boxes} boxes (+outside) for {len(chain.levels)} levels to {out}")
     return 0

@@ -46,7 +46,10 @@ def write_json(obj, path):
 
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # undecodable bytes or malformed JSON
+            raise InvalidInputError(f"{path} is not valid JSON: {err}") from err
 
 
 def _read_number(raw, key):
@@ -56,6 +59,14 @@ def _read_number(raw, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _read_int(raw, key):
+    """The integer under ``key``; missing or any other type raises InvalidInputError."""
+    value = raw.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _state_header(n, q):
@@ -167,16 +178,19 @@ def model_to_json(model, path):
 
 def model_from_json(path):
     raw = read_json(path)
-    return LinearControlModel(
-        a=np.asarray(raw["a"], dtype=float),
-        b=np.asarray(raw["b"], dtype=float),
-        c=np.asarray(raw["c"], dtype=float),
-        lifting=_lifting_from_descriptor(raw["lifting"]),
-        dt=_read_number(raw, "dt"),
-        kind=raw["kind"],
-        fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
-        training_hash=raw.get("training_hash"),
-    )
+    try:
+        return LinearControlModel(
+            a=np.asarray(raw["a"], dtype=float),
+            b=np.asarray(raw["b"], dtype=float),
+            c=np.asarray(raw["c"], dtype=float),
+            lifting=_lifting_from_descriptor(raw["lifting"]),
+            dt=_read_number(raw, "dt"),
+            kind=raw["kind"],
+            fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
+            training_hash=raw.get("training_hash"),
+        )
+    except KeyError as err:
+        raise InvalidInputError(f"model file {path} has no key {err}") from err
 
 
 def _nonzero_triplets(p):

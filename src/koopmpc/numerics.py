@@ -14,6 +14,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from .dynamics import check_positive
 from .errors import ConvergenceError, InfeasibleError, InvalidInputError, UnknownLevelError
@@ -100,19 +102,19 @@ def lstsq_min_norm(a, b, tol=DEFAULT_SVD_TOL):
     return x[:, 0] if squeeze else x
 
 
-def stationary_vector(p, start=None, tol=1e-10, max_iter=100_000):
-    """Fixed point of a column-stochastic matrix via damped power iteration.
+def stationary_vector(p, start=None):
+    """Eigenvalue-1 spectral projection of ``start`` under a column-stochastic matrix.
 
-    Iterates ``pi <- 0.5 * (pi + p @ pi)``; the damping removes period-2
-    oscillation without changing the fixed-point set. Convergence is judged
-    on the undamped residual ``||p @ pi - pi||_1 <= tol``. The input is
-    validated dense; the iteration runs on its compressed-sparse-row copy,
-    since transition matrices over box partitions are nearly all zeros.
+    Solved, not iterated. A strongly connected class is closed when no entry
+    of ``p`` leads out of it. One sparse solve ``(I - Q) y = start_T`` over
+    the transient block ``Q`` gives the mass ``p[R, T] @ y`` each recurrent
+    state absorbs. Each closed class ends with its stationary vector, scaled
+    to the mass it holds; a periodic class gets the average over its period.
 
     Args:
         p: square column-stochastic matrix (columns sum to 1, entries >= 0).
         start: optional starting distribution; defaults to uniform. For
-            reducible chains the limit depends on the start.
+            reducible chains the result depends on the start.
     """
     a = _as_matrix(p, "p")
     n = a.shape[0]
@@ -131,22 +133,26 @@ def stationary_vector(p, start=None, tol=1e-10, max_iter=100_000):
             raise InvalidInputError("start must be a nonnegative distribution of matching size")
         pi = np.maximum(pi, 0.0)
         pi = pi / pi.sum()
-    sparse = scipy.sparse.csr_array(a)
-    residual = np.inf
-    for _ in range(max_iter):
-        ap = sparse @ pi
-        residual = float(np.abs(ap - pi).sum())
-        if residual <= tol:
-            return pi
-        pi = 0.5 * (pi + ap)
-        pi = np.maximum(pi, 0.0)
-        pi = pi / pi.sum()
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol:.1e} in {max_iter} iterations "
-        f"(last residual {residual:.2e})",
-        residual=residual,
-        best=pi,
-    )
+    sparse = scipy.sparse.csr_array(np.maximum(a, 0.0))
+    _, labels = scipy.sparse.csgraph.connected_components(sparse, connection="strong")
+    rows, cols = sparse.nonzero()  # p[i, j] moves mass from j to i
+    rec = ~np.isin(labels, labels[cols[labels[rows] != labels[cols]]])  # states of closed classes
+    q = sparse[~rec][:, ~rec]
+    visits = scipy.sparse.linalg.spsolve((scipy.sparse.identity(q.shape[0]) - q).tocsc(), pi[~rec])
+    mass = pi[rec] + sparse[rec][:, ~rec] @ visits
+    # All classes in one solve: the recurrent block of p - I with one row per
+    # class replaced by that class's ones, whose right-hand side is its mass.
+    _, lead, cls = np.unique(labels[rec], return_index=True, return_inverse=True)
+    k, row = mass.size, lead[cls]
+    is_row = row == np.arange(k)
+    m = scipy.sparse.diags(~is_row * 1.0) @ (sparse[rec][:, rec] - scipy.sparse.identity(k))
+    m = m + scipy.sparse.csr_array((np.ones(k), (row, np.arange(k))), shape=(k, k))
+    out = np.zeros(n)
+    out[rec] = scipy.sparse.linalg.spsolve(m.tocsc(), is_row * np.bincount(cls, weights=mass)[cls])
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError("p gives a singular stationary solve")
+    out = np.maximum(out, 0.0)
+    return out / out.sum()
 
 
 @dataclass

@@ -270,12 +270,13 @@ def propagate_density(chain, p0, input_sequence):
     return out
 
 
-def invariant_density(tm, start=None, tol=1e-10):
-    """Stationary density of a transition matrix (eigenvalue-1 fixed point).
+def invariant_density(tm, start=None):
+    """Invariant density: the eigenvalue-1 projection of ``start`` (see ``stationary_vector``).
 
-    By default the iteration starts uniform over the real boxes (mass on an
-    absorbing outside state would just sit there). For reducible chains the
-    result depends on the start, which is exposed for that reason.
+    By default the start is uniform over the real boxes (mass on an
+    absorbing outside state would just sit there). Each closed class, the
+    outside state among them, ends with its stationary density weighted by
+    the start mass it holds or absorbs, so the result depends on the start.
     """
     if start is None:
         k = tm.dim
@@ -283,5 +284,4 @@ def invariant_density(tm, start=None, tol=1e-10):
             start = np.concatenate([np.full(k - 1, 1.0 / (k - 1)), [0.0]])
         else:
             start = np.full(k, 1.0 / k)
-    pi = stationary_vector(tm.p, start=start, tol=tol)
-    return DensityVector(pi)
+    return DensityVector(stationary_vector(tm.p, start=start))

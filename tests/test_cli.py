@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import shutil
 
 import numpy as np
 import pytest
@@ -337,6 +338,53 @@ class TestMalformedModelFile:
         assert "dt must be a number, got None" in capsys.readouterr().err
 
 
+class TestMalformedJsonInputs:
+    """Malformed model files and manifests exit 3 with an ``error:`` line, not a traceback."""
+
+    def test_mpc_exits_3_on_a_model_without_b(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, model_path = fitted_edmdc
+        raw = read_json(model_path)
+        del raw["b"]
+        edited = tmp_path / "no_b.json"
+        edited.write_text(json.dumps(raw))
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file") and "'b'" in err
+
+    def test_mpc_exits_3_on_a_model_that_is_not_json(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, _ = fitted_edmdc
+        edited = tmp_path / "model.json"
+        edited.write_text("a,b\n1,2\n")
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @staticmethod
+    def _data_with_manifest(data, tmp_path, key, value):
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        manifest = read_json(copy / "manifest.json")
+        manifest[key] = value
+        if value == "missing":
+            del manifest[key]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        return copy
+
+    def test_fit_exits_3_on_a_manifest_without_input_dim(self, fitted_edmdc, tmp_path, capsys):
+        _, data, _ = fitted_edmdc
+        edited = self._data_with_manifest(data, tmp_path, "input_dim", "missing")
+        assert main(["fit", str(edited), "--model", "dmdc", "--out", str(tmp_path / "fit")]) == 3
+        assert "error: input_dim must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.5, "2", None])
+    def test_predict_exits_3_on_a_non_integer_state_dim(self, fitted_edmdc, tmp_path, capsys, value):
+        cfg, data, model_path = fitted_edmdc
+        edited = self._data_with_manifest(data, tmp_path, "state_dim", value)
+        assert main([
+            "predict", str(model_path), str(edited), "--config", str(cfg), "--out", str(tmp_path / "pred"),
+        ]) == 3
+        assert "error: state_dim must be an integer" in capsys.readouterr().err
+
+
 class TestUlamCommand:
     def test_level_csv_triplets_rebuild_the_chain(self, tmp_path):
         cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
@@ -352,6 +400,20 @@ class TestUlamCommand:
                 p[int(row), int(col)] = float(value)
             assert len(lines) - 1 == np.count_nonzero(mat.p)
             assert np.array_equal(p, mat.p)
+
+    def test_densities_are_normalized_fixed_points_of_their_level(self, tmp_path):
+        cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
+        out = tmp_path / "ulam"
+        assert main(["ulam", "--config", str(cfg), "--out", str(out)]) == 0
+        chain = chain_from_json(out / "chain.json")
+        entries = read_json(out / "densities.json")["densities"]
+        assert len(entries) == len(chain.mats)
+        for entry, level, mat in zip(entries, chain.levels, chain.mats):
+            assert set(entry) == {"level", "density"}
+            assert entry["level"] == list(level)
+            pi = np.asarray(entry["density"])
+            assert np.abs(mat.p @ pi - pi).sum() <= 1e-12
+            assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 class TestBenchmarkCommand:

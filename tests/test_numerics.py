@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -107,8 +108,7 @@ class TestStationaryVector:
         assert np.max(np.abs(pi - [2.0 / 3.0, 1.0 / 3.0])) < 1e-9
 
     def test_permutation_chain_converges_under_damping(self):
-        # The damped iteration averages the period-2 orbit away and lands on
-        # the uniform fixed point in a finite number of steps.
+        # A period-2 class gets its stationary vector, the average of its orbit.
         pi = stationary_vector(np.array([[0.0, 1.0], [1.0, 0.0]]), start=[1.0, 0.0])
         assert np.allclose(pi, [0.5, 0.5])
 
@@ -127,13 +127,62 @@ class TestStationaryVector:
         with pytest.raises(InvalidInputError):
             stationary_vector(np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
-    def test_convergence_error_reports_residual(self):
-        # A slowly mixing chain cannot reach 1e-10 in very few iterations.
-        p = np.array([[0.999, 0.001], [0.001, 0.999]])
-        with pytest.raises(ConvergenceError) as exc:
-            stationary_vector(p, start=[1.0, 0.0], max_iter=3)
-        assert exc.value.residual > 0
-        assert exc.value.best is not None
+    def test_slow_leak_ends_outside(self):
+        # Second eigenvalue 1 - 3e-6: a power iteration needs millions of steps.
+        p = slow_leak_chain()
+        assert np.sort(np.abs(np.linalg.eigvals(p)))[-2] >= 0.9999
+        start = np.append(np.ones(10), 0.0)
+        assert np.max(np.abs(stationary_vector(p, start=start) - np.eye(11)[10])) <= 1e-12
+
+    def test_gamblers_ruin_absorbs_at_the_exact_odds(self):
+        n = 10
+        p = gamblers_ruin(n)
+        for i in range(n + 1):
+            pi = stationary_vector(p, start=np.eye(n + 1)[i])
+            assert abs(pi[n] - i / n) <= 1e-14
+            assert abs(pi[0] - (n - i) / n) <= 1e-14
+            assert np.all(pi[1:n] == 0.0)
+
+    def test_periodic_class_fed_by_a_transient_state_gets_the_cesaro_average(self):
+        # State 0 stays w.p. 1/4, feeds the period-2 class {1, 2} w.p. 1/2 and
+        # the absorbing state 3 w.p. 1/4, so the class absorbs 2/3 of it.
+        p = np.array([
+            [0.25, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.25, 0.0, 0.0, 1.0],
+        ])
+        start = np.eye(4)[0]
+        pi = stationary_vector(p, start=start)
+        assert np.max(np.abs(pi - [0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])) <= 1e-14
+        x, cesaro = start.copy(), np.zeros(4)
+        for _ in range(20_000):
+            cesaro += x
+            x = p @ x
+        assert np.max(np.abs(pi - cesaro / 20_000)) <= 1e-4
+
+
+def slow_leak_chain():
+    """``(1 - a) I + a P`` with ``a = 2**-11`` on 10 boxes and an absorbing state 10.
+
+    ``P`` moves each box one step around a 10-cycle; box 0 leaks 1/16 of its
+    mass to state 10 instead. Every entry is dyadic, so the columns sum to
+    exactly 1 in floating point and the ones vector is exactly conserved.
+    """
+    cycle = np.zeros((11, 11))
+    cycle[(np.arange(10) + 1) % 10, np.arange(10)] = 1.0
+    cycle[1, 0], cycle[10, 0], cycle[10, 10] = 15.0 / 16.0, 1.0 / 16.0, 1.0
+    a = 2.0**-11
+    return (1.0 - a) * np.eye(11) + a * cycle
+
+
+def gamblers_ruin(n):
+    """Fair walk on 0..n with absorbing ends: from i, absorbed at n w.p. i / n."""
+    p = np.zeros((n + 1, n + 1))
+    p[0, 0] = p[n, n] = 1.0
+    for i in range(1, n):
+        p[i - 1, i] = p[i + 1, i] = 0.5
+    return p
 
 
 @st.composite
@@ -158,24 +207,18 @@ def sparse_stochastic(draw, k=None, empty_columns=False):
     return p
 
 
-def dense_stationary_reference(p, start, tol=1e-10, max_iter=100_000):
-    """The damped power iteration on the dense matrix, as a plain loop."""
-    pi = start / start.sum()
-    for _ in range(max_iter):
-        ap = p @ pi
-        if np.abs(ap - pi).sum() <= tol:
-            return pi
-        pi = np.maximum(0.5 * (pi + ap), 0.0)
-        pi = pi / pi.sum()
-    raise AssertionError("reference iteration did not converge")
-
-
 @settings(deadline=None)
 @given(p=sparse_stochastic())
-def test_stationary_vector_matches_dense_iteration(p):
+@example(p=slow_leak_chain())
+def test_stationary_vector_is_the_fixed_point_that_conserves_the_start(p):
+    # Eigenvalue-1 projection, checked without iterating: a fixed point, with
+    # every conserved quantity (left null vector of p - I) equal to the start's.
     start = np.ones(p.shape[0])
     start[-1] = 0.0  # no initial mass on the absorbing outside state
-    assert np.max(np.abs(stationary_vector(p, start=start) - dense_stationary_reference(p, start))) <= 1e-12
+    pi = stationary_vector(p, start=start)
+    assert np.abs(p @ pi - pi).sum() <= 1e-12
+    w = scipy.linalg.null_space(p.T - np.eye(p.shape[0]))
+    assert np.max(np.abs(w.T @ (pi - start / start.sum()))) <= 1e-12
 
 
 def brute_force_qp(qp, resolution=1e-3, span=1.5):

@@ -22,7 +22,7 @@ from koopmpc.dynamics import make_vanderpol
 from koopmpc.io import chain_from_json, chain_to_json, read_json, write_json
 from koopmpc.transfer import locate_many
 
-from test_numerics import sparse_stochastic
+from test_numerics import gamblers_ruin, slow_leak_chain, sparse_stochastic
 
 
 class DoublingMap:
@@ -200,6 +200,32 @@ class TestInvariantDensity:
         pi = invariant_density(doubling_chain.mats[0]).p
         assert np.max(np.abs(pi[:2] - 0.5)) < 0.05
         assert pi[2] == 0.0
+
+    def test_slow_leak_ends_outside(self):
+        tm = TransitionMatrix(p=slow_leak_chain(), tau=1.0, outside=True)
+        assert np.max(np.abs(invariant_density(tm).p - np.eye(11)[10])) <= 1e-12
+
+    def test_gamblers_ruin_absorbs_at_the_exact_odds(self):
+        tm = TransitionMatrix(p=gamblers_ruin(8), tau=1.0)
+        pi = invariant_density(tm, start=np.eye(9)[3]).p
+        assert abs(pi[8] - 3.0 / 8.0) <= 1e-14 and abs(pi[0] - 5.0 / 8.0) <= 1e-14
+
+    def test_periodic_class_fed_by_a_transient_box_gets_the_cesaro_average(self):
+        # Box 0 feeds the period-2 class {1, 2} w.p. 1/2 and the outside w.p. 1/4;
+        # from a uniform start over the boxes the class ends with 1/3 + 1/3 + 2/9.
+        p = np.array([
+            [0.25, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.25, 0.0, 0.0, 1.0],
+        ])
+        pi = invariant_density(TransitionMatrix(p=p, tau=1.0, outside=True)).p
+        assert np.max(np.abs(pi - [0.0, 4.0 / 9.0, 4.0 / 9.0, 1.0 / 9.0])) <= 1e-14
+        x, cesaro = np.array([1.0, 1.0, 1.0, 0.0]) / 3.0, np.zeros(4)
+        for _ in range(20_000):
+            cesaro += x
+            x = p @ x
+        assert np.max(np.abs(pi - cesaro / 20_000)) <= 1e-4
 
 
 @pytest.fixture(scope="module")
