@@ -45,11 +45,15 @@ def write_json(obj, path):
 
 
 def read_json(path):
+    """The JSON object in ``path``; malformed JSON or another top-level value raises InvalidInputError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            raw = json.load(fh)
         except ValueError as err:  # undecodable bytes or malformed JSON
             raise InvalidInputError(f"{path} is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{path} does not hold a JSON object")
+    return raw
 
 
 def _read_number(raw, key):

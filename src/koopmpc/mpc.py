@@ -107,7 +107,12 @@ class CondensedMpc:
     Cholesky factorization, is kept too, so a step whose unconstrained
     minimizer ``-H^{-1} g`` satisfies every bound is solved by a matvec
     (Bemporad et al. 2002, explicit LQR); the solver's rows are mapped
-    through the inverse of the same factor.
+    through the inverse of the same factor. :meth:`plan` is the arithmetic
+    of one step.
+
+    Every array is read-only, so one condensation serves every caller whose
+    model and config hold the same content: :func:`condensed` builds one per
+    content and keeps the last few.
     """
 
     def __init__(self, model, cfg):
@@ -191,24 +196,34 @@ class CondensedMpc:
         self._du0_lo = du_min[:q_in] - 1e-7
         self.ru = ru
         self.rdu = rdu
-        self.model = model
         self.cfg = cfg
         self.horizon = n
         self.input_dim = q_in
+        self.lifted_dim = dim
+        for arr in (*vars(self).values(), *self._qp):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
-    def _gradient(self, z0, u_prev):
-        """The step's QP gradient; ``u_prev`` must be a float vector already."""
+    def _checked(self, z0, u_prev):
+        """``z0`` and ``u_prev`` as float vectors of the model's sizes, ``u_prev`` finite."""
         z0 = np.asarray(z0, dtype=float).reshape(-1)
-        if z0.size != self.model.a.shape[0]:
+        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
+        if z0.size != self.lifted_dim:
             raise InvalidInputError("lifted state length does not match the model")
         if u_prev.size != self.input_dim:
             raise InvalidInputError("u_prev length does not match the model input")
-        if not (np.isfinite(z0).all() and np.isfinite(u_prev).all()):
-            raise InvalidInputError("lifted state or previous input is not finite")
+        if not np.isfinite(u_prev).all():
+            raise InvalidInputError("previous input is not finite")
+        return z0, u_prev
+
+    def _gradient(self, z0, u_prev):
+        """The step's QP gradient from vectors of the model's sizes; a non-finite ``z0`` raises."""
+        if not np.isfinite(z0).all():
+            raise InvalidInputError("lifted state is not finite")
         return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
 
     def qp(self, z0, u_prev):
-        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
+        z0, u_prev = self._checked(z0, u_prev)
         g = self._gradient(z0, u_prev)
         b_ineq = None if self.a_ineq is None else self._step_rhs(u_prev)[: self._rate_bound.size]
         return QpProblem(
@@ -229,21 +244,98 @@ class CondensedMpc:
         return tuple(int(r) for r in self._row_shift[list(active)] if r >= 0)
 
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
-        """Whether a stacked plan meets every box and rate row to within ``tol``.
-
-        One product with the stacked rows; a non-finite plan meets the box
-        entry by entry instead, as a zero row coefficient makes infinity NaN.
-        """
+        """Whether a stacked plan meets every box and rate row to within ``tol``."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(-1)
         u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         if u_seq.size != self._rows.shape[1] or u_prev.size != self.input_dim:
             raise InvalidInputError("plan or u_prev length does not match the controller")
-        rhs = self._step_rhs(u_prev) + tol
+        return self._meets_rows(u_seq, self._step_rhs(u_prev) + tol, tol)
+
+    def _meets_rows(self, u_seq, rhs, tol):
+        """Whether ``rows @ u_seq <= rhs``, with the box rows taken to within ``tol``.
+
+        One product with the stacked rows; a non-finite plan meets the box
+        entry by entry instead, as a zero row coefficient makes infinity NaN.
+        """
         if np.isfinite(u_seq).all():
             return bool((self._rows @ u_seq <= rhs).all())
         r = self._rate_bound.size
         box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
         return bool(box and (self._rows[:r] @ u_seq <= rhs[:r]).all())
+
+    def plan(self, z0, u_prev, qp_tol, active_guess=None):
+        """One step's plan: ``(input_sequence, iterations, kkt_residual, active_set, guess_hit)``.
+
+        ``z0`` and ``u_prev`` are float vectors of the model's sizes and
+        ``u_prev`` is finite (see :func:`mpc_step` for the rules); ``z0`` is
+        checked for finiteness here. ``input_sequence`` is the (q, N) plan
+        clipped to the input box.
+
+        Raises:
+            InvalidInputError: ``z0`` is not finite.
+            InfeasibleError: the bounds admit no plan, or the first planned
+                input change breaks the rate bound by more than 1e-7.
+            ConvergenceError: the solver's plan misses ``qp_tol``.
+        """
+        g = self._gradient(z0, u_prev)
+        sol = -(self._h_inv @ g)
+        iterations, residual, active, hit = 0, np.inf, None, None
+        if self._meets_rows(sol, self._step_rhs(u_prev), 0.0):
+            residual = float(np.abs(self.h @ sol + g).max())
+        if residual > qp_tol:
+            qp = self.factored_qp(g, u_prev)
+            if active_guess is not None:
+                active = active_guess
+                hit = verify_active_set(qp, active, qp_tol)
+                if hit is None:
+                    active = self.shift_active(active_guess)
+                    hit = verify_active_set(qp, active, qp_tol)
+            if hit is not None:
+                sol, residual = hit
+            else:
+                sol, info = solve_qp_info(qp, tol=qp_tol)
+                iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
+        q_in = self.input_dim
+        u_seq = sol.reshape(self.horizon, q_in).T.clip(self.lb[:q_in, None], self.ub[:q_in, None])
+        du0 = u_seq[:, 0] - u_prev
+        if (du0 > self._du0_hi).any() or (du0 < self._du0_lo).any():
+            raise InfeasibleError(f"first planned input change {du0} breaks the rate bound")
+        return u_seq, iterations, residual, active, hit is not None
+
+
+def _content(value):
+    arr = np.asarray(value, dtype=float)
+    return arr.shape, arr.strides, arr.tobytes()
+
+
+def _condense_key(model, cfg):
+    """Everything :class:`CondensedMpc` reads of ``model`` and ``cfg``, by content and layout."""
+    lifting = model.lifting
+    arrays = (model.a, model.b, model.c, cfg.q, cfg.ru, cfg.rdu, cfg.reference,
+              cfg.u_min, cfg.u_max, cfg.du_min, cfg.du_max)
+    terminal = None if cfg.terminal_weight is None else _content(cfg.terminal_weight)
+    return (*map(_content, arrays), terminal, cfg.horizon, tuple(lifting.coords), lifting.state_dim)
+
+
+_CONDENSED_MAX = 8
+_condensations = {}  # key -> CondensedMpc, least recently used first
+
+
+def condensed(model, cfg):
+    """The :class:`CondensedMpc` of ``model`` and ``cfg``, built once per content.
+
+    The last ``_CONDENSED_MAX`` condensations are kept, keyed on the content
+    of every array and value the condensation reads, so an in-place change
+    to a model matrix or a config bound gets a fresh one.
+    """
+    key = _condense_key(model, cfg)
+    cond = _condensations.pop(key, None)
+    if cond is None:
+        cond = CondensedMpc(model, cfg)
+        if len(_condensations) >= _CONDENSED_MAX:
+            del _condensations[next(iter(_condensations))]
+    _condensations[key] = cond
+    return cond
 
 
 @dataclass
@@ -284,14 +376,15 @@ def mpc_step(
     history_inputs=None,
     qp_tol=1e-8,
     active_guess=None,
-    _condensed=None,
 ):
     """Solve the horizon problem from a fresh measurement and return the plan.
 
     The measurement is lifted through the model (consuming history for delay
-    kinds); the model's own predictions are never fed back in. The returned
-    ``u`` is the first element of the optimized sequence, clipped to the
-    input box to remove solver-tolerance dust.
+    kinds); the model's own predictions are never fed back in. The
+    condensation comes from :func:`condensed`, so it is built once per model
+    and config content. The returned ``u`` is the first element of the
+    optimized sequence, clipped to the input box to remove solver-tolerance
+    dust.
 
     The unconstrained minimizer is taken when it meets every stacked box and
     rate row and its stationarity residual is within ``qp_tol``. Otherwise,
@@ -301,6 +394,7 @@ def mpc_step(
     optimal within ``qp_tol`` is taken. A guess is only verified, never
     iterated from. Failing that, the condensed QP, on the same rows, goes to
     the dual active-set solver, which starts from the unconstrained minimizer.
+    :meth:`CondensedMpc.plan` does this arithmetic.
 
     Raises:
         InvalidInputError: the lifted measurement or ``u_prev`` is not
@@ -310,32 +404,10 @@ def mpc_step(
         ConvergenceError: the solver's plan misses the KKT tolerance.
     """
     check_positive(qp_tol, "qp_tol")
-    cond = CondensedMpc(model, cfg) if _condensed is None else _condensed
-    u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
+    cond = condensed(model, cfg)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
-    g = cond._gradient(z0, u_prev)
-    sol = -(cond._h_inv @ g)
-    iterations, residual, active, hit = 0, np.inf, None, None
-    if cond.is_feasible(sol, u_prev, 0.0):
-        residual = float(np.abs(cond.h @ sol + g).max())
-    if residual > qp_tol:
-        qp = cond.factored_qp(g, u_prev)
-        if active_guess is not None:
-            active = active_guess
-            hit = verify_active_set(qp, active, qp_tol)
-            if hit is None:
-                active = cond.shift_active(active_guess)
-                hit = verify_active_set(qp, active, qp_tol)
-        if hit is not None:
-            sol, residual = hit
-        else:
-            sol, info = solve_qp_info(qp, tol=qp_tol)
-            iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
-    q_in = cond.input_dim
-    u_seq = sol.reshape(cond.horizon, q_in).T.clip(cond.lb[:q_in, None], cond.ub[:q_in, None])
-    du0 = u_seq[:, 0] - u_prev
-    if (du0 > cond._du0_hi).any() or (du0 < cond._du0_lo).any():
-        raise InfeasibleError(f"first planned input change {du0} breaks the rate bound")
+    z0, u_prev = cond._checked(z0, u_prev)
+    u_seq, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol, active_guess)
     return MpcStep(
         u=u_seq[:, 0].copy(),
         input_sequence=u_seq,
@@ -343,7 +415,7 @@ def mpc_step(
         kkt_residual=residual,
         lifted_state=z0,
         active_set=active,
-        guess_hit=hit is not None,
+        guess_hit=hit,
         model=model,
     )
 
@@ -367,10 +439,10 @@ class ClosedLoopResult:
         return self.trajectory.states[:, -1]
 
 
-def _stage_cost(cond, x, u, u_prev):
-    err = x - cond.cfg.reference
+def _stage_cost(cfg, cond, x, u, u_prev):
+    err = x - cfg.reference
     du = u - u_prev
-    return float(err @ cond.cfg.q @ err + u @ cond.ru @ u + du @ cond.rdu @ du)
+    return float(err @ cfg.q @ err + u @ cond.ru @ u + du @ cond.rdu @ du)
 
 
 def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
@@ -383,6 +455,13 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     models idle with u = 0 while the measurement history fills. A step that
     leaves the unconstrained law first checks the active rows of the last
     such step's plan as a guess (see :func:`mpc_step`).
+
+    ``x0``, ``dt`` and ``qp_tol`` are checked once, and the condensation
+    comes from :func:`condensed`. Each step then lifts the window of its
+    last ``history_steps + 1`` states and ``history_steps`` inputs through
+    ``model.lifting.lift_windows`` and solves with
+    :meth:`CondensedMpc.plan`, the arithmetic of :func:`mpc_step`, so the
+    loop is bitwise the loop of ``mpc_step`` and ``rk4_step`` calls.
 
     ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
     ``guess_hit`` arrays. A step solved by the unconstrained law or by a
@@ -399,8 +478,9 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     if x.size != plant.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the plant's state dimension")
     q_in = model.input_dim
+    lift = model.lifting.lift_windows
     warmup = model.lifting.history_steps
-    cond = CondensedMpc(model, cfg)
+    cond = condensed(model, cfg)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
     stage = np.empty(n_steps)
@@ -431,28 +511,16 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
         if k < warmup:
             u = u_idle.copy()
         else:
+            z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
             try:
-                step = mpc_step(
-                    model,
-                    x,
-                    u_prev,
-                    cfg,
-                    history_states=states[:, :k],
-                    history_inputs=inputs[:, :k],
-                    qp_tol=qp_tol,
-                    active_guess=guess,
-                    _condensed=cond,
-                )
+                u_seq, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
             except InfeasibleError as err:
                 raise InfeasibleError(f"horizon problem infeasible at step {k}: {err}") from None
-            u = step.u
-            iters[k] = step.qp_iterations
-            resid[k] = step.kkt_residual
-            hits[k] = step.guess_hit
-            if step.active_set is not None:
-                guess = step.active_set
+            u = u_seq[:, 0].copy()
+            if active is not None:
+                guess = active
         inputs[:, k] = u
-        stage[k] = _stage_cost(cond, x, u, u_prev)
+        stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
         try:
             x = rk4_step(plant, x, u, times[k], dt)
         except DivergenceError as err:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from koopmpc.dynamics import _n_steps, rk4_step
-from koopmpc.mpc import CondensedMpc, _stage_cost, mpc_step
+from koopmpc.mpc import _stage_cost, condensed, mpc_step
 
 
 @dataclass
@@ -32,7 +32,7 @@ def cold_closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     n_steps = _n_steps(t_end, dt)
     q_in = model.input_dim
     warmup = model.lifting.history_steps
-    cond = CondensedMpc(model, cfg)
+    cond = condensed(model, cfg)
     x = np.asarray(x0, dtype=float).reshape(-1)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
@@ -49,11 +49,11 @@ def cold_closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             u = u_idle.copy()
         else:
             step = mpc_step(model, x, u_prev, cfg, history_states=states[:, :k],
-                            history_inputs=inputs[:, :k], qp_tol=qp_tol, _condensed=cond)
+                            history_inputs=inputs[:, :k], qp_tol=qp_tol)
             u, plans[k] = step.u, step.input_sequence
             iters[k], resid[k] = step.qp_iterations, step.kkt_residual
         inputs[:, k] = u
-        stage[k] = _stage_cost(cond, x, u, u_prev)
+        stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
         x = rk4_step(plant, x, u, times[k], dt)
         states[:, k + 1] = x
         u_prev = u

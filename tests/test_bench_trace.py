@@ -26,24 +26,30 @@ def test_every_traced_name_exists(bench_trace):
         assert attr in owner.__dict__, f"{name}: {owner!r} has no attribute {attr!r}"
 
 
-def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace):
+def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace, monkeypatch):
     import koopmpc.benchmark as kbench
     import koopmpc.mpc as kmpc
 
+    monkeypatch.setattr(kmpc, "_condensations", {})  # no condensation left by other tests
     before = [owner.__dict__[attr] for _, owner, attr, _ in bench_trace.TRACED]
     cfg = config_from_mapping({"n_trajectories": 4, "models": ["dmdc"]})
     with bench_trace.Tracer() as tracer:
         plant, trajectories, samples = kbench.make_training_data(cfg)
         model = kbench.fit_models(cfg, trajectories, samples)["dmdc"]
-        kmpc.closed_loop_run(plant, model, kbench.mpc_config_from(cfg), np.ones(2), 0.15, cfg.dt)
+        for _ in range(2):  # two identical loops share one condensation
+            kmpc.closed_loop_run(plant, model, kbench.mpc_config_from(cfg), np.ones(2), 0.15, cfg.dt)
     after = [owner.__dict__[attr] for _, owner, attr, _ in bench_trace.TRACED]
     assert all(a is b for a, b in zip(before, after))
     assert tracer.calls["dynamics.generate_training_trajectories"] == 1
-    assert tracer.calls["mpc.closed_loop_run"] == 1
-    assert tracer.calls["mpc.mpc_step"] == 3
-    assert tracer.calls["mpc.is_feasible"] == 3  # the unconstrained plan of every step
+    assert tracer.calls["mpc.closed_loop_run"] == 2
     assert tracer.calls["mpc.condense"] == 1
-    assert tracer.calls["sysid.lift"] == 3  # one per step
+    # A closed-loop step lifts through lift_windows and plans through
+    # CondensedMpc.plan, not through mpc_step, LinearControlModel.lift or
+    # is_feasible.
+    assert tracer.calls["mpc.mpc_step"] == 0
+    assert tracer.calls["mpc.is_feasible"] == 0
+    assert tracer.calls["sysid.lift"] == 0
+    assert tracer.calls["dynamics.rk4_step"] == 6
     # The fit lifts its x and x' snapshots in one call each, then one per step.
-    assert tracer.calls["observables.eval_dictionary"] == 5
-    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples + 3
+    assert tracer.calls["observables.eval_dictionary"] == 2 + 6
+    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples + 6

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from koopmpc import ConfigError
+from koopmpc import ConfigError, InvalidInputError
 from koopmpc.cli import main
 from koopmpc.config import ExperimentConfig, parse_config
 from koopmpc.io import chain_from_json, model_from_json, read_json
@@ -357,6 +357,28 @@ class TestMalformedJsonInputs:
         edited.write_text("a,b\n1,2\n")
         assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
         assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_mpc_exits_3_on_a_model_that_is_not_an_object(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, _ = fitted_edmdc
+        edited = tmp_path / "model.json"
+        edited.write_text("[1, 2]")
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        assert "does not hold a JSON object" in capsys.readouterr().err
+
+    def test_fit_exits_3_on_a_manifest_that_is_not_an_object(self, fitted_edmdc, tmp_path, capsys):
+        _, data, _ = fitted_edmdc
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "manifest.json").write_text('"state_dim"')
+        assert main(["fit", str(copy), "--model", "dmdc", "--out", str(tmp_path / "fit")]) == 3
+        assert "does not hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", [model_from_json, chain_from_json])
+    def test_readers_reject_a_file_that_is_not_an_object(self, tmp_path, reader):
+        path = tmp_path / "file.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InvalidInputError, match="does not hold a JSON object"):
+            reader(path)
 
     @staticmethod
     def _data_with_manifest(data, tmp_path, key, value):

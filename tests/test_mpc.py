@@ -528,14 +528,14 @@ class TestActiveSetGuesses:
     def test_loop_equals_the_cold_loop(self, guess_studies, monkeypatch, study, kind):
         cfg, plant, models = guess_studies[study]
         model, mpc_cfg = models[kind], mpc_config_from(cfg)
-        calls, mpc_step_unpatched = [], koopmpc.mpc.mpc_step
+        calls, plan_unpatched = [], CondensedMpc.plan
 
-        def recording_step(*args, **kwargs):
-            step = mpc_step_unpatched(*args, **kwargs)
-            calls.append((args, kwargs, step))
-            return step
+        def recording_plan(cond, *args):
+            out = plan_unpatched(cond, *args)
+            calls.append((cond, args, out))
+            return out
 
-        monkeypatch.setattr(koopmpc.mpc, "mpc_step", recording_step)
+        monkeypatch.setattr(CondensedMpc, "plan", recording_plan)
         hits = 0
         for x0 in grid_initial_conditions(cfg):
             calls.clear()
@@ -543,6 +543,7 @@ class TestActiveSetGuesses:
                 got = closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
             except KoopmpcError as err:
                 got = type(err).__name__
+            steps = list(calls)
             try:
                 want = cold_closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
             except KoopmpcError as err:
@@ -550,12 +551,13 @@ class TestActiveSetGuesses:
             if isinstance(want, str) or isinstance(got, str):
                 assert got == want
                 continue
-            # Every step against a cold solve of the same step.
-            for args, kwargs, step in calls:
-                cold = mpc_step_unpatched(*args, **{**kwargs, "active_guess": None})
-                np.testing.assert_allclose(step.input_sequence, cold.input_sequence, rtol=0.0, atol=1e-12)
-                assert step.qp_iterations == (0 if step.guess_hit else cold.qp_iterations)
-                assert not step.guess_hit or cold.qp_iterations > 0
+            # Every step planned once, and against a cold solve of the same step.
+            assert len(steps) == got.stage_costs.size - got.warmup_steps > 0
+            for cond, (z0, u_prev, qp_tol, _), (plan, iterations, _, _, hit) in steps:
+                cold_plan, cold_iterations = plan_unpatched(cond, z0, u_prev, qp_tol, None)[:2]
+                np.testing.assert_allclose(plan, cold_plan, rtol=0.0, atol=1e-12)
+                assert iterations == (0 if hit else cold_iterations)
+                assert not hit or cold_iterations > 0
             hit = got.solve_stats["guess_hit"]
             hits += int(hit.sum())
             assert (np.linalg.norm(got.final_state) < cfg.success_threshold) == (

@@ -1,0 +1,224 @@
+"""The closed loop against its per-step public calls, and the shared condensations.
+
+``closed_loop_run`` checks its inputs once, lifts each step's window through
+``lift_windows`` and plans with ``CondensedMpc.plan``, on a condensation
+taken from a bounded memo keyed on content. The reference here is the same
+loop spelled out with public ``mpc_step`` and ``rk4_step`` calls and the
+same active-set guess handoff; the two must agree bit for bit, a diverging
+run's error and partial result included.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import koopmpc.mpc
+from koopmpc import (
+    CondensedMpc,
+    ControlSystem,
+    DelaySpec,
+    DivergenceError,
+    LinearControlModel,
+    MpcConfig,
+    closed_loop_run,
+    fit_delay_augmented,
+    fit_dmdc,
+    fit_edmdc,
+    identity_dictionary,
+    monomials_dictionary,
+    mpc_step,
+)
+from koopmpc.dynamics import _n_steps, rk4_step
+from koopmpc.mpc import condensed
+from conftest import LinearRhs
+
+BOUNDS = {
+    "default": dict(u_min=-5.0, u_max=5.0, du_min=-50.0, du_max=50.0),
+    "saturated": dict(u_min=-1.0, u_max=1.0, du_min=-0.5, du_max=0.5),
+}
+DT = 0.05
+
+
+def mpc_cfg(bounds, **overrides):
+    kwargs = dict(q=np.eye(2), ru=0.1, rdu=0.1, horizon=15, **BOUNDS[bounds])
+    kwargs.update(overrides)
+    return MpcConfig(**kwargs)
+
+
+@pytest.fixture(scope="module")
+def models(vdp_training):
+    _, trajs, samples = vdp_training
+    return {
+        "dmdc": fit_dmdc(samples),
+        "edmdc": fit_edmdc(samples, monomials_dictionary(2, 3)),
+        "delay": fit_delay_augmented(trajs, DelaySpec(3, 3)),
+        "delay-x1": fit_delay_augmented(trajs, DelaySpec(3, 3), coords=(0,)),
+    }
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(koopmpc.mpc, "_condensations", {})
+    return koopmpc.mpc._condensations
+
+
+def _weight(w, dim):
+    w = np.asarray(w, dtype=float)
+    return float(w) * np.eye(dim) if w.ndim == 0 else w
+
+
+def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
+    """``closed_loop_run`` as public per-step calls: its record, and the DivergenceError or None.
+
+    On divergence at step k the record holds the k completed steps, as the
+    partial result of ``closed_loop_run`` does.
+    """
+    n_steps = _n_steps(t_end, dt)
+    q_in, h = model.input_dim, model.lifting.history_steps
+    ru, rdu = _weight(cfg.ru, q_in), _weight(cfg.rdu, q_in)
+    states = np.empty((plant.state_dim, n_steps + 1))
+    inputs = np.empty((q_in, n_steps))
+    rec = dict(stage=np.empty(n_steps), iterations=np.zeros(n_steps, dtype=int),
+               kkt=np.full(n_steps, np.nan), hits=np.zeros(n_steps, dtype=bool))
+    x = states[:, 0] = np.asarray(x0, dtype=float)
+    u_prev, guess = np.zeros(q_in), None
+    error = None
+    for k in range(n_steps):
+        if k < h:
+            u = np.clip(np.zeros(q_in), cfg.u_min, cfg.u_max)
+        else:
+            step = mpc_step(model, x, u_prev, cfg, history_states=states[:, :k],
+                            history_inputs=inputs[:, :k], qp_tol=qp_tol, active_guess=guess)
+            u = step.u
+            rec["iterations"][k], rec["kkt"][k], rec["hits"][k] = (
+                step.qp_iterations, step.kkt_residual, step.guess_hit)
+            if step.active_set is not None:
+                guess = step.active_set
+        inputs[:, k] = u
+        err, du = x - cfg.reference, u - u_prev
+        rec["stage"][k] = float(err @ cfg.q @ err + u @ ru @ u + du @ rdu @ du)
+        try:
+            x = rk4_step(plant, x, u, k * dt, dt)
+        except DivergenceError as exc:
+            error, n_steps = exc, k
+            break
+        states[:, k + 1] = x
+        u_prev = u
+    rec = {key: val[:n_steps] for key, val in rec.items()}
+    return dict(states=states[:, : n_steps + 1], inputs=inputs[:, :n_steps], **rec), error
+
+
+def record_of(result):
+    stats = result.solve_stats
+    return dict(states=result.trajectory.states, inputs=result.trajectory.inputs,
+                stage=result.stage_costs, iterations=stats["iterations"],
+                kkt=stats["kkt_residual"], hits=stats["guess_hit"])
+
+
+def assert_bitwise_records(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+        assert a.tobytes() == b.tobytes(), key
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay", "delay-x1"])
+@settings(max_examples=12, deadline=None)
+@given(x0=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+@example(x0=(-4.0, -4.0))
+@example(x0=(0.0, 0.0))
+def test_loop_is_bitwise_the_loop_of_public_steps(vdp_training, models, kind, bounds, x0):
+    plant = vdp_training[0]
+    cfg = mpc_cfg(bounds)
+    got = closed_loop_run(plant, models[kind], cfg, np.array(x0), 1.0, DT)
+    want, error = stepwise_loop(plant, models[kind], cfg, np.array(x0), 1.0, DT)
+    assert error is None
+    assert_bitwise_records(record_of(got), want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    x0=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+)
+def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
+    # An unstable plant under a wrong model and saturated inputs: the state
+    # passes DIVERGENCE_LIMIT within the run, after steps on guessed active sets.
+    plant = ControlSystem(2, 1, LinearRhs(10.0 * np.eye(2), np.array([[0.0], [1.0]])))
+    model = LinearControlModel(
+        a=1.2 * np.eye(2), b=np.array([[0.0], [0.05]]), c=np.eye(2),
+        lifting=identity_dictionary(2), dt=DT, kind="dmdc",
+    )
+    cfg = mpc_cfg("saturated", horizon=5, u_min=-0.1, u_max=0.1, du_min=-0.05, du_max=0.05)
+    x0 = np.array(x0) * np.array(signs)
+    with pytest.raises(DivergenceError) as exc:
+        closed_loop_run(plant, model, cfg, x0, 5.0, DT)
+    want, error = stepwise_loop(plant, model, cfg, x0, 5.0, DT)
+    assert str(exc.value) == str(error)
+    got = exc.value.partial
+    assert got.cumulative_cost.tobytes() == np.cumsum(want["stage"]).tobytes()
+    assert_bitwise_records(record_of(got), want)
+
+
+class TestSharedCondensations:
+    def test_an_in_place_change_gets_a_fresh_condensation(self, vdp_training, models, empty_memo):
+        plant, model = vdp_training[0], copy.deepcopy(models["edmdc"])
+        cfg, x0 = mpc_cfg("default", u_min=np.array([-5.0])), np.array([-3.0, 2.0])
+        first = closed_loop_run(plant, model, cfg, x0, 1.0, DT)
+        cond = condensed(model, cfg)
+        assert len(empty_memo) == 1 and condensed(copy.deepcopy(model), copy.deepcopy(cfg)) is cond
+        for change in (
+            lambda: model.b.__imul__(0.5),        # a model matrix, in place
+            lambda: setattr(cfg, "du_min", -0.25),  # a config bound
+            lambda: cfg.u_min.__setitem__(0, -1.5),  # a bound array, in place
+        ):
+            change()
+            got = closed_loop_run(plant, model, cfg, x0, 1.0, DT)
+            assert condensed(model, cfg) is not cond
+            cond = condensed(model, cfg)
+            fresh = CondensedMpc(model, cfg)
+            for name in ("h", "_h_inv", "g_state", "g_const", "g_uprev", "lb", "ub", "_rhs"):
+                assert getattr(cond, name).tobytes() == getattr(fresh, name).tobytes(), name
+            want, _ = stepwise_loop(plant, model, cfg, x0, 1.0, DT)
+            assert_bitwise_records(record_of(got), want)
+            assert not np.array_equal(got.trajectory.inputs, first.trajectory.inputs)
+            first = got
+
+    def test_the_memo_keeps_the_most_recent_few(self, models, empty_memo):
+        size, model = koopmpc.mpc._CONDENSED_MAX, models["dmdc"]
+        conds = [condensed(model, mpc_cfg("default", horizon=n)) for n in range(1, 3 * size + 1)]
+        assert len(empty_memo) == size
+        for n in range(2 * size + 1, 3 * size + 1):
+            assert condensed(model, mpc_cfg("default", horizon=n)) is conds[n - 1]
+        assert condensed(model, mpc_cfg("default", horizon=1)) is not conds[0]
+        assert len(empty_memo) == size
+
+    def test_a_step_and_a_loop_share_one_condensation(self, vdp_training, models, empty_memo, monkeypatch):
+        built = []
+        init = CondensedMpc.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CondensedMpc, "__init__", counting_init)
+        plant, model, cfg = vdp_training[0], models["delay"], mpc_cfg("default")
+        for _ in range(2):
+            closed_loop_run(plant, model, cfg, np.array([1.0, -1.0]), 0.5, DT)
+        mpc_step(model, np.ones(2), np.zeros(1), mpc_cfg("default"),
+                 history_states=np.ones((2, 2)), history_inputs=np.zeros((1, 2)))
+        assert len(built) == 1
+
+    def test_memoized_arrays_are_read_only(self, models, empty_memo):
+        cond = condensed(models["delay"], mpc_cfg("saturated"))
+        arrays = [v for v in (*vars(cond).values(), *cond._qp) if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 15
+        for arr in arrays:
+            assert arr.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
