@@ -74,7 +74,6 @@ from .transfer import (
     TransitionMatrix,
     estimate_controlled_transition,
     invariant_density,
-    locate,
     propagate_density,
 )
 

@@ -71,14 +71,7 @@ def make_training_data(cfg):
     )
     if not trajectories:
         raise DivergenceError("all training trajectories diverged")
-    meta = {
-        "seed": cfg.seed,
-        "n_trajectories": cfg.n_trajectories,
-        "n_divergent": n_divergent,
-        "t_end": cfg.training_t_end,
-        "box": cfg.training_box,
-    }
-    samples = snapshots_from_trajectories(trajectories, cfg.dt, meta=meta)
+    samples = snapshots_from_trajectories(trajectories, cfg.dt, meta={"n_divergent": n_divergent})
     return plant, trajectories, samples
 
 

@@ -188,15 +188,18 @@ def sample_hash(data):
 
 @dataclass(frozen=True)
 class ForcingSignal:
-    """Scalar or vector input signal evaluable at any t >= 0."""
+    """Input signal evaluable at any t >= 0: a product of sines, or zero.
 
-    kind: str  # "product-sines" | "constant" | "zero" | "piecewise-constant-sequence"
+    The training data are forced by product-of-sines signals (see
+    :func:`product_sines_family`), which have one input; the zero signal has
+    any number of inputs.
+    """
+
+    kind: str  # "product-sines" | "zero"
     input_dim: int = 1
     amplitude: float = 0.0
     omega1: float = 0.0
     omega2: float = 0.0
-    values: np.ndarray | None = None
-    dt: float | None = None
 
     @classmethod
     def product_sines(cls, amplitude, omega1, omega2):
@@ -205,26 +208,14 @@ class ForcingSignal:
                    omega1=float(omega1), omega2=float(omega2))
 
     @classmethod
-    def constant(cls, values):
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(kind="constant", input_dim=v.size, values=v)
-
-    @classmethod
     def zero(cls, input_dim=1):
         return cls(kind="zero", input_dim=int(input_dim))
-
-    @classmethod
-    def piecewise(cls, values, dt):
-        check_positive(dt, "dt")
-        v = np.atleast_2d(np.asarray(values, dtype=float))
-        return cls(kind="piecewise-constant-sequence", input_dim=v.shape[0],
-                   values=v, dt=float(dt))
 
     def evaluate(self, t):
         """The input at time ``t``: shape (q,) for a scalar ``t``, (q, k) for k times.
 
         A 1-D array of times gives the same values, bit for bit, as one scalar
-        call per entry. A piecewise sequence holds its last value past the end.
+        call per entry.
         """
         t = np.asarray(t, dtype=float)
         if t.ndim > 1 or not np.isfinite(t).all():
@@ -232,13 +223,8 @@ class ForcingSignal:
         if self.kind == "product-sines":
             u = self.amplitude * np.sin(abs(self.omega1) * t) * np.sin(abs(self.omega2) * t)
             return u[np.newaxis]
-        if self.kind == "constant":
-            return np.repeat(self.values.reshape((-1,) + (1,) * t.ndim), t.size, axis=-1)
         if self.kind == "zero":
             return np.zeros((self.input_dim,) + t.shape)
-        if self.kind == "piecewise-constant-sequence":
-            k = np.clip(np.floor(t / self.dt + 1e-9), 0, self.values.shape[1] - 1)
-            return np.take(self.values, k.astype(np.intp), axis=1)
         raise InvalidInputError(f"unknown forcing kind {self.kind!r}")
 
 

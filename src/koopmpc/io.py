@@ -73,6 +73,14 @@ def _read_int(raw, key):
     return value
 
 
+def _read_array(raw, key):
+    """The numeric array under ``key``; a non-numeric or ragged value raises InvalidInputError."""
+    try:
+        return np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"{key} must be a numeric array: {err}") from None
+
+
 def _state_header(n, q):
     return ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
 
@@ -146,6 +154,8 @@ def _lifting_descriptor(lifting):
 
 
 def _lifting_from_descriptor(desc):
+    if not isinstance(desc, dict):
+        raise InvalidInputError(f"lifting must be a JSON object, got {desc!r}")
     if desc["type"] == "delay":
         # Files from before lags were fixed at one step may carry tau_steps: 1.
         if desc.get("tau_steps", 1) != 1:
@@ -184,9 +194,9 @@ def model_from_json(path):
     raw = read_json(path)
     try:
         return LinearControlModel(
-            a=np.asarray(raw["a"], dtype=float),
-            b=np.asarray(raw["b"], dtype=float),
-            c=np.asarray(raw["c"], dtype=float),
+            a=_read_array(raw, "a"),
+            b=_read_array(raw, "b"),
+            c=_read_array(raw, "c"),
             lifting=_lifting_from_descriptor(raw["lifting"]),
             dt=_read_number(raw, "dt"),
             kind=raw["kind"],

@@ -9,43 +9,29 @@ become box and inequality rows of one small QP per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
 from .dynamics import Trajectory, _count, _n_steps, check_positive, rk4_step
-from .errors import DivergenceError, InfeasibleError, InvalidInputError
+from .errors import DivergenceError, InfeasibleError, InvalidInputError, KoopmpcError
 from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info, verify_active_set
-from .sysid import rollout_from_lifted
-
-
-def _weight_matrix(w, dim, name):
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr) * np.eye(dim)
-    if arr.shape != (dim, dim):
-        raise InvalidInputError(f"{name} must be scalar or ({dim}, {dim})")
-    return arr
-
-
-def _bound_vector(v, dim):
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size not in (1, dim):
-        raise InvalidInputError(f"bound has {arr.size} entries; expected 1 or {dim}")
-    return np.broadcast_to(arr, dim).copy()
 
 
 @dataclass
 class MpcConfig:
     """Quadratic weights, horizon, bounds, and reference of the tracking QP.
 
-    ``terminal_weight`` defaults to the stage weight ``q``. Bounds may be
-    scalars or per-input vectors; rate bounds constrain u_k - u_{k-1} with
-    the first difference taken against the previously applied input. An
-    infinite bound means unbounded; NaN anywhere, or a non-finite weight or
-    reference, raises InvalidInputError.
+    ``q`` weighs the recovered state at every horizon step, the last one
+    included. The input weight ``ru``, the input-rate weight ``rdu`` and the
+    four bounds are real numbers (stored as floats) that apply alike to
+    every input. Rate bounds constrain u_k - u_{k-1} with the first
+    difference taken against the previously applied input. An infinite
+    bound means unbounded. A weight or bound that is not a real number, a
+    NaN bound, or a non-finite weight or reference raises InvalidInputError.
     """
 
     q: np.ndarray
@@ -57,14 +43,18 @@ class MpcConfig:
     du_min: float = -np.inf
     du_max: float = np.inf
     reference: np.ndarray = None
-    terminal_weight: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         if self.q.ndim != 2 or self.q.shape[0] != self.q.shape[1]:
             raise InvalidInputError("q must be a square matrix")
+        for name in ("ru", "rdu", "u_min", "u_max", "du_min", "du_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+            setattr(self, name, float(value))
         for name in ("q", "ru", "rdu"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise InvalidInputError(f"{name} must be finite")
         if np.min(np.linalg.eigvalsh(0.5 * (self.q + self.q.T))) < -1e-8:
             raise InvalidInputError("q must be positive semidefinite")
@@ -79,36 +69,27 @@ class MpcConfig:
         if not np.all(np.isfinite(self.reference)):
             raise InvalidInputError("reference must be finite")
         for lo_name, hi_name in (("u_min", "u_max"), ("du_min", "du_max")):
-            lo = np.asarray(getattr(self, lo_name), dtype=float).reshape(-1)
-            hi = np.asarray(getattr(self, hi_name), dtype=float).reshape(-1)
-            if lo.size != hi.size and 1 not in (lo.size, hi.size):
-                raise InvalidInputError(
-                    f"{lo_name} has {lo.size} entries but {hi_name} has {hi.size}"
-                )
-            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
+            if math.isnan(lo) or math.isnan(hi):
                 raise InvalidInputError(f"{lo_name} and {hi_name} must not be NaN")
-            if np.any(lo > hi):
+            if lo > hi:
                 raise InvalidInputError("lower bounds must not exceed upper bounds")
-        if self.terminal_weight is not None:
-            self.terminal_weight = np.asarray(self.terminal_weight, dtype=float)
-            if self.terminal_weight.shape != self.q.shape:
-                raise InvalidInputError("terminal_weight must match q in shape")
-            if not np.all(np.isfinite(self.terminal_weight)):
-                raise InvalidInputError("terminal_weight must be finite")
 
 
 class CondensedMpc:
     """Horizon condensation of one model/config pair.
 
     Everything that does not depend on the current lifted state or the
-    previous input (Hessian, prediction maps, constraint rows) is built once;
-    the stacked box and rate rows serve both :meth:`is_feasible` and the QP
-    solver. The Hessian must be positive definite. Its inverse, from one
-    Cholesky factorization, is kept too, so a step whose unconstrained
-    minimizer ``-H^{-1} g`` satisfies every bound is solved by a matvec
-    (Bemporad et al. 2002, explicit LQR); the solver's rows are mapped
-    through the inverse of the same factor. :meth:`plan` is the arithmetic
-    of one step.
+    previous input (Hessian, prediction maps, constraint rows) is built once.
+    The input weights are ``ru * I`` and ``rdu * I``, the state weight ``q``
+    holds at every horizon step, and each bound is the same for every input
+    and step. The stacked box and rate rows serve both :meth:`is_feasible`
+    and the QP solver. The Hessian must be positive definite. Its inverse,
+    from one Cholesky factorization, is kept too, so a step whose
+    unconstrained minimizer ``-H^{-1} g`` satisfies every bound is solved by
+    a matvec (Bemporad et al. 2002, explicit LQR); the solver's rows are
+    mapped through the inverse of the same factor. :meth:`plan` is the
+    arithmetic of one step.
 
     Every array is read-only, so one condensation serves every caller whose
     model and config hold the same content: :func:`condensed` builds one per
@@ -121,7 +102,6 @@ class CondensedMpc:
         q_in = b.shape[1]
         ny = c.shape[0]
         q, ref = cfg.q, cfg.reference
-        qf = q if cfg.terminal_weight is None else cfg.terminal_weight
         if q.shape[0] != ny:
             coords = list(model.lifting.coords)
             if q.shape[0] != model.lifting.state_dim or len(coords) != ny:
@@ -129,11 +109,10 @@ class CondensedMpc:
                     f"state weight is {q.shape[0]}-dimensional but the model recovers {ny} states"
                 )
             # A partial-state model is weighted on the plant coordinates it recovers.
-            rows = np.ix_(coords, coords)
-            q, qf, ref = q[rows], qf[rows], ref[coords]
+            q, ref = q[np.ix_(coords, coords)], ref[coords]
         n = cfg.horizon
-        ru = _weight_matrix(cfg.ru, q_in, "ru")
-        rdu = _weight_matrix(cfg.rdu, q_in, "rdu")
+        ru = float(cfg.ru) * np.eye(q_in)
+        rdu = float(cfg.rdu) * np.eye(q_in)
 
         a_pows = [np.eye(dim)]
         for _ in range(n):
@@ -146,7 +125,7 @@ class CondensedMpc:
         smat = cab[np.where(toe >= 0, toe, n)].transpose(0, 2, 1, 3).reshape(n * ny, n * q_in)
 
         qbar = np.zeros((n, ny, n, ny))
-        qbar[np.arange(n), :, np.arange(n)] = [q] * (n - 1) + [qf]  # block diagonal
+        qbar[np.arange(n), :, np.arange(n)] = q  # block diagonal
         qbar = qbar.reshape(n * ny, n * ny)
         # np.kron(np.eye(n), w) as one broadcast product, signed zeros included.
         eye = np.eye(n)[:, None, :, None]
@@ -169,10 +148,10 @@ class CondensedMpc:
         self.g_state = 2.0 * smat.T @ qbar @ pred
         self.g_const = -2.0 * smat.T @ qbar @ np.tile(ref, n)
         self.g_uprev = -2.0 * lmat.T @ rdubar @ emat
-        self.lb = np.tile(_bound_vector(cfg.u_min, q_in), n)
-        self.ub = np.tile(_bound_vector(cfg.u_max, q_in), n)
-        du_max = np.tile(_bound_vector(cfg.du_max, q_in), n)
-        du_min = np.tile(_bound_vector(cfg.du_min, q_in), n)
+        self.lb = np.full(n * q_in, float(cfg.u_min))
+        self.ub = np.full(n * q_in, float(cfg.u_max))
+        du_max = np.full(n * q_in, float(cfg.du_max))
+        du_min = np.full(n * q_in, float(cfg.du_min))
         # Rate rows u_k - u_{k-1} <= du_max and -(u_k - u_{k-1}) <= -du_min,
         # kept only where the bound is finite.
         keep = np.isfinite(np.concatenate([du_max, -du_min]))
@@ -196,7 +175,6 @@ class CondensedMpc:
         self._du0_lo = du_min[:q_in] - 1e-7
         self.ru = ru
         self.rdu = rdu
-        self.cfg = cfg
         self.horizon = n
         self.input_dim = q_in
         self.lifted_dim = dim
@@ -309,12 +287,14 @@ def _content(value):
 
 
 def _condense_key(model, cfg):
-    """Everything :class:`CondensedMpc` reads of ``model`` and ``cfg``, by content and layout."""
+    """Everything :class:`CondensedMpc` reads of ``model`` and ``cfg``, by content and layout.
+
+    Every field of the config is in the key, so a field added later is too.
+    """
     lifting = model.lifting
-    arrays = (model.a, model.b, model.c, cfg.q, cfg.ru, cfg.rdu, cfg.reference,
-              cfg.u_min, cfg.u_max, cfg.du_min, cfg.du_max)
-    terminal = None if cfg.terminal_weight is None else _content(cfg.terminal_weight)
-    return (*map(_content, arrays), terminal, cfg.horizon, tuple(lifting.coords), lifting.state_dim)
+    config = [getattr(cfg, f.name) for f in fields(cfg)]
+    arrays = map(_content, (model.a, model.b, model.c, *config))
+    return (*arrays, tuple(lifting.coords), lifting.state_dim)
 
 
 _CONDENSED_MAX = 8
@@ -348,23 +328,15 @@ class MpcStep:
     step reports the KKT residual and the active rows (indices into the
     condensed QP's stacked rows) of its plan: a verified guess
     (``guess_hit``) with 0 iterations, or else the dual active-set solve with
-    its iterations. ``predicted_states`` is computed from the model on first
-    access.
+    its iterations.
     """
 
     u: np.ndarray                 # applied input (first element of the plan)
     input_sequence: np.ndarray    # (q, N) planned inputs
     qp_iterations: int
     kkt_residual: float
-    lifted_state: np.ndarray      # lifted measurement the plan starts from
-    model: object = field(repr=False, compare=False)
     active_set: tuple | None = None  # active rows of the plan; None on the unconstrained law
     guess_hit: bool = False          # the plan came from a verified guess
-
-    @cached_property
-    def predicted_states(self):
-        """(ny, N+1) recovered states along the plan."""
-        return rollout_from_lifted(self.model, self.lifted_state, self.input_sequence)
 
 
 def mpc_step(
@@ -384,7 +356,8 @@ def mpc_step(
     condensation comes from :func:`condensed`, so it is built once per model
     and config content. The returned ``u`` is the first element of the
     optimized sequence, clipped to the input box to remove solver-tolerance
-    dust.
+    dust. The step keeps the plan, not the states it predicts:
+    ``predict_rollout`` of ``input_sequence`` gives those.
 
     The unconstrained minimizer is taken when it meets every stacked box and
     rate row and its stationarity residual is within ``qp_tol``. Otherwise,
@@ -413,10 +386,8 @@ def mpc_step(
         input_sequence=u_seq,
         qp_iterations=iterations,
         kkt_residual=residual,
-        lifted_state=z0,
         active_set=active,
         guess_hit=hit,
-        model=model,
     )
 
 
@@ -467,6 +438,11 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     ``guess_hit`` arrays. A step solved by the unconstrained law or by a
     verified guess has 0 iterations and a finite residual; a delay warm-up
     step, which solves nothing, has 0 iterations and a NaN residual.
+
+    Any :class:`KoopmpcError` raised at step ``k`` (a divergence, an
+    infeasible horizon problem, a solver that misses ``qp_tol``) keeps its
+    type and carries ``partial``, the result of the ``k`` completed steps. A
+    failed plan's message names step ``k``; a divergence's names its time.
     """
     n_steps = _n_steps(t_end, dt)
     check_positive(qp_tol, "qp_tol")
@@ -508,23 +484,23 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
 
     u_idle = np.clip(np.zeros(q_in), cond.lb[:q_in], cond.ub[:q_in])
     for k in range(n_steps):
-        if k < warmup:
-            u = u_idle.copy()
-        else:
-            z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
-            try:
-                u_seq, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
-            except InfeasibleError as err:
-                raise InfeasibleError(f"horizon problem infeasible at step {k}: {err}") from None
-            u = u_seq[:, 0].copy()
-            if active is not None:
-                guess = active
-        inputs[:, k] = u
-        stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
         try:
+            if k < warmup:
+                u = u_idle.copy()
+            else:
+                z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
+                u_seq, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
+                u = u_seq[:, 0].copy()
+                if active is not None:
+                    guess = active
+            inputs[:, k] = u
+            stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
             x = rk4_step(plant, x, u, times[k], dt)
-        except DivergenceError as err:
-            raise DivergenceError(str(err), partial=partial(k)) from None
+        except KoopmpcError as err:
+            err.partial = partial(k)
+            if not isinstance(err, DivergenceError):  # a divergence names its time already
+                err.args = (f"horizon problem failed at step {k}: {err}",) + err.args[1:]
+            raise
         states[:, k + 1] = x
         u_prev = u
 

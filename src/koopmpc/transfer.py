@@ -71,17 +71,13 @@ class BoxPartition:
         return lo, lo + self.widths
 
 
-def locate(part, x):
-    """Box index of a point; ``part.outside_index`` if it leaves the rectangle.
+def locate_many(part, xs):
+    """Box index of each column of ``xs`` (n, m); ``part.outside_index`` if it leaves the rectangle.
 
     Boxes are half-open [low, high) along every dimension except that the top
     boundary of the final box is closed, so the rectangle itself is covered.
+    A column with a non-finite entry is outside.
     """
-    return int(locate_many(part, np.asarray(x, dtype=float).reshape(-1, 1))[0])
-
-
-def locate_many(part, xs):
-    """Vectorized :func:`locate` over columns of ``xs`` (n, m)."""
     xs = np.asarray(xs, dtype=float)
     finite = np.all(np.isfinite(xs), axis=0)
     inside = finite & np.all(xs >= part.lows[:, None], axis=0) & np.all(

@@ -373,6 +373,25 @@ class TestMalformedJsonInputs:
         assert main(["fit", str(copy), "--model", "dmdc", "--out", str(tmp_path / "fit")]) == 3
         assert "does not hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("a", "abc", "a must be a numeric array"),
+            ("a", [[1, 2], [3]], "a must be a numeric array"),
+            ("c", {"x": 1}, "c must be a numeric array"),
+            ("lifting", [1, 2], "lifting must be a JSON object"),
+        ],
+        ids=["non-numeric", "ragged", "object", "list-lifting"],
+    )
+    def test_mpc_exits_3_on_a_malformed_model_entry(self, fitted_edmdc, tmp_path, capsys, key, value, message):
+        cfg, _, model_path = fitted_edmdc
+        raw = read_json(model_path)
+        raw[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("reader", [model_from_json, chain_from_json])
     def test_readers_reject_a_file_that_is_not_an_object(self, tmp_path, reader):
         path = tmp_path / "file.json"

@@ -183,11 +183,11 @@ class TestSimulate:
 
     def test_equals_repeated_rk4_steps_bitwise(self):
         sys = make_vanderpol(0.2)
-        forcing = ForcingSignal.constant([1.3])
+        forcing = ForcingSignal.product_sines(1.3, 2.0, 3.0)
         traj = simulate(sys, [1.0, -0.5], forcing, 0.5, 0.05)
         x = np.array([1.0, -0.5])
         for k in range(traj.n_steps):
-            x = rk4_step(sys, x, np.array([1.3]), k * 0.05, 0.05)
+            x = rk4_step(sys, x, forcing.evaluate(k * 0.05), k * 0.05, 0.05)
             assert np.array_equal(x, traj.states[:, k + 1])
 
     def test_divergence_carries_partial_trajectory(self):
@@ -222,11 +222,6 @@ class TestForcing:
         expected = 5.0 * np.sin(2.0 * t) * np.sin(3.0 * t)
         assert abs(sig.evaluate(t)[0] - expected) < 1e-14
 
-    def test_piecewise_lookup(self):
-        sig = ForcingSignal.piecewise([[1.0, 2.0, 3.0]], dt=0.5)
-        assert sig.evaluate(0.0)[0] == 1.0
-        assert sig.evaluate(0.74)[0] == 2.0
-        assert sig.evaluate(5.0)[0] == 3.0  # held past the end
 
 
 class TestSampleTrainingSet:
@@ -374,19 +369,14 @@ def reference_generate(sys, n_traj, box, t_end, dt, forcing_family, seed):
     return trajectories, n_divergent
 
 
-FORCING_KINDS = ("product-sines", "constant", "zero", "piecewise-constant-sequence")
+FORCING_KINDS = ("product-sines", "zero")
 
 
 def random_signal(rng, kind, input_dim=1):
     if kind == "product-sines":
         w = rng.normal(0.0, 10.0, size=2)
         return ForcingSignal.product_sines(rng.uniform(0.0, 5.0), w[0], w[1])
-    if kind == "constant":
-        return ForcingSignal.constant(rng.uniform(-3.0, 3.0, input_dim))
-    if kind == "zero":
-        return ForcingSignal.zero(input_dim)
-    values = rng.uniform(-3.0, 3.0, (input_dim, int(rng.integers(1, 8))))
-    return ForcingSignal.piecewise(values, dt=float(rng.choice([0.03, 0.05, 0.1, 0.25])))
+    return ForcingSignal.zero(input_dim)
 
 
 def mixed_family(kinds):
@@ -491,7 +481,7 @@ class TestForcingOnTimeArrays:
     def test_equals_stacked_scalar_calls_bitwise(self, kind, input_dim, n_times, t_max, seed):
         rng = np.random.default_rng(seed)
         sig = random_signal(rng, kind, 1 if kind == "product-sines" else input_dim)
-        # Sample times on a grid, at random, and past the end of a piecewise sequence.
+        # Sample times on a grid and at random.
         times = np.concatenate([np.arange(n_times) * 0.05, rng.uniform(0.0, t_max, n_times)])
         got = sig.evaluate(times)
         want = np.stack([sig.evaluate(t) for t in times], axis=1) if times.size else None
@@ -501,22 +491,15 @@ class TestForcingOnTimeArrays:
         for t in (0.0, float(t_max), np.float64(t_max)):
             assert sig.evaluate(t).shape == (sig.input_dim,)
 
-    def test_piecewise_holds_its_last_value_past_the_end(self):
-        sig = ForcingSignal.piecewise([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]], dt=0.5)
-        got = sig.evaluate(np.array([0.0, 0.49, 0.5, 1.0, 1.49, 1.5, 7.0]))
-        assert np.array_equal(got[0], [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0])
-        assert np.array_equal(got[1], -got[0])
-
     def test_scalar_results_do_not_alias_the_signal(self):
-        for sig in (ForcingSignal.constant([1.0, 2.0]), ForcingSignal.piecewise([[1.0, 2.0]], 0.5)):
-            u = sig.evaluate(0.0)
+        for sig in (ForcingSignal.zero(2), ForcingSignal.product_sines(1.0, 2.0, 3.0)):
+            u = sig.evaluate(0.5)
             u[:] = 99.0
-            assert not np.any(sig.evaluate(np.array([0.0, 0.7])) == 99.0)
+            assert not np.any(sig.evaluate(np.array([0.5, 0.7])) == 99.0)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan, np.inf])
-    def test_piecewise_rejects_a_bad_dt(self, dt):
-        with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
-            ForcingSignal.piecewise([[1.0, 2.0]], dt)
+    def test_other_kinds_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown forcing kind 'constant'"):
+            ForcingSignal(kind="constant").evaluate(0.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan], [[0.0, 0.1]]])
     def test_rejects_non_finite_or_2d_times(self, t):

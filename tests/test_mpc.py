@@ -11,6 +11,7 @@ import koopmpc.mpc
 from koopmpc import (
     CondensedMpc,
     ControlSystem,
+    ConvergenceError,
     DelaySpec,
     DivergenceError,
     InfeasibleError,
@@ -121,7 +122,6 @@ class TestMpcStep:
         step = mpc_step(linear_model, np.array([2.0, -1.0]), np.zeros(1), base_cfg())
         assert step.u[0] == step.input_sequence[0, 0]
         assert step.input_sequence.shape == (1, 15)
-        assert step.predicted_states.shape == (2, 16)
 
     def test_vanderpol_model_respects_bounds(self, vdp_edmdc):
         u_prev = np.zeros(1)
@@ -314,6 +314,43 @@ class TestClosedLoop:
         assert np.all(np.abs(partial.trajectory.states) <= DIVERGENCE_LIMIT)
         assert np.all(partial.trajectory.inputs == 0.0)
 
+    def test_an_infeasible_first_step_carries_its_empty_partial_run(self, vdp_training, vdp_edmdc):
+        # u in [2, 3] is out of reach of u_prev = 0 under |du| <= 0.5.
+        plant, _, _ = vdp_training
+        cfg = base_cfg(u_min=2.0, u_max=3.0, du_min=-0.5, du_max=0.5)
+        with pytest.raises(InfeasibleError, match="at step 0") as exc:
+            closed_loop_run(plant, vdp_edmdc, cfg, np.array([1.0, 0.0]), 1.0, 0.05)
+        partial = exc.value.partial
+        assert partial.trajectory.n_steps == 0 and partial.stage_costs.size == 0
+        assert np.array_equal(partial.trajectory.states[:, 0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("error", [InfeasibleError, ConvergenceError])
+    def test_a_failed_solve_carries_the_steps_before_it(self, vdp_training, vdp_edmdc, monkeypatch, error):
+        plant, _, _ = vdp_training
+        cfg = base_cfg(u_min=-1.0, u_max=1.0, du_min=-0.5, du_max=0.5)
+        x0 = np.array([2.0, 0.0])
+        full = closed_loop_run(plant, vdp_edmdc, cfg, x0, 2.0, 0.05)
+        cold = np.flatnonzero(full.solve_stats["iterations"] > 0)  # the steps that ran the solver
+        k = int(cold[cold >= 3][0])
+        calls, solve = [], solve_qp_info
+
+        def solve_failing_at_step_k(qp, tol=1e-8):
+            calls.append(qp)
+            if len(calls) == np.flatnonzero(cold == k)[0] + 1:
+                raise error("the solver gave up")
+            return solve(qp, tol=tol)
+
+        monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", solve_failing_at_step_k)
+        with pytest.raises(error, match=f"^horizon problem failed at step {k}: the solver gave up$") as exc:
+            closed_loop_run(plant, vdp_edmdc, cfg, x0, 2.0, 0.05)
+        partial = exc.value.partial
+        assert partial.trajectory.n_steps == k
+        assert partial.trajectory.states.tobytes() == full.trajectory.states[:, : k + 1].tobytes()
+        assert partial.trajectory.inputs.tobytes() == full.trajectory.inputs[:, :k].tobytes()
+        assert partial.cumulative_cost.tobytes() == full.cumulative_cost[:k].tobytes()
+        for key, stat in partial.solve_stats.items():
+            assert stat.tobytes() == full.solve_stats[key][:k].tobytes(), key
+
 
 class TestBounds:
     @pytest.mark.parametrize(
@@ -334,29 +371,40 @@ class TestBounds:
         assert np.array_equal(got.trajectory.states, ref.trajectory.states)
 
     @pytest.mark.parametrize("key", ["u_min", "u_max", "du_min", "du_max"])
-    def test_bound_of_wrong_length_raises(self, linear_model, key):
-        cfg = base_cfg(**{key: [-1.0, 2.0] if key.endswith("min") else [1.0, 2.0]})
-        with pytest.raises(InvalidInputError, match="bound has 2 entries"):
-            CondensedMpc(linear_model, cfg)
-        with pytest.raises(InvalidInputError, match="bound has 2 entries"):
-            mpc_step(linear_model, np.ones(2), np.zeros(1), cfg)
+    def test_bound_of_wrong_length_raises(self, key):
+        # A bound is one real number for every input: a sequence of any length is rejected.
+        for value in ([-1.0, 2.0], [1.0], np.array([1.0]), np.array(1.0)):
+            with pytest.raises(InvalidInputError, match=f"{key} must be a real number"):
+                base_cfg(**{key: value})
 
     @pytest.mark.parametrize("lo, hi", [("u_min", "u_max"), ("du_min", "du_max")])
     def test_bound_pair_of_different_lengths_raises(self, lo, hi):
-        with pytest.raises(InvalidInputError, match=f"{lo} has 3 entries but {hi} has 2"):
+        with pytest.raises(InvalidInputError, match=f"{lo} must be a real number"):
             MpcConfig(np.eye(2), **{lo: [-1.0, -2.0, -3.0], hi: [1.0, 2.0]})
+
+    @pytest.mark.parametrize("key", ["ru", "rdu", "u_min", "u_max", "du_min", "du_max"])
+    @pytest.mark.parametrize("value", [np.eye(1), "0.5", True, None], ids=repr)
+    def test_weights_and_bounds_must_be_real_numbers(self, key, value):
+        with pytest.raises(InvalidInputError, match=f"{key} must be a real number"):
+            base_cfg(**{key: value})
+
+    def test_real_numbers_are_stored_as_floats(self, linear_model):
+        cfg = base_cfg(ru=1, rdu=np.float32(0.5), u_min=np.int64(-2), u_max=2, du_min=-np.inf)
+        assert [type(getattr(cfg, k)) for k in ("ru", "rdu", "u_min", "u_max", "du_min")] == [float] * 5
+        cond = CondensedMpc(linear_model, cfg)
+        assert cond.lb.tobytes() == np.full(15, -2.0).tobytes()
+        assert cond.ru.tobytes() == np.eye(1).tobytes()
 
     @pytest.mark.parametrize(
         "override",
         [
             {"reference": [np.nan, 0.0]},
             {"du_max": np.nan},
-            {"u_min": [np.nan]},
+            {"u_min": np.nan},
             {"q": np.diag([1.0, np.inf])},
             {"ru": np.nan},
-            {"terminal_weight": np.full((2, 2), np.nan)},
         ],
-        ids=["reference", "du_max", "u_min", "q", "ru", "terminal_weight"],
+        ids=["reference", "du_max", "u_min", "q", "ru"],
     )
     def test_non_finite_value_raises(self, override):
         with pytest.raises(InvalidInputError, match="finite|NaN"):
@@ -371,12 +419,6 @@ class TestBounds:
         cfg = base_cfg(u_min=-np.inf, u_max=np.inf, du_min=-np.inf, du_max=np.inf)
         assert CondensedMpc(linear_model, cfg).a_ineq is None  # no rate rows
 
-    def test_length_one_bound_equals_scalar(self, linear_model):
-        vec = CondensedMpc(linear_model, base_cfg(u_max=[1.0], du_min=[-0.3]))
-        scalar = CondensedMpc(linear_model, base_cfg(u_max=1.0, du_min=-0.3))
-        assert np.array_equal(vec.ub, scalar.ub)
-        assert np.array_equal(vec.qp(np.ones(2), np.zeros(1)).b_ineq,
-                              scalar.qp(np.ones(2), np.zeros(1)).b_ineq)
 
 
 @pytest.mark.filterwarnings("ignore:dropped .* divergent training trajectories")
@@ -416,16 +458,13 @@ class TestPartialStateWeights:
         return fit_delay_augmented(trajs, DelaySpec(3, 3), coords=(0,))
 
     def test_plant_weight_is_taken_at_recovered_coordinates(self, x1_delay):
-        full = base_cfg(
-            q=np.array([[2.0, 0.5], [0.5, 3.0]]), reference=np.array([0.25, -1.0]),
-            terminal_weight=np.array([[4.0, 0.0], [0.0, 7.0]]),
-        )
-        sub = base_cfg(q=np.array([[2.0]]), reference=np.array([0.25]),
-                       terminal_weight=np.array([[4.0]]))
-        got, want = CondensedMpc(x1_delay, full), CondensedMpc(x1_delay, sub)
+        full = base_cfg(q=np.array([[2.0, 0.5], [0.5, 3.0]]), reference=np.array([0.25, -1.0]))
+        sub = base_cfg(q=np.array([[2.0]]), reference=np.array([0.25]))
+        got, want = koopmpc.mpc.condensed(x1_delay, full), koopmpc.mpc.condensed(x1_delay, sub)
         for attr in ("h", "g_state", "g_const", "g_uprev"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        assert got.cfg is full
+        # Equal condensations, but of different configs: the memo keeps both.
+        assert got is not want and koopmpc.mpc.condensed(x1_delay, copy.deepcopy(full)) is got
 
     def test_other_weight_sizes_still_raise(self, x1_delay, linear_model):
         with pytest.raises(InvalidInputError):

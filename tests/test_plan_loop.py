@@ -9,6 +9,7 @@ run's error and partial result included.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -65,11 +66,6 @@ def empty_memo(monkeypatch):
     return koopmpc.mpc._condensations
 
 
-def _weight(w, dim):
-    w = np.asarray(w, dtype=float)
-    return float(w) * np.eye(dim) if w.ndim == 0 else w
-
-
 def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     """``closed_loop_run`` as public per-step calls: its record, and the DivergenceError or None.
 
@@ -78,7 +74,7 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     """
     n_steps = _n_steps(t_end, dt)
     q_in, h = model.input_dim, model.lifting.history_steps
-    ru, rdu = _weight(cfg.ru, q_in), _weight(cfg.rdu, q_in)
+    ru, rdu = cfg.ru * np.eye(q_in), cfg.rdu * np.eye(q_in)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
     rec = dict(stage=np.empty(n_steps), iterations=np.zeros(n_steps, dtype=int),
@@ -168,14 +164,14 @@ def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
 class TestSharedCondensations:
     def test_an_in_place_change_gets_a_fresh_condensation(self, vdp_training, models, empty_memo):
         plant, model = vdp_training[0], copy.deepcopy(models["edmdc"])
-        cfg, x0 = mpc_cfg("default", u_min=np.array([-5.0])), np.array([-3.0, 2.0])
+        cfg, x0 = mpc_cfg("default"), np.array([-3.0, 2.0])
         first = closed_loop_run(plant, model, cfg, x0, 1.0, DT)
         cond = condensed(model, cfg)
         assert len(empty_memo) == 1 and condensed(copy.deepcopy(model), copy.deepcopy(cfg)) is cond
         for change in (
             lambda: model.b.__imul__(0.5),        # a model matrix, in place
             lambda: setattr(cfg, "du_min", -0.25),  # a config bound
-            lambda: cfg.u_min.__setitem__(0, -1.5),  # a bound array, in place
+            lambda: cfg.q.__setitem__((1, 1), 3.0),  # a config array, in place
         ):
             change()
             got = closed_loop_run(plant, model, cfg, x0, 1.0, DT)
@@ -188,6 +184,18 @@ class TestSharedCondensations:
             assert_bitwise_records(record_of(got), want)
             assert not np.array_equal(got.trajectory.inputs, first.trajectory.inputs)
             first = got
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MpcConfig)])
+    def test_every_config_field_is_in_the_key(self, models, empty_memo, field):
+        cfg = mpc_cfg("saturated", reference=np.zeros(2))
+        changed = copy.deepcopy(cfg)
+        value = getattr(cfg, field)
+        setattr(changed, field, value + 1 if field != "u_min" else value - 1)  # keeps u_min <= u_max
+        model = models["edmdc"]
+        cond = condensed(model, cfg)
+        fresh = condensed(model, changed)
+        assert fresh is not cond and condensed(model, copy.deepcopy(cfg)) is cond
+        assert len(empty_memo) == 2
 
     def test_the_memo_keeps_the_most_recent_few(self, models, empty_memo):
         size, model = koopmpc.mpc._CONDENSED_MAX, models["dmdc"]

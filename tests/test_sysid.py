@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
     BoxPartition,
+    CondensedMpc,
     ControlledChain,
     DelaySpec,
     MpcConfig,
@@ -393,14 +394,36 @@ class TestLiftingInterface:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_mpc_plan_states_equal_predict_rollout(self, name):
+        # The states the condensed QP weighs are those predict_rollout gives:
+        # for the plan and for other plans, 0.5 u'Hu + g'u and the horizon cost
+        # along predict_rollout's states differ by one constant.
         model = _small_study()[0][name]
         traj = _small_study()[1][0]
         k = 7
+        x, u_prev = traj.states[:, k], traj.inputs[:, k - 1]
         history = dict(history_states=traj.states[:, :k], history_inputs=traj.inputs[:, :k])
-        cfg = MpcConfig(q=np.eye(2), ru=0.1, rdu=0.1, horizon=10, u_min=-5.0, u_max=5.0)
-        step = mpc_step(model, traj.states[:, k], traj.inputs[:, k - 1], cfg, **history)
-        pred = predict_rollout(model, traj.states[:, k], step.input_sequence, **history)
-        assert np.array_equal(step.predicted_states, pred.states)
+        q, ref = np.diag([1.0, 2.0]), np.array([0.3, -0.2])
+        cfg = MpcConfig(q=q, ru=0.1, rdu=0.2, horizon=10, u_min=-5.0, u_max=5.0, reference=ref)
+        step = mpc_step(model, x, u_prev, cfg, **history)
+        qp = CondensedMpc(model, cfg).qp(model.lift(x, **history), u_prev)
+        coords = list(model.lifting.coords)
+        q_rec, ref_rec = q[np.ix_(coords, coords)], ref[coords, None]
+
+        def horizon_cost(u_seq):
+            err = predict_rollout(model, x, u_seq, **history).states[:, 1:] - ref_rec
+            du = np.diff(np.hstack([u_prev[:, None], u_seq]), axis=1)
+            return np.sum(err * (q_rec @ err)) + 0.1 * np.sum(u_seq**2) + 0.2 * np.sum(du**2)
+
+        def qp_objective(u_seq):
+            v = u_seq.T.reshape(-1)
+            return 0.5 * v @ qp.h @ v + qp.g @ v
+
+        rng = np.random.default_rng(0)
+        plans = [step.input_sequence] + [rng.uniform(-5.0, 5.0, (1, 10)) for _ in range(4)]
+        costs = [horizon_cost(u) for u in plans]
+        offsets = [c - qp_objective(u) for c, u in zip(costs, plans)]
+        # The full-state delay model amplifies the two paths' rounding to about 4e-9 of the cost.
+        assert np.allclose(offsets, offsets[0], rtol=0.0, atol=1e-8 * max(costs))
 
 
 def _reference_prediction_errors(models, trajectories, horizon):

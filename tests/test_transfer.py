@@ -15,12 +15,16 @@ from koopmpc import (
     UnknownLevelError,
     estimate_controlled_transition,
     invariant_density,
-    locate,
     propagate_density,
 )
 from koopmpc.dynamics import make_vanderpol
 from koopmpc.io import chain_from_json, chain_to_json, read_json, write_json
 from koopmpc.transfer import locate_many
+
+
+def locate(part, x):
+    """The box of one point, through a one-column ``locate_many``."""
+    return int(locate_many(part, np.reshape(x, (-1, 1)))[0])
 
 from test_numerics import gamblers_ruin, slow_leak_chain, sparse_stochastic
 
