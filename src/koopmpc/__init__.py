@@ -29,7 +29,6 @@ from .errors import (
     KoopmpcError,
     MissingHistoryError,
     NoEigenfunctionError,
-    UnknownLevelError,
     UnsupportedDictionaryError,
 )
 from .mpc import (
@@ -50,7 +49,6 @@ from .numerics import (
 )
 from .observables import (
     DelayCoordinates,
-    DelaySpec,
     Dictionary,
     eval_dictionary,
     identity_dictionary,
@@ -74,7 +72,6 @@ from .transfer import (
     TransitionMatrix,
     estimate_controlled_transition,
     invariant_density,
-    propagate_density,
 )
 
 __version__ = "0.1.0"

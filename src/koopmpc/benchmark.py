@@ -32,7 +32,7 @@ from .errors import (
 )
 from .io import closed_loop_summary
 from .mpc import MpcConfig, closed_loop_run
-from .observables import DelaySpec, monomials_dictionary
+from .observables import monomials_dictionary
 from .sysid import fit_delay_augmented, fit_dmdc, fit_edmdc, rollout_from_lifted
 from .sysid import predict_rollout  # noqa: F401  (perfbench traces this name here)
 
@@ -86,9 +86,8 @@ def fit_models(cfg, trajectories, samples):
             models[name] = fit_edmdc(samples, dic, svd_tol=cfg.svd_tol)
         elif name == "delay":
             coords = None if cfg.delay_full_state else (0,)
-            spec = DelaySpec(d1=cfg.delay_depth, d2=cfg.delay_depth)
             models[name] = fit_delay_augmented(
-                trajectories, spec, svd_tol=cfg.svd_tol, coords=coords
+                trajectories, cfg.delay_depth, svd_tol=cfg.svd_tol, coords=coords
             )
         else:
             raise InvalidInputError(f"unknown model kind {name!r}")

@@ -310,14 +310,14 @@ def simulate(sys, x0, forcing, t_end, dt):
 
 
 def _count(value, name, low):
-    """``value`` as an int of at least ``low``; InvalidInputError otherwise."""
+    """``value`` as an int of at least ``low``; a bool or anything else raises InvalidInputError."""
     try:
-        value = operator.index(value)
+        index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"{name} must be an integer >= {low}") from None
-    if value < low:
-        raise InvalidInputError(f"{name} must be an integer >= {low}")
-    return value
+        index = None
+    if index is None or index < low:
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return index
 
 
 def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, seed):

@@ -41,10 +41,6 @@ class DivergenceError(KoopmpcError, RuntimeError):
         self.partial = partial
 
 
-class UnknownLevelError(KoopmpcError, ValueError):
-    """An input value does not match any discrete level of the model."""
-
-
 class MissingHistoryError(KoopmpcError, ValueError):
     """A delay-coordinate model was evaluated without enough history."""
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _count
 from .errors import InvalidInputError
-from .observables import DelayCoordinates, DelaySpec, Dictionary
+from .observables import DelayCoordinates, Dictionary
 from .sysid import LinearControlModel
 from .transfer import BoxPartition, ControlledChain, TransitionMatrix
 
@@ -137,8 +137,8 @@ def _lifting_descriptor(lifting):
     if isinstance(lifting, DelayCoordinates):
         return {
             "type": "delay",
-            "d1": lifting.spec.d1,
-            "d2": lifting.spec.d2,
+            "d1": lifting.depth,
+            "d2": lifting.depth,
             "coords": list(lifting.coords),
             "state_dim": lifting.state_dim,
             "input_dim": lifting.input_dim,
@@ -160,8 +160,12 @@ def _lifting_from_descriptor(desc):
         # Files from before lags were fixed at one step may carry tau_steps: 1.
         if desc.get("tau_steps", 1) != 1:
             raise InvalidInputError(f"unsupported delay lag tau_steps={desc['tau_steps']!r}")
+        # Files keep a state depth d1 and an input depth d2; both are the one depth.
+        d1, d2 = _count(desc["d1"], "d1", 1), _count(desc["d2"], "d2", 1)
+        if d1 != d2:
+            raise InvalidInputError(f"delay depths d1={d1} and d2={d2} differ; a lifting has one depth")
         return DelayCoordinates(
-            spec=DelaySpec(d1=desc["d1"], d2=desc["d2"]),
+            depth=d1,
             coords=desc["coords"],
             state_dim=desc["state_dim"],
             input_dim=desc["input_dim"],
@@ -260,23 +264,26 @@ def chain_to_json(chain, path):
 
 def chain_from_json(path):
     raw = read_json(path)
-    part = BoxPartition(
-        lows=raw["partition"]["lows"],
-        highs=raw["partition"]["highs"],
-        counts=raw["partition"]["counts"],
-    )
-    tau = _read_number(raw, "tau")
-    mats = tuple(
-        TransitionMatrix(
-            p=_transition_from_entry(m),
-            tau=tau,
-            counts=None if cnt is None else np.asarray(cnt, dtype=float),
-            outside=True,
-            full_escape=tuple(esc),
+    try:
+        part = BoxPartition(
+            lows=raw["partition"]["lows"],
+            highs=raw["partition"]["highs"],
+            counts=raw["partition"]["counts"],
         )
-        for m, cnt, esc in zip(raw["matrices"], raw["counts"], raw["full_escape"])
-    )
-    levels = tuple(np.asarray(lv, dtype=float).reshape(-1) for lv in raw["levels"])
+        tau = _read_number(raw, "tau")
+        mats = tuple(
+            TransitionMatrix(
+                p=_transition_from_entry(m),
+                tau=tau,
+                counts=None if cnt is None else np.asarray(cnt, dtype=float),
+                outside=True,
+                full_escape=tuple(esc),
+            )
+            for m, cnt, esc in zip(raw["matrices"], raw["counts"], raw["full_escape"])
+        )
+        levels = tuple(np.asarray(lv, dtype=float).reshape(-1) for lv in raw["levels"])
+    except KeyError as err:
+        raise InvalidInputError(f"chain file {path} has no key {err}") from err
     return ControlledChain(levels=levels, mats=mats, partition=part)
 
 

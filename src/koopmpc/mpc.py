@@ -275,10 +275,14 @@ class CondensedMpc:
                 iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
         q_in = self.input_dim
         u_seq = sol.reshape(self.horizon, q_in).T.clip(self.lb[:q_in, None], self.ub[:q_in, None])
-        du0 = u_seq[:, 0] - u_prev
-        if (du0 > self._du0_hi).any() or (du0 < self._du0_lo).any():
-            raise InfeasibleError(f"first planned input change {du0} breaks the rate bound")
+        self.check_move(u_seq[:, 0], u_prev, "first planned input change")
         return u_seq, iterations, residual, active, hit is not None
+
+    def check_move(self, u, u_prev, what):
+        """Raise InfeasibleError if ``u - u_prev`` breaks the rate bound by more than 1e-7."""
+        du = u - u_prev
+        if (du > self._du0_hi).any() or (du < self._du0_lo).any():
+            raise InfeasibleError(f"{what} {du} breaks the rate bound")
 
 
 def _content(value):
@@ -421,11 +425,14 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
 
     At every step the true state is measured, lifted, and a fresh horizon
     problem is solved; the first planned input is applied to the plant for
-    one integrator step. Stage
-    costs are evaluated on the true state with the applied input. Delay
-    models idle with u = 0 while the measurement history fills. A step that
-    leaves the unconstrained law first checks the active rows of the last
-    such step's plan as a guess (see :func:`mpc_step`).
+    one integrator step. Stage costs are evaluated on the true state with the
+    applied input. A delay model first idles for its ``history_steps``
+    warm-up steps while the measurement history fills, at u = 0 clipped to
+    the input box; the move onto that input from ``u_prev = 0`` must meet
+    the rate bound, as a planned first move must, and ``t_end`` must cover
+    more steps than the warm-up. A step that leaves the unconstrained law
+    first checks the active rows of the last such step's plan as a guess
+    (see :func:`mpc_step`).
 
     ``x0``, ``dt`` and ``qp_tol`` are checked once, and the condensation
     comes from :func:`condensed`. Each step then lifts the window of its
@@ -448,14 +455,17 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     check_positive(qp_tol, "qp_tol")
     if not abs(dt - model.dt) <= 1e-12 * max(1.0, abs(model.dt)):  # a NaN model.dt fails
         raise InvalidInputError(f"dt {dt} does not match the model timestep {model.dt}")
-    if n_steps < 1:
-        raise InvalidInputError("t_end must cover at least one step")
+    warmup = model.lifting.history_steps
+    if n_steps <= warmup:
+        raise InvalidInputError(
+            f"t_end covers {n_steps} steps; a closed loop needs more than the "
+            f"model's {warmup} warm-up steps"
+        )
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != plant.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the plant's state dimension")
     q_in = model.input_dim
     lift = model.lifting.lift_windows
-    warmup = model.lifting.history_steps
     cond = condensed(model, cfg)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
@@ -487,6 +497,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
         try:
             if k < warmup:
                 u = u_idle.copy()
+                cond.check_move(u, u_prev, "warm-up input change")
             else:
                 z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
                 u_seq, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)

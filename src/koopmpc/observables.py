@@ -174,20 +174,6 @@ def recovery_matrix(dic):
     return np.hstack([np.eye(n), np.zeros((n, d - n))])
 
 
-@dataclass(frozen=True)
-class DelaySpec:
-    """Time-delay embedding depths for states (d1) and inputs (d2), one step apart."""
-
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        for name in ("d1", "d2"):
-            depth = getattr(self, name)
-            if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool) or depth < 1:
-                raise InvalidInputError(f"{name} must be an integer >= 1, got {depth!r}")
-
-
 def _coordinate_tuple(coords, state_dim):
     """Validated nonempty tuple of plant coordinates, integers in [0, state_dim)."""
     try:
@@ -210,18 +196,23 @@ def _coordinate_tuple(coords, state_dim):
 
 @dataclass(frozen=True)
 class DelayCoordinates:
-    """Input-augmented delay lifting [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}].
+    """Input-augmented delay lifting [x_k, ..., x_{k-depth+1}, u_{k-1}, ..., u_{k-depth+1}].
 
-    States are taken over ``coords`` only, a nonempty sequence of integers
-    in ``[0, state_dim)``.
+    States and inputs are stacked ``depth`` samples deep, one step apart,
+    newest first: ``depth`` states and ``depth - 1`` past inputs. States are
+    taken over ``coords`` only, a nonempty sequence of integers in
+    ``[0, state_dim)``. ``depth`` and ``state_dim`` are integers >= 1 and
+    ``input_dim`` an integer >= 0.
     """
 
-    spec: DelaySpec
+    depth: int
     coords: tuple
     state_dim: int
     input_dim: int
 
     def __post_init__(self):
+        for name, low in (("depth", 1), ("state_dim", 1), ("input_dim", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, low))
         object.__setattr__(self, "coords", _coordinate_tuple(self.coords, self.state_dim))
 
     @property
@@ -230,16 +221,16 @@ class DelayCoordinates:
 
     @property
     def z_dim(self):
-        return self.spec.d1 * self.n_embed
+        return self.depth * self.n_embed
 
     @property
     def aug_dim(self):
-        return self.z_dim + (self.spec.d2 - 1) * self.input_dim
+        return self.z_dim + self.history_steps * self.input_dim
 
     @property
     def history_steps(self):
         """Past steps needed (beyond the current sample) to build a lifted state."""
-        return max(self.spec.d1, self.spec.d2) - 1
+        return self.depth - 1
 
     def lift_windows(self, states, inputs):
         """Hankel columns of (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
@@ -255,12 +246,11 @@ class DelayCoordinates:
         m = n_samples - h
         if m < 1:
             raise InsufficientDataError(
-                f"a window of {n_samples} samples is too short for depths "
-                f"d1={self.spec.d1}, d2={self.spec.d2}"
+                f"a window of {n_samples} samples is too short for depth {self.depth}"
             )
         s = s[list(self.coords)]
-        blocks = [s[..., h - j : h - j + m] for j in range(self.spec.d1)]
-        if self.spec.d2 > 1:
+        blocks = [s[..., h - j : h - j + m] for j in range(self.depth)]
+        if h:
             if inputs is None:
                 raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
             u = np.asarray(inputs, dtype=float)
@@ -268,5 +258,5 @@ class DelayCoordinates:
                 raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
             if u.shape[-1] < n_samples - 1:
                 raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
-            blocks += [u[..., h - j : h - j + m] for j in range(1, self.spec.d2)]
+            blocks += [u[..., h - j : h - j + m] for j in range(1, self.depth)]
         return np.concatenate(blocks)

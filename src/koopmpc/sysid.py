@@ -127,15 +127,17 @@ def fit_edmdc(data, dic, svd_tol=DEFAULT_SVD_TOL):
     )
 
 
-def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None):
+def fit_delay_augmented(trajectories, depth, svd_tol=DEFAULT_SVD_TOL, coords=None):
     """Fit a causal delay-coordinate model in input-augmented form.
 
-    The augmented state stacks [x_k, ..., x_{k-d1+1}, u_{k-1}, ..., u_{k-d2+1}]
-    and only the newest-sample block is regressed (on the augmented state and
-    the current input). Every other row of the operator is a structural copy:
-    an identity shift inside the state block, a zero row that receives u_k
-    through the input column, and an identity shift over the stored inputs.
-    Causality therefore holds by construction, with no constrained solve.
+    The augmented state stacks [x_k, ..., x_{k-depth+1}, u_{k-1}, ..., u_{k-depth+1}],
+    states over ``coords`` (default: every state coordinate), as
+    :class:`DelayCoordinates` lifts it. Only the newest-sample block is
+    regressed (on the augmented state and the current input). Every other
+    row of the operator is a structural copy: an identity shift inside the
+    state block, a zero row that receives u_k through the input column, and
+    an identity shift over the stored inputs. Causality therefore holds by
+    construction, with no constrained solve.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -143,7 +145,7 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
     n = trajectories[0].state_dim
     q = trajectories[0].input_dim
     dc = DelayCoordinates(
-        spec=spec, coords=tuple(range(n)) if coords is None else coords, state_dim=n, input_dim=q
+        depth=depth, coords=tuple(range(n)) if coords is None else coords, state_dim=n, input_dim=q
     )
     h = dc.history_steps
     lifted, inputs, target = [], [], []
@@ -169,12 +171,12 @@ def fit_delay_augmented(trajectories, spec, svd_tol=DEFAULT_SVD_TOL, coords=None
     b = np.zeros((dim, q))
     a[:n_e] = w[:, :dim]
     b[:n_e] = w[:, dim:]
-    for j in range(1, spec.d1):
+    for j in range(1, dc.depth):
         a[j * n_e : (j + 1) * n_e, (j - 1) * n_e : j * n_e] = np.eye(n_e)
-    if spec.d2 > 1:
+    if h:
         r0 = dc.z_dim
         b[r0 : r0 + q] = np.eye(q)
-        for j in range(1, spec.d2 - 1):
+        for j in range(1, h):
             a[r0 + j * q : r0 + (j + 1) * q, r0 + (j - 1) * q : r0 + j * q] = np.eye(q)
     c = np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))])
     return LinearControlModel(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import _count, check_positive, rk4_update
 from .errors import InvalidInputError
-from .numerics import level_index, stationary_vector
+from .numerics import stationary_vector
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class ControlledChain:
         if len(dims) != 1:
             raise InvalidInputError("all transition matrices must share one dimension")
 
-    @property
-    def dim(self):
-        return self.mats[0].dim
-
 
 @dataclass(frozen=True)
 class DensityVector:
@@ -235,35 +231,6 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
             )
         )
     return ControlledChain(levels=levels, mats=tuple(mats), partition=part)
-
-
-def _density_array(p0, dim):
-    arr = p0.p if isinstance(p0, DensityVector) else np.asarray(p0, dtype=float).reshape(-1)
-    if arr.size == dim - 1:
-        arr = np.concatenate([arr, [0.0]])  # no initial mass outside
-    if arr.size != dim:
-        raise InvalidInputError(f"density length {arr.size} does not match chain dimension {dim}")
-    return DensityVector(arr).p
-
-
-def propagate_density(chain, p0, input_sequence):
-    """Push a density through the chain one level-selected step at a time.
-
-    Returns the list [p0, p1, ..., pK]; every element is renormalized, and
-    the pre-normalization drift stays at rounding level because the matrices
-    are column-stochastic.
-    """
-    p = _density_array(p0, chain.dim)
-    out = [DensityVector(p)]
-    for u in input_sequence:
-        mat = chain.mats[level_index(chain.levels, u)]
-        p = mat.p @ p
-        total = p.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidInputError("propagation lost probability mass; chain is inconsistent")
-        p = p / total
-        out.append(DensityVector(p))
-    return out
 
 
 def invariant_density(tm, start=None):

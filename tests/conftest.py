@@ -29,8 +29,8 @@ def reference_lift(lifting, x, history_states=None, history_inputs=None):
     """One lifted state built per state, the reference for ``lift_windows`` columns.
 
     A dictionary evaluates its observables at ``x``. Delay coordinates stack
-    ``x`` over ``coords``, then the newest ``d1 - 1`` past states over
-    ``coords``, newest first, then the newest ``d2 - 1`` past inputs.
+    ``x`` over ``coords``, then the newest ``depth - 1`` past states over
+    ``coords``, newest first, then the newest ``depth - 1`` past inputs.
     History arrays end just before the current step.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -38,17 +38,17 @@ def reference_lift(lifting, x, history_states=None, history_inputs=None):
         return eval_dictionary(lifting, x)
     coords = list(lifting.coords)
     blocks = [x[coords]]
-    for j in range(1, lifting.spec.d1):
+    for j in range(1, lifting.depth):
         blocks.append(np.atleast_2d(np.asarray(history_states, float))[coords, -j])
-    for j in range(1, lifting.spec.d2):
+    for j in range(1, lifting.depth):
         blocks.append(np.atleast_2d(np.asarray(history_inputs, float))[:, -j])
     return np.concatenate(blocks)
 
 
-def model_on(lifting, dim):
-    """A model with ``dim`` lifted coordinates on ``lifting``, for its ``lift``."""
+def model_on(lifting, dim, input_dim=1):
+    """A model with ``dim`` lifted coordinates and ``input_dim`` inputs on ``lifting``, for its ``lift``."""
     return LinearControlModel(
-        a=np.eye(dim), b=np.zeros((dim, 1)), c=np.eye(1, dim), lifting=lifting, dt=1.0, kind="test"
+        a=np.eye(dim), b=np.zeros((dim, input_dim)), c=np.eye(1, dim), lifting=lifting, dt=1.0, kind="test"
     )
 
 

@@ -392,6 +392,25 @@ class TestMalformedJsonInputs:
         assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"state_dim": "2"}, "state_dim must be an integer >= 1, got '2'"),
+            ({"input_dim": "x"}, "input_dim must be an integer >= 0, got 'x'"),
+            ({"d2": 4}, "delay depths d1=5 and d2=4 differ"),
+        ],
+        ids=["string-state-dim", "string-input-dim", "unequal-depths"],
+    )
+    def test_mpc_exits_3_on_a_malformed_delay_lifting(self, fitted_x1, tmp_path, capsys, edit, message):
+        cfg, data = fitted_x1
+        raw = read_json(data.parent / "model_delay.json")
+        assert raw["lifting"]["d1"] == raw["lifting"]["d2"] == 5
+        raw["lifting"].update(edit)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("reader", [model_from_json, chain_from_json])
     def test_readers_reject_a_file_that_is_not_an_object(self, tmp_path, reader):
         path = tmp_path / "file.json"

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from koopmpc import (
     CondensedMpc,
     DelayCoordinates,
-    DelaySpec,
     InvalidInputError,
     LinearControlModel,
     MpcConfig,
@@ -129,7 +128,7 @@ def condensation_case(draw):
         # Partial state: the model recovers some plant coordinates, the weight is on all of them.
         n_coords = draw(st.integers(1, plant_dim))
         coords = tuple(sorted(rng.choice(plant_dim, n_coords, replace=False).tolist()))
-        lifting = DelayCoordinates(DelaySpec(1, 1), coords, plant_dim, q_in)
+        lifting = DelayCoordinates(1, coords, plant_dim, q_in)
         ny, q_dim = n_coords, plant_dim
     else:
         ny = q_dim = plant_dim
@@ -363,7 +362,7 @@ class TestNonFiniteClosedLoopInputs:
 
     def test_delay_model_checks_x0_before_its_warm_up(self, vdp_training):
         plant, trajs, _ = vdp_training
-        model = fit_delay_augmented(trajs, DelaySpec(3, 3))
+        model = fit_delay_augmented(trajs, 3)
         cfg = MpcConfig(q=np.eye(2), ru=0.1, horizon=3)
         with pytest.raises(InvalidInputError, match="x0 must be finite"):
             closed_loop_run(plant, model, cfg, np.array([np.nan, 0.0]), 1.0, 0.05)

@@ -12,7 +12,6 @@ from koopmpc import (
     CondensedMpc,
     ControlSystem,
     ConvergenceError,
-    DelaySpec,
     DivergenceError,
     InfeasibleError,
     InvalidInputError,
@@ -274,11 +273,41 @@ class TestClosedLoop:
 
     def test_delay_model_warmup(self, vdp_training):
         plant, trajs, _ = vdp_training
-        model = fit_delay_augmented(trajs, DelaySpec(5, 5))
+        model = fit_delay_augmented(trajs, 5)
         result = closed_loop_run(plant, model, base_cfg(), np.array([1.5, 0.0]), 3.0, 0.05)
         assert result.warmup_steps == 4
         assert np.all(result.trajectory.inputs[:, :4] == 0.0)
         assert result.solve_stats["iterations"][0] == 0
+
+    def test_warmup_input_must_meet_the_rate_bound(self, vdp_training, vdp_edmdc):
+        # u in [2, 3] idles the delay warm-up at u = 2, a move of 2 from
+        # u_prev = 0 that |du| <= 0.5 forbids, as it forbids edmdc's first plan.
+        plant, trajs, _ = vdp_training
+        cfg = base_cfg(u_min=2.0, u_max=3.0, du_min=-0.5, du_max=0.5)
+        for model, message in (
+            (fit_delay_augmented(trajs, 5), r"warm-up input change \[2\.\] breaks the rate bound"),
+            (vdp_edmdc, "constraint set is empty"),
+        ):
+            with pytest.raises(InfeasibleError, match=f"step 0: {message}") as err:
+                closed_loop_run(plant, model, cfg, np.array([1.0, 0.0]), 1.0, 0.05)
+            assert err.value.partial.trajectory.n_steps == 0
+
+    def test_warmup_input_within_the_rate_bound_runs(self, vdp_training):
+        plant, trajs, _ = vdp_training
+        cfg = base_cfg(u_min=0.25, u_max=3.0, du_min=-0.5, du_max=0.5)
+        result = closed_loop_run(plant, fit_delay_augmented(trajs, 5), cfg, np.array([1.0, 0.0]), 1.0, 0.05)
+        assert np.all(result.trajectory.inputs[:, :4] == 0.25)
+
+    @pytest.mark.parametrize("t_end", [0.05, 0.1, 0.2])
+    def test_a_loop_no_longer_than_the_warmup_raises(self, vdp_training, t_end):
+        plant, trajs, _ = vdp_training
+        model = fit_delay_augmented(trajs, 5)
+        with pytest.raises(InvalidInputError, match="more than the model's 4 warm-up steps"):
+            closed_loop_run(plant, model, base_cfg(), np.array([1.5, 0.0]), t_end, 0.05)
+        # One step past the warm-up solves one plan.
+        result = closed_loop_run(plant, model, base_cfg(), np.array([1.5, 0.0]), 0.25, 0.05)
+        assert np.isnan(result.solve_stats["kkt_residual"][:4]).all()
+        assert np.isfinite(result.solve_stats["kkt_residual"][4])
 
     def test_dt_mismatch_rejected(self, vdp_training, vdp_edmdc):
         plant, _, _ = vdp_training
@@ -455,7 +484,7 @@ class TestPartialStateWeights:
     @pytest.fixture(scope="class")
     def x1_delay(self, vdp_training):
         _, trajs, _ = vdp_training
-        return fit_delay_augmented(trajs, DelaySpec(3, 3), coords=(0,))
+        return fit_delay_augmented(trajs, 3, coords=(0,))
 
     def test_plant_weight_is_taken_at_recovered_coordinates(self, x1_delay):
         full = base_cfg(q=np.array([[2.0, 0.5], [0.5, 3.0]]), reference=np.array([0.25, -1.0]))
@@ -487,7 +516,7 @@ def test_nan_measurement_raises_before_the_solver(vdp_training, monkeypatch, kin
     model = {
         "dmdc": lambda: fit_dmdc(samples),
         "edmdc": lambda: fit_edmdc(samples, monomials_dictionary(2, 3)),
-        "delay": lambda: fit_delay_augmented(trajs, DelaySpec(3, 3)),
+        "delay": lambda: fit_delay_augmented(trajs, 3),
     }[kind]()
 
     def unreachable(*args, **kwargs):

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
     DelayCoordinates,
-    DelaySpec,
     Dictionary,
     InsufficientDataError,
     InvalidInputError,
@@ -20,6 +19,7 @@ from koopmpc import (
     recovery_matrix,
 )
 from koopmpc.errors import MissingHistoryError
+from koopmpc.io import model_from_json, model_to_json, read_json, write_json
 from koopmpc.observables import eval_gradients
 from conftest import model_on, reference_lift
 
@@ -188,89 +188,124 @@ class TestRecoveryMatrix:
             recovery_matrix(dic)
 
 
-def delay_columns(traj, spec):
+def delay_columns(traj, depth):
     """``lift_windows`` of a full-state delay lifting over the one window ``traj``."""
     lifting = DelayCoordinates(
-        spec, tuple(range(traj.state_dim)), state_dim=traj.state_dim, input_dim=traj.input_dim
+        depth, tuple(range(traj.state_dim)), state_dim=traj.state_dim, input_dim=traj.input_dim
     )
     return lifting.lift_windows(traj.states[:, :-1], traj.inputs)
 
 
-def assert_shifts_by_one(z, traj, spec):
+def assert_shifts_by_one(z, traj, depth):
     """Column k+1 is column k advanced one step: a new sample on top, the rest pushed down."""
-    n, h = traj.state_dim, max(spec.d1, spec.d2) - 1
+    n, h = traj.state_dim, depth - 1
     assert np.array_equal(z[:n, 1:], traj.states[:, h + 1 : traj.n_steps])
-    assert np.array_equal(z[n : spec.d1 * n, 1:], z[: (spec.d1 - 1) * n, :-1])
+    assert np.array_equal(z[n : depth * n, 1:], z[: (depth - 1) * n, :-1])
 
 
 class TestDelayEmbed:
     def test_depth_one_reduces_to_snapshots(self):
         traj = make_series([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        z = delay_columns(traj, DelaySpec(1, 1))
-        assert np.array_equal(z, traj.states[:, :-1])  # d2 = 1 stores no past inputs
-        assert_shifts_by_one(z, traj, DelaySpec(1, 1))
+        z = delay_columns(traj, 1)
+        assert np.array_equal(z, traj.states[:, :-1])  # depth 1 stores no past inputs
+        assert_shifts_by_one(z, traj, 1)
 
     def test_hand_stacked_hankel(self):
         traj = make_series([1.0, 2.0, 3.0, 4.0])
-        z = delay_columns(traj, DelaySpec(2, 1))
-        assert np.array_equal(z, [[2.0, 3.0], [1.0, 2.0]])
-        assert_shifts_by_one(z, traj, DelaySpec(2, 1))
+        z = delay_columns(traj, 2)
+        assert np.array_equal(z, [[2.0, 3.0], [1.0, 2.0], [0.0, 0.0]])
+        assert_shifts_by_one(z, traj, 2)
 
     def test_windows_need_an_input_per_step(self):
-        lifting = DelayCoordinates(DelaySpec(2, 3), (0,), state_dim=1, input_dim=1)
+        lifting = DelayCoordinates(3, (0,), state_dim=1, input_dim=1)
         states = np.arange(12.0).reshape(1, 2, 6)
         assert lifting.lift_windows(states, np.ones((1, 2, 5))).shape == (lifting.aug_dim, 2, 4)
         with pytest.raises(MissingHistoryError, match="need 5 inputs"):
             lifting.lift_windows(states, np.ones((1, 2, 4)))
 
     def test_windows_without_inputs_miss_history(self):
-        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        lifting = DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1)
         with pytest.raises(MissingHistoryError, match="need 4 inputs"):
             lifting.lift_windows(np.ones((2, 5)), None)
 
     def test_window_state_rows_must_match_the_state_dim(self):
-        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        lifting = DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1)
         with pytest.raises(InvalidInputError, match="2 rows"):
             lifting.lift_windows(np.ones((3, 5)), np.ones((1, 4)))
 
     def test_window_input_rows_must_match_the_input_dim(self):
-        lifting = DelayCoordinates(DelaySpec(2, 3), (0, 1), state_dim=2, input_dim=1)
+        lifting = DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1)
         with pytest.raises(InvalidInputError, match="1 rows"):
             lifting.lift_windows(np.ones((2, 5)), np.ones((2, 4)))
 
     @pytest.mark.parametrize("coords", [(0, 7), (), (-1,), (0.0,), (True,), 0])
     def test_coords_must_index_the_state(self, coords):
         with pytest.raises(InvalidInputError, match="coords"):
-            DelayCoordinates(DelaySpec(1, 1), coords, state_dim=2, input_dim=1)
+            DelayCoordinates(1, coords, state_dim=2, input_dim=1)
+
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True, 0, -2])
+    def test_depth_must_be_an_integer_of_at_least_one(self, depth):
+        with pytest.raises(InvalidInputError, match="depth must be an integer >= 1"):
+            DelayCoordinates(depth, (0,), state_dim=2, input_dim=1)
 
     @pytest.mark.parametrize("d1, d2", [(2.5, 3), (3, 2.0), (True, 1), (0, 1), (1, -2)])
-    def test_depths_must_be_integers_of_at_least_one(self, d1, d2):
-        with pytest.raises(InvalidInputError, match="must be an integer >= 1"):
-            DelaySpec(d1, d2)
+    def test_depths_must_be_integers_of_at_least_one(self, d1, d2, tmp_path):
+        # A model file stores the one depth twice, as d1 and d2; each is checked under its own name.
+        lifting = DelayCoordinates(2, (0,), state_dim=2, input_dim=1)
+        path = tmp_path / "model.json"
+        model_to_json(model_on(lifting, lifting.aug_dim), path)
+        raw = read_json(path)
+        raw["lifting"].update(d1=d1, d2=d2)
+        write_json(raw, path)
+        bad = "d2" if type(d1) is int and d1 >= 1 else "d1"
+        with pytest.raises(InvalidInputError, match=f"{bad} must be an integer >= 1"):
+            model_from_json(path)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ({"state_dim": "2"}, "state_dim must be an integer >= 1, got '2'"),
+            ({"state_dim": 0}, "state_dim must be an integer >= 1"),
+            ({"state_dim": 2.0}, "state_dim must be an integer >= 1"),
+            ({"input_dim": "x"}, "input_dim must be an integer >= 0, got 'x'"),
+            ({"input_dim": -1}, "input_dim must be an integer >= 0"),
+            ({"input_dim": 1.0}, "input_dim must be an integer >= 0"),
+        ],
+    )
+    def test_dims_must_be_integers(self, dims, message):
+        with pytest.raises(InvalidInputError, match=message):
+            DelayCoordinates(2, (0,), **{"state_dim": 2, "input_dim": 1, **dims})
+
+    def test_numpy_integers_are_plain_ints_and_inputs_may_be_absent(self):
+        lifting = DelayCoordinates(np.int64(2), (0,), state_dim=np.int32(2), input_dim=0)
+        assert (lifting.depth, lifting.state_dim, lifting.input_dim) == (2, 2, 0)
+        assert all(type(v) is int for v in (lifting.depth, lifting.state_dim))
+        z = lifting.lift_windows(np.arange(8.0).reshape(2, 4), np.ones((0, 3)))
+        assert np.array_equal(z, [[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
 
     def test_too_short_raises(self):
         traj = make_series([1.0, 2.0])  # two states = depth-2 needs three
-        with pytest.raises(InsufficientDataError):
-            delay_columns(traj, DelaySpec(2, 2))
+        with pytest.raises(InsufficientDataError, match="too short for depth 2"):
+            delay_columns(traj, 2)
 
     def test_unstack_recovers_series(self):
         rng = np.random.default_rng(8)
         series = rng.standard_normal((1, 12))
         traj = make_series(series)
-        d1 = 4
-        z = delay_columns(traj, DelaySpec(d1, 1))
-        rebuilt = np.concatenate([z[d1 - 1 :: -1, 0], z[0, 1:]])
+        depth = 4
+        z = delay_columns(traj, depth)
+        rebuilt = np.concatenate([z[depth - 1 :: -1, 0], z[0, 1:]])
         assert np.array_equal(rebuilt, series[0, : traj.n_steps])
 
     def test_input_stacking_newest_first(self):
         states = np.arange(6.0)[None, :]
         inputs = (10.0 + np.arange(5.0))[None, :]
         traj = Trajectory(times=np.arange(6.0), states=states, inputs=inputs)
-        z = delay_columns(traj, DelaySpec(2, 3))
-        # first usable index k = 2: the fit regresses on [z_2; u_2] with z_2 = [x2, x1, u1, u0]
-        assert np.array_equal(np.concatenate([inputs[:, 2], z[2:, 0]]), [12.0, 11.0, 10.0])
-        assert np.array_equal(z[:2, 0], [2.0, 1.0])
-        assert np.array_equal(z[:2, 1], [3.0, 2.0])
+        z = delay_columns(traj, 3)
+        # first usable index k = 2: the fit regresses on [z_2; u_2] with z_2 = [x2, x1, x0, u1, u0]
+        assert np.array_equal(np.concatenate([inputs[:, 2], z[3:, 0]]), [12.0, 11.0, 10.0])
+        assert np.array_equal(z[:3, 0], [2.0, 1.0, 0.0])
+        assert np.array_equal(z[:3, 1], [3.0, 2.0, 1.0])
 
 
 class TestLiftingInterface:
@@ -286,15 +321,14 @@ class TestLiftingInterface:
         assert np.array_equal(model.lift(x), reference_lift(dic, x))
 
     @given(
-        d1=st.integers(1, 4),
-        d2=st.integers(1, 4),
+        depth=st.integers(1, 4),
         coords=st.sampled_from([(0,), (1,), (0, 1), (1, 0)]),
         extra=st.integers(1, 6),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_delay_window_columns_and_model_lift_match_the_reference(self, d1, d2, coords, extra, data):
-        lifting = DelayCoordinates(DelaySpec(d1, d2), coords, state_dim=2, input_dim=1)
+    def test_delay_window_columns_and_model_lift_match_the_reference(self, depth, coords, extra, data):
+        lifting = DelayCoordinates(depth, coords, state_dim=2, input_dim=1)
         model = model_on(lifting, lifting.aug_dim)
         h = lifting.history_steps
         n_steps = h + extra
@@ -308,22 +342,20 @@ class TestLiftingInterface:
             assert np.array_equal(z[:, k], expected)
             assert np.array_equal(model.lift(states[:, k + h], **history), expected)
 
-    @pytest.mark.parametrize("d1, d2", [(3, 1), (3, 3), (2, 4), (1, 3)])
-    def test_model_lift_needs_history_steps_past_states(self, d1, d2):
-        lifting = DelayCoordinates(DelaySpec(d1, d2), (0, 1), state_dim=2, input_dim=1)
-        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
-        x, inputs = np.ones(2), np.ones((1, h))
-        assert model.lift(x, np.ones((2, h)), inputs).shape == (lifting.aug_dim,)
-        too_few = [None, np.ones((2, h - 1))]
-        if d1 < d2:  # the stacking reads d1 - 1 past states, but the window needs h
-            too_few.append(np.ones((2, d1 - 1)))
-        for past in too_few:
-            with pytest.raises(MissingHistoryError, match=f"need {h} past states"):
-                model.lift(x, past, inputs)
+    @pytest.mark.parametrize("state_dim, input_dim", [(3, 1), (3, 3), (2, 4), (1, 3)])
+    def test_model_lift_needs_history_steps_past_states(self, state_dim, input_dim):
+        for depth in (2, 3, 4):
+            lifting = DelayCoordinates(depth, tuple(range(state_dim)), state_dim, input_dim)
+            model, h = model_on(lifting, lifting.aug_dim, input_dim), lifting.history_steps
+            x, inputs = np.ones(state_dim), np.ones((input_dim, h))
+            assert model.lift(x, np.ones((state_dim, h)), inputs).shape == (lifting.aug_dim,)
+            for past in (None, np.ones((state_dim, h - 1))):
+                with pytest.raises(MissingHistoryError, match=f"need {h} past states"):
+                    model.lift(x, past, inputs)
 
-    @pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (4, 2), (2, 4)])
-    def test_model_lift_needs_history_steps_past_inputs_when_it_stores_inputs(self, d1, d2):
-        lifting = DelayCoordinates(DelaySpec(d1, d2), (0,), state_dim=2, input_dim=1)
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_model_lift_needs_history_steps_past_inputs_when_it_stores_inputs(self, depth):
+        lifting = DelayCoordinates(depth, (0,), state_dim=2, input_dim=1)
         model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
         x, past = np.ones(2), np.ones((2, h))
         for inputs in (np.ones((1, h - 1)), None):
@@ -333,8 +365,8 @@ class TestLiftingInterface:
     @pytest.mark.parametrize(
         "lifting",
         [
-            DelayCoordinates(DelaySpec(3, 3), (0, 1), state_dim=2, input_dim=1),
-            DelayCoordinates(DelaySpec(1, 1), (0, 1), state_dim=2, input_dim=1),
+            DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1),
+            DelayCoordinates(1, (0, 1), state_dim=2, input_dim=1),
             monomials_dictionary(2, 2),
         ],
         ids=["delay", "delay-depth-1", "dictionary"],
@@ -345,11 +377,11 @@ class TestLiftingInterface:
         with pytest.raises(InvalidInputError, match="x has 3 entries, not 2"):
             model.lift(np.ones(3), np.ones((2, h)), np.ones((1, h)))
 
-    @pytest.mark.parametrize("d1", [1, 3])
-    def test_model_lift_needs_no_inputs_when_it_stores_none(self, d1):
-        lifting = DelayCoordinates(DelaySpec(d1, 1), (0, 1), state_dim=2, input_dim=1)
-        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    def test_model_lift_needs_no_inputs_when_it_stores_none(self, input_dim):
+        lifting = DelayCoordinates(1, (0, 1), state_dim=2, input_dim=input_dim)
+        model, h = model_on(lifting, lifting.aug_dim, input_dim), lifting.history_steps
         x, past = np.array([1.0, 2.0]), np.arange(2.0 * h).reshape(2, h)
         expected = reference_lift(lifting, x, past)
         assert np.array_equal(model.lift(x, past), expected)
-        assert np.array_equal(model.lift(x, past, np.ones((1, 0))), expected)
+        assert np.array_equal(model.lift(x, past, np.ones((input_dim, 0))), expected)

@@ -20,7 +20,6 @@ import koopmpc.mpc
 from koopmpc import (
     CondensedMpc,
     ControlSystem,
-    DelaySpec,
     DivergenceError,
     LinearControlModel,
     MpcConfig,
@@ -55,8 +54,8 @@ def models(vdp_training):
     return {
         "dmdc": fit_dmdc(samples),
         "edmdc": fit_edmdc(samples, monomials_dictionary(2, 3)),
-        "delay": fit_delay_augmented(trajs, DelaySpec(3, 3)),
-        "delay-x1": fit_delay_augmented(trajs, DelaySpec(3, 3), coords=(0,)),
+        "delay": fit_delay_augmented(trajs, 3),
+        "delay-x1": fit_delay_augmented(trajs, 3, coords=(0,)),
     }
 
 

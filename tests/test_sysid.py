@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from koopmpc import (
-    BoxPartition,
     CondensedMpc,
-    ControlledChain,
-    DelaySpec,
     MpcConfig,
     InsufficientDataError,
     InvalidInputError,
@@ -19,7 +16,6 @@ from koopmpc import (
     NoEigenfunctionError,
     SampleSet,
     Trajectory,
-    UnknownLevelError,
     fit_delay_augmented,
     fit_dmdc,
     fit_edmdc,
@@ -29,14 +25,11 @@ from koopmpc import (
     mpc_step,
     plant_derivatives,
     predict_rollout,
-    propagate_density,
     simulate,
     snapshots_from_trajectories,
 )
 from koopmpc.dynamics import ForcingSignal
-from koopmpc.numerics import level_index
 from koopmpc.sysid import rollout_from_lifted
-from koopmpc.transfer import TransitionMatrix
 from conftest import A0, B0, discrete_linear_samples, reference_lift, simulate_discrete
 
 
@@ -142,7 +135,7 @@ class TestFitDelayAugmented:
 
     def test_depth_one_equals_dmdc(self):
         trajs = self._linear_trajs()
-        delay = fit_delay_augmented(trajs, DelaySpec(1, 1))
+        delay = fit_delay_augmented(trajs, 1)
         plain = fit_dmdc(snapshots_from_trajectories(trajs, 0.1))
         assert np.array_equal(delay.a, plain.a)
         assert np.array_equal(delay.b, plain.b)
@@ -150,7 +143,7 @@ class TestFitDelayAugmented:
     def test_structural_blocks_are_exact(self):
         trajs = self._linear_trajs()
         d = 4
-        model = fit_delay_augmented(trajs, DelaySpec(d, d))
+        model = fit_delay_augmented(trajs, d)
         n_e = 2
         z_dim = d * n_e
         a, b = model.a, model.b
@@ -184,7 +177,7 @@ class TestFitDelayAugmented:
             trajs.append(
                 simulate(linear_plant, x0, ForcingSignal.product_sines(1.0, w[0], w[1]), 3.0, 0.05)
             )
-        model = fit_delay_augmented(trajs, DelaySpec(5, 5), coords=(0,))
+        model = fit_delay_augmented(trajs, 5, coords=(0,))
         test = simulate(
             linear_plant, [1.0, 0.0], ForcingSignal.product_sines(1.0, 2.0, 3.0), 3.0, 0.05
         )
@@ -210,8 +203,7 @@ class TestFitDelayAugmented:
             u = rng.standard_normal((1, steps))
             states = simulate_discrete(A0, B0, rng.standard_normal(2), u)
             trajs.append(Trajectory(times=np.arange(steps + 1) * 0.1, states=states, inputs=u))
-        spec = DelaySpec(4, 3)
-        model = fit_delay_augmented(trajs, spec, coords=coords)
+        model = fit_delay_augmented(trajs, 4, coords=coords)
         # The regression on per-trajectory lift_windows columns, joined by hstack.
         h, rows = model.lifting.history_steps, list(model.lifting.coords)
         reg = np.vstack([
@@ -228,12 +220,12 @@ class TestFitDelayAugmented:
 
     def test_coords_outside_the_state_raise(self):
         with pytest.raises(InvalidInputError, match="coords"):
-            fit_delay_augmented(self._linear_trajs(), DelaySpec(2, 2), coords=(5,))
+            fit_delay_augmented(self._linear_trajs(), 2, coords=(5,))
 
     def test_short_trajectory_raises(self):
         trajs = self._linear_trajs(n_traj=1, steps=3)
         with pytest.raises(InsufficientDataError):
-            fit_delay_augmented(trajs, DelaySpec(5, 5))
+            fit_delay_augmented(trajs, 5)
 
 
 class TestIdentifyEigenfunctions:
@@ -306,29 +298,9 @@ class TestPredictRollout:
 
     def test_delay_requires_history(self):
         trajs = TestFitDelayAugmented._linear_trajs()
-        model = fit_delay_augmented(trajs, DelaySpec(3, 3))
+        model = fit_delay_augmented(trajs, 3)
         with pytest.raises(MissingHistoryError):
             predict_rollout(model, np.zeros(2), np.zeros((1, 5)))
-
-class TestLevelIndex:
-    LEVELS = (np.array([-1.0]), np.array([0.0]), np.array([2.5]))
-
-    def test_matches_within_tolerance(self):
-        assert level_index(self.LEVELS, [0.0]) == 1
-        assert level_index(self.LEVELS, 2.5 + 1e-10) == 2
-        with pytest.raises(UnknownLevelError):
-            level_index(self.LEVELS, [2.5 + 1e-8])
-        with pytest.raises(UnknownLevelError):
-            level_index(self.LEVELS, [0.0, 0.0])
-
-    def test_chains_share_one_lookup(self):
-        tm = TransitionMatrix(p=np.eye(2), tau=1.0)
-        chain = ControlledChain(
-            levels=self.LEVELS, mats=(tm,) * 3, partition=BoxPartition.regular([[0.0, 1.0]], [2])
-        )
-        assert not hasattr(chain, "level_index")
-        with pytest.raises(UnknownLevelError):
-            propagate_density(chain, [1.0, 0.0], [np.array([1.0])])
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,7 +312,7 @@ def _small_study():
     cfg = config_from_mapping({"seed": 4, "n_trajectories": 30, "n_validation": 3})
     plant, trajs, samples = make_training_data(cfg)
     models = fit_models(cfg, trajs, samples)
-    models["delay-x1"] = fit_delay_augmented(trajs, DelaySpec(5, 5), coords=(0,))
+    models["delay-x1"] = fit_delay_augmented(trajs, 5, coords=(0,))
     return models, make_validation_trajectories(cfg, plant)
 
 

@@ -12,10 +12,8 @@ from koopmpc import (
     DensityVector,
     InvalidInputError,
     TransitionMatrix,
-    UnknownLevelError,
     estimate_controlled_transition,
     invariant_density,
-    propagate_density,
 )
 from koopmpc.dynamics import make_vanderpol
 from koopmpc.io import chain_from_json, chain_to_json, read_json, write_json
@@ -152,42 +150,41 @@ class TestEstimate:
 
 
 class TestPropagate:
-    @staticmethod
-    def _chain():
-        tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
-        part = BoxPartition.regular([[0.0, 1.0]], [2])
-        return ControlledChain(levels=(np.array([0.0]),), mats=(tm,), partition=part)
-
-    def test_empty_sequence(self):
-        chain = self._chain()
-        out = propagate_density(chain, [1.0, 0.0], [])
-        assert len(out) == 1
-        assert np.allclose(out[0].p, [1.0, 0.0])
+    """One step of a density under level ``i`` is ``chain.mats[i].p @ p``."""
 
     def test_identity_chain_is_constant(self):
-        tm = TransitionMatrix(p=np.eye(3), tau=1.0)
         part = BoxPartition.regular([[0.0, 1.0]], [3])
-        chain = ControlledChain(levels=(np.array([0.0]),), mats=(tm,), partition=part)
-        out = propagate_density(chain, [0.2, 0.3, 0.5], [np.array([0.0])] * 4)
-        for d in out:
-            assert np.allclose(d.p, [0.2, 0.3, 0.5])
+        chain = estimate_controlled_transition(
+            ControlSystem(1, 1, ZeroRhs()), part, [0.0], tau=0.5, samples_per_box=50, seed=4
+        )
+        assert np.array_equal(chain.mats[0].p, np.eye(4))
+        p = np.array([0.2, 0.3, 0.5, 0.0])
+        for _ in range(4):
+            p = chain.mats[0].p @ p
+            assert np.array_equal(p, [0.2, 0.3, 0.5, 0.0])
 
-    def test_hand_multiplication(self):
-        chain = self._chain()
-        out = propagate_density(chain, [1.0, 0.0], [np.array([0.0])])
-        assert np.allclose(out[-1].p, [0.9, 0.1])
+    def test_hand_multiplication(self, unit_halves):
+        class ShiftHalf:
+            def __call__(self, x, u, t):
+                return x + 0.5
 
-    def test_unknown_level(self):
-        chain = self._chain()
-        with pytest.raises(UnknownLevelError):
-            propagate_density(chain, [1.0, 0.0], [np.array([7.0])])
+        chain = estimate_controlled_transition(
+            ControlSystem(1, 1, ShiftHalf(), kind="map"), unit_halves, [0.0], tau=1,
+            samples_per_box=50, seed=5,
+        )
+        # Column j holds where box j's mass goes: box 0 -> box 1 -> outside, which absorbs.
+        p = np.array([0.7, 0.3, 0.0])
+        p = chain.mats[0].p @ p
+        assert np.array_equal(p, [0.0, 0.7, 0.3])
+        p = chain.mats[0].p @ p
+        assert np.array_equal(p, [0.0, 0.0, 1.0])
 
     def test_densities_stay_normalized(self, doubling_chain):
-        seq = [np.array([0.0])] * 20
-        out = propagate_density(doubling_chain, [1.0, 0.0, 0.0], seq)
-        for d in out:
-            assert np.all(d.p >= 0)
-            assert abs(d.p.sum() - 1.0) <= 1e-12
+        p = np.array([1.0, 0.0, 0.0])
+        for _ in range(20):
+            p = doubling_chain.mats[0].p @ p
+            assert np.all(p >= 0)
+            assert abs(p.sum() - 1.0) <= 1e-12
 
 
 class TestInvariantDensity:
@@ -305,7 +302,7 @@ class TestChainSerialization:
         assert_same_chain(chain_from_json(path), vdp_chain)
         # Only the nonzeros are written.
         level = read_json(path)["matrices"][0]
-        assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p) < vdp_chain.dim**2 // 10
+        assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p) < vdp_chain.mats[0].dim**2 // 10
 
     @settings(deadline=None, max_examples=50)
     @given(chain=sparse_chains())
@@ -319,6 +316,24 @@ class TestChainSerialization:
         write_dense_chain(vdp_chain, path)
         assert isinstance(read_json(path)["matrices"][0], list)
         assert_same_chain(chain_from_json(path), vdp_chain)
+
+    @pytest.mark.parametrize(
+        "path_to_key",
+        [("partition",), ("partition", "lows"), ("matrices",), ("matrices", 0, "rows"),
+         ("counts",), ("full_escape",), ("levels",)],
+        ids=lambda keys: ".".join(map(str, keys)),
+    )
+    def test_a_missing_key_is_named(self, doubling_chain, tmp_path, path_to_key):
+        path = tmp_path / "chain.json"
+        chain_to_json(doubling_chain, path)
+        raw = read_json(path)
+        parent = raw
+        for key in path_to_key[:-1]:
+            parent = parent[key]
+        del parent[path_to_key[-1]]
+        write_json(raw, path)
+        with pytest.raises(InvalidInputError, match=f"chain file .* has no key '{path_to_key[-1]}'"):
+            chain_from_json(path)
 
     def test_null_value_in_a_level_raises(self, doubling_chain, tmp_path):
         path = tmp_path / "chain.json"
