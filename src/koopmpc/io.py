@@ -22,11 +22,20 @@ from .transfer import BoxPartition, ControlledChain, TransitionMatrix
 
 
 def jsonify(obj):
-    """Recursively convert numpy containers into plain JSON-ready values."""
+    """Recursively convert numpy containers into plain JSON-ready values.
+
+    Non-finite floats inside arrays, lists and dicts become None; a numpy
+    scalar or 0-d array becomes its Python value as it is.
+    """
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()] if obj.ndim > 0 else obj.item()
+        if obj.ndim == 0:
+            return obj.item()
+        # Integers, bools and finite floats need no element-wise pass.
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
+        return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,10 +84,15 @@ def _read_int(raw, key):
 
 def _read_array(raw, key):
     """The numeric array under ``key``; a non-numeric or ragged value raises InvalidInputError."""
+    return _float_array(raw[key], key)
+
+
+def _float_array(value, name):
+    """``value`` as a float array; a non-numeric or ragged value raises InvalidInputError."""
     try:
-        return np.asarray(raw[key], dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
-        raise InvalidInputError(f"{key} must be a numeric array: {err}") from None
+        raise InvalidInputError(f"{name} must be a numeric array: {err}") from None
 
 
 def _state_header(n, q):
@@ -223,24 +237,49 @@ def transition_to_csv(p, path):
     _write_csv(path, ["row", "col", "value"], zip(*(t[k].tolist() for k in ("rows", "cols", "values"))))
 
 
+def _indices(values, stop):
+    """``values`` as an int vector if they are all integers in ``[0, stop)``, else None."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        return None
+    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= stop)):
+        return None
+    return arr.astype(int)
+
+
 def _transition_from_entry(entry):
     """Dense matrix of one ``"matrices"`` entry: nonzero triplets, or a nested list."""
     if isinstance(entry, list):  # files written before levels were stored sparse
-        return np.asarray(entry, dtype=float)
-    shape = tuple(int(v) for v in entry["shape"])
-    rows = np.asarray(entry["rows"], dtype=int)
-    cols = np.asarray(entry["cols"], dtype=int)
-    values = np.asarray(entry["values"], dtype=float)
-    if (
-        len(shape) != 2
-        or not rows.size == cols.size == values.size
-        or np.any(rows < 0) or np.any(rows >= shape[0])
-        or np.any(cols < 0) or np.any(cols >= shape[1])
-    ):
-        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape}")
+        return _float_array(entry, "a transition matrix")
+    if not isinstance(entry, dict):
+        raise InvalidInputError(f"a transition matrix must be a JSON object or a nested list, got {entry!r}")
+    shape = entry["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2 and all(type(v) is int and v >= 0 for v in shape)):
+        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape!r}")
+    rows = _indices(entry["rows"], shape[0])
+    cols = _indices(entry["cols"], shape[1])
+    values = _read_array(entry, "values")
+    if rows is None or cols is None or not rows.size == cols.size == values.size or values.ndim != 1:
+        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape!r}")
     p = np.zeros(shape)
     p[rows, cols] = values
     return p
+
+
+def _level_from_entry(entry, counts, escape, tau, n_boxes):
+    """One level's :class:`TransitionMatrix` from its matrix, counts and full-escape entries."""
+    p = _transition_from_entry(entry)
+    if counts is not None:
+        counts = _float_array(counts, "counts")
+        if counts.shape != p.shape[:1]:
+            raise InvalidInputError(
+                f"counts of shape {counts.shape} do not match a transition matrix of shape {p.shape}"
+            )
+    boxes = _indices(escape, n_boxes) if isinstance(escape, list) else None
+    if boxes is None:
+        raise InvalidInputError(f"full_escape {escape!r} must list box indices in [0, {n_boxes})")
+    return TransitionMatrix(p=p, tau=tau, counts=counts, outside=True, full_escape=tuple(boxes.tolist()))
 
 
 def chain_to_json(chain, path):
@@ -265,20 +304,18 @@ def chain_to_json(chain, path):
 def chain_from_json(path):
     raw = read_json(path)
     try:
+        partition = raw["partition"]
+        if not isinstance(partition, dict):
+            raise InvalidInputError(f"partition must be a JSON object, got {partition!r}")
+        counts = _indices(partition["counts"], np.inf)
+        if counts is None:
+            raise InvalidInputError(f"partition counts {partition['counts']!r} must be integers")
         part = BoxPartition(
-            lows=raw["partition"]["lows"],
-            highs=raw["partition"]["highs"],
-            counts=raw["partition"]["counts"],
+            lows=_read_array(partition, "lows"), highs=_read_array(partition, "highs"), counts=counts
         )
         tau = _read_number(raw, "tau")
         mats = tuple(
-            TransitionMatrix(
-                p=_transition_from_entry(m),
-                tau=tau,
-                counts=None if cnt is None else np.asarray(cnt, dtype=float),
-                outside=True,
-                full_escape=tuple(esc),
-            )
+            _level_from_entry(m, cnt, esc, tau, part.n_boxes)
             for m, cnt, esc in zip(raw["matrices"], raw["counts"], raw["full_escape"])
         )
         levels = tuple(np.asarray(lv, dtype=float).reshape(-1) for lv in raw["levels"])

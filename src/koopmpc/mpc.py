@@ -171,8 +171,8 @@ class CondensedMpc:
         self._row_shift = np.where(entry >= q_in, row_of[family, entry - q_in], -1)
         # The solver's form of the step QP, on the same factor.
         self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
-        self._du0_hi = du_max[:q_in] + 1e-7
-        self._du0_lo = du_min[:q_in] - 1e-7
+        self._du0_hi = float(cfg.du_max) + 1e-7
+        self._du0_lo = float(cfg.du_min) - 1e-7
         self.ru = ru
         self.rdu = rdu
         self.horizon = n
@@ -232,22 +232,28 @@ class CondensedMpc:
     def _meets_rows(self, u_seq, rhs, tol):
         """Whether ``rows @ u_seq <= rhs``, with the box rows taken to within ``tol``.
 
-        One product with the stacked rows; a non-finite plan meets the box
-        entry by entry instead, as a zero row coefficient makes infinity NaN.
+        One product with the stacked rows. A non-finite plan that fails it,
+        or meets it with no rows at all, is checked against the box entry by
+        entry instead, as a zero row coefficient makes infinity NaN. (A NaN
+        entry makes every row fail, so a plan that meets a nonempty stack is
+        never NaN.)
         """
-        if np.isfinite(u_seq).all():
-            return bool((self._rows @ u_seq <= rhs).all())
+        meets = bool((self._rows @ u_seq <= rhs).all())
+        if (meets and self._rows.size) or np.isfinite(u_seq).all():
+            return meets
         r = self._rate_bound.size
         box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
         return bool(box and (self._rows[:r] @ u_seq <= rhs[:r]).all())
 
     def plan(self, z0, u_prev, qp_tol, active_guess=None):
-        """One step's plan: ``(input_sequence, iterations, kkt_residual, active_set, guess_hit)``.
+        """One step's plan: ``(u, plan, iterations, kkt_residual, active_set, guess_hit)``.
 
         ``z0`` and ``u_prev`` are float vectors of the model's sizes and
         ``u_prev`` is finite (see :func:`mpc_step` for the rules); ``z0`` is
-        checked for finiteness here. ``input_sequence`` is the (q, N) plan
-        clipped to the input box.
+        checked for finiteness here. ``plan`` is the stacked solution, the
+        ``N`` moves of ``q`` inputs one after another, and ``u`` its first
+        move clipped to the input box; only ``u`` is checked against the
+        rate bound.
 
         Raises:
             InvalidInputError: ``z0`` is not finite.
@@ -257,11 +263,12 @@ class CondensedMpc:
         """
         g = self._gradient(z0, u_prev)
         sol = -(self._h_inv @ g)
+        rhs = self._step_rhs(u_prev)
         iterations, residual, active, hit = 0, np.inf, None, None
-        if self._meets_rows(sol, self._step_rhs(u_prev), 0.0):
+        if self._meets_rows(sol, rhs, 0.0):
             residual = float(np.abs(self.h @ sol + g).max())
         if residual > qp_tol:
-            qp = self.factored_qp(g, u_prev)
+            qp = self._qp._replace(g=g, rhs=rhs)
             if active_guess is not None:
                 active = active_guess
                 hit = verify_active_set(qp, active, qp_tol)
@@ -274,14 +281,15 @@ class CondensedMpc:
                 sol, info = solve_qp_info(qp, tol=qp_tol)
                 iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
         q_in = self.input_dim
-        u_seq = sol.reshape(self.horizon, q_in).T.clip(self.lb[:q_in, None], self.ub[:q_in, None])
-        self.check_move(u_seq[:, 0], u_prev, "first planned input change")
-        return u_seq, iterations, residual, active, hit is not None
+        u = sol[:q_in].clip(self.lb[:q_in], self.ub[:q_in])
+        self.check_move(u, u_prev, "first planned input change")
+        return u, sol, iterations, residual, active, hit is not None
 
     def check_move(self, u, u_prev, what):
         """Raise InfeasibleError if ``u - u_prev`` breaks the rate bound by more than 1e-7."""
         du = u - u_prev
-        if (du > self._du0_hi).any() or (du < self._du0_lo).any():
+        # Python floats: a few entries compare faster than through numpy.
+        if any(d > self._du0_hi or d < self._du0_lo for d in du.tolist()):
             raise InfeasibleError(f"{what} {du} breaks the rate bound")
 
 
@@ -384,10 +392,11 @@ def mpc_step(
     cond = condensed(model, cfg)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
     z0, u_prev = cond._checked(z0, u_prev)
-    u_seq, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol, active_guess)
+    u, plan, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol, active_guess)
+    q_in = cond.input_dim
     return MpcStep(
-        u=u_seq[:, 0].copy(),
-        input_sequence=u_seq,
+        u=u,
+        input_sequence=plan.reshape(cond.horizon, q_in).T.clip(cond.lb[:q_in, None], cond.ub[:q_in, None]),
         qp_iterations=iterations,
         kkt_residual=residual,
         active_set=active,
@@ -434,12 +443,17 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     first checks the active rows of the last such step's plan as a guess
     (see :func:`mpc_step`).
 
-    ``x0``, ``dt`` and ``qp_tol`` are checked once, and the condensation
+    ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
+    lifting's ``check_windows``) are checked once, and the condensation
     comes from :func:`condensed`. Each step then lifts the window of its
-    last ``history_steps + 1`` states and ``history_steps`` inputs through
-    ``model.lifting.lift_windows`` and solves with
-    :meth:`CondensedMpc.plan`, the arithmetic of :func:`mpc_step`, so the
-    loop is bitwise the loop of ``mpc_step`` and ``rk4_step`` calls.
+    last ``history_steps + 1`` states and ``history_steps`` inputs with the
+    lifting's ``lift_checked``, the arithmetic of ``lift_windows``, and
+    solves with :meth:`CondensedMpc.plan`, the arithmetic of
+    :func:`mpc_step`, so the loop is bitwise the loop of ``mpc_step`` and
+    ``rk4_step`` calls. What can fail only on a step's values is still
+    checked every step: a lift that is not finite, the unconstrained law's
+    rows and residual, a guess's KKT residual, the solver's tolerance, the
+    first move's rate bound and the plant's divergence.
 
     ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
     ``guess_hit`` arrays. A step solved by the unconstrained law or by a
@@ -465,10 +479,11 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     if x.size != plant.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the plant's state dimension")
     q_in = model.input_dim
-    lift = model.lifting.lift_windows
     cond = condensed(model, cfg)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
+    model.lifting.check_windows(states, inputs)
+    lift = model.lifting.lift_checked
     stage = np.empty(n_steps)
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
@@ -500,8 +515,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 cond.check_move(u, u_prev, "warm-up input change")
             else:
                 z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
-                u_seq, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
-                u = u_seq[:, 0].copy()
+                u, _, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
                 if active is not None:
                     guess = active
             inputs[:, k] = u

@@ -12,6 +12,14 @@ scoring never branch on the kind of lifting:
   The result holds the lifts of samples ``history_steps .. T-1`` of every
   window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
   ``M`` windows lift as the columns of one batch.
+
+``lift_windows`` is ``check_windows`` followed by ``lift_checked``:
+``check_windows(states, inputs)`` raises on windows of the wrong shape or
+length and returns them as float arrays, and ``lift_checked`` is the
+arithmetic alone. A caller that lifts many windows of one checked buffer,
+such as a closed loop lifting one window per step, checks the buffer once
+and calls ``lift_checked`` on its slices. ``lift_checked`` still raises on
+a lift that is not finite, as that depends on the values.
 """
 
 from __future__ import annotations
@@ -65,9 +73,10 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords`` and ``lift_windows``.
-    A dictionary needs no history, recovers every plant coordinate, and
-    ignores the inputs of ``lift_windows``.
+    ``history_steps``, ``state_dim``, ``coords`` and ``lift_windows`` with
+    its halves ``check_windows`` and ``lift_checked``. A dictionary needs
+    no history, recovers every plant coordinate, and ignores the inputs of
+    ``lift_windows``.
     """
 
     n_in: int
@@ -99,11 +108,25 @@ class Dictionary:
     def subset(self, indices):
         return Dictionary(self.n_in, self.exponents[[int(i) for i in indices]])
 
+    def check_windows(self, states, inputs=None):
+        """``states`` as a float array with ``n_in`` rows; ``inputs`` are ignored."""
+        return _columns(self, states), inputs
+
+    def lift_checked(self, states, inputs=None):
+        """Observables at every sample of checked (n, [M,] T) windows -> (d, [M,] T).
+
+        Raises InvalidInputError if an observable is not finite.
+        """
+        flat = states.reshape(states.shape[0], -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _monomials(self.exponents, flat)
+        if not np.isfinite(out).all():
+            raise InvalidInputError("dictionary evaluation produced non-finite values")
+        return out.reshape(out.shape[:1] + states.shape[1:])
+
     def lift_windows(self, states, inputs=None):
         """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T)."""
-        states = np.asarray(states, dtype=float)
-        flat = eval_dictionary(self, states.reshape(states.shape[0], -1))
-        return flat.reshape(flat.shape[:1] + states.shape[1:])
+        return eval_dictionary(self, states)
 
 
 def monomials_dictionary(n, max_order):
@@ -127,31 +150,31 @@ def identity_dictionary(n):
 
 
 def _columns(dic, x):
+    """``x`` as a float array of ``dic.n_in`` rows (a vector stays a vector)."""
     x = np.asarray(x, dtype=float)
-    cols = x[:, None] if x.ndim == 1 else x
-    if cols.shape[0] != dic.n_in:
-        raise InvalidInputError(f"state rows {cols.shape[0]} do not match n_in {dic.n_in}")
-    return cols
+    if x.ndim == 0 or x.shape[0] != dic.n_in:
+        raise InvalidInputError(f"state of shape {x.shape} does not have n_in = {dic.n_in} rows")
+    return x
 
 
 def _monomials(exponents, cols):
     """prod_j cols[j] ** exponents[:, j]: (d, n) exponents, (n, m) columns -> (d, m)."""
-    return np.prod(cols[None, :, :] ** exponents[:, :, None], axis=1)
+    return np.multiply.reduce(cols[None, :, :] ** exponents[:, :, None], axis=1)
 
 
 def eval_dictionary(dic, x):
-    """Apply all observables columnwise; (n_in,) -> (d,) and (n_in, m) -> (d, m)."""
-    cols = _columns(dic, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _monomials(dic.exponents, cols)
-    if out.size and not np.all(np.isfinite(out)):
-        raise InvalidInputError("dictionary evaluation produced non-finite values")
-    return out[:, 0] if np.ndim(x) == 1 else out
+    """Apply all observables columnwise; (n_in,) -> (d,) and (n_in, m) -> (d, m).
+
+    Raises InvalidInputError if ``x`` has another row count or an observable
+    is not finite.
+    """
+    return dic.lift_checked(*dic.check_windows(x))
 
 
 def eval_gradients(dic, x):
     """Stack all observable gradients at states x: (d, n_in) or (d, n_in, m)."""
-    cols = _columns(dic, x)
+    x = _columns(dic, x)
+    cols = x[:, None] if x.ndim == 1 else x
     e = dic.exponents
     out = np.zeros((dic.n_out, dic.n_in, cols.shape[1]))
     for j in range(dic.n_in):
@@ -232,31 +255,47 @@ class DelayCoordinates:
         """Past steps needed (beyond the current sample) to build a lifted state."""
         return self.depth - 1
 
-    def lift_windows(self, states, inputs):
-        """Hankel columns of (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
+    def check_windows(self, states, inputs):
+        """``states`` and ``inputs`` as float arrays of windows this lifting can lift.
 
-        Blocks are stacked newest sample first; the result is
-        (aug_dim, [M,] T - history_steps).
+        A window of ``T`` samples needs ``T > history_steps`` and, when the
+        lifting stores past inputs (``history_steps`` and ``input_dim`` both
+        nonzero), ``T - 1`` inputs per window; otherwise ``inputs`` are
+        ignored.
         """
         s = np.asarray(states, dtype=float)
         if s.ndim < 2 or s.shape[0] != self.state_dim:
             raise InvalidInputError(f"states of shape {s.shape} do not have {self.state_dim} rows")
-        h = self.history_steps
         n_samples = s.shape[-1]
-        m = n_samples - h
-        if m < 1:
+        if n_samples <= self.history_steps:
             raise InsufficientDataError(
                 f"a window of {n_samples} samples is too short for depth {self.depth}"
             )
-        s = s[list(self.coords)]
+        if not (self.history_steps and self.input_dim):
+            return s, inputs
+        if inputs is None:
+            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+        u = np.asarray(inputs, dtype=float)
+        if u.ndim != s.ndim or u.shape[0] != self.input_dim:
+            raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
+        if u.shape[-1] < n_samples - 1:
+            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+        return s, u
+
+    def lift_checked(self, states, inputs):
+        """Hankel columns of checked (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
+
+        Blocks are stacked newest sample first; the result is
+        (aug_dim, [M,] T - history_steps).
+        """
+        h = self.history_steps
+        m = states.shape[-1] - h
+        s = states[list(self.coords)]
         blocks = [s[..., h - j : h - j + m] for j in range(self.depth)]
-        if h:
-            if inputs is None:
-                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
-            u = np.asarray(inputs, dtype=float)
-            if u.ndim != s.ndim or u.shape[0] != self.input_dim:
-                raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
-            if u.shape[-1] < n_samples - 1:
-                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
-            blocks += [u[..., h - j : h - j + m] for j in range(1, self.depth)]
+        if self.input_dim:
+            blocks += [inputs[..., h - j : h - j + m] for j in range(1, self.depth)]
         return np.concatenate(blocks)
+
+    def lift_windows(self, states, inputs):
+        """:meth:`lift_checked` of the windows :meth:`check_windows` accepts."""
+        return self.lift_checked(*self.check_windows(states, inputs))

@@ -43,13 +43,13 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace, monkeypat
     assert tracer.calls["dynamics.generate_training_trajectories"] == 1
     assert tracer.calls["mpc.closed_loop_run"] == 2
     assert tracer.calls["mpc.condense"] == 1
-    # A closed-loop step lifts through lift_windows and plans through
-    # CondensedMpc.plan, not through mpc_step, LinearControlModel.lift or
-    # is_feasible.
+    # A closed-loop step lifts through the lifting's lift_checked and plans
+    # through CondensedMpc.plan, not through mpc_step, LinearControlModel.lift,
+    # eval_dictionary or is_feasible.
     assert tracer.calls["mpc.mpc_step"] == 0
     assert tracer.calls["mpc.is_feasible"] == 0
     assert tracer.calls["sysid.lift"] == 0
     assert tracer.calls["dynamics.rk4_step"] == 6
-    # The fit lifts its x and x' snapshots in one call each, then one per step.
-    assert tracer.calls["observables.eval_dictionary"] == 2 + 6
-    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples + 6
+    # The fit lifts its x and x' snapshots in one call each.
+    assert tracer.calls["observables.eval_dictionary"] == 2
+    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples

@@ -621,8 +621,8 @@ class TestActiveSetGuesses:
                 continue
             # Every step planned once, and against a cold solve of the same step.
             assert len(steps) == got.stage_costs.size - got.warmup_steps > 0
-            for cond, (z0, u_prev, qp_tol, _), (plan, iterations, _, _, hit) in steps:
-                cold_plan, cold_iterations = plan_unpatched(cond, z0, u_prev, qp_tol, None)[:2]
+            for cond, (z0, u_prev, qp_tol, _), (_, plan, iterations, _, _, hit) in steps:
+                cold_plan, cold_iterations = plan_unpatched(cond, z0, u_prev, qp_tol, None)[1:3]
                 np.testing.assert_allclose(plan, cold_plan, rtol=0.0, atol=1e-12)
                 assert iterations == (0 if hit else cold_iterations)
                 assert not hit or cold_iterations > 0

@@ -342,6 +342,49 @@ class TestLiftingInterface:
             assert np.array_equal(z[:, k], expected)
             assert np.array_equal(model.lift(states[:, k + h], **history), expected)
 
+    @pytest.mark.parametrize(
+        "lifting",
+        [
+            monomials_dictionary(2, 3),
+            DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1),
+            DelayCoordinates(4, (0,), state_dim=2, input_dim=1),
+        ],
+        ids=["dictionary", "delay", "delay-x1"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_on_buffer_slices_is_bitwise_lift_windows(self, lifting, data):
+        # A closed loop checks its (n, T) buffers once, then lifts the window
+        # ending at each column k through lift_checked on buffer slices.
+        h = lifting.history_steps
+        n_steps = data.draw(st.integers(h + 1, h + 8))
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+        states = data.draw(arrays(float, (2, n_steps + 1), elements=values))
+        inputs = data.draw(arrays(float, (1, n_steps), elements=values))
+        lifting.check_windows(states, inputs)
+        model = model_on(lifting, getattr(lifting, "aug_dim", None) or lifting.n_out)
+        for k in range(h, n_steps + 1):
+            got = lifting.lift_checked(states[:, k - h : k + 1], inputs[:, k - h : k])[:, 0]
+            window = np.array(states[:, k - h : k + 1]), np.array(inputs[:, k - h : k])
+            assert got.tobytes() == lifting.lift_windows(*window)[:, 0].tobytes()
+            lifted = model.lift(states[:, k], states[:, :k], inputs[:, :k])
+            assert got.tobytes() == lifted.tobytes()
+
+    def test_kernel_raises_on_an_overflowing_lift(self):
+        dic = monomials_dictionary(2, 3)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            dic.lift_checked(np.array([[1e120], [0.0]]))
+
+    def test_delay_lift_without_inputs_needs_no_past_inputs(self):
+        lifting = DelayCoordinates(3, (0, 1), state_dim=2, input_dim=0)
+        model = model_on(lifting, lifting.aug_dim, input_dim=0)
+        x, past = np.array([5.0, 6.0]), np.array([[1.0, 3.0], [2.0, 4.0]])
+        hand_stacked = [5.0, 6.0, 3.0, 4.0, 1.0, 2.0]  # x_k, x_{k-1}, x_{k-2}
+        assert np.array_equal(model.lift(x, past), hand_stacked)
+        assert np.array_equal(model.lift(x, past, np.empty((0, 2))), hand_stacked)
+        window = np.column_stack([past, x])
+        assert np.array_equal(lifting.lift_windows(window, None)[:, 0], hand_stacked)
+
     @pytest.mark.parametrize("state_dim, input_dim", [(3, 1), (3, 3), (2, 4), (1, 3)])
     def test_model_lift_needs_history_steps_past_states(self, state_dim, input_dim):
         for depth in (2, 3, 4):

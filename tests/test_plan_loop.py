@@ -1,11 +1,12 @@
 """The closed loop against its per-step public calls, and the shared condensations.
 
-``closed_loop_run`` checks its inputs once, lifts each step's window through
-``lift_windows`` and plans with ``CondensedMpc.plan``, on a condensation
-taken from a bounded memo keyed on content. The reference here is the same
-loop spelled out with public ``mpc_step`` and ``rk4_step`` calls and the
-same active-set guess handoff; the two must agree bit for bit, a diverging
-run's error and partial result included.
+``closed_loop_run`` checks its inputs and buffers once, lifts each step's
+window with the lifting's ``lift_checked`` and plans with
+``CondensedMpc.plan``, on a condensation taken from a bounded memo keyed on
+content. The reference here is the same loop spelled out with public
+``mpc_step`` and ``rk4_step`` calls and the same active-set guess handoff;
+the two must agree bit for bit, the error and partial result of a run that
+diverges or whose lift overflows included.
 """
 
 import copy
@@ -21,6 +22,8 @@ from koopmpc import (
     CondensedMpc,
     ControlSystem,
     DivergenceError,
+    InvalidInputError,
+    KoopmpcError,
     LinearControlModel,
     MpcConfig,
     closed_loop_run,
@@ -66,10 +69,11 @@ def empty_memo(monkeypatch):
 
 
 def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
-    """``closed_loop_run`` as public per-step calls: its record, and the DivergenceError or None.
+    """``closed_loop_run`` as public per-step calls: its record, and the KoopmpcError or None.
 
-    On divergence at step k the record holds the k completed steps, as the
-    partial result of ``closed_loop_run`` does.
+    When step k fails (a step's solve or the plant's divergence) the record
+    holds the k completed steps, as the partial result of
+    ``closed_loop_run`` does.
     """
     n_steps = _n_steps(t_end, dt)
     q_in, h = model.input_dim, model.lifting.history_steps
@@ -82,22 +86,22 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     u_prev, guess = np.zeros(q_in), None
     error = None
     for k in range(n_steps):
-        if k < h:
-            u = np.clip(np.zeros(q_in), cfg.u_min, cfg.u_max)
-        else:
-            step = mpc_step(model, x, u_prev, cfg, history_states=states[:, :k],
-                            history_inputs=inputs[:, :k], qp_tol=qp_tol, active_guess=guess)
-            u = step.u
-            rec["iterations"][k], rec["kkt"][k], rec["hits"][k] = (
-                step.qp_iterations, step.kkt_residual, step.guess_hit)
-            if step.active_set is not None:
-                guess = step.active_set
-        inputs[:, k] = u
-        err, du = x - cfg.reference, u - u_prev
-        rec["stage"][k] = float(err @ cfg.q @ err + u @ ru @ u + du @ rdu @ du)
         try:
+            if k < h:
+                u = np.clip(np.zeros(q_in), cfg.u_min, cfg.u_max)
+            else:
+                step = mpc_step(model, x, u_prev, cfg, history_states=states[:, :k],
+                                history_inputs=inputs[:, :k], qp_tol=qp_tol, active_guess=guess)
+                u = step.u
+                rec["iterations"][k], rec["kkt"][k], rec["hits"][k] = (
+                    step.qp_iterations, step.kkt_residual, step.guess_hit)
+                if step.active_set is not None:
+                    guess = step.active_set
+            inputs[:, k] = u
+            err, du = x - cfg.reference, u - u_prev
+            rec["stage"][k] = float(err @ cfg.q @ err + u @ ru @ u + du @ rdu @ du)
             x = rk4_step(plant, x, u, k * dt, dt)
-        except DivergenceError as exc:
+        except KoopmpcError as exc:
             error, n_steps = exc, k
             break
         states[:, k + 1] = x
@@ -158,6 +162,20 @@ def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
     got = exc.value.partial
     assert got.cumulative_cost.tobytes() == np.cumsum(want["stage"]).tobytes()
     assert_bitwise_records(record_of(got), want)
+
+
+@pytest.mark.parametrize("x0", [(1e120, 0.0), (0.0, -1e150), (3e200, 3e200)])
+def test_an_overflowing_lift_fails_as_the_loop_of_public_steps(vdp_training, models, x0):
+    # The loop lifts through the kernel alone, which still rejects a lift
+    # that is not finite, as mpc_step's lift does.
+    plant, model, cfg = vdp_training[0], models["edmdc"], mpc_cfg("default")
+    with pytest.raises(InvalidInputError) as exc:
+        closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
+    want, error = stepwise_loop(plant, model, cfg, np.array(x0), 1.0, DT)
+    assert isinstance(error, InvalidInputError)
+    assert str(exc.value) == f"horizon problem failed at step 0: {error}"
+    assert "dictionary evaluation produced non-finite values" in str(error)
+    assert_bitwise_records(record_of(exc.value.partial), want)
 
 
 class TestSharedCondensations:

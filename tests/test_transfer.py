@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from koopmpc import (
     BoxPartition,
@@ -16,7 +17,7 @@ from koopmpc import (
     invariant_density,
 )
 from koopmpc.dynamics import make_vanderpol
-from koopmpc.io import chain_from_json, chain_to_json, read_json, write_json
+from koopmpc.io import chain_from_json, chain_to_json, jsonify, read_json, write_json
 from koopmpc.transfer import locate_many
 
 
@@ -381,6 +382,67 @@ class TestChainSerialization:
         write_json(raw, path)
         with pytest.raises(InvalidInputError, match="malformed sparse transition matrix"):
             chain_from_json(path)
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.update(partition=[1, 2]), "partition must be a JSON object"),
+            (lambda raw: raw["partition"].update(counts=[2.5]), "partition counts .* must be integers"),
+            (lambda raw: raw["partition"].update(lows=["x"]), "lows must be a numeric array"),
+            (lambda raw: raw["matrices"].__setitem__(0, 5), "must be a JSON object or a nested list"),
+            (lambda raw: raw["matrices"][0].update(shape=[3.0, 3]), "malformed sparse transition matrix"),
+            (lambda raw: raw["matrices"][0].update(shape=["x", 3]), "malformed sparse transition matrix"),
+            (lambda raw: raw["full_escape"].__setitem__(0, [0.5]), "full_escape"),
+            (lambda raw: raw["full_escape"].__setitem__(0, [2]), r"full_escape .* in \[0, 2\)"),
+            (lambda raw: raw["full_escape"].__setitem__(0, [-1]), "full_escape"),
+            (lambda raw: raw["counts"].__setitem__(0, [1, 2]), "counts of shape"),
+        ],
+        ids=["partition-list", "float-box-counts", "string-lows", "number-matrix", "float-shape",
+             "string-shape", "float-escape", "escape-past-end", "negative-escape", "short-counts"],
+    )
+    def test_mistyped_entries_raise(self, doubling_chain, tmp_path, edit, message):
+        path = tmp_path / "chain.json"
+        chain_to_json(doubling_chain, path)
+        raw = read_json(path)
+        edit(raw)
+        write_json(raw, path)
+        with pytest.raises(InvalidInputError, match=message):
+            chain_from_json(path)
+
+
+def reference_jsonify(obj):
+    """The element-by-element conversion that ``jsonify`` must match byte for byte."""
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonify(v) for v in obj.tolist()] if obj.ndim > 0 else obj.item()
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonify(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arr=st.sampled_from([float, np.float32, int, np.int32, np.uint8, bool]).flatmap(
+        lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    )
+)
+def test_jsonify_writes_the_bytes_of_the_element_wise_reference(arr):
+    for obj in (arr, {"a": arr, "b": [arr, arr.reshape(-1)[:1]]}):
+        got = json.dumps(jsonify(obj), sort_keys=True, indent=2)
+        assert got == json.dumps(reference_jsonify(obj), sort_keys=True, indent=2)
+
+
+def test_jsonify_maps_non_finite_array_entries_to_null():
+    arr = np.array([[1.0, np.nan], [np.inf, -np.inf]])
+    assert jsonify({"x": arr, "n": np.arange(3), "b": np.array([True, False])}) == {
+        "x": [[1.0, None], [None, None]], "n": [0, 1, 2], "b": [True, False],
+    }
 
 
 @pytest.mark.parametrize(
