@@ -24,14 +24,12 @@ from .transfer import BoxPartition, ControlledChain, TransitionMatrix
 def jsonify(obj):
     """Recursively convert numpy containers into plain JSON-ready values.
 
-    Non-finite floats inside arrays, lists and dicts become None; a numpy
-    scalar or 0-d array becomes its Python value as it is.
+    Non-finite floats become None, whether Python floats, numpy scalars,
+    0-d arrays or entries of arrays, lists and dicts.
     """
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 0:
-            return obj.item()
+    if isinstance(obj, (np.floating, np.integer)) or (isinstance(obj, np.ndarray) and obj.ndim == 0):
+        obj = obj.item()
+    elif isinstance(obj, np.ndarray):
         # Integers, bools and finite floats need no element-wise pass.
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()

@@ -84,11 +84,13 @@ class CondensedMpc:
     The input weights are ``ru * I`` and ``rdu * I``, the state weight ``q``
     holds at every horizon step, and each bound is the same for every input
     and step. The stacked box and rate rows serve both :meth:`is_feasible`
-    and the QP solver. The Hessian must be positive definite. Its inverse,
-    from one Cholesky factorization, is kept too, so a step whose
-    unconstrained minimizer ``-H^{-1} g`` satisfies every bound is solved by
-    a matvec (Bemporad et al. 2002, explicit LQR); the solver's rows are
-    mapped through the inverse of the same factor. :meth:`plan` is the
+    and the QP solver. The Hessian must be positive definite; its inverse,
+    from one Cholesky factorization, is kept, and the solver's rows are
+    mapped through the inverse of the same factor. One stacked matrix maps
+    ``w = [z0; 1; u_prev]`` to the gradient, the unconstrained minimizer
+    ``-H^{-1} g`` and every row's slack; a step whose slacks are nonpositive
+    and whose residual ``|H plan + g|`` is within tolerance takes that
+    minimizer (Bemporad et al. 2002, explicit LQR). :meth:`plan` is the
     arithmetic of one step.
 
     Every array is read-only, so one condensation serves every caller whose
@@ -171,6 +173,14 @@ class CondensedMpc:
         self._row_shift = np.where(entry >= q_in, row_of[family, entry - q_in], -1)
         # The solver's form of the step QP, on the same factor.
         self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
+        # Maps w = [z0; 1; u_prev] to the gradient, the unconstrained plan and each row's slack.
+        gmat = np.hstack([self.g_state, self.g_const[:, None], self.g_uprev])
+        law = -(self._h_inv @ gmat)
+        offset = np.zeros((self._rhs.size, dim + 1 + q_in))
+        offset[:, dim] = self._rhs
+        offset[: self._rate_bound.size, dim + 1 :] = self._rate_shift
+        self._stack = np.vstack([gmat, law, self._rows @ law - offset])
+        self._one = np.ones(1)
         self._du0_hi = float(cfg.du_max) + 1e-7
         self._du0_lo = float(cfg.du_min) - 1e-7
         self.ru = ru
@@ -194,11 +204,15 @@ class CondensedMpc:
             raise InvalidInputError("previous input is not finite")
         return z0, u_prev
 
-    def _gradient(self, z0, u_prev):
-        """The step's QP gradient from vectors of the model's sizes; a non-finite ``z0`` raises."""
+    def _product(self, z0, u_prev):
+        """The step's ``[g; -H^{-1} g; rows @ plan - rhs]``; a non-finite ``z0`` raises."""
         if not np.isfinite(z0).all():
             raise InvalidInputError("lifted state is not finite")
-        return self.g_state @ z0 + self.g_const + self.g_uprev @ u_prev
+        return self._stack @ np.concatenate((z0, self._one, u_prev))
+
+    def _gradient(self, z0, u_prev):
+        """The step's QP gradient, the leading rows of :meth:`_product`."""
+        return self._product(z0, u_prev)[: self.h.shape[0]]
 
     def qp(self, z0, u_prev):
         z0, u_prev = self._checked(z0, u_prev)
@@ -227,23 +241,10 @@ class CondensedMpc:
         u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         if u_seq.size != self._rows.shape[1] or u_prev.size != self.input_dim:
             raise InvalidInputError("plan or u_prev length does not match the controller")
-        return self._meets_rows(u_seq, self._step_rhs(u_prev) + tol, tol)
-
-    def _meets_rows(self, u_seq, rhs, tol):
-        """Whether ``rows @ u_seq <= rhs``, with the box rows taken to within ``tol``.
-
-        One product with the stacked rows. A non-finite plan that fails it,
-        or meets it with no rows at all, is checked against the box entry by
-        entry instead, as a zero row coefficient makes infinity NaN. (A NaN
-        entry makes every row fail, so a plan that meets a nonempty stack is
-        never NaN.)
-        """
-        meets = bool((self._rows @ u_seq <= rhs).all())
-        if (meets and self._rows.size) or np.isfinite(u_seq).all():
-            return meets
+        # The box entry by entry: a zero row coefficient would make an infinite entry NaN.
         r = self._rate_bound.size
         box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
-        return bool(box and (self._rows[:r] @ u_seq <= rhs[:r]).all())
+        return bool(box and (self._rows[:r] @ u_seq <= self._step_rhs(u_prev)[:r] + tol).all())
 
     def plan(self, z0, u_prev, qp_tol, active_guess=None):
         """One step's plan: ``(u, plan, iterations, kkt_residual, active_set, guess_hit)``.
@@ -261,14 +262,14 @@ class CondensedMpc:
                 input change breaks the rate bound by more than 1e-7.
             ConvergenceError: the solver's plan misses ``qp_tol``.
         """
-        g = self._gradient(z0, u_prev)
-        sol = -(self._h_inv @ g)
-        rhs = self._step_rhs(u_prev)
+        n = self.h.shape[0]
+        out = self._product(z0, u_prev)
+        g, sol = out[:n], out[n : 2 * n]
         iterations, residual, active, hit = 0, np.inf, None, None
-        if self._meets_rows(sol, rhs, 0.0):
+        if (out[2 * n :] <= 0.0).all():
             residual = float(np.abs(self.h @ sol + g).max())
-        if residual > qp_tol:
-            qp = self._qp._replace(g=g, rhs=rhs)
+        if not residual <= qp_tol:  # a NaN residual fails too
+            qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
             if active_guess is not None:
                 active = active_guess
                 hit = verify_active_set(qp, active, qp_tol)
@@ -423,10 +424,22 @@ class ClosedLoopResult:
         return self.trajectory.states[:, -1]
 
 
-def _stage_cost(cfg, cond, x, u, u_prev):
-    err = x - cfg.reference
-    du = u - u_prev
-    return float(err @ cfg.q @ err + u @ cond.ru @ u + du @ cond.rdu @ du)
+def _stage_costs(cfg, x, u, u_prev):
+    """Stage costs ``e'q e + u'ru u + du'rdu du`` of the columns of ``x``, ``u`` and ``u_prev``.
+
+    ``e = x - reference`` and ``du = u - u_prev``. Each ``v'w v`` sums
+    elementwise products in a fixed order, without BLAS, so a column's cost
+    has the same bits whether it is priced alone or among many.
+    """
+    eye = np.eye(u.shape[0])
+    total = 0.0
+    for w, v in ((cfg.q, x - cfg.reference[:, None]), (cfg.ru * eye, u), (cfg.rdu * eye, u - u_prev)):
+        for j in range(w.shape[1]):
+            vw = v[0] * w[0, j]
+            for i in range(1, w.shape[0]):
+                vw = vw + v[i] * w[i, j]
+            total = total + vw * v[j]
+    return total
 
 
 def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
@@ -435,13 +448,14 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     At every step the true state is measured, lifted, and a fresh horizon
     problem is solved; the first planned input is applied to the plant for
     one integrator step. Stage costs are evaluated on the true state with the
-    applied input. A delay model first idles for its ``history_steps``
-    warm-up steps while the measurement history fills, at u = 0 clipped to
-    the input box; the move onto that input from ``u_prev = 0`` must meet
-    the rate bound, as a planned first move must, and ``t_end`` must cover
-    more steps than the warm-up. A step that leaves the unconstrained law
-    first checks the active rows of the last such step's plan as a guess
-    (see :func:`mpc_step`).
+    applied input, for all steps at once after the loop (or a failing step),
+    with the bits of pricing each step alone. A delay model first idles for
+    its ``history_steps`` warm-up steps while the measurement history fills,
+    at u = 0 clipped to the input box; the move onto that input from
+    ``u_prev = 0`` must meet the rate bound, as a planned first move must,
+    and ``t_end`` must cover more steps than the warm-up. A step that leaves
+    the unconstrained law first checks the active rows of the last such
+    step's plan as a guess (see :func:`mpc_step`).
 
     ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
     lifting's ``check_windows``) are checked once, and the condensation
@@ -484,7 +498,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     inputs = np.empty((q_in, n_steps))
     model.lifting.check_windows(states, inputs)
     lift = model.lifting.lift_checked
-    stage = np.empty(n_steps)
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
     hits = np.zeros(n_steps, dtype=bool)
@@ -495,10 +508,12 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
 
     def partial(k):
         traj = Trajectory(times[: k + 1], states[:, : k + 1], inputs[:, :k])
+        u_prevs = np.hstack([np.zeros((q_in, 1)), inputs[:, :k]])[:, :k]
+        stage = _stage_costs(cfg, states[:, :k], inputs[:, :k], u_prevs)
         return ClosedLoopResult(
             trajectory=traj,
-            stage_costs=stage[:k].copy(),
-            cumulative_cost=np.cumsum(stage[:k]),
+            stage_costs=stage,
+            cumulative_cost=np.cumsum(stage),
             solve_stats={
                 "iterations": iters[:k].copy(),
                 "kkt_residual": resid[:k].copy(),
@@ -519,7 +534,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 if active is not None:
                     guess = active
             inputs[:, k] = u
-            stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
             x = rk4_step(plant, x, u, times[k], dt)
         except KoopmpcError as err:
             err.partial = partial(k)

@@ -33,7 +33,10 @@ class BoxPartition:
     def __post_init__(self):
         object.__setattr__(self, "lows", np.asarray(self.lows, dtype=float).reshape(-1))
         object.__setattr__(self, "highs", np.asarray(self.highs, dtype=float).reshape(-1))
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int).reshape(-1))
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise InvalidInputError(f"counts must be integers, got {self.counts!r}")
+        object.__setattr__(self, "counts", counts.astype(int).reshape(-1))
         if not (self.lows.size == self.highs.size == self.counts.size):
             raise InvalidInputError("lows, highs, and counts must have equal length")
         if not (np.all(np.isfinite(self.lows)) and np.all(np.isfinite(self.highs))):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from koopmpc.dynamics import _n_steps, rk4_step
-from koopmpc.mpc import _stage_cost, condensed, mpc_step
+from koopmpc.mpc import _stage_costs, condensed, mpc_step
 
 
 @dataclass
@@ -53,7 +53,7 @@ def cold_closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             u, plans[k] = step.u, step.input_sequence
             iters[k], resid[k] = step.qp_iterations, step.kkt_residual
         inputs[:, k] = u
-        stage[k] = _stage_cost(cfg, cond, x, u, u_prev)
+        stage[k] = _stage_costs(cfg, x[:, None], u[:, None], u_prev[:, None])[0]
         x = rk4_step(plant, x, u, times[k], dt)
         states[:, k + 1] = x
         u_prev = u

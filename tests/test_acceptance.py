@@ -6,11 +6,16 @@ up as an ordinary pytest failure with the measured numbers.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopmpc
 from koopmpc import (
     BoxPartition,
     CondensedMpc,
@@ -275,16 +280,18 @@ def test_criterion_8_rk4_order():
     )
 
 
+CRITERION_9_CONFIG = {
+    "n_trajectories": 15,
+    "n_validation": 4,
+    "mpc_t_end": 3.0,
+    "ic_grid_n": 3,
+    "seed": 7,
+}
+
+
 def test_criterion_9_report_determinism(tmp_path):
-    config = {
-        "n_trajectories": 15,
-        "n_validation": 4,
-        "mpc_t_end": 3.0,
-        "ic_grid_n": 3,
-        "seed": 7,
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(CRITERION_9_CONFIG))
     digests = []
     for label in ("a", "b", "c"):
         out = tmp_path / label
@@ -295,4 +302,27 @@ def test_criterion_9_report_determinism(tmp_path):
         "criterion 9: benchmark reports are byte-identical",
         digests[0] == digests[1] == digests[2],
         "three runs compared",
+    )
+
+
+def test_criterion_9_report_does_not_depend_on_blas_threads(tmp_path):
+    # BLAS picks its kernels and blocking by thread count; the report must not change.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CRITERION_9_CONFIG))
+    src = str(Path(koopmpc.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "koopmpc.cli", "benchmark", "--config", str(cfg_path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "report.json").read_bytes())
+    report_line(
+        "criterion 9: benchmark reports do not depend on the BLAS thread count",
+        reports[0] == reports[1],
+        "OPENBLAS_NUM_THREADS=1 and =2 compared",
     )

@@ -291,6 +291,38 @@ def test_row_shift_moves_each_row_one_step_earlier(one_input_model, two_input_mo
     assert cond.shift_active(every) == tuple(r for r in reference_row_shift(cond) if r >= 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=partly_finite_bounds(), data=st.data())
+def test_stacked_law_is_the_reference_arithmetic(one_input_model, two_input_model, case, data):
+    # One product gives the gradient, the unconstrained plan and every row's slack.
+    q_in, horizon, bounds = case
+    model = one_input_model if q_in == 1 else two_input_model
+
+    def vector(size, limit):
+        return np.array(data.draw(st.lists(st.floats(-limit, limit), min_size=size, max_size=size)))
+
+    cfg = MpcConfig(q=np.eye(2), ru=0.1, rdu=0.1, horizon=horizon, reference=vector(2, 2.0), **bounds)
+    cond = CondensedMpc(model, cfg)
+    z0, u_prev = vector(cond.lifted_dim, 10.0), vector(q_in, 10.0)
+    n = cond.h.shape[0]
+    out = cond._product(z0, u_prev)
+    assert out.shape == (2 * n + cond._rows.shape[0],)
+    assert cond._gradient(z0, u_prev).tobytes() == out[:n].tobytes()
+    g = cond.g_state @ z0 + cond.g_const + cond.g_uprev @ u_prev
+    plan = -(cond._h_inv @ g)
+    rhs = cond._step_rhs(u_prev)
+    # Each value's scale is the sum of the magnitudes of its terms.
+    g_scale = abs(cond.g_state) @ abs(z0) + abs(cond.g_const) + abs(cond.g_uprev) @ abs(u_prev)
+    plan_scale = abs(cond._h_inv) @ g_scale
+    slack_scale = abs(cond._rows) @ plan_scale + abs(cond._rhs) + abs(u_prev).max()
+    for got, want, scale in (
+        (out[:n], g, g_scale),
+        (out[n : 2 * n], plan, plan_scale),
+        (out[2 * n :], cond._rows @ plan - rhs, slack_scale),
+    ):
+        assert np.all(abs(got - want) <= 1e-12 * scale)
+
+
 @pytest.fixture(scope="module")
 def study_models():
     cfg = ExperimentConfig()
@@ -301,27 +333,31 @@ def study_models():
 # Closed loops of 2 s from the default study's models, recorded before the
 # condensation was indexed and the row check stacked: ((u_max, du_max), model,
 # grid index, total cost, final state, QP iterations, max and sum of KKT residuals).
+# Values that moved by more than 1e-12 relative when the unconstrained law became
+# one stacked product are recorded from that law: KKT residuals in the last digits,
+# and the delay model's final states by up to 7.1e-12. The delay law's residuals
+# reach 1.9e-10, because its gradient and plan are now rounded separately.
 # The iterations are those of cold solves: a step whose active-set guess is
 # verified now reports 0, and the cold loop of ``cold_loop.py`` keeps the count.
 RECORDED_LOOPS = [
-    ((5.0, 50.0), "dmdc", 0, 645.6810902274366, (-2.2994389561050004, 1.3828516538288358), 12, 1.1102230246251565e-15, 1.6290788162898195e-14),
-    ((5.0, 50.0), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.220446049250313e-16, 4.9960036108132044e-15),
-    ((5.0, 50.0), "dmdc", 60, 178.03334602847855, (0.686607414963431, -0.8585867902145224), 0, 8.881784197001252e-16, 1.1463052729254741e-14),
-    ((5.0, 50.0), "edmdc", 0, 641.3998434855979, (-2.315225624617263, 1.1727955574123479), 3, 8.881784197001252e-16, 1.9095836023552692e-14),
-    ((5.0, 50.0), "edmdc", 31, 27.3332307676794, (-0.37124039556093213, 0.24076113040114594), 0, 4.440892098500626e-16, 1.0297318553398327e-14),
-    ((5.0, 50.0), "edmdc", 60, 181.42450251258316, (1.0761855344950295, -0.6576642734269649), 0, 8.881784197001252e-16, 2.0039525594484076e-14),
-    ((5.0, 50.0), "delay", 0, 687.8329040895641, (-2.467361076007806, 1.2835360935325897), 0, 1.1102230246251565e-15, 1.5827616994812388e-14),
-    ((5.0, 50.0), "delay", 31, 27.275685331184647, (-0.3152251248278185, 0.26124842629082684), 0, 3.3306690738754696e-16, 7.216449660063518e-15),
-    ((5.0, 50.0), "delay", 60, 212.47480175027226, (1.171029086841506, -0.8085766211628563), 0, 8.881784197001252e-16, 1.4654943925052066e-14),
-    ((1.0, 0.5), "dmdc", 0, 705.3791907346686, (-2.701127648032757, 1.3468611432622621), 379, 8.881784197001252e-16, 9.998946115530316e-15),
-    ((1.0, 0.5), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.220446049250313e-16, 4.9960036108132044e-15),
-    ((1.0, 0.5), "dmdc", 60, 214.89218656023525, (0.9134361131360482, -1.2907794267862767), 271, 3.3306690738754696e-16, 7.127111401050712e-15),
-    ((1.0, 0.5), "edmdc", 0, 702.3971011240465, (-2.6629254850931905, 1.3001944681411066), 346, 8.881784197001252e-16, 8.756884106730922e-15),
-    ((1.0, 0.5), "edmdc", 31, 27.336738984815657, (-0.3715018620008834, 0.24088021971003956), 19, 4.996003610813204e-16, 9.057424948943904e-15),
-    ((1.0, 0.5), "edmdc", 60, 214.81511390067848, (1.1465776493333901, -1.1594299171522646), 428, 4.440892098500626e-16, 9.13852327144582e-15),
-    ((1.0, 0.5), "delay", 0, 715.1152441760819, (-2.702014170443625, 1.312765175536199), 337, 3.3306690738754696e-16, 6.765421556309548e-15),
-    ((1.0, 0.5), "delay", 31, 27.275685331184647, (-0.3152251248278185, 0.26124842629082684), 0, 3.3306690738754696e-16, 7.216449660063518e-15),
-    ((1.0, 0.5), "delay", 60, 226.84733451335362, (1.1773211718559295, -1.2042304166020381), 336, 3.3306690738754696e-16, 8.1601392309949e-15),
+    ((5.0, 50.0), "dmdc", 0, 645.6810902274366, (-2.2994389561050004, 1.3828516538288358), 12, 1.1102230246251565e-15, 1.7518972383889775e-14),
+    ((5.0, 50.0), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.7755575615628914e-16, 6.086710996333622e-15),
+    ((5.0, 50.0), "dmdc", 60, 178.03334602847855, (0.686607414963431, -0.8585867902145224), 0, 8.881784197001252e-16, 1.459943277382081e-14),
+    ((5.0, 50.0), "edmdc", 0, 641.3998434855979, (-2.315225624617263, 1.1727955574123479), 3, 1.9984014443252818e-15, 4.8492460047455666e-14),
+    ((5.0, 50.0), "edmdc", 31, 27.3332307676794, (-0.37124039556093213, 0.24076113040114594), 0, 4.996003610813204e-16, 1.2101430968414206e-14),
+    ((5.0, 50.0), "edmdc", 60, 181.42450251258316, (1.0761855344950295, -0.6576642734269649), 0, 1.3322676295501878e-15, 2.8185787037671162e-14),
+    ((5.0, 50.0), "delay", 0, 687.8329040895641, (-2.4673610760015414, 1.283536093534536), 0, 1.8706436399895665e-10, 4.22108899222895e-09),
+    ((5.0, 50.0), "delay", 31, 27.275685331184647, (-0.3152251248255675, 0.26124842629019396), 0, 4.028632982766567e-11, 7.132051338398782e-10),
+    ((5.0, 50.0), "delay", 60, 212.47480175027226, (1.1710290868383972, -0.8085766211617372), 0, 9.35541644153659e-11, 2.158259187687306e-09),
+    ((1.0, 0.5), "dmdc", 0, 705.3791907346686, (-2.701127648032757, 1.3468611432622621), 379, 8.881784197001252e-16, 1.0352829704629585e-14),
+    ((1.0, 0.5), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.7755575615628914e-16, 6.086710996333622e-15),
+    ((1.0, 0.5), "dmdc", 60, 214.89218656023525, (0.9134361131360482, -1.2907794267862767), 271, 3.3306690738754696e-16, 6.931087648265333e-15),
+    ((1.0, 0.5), "edmdc", 0, 702.3971011240465, (-2.6629254850931905, 1.3001944681411066), 346, 8.881784197001252e-16, 8.670147932932082e-15),
+    ((1.0, 0.5), "edmdc", 31, 27.336738984815657, (-0.3715018620008834, 0.24088021971003956), 19, 4.440892098500626e-16, 1.052890413744123e-14),
+    ((1.0, 0.5), "edmdc", 60, 214.81511390067848, (1.1465776493333901, -1.1594299171522646), 428, 4.440892098500626e-16, 9.114237142782144e-15),
+    ((1.0, 0.5), "delay", 0, 715.1152441760819, (-2.7020141704396994, 1.3127651755407397), 337, 3.3306690738754696e-16, 6.682154829462661e-15),
+    ((1.0, 0.5), "delay", 31, 27.275685331184647, (-0.3152251248255675, 0.26124842629019396), 0, 4.028632982766567e-11, 7.132051338398782e-10),
+    ((1.0, 0.5), "delay", 60, 226.84733451335362, (1.1773211718506862, -1.2042304166050144), 336, 3.608224830031759e-16, 7.716050021144838e-15),
 ]
 
 

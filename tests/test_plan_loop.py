@@ -35,7 +35,7 @@ from koopmpc import (
     mpc_step,
 )
 from koopmpc.dynamics import _n_steps, rk4_step
-from koopmpc.mpc import condensed
+from koopmpc.mpc import _stage_costs, condensed
 from conftest import LinearRhs
 
 BOUNDS = {
@@ -77,7 +77,6 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     """
     n_steps = _n_steps(t_end, dt)
     q_in, h = model.input_dim, model.lifting.history_steps
-    ru, rdu = cfg.ru * np.eye(q_in), cfg.rdu * np.eye(q_in)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
     rec = dict(stage=np.empty(n_steps), iterations=np.zeros(n_steps, dtype=int),
@@ -98,8 +97,7 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 if step.active_set is not None:
                     guess = step.active_set
             inputs[:, k] = u
-            err, du = x - cfg.reference, u - u_prev
-            rec["stage"][k] = float(err @ cfg.q @ err + u @ ru @ u + du @ rdu @ du)
+            rec["stage"][k] = _stage_costs(cfg, x[:, None], u[:, None], u_prev[:, None])[0]
             x = rk4_step(plant, x, u, k * dt, dt)
         except KoopmpcError as exc:
             error, n_steps = exc, k
@@ -176,6 +174,31 @@ def test_an_overflowing_lift_fails_as_the_loop_of_public_steps(vdp_training, mod
     assert str(exc.value) == f"horizon problem failed at step 0: {error}"
     assert "dictionary evaluation produced non-finite values" in str(error)
     assert_bitwise_records(record_of(exc.value.partial), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stage_costs_price_a_column_alone_as_in_a_batch(dims, seed):
+    # The loop prices every step after it ends; a column's cost may not depend on its batch.
+    n, q_in, cols = dims
+    rng = np.random.default_rng(seed)
+    m = 0.5 * rng.standard_normal((n, n))
+    cfg = MpcConfig(q=m @ m.T + np.eye(n), ru=float(rng.uniform(0.0, 2.0)),
+                    rdu=float(rng.uniform(0.0, 2.0)), reference=rng.standard_normal(n))
+    x = rng.uniform(-5.0, 5.0, (n, cols))
+    u, u_prev = rng.uniform(-5.0, 5.0, (2, q_in, cols))
+    batch = _stage_costs(cfg, x, u, u_prev)
+    assert batch.shape == (cols,)
+    ru, rdu = cfg.ru * np.eye(q_in), cfg.rdu * np.eye(q_in)
+    for j in range(cols):
+        alone = _stage_costs(cfg, x[:, j : j + 1], u[:, j : j + 1], u_prev[:, j : j + 1])
+        assert alone.tobytes() == batch[j : j + 1].tobytes()
+        err, uj, du = x[:, j] - cfg.reference, u[:, j], u[:, j] - u_prev[:, j]
+        matmul_cost = float(err @ cfg.q @ err + uj @ ru @ uj + du @ rdu @ du)
+        assert abs(batch[j] - matmul_cost) <= 4 * np.spacing(matmul_cost)
 
 
 class TestSharedCondensations:

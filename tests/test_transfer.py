@@ -414,9 +414,11 @@ class TestChainSerialization:
 def reference_jsonify(obj):
     """The element-by-element conversion that ``jsonify`` must match byte for byte."""
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [reference_jsonify(v) for v in obj.tolist()] if obj.ndim > 0 else obj.item()
+        obj = obj.item()
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim > 0:
+            return [reference_jsonify(v) for v in obj.tolist()]
+        obj = obj.item()
     if isinstance(obj, dict):
         return {str(k): reference_jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -443,6 +445,25 @@ def test_jsonify_maps_non_finite_array_entries_to_null():
     assert jsonify({"x": arr, "n": np.arange(3), "b": np.array([True, False])}) == {
         "x": [[1.0, None], [None, None]], "n": [0, 1, 2], "b": [True, False],
     }
+
+
+def test_jsonify_maps_non_finite_scalars_to_null():
+    obj = {"a": np.float64("nan"), "b": np.array(np.inf), "c": np.float32(-np.inf),
+           "d": [np.float64(1.5), np.array(2)], "e": float("nan")}
+    assert json.dumps(jsonify(obj), sort_keys=True) == (
+        '{"a": null, "b": null, "c": null, "d": [1.5, 2], "e": null}'
+    )
+
+
+@pytest.mark.parametrize("counts", [[2.7], [2.0], np.array([3.0]), [True], ["2"]])
+def test_box_counts_that_are_not_integers_raise(counts):
+    with pytest.raises(InvalidInputError, match="counts must be integers"):
+        BoxPartition.regular([[0.0, 1.0]], counts)
+
+
+def test_box_counts_of_any_integer_type_are_kept():
+    part = BoxPartition.regular([[0.0, 1.0], [0.0, 2.0]], np.array([2, 3], dtype=np.uint8))
+    assert part.counts.tolist() == [2, 3] and part.n_boxes == 6
 
 
 @pytest.mark.parametrize(
