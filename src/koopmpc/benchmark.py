@@ -18,6 +18,8 @@ from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
     _count,
+    _join,
+    _path_batches,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
@@ -57,7 +59,10 @@ def mpc_config_from(cfg):
 
 
 def make_training_data(cfg):
-    """Training trajectories and their snapshot set for the configured plant."""
+    """The plant, its training batch and the batch's snapshot set.
+
+    Raises DivergenceError if every training path diverged.
+    """
     plant = make_vanderpol(cfg.mu)
     family = product_sines_family(cfg.forcing_amplitude, cfg.forcing_omega_std)
     trajectories, n_divergent = generate_training_trajectories(
@@ -69,14 +74,18 @@ def make_training_data(cfg):
         family,
         derive_seed(cfg.seed, 0),
     )
-    if not trajectories:
+    if trajectories.n_paths == 0:
         raise DivergenceError("all training trajectories diverged")
     samples = snapshots_from_trajectories(trajectories, cfg.dt, meta={"n_divergent": n_divergent})
     return plant, trajectories, samples
 
 
 def fit_models(cfg, trajectories, samples):
-    """Fit the configured subset of model kinds on shared training data."""
+    """Fit the configured subset of model kinds on shared training data.
+
+    ``trajectories`` (a :class:`Trajectory` or a sequence of them, each a
+    path or a batch) feed the delay fit; ``samples`` feed the others.
+    """
     models = {}
     for name in cfg.models:
         if name == "dmdc":
@@ -95,6 +104,7 @@ def fit_models(cfg, trajectories, samples):
 
 
 def make_validation_trajectories(cfg, plant):
+    """The validation batch: fresh forced paths from the validation box."""
     family = product_sines_family(cfg.forcing_amplitude, cfg.forcing_omega_std)
     trajectories, _ = generate_training_trajectories(
         plant,
@@ -116,28 +126,32 @@ def prediction_errors(models, trajectories, horizon):
     history), so the errors are directly comparable. Errors are taken on the
     coordinates each model's lifting recovers (partial-state delay models are
     scored on their observed coordinate only). Each trajectory contributes
-    its first ``start_index + horizon + 1`` samples; the windows of all
-    trajectories are stacked and scored as the columns of one batch, so each
-    model lifts them once, takes its one-step predictions from a single
-    ``C (A Z + B U)`` product, and rolls all trajectories forward together.
-    Each entry also holds ``predictions``: per trajectory, the
-    (ny, horizon+1) recovered states of the rollout from ``start_index``.
-    A model whose predictions are not finite raises InvalidInputError.
+    its first ``start_index + horizon + 1`` samples. ``trajectories`` is one
+    :class:`Trajectory` or a sequence of them, each a path or a batch; the
+    windows of all their paths are scored as the columns of one batch, so
+    each model lifts them once, takes its one-step predictions from a single
+    ``C (A Z + B U)`` product, and rolls all paths forward together. Each
+    entry also holds ``predictions``: per path, the (ny, horizon+1)
+    recovered states of the rollout from ``start_index``. Paths of differing
+    dimensions or sample spacing, and a model whose predictions are not
+    finite, raise InvalidInputError.
     """
     horizon = _count(horizon, "horizon", 1)
     start = max((model.lifting.history_steps for model in models.values()), default=0)
     end = start + horizon
-    for traj in trajectories:
-        if traj.n_steps < end:
+    batches, _ = _path_batches(trajectories)
+    for s, _ in batches:
+        if s.shape[-1] - 1 < end:
             raise InvalidInputError(
-                f"a trajectory of {traj.n_steps} steps is too short for horizon {horizon} "
+                f"a trajectory of {s.shape[-1] - 1} steps is too short for horizon {horizon} "
                 f"from index {start}"
             )
-    if not trajectories:
+    n_paths = sum(s.shape[1] for s, _ in batches)
+    if not n_paths:
         return {name: {"one_step_rms": [], "rollout_rms": [], "predictions": [],
                        "start_index": start} for name in models}
-    states = np.stack([traj.states[:, : end + 1] for traj in trajectories], axis=1)
-    inputs = np.stack([traj.inputs[:, :end] for traj in trajectories], axis=1)
+    states = _join([s[..., : end + 1] for s, _ in batches])
+    inputs = _join([u[..., :end] for _, u in batches])
     u = inputs[:, :, start:]
     u_cols = u.reshape(u.shape[0], -1)
     out = {}
@@ -146,7 +160,7 @@ def prediction_errors(models, trajectories, horizon):
         first = start - model.lifting.history_steps
         z = model.lifting.lift_windows(states[:, :, first:end], inputs[:, :, first:end])
         step = model.c @ (model.a @ z.reshape(model.lifted_dim, -1) + model.b @ u_cols)
-        step = step.reshape(len(coords), len(trajectories), horizon)
+        step = step.reshape(len(coords), n_paths, horizon)
         pred = rollout_from_lifted(model, z[:, :, 0], u)
         finite = np.all(np.isfinite(pred), axis=(0, 2)) & np.all(np.isfinite(step), axis=(0, 2))
         if not np.all(finite):
@@ -266,7 +280,7 @@ def _run_benchmark_stages(cfg, report, stage_seconds):
     )
     sweeps = []
     if cfg.run_mpc_validation:
-        sweeps.append(("validation", [traj.states[:, 0] for traj in validation]))
+        sweeps.append(("validation", list(validation.states[:, :, 0].T)))
     if cfg.run_mpc_grid:
         sweeps.append(("grid", grid_initial_conditions(cfg)))
     mpc_cfg = mpc_config_from(cfg)

@@ -39,6 +39,7 @@ from .io import (
     read_json,
     trajectories_from_csv,
     trajectories_to_csv,
+    trajectory_paths,
     transition_to_csv,
     write_json,
 )
@@ -112,10 +113,12 @@ def cmd_predict(args):
     start = scores["start_index"]
     path = out / f"predictions_{model.kind}.csv"
     rows = (
-        [idx, start + k, repr(float(traj.times[start + k]))]
-        + [repr(float(v)) for v in traj.states[:, start + k]]
+        [idx, start + k, repr(float(times[start + k]))]
+        + [repr(float(v)) for v in states[:, start + k]]
         + [repr(float(v)) for v in pred[:, k]]
-        for idx, (traj, pred) in enumerate(zip(trajectories, scores["predictions"]))
+        for idx, ((times, states, _), pred) in enumerate(
+            zip(trajectory_paths(trajectories), scores["predictions"])
+        )
         for k in range(horizon + 1)
     )
     header = ["traj", "step", "t"] + [f"x{i + 1}" for i in range(n)]

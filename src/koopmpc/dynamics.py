@@ -99,27 +99,31 @@ def rk4_step(sys, x, u, t, dt):
 
 @dataclass
 class Trajectory:
-    """Sampled path of a controlled system.
+    """Sampled paths of a controlled system: one path, or ``M`` paths at the same times.
 
-    ``inputs`` holds one value per step (zero-order hold over
-    ``[t_k, t_{k+1})``), so it is one column shorter than ``states``.
+    One path holds ``states`` (n, k+1) and ``inputs`` (q, k); a batch holds
+    ``states`` (n, M, k+1) and ``inputs`` (q, M, k), the ``(n, [M,] T)``
+    layout of the liftings. ``inputs`` holds one value per step (zero-order
+    hold over ``[t_k, t_{k+1})``), so it is one sample shorter than
+    ``states``; inputs as long as ``times`` lose their last sample. The
+    arrays are checked once, here.
     """
 
     times: np.ndarray   # (k+1,)
-    states: np.ndarray  # (n, k+1)
-    inputs: np.ndarray  # (q, k)
+    states: np.ndarray  # (n, k+1) or (n, M, k+1)
+    inputs: np.ndarray  # (q, k) or (q, M, k)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float).reshape(-1)
         self.states = np.asarray(self.states, dtype=float)
         self.inputs = np.asarray(self.inputs, dtype=float)
-        if self.states.ndim != 2 or self.states.shape[1] != self.times.size:
-            raise InvalidInputError("states must be (n, len(times))")
-        if self.inputs.ndim != 2:
-            raise InvalidInputError("inputs must be a 2-D array")
-        if self.inputs.shape[1] == self.times.size:
-            self.inputs = self.inputs[:, :-1]
-        if self.inputs.shape[1] != max(self.times.size - 1, 0):
+        if self.states.ndim not in (2, 3) or self.states.shape[-1] != self.times.size:
+            raise InvalidInputError("states must be (n, len(times)) or (n, M, len(times))")
+        if self.inputs.ndim != self.states.ndim or self.inputs.shape[1:-1] != self.states.shape[1:-1]:
+            raise InvalidInputError("inputs must be (q, k) for one path or (q, M, k) for M paths")
+        if self.inputs.shape[-1] == self.times.size:
+            self.inputs = self.inputs[..., :-1]
+        if self.inputs.shape[-1] != max(self.times.size - 1, 0):
             raise InvalidInputError("inputs must have one column per step")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise InvalidInputError("times must be strictly increasing")
@@ -141,6 +145,16 @@ class Trajectory:
     @property
     def n_steps(self):
         return self.times.size - 1
+
+    @property
+    def n_paths(self):
+        return self.states.shape[1] if self.states.ndim == 3 else 1
+
+    def as_batch(self):
+        """``(states, inputs)`` as (n, M, k+1) and (q, M, k) arrays; one path is M = 1 (views)."""
+        if self.states.ndim == 3:
+            return self.states, self.inputs
+        return self.states[:, np.newaxis], self.inputs[:, np.newaxis]
 
 
 @dataclass
@@ -328,8 +342,10 @@ def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, 
     not depend on how trajectories are scheduled. All trajectories are
     integrated as the columns of one lockstep RK4 run; for a field that
     computes each column on its own (van der Pol does), every trajectory
-    equals its own :func:`simulate` call bit for bit. Divergent trajectories
-    are dropped with a warning; the count is returned alongside.
+    equals its own :func:`simulate` call bit for bit. Returns ``(batch,
+    n_divergent)``: one :class:`Trajectory` of the paths that stayed within
+    ``DIVERGENCE_LIMIT``, in index order, and the number dropped (with a
+    warning) because they left it. No path is copied on its own.
     """
     n_traj = _count(n_traj, "n_traj", 1)
     seed = _count(seed, "seed", 0)
@@ -350,23 +366,54 @@ def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, 
         x0[:, i] = box[:, 0] + rng.random(sys.state_dim) * width
         inputs[:, i] = forcing_family(rng).evaluate(times[:-1])
     states, steps = _integrate_columns(sys.rhs, x0, inputs, times, dt)
-    kept = np.flatnonzero(steps == times.size - 1)
-    n_divergent = n_traj - kept.size
+    kept = steps == times.size - 1
+    n_divergent = n_traj - int(np.count_nonzero(kept))
     if n_divergent:
         warnings.warn(f"dropped {n_divergent} divergent training trajectories", stacklevel=2)
-    trajectories = [
-        Trajectory(times.copy(), states[:, j].copy(), inputs[:, j].copy()) for j in kept
-    ]
-    return trajectories, n_divergent
+        states, inputs = states[:, kept], inputs[:, kept]
+    return Trajectory(times, states, inputs), n_divergent
+
+
+def _path_batches(trajectories, dt=None):
+    """``(batches, dt)``: the :meth:`Trajectory.as_batch` arrays of each trajectory.
+
+    ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
+    path or a batch. Raises InvalidInputError unless every path has the
+    first's state and input dimensions and every step is ``dt`` long
+    (default: the first step of the first trajectory that has one) to a
+    relative 1e-9.
+    """
+    trajectories = [trajectories] if isinstance(trajectories, Trajectory) else list(trajectories)
+    if dt is None:
+        dt = next((float(tr.times[1] - tr.times[0]) for tr in trajectories if tr.n_steps), None)
+    else:
+        check_positive(dt, "dt")
+    for tr in trajectories:
+        dims, first = (tr.state_dim, tr.input_dim), (trajectories[0].state_dim, trajectories[0].input_dim)
+        if dims != first:
+            raise InvalidInputError(f"a trajectory has (state, input) dimensions {dims}, not {first}")
+        if tr.n_steps and not np.all(np.abs(np.diff(tr.times) - dt) <= 1e-9 * dt):
+            raise InvalidInputError(f"a trajectory's samples are not {dt!r} apart")
+    return [tr.as_batch() for tr in trajectories], dt
+
+
+def _join(arrays):
+    """``arrays`` joined along axis 1; a single array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
 
 
 def snapshots_from_trajectories(trajectories, dt, meta=None):
-    """Concatenate (x_k, x_{k+1}, u_k) columns of several trajectories."""
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise InvalidInputError("need at least one trajectory")
-    x = np.hstack([tr.states[:, :-1] for tr in trajectories])
-    xp = np.hstack([tr.states[:, 1:] for tr in trajectories])
-    u = np.hstack([tr.inputs for tr in trajectories])
-    return SampleSet(x=x, xp=xp, u=u, dt=dt, meta=dict(meta or {}))
+    """The (x_k, x_{k+1}, u_k) columns of every path, path by path.
 
+    ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
+    path or a batch; paths of differing dimensions, or not sampled ``dt``
+    apart, raise InvalidInputError.
+    """
+    batches, _ = _path_batches(trajectories, dt)
+    if not batches:
+        raise InvalidInputError("need at least one trajectory")
+    n, q = batches[0][0].shape[0], batches[0][1].shape[0]
+    x = _join([s[..., :-1].reshape(n, -1) for s, _ in batches])
+    xp = _join([s[..., 1:].reshape(n, -1) for s, _ in batches])
+    u = _join([u.reshape(q, -1) for _, u in batches])
+    return SampleSet(x=x, xp=xp, u=u, dt=dt, meta=dict(meta or {}))

@@ -9,6 +9,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -101,16 +102,28 @@ def _cells(values):
     return [repr(float(v)) for v in values]
 
 
-def _snapshot_rows(traj):
-    """One row per snapshot: t, states, held input.
+def _snapshot_rows(times, states, inputs):
+    """One row per sample of one path (``states`` (n, k+1), ``inputs`` (q, k)): t, states, held input.
 
     The input is a zero-order hold over each step; the final row repeats the
     last held input so the schema stays rectangular.
     """
-    q = traj.input_dim
-    for k in range(traj.times.size):
-        uk = traj.inputs[:, min(k, traj.n_steps - 1)] if traj.n_steps else np.zeros(q)
-        yield [repr(float(traj.times[k]))] + _cells(traj.states[:, k]) + _cells(uk)
+    n_steps = times.size - 1
+    for k in range(times.size):
+        uk = inputs[:, min(k, n_steps - 1)] if n_steps else np.zeros(inputs.shape[0])
+        yield [repr(float(times[k]))] + _cells(states[:, k]) + _cells(uk)
+
+
+def trajectory_paths(trajectories):
+    """``(times, states, inputs)`` of every path, in order, as one-path (n, k+1) and (q, k) views.
+
+    ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
+    path or a batch.
+    """
+    for traj in [trajectories] if isinstance(trajectories, Trajectory) else trajectories:
+        states, inputs = traj.as_batch()
+        for j in range(states.shape[1]):
+            yield traj.times, states[:, j], inputs[:, j]
 
 
 def _write_csv(path, header, rows):
@@ -123,25 +136,31 @@ def _write_csv(path, header, rows):
 
 
 def trajectories_to_csv(trajectories, path):
-    """Several trajectories in one file, tagged by a leading traj column."""
-    first = trajectories[0]
-    rows = (
-        [idx] + row
-        for idx, traj in enumerate(trajectories)
-        for row in _snapshot_rows(traj)
-    )
-    _write_csv(path, ["traj"] + _state_header(first.state_dim, first.input_dim), rows)
+    """Every path of ``trajectories`` (see :func:`trajectory_paths`), one row per
+    sample, tagged by a leading traj column that counts paths from 0."""
+    paths = list(trajectory_paths(trajectories))
+    header = _state_header(paths[0][1].shape[0], paths[0][2].shape[0])
+    rows = ([idx] + row for idx, one in enumerate(paths) for row in _snapshot_rows(*one))
+    _write_csv(path, ["traj"] + header, rows)
 
 
 def trajectories_from_csv(path, state_dim, input_dim):
+    """The paths of a :func:`trajectories_to_csv` file in traj order, as a list of batches.
+
+    Each run of consecutive paths with the same sample times is one
+    :class:`Trajectory` batch.
+    """
     data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    data = data[np.argsort(data[:, 0], kind="stable")]
+    starts = np.flatnonzero(np.diff(data[:, 0]) != 0) + 1
     out = []
-    for idx in np.unique(data[:, 0]).astype(int):
-        rows = data[data[:, 0] == idx]
-        times = rows[:, 1]
-        states = rows[:, 2 : 2 + state_dim].T
-        inputs = rows[:-1, 2 + state_dim : 2 + state_dim + input_dim].T
-        out.append(Trajectory(times=times, states=states, inputs=inputs))
+    for _, run in itertools.groupby(np.split(data, starts), key=lambda rows: rows[:, 1].tobytes()):
+        block = np.stack(list(run), axis=1)  # (k+1, M, columns)
+        out.append(Trajectory(
+            times=block[:, 0, 1],
+            states=block[:, :, 2 : 2 + state_dim].transpose(2, 1, 0),
+            inputs=block[:-1, :, 2 + state_dim : 2 + state_dim + input_dim].transpose(2, 1, 0),
+        ))
     return out
 
 
@@ -332,7 +351,7 @@ def closed_loop_to_csv(result, path):
     header = _state_header(traj.state_dim, traj.input_dim) + ["stage_cost", "cumulative_cost"]
 
     def rows():
-        for k, row in enumerate(_snapshot_rows(traj)):
+        for k, row in enumerate(_snapshot_rows(traj.times, traj.states, traj.inputs)):
             last = k >= traj.n_steps
             stage = float("nan") if last else float(result.stage_costs[k])
             cum = result.total_cost if last else float(result.cumulative_cost[k])

@@ -295,13 +295,13 @@ def _dual_active_set(qp, tol, max_iter):
     return active, iterations, True
 
 
-def _kkt_point(qp, active, tol, refine=True):
+def _kkt_point(qp, active, tol, refine_below=math.inf):
     """``x`` with the ``active`` rows as equalities, and its KKT residual.
 
     The residual is the largest row violation, stationarity error or
-    complementarity error, with negative multipliers clipped to zero. Above
-    ``tol`` the solve gets one step of iterative refinement (unless
-    ``refine`` is false): with a large ``g``, rounding in the active rows'
+    complementarity error, with negative multipliers clipped to zero. A
+    residual above ``tol`` and at most ``refine_below`` gets one step of
+    iterative refinement: with a large ``g``, rounding in the active rows'
     slack is magnified by their multipliers.
     """
     n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
@@ -317,7 +317,7 @@ def _kkt_point(qp, active, tol, refine=True):
 
     sol = np.linalg.solve(kkt, rhs)
     x, residual = point(sol)
-    if refine and residual > tol:
+    if tol < residual <= refine_below:
         x, residual = point(sol + np.linalg.solve(kkt, rhs - kkt @ sol))
     return x, residual
 
@@ -325,18 +325,21 @@ def _kkt_point(qp, active, tol, refine=True):
 def verify_active_set(qp, active, tol=1e-8):
     """``(x, residual)`` on a guessed active set if that is the optimum, else None.
 
-    One :func:`_kkt_point` solve with the ``active`` rows of a
-    :class:`FactoredQp` as equalities, without iterative refinement. The
-    guess is accepted only if the KKT residual is within ``tol``: every row
-    met, multipliers nonnegative, stationary. ``h`` is positive definite, so
-    an accepted ``x`` is the unique optimum, and it is the plan
-    :func:`solve_qp_info` would return were its final active rows the guess.
+    The :func:`_kkt_point` solve that :func:`solve_qp_info` ends with, on
+    the ``active`` rows of a :class:`FactoredQp` as equalities. The guess
+    is accepted only if the KKT residual is within ``tol``: every row met,
+    multipliers nonnegative, stationary. ``h`` is positive definite, so an
+    accepted ``x`` is the unique optimum. A miss of at most ``sqrt(tol)``,
+    rounding that the multipliers magnified, gets the solver's refinement
+    step, so the plan is the one :func:`solve_qp_info` would return were
+    its final active rows the guess, bit for bit. A larger miss is a wrong
+    guess, and it is rejected without a second solve.
     Rows that depend linearly on each other make the KKT system singular;
     that raises nothing, and such a guess passes only if its solve still
     meets ``tol``.
     """
     try:
-        x, residual = _kkt_point(qp, list(active), tol, refine=False)
+        x, residual = _kkt_point(qp, list(active), tol, refine_below=math.sqrt(tol))
     except np.linalg.LinAlgError:
         return None
     return (x, residual) if residual <= tol else None

@@ -6,12 +6,11 @@ snapshots; what differs between model kinds is the lifting.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, check_positive, sample_hash
+from .dynamics import Trajectory, _join, _path_batches, check_positive, sample_hash
 from .errors import InsufficientDataError, InvalidInputError, MissingHistoryError, NoEigenfunctionError
 from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
 from .observables import (
@@ -138,28 +137,25 @@ def fit_delay_augmented(trajectories, depth, svd_tol=DEFAULT_SVD_TOL, coords=Non
     state block, a zero row that receives u_k through the input column, and
     an identity shift over the stored inputs. Causality therefore holds by
     construction, with no constrained solve.
+
+    ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
+    path or a batch; each lifts as one batch, and the columns keep the path
+    order of the input. Paths of differing dimensions or sample spacing
+    raise InvalidInputError; the model's ``dt`` is the first step of the
+    first trajectory.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
+    batches, dt = _path_batches(trajectories)
+    if not batches:
         raise InsufficientDataError("need at least one trajectory")
-    n = trajectories[0].state_dim
-    q = trajectories[0].input_dim
+    n, q = batches[0][0].shape[0], batches[0][1].shape[0]
     dc = DelayCoordinates(
         depth=depth, coords=tuple(range(n)) if coords is None else coords, state_dim=n, input_dim=q
     )
     h = dc.history_steps
-    lifted, inputs, target = [], [], []
-    # One stacked lift per run of consecutive equal-length trajectories; the
-    # columns keep the trajectory-major order of a per-trajectory hstack.
-    for _, group in itertools.groupby(trajectories, key=lambda traj: traj.n_steps):
-        run = list(group)
-        states = np.stack([traj.states for traj in run], axis=1)  # (n, M, n_steps + 1)
-        u = np.stack([traj.inputs for traj in run], axis=1)
-        lifted.append(dc.lift_windows(states[..., :-1], u).reshape(dc.aug_dim, -1))
-        inputs.append(u[..., h:].reshape(q, -1))
-        target.append(states[list(dc.coords), :, h + 1 :].reshape(dc.n_embed, -1))
-    reg = np.vstack([np.hstack(lifted), np.hstack(inputs)])
-    target = np.hstack(target)
+    lifted = _join([dc.lift_windows(s[..., :-1], u).reshape(dc.aug_dim, -1) for s, u in batches])
+    inputs = _join([u[..., h:].reshape(q, -1) for _, u in batches])
+    target = _join([s[list(dc.coords), :, h + 1 :].reshape(dc.n_embed, -1) for s, _ in batches])
+    reg = np.vstack([lifted, inputs])
     n_e = dc.n_embed
     dim = dc.aug_dim
     if reg.shape[1] < dim + q:
@@ -184,7 +180,7 @@ def fit_delay_augmented(trajectories, depth, svd_tol=DEFAULT_SVD_TOL, coords=Non
         b=b,
         c=c,
         lifting=dc,
-        dt=float(trajectories[0].times[1] - trajectories[0].times[0]),
+        dt=dt,
         kind=KIND_DELAY_AUGMENTED,
         fit_residual=residual,
     )

@@ -6,6 +6,7 @@ from koopmpc import (
     Dictionary,
     LinearControlModel,
     SampleSet,
+    Trajectory,
     eval_dictionary,
     generate_training_trajectories,
     make_vanderpol,
@@ -15,6 +16,12 @@ from koopmpc import (
 
 A0 = np.array([[0.9, 0.1], [0.0, 0.8]])
 B0 = np.array([[0.0], [1.0]])
+
+
+def paths(traj):
+    """The paths of a :class:`Trajectory` (one path or a batch) as one-path Trajectories."""
+    states, inputs = traj.as_batch()
+    return [Trajectory(traj.times, states[:, j], inputs[:, j]) for j in range(traj.n_paths)]
 
 
 def discrete_linear_samples(m=50, seed=0, dt=0.1, a0=A0, b0=B0):

@@ -49,7 +49,7 @@ from koopmpc.benchmark import (
 from koopmpc.cli import main
 from koopmpc.config import ExperimentConfig, config_from_mapping
 
-from conftest import A0, B0, discrete_linear_samples
+from conftest import A0, B0, discrete_linear_samples, paths
 from test_numerics import brute_force_qp
 
 
@@ -147,7 +147,7 @@ def test_criterion_4_validation_error_ranking():
 def test_criterion_5_closed_loop_stabilization(default_benchmark):
     cfg, plant, models, validation = default_benchmark
     mpc_cfg = mpc_config_from(cfg)
-    ics = [traj.states[:, 0] for traj in validation]
+    ics = [traj.states[:, 0] for traj in paths(validation)]
 
     def success_rate(model, ic_list):
         from koopmpc import KoopmpcError

@@ -23,6 +23,7 @@ from koopmpc import (
 from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
 from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
+from conftest import paths
 
 
 class ExpRhs:
@@ -273,8 +274,9 @@ class TestSerialization:
         path = tmp_path / "traj.csv"
         trajectories_to_csv([traj], path)
         (back,) = trajectories_from_csv(path, 2, 1)
-        assert np.allclose(back.states, traj.states)
-        assert np.allclose(back.inputs, traj.inputs)
+        assert back.n_paths == 1
+        assert np.allclose(back.states[:, 0], traj.states)
+        assert np.allclose(back.inputs[:, 0], traj.inputs)
         assert np.allclose(back.times, traj.times)
 
     @staticmethod
@@ -432,8 +434,8 @@ class TestLockstepGeneration:
         (got, n_got), got_warned = recorded(generate_training_trajectories, *args)
         (want, n_want), want_warned = recorded(reference_generate, *args)
         assert n_got == n_want and got_warned == want_warned
-        assert len(got) == len(want) == n_traj - n_want
-        assert all(same_trajectory(a, b) for a, b in zip(got, want))
+        assert got.n_paths == len(want) == n_traj - n_want
+        assert all(same_trajectory(a, b) for a, b in zip(paths(got), want))
 
     @pytest.mark.parametrize("plant, box", [("square", [[0.0, 2.0]]), ("sqrt", [[-1.0, 1.0]])])
     def test_some_columns_diverge_without_numpy_warnings(self, plant, box):
@@ -441,7 +443,7 @@ class TestLockstepGeneration:
         args = (sys, 30, box, 2.0, 0.05, mixed_family(["zero"]), 3)
         with pytest.warns(UserWarning, match="dropped") as caught:
             trajectories, n_divergent = generate_training_trajectories(*args)
-        assert 0 < n_divergent < 30 and len(trajectories) == 30 - n_divergent
+        assert 0 < n_divergent < 30 and trajectories.n_paths == 30 - n_divergent
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @settings(max_examples=40, deadline=None)
@@ -529,8 +531,8 @@ class TestGenerationTypedErrors:
 
     def test_numpy_integers_are_accepted(self):
         trajectories, _ = self.gen(n_traj=np.int64(2), seed=np.uint32(7))
-        assert len(trajectories) == 2
-        assert same_trajectory(trajectories[1], self.gen(n_traj=2, seed=7)[0][1])
+        assert trajectories.n_paths == 2
+        assert same_trajectory(trajectories, self.gen(n_traj=2, seed=7)[0])
 
     @pytest.mark.parametrize(
         "box",

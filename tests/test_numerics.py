@@ -477,6 +477,17 @@ class TestVerifyActiveSet:
         x, residual = verify_active_set(qp, [])
         assert np.array_equal(x, [0.0, 0.0]) and residual == 0.0
 
+    def test_the_solvers_refined_rows_verify_to_its_plan(self):
+        # Multipliers in the thousands leave the first solve 1.25e-8 from the
+        # optimum; the solver refines it, and so must the verification.
+        h = np.array([[2.0, 2.0, 0.0, 0.0], [2.0, 6.0, 0.0, -1.0], [0.0, 0.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])
+        rows = np.array([[-1.0, 2.0, 2.0, -2.0], [-1.0, 0.0, -2.0, 1.0], [2.0, -2.0, 1.0, 2.0],
+                         [0.0, 0.0, 0.0, 0.0], [2.0, -2.0, -2.0, -2.0]])
+        qp = FactoredQp.factor(h, np.array([2.0, 2.0, 0.0, 0.0]), rows, np.array([0.0, -1.0, 0.0, 0.0, -1.0]))
+        x, info = solve_qp_info(qp)
+        own = verify_active_set(qp, info["active"])
+        assert own is not None and np.array_equal(own[0], x) and own[1] == info["kkt_residual"]
+
     def test_a_broken_row_is_rejected(self):
         # The unconstrained minimizer (2, 0) breaks x0 <= 1.
         qp = FactoredQp.factor(np.eye(2), np.array([-2.0, 0.0]), np.array([[1.0, 0.0]]), np.array([1.0]))

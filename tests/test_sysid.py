@@ -30,7 +30,7 @@ from koopmpc import (
 )
 from koopmpc.dynamics import ForcingSignal
 from koopmpc.sysid import rollout_from_lifted
-from conftest import A0, B0, discrete_linear_samples, reference_lift, simulate_discrete
+from conftest import A0, B0, discrete_linear_samples, paths, reference_lift, simulate_discrete
 
 
 class TestFitDmdc:
@@ -305,7 +305,8 @@ class TestPredictRollout:
 
 @functools.lru_cache(maxsize=None)
 def _small_study():
-    """dmdc, edmdc, full-state and x1-only delay models on a small van der Pol study."""
+    """dmdc, edmdc, full-state and x1-only delay models on a small van der Pol study,
+    and its validation paths as a list of one-path trajectories."""
     from koopmpc.benchmark import fit_models, make_training_data, make_validation_trajectories
     from koopmpc.config import config_from_mapping
 
@@ -313,7 +314,7 @@ def _small_study():
     plant, trajs, samples = make_training_data(cfg)
     models = fit_models(cfg, trajs, samples)
     models["delay-x1"] = fit_delay_augmented(trajs, 5, coords=(0,))
-    return models, make_validation_trajectories(cfg, plant)
+    return models, paths(make_validation_trajectories(cfg, plant))
 
 
 MODEL_NAMES = ("dmdc", "edmdc", "delay", "delay-x1")
