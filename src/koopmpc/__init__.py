@@ -43,7 +43,6 @@ from .numerics import (
     QpProblem,
     SvdFactors,
     lstsq_min_norm,
-    solve_qp,
     stationary_vector,
     truncated_svd,
 )
@@ -62,7 +61,6 @@ from .sysid import (
     fit_dmdc,
     fit_edmdc,
     identify_eigenfunctions,
-    plant_derivatives,
     predict_rollout,
 )
 from .transfer import (

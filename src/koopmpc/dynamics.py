@@ -202,31 +202,21 @@ def sample_hash(data):
 
 @dataclass(frozen=True)
 class ForcingSignal:
-    """Input signal evaluable at any t >= 0: a product of sines, or zero.
+    """Single input u(t) = amplitude * sin(|omega1| t) * sin(|omega2| t), for any t >= 0.
 
-    The training data are forced by product-of-sines signals (see
-    :func:`product_sines_family`), which have one input; the zero signal has
-    any number of inputs.
+    The training data are forced by such signals (see :func:`product_sines_family`).
     """
 
-    kind: str  # "product-sines" | "zero"
-    input_dim: int = 1
     amplitude: float = 0.0
     omega1: float = 0.0
     omega2: float = 0.0
 
     @classmethod
     def product_sines(cls, amplitude, omega1, omega2):
-        """u(t) = amplitude * sin(|omega1| t) * sin(|omega2| t), single input."""
-        return cls(kind="product-sines", input_dim=1, amplitude=float(amplitude),
-                   omega1=float(omega1), omega2=float(omega2))
-
-    @classmethod
-    def zero(cls, input_dim=1):
-        return cls(kind="zero", input_dim=int(input_dim))
+        return cls(amplitude=float(amplitude), omega1=float(omega1), omega2=float(omega2))
 
     def evaluate(self, t):
-        """The input at time ``t``: shape (q,) for a scalar ``t``, (q, k) for k times.
+        """The input at time ``t``: shape (1,) for a scalar ``t``, (1, k) for k times.
 
         A 1-D array of times gives the same values, bit for bit, as one scalar
         call per entry.
@@ -234,12 +224,8 @@ class ForcingSignal:
         t = np.asarray(t, dtype=float)
         if t.ndim > 1 or not np.isfinite(t).all():
             raise InvalidInputError("t must be a finite scalar or 1-D array of times")
-        if self.kind == "product-sines":
-            u = self.amplitude * np.sin(abs(self.omega1) * t) * np.sin(abs(self.omega2) * t)
-            return u[np.newaxis]
-        if self.kind == "zero":
-            return np.zeros((self.input_dim,) + t.shape)
-        raise InvalidInputError(f"unknown forcing kind {self.kind!r}")
+        u = self.amplitude * np.sin(abs(self.omega1) * t) * np.sin(abs(self.omega2) * t)
+        return u[np.newaxis]
 
 
 def product_sines_family(amplitude=5.0, omega_std=10.0):

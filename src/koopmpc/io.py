@@ -18,8 +18,7 @@ import numpy as np
 from .dynamics import Trajectory, _count
 from .errors import InvalidInputError
 from .observables import DelayCoordinates, Dictionary
-from .sysid import LinearControlModel
-from .transfer import BoxPartition, ControlledChain, TransitionMatrix
+from .sysid import MODEL_KINDS, LinearControlModel
 
 
 def jsonify(obj):
@@ -83,15 +82,10 @@ def _read_int(raw, key):
 
 def _read_array(raw, key):
     """The numeric array under ``key``; a non-numeric or ragged value raises InvalidInputError."""
-    return _float_array(raw[key], key)
-
-
-def _float_array(value, name):
-    """``value`` as a float array; a non-numeric or ragged value raises InvalidInputError."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(raw[key], dtype=float)
     except (TypeError, ValueError) as err:
-        raise InvalidInputError(f"{name} must be a numeric array: {err}") from None
+        raise InvalidInputError(f"{key} must be a numeric array: {err}") from None
 
 
 def _state_header(n, q):
@@ -148,9 +142,21 @@ def trajectories_from_csv(path, state_dim, input_dim):
     """The paths of a :func:`trajectories_to_csv` file in traj order, as a list of batches.
 
     Each run of consecutive paths with the same sample times is one
-    :class:`Trajectory` batch.
+    :class:`Trajectory` batch. A file without data rows, with ragged rows or
+    with other than ``2 + state_dim + input_dim`` columns raises InvalidInputError.
     """
-    data = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if not any(map(str.strip, lines[1:])):
+        raise InvalidInputError(f"{path} has no data rows")
+    try:
+        data = np.genfromtxt(lines, delimiter=",", skip_header=1, ndmin=2)
+    except ValueError as err:  # rows of unequal length
+        raise InvalidInputError(f"{path} is not a trajectory table: {err}") from None
+    if data.shape[1] != 2 + state_dim + input_dim:
+        raise InvalidInputError(
+            f"{path} has {data.shape[1]} columns, not traj, t, {state_dim} states and {input_dim} inputs"
+        )
     data = data[np.argsort(data[:, 0], kind="stable")]
     starts = np.flatnonzero(np.diff(data[:, 0]) != 0) + 1
     out = []
@@ -228,18 +234,24 @@ def model_to_json(model, path):
 def model_from_json(path):
     raw = read_json(path)
     try:
-        return LinearControlModel(
+        model = LinearControlModel(
             a=_read_array(raw, "a"),
             b=_read_array(raw, "b"),
             c=_read_array(raw, "c"),
             lifting=_lifting_from_descriptor(raw["lifting"]),
             dt=_read_number(raw, "dt"),
             kind=raw["kind"],
-            fit_residual=float(raw["fit_residual"]) if raw.get("fit_residual") is not None else float("nan"),
+            fit_residual=float("nan") if raw.get("fit_residual") is None else _read_number(raw, "fit_residual"),
             training_hash=raw.get("training_hash"),
         )
     except KeyError as err:
         raise InvalidInputError(f"model file {path} has no key {err}") from err
+    # The CLI names its output files after the kind.
+    if model.kind not in MODEL_KINDS:
+        raise InvalidInputError(f"kind must be one of {list(MODEL_KINDS)}, got {model.kind!r}")
+    if not isinstance(model.training_hash, (str, type(None))):
+        raise InvalidInputError(f"training_hash must be a string, got {model.training_hash!r}")
+    return model
 
 
 def _nonzero_triplets(p):
@@ -252,51 +264,6 @@ def transition_to_csv(p, path):
     """One ``row,col,value`` line per nonzero entry, in the order ``chain.json`` uses."""
     t = _nonzero_triplets(p)
     _write_csv(path, ["row", "col", "value"], zip(*(t[k].tolist() for k in ("rows", "cols", "values"))))
-
-
-def _indices(values, stop):
-    """``values`` as an int vector if they are all integers in ``[0, stop)``, else None."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged
-        return None
-    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= stop)):
-        return None
-    return arr.astype(int)
-
-
-def _transition_from_entry(entry):
-    """Dense matrix of one ``"matrices"`` entry: nonzero triplets, or a nested list."""
-    if isinstance(entry, list):  # files written before levels were stored sparse
-        return _float_array(entry, "a transition matrix")
-    if not isinstance(entry, dict):
-        raise InvalidInputError(f"a transition matrix must be a JSON object or a nested list, got {entry!r}")
-    shape = entry["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2 and all(type(v) is int and v >= 0 for v in shape)):
-        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape!r}")
-    rows = _indices(entry["rows"], shape[0])
-    cols = _indices(entry["cols"], shape[1])
-    values = _read_array(entry, "values")
-    if rows is None or cols is None or not rows.size == cols.size == values.size or values.ndim != 1:
-        raise InvalidInputError(f"malformed sparse transition matrix of shape {shape!r}")
-    p = np.zeros(shape)
-    p[rows, cols] = values
-    return p
-
-
-def _level_from_entry(entry, counts, escape, tau, n_boxes):
-    """One level's :class:`TransitionMatrix` from its matrix, counts and full-escape entries."""
-    p = _transition_from_entry(entry)
-    if counts is not None:
-        counts = _float_array(counts, "counts")
-        if counts.shape != p.shape[:1]:
-            raise InvalidInputError(
-                f"counts of shape {counts.shape} do not match a transition matrix of shape {p.shape}"
-            )
-    boxes = _indices(escape, n_boxes) if isinstance(escape, list) else None
-    if boxes is None:
-        raise InvalidInputError(f"full_escape {escape!r} must list box indices in [0, {n_boxes})")
-    return TransitionMatrix(p=p, tau=tau, counts=counts, outside=True, full_escape=tuple(boxes.tolist()))
 
 
 def chain_to_json(chain, path):
@@ -316,29 +283,6 @@ def chain_to_json(chain, path):
         },
         path,
     )
-
-
-def chain_from_json(path):
-    raw = read_json(path)
-    try:
-        partition = raw["partition"]
-        if not isinstance(partition, dict):
-            raise InvalidInputError(f"partition must be a JSON object, got {partition!r}")
-        counts = _indices(partition["counts"], np.inf)
-        if counts is None:
-            raise InvalidInputError(f"partition counts {partition['counts']!r} must be integers")
-        part = BoxPartition(
-            lows=_read_array(partition, "lows"), highs=_read_array(partition, "highs"), counts=counts
-        )
-        tau = _read_number(raw, "tau")
-        mats = tuple(
-            _level_from_entry(m, cnt, esc, tau, part.n_boxes)
-            for m, cnt, esc in zip(raw["matrices"], raw["counts"], raw["full_escape"])
-        )
-        levels = tuple(np.asarray(lv, dtype=float).reshape(-1) for lv in raw["levels"])
-    except KeyError as err:
-        raise InvalidInputError(f"chain file {path} has no key {err}") from err
-    return ControlledChain(levels=levels, mats=mats, partition=part)
 
 
 def closed_loop_to_csv(result, path):

@@ -345,14 +345,16 @@ def verify_active_set(qp, active, tol=1e-8):
     return (x, residual) if residual <= tol else None
 
 
-def solve_qp(qp, tol=1e-8, max_iter=None):
-    """Dual active-set solve of a :class:`QpProblem` or :class:`FactoredQp`.
+def solve_qp_info(qp, tol=1e-8, max_iter=None):
+    """Dual active-set solve of a :class:`QpProblem` or :class:`FactoredQp`: ``(x, info)``.
 
     Goldfarb & Idnani (1983), "A numerically stable dual method for solving
     strictly convex quadratic programs": start from the unconstrained
     minimizer, add violated rows, need no feasible point. ``x`` comes from one
     equality-constrained solve on the final active rows, and its KKT residual
-    (feasibility, stationarity, complementarity) is at most ``tol``.
+    (feasibility, stationarity, complementarity) is at most ``tol``. ``info``
+    holds the iterations, that residual and the final active rows (row indices
+    into the stacked rows of :func:`_constraint_rows`, in the order added).
 
     Raises:
         InvalidInputError: ``h`` is not positive definite, or ``tol`` is not
@@ -361,13 +363,6 @@ def solve_qp(qp, tol=1e-8, max_iter=None):
         ConvergenceError: ``max_iter`` rows added and dropped did not finish,
             or the residual exceeds ``tol``; carries that ``x`` as ``best``.
     """
-    return solve_qp_info(qp, tol=tol, max_iter=max_iter)[0]
-
-
-def solve_qp_info(qp, tol=1e-8, max_iter=None):
-    """Like :func:`solve_qp` but also returns metadata: the iterations, the
-    KKT residual and the final active rows (``active``, a tuple of row indices
-    into the stacked rows of :func:`_constraint_rows`, in the order added)."""
     check_positive(tol, "tol")
     if isinstance(qp, QpProblem):
         qp = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))

@@ -105,9 +105,6 @@ class Dictionary:
     def coords(self):
         return tuple(range(self.n_in))
 
-    def subset(self, indices):
-        return Dictionary(self.n_in, self.exponents[[int(i) for i in indices]])
-
     def check_windows(self, states, inputs=None):
         """``states`` as a float array with ``n_in`` rows; ``inputs`` are ignored."""
         return _columns(self, states), inputs

@@ -6,6 +6,7 @@ snapshots; what differs between model kinds is the lifting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .observables import (
 KIND_DMDC = "dmdc"
 KIND_EDMDC = "edmdc"
 KIND_DELAY_AUGMENTED = "delay-augmented"
+MODEL_KINDS = (KIND_DMDC, KIND_EDMDC, KIND_DELAY_AUGMENTED)
 
 
 @dataclass
@@ -92,7 +94,8 @@ class LinearControlModel:
 def _regress(reg, target, svd_tol):
     """w with w @ reg ~= target, minimum norm; returns (w, frobenius residual)."""
     w = lstsq_min_norm(reg.T, target.T, svd_tol).T
-    residual = float(np.linalg.norm(w @ reg - target))
+    # Not np.linalg.norm: its BLAS dot sums in an order set by the thread count.
+    residual = math.sqrt(float(np.sum(np.square(w @ reg - target))))
     return w, residual
 
 
@@ -198,11 +201,6 @@ class Eigenfunction:
     def support(self, threshold=1e-12):
         return tuple(int(i) for i in np.flatnonzero(np.abs(self.coefficients) > threshold))
 
-    @property
-    def sparsity(self):
-        """Number of active library terms (coefficients above rounding level)."""
-        return len(self.support())
-
 
 def identify_eigenfunctions(
     x,
@@ -270,16 +268,6 @@ def identify_eigenfunctions(
         residual=residual,
         residual_history=tuple(history),
     )
-
-
-def plant_derivatives(sys, x, u=None, t=0.0):
-    """Analytic state derivatives of a flow plant at sample columns."""
-    x = np.asarray(x, dtype=float)
-    if u is None:
-        u = np.zeros((sys.input_dim, x.shape[1] if x.ndim == 2 else 1))
-        if x.ndim == 1:
-            u = u[:, 0]
-    return np.asarray(sys.rhs(x, np.asarray(u, dtype=float), t), dtype=float)
 
 
 def _as_input_matrix(inputs, q):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from koopmpc import (
+    BoxPartition,
+    ControlledChain,
     ControlSystem,
     Dictionary,
     LinearControlModel,
     SampleSet,
+    TransitionMatrix,
     Trajectory,
     eval_dictionary,
     generate_training_trajectories,
@@ -13,6 +16,7 @@ from koopmpc import (
     product_sines_family,
     snapshots_from_trajectories,
 )
+from koopmpc.io import read_json
 
 A0 = np.array([[0.9, 0.1], [0.0, 0.8]])
 B0 = np.array([[0.0], [1.0]])
@@ -22,6 +26,29 @@ def paths(traj):
     """The paths of a :class:`Trajectory` (one path or a batch) as one-path Trajectories."""
     states, inputs = traj.as_batch()
     return [Trajectory(traj.times, states[:, j], inputs[:, j]) for j in range(traj.n_paths)]
+
+
+class ZeroForcing:
+    """The unforced input: ``input_dim`` zeros at every time, evaluated as ``ForcingSignal`` is."""
+
+    def __init__(self, input_dim=1):
+        self.input_dim = input_dim
+
+    def evaluate(self, t):
+        return np.zeros((self.input_dim,) + np.shape(t))
+
+
+def read_chain(path):
+    """The :class:`ControlledChain` of a ``chain_to_json`` file, read back from its nonzero triplets."""
+    raw = read_json(path)
+    mats = []
+    for entry, counts, escape in zip(raw["matrices"], raw["counts"], raw["full_escape"]):
+        p = np.zeros(entry["shape"])
+        p[np.asarray(entry["rows"], dtype=int), np.asarray(entry["cols"], dtype=int)] = entry["values"]
+        counts = None if counts is None else np.asarray(counts, dtype=float)
+        mats.append(TransitionMatrix(p=p, tau=raw["tau"], counts=counts, outside=True, full_escape=tuple(escape)))
+    levels = tuple(np.asarray(lv, dtype=float) for lv in raw["levels"])
+    return ControlledChain(levels=levels, mats=tuple(mats), partition=BoxPartition(**raw["partition"]))
 
 
 def discrete_linear_samples(m=50, seed=0, dt=0.1, a0=A0, b0=B0):

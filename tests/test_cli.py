@@ -13,7 +13,9 @@ import scipy
 from koopmpc import ConfigError, InvalidInputError
 from koopmpc.cli import main
 from koopmpc.config import ExperimentConfig, parse_config
-from koopmpc.io import chain_from_json, model_from_json, read_json
+from koopmpc.io import model_from_json, read_json
+
+from conftest import read_chain
 
 
 SMALL_CONFIG = {
@@ -411,7 +413,52 @@ class TestMalformedJsonInputs:
         assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(tmp_path / "mpc")]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("reader", [model_from_json, chain_from_json])
+    @pytest.mark.parametrize("command", ["mpc", "predict"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"kind": "x/../../escape"}, "kind must be one of ['dmdc', 'edmdc', 'delay-augmented'], got 'x/"),
+            ({"kind": 5}, "kind must be one of"),
+            ({"fit_residual": "abc"}, "fit_residual must be a number, got 'abc'"),
+            ({"fit_residual": [1]}, "fit_residual must be a number, got [1]"),
+            ({"training_hash": 5}, "training_hash must be a string, got 5"),
+        ],
+        ids=["path-kind", "number-kind", "string-residual", "list-residual", "number-hash"],
+    )
+    def test_exits_3_on_a_malformed_model_field(self, fitted_x1, tmp_path, capsys, command, edit, message):
+        cfg, data = fitted_x1
+        raw = read_json(data.parent / "model_dmdc.json")
+        raw.update(edit)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        out = tmp_path / "out" / "inner"
+        inputs = [str(data)] if command == "predict" else []
+        assert main([command, str(edited), *inputs, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        # Nothing is written, inside --out or beside it.
+        assert sorted(tmp_path.rglob("*")) == [edited, tmp_path / "out", out]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [row[:-1] for row in rows], "has 4 columns, not traj, t, 2 states and 1 inputs"),
+            (lambda rows: rows[:1], "has no data rows"),
+            (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:], "is not a trajectory table"),
+        ],
+        ids=["no-input-column", "header-only", "ragged"],
+    )
+    def test_fit_exits_3_on_a_malformed_trajectory_table(self, fitted_x1, tmp_path, capsys, edit, message):
+        _, data = fitted_x1
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        with open(copy / "trajectories.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(copy / "trajectories.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        assert main(["fit", str(copy), "--model", "dmdc", "--out", str(tmp_path / "fit")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", [model_from_json])
     def test_readers_reject_a_file_that_is_not_an_object(self, tmp_path, reader):
         path = tmp_path / "file.json"
         path.write_text("[1, 2]")
@@ -450,7 +497,7 @@ class TestUlamCommand:
         cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
         out = tmp_path / "ulam"
         assert main(["ulam", "--config", str(cfg), "--out", str(out)]) == 0
-        chain = chain_from_json(out / "chain.json")
+        chain = read_chain(out / "chain.json")
         for i, mat in enumerate(chain.mats):
             with open(out / f"chain_level_{i}.csv", encoding="utf-8") as fh:
                 lines = list(csv.reader(fh))
@@ -465,7 +512,7 @@ class TestUlamCommand:
         cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
         out = tmp_path / "ulam"
         assert main(["ulam", "--config", str(cfg), "--out", str(out)]) == 0
-        chain = chain_from_json(out / "chain.json")
+        chain = read_chain(out / "chain.json")
         entries = read_json(out / "densities.json")["densities"]
         assert len(entries) == len(chain.mats)
         for entry, level, mat in zip(entries, chain.levels, chain.mats):

@@ -23,7 +23,7 @@ from koopmpc import (
 from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
 from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
-from conftest import paths
+from conftest import ZeroForcing, paths
 
 
 class ExpRhs:
@@ -116,7 +116,7 @@ class TestRk4:
         dts = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = []
         for dt in dts:
-            traj = simulate(sys, [1.0], ForcingSignal.zero(1), 1.0, dt)
+            traj = simulate(sys, [1.0], ZeroForcing(), 1.0, dt)
             errs.append(abs(traj.states[0, -1] - np.exp(-1.0)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert abs(slope - 4.0) < 0.2
@@ -128,7 +128,7 @@ class TestRk4:
 
         sys = ControlSystem(1, 1, BlowUp())
         with pytest.raises(DivergenceError):
-            simulate(sys, [3.0], ForcingSignal.zero(1), 10.0, 0.5)
+            simulate(sys, [3.0], ZeroForcing(), 10.0, 0.5)
 
     def test_finite_state_past_the_limit_raises(self):
         sys = ControlSystem(1, 1, ZeroRhs())
@@ -157,28 +157,28 @@ class TestNonFiniteTimesAndStates:
     )
     def test_simulate_rejects_non_finite_times(self, t_end, dt):
         with pytest.raises(InvalidInputError, match="finite"):
-            simulate(self.SYS, [1.0, 0.0], ForcingSignal.zero(1), t_end, dt)
+            simulate(self.SYS, [1.0, 0.0], ZeroForcing(), t_end, dt)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_simulate_rejects_a_non_finite_x0(self, bad):
         with pytest.raises(InvalidInputError, match="x0 must be finite"):
-            simulate(self.SYS, [bad, 0.0], ForcingSignal.zero(1), 1.0, 0.1)
+            simulate(self.SYS, [bad, 0.0], ZeroForcing(), 1.0, 0.1)
 
 
 class TestSimulate:
     def test_zero_field_constant_trajectory(self):
         sys = ControlSystem(2, 1, ZeroRhs())
-        traj = simulate(sys, [0.3, -0.7], ForcingSignal.zero(1), 1.0, 0.1)
+        traj = simulate(sys, [0.3, -0.7], ZeroForcing(), 1.0, 0.1)
         assert np.all(traj.states == traj.states[:, :1])
 
     def test_unstable_origin_grows(self):
         sys = make_vanderpol(0.2)
-        traj = simulate(sys, [0.01, 0.0], ForcingSignal.zero(1), 10.0, 0.05)
+        traj = simulate(sys, [0.01, 0.0], ZeroForcing(), 10.0, 0.05)
         assert np.linalg.norm(traj.states[:, -1]) > np.linalg.norm(traj.states[:, 0])
 
     def test_step_count(self):
         sys = ControlSystem(2, 1, ZeroRhs())
-        traj = simulate(sys, [0.0, 0.0], ForcingSignal.zero(1), 1.0, 0.05)
+        traj = simulate(sys, [0.0, 0.0], ZeroForcing(), 1.0, 0.05)
         assert traj.n_steps == 20
         assert traj.states.shape == (2, 21)
 
@@ -198,7 +198,7 @@ class TestSimulate:
 
         sys = ControlSystem(1, 1, BlowUp())
         with pytest.raises(DivergenceError) as exc:
-            simulate(sys, [3.0], ForcingSignal.zero(1), 10.0, 0.5)
+            simulate(sys, [3.0], ZeroForcing(), 10.0, 0.5)
         partial = exc.value.partial
         assert isinstance(partial, Trajectory)
         assert partial.times.size >= 1
@@ -208,7 +208,7 @@ class TestSimulate:
         # state past DIVERGENCE_LIMIT, and it is still finite.
         sys = ControlSystem(1, 1, ExpRhs())
         with pytest.raises(DivergenceError) as exc:
-            simulate(sys, [1.0], ForcingSignal.zero(1), 20.0, 0.5)
+            simulate(sys, [1.0], ZeroForcing(), 20.0, 0.5)
         partial = exc.value.partial
         assert partial.n_steps == 27
         assert np.all(np.abs(partial.states) <= DIVERGENCE_LIMIT)
@@ -374,11 +374,11 @@ def reference_generate(sys, n_traj, box, t_end, dt, forcing_family, seed):
 FORCING_KINDS = ("product-sines", "zero")
 
 
-def random_signal(rng, kind, input_dim=1):
+def random_signal(rng, kind):
     if kind == "product-sines":
         w = rng.normal(0.0, 10.0, size=2)
         return ForcingSignal.product_sines(rng.uniform(0.0, 5.0), w[0], w[1])
-    return ForcingSignal.zero(input_dim)
+    return ZeroForcing()
 
 
 def mixed_family(kinds):
@@ -474,34 +474,28 @@ class TestLockstepGeneration:
 class TestForcingOnTimeArrays:
     @settings(max_examples=80, deadline=None)
     @given(
-        kind=st.sampled_from(FORCING_KINDS),
-        input_dim=st.integers(1, 3),
         n_times=st.integers(0, 30),
         t_max=st.floats(0.0, 5.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_stacked_scalar_calls_bitwise(self, kind, input_dim, n_times, t_max, seed):
+    def test_equals_stacked_scalar_calls_bitwise(self, n_times, t_max, seed):
         rng = np.random.default_rng(seed)
-        sig = random_signal(rng, kind, 1 if kind == "product-sines" else input_dim)
+        sig = random_signal(rng, "product-sines")
         # Sample times on a grid and at random.
         times = np.concatenate([np.arange(n_times) * 0.05, rng.uniform(0.0, t_max, n_times)])
         got = sig.evaluate(times)
         want = np.stack([sig.evaluate(t) for t in times], axis=1) if times.size else None
-        assert got.shape == (sig.input_dim, times.size)
+        assert got.shape == (1, times.size)
         if want is not None:
             assert got.tobytes() == want.tobytes()
         for t in (0.0, float(t_max), np.float64(t_max)):
-            assert sig.evaluate(t).shape == (sig.input_dim,)
+            assert sig.evaluate(t).shape == (1,)
 
     def test_scalar_results_do_not_alias_the_signal(self):
-        for sig in (ForcingSignal.zero(2), ForcingSignal.product_sines(1.0, 2.0, 3.0)):
-            u = sig.evaluate(0.5)
-            u[:] = 99.0
-            assert not np.any(sig.evaluate(np.array([0.5, 0.7])) == 99.0)
-
-    def test_other_kinds_are_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown forcing kind 'constant'"):
-            ForcingSignal(kind="constant").evaluate(0.0)
+        sig = ForcingSignal.product_sines(1.0, 2.0, 3.0)
+        u = sig.evaluate(0.5)
+        u[:] = 99.0
+        assert not np.any(sig.evaluate(np.array([0.5, 0.7])) == 99.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan], [[0.0, 0.1]]])
     def test_rejects_non_finite_or_2d_times(self, t):

@@ -25,21 +25,19 @@ from koopmpc import (
     mpc_step,
     monomials_dictionary,
     simulate,
-    solve_qp,
     snapshots_from_trajectories,
 )
 from koopmpc.benchmark import fit_models, grid_initial_conditions, make_training_data, mpc_config_from
 from koopmpc.config import ExperimentConfig
 from koopmpc.dynamics import (
     DIVERGENCE_LIMIT,
-    ForcingSignal,
     generate_training_trajectories,
     product_sines_family,
 )
 from koopmpc.errors import KoopmpcError
 from koopmpc.io import closed_loop_summary
 from koopmpc.numerics import _constraint_rows, solve_qp_info, verify_active_set
-from conftest import A0, B0, LinearRhs, discrete_linear_samples
+from conftest import A0, B0, LinearRhs, ZeroForcing, discrete_linear_samples
 
 from cold_loop import cold_closed_loop_run
 from qp_reference import primal_solve_qp_info
@@ -74,7 +72,7 @@ class TestCondenseQp:
         model.b = np.zeros_like(model.b)
         cfg = base_cfg(horizon=5)
         qp = CondensedMpc(model, cfg).qp(model.lift([1.0, -2.0]), np.zeros(1))
-        u = solve_qp(qp)
+        u, _ = solve_qp_info(qp)
         assert np.max(np.abs(u)) < 1e-10
 
     def test_single_step_matches_symbolic_minimum(self, linear_model):
@@ -82,7 +80,7 @@ class TestCondenseQp:
         x0 = np.array([0.8, -0.4])
         u_prev = np.array([0.3])
         qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift(x0), u_prev)
-        u_star = solve_qp(qp)[0]
+        u_star = solve_qp_info(qp)[0][0]
 
         u = sympy.Symbol("u")
         a, b = sympy.Matrix(linear_model.a), sympy.Matrix(linear_model.b)
@@ -95,7 +93,7 @@ class TestCondenseQp:
     def test_two_step_with_active_rate_bound_matches_grid(self, linear_model):
         cfg = base_cfg(horizon=2, u_min=-1.0, u_max=1.0, du_min=-0.3, du_max=0.3)
         qp = CondensedMpc(linear_model, cfg).qp(linear_model.lift([2.0, 1.0]), np.zeros(1))
-        u = solve_qp(qp)
+        u, _ = solve_qp_info(qp)
         ref = brute_force_qp(qp)
 
         def obj(v):
@@ -264,7 +262,7 @@ class TestClosedLoop:
         cfg = base_cfg()
         controlled = closed_loop_run(plant, vdp_edmdc, cfg, np.array([2.0, 0.0]), 30.0, 0.05)
         assert np.linalg.norm(controlled.final_state) < 0.05
-        unforced = simulate(plant, [2.0, 0.0], ForcingSignal.zero(1), 30.0, 0.05)
+        unforced = simulate(plant, [2.0, 0.0], ZeroForcing(), 30.0, 0.05)
         assert np.linalg.norm(unforced.states[:, -1]) > 0.5  # limit cycle persists
         # Same stage cost accumulated along the unforced run exceeds control.
         err = unforced.states
@@ -544,7 +542,7 @@ def test_qp_tolerance_must_be_positive_and_finite(vdp_training, vdp_edmdc, tol):
     with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
         solve_qp_info(cond.factored_qp(cond._gradient(z0, u_prev), u_prev), tol=tol)
     with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
-        solve_qp(cond.qp(z0, u_prev), tol=tol)
+        solve_qp_info(cond.qp(z0, u_prev), tol=tol)
     with pytest.raises(InvalidInputError, match="qp_tol must be positive and finite"):
         mpc_step(vdp_edmdc, x, u_prev, cfg, qp_tol=tol)
     with pytest.raises(InvalidInputError, match="qp_tol must be positive and finite"):

@@ -13,7 +13,6 @@ from koopmpc import (
     InvalidInputError,
     QpProblem,
     lstsq_min_norm,
-    solve_qp,
     stationary_vector,
     truncated_svd,
 )
@@ -242,11 +241,11 @@ def brute_force_qp(qp, resolution=1e-3, span=1.5):
 
 class TestSolveQp:
     def test_unconstrained(self):
-        x = solve_qp(QpProblem(h=np.eye(2), g=np.array([-1.0, -2.0])))
+        x, _ = solve_qp_info(QpProblem(h=np.eye(2), g=np.array([-1.0, -2.0])))
         assert np.allclose(x, [1.0, 2.0], atol=1e-10)
 
     def test_active_box_clamp(self):
-        x = solve_qp(QpProblem(h=np.eye(2), g=np.array([-1.0, -2.0]), ub=[0.5, 0.5]))
+        x, _ = solve_qp_info(QpProblem(h=np.eye(2), g=np.array([-1.0, -2.0]), ub=[0.5, 0.5]))
         assert np.allclose(x, [0.5, 0.5], atol=1e-10)
 
     def test_matches_grid_search(self):
@@ -266,7 +265,7 @@ class TestSolveQp:
                 lb=[-1.0, -1.0],
                 ub=[1.0, 1.0],
             )
-            x = solve_qp(qp)
+            x, _ = solve_qp_info(qp)
             ref = brute_force_qp(qp)
 
             def obj(v):
@@ -288,7 +287,7 @@ class TestSolveQp:
             lb=[-2.0, -2.0],
             ub=[2.0, 2.0],
         )
-        x = solve_qp(qp)
+        x, _ = solve_qp_info(qp)
 
         def obj(v):
             return 0.5 * v @ qp.h @ v + qp.g @ v
@@ -308,7 +307,7 @@ class TestSolveQp:
             b_ineq=np.array([-1.0, -1.0]),  # x0 <= -1 and x0 >= 1
         )
         with pytest.raises(InfeasibleError):
-            solve_qp(qp)
+            solve_qp_info(qp)
 
     @pytest.mark.parametrize(
         "qp, max_iter, active",
@@ -334,10 +333,10 @@ class TestSolveQp:
         factored = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
         assert _dual_active_set(factored, 1e-8, max_iter) == (active, max_iter, False)
         with pytest.raises(ConvergenceError) as exc:
-            solve_qp(qp, max_iter=max_iter)
+            solve_qp_info(qp, max_iter=max_iter)
         assert np.isfinite(exc.value.residual)
         assert exc.value.best.shape == (2,)
-        x = solve_qp(qp)  # the full budget solves it
+        x, _ = solve_qp_info(qp)  # the full budget solves it
         np.testing.assert_allclose(x, primal_solve_qp_info(qp)[0], rtol=0.0, atol=1e-12)
 
     def test_validates_symmetry_and_bounds(self):
@@ -434,20 +433,20 @@ def test_dual_solver_matches_enumeration(case):
     ref = enumerated_qp_optimum(h, g, rows, rhs)
     if ref is None:
         with pytest.raises(InfeasibleError):
-            solve_qp(qp)
+            solve_qp_info(qp)
         return
     x, info = solve_qp_info(qp)
     np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-9)
     assert info["kkt_residual"] <= 1e-8
     if info["iterations"]:
         with pytest.raises(ConvergenceError) as exc:
-            solve_qp(qp, max_iter=info["iterations"] - 1)
+            solve_qp_info(qp, max_iter=info["iterations"] - 1)
         assert exc.value.best.shape == x.shape
 
 
 def test_rejects_hessian_without_cholesky_factor():
     with pytest.raises(InvalidInputError, match="positive definite"):
-        solve_qp(QpProblem(h=np.diag([1.0, 0.0]), g=np.ones(2), ub=[1.0, 1.0]))
+        solve_qp_info(QpProblem(h=np.diag([1.0, 0.0]), g=np.ones(2), ub=[1.0, 1.0]))
 
 
 class TestVerifyActiveSet:

@@ -183,7 +183,7 @@ class TestRecoveryMatrix:
         assert np.max(np.abs(c @ eval_dictionary(dic, x) - x)) < 1e-14
 
     def test_rejects_dictionary_without_leading_state(self):
-        dic = monomials_dictionary(2, 2).subset([2, 3, 4])  # quadratic terms only
+        dic = Dictionary(2, monomials_dictionary(2, 2).exponents[[2, 3, 4]])  # quadratic terms only
         with pytest.raises(UnsupportedDictionaryError):
             recovery_matrix(dic)
 

@@ -42,3 +42,30 @@ def test_cli_section_names_every_option():
         and not re.search(re.escape(option) + r"(?![\w-])", section)
     }
     assert not missing
+
+
+def test_backticked_code_names_exist():
+    import importlib
+
+    import koopmpc
+
+    def resolve(name):
+        head, *rest = name.split(".")
+        try:
+            obj = importlib.import_module(f"koopmpc.{head}")
+        except ModuleNotFoundError:
+            obj = getattr(koopmpc, head)
+        for part in rest:
+            obj = getattr(obj, part)
+
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose))
+    code_names = {name for name in names if name.rsplit(".", 1)[1] not in ("json", "csv", "py", "md", "toml")}
+    assert code_names
+    missing = set()
+    for name in code_names:
+        try:
+            resolve(name)
+        except AttributeError:
+            missing.add(name)
+    assert not missing

@@ -1,5 +1,10 @@
 import dataclasses
 import functools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import koopmpc
 from koopmpc import (
     CondensedMpc,
+    Dictionary,
     MpcConfig,
     InsufficientDataError,
     InvalidInputError,
@@ -23,14 +30,13 @@ from koopmpc import (
     lstsq_min_norm,
     monomials_dictionary,
     mpc_step,
-    plant_derivatives,
     predict_rollout,
     simulate,
     snapshots_from_trajectories,
 )
 from koopmpc.dynamics import ForcingSignal
 from koopmpc.sysid import rollout_from_lifted
-from conftest import A0, B0, discrete_linear_samples, paths, reference_lift, simulate_discrete
+from conftest import A0, B0, ZeroForcing, discrete_linear_samples, paths, reference_lift, simulate_discrete
 
 
 class TestFitDmdc:
@@ -55,7 +61,7 @@ class TestFitDmdc:
         model = fit_dmdc(data)
         w = lstsq_min_norm(np.vstack([data.x, data.u]).T, data.xp.T).T
         assert np.array_equal(model.a, w[:, :2]) and np.array_equal(model.b, w[:, 2:])
-        assert model.fit_residual == float(np.linalg.norm(w @ np.vstack([data.x, data.u]) - data.xp))
+        assert model.fit_residual == math.sqrt(float(np.sum(np.square(w @ np.vstack([data.x, data.u]) - data.xp))))
         assert model.kind == "dmdc"
         assert model.lifting.labels == ("x1", "x2")
 
@@ -104,15 +110,15 @@ class TestFitEdmdc:
     def test_slow_manifold_closure(self, slow_manifold):
         # The span of {x1, x2, x1^2} is exactly invariant for this plant, so
         # the lifted fit reproduces the integrator to rounding accuracy.
-        dic = monomials_dictionary(2, 2).subset([0, 1, 2])
+        dic = Dictionary(2, monomials_dictionary(2, 2).exponents[[0, 1, 2]])
         rng = np.random.default_rng(6)
         trajs = []
         for _ in range(40):
             x0 = rng.uniform(-1.5, 1.5, 2)
-            trajs.append(simulate(slow_manifold, x0, ForcingSignal.zero(1), 0.1, 0.01))
+            trajs.append(simulate(slow_manifold, x0, ZeroForcing(), 0.1, 0.01))
         data = snapshots_from_trajectories(trajs, 0.01)
         model = fit_edmdc(data, dic)
-        truth = simulate(slow_manifold, [1.2, -0.8], ForcingSignal.zero(1), 1.0, 0.01)
+        truth = simulate(slow_manifold, [1.2, -0.8], ZeroForcing(), 1.0, 0.01)
         pred = predict_rollout(model, truth.states[:, 0], truth.inputs)
         rms = np.sqrt(np.mean((pred.states - truth.states) ** 2))
         assert rms <= 1e-6
@@ -120,6 +126,26 @@ class TestFitEdmdc:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_edmdc(discrete_linear_samples(m=4), monomials_dictionary(2, 2))
+
+    def test_fit_residual_does_not_depend_on_blas_threads(self):
+        # The default study's 21 x 4,000 residual is large enough for a
+        # threaded BLAS to split its sums; the written residual must not change.
+        script = (
+            "from koopmpc.benchmark import fit_models, make_training_data\n"
+            "from koopmpc.config import ExperimentConfig\n"
+            "cfg = ExperimentConfig(models=['edmdc'])\n"
+            "_, trajectories, samples = make_training_data(cfg)\n"
+            "print(fit_models(cfg, trajectories, samples)['edmdc'].fit_residual.hex())\n"
+        )
+        src = str(Path(koopmpc.__file__).resolve().parents[1])
+        residuals = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            residuals.append(done.stdout)
+        assert residuals[0] == residuals[1]
 
 
 class TestFitDelayAugmented:
@@ -216,7 +242,7 @@ class TestFitDelayAugmented:
         assert np.array_equal(model.a[:n_e], w[:, :dim])
         assert np.array_equal(model.b[:n_e], w[:, dim:])
         assert np.array_equal(model.c, np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))]))
-        assert model.fit_residual == float(np.linalg.norm(w @ reg - target))
+        assert model.fit_residual == math.sqrt(float(np.sum(np.square(w @ reg - target))))
 
     def test_coords_outside_the_state_raise(self):
         with pytest.raises(InvalidInputError, match="coords"):
@@ -244,7 +270,7 @@ class TestIdentifyEigenfunctions:
         mu, lam = -0.05, -1.0
         rng = np.random.default_rng(4)
         x = rng.uniform(-2, 2, (2, 400))
-        xdot = plant_derivatives(slow_manifold, x)
+        xdot = slow_manifold.rhs(x, np.zeros((1, x.shape[1])), 0.0)
         theta = monomials_dictionary(2, 2)
         entry = identify_eigenfunctions(x, xdot, theta, lam)
         b = lam / (lam - 2 * mu)
@@ -258,7 +284,7 @@ class TestIdentifyEigenfunctions:
     def test_off_spectrum_eigenvalue_raises(self, slow_manifold):
         rng = np.random.default_rng(5)
         x = rng.uniform(-2, 2, (2, 200))
-        xdot = plant_derivatives(slow_manifold, x)
+        xdot = slow_manifold.rhs(x, np.zeros((1, x.shape[1])), 0.0)
         with pytest.raises(NoEigenfunctionError) as exc:
             identify_eigenfunctions(x, xdot, monomials_dictionary(2, 2), 10.0)
         assert exc.value.residual > 1.0
@@ -266,7 +292,7 @@ class TestIdentifyEigenfunctions:
     def test_residual_history_is_nonincreasing(self, slow_manifold):
         rng = np.random.default_rng(6)
         x = rng.uniform(-2, 2, (2, 300))
-        xdot = plant_derivatives(slow_manifold, x)
+        xdot = slow_manifold.rhs(x, np.zeros((1, x.shape[1])), 0.0)
         entry = identify_eigenfunctions(x, xdot, monomials_dictionary(2, 3), -1.0)
         hist = entry.residual_history
         assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
@@ -274,9 +300,9 @@ class TestIdentifyEigenfunctions:
     def test_sparsity_reports_active_terms(self, slow_manifold):
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, (2, 300))
-        xdot = plant_derivatives(slow_manifold, x)
+        xdot = slow_manifold.rhs(x, np.zeros((1, x.shape[1])), 0.0)
         entry = identify_eigenfunctions(x, xdot, monomials_dictionary(2, 2), -1.0)
-        assert entry.sparsity == 2  # x2 and x1^2
+        assert len(entry.support()) == 2  # x2 and x1^2
         assert entry.support(threshold=1e-6) == (1, 2)
 
 

@@ -17,7 +17,7 @@ from koopmpc import (
     invariant_density,
 )
 from koopmpc.dynamics import make_vanderpol
-from koopmpc.io import chain_from_json, chain_to_json, jsonify, read_json, write_json
+from koopmpc.io import chain_to_json, jsonify, read_json
 from koopmpc.transfer import locate_many
 
 
@@ -25,6 +25,7 @@ def locate(part, x):
     """The box of one point, through a one-column ``locate_many``."""
     return int(locate_many(part, np.reshape(x, (-1, 1)))[0])
 
+from conftest import read_chain
 from test_numerics import gamblers_ruin, slow_leak_chain, sparse_stochastic
 
 
@@ -238,25 +239,6 @@ def vdp_chain():
     )
 
 
-def write_dense_chain(chain, path):
-    """The chain writer from before levels were stored sparse: every matrix entry, nested."""
-    write_json(
-        {
-            "partition": {
-                "lows": chain.partition.lows,
-                "highs": chain.partition.highs,
-                "counts": chain.partition.counts,
-            },
-            "levels": [lv for lv in chain.levels],
-            "tau": chain.mats[0].tau,
-            "matrices": [m.p for m in chain.mats],
-            "counts": [m.counts for m in chain.mats],
-            "full_escape": [list(m.full_escape) for m in chain.mats],
-        },
-        path,
-    )
-
-
 def assert_same_chain(back, chain):
     assert len(back.mats) == len(chain.mats)
     for got, want in zip(back.mats, chain.mats):
@@ -291,7 +273,7 @@ class TestChainSerialization:
     def test_json_round_trip(self, doubling_chain, tmp_path):
         path = tmp_path / "chain.json"
         chain_to_json(doubling_chain, path)
-        back = chain_from_json(path)
+        back = read_chain(path)
         assert np.allclose(back.mats[0].p, doubling_chain.mats[0].p)
         assert back.mats[0].tau == doubling_chain.mats[0].tau
         assert np.array_equal(back.partition.counts, doubling_chain.partition.counts)
@@ -300,7 +282,7 @@ class TestChainSerialization:
     def test_estimated_chain_round_trips_bitwise(self, vdp_chain, tmp_path):
         path = tmp_path / "chain.json"
         chain_to_json(vdp_chain, path)
-        assert_same_chain(chain_from_json(path), vdp_chain)
+        assert_same_chain(read_chain(path), vdp_chain)
         # Only the nonzeros are written.
         level = read_json(path)["matrices"][0]
         assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p) < vdp_chain.mats[0].dim**2 // 10
@@ -310,105 +292,7 @@ class TestChainSerialization:
     def test_sparse_chain_round_trips_bitwise(self, chain, tmp_path_factory):
         path = tmp_path_factory.mktemp("chain") / "chain.json"
         chain_to_json(chain, path)
-        assert_same_chain(chain_from_json(path), chain)
-
-    def test_dense_file_still_loads(self, vdp_chain, tmp_path):
-        path = tmp_path / "chain.json"
-        write_dense_chain(vdp_chain, path)
-        assert isinstance(read_json(path)["matrices"][0], list)
-        assert_same_chain(chain_from_json(path), vdp_chain)
-
-    @pytest.mark.parametrize(
-        "path_to_key",
-        [("partition",), ("partition", "lows"), ("matrices",), ("matrices", 0, "rows"),
-         ("counts",), ("full_escape",), ("levels",)],
-        ids=lambda keys: ".".join(map(str, keys)),
-    )
-    def test_a_missing_key_is_named(self, doubling_chain, tmp_path, path_to_key):
-        path = tmp_path / "chain.json"
-        chain_to_json(doubling_chain, path)
-        raw = read_json(path)
-        parent = raw
-        for key in path_to_key[:-1]:
-            parent = parent[key]
-        del parent[path_to_key[-1]]
-        write_json(raw, path)
-        with pytest.raises(InvalidInputError, match=f"chain file .* has no key '{path_to_key[-1]}'"):
-            chain_from_json(path)
-
-    def test_null_value_in_a_level_raises(self, doubling_chain, tmp_path):
-        path = tmp_path / "chain.json"
-        chain_to_json(doubling_chain, path)
-        raw = read_json(path)
-        raw["matrices"][0]["values"][0] = None
-        write_json(raw, path)
-        with pytest.raises(InvalidInputError, match="transition entries must be finite"):
-            chain_from_json(path)
-
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("tau", None, "tau must be a number, got None"),
-            ("tau", float("nan"), "tau must be positive and finite"),
-            ("tau", float("inf"), "tau must be positive and finite"),
-            ("levels", [[None]], "input levels must be finite"),
-        ],
-        ids=["null-tau", "nan-tau", "inf-tau", "null-level"],
-    )
-    def test_non_finite_tau_or_level_raises(self, doubling_chain, tmp_path, key, value, message):
-        path = tmp_path / "chain.json"
-        chain_to_json(doubling_chain, path)
-        raw = read_json(path)
-        raw[key] = value
-        path.write_text(json.dumps(raw))  # NaN and Infinity as JSON literals
-        with pytest.raises(InvalidInputError, match=message):
-            chain_from_json(path)
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            {"shape": [2, 2], "rows": [0, 2], "cols": [0, 1], "values": [1.0, 1.0]},
-            {"shape": [2, 2], "rows": [0, -1], "cols": [0, 1], "values": [1.0, 1.0]},
-            {"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "values": [1.0]},
-            {"shape": [2], "rows": [0], "cols": [0], "values": [1.0]},
-        ],
-        ids=["row-past-end", "negative-row", "short-values", "one-axis"],
-    )
-    def test_malformed_sparse_level_raises(self, doubling_chain, tmp_path, entry):
-        path = tmp_path / "chain.json"
-        chain_to_json(doubling_chain, path)
-        raw = read_json(path)
-        raw["matrices"][0] = entry
-        write_json(raw, path)
-        with pytest.raises(InvalidInputError, match="malformed sparse transition matrix"):
-            chain_from_json(path)
-
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda raw: raw.update(partition=[1, 2]), "partition must be a JSON object"),
-            (lambda raw: raw["partition"].update(counts=[2.5]), "partition counts .* must be integers"),
-            (lambda raw: raw["partition"].update(lows=["x"]), "lows must be a numeric array"),
-            (lambda raw: raw["matrices"].__setitem__(0, 5), "must be a JSON object or a nested list"),
-            (lambda raw: raw["matrices"][0].update(shape=[3.0, 3]), "malformed sparse transition matrix"),
-            (lambda raw: raw["matrices"][0].update(shape=["x", 3]), "malformed sparse transition matrix"),
-            (lambda raw: raw["full_escape"].__setitem__(0, [0.5]), "full_escape"),
-            (lambda raw: raw["full_escape"].__setitem__(0, [2]), r"full_escape .* in \[0, 2\)"),
-            (lambda raw: raw["full_escape"].__setitem__(0, [-1]), "full_escape"),
-            (lambda raw: raw["counts"].__setitem__(0, [1, 2]), "counts of shape"),
-        ],
-        ids=["partition-list", "float-box-counts", "string-lows", "number-matrix", "float-shape",
-             "string-shape", "float-escape", "escape-past-end", "negative-escape", "short-counts"],
-    )
-    def test_mistyped_entries_raise(self, doubling_chain, tmp_path, edit, message):
-        path = tmp_path / "chain.json"
-        chain_to_json(doubling_chain, path)
-        raw = read_json(path)
-        edit(raw)
-        write_json(raw, path)
-        with pytest.raises(InvalidInputError, match=message):
-            chain_from_json(path)
+        assert_same_chain(read_chain(path), chain)
 
 
 def reference_jsonify(obj):
