@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import Trajectory, _count
 from .errors import InvalidInputError
 from .observables import DelayCoordinates, Dictionary
-from .sysid import MODEL_KINDS, LinearControlModel
+from .sysid import KIND_DELAY_AUGMENTED, KIND_DMDC, KIND_EDMDC, MODEL_KINDS, LinearControlModel
 
 
 def jsonify(obj):
@@ -246,9 +246,20 @@ def model_from_json(path):
         )
     except KeyError as err:
         raise InvalidInputError(f"model file {path} has no key {err}") from err
-    # The CLI names its output files after the kind.
+    # The CLI names its output files after the kind, so the kind must name the lifting.
     if model.kind not in MODEL_KINDS:
         raise InvalidInputError(f"kind must be one of {list(MODEL_KINDS)}, got {model.kind!r}")
+    lifting = model.lifting
+    needs = {
+        KIND_DELAY_AUGMENTED: ("delay coordinates", isinstance(lifting, DelayCoordinates)),
+        KIND_EDMDC: ("a monomial dictionary", isinstance(lifting, Dictionary)),
+        KIND_DMDC: ("the identity dictionary", isinstance(lifting, Dictionary)
+                    and np.array_equal(lifting.exponents, np.eye(lifting.n_in, dtype=int))),
+    }
+    what, ok = needs[model.kind]
+    if not ok:
+        raise InvalidInputError(f"kind {model.kind!r} needs {what}, but this file's lifting "
+                                f"is {raw['lifting']['type']!r} with {model.lifted_dim} coordinates")
     if not isinstance(model.training_hash, (str, type(None))):
         raise InvalidInputError(f"training_hash must be a string, got {model.training_hash!r}")
     return model

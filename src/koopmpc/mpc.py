@@ -10,6 +10,7 @@ become box and inequality rows of one small QP per step.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, fields
 
@@ -76,6 +77,98 @@ class MpcConfig:
                 raise InvalidInputError("lower bounds must not exceed upper bounds")
 
 
+_ACTIVE_SETS_MAX = 256
+
+
+class ActiveSetTable:
+    """The optimal active sets a condensation has met, each with its explicit law.
+
+    Partial enumeration (Pannocchia, Rawlings & Wright 2007): on a set ``A``
+    of independent rows ``R_A``, the multipliers are linear in
+    ``w = [z0; 1; u_prev]``, the vector that ``CondensedMpc._stack`` maps to
+    the unconstrained law ``u*`` and the row slacks ``s(w)``. With the Gram
+    matrix ``G = rows H^{-1} rows'``, they are ``L_A w`` with
+    ``L_A = G_AA^{-1} s_A``; the plan is ``u* - H^{-1} R_A' L_A w``, and every
+    row's slack is ``s(w) - G_A L_A w`` (Bemporad et al. 2002). A set whose
+    ``G_AA`` is singular, up to a relative pivot of 1e-12, is not stored.
+
+    ``L_A``, zero-padded to the plan length, and ``A`` (padded with the index
+    of a zero row appended to ``G``) live in slots of two buffers, so one
+    product screens every stored set. A stored law is never changed; the
+    least recently recorded set gives up its slot when the table holds
+    ``_ACTIVE_SETS_MAX`` sets. The table only proposes:
+    :meth:`CondensedMpc.plan` accepts a proposal through
+    :func:`verify_active_set`, as it does a guess.
+    """
+
+    def __init__(self, rows, h_inv, slack_map):
+        self._gram = np.vstack([rows @ h_inv @ rows.T, np.zeros(rows.shape[0])])
+        self._n = h_inv.shape[0]
+        self._slack_map = slack_map
+        self._slots = {}  # sorted rows -> slot, least recently recorded first
+        self._active = []  # slot -> the rows as recorded
+        self._laws = self._index = None  # slot buffers, made on the first store
+
+    def propose(self, w, slack, tol):
+        """The first stored set whose multipliers are ``>= -tol`` and slacks ``<= tol`` at ``w``, or None.
+
+        ``slack`` is ``s(w)``, the last rows of ``_stack @ w``.
+        """
+        count, n = len(self._active), self._n
+        if not count:
+            return None
+        lam = (self._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
+        cand = np.flatnonzero((lam >= -tol).all(axis=1))  # a NaN fails
+        if cand.size:
+            # Each candidate's multipliers on their rows; padding lands on G's zero row.
+            on_rows = np.zeros((cand.size, self._gram.shape[0]))
+            on_rows[np.arange(cand.size)[:, None], self._index[cand]] = lam[cand]
+            ok = (slack - on_rows @ self._gram <= tol).all(axis=1)
+            if ok.any():
+                return self._active[cand[ok.argmax()]]
+        return None
+
+    def record(self, active):
+        """Mark ``active`` (an optimal set's rows, at least one) most recent, storing its law if it is new."""
+        key = tuple(sorted(active))
+        slot = self._slots.pop(key, None)
+        if slot is None:
+            slot = self._store(active)
+        if slot is not None:
+            self._slots[key] = slot
+
+    def _store(self, active):
+        """Write the law of ``active`` into a free or the least recent slot; None if singular."""
+        rows, n = list(active), self._n
+        s = self._gram[np.ix_(rows, rows)]
+        chol, info = scipy.linalg.lapack.dpotrf(s)
+        # More rows than plan entries are dependent, whatever the pivots read.
+        if len(rows) > n or info or np.diag(chol).min() ** 2 <= 1e-12 * np.diag(s).max():
+            return None
+        lam = scipy.linalg.lapack.dpotrs(chol, self._slack_map[rows])[0]
+        if self._laws is None:
+            self._laws = _unpaged((_ACTIVE_SETS_MAX, n, lam.shape[1]), float)
+            self._index = _unpaged((_ACTIVE_SETS_MAX, n), np.intp)
+        if len(self._active) < _ACTIVE_SETS_MAX:
+            slot = len(self._active)
+            self._active.append(None)
+        else:
+            slot = self._slots.pop(next(iter(self._slots)))
+        k = len(rows)
+        self._laws[slot, :k], self._laws[slot, k:] = lam, 0.0
+        self._index[slot, :k], self._index[slot, k:] = rows, self._gram.shape[0] - 1
+        self._active[slot] = tuple(active)
+        return slot
+
+
+def _unpaged(shape, dtype):
+    """An array on an anonymous memory map: a page costs memory only once written, and
+    the long-lived buffer stays off the top of the malloc heap, where it would keep
+    freed memory above it from going back to the system."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
+
+
 class CondensedMpc:
     """Horizon condensation of one model/config pair.
 
@@ -95,7 +188,9 @@ class CondensedMpc:
 
     Every array is read-only, so one condensation serves every caller whose
     model and config hold the same content: :func:`condensed` builds one per
-    content and keeps the last few.
+    content and keeps the last few. Its one mutable part is the
+    :class:`ActiveSetTable` of the optimal sets its steps have found, which
+    only proposes sets for the same verification a guess gets.
     """
 
     def __init__(self, model, cfg):
@@ -191,6 +286,7 @@ class CondensedMpc:
         for arr in (*vars(self).values(), *self._qp):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+        self._table = ActiveSetTable(self._rows, self._h_inv, self._stack[2 * n * q_in :])
 
     def _checked(self, z0, u_prev):
         """``z0`` and ``u_prev`` as float vectors of the model's sizes, ``u_prev`` finite."""
@@ -204,11 +300,15 @@ class CondensedMpc:
             raise InvalidInputError("previous input is not finite")
         return z0, u_prev
 
-    def _product(self, z0, u_prev):
-        """The step's ``[g; -H^{-1} g; rows @ plan - rhs]``; a non-finite ``z0`` raises."""
+    def _w(self, z0, u_prev):
+        """``[z0; 1; u_prev]``, the vector ``_stack`` maps; a non-finite ``z0`` raises."""
         if not np.isfinite(z0).all():
             raise InvalidInputError("lifted state is not finite")
-        return self._stack @ np.concatenate((z0, self._one, u_prev))
+        return np.concatenate((z0, self._one, u_prev))
+
+    def _product(self, z0, u_prev):
+        """The step's ``[g; -H^{-1} g; rows @ plan - rhs]``; a non-finite ``z0`` raises."""
+        return self._stack @ self._w(z0, u_prev)
 
     def _gradient(self, z0, u_prev):
         """The step's QP gradient, the leading rows of :meth:`_product`."""
@@ -254,7 +354,11 @@ class CondensedMpc:
         checked for finiteness here. ``plan`` is the stacked solution, the
         ``N`` moves of ``q`` inputs one after another, and ``u`` its first
         move clipped to the input box; only ``u`` is checked against the
-        rate bound.
+        rate bound. A step that leaves the unconstrained law tries
+        ``active_guess``, its shift, then the table's proposal, each through
+        :func:`verify_active_set`, before the cold solve, and records the
+        optimal set it ends on in the table; a table hit reports
+        ``guess_hit`` and 0 iterations.
 
         Raises:
             InvalidInputError: ``z0`` is not finite.
@@ -263,10 +367,11 @@ class CondensedMpc:
             ConvergenceError: the solver's plan misses ``qp_tol``.
         """
         n = self.h.shape[0]
-        out = self._product(z0, u_prev)
-        g, sol = out[:n], out[n : 2 * n]
+        w = self._w(z0, u_prev)
+        out = self._stack @ w
+        g, sol, slack = out[:n], out[n : 2 * n], out[2 * n :]
         iterations, residual, active, hit = 0, np.inf, None, None
-        if (out[2 * n :] <= 0.0).all():
+        if (slack <= 0.0).all():
             residual = float(np.abs(self.h @ sol + g).max())
         if not residual <= qp_tol:  # a NaN residual fails too
             qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
@@ -276,11 +381,17 @@ class CondensedMpc:
                 if hit is None:
                     active = self.shift_active(active_guess)
                     hit = verify_active_set(qp, active, qp_tol)
+            if hit is None:
+                active = self._table.propose(w, slack, math.sqrt(qp_tol))
+                if active is not None:
+                    hit = verify_active_set(qp, active, qp_tol)
             if hit is not None:
                 sol, residual = hit
             else:
                 sol, info = solve_qp_info(qp, tol=qp_tol)
                 iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
+            if active:
+                self._table.record(active)
         q_in = self.input_dim
         u = sol[:q_in].clip(self.lb[:q_in], self.ub[:q_in])
         self.check_move(u, u_prev, "first planned input change")
@@ -339,9 +450,9 @@ class MpcStep:
     ``qp_iterations == 0``, that minimizer's finite stationarity residual
     ``||H u + g||_inf`` as ``kkt_residual``, and no ``active_set``. Any other
     step reports the KKT residual and the active rows (indices into the
-    condensed QP's stacked rows) of its plan: a verified guess
-    (``guess_hit``) with 0 iterations, or else the dual active-set solve with
-    its iterations.
+    condensed QP's stacked rows) of its plan: a verified guess or table
+    proposal (``guess_hit``) with 0 iterations, or else the dual active-set
+    solve with its iterations.
     """
 
     u: np.ndarray                 # applied input (first element of the plan)
@@ -349,7 +460,7 @@ class MpcStep:
     qp_iterations: int
     kkt_residual: float
     active_set: tuple | None = None  # active rows of the plan; None on the unconstrained law
-    guess_hit: bool = False          # the plan came from a verified guess
+    guess_hit: bool = False          # the plan came from a verified guess or table proposal
 
 
 def mpc_step(
@@ -377,10 +488,13 @@ def mpc_step(
     if ``active_guess`` (active rows of an earlier plan, say the previous
     step's) is given, that set and then the same set shifted one horizon step
     earlier are each checked with one KKT solve, and the first whose plan is
-    optimal within ``qp_tol`` is taken. A guess is only verified, never
-    iterated from. Failing that, the condensed QP, on the same rows, goes to
-    the dual active-set solver, which starts from the unconstrained minimizer.
-    :meth:`CondensedMpc.plan` does this arithmetic.
+    optimal within ``qp_tol`` is taken. Next, the condensation's table of
+    optimal sets (:class:`ActiveSetTable`) may propose the first stored set
+    whose explicit law fits this step, checked the same way. A guess or a
+    proposal is only verified, never iterated from. Failing that, the
+    condensed QP, on the same rows, goes to the dual active-set solver,
+    which starts from the unconstrained minimizer. :meth:`CondensedMpc.plan`
+    does this arithmetic.
 
     Raises:
         InvalidInputError: the lifted measurement or ``u_prev`` is not
@@ -455,7 +569,8 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     ``u_prev = 0`` must meet the rate bound, as a planned first move must,
     and ``t_end`` must cover more steps than the warm-up. A step that leaves
     the unconstrained law first checks the active rows of the last such
-    step's plan as a guess (see :func:`mpc_step`).
+    step's plan as a guess, then the condensation's table of optimal sets
+    (see :func:`mpc_step`).
 
     ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
     lifting's ``check_windows``) are checked once, and the condensation
@@ -470,8 +585,8 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     first move's rate bound and the plant's divergence.
 
     ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
-    ``guess_hit`` arrays. A step solved by the unconstrained law or by a
-    verified guess has 0 iterations and a finite residual; a delay warm-up
+    ``guess_hit`` arrays. A step solved by the unconstrained law, a
+    verified guess or a table proposal has 0 iterations and a finite residual; a delay warm-up
     step, which solves nothing, has 0 iterations and a NaN residual.
 
     Any :class:`KoopmpcError` raised at step ``k`` (a divergence, an

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import koopmpc.mpc
 from koopmpc import (
     BoxPartition,
     ControlledChain,
@@ -20,6 +21,13 @@ from koopmpc.io import read_json
 
 A0 = np.array([[0.9, 0.1], [0.0, 0.8]])
 B0 = np.array([[0.0], [1.0]])
+
+
+@pytest.fixture(autouse=True)
+def empty_condensations(monkeypatch):
+    """An empty condensation memo per test, so no test sees the optimal sets another recorded."""
+    monkeypatch.setattr(koopmpc.mpc, "_condensations", {})
+    return koopmpc.mpc._condensations
 
 
 def paths(traj):

@@ -1,0 +1,204 @@
+"""The table of optimal active sets that each condensation keeps.
+
+``CondensedMpc.plan`` asks the table only after the unconstrained law, the
+active-set guess and its shift have failed, and takes its proposal only
+through ``verify_active_set``. So the table may change which path finds a
+plan and how many solver iterations a step reports, not the plan: away from
+degenerate vertices, a loop on a warm table gives the bits of the same loop
+on an empty one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import koopmpc.mpc
+from koopmpc import (
+    CondensedMpc,
+    MpcConfig,
+    closed_loop_run,
+    fit_delay_augmented,
+    fit_dmdc,
+    fit_edmdc,
+    monomials_dictionary,
+)
+from koopmpc.mpc import ActiveSetTable, condensed
+from koopmpc.numerics import verify_active_set
+
+from cold_loop import cold_plan
+from conftest import discrete_linear_samples
+
+BOUNDS = {
+    "default": dict(u_min=-5.0, u_max=5.0, du_min=-50.0, du_max=50.0),
+    "saturated": dict(u_min=-1.0, u_max=1.0, du_min=-0.5, du_max=0.5),
+}
+DT = 0.05
+QP_TOL = 1e-8
+WARM_UP_ICS = [(-4.0, -4.0), (4.0, 4.0), (-4.0, 4.0), (4.0, -4.0), (2.0, 0.0)]
+
+
+def mpc_cfg(bounds, **overrides):
+    return MpcConfig(**dict(q=np.eye(2), ru=0.1, rdu=0.1, horizon=15, **BOUNDS[bounds], **overrides))
+
+
+@pytest.fixture(scope="module")
+def models(vdp_training):
+    _, trajs, samples = vdp_training
+    return {
+        "dmdc": fit_dmdc(samples),
+        "edmdc": fit_edmdc(samples, monomials_dictionary(2, 3)),
+        "delay": fit_delay_augmented(trajs, 3),
+    }
+
+
+def stored_law(cond, active):
+    """``(L_A, D_A)`` of a stored set: multipliers ``L_A w`` and plan ``u* + D_A w``."""
+    table = cond._table
+    slot = table._slots[tuple(sorted(active))]
+    k = len(active)
+    assert list(table._index[slot, :k]) == list(active)
+    lam = table._laws[slot, :k]
+    return lam, -(cond._h_inv @ cond._rows[list(active)].T @ lam)
+
+
+def record_of(result):
+    return dict(states=result.trajectory.states, inputs=result.trajectory.inputs, stage=result.stage_costs)
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+@settings(max_examples=8, deadline=None)
+@given(x0=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+@example(x0=(-3.0, 3.5))
+@example(x0=(4.0, 0.0))
+def test_a_warm_table_changes_no_plan_bit(vdp_training, models, kind, bounds, x0):
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg(bounds)
+    koopmpc.mpc._condensations.clear()
+    cold = closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
+    koopmpc.mpc._condensations.clear()
+    for ic in WARM_UP_ICS:
+        closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
+    warm = closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
+    for key, want in record_of(cold).items():
+        assert record_of(warm)[key].tobytes() == want.tobytes(), key
+    # A residual sums its active rows' terms in the order of the set verified,
+    # which a proposal takes from the step that first recorded it: from
+    # (4, 0) on the delay model, 1.08e-16 for the cold solve's 9.37e-17.
+    kkt = warm.solve_stats["kkt_residual"], cold.solve_stats["kkt_residual"]
+    np.testing.assert_allclose(*kkt, rtol=0.0, atol=1e-12)
+    assert np.all(np.isnan(kkt[0]) | (kkt[0] <= QP_TOL))
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_every_table_hit_is_the_plan_verify_active_set_gives(vdp_training, models, monkeypatch, kind, bounds):
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg(bounds)
+    for ic in WARM_UP_ICS:
+        closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
+    proposals, propose = [], ActiveSetTable.propose
+
+    def recording_propose(self, w, slack, tol):
+        active = propose(self, w, slack, tol)
+        proposals.append((w, active))
+        return active
+
+    monkeypatch.setattr(ActiveSetTable, "propose", recording_propose)
+    calls, plan = [], CondensedMpc.plan
+
+    def recording_plan(cond, *args):
+        proposals.clear()
+        out = plan(cond, *args)
+        calls.append((cond, args, out, list(proposals)))
+        return out
+
+    monkeypatch.setattr(CondensedMpc, "plan", recording_plan)
+    hits = 0
+    for x0 in [(-3.0, 3.5), (1.5, -2.5), (-0.5, -3.0)]:
+        calls.clear()
+        closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
+        for cond, (z0, u_prev, qp_tol, _), (_, sol, iterations, residual, active, hit), asked in calls:
+            if not asked or asked[0][1] is None:
+                continue
+            (w, proposed), = asked
+            qp = cond.factored_qp(cond._gradient(z0, u_prev), u_prev)
+            verified = verify_active_set(qp, proposed, qp_tol)
+            if verified is None:  # a rejected proposal: the step went to the cold solve
+                assert not hit and active != proposed
+                continue
+            hits += 1
+            assert hit and iterations == 0 and active == proposed
+            assert sol.tobytes() == verified[0].tobytes() and residual == verified[1]
+            # The stored law gives the same plan, and its screen passed.
+            n = cond.h.shape[0]
+            out = cond._stack @ w
+            lam, dplan = stored_law(cond, proposed)
+            law_plan = out[n : 2 * n] + dplan @ w
+            scale = np.abs(cond._stack[n : 2 * n]) @ np.abs(w) + np.abs(dplan) @ np.abs(w)
+            assert np.all(np.abs(law_plan - sol) <= 1e-9 * scale)
+            assert np.min(lam @ w) >= -np.sqrt(qp_tol)
+    if bounds == "saturated":
+        assert hits > 0
+
+
+def test_the_table_keeps_the_most_recently_recorded_sets(models, monkeypatch):
+    monkeypatch.setattr(koopmpc.mpc, "_ACTIVE_SETS_MAX", 4)
+    cond = CondensedMpc(models["dmdc"], mpc_cfg("saturated"))
+    table = cond._table
+    box_up = cond._rows.shape[0] // 2  # rows: rate up, rate down, box up, box down, 15 each
+    sets = [(box_up + k,) for k in range(4)] + [(k, box_up + k + 1) for k in range(2)]
+    for active in sets[:4]:
+        table.record(active)
+    table.record(sets[0])  # recorded again: now the most recent
+    table.record(sets[4])  # evicts sets[1]
+    table.record(sets[5])  # evicts sets[2]
+    kept = [sets[3], sets[0], sets[4], sets[5]]
+    assert len(table._slots) == len(table._active) == 4
+    assert list(table._slots) == [tuple(sorted(a)) for a in kept]  # least recent first
+    for active in kept:  # every slot holds its own set's law
+        slot = table._slots[tuple(sorted(active))]
+        assert table._active[slot] == active
+        assert list(table._index[slot, : len(active)]) == list(active)
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_a_small_table_gives_the_loop_of_a_large_one(vdp_training, models, monkeypatch, kind):
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg("saturated")
+    want = [closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT) for ic in WARM_UP_ICS]
+    koopmpc.mpc._condensations.clear()
+    monkeypatch.setattr(koopmpc.mpc, "_ACTIVE_SETS_MAX", 3)
+    for ic, full in zip(WARM_UP_ICS, want):
+        got = closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
+        assert len(condensed(model, cfg)._table._slots) <= 3
+        for key, val in record_of(full).items():
+            assert record_of(got)[key].tobytes() == val.tobytes(), key
+
+
+@pytest.fixture(scope="module")
+def linear_model():
+    return fit_dmdc(discrete_linear_samples(m=60, seed=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.integers(1, 4),
+    extra=st.lists(st.integers(0, 19), max_size=3, unique=True),
+    x=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    u_prev=st.floats(-0.5, 0.5),
+)
+def test_a_set_with_dependent_rows_is_never_stored_and_breaks_no_step(linear_model, step, extra, x, u_prev):
+    # Rate row k holds u_k - u_{k-1} and the box rows hold u_k and -u_{k-1}:
+    # the rate row is the sum of the other two, so a set holding all three is dependent.
+    cfg = MpcConfig(q=np.eye(2), ru=0.1, rdu=0.1, horizon=5, u_min=-0.5, u_max=0.5, du_min=-0.2, du_max=0.2)
+    koopmpc.mpc._condensations.clear()
+    cond = condensed(linear_model, cfg)
+    n = cond.h.shape[0]
+    dependent = {step, 2 * n + step, 3 * n + step - 1}  # rate up k, box up k, box down k - 1
+    active = tuple(sorted(dependent | set(extra)))
+    cond._table.record(active)
+    assert len(cond._table._slots) == 0
+    # As a guess, the set may be verified or not; either way the step gets the cold plan.
+    z0, u_prev = linear_model.lift(np.array(x)), np.array([u_prev])
+    sol = cond.plan(z0, u_prev, QP_TOL, active_guess=active)[1]
+    np.testing.assert_allclose(sol, cold_plan(cond, z0, u_prev, QP_TOL)[0], rtol=0.0, atol=1e-12)
+    assert not any(dependent <= set(key) for key in cond._table._slots)

@@ -439,6 +439,40 @@ class TestMalformedJsonInputs:
         assert sorted(tmp_path.rglob("*")) == [edited, tmp_path / "out", out]
 
     @pytest.mark.parametrize(
+        "source, kind, message",
+        [
+            ("delay", "edmdc", "kind 'edmdc' needs a monomial dictionary, but this file's lifting is 'delay'"),
+            ("delay", "dmdc", "kind 'dmdc' needs the identity dictionary, but this file's lifting is 'delay'"),
+            ("edmdc", "dmdc", "kind 'dmdc' needs the identity dictionary, but this file's lifting is 'monomials'"),
+            ("dmdc", "delay-augmented", "kind 'delay-augmented' needs delay coordinates"),
+            ("edmdc", "delay-augmented", "kind 'delay-augmented' needs delay coordinates"),
+        ],
+    )
+    def test_mpc_exits_3_on_a_kind_that_does_not_name_the_lifting(
+        self, fitted_x1, tmp_path, capsys, source, kind, message
+    ):
+        # The output files are named after the kind: a mislabelled model would
+        # overwrite the results of the model it claims to be.
+        cfg, data = fitted_x1
+        raw = read_json(data.parent / f"model_{source}.json")
+        raw["kind"] = kind
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = out / f"closed_loop_{kind}.csv"
+        earlier.write_text("an earlier run\n")
+        assert main(["mpc", str(edited), "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(out.iterdir()) == [earlier] and earlier.read_text() == "an earlier run\n"
+
+    @pytest.mark.parametrize("name", ["dmdc", "edmdc", "delay"])
+    def test_every_fitted_kind_loads_with_its_lifting(self, fitted_x1, name):
+        _, data = fitted_x1
+        model = model_from_json(data.parent / f"model_{name}.json")
+        assert model.kind == {"delay": "delay-augmented"}.get(name, name)
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda rows: [row[:-1] for row in rows], "has 4 columns, not traj, t, 2 states and 1 inputs"),

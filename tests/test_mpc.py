@@ -39,7 +39,7 @@ from koopmpc.io import closed_loop_summary
 from koopmpc.numerics import _constraint_rows, solve_qp_info, verify_active_set
 from conftest import A0, B0, LinearRhs, ZeroForcing, discrete_linear_samples
 
-from cold_loop import cold_closed_loop_run
+from cold_loop import cold_closed_loop_run, cold_plan
 from qp_reference import primal_solve_qp_info
 from test_numerics import brute_force_qp
 
@@ -368,6 +368,7 @@ class TestClosedLoop:
             return solve(qp, tol=tol)
 
         monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", solve_failing_at_step_k)
+        koopmpc.mpc._condensations.clear()  # the first run's optimal sets would skip solves
         with pytest.raises(error, match=f"^horizon problem failed at step {k}: the solver gave up$") as exc:
             closed_loop_run(plant, vdp_edmdc, cfg, x0, 2.0, 0.05)
         partial = exc.value.partial
@@ -620,8 +621,8 @@ class TestActiveSetGuesses:
             # Every step planned once, and against a cold solve of the same step.
             assert len(steps) == got.stage_costs.size - got.warmup_steps > 0
             for cond, (z0, u_prev, qp_tol, _), (_, plan, iterations, _, _, hit) in steps:
-                cold_plan, cold_iterations = plan_unpatched(cond, z0, u_prev, qp_tol, None)[1:3]
-                np.testing.assert_allclose(plan, cold_plan, rtol=0.0, atol=1e-12)
+                cold, cold_iterations = cold_plan(cond, z0, u_prev, qp_tol)[:2]
+                np.testing.assert_allclose(plan, cold, rtol=0.0, atol=1e-12)
                 assert iterations == (0 if hit else cold_iterations)
                 assert not hit or cold_iterations > 0
             hit = got.solve_stats["guess_hit"]
@@ -631,6 +632,41 @@ class TestActiveSetGuesses:
             )
             assert got.total_cost == pytest.approx(want.total_cost, rel=self.COST_RTOL[study], abs=0.0)
         assert hits > 0
+
+    @pytest.mark.parametrize("study", ["saturated", "mu2"])
+    @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+    def test_a_sweep_on_a_warm_table_keeps_every_loop(self, guess_studies, study, kind):
+        # A grid sweep shares one condensation, so later ICs meet the optimal
+        # sets of earlier ones. At the saturated bounds the loops keep every
+        # bit of their runs from an empty table. At mu = 2 a proposal may be
+        # another optimal set of a degenerate vertex than the cold solve ends
+        # on; the delay loops then move by up to 1.3e-8 in cost (9 ICs, 3 s).
+        cfg, plant, models = guess_studies[study]
+        model, mpc_cfg = models[kind], mpc_config_from(cfg)
+
+        def run(x0):
+            try:
+                return closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
+            except KoopmpcError as err:
+                return type(err).__name__
+
+        warm = [run(x0) for x0 in grid_initial_conditions(cfg)]
+        table_hits = 0
+        for x0, got in zip(grid_initial_conditions(cfg), warm):
+            koopmpc.mpc._condensations.clear()
+            want = run(x0)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+                continue
+            table_hits += int((got.solve_stats["iterations"] < want.solve_stats["iterations"]).sum())
+            if study == "saturated":
+                assert got.trajectory.states.tobytes() == want.trajectory.states.tobytes()
+                assert got.stage_costs.tobytes() == want.stage_costs.tobytes()
+            assert (np.linalg.norm(got.final_state) < cfg.success_threshold) == (
+                np.linalg.norm(want.final_state) < cfg.success_threshold
+            )
+            assert got.total_cost == pytest.approx(want.total_cost, rel=self.COST_RTOL[study], abs=0.0)
+        assert table_hits > 0
 
     def test_summary_counts_the_verified_guesses(self, guess_studies):
         cfg, plant, models = guess_studies["saturated"]
@@ -677,6 +713,7 @@ class TestActiveSetGuesses:
         qp = cond.factored_qp(cond._gradient(linear_model.lift(x), u_prev), u_prev)
         assert verify_active_set(qp, (0, n_rate)) is None
         step = mpc_step(linear_model, x, u_prev, cfg, active_guess=guess)
+        koopmpc.mpc._condensations.clear()  # a cold step, not a hit on the set just recorded
         cold = mpc_step(linear_model, x, u_prev, cfg)
         assert not step.guess_hit and step.qp_iterations == cold.qp_iterations > 0
         assert np.array_equal(step.input_sequence, cold.input_sequence)

@@ -108,6 +108,12 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     return dict(states=states[:, : n_steps + 1], inputs=inputs[:, :n_steps], **rec), error
 
 
+def cold_table(loop, *args):
+    """``loop(*args)`` from an empty condensation memo, so it starts with no stored optimal sets."""
+    koopmpc.mpc._condensations.clear()
+    return loop(*args)
+
+
 def record_of(result):
     stats = result.solve_stats
     return dict(states=result.trajectory.states, inputs=result.trajectory.inputs,
@@ -132,8 +138,8 @@ def assert_bitwise_records(got, want):
 def test_loop_is_bitwise_the_loop_of_public_steps(vdp_training, models, kind, bounds, x0):
     plant = vdp_training[0]
     cfg = mpc_cfg(bounds)
-    got = closed_loop_run(plant, models[kind], cfg, np.array(x0), 1.0, DT)
-    want, error = stepwise_loop(plant, models[kind], cfg, np.array(x0), 1.0, DT)
+    got = cold_table(closed_loop_run, plant, models[kind], cfg, np.array(x0), 1.0, DT)
+    want, error = cold_table(stepwise_loop, plant, models[kind], cfg, np.array(x0), 1.0, DT)
     assert error is None
     assert_bitwise_records(record_of(got), want)
 
@@ -154,8 +160,8 @@ def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
     cfg = mpc_cfg("saturated", horizon=5, u_min=-0.1, u_max=0.1, du_min=-0.05, du_max=0.05)
     x0 = np.array(x0) * np.array(signs)
     with pytest.raises(DivergenceError) as exc:
-        closed_loop_run(plant, model, cfg, x0, 5.0, DT)
-    want, error = stepwise_loop(plant, model, cfg, x0, 5.0, DT)
+        cold_table(closed_loop_run, plant, model, cfg, x0, 5.0, DT)
+    want, error = cold_table(stepwise_loop, plant, model, cfg, x0, 5.0, DT)
     assert str(exc.value) == str(error)
     got = exc.value.partial
     assert got.cumulative_cost.tobytes() == np.cumsum(want["stage"]).tobytes()
@@ -168,8 +174,8 @@ def test_an_overflowing_lift_fails_as_the_loop_of_public_steps(vdp_training, mod
     # that is not finite, as mpc_step's lift does.
     plant, model, cfg = vdp_training[0], models["edmdc"], mpc_cfg("default")
     with pytest.raises(InvalidInputError) as exc:
-        closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
-    want, error = stepwise_loop(plant, model, cfg, np.array(x0), 1.0, DT)
+        cold_table(closed_loop_run, plant, model, cfg, np.array(x0), 1.0, DT)
+    want, error = cold_table(stepwise_loop, plant, model, cfg, np.array(x0), 1.0, DT)
     assert isinstance(error, InvalidInputError)
     assert str(exc.value) == f"horizon problem failed at step 0: {error}"
     assert "dictionary evaluation produced non-finite values" in str(error)
@@ -220,7 +226,7 @@ class TestSharedCondensations:
             fresh = CondensedMpc(model, cfg)
             for name in ("h", "_h_inv", "g_state", "g_const", "g_uprev", "lb", "ub", "_rhs"):
                 assert getattr(cond, name).tobytes() == getattr(fresh, name).tobytes(), name
-            want, _ = stepwise_loop(plant, model, cfg, x0, 1.0, DT)
+            want, _ = cold_table(stepwise_loop, plant, model, cfg, x0, 1.0, DT)
             assert_bitwise_records(record_of(got), want)
             assert not np.array_equal(got.trajectory.inputs, first.trajectory.inputs)
             first = got

@@ -17,3 +17,37 @@ def test_no_module_has_an_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+MUTABLE_BUILDERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
+
+
+def _is_mutable_container(node):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_BUILDERS
+    return False
+
+
+def test_the_solver_layer_keeps_no_module_level_container():
+    """``numerics`` stays free of caches: a table of solved problems belongs to its caller's scope."""
+    tree = ast.parse((SRC / "numerics.py").read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            if _is_mutable_container(node.value):
+                found.append(f"numerics.py:{node.lineno}")
+    assert not found, f"module-level containers in numerics.py: {found}"
+
+
+def test_the_container_check_sees_each_form():
+    for source in ("a = {}", "a = []", "a = {1}", "a: dict = dict()", "a = {k: 1 for k in b}",
+                   "a = collections.OrderedDict()", "a = [x for x in b]", "a = set()"):
+        (node,) = ast.parse(source).body
+        assert _is_mutable_container(node.value), source
+    for source in ("a = ()", "a = 1e-10", "a = frozenset()", "a = (1, 2)"):
+        (node,) = ast.parse(source).body
+        assert not _is_mutable_container(node.value), source
