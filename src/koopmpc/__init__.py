@@ -10,14 +10,12 @@ module reproduces the forced van der Pol benchmark end to end.
 from .dynamics import (
     ControlSystem,
     ForcingSignal,
-    SampleSet,
     Trajectory,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
     rk4_step,
     simulate,
-    snapshots_from_trajectories,
 )
 from .errors import (
     ConfigError,

@@ -18,12 +18,12 @@ from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
     _count,
+    _first_dims,
     _join,
     _path_batches,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
-    snapshots_from_trajectories,
 )
 from .errors import (
     ConvergenceError,
@@ -59,13 +59,13 @@ def mpc_config_from(cfg):
 
 
 def make_training_data(cfg):
-    """The plant, its training batch and the batch's snapshot set.
+    """The plant, its training batch and the batch's sample spacing ``cfg.dt``.
 
     Raises DivergenceError if every training path diverged.
     """
     plant = make_vanderpol(cfg.mu)
     family = product_sines_family(cfg.forcing_amplitude, cfg.forcing_omega_std)
-    trajectories, n_divergent = generate_training_trajectories(
+    trajectories, _ = generate_training_trajectories(
         plant,
         cfg.n_trajectories,
         cfg.training_box,
@@ -76,28 +76,26 @@ def make_training_data(cfg):
     )
     if trajectories.n_paths == 0:
         raise DivergenceError("all training trajectories diverged")
-    samples = snapshots_from_trajectories(trajectories, cfg.dt, meta={"n_divergent": n_divergent})
-    return plant, trajectories, samples
+    return plant, trajectories, cfg.dt
 
 
-def fit_models(cfg, trajectories, samples):
+def fit_models(cfg, trajectories, dt):
     """Fit the configured subset of model kinds on shared training data.
 
-    ``trajectories`` (a :class:`Trajectory` or a sequence of them, each a
-    path or a batch) feed the delay fit; ``samples`` feed the others.
+    ``trajectories`` is a :class:`Trajectory` or a sequence of them, each a
+    path or a batch, sampled ``dt`` apart; every kind fits them through its
+    own lifting.
     """
     models = {}
     for name in cfg.models:
         if name == "dmdc":
-            models[name] = fit_dmdc(samples, svd_tol=cfg.svd_tol)
+            models[name] = fit_dmdc(trajectories, dt, cfg.svd_tol)
         elif name == "edmdc":
-            dic = monomials_dictionary(samples.state_dim, cfg.edmdc_order)
-            models[name] = fit_edmdc(samples, dic, svd_tol=cfg.svd_tol)
+            dic = monomials_dictionary(_first_dims(trajectories)[0], cfg.edmdc_order)
+            models[name] = fit_edmdc(trajectories, dic, dt, cfg.svd_tol)
         elif name == "delay":
             coords = None if cfg.delay_full_state else (0,)
-            models[name] = fit_delay_augmented(
-                trajectories, cfg.delay_depth, svd_tol=cfg.svd_tol, coords=coords
-            )
+            models[name] = fit_delay_augmented(trajectories, cfg.delay_depth, dt, cfg.svd_tol, coords)
         else:
             raise InvalidInputError(f"unknown model kind {name!r}")
     return models
@@ -269,8 +267,8 @@ def run_benchmark(cfg, stage_seconds=None):
 
 
 def _run_benchmark_stages(cfg, report, stage_seconds):
-    plant, trajectories, samples = _staged("training-data", stage_seconds, make_training_data, cfg)
-    models = _staged("model-fitting", stage_seconds, fit_models, cfg, trajectories, samples)
+    plant, trajectories, dt = _staged("training-data", stage_seconds, make_training_data, cfg)
+    models = _staged("model-fitting", stage_seconds, fit_models, cfg, trajectories, dt)
     validation = _staged(
         "validation-data", stage_seconds, make_validation_trajectories, cfg, plant
     )
@@ -285,8 +283,8 @@ def _run_benchmark_stages(cfg, report, stage_seconds):
         sweeps.append(("grid", grid_initial_conditions(cfg)))
     mpc_cfg = mpc_config_from(cfg)
 
-    report["n_training_samples"] = samples.n_samples
-    report["n_divergent_training"] = samples.meta.get("n_divergent", 0)
+    report["n_training_samples"] = trajectories.n_paths * trajectories.n_steps
+    report["n_divergent_training"] = cfg.n_trajectories - trajectories.n_paths
     report["models"] = {}
     report["mpc"] = {}
     for name in cfg.models:

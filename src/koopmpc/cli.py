@@ -25,7 +25,7 @@ from .benchmark import (
     run_benchmark,
 )
 from .config import ExperimentConfig, parse_config
-from .dynamics import make_vanderpol, snapshots_from_trajectories
+from .dynamics import make_vanderpol
 from .errors import ConfigError, KoopmpcError
 from .io import (
     _read_int,
@@ -73,19 +73,19 @@ def _load_trajectories(data):
 def cmd_generate(args):
     cfg = _load_config(args)
     out = _out_dir(args)
-    _, trajectories, samples = make_training_data(cfg)
+    _, trajectories, dt = make_training_data(cfg)
     trajectories_to_csv(trajectories, out / "trajectories.csv")
     write_json(
         {
-            "state_dim": samples.state_dim,
-            "input_dim": samples.input_dim,
-            "dt": cfg.dt,
-            "n_divergent": samples.meta["n_divergent"],
+            "state_dim": trajectories.state_dim,
+            "input_dim": trajectories.input_dim,
+            "dt": dt,
+            "n_divergent": cfg.n_trajectories - trajectories.n_paths,
             "config": cfg.resolved(),
         },
         out / "manifest.json",
     )
-    print(f"wrote {samples.n_samples} snapshot pairs to {out}")
+    print(f"wrote {trajectories.n_paths * trajectories.n_steps} snapshot pairs to {out}")
     return 0
 
 
@@ -93,9 +93,8 @@ def cmd_fit(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     manifest, trajectories = _load_trajectories(args.data)
-    samples = snapshots_from_trajectories(trajectories, _read_number(manifest, "dt"))
     cfg.models = [args.model]
-    models = fit_models(cfg, trajectories, samples)
+    models = fit_models(cfg, trajectories, _read_number(manifest, "dt"))
     path = out / f"model_{args.model}.json"
     model_to_json(models[args.model], path)
     print(f"wrote {path}")

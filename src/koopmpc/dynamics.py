@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InsufficientDataError, InvalidInputError
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -155,49 +154,6 @@ class Trajectory:
         if self.states.ndim == 3:
             return self.states, self.inputs
         return self.states[:, np.newaxis], self.inputs[:, np.newaxis]
-
-
-@dataclass
-class SampleSet:
-    """Snapshot triples (x_k, x_k', u_k) sampled ``dt`` apart, stored columnwise."""
-
-    x: np.ndarray   # (n, m)
-    xp: np.ndarray  # (n, m)
-    u: np.ndarray   # (q, m)
-    dt: float
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.xp = np.asarray(self.xp, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.x.ndim != 2 or self.xp.shape != self.x.shape:
-            raise InvalidInputError("x and xp must be matching (n, m) arrays")
-        if self.u.ndim != 2 or self.u.shape[1] != self.x.shape[1]:
-            raise InvalidInputError("u must be (q, m) with m matching x")
-        check_positive(self.dt, "dt")
-
-    @property
-    def state_dim(self):
-        return self.x.shape[0]
-
-    @property
-    def input_dim(self):
-        return self.u.shape[0]
-
-    @property
-    def n_samples(self):
-        return self.x.shape[1]
-
-
-def sample_hash(data):
-    """Short content hash of a sample set, for model provenance records."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(data.x).tobytes())
-    h.update(np.ascontiguousarray(data.xp).tobytes())
-    h.update(np.ascontiguousarray(data.u).tobytes())
-    h.update(np.float64(data.dt).tobytes())
-    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -360,6 +316,18 @@ def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, 
     return Trajectory(times, states, inputs), n_divergent
 
 
+def _first_dims(trajectories):
+    """``(state_dim, input_dim)`` of the first of ``trajectories``, one :class:`Trajectory` or a sequence.
+
+    Raises InsufficientDataError if there is none.
+    """
+    if isinstance(trajectories, Trajectory):
+        return trajectories.state_dim, trajectories.input_dim
+    if not len(trajectories):
+        raise InsufficientDataError("need at least one trajectory")
+    return trajectories[0].state_dim, trajectories[0].input_dim
+
+
 def _path_batches(trajectories, dt=None):
     """``(batches, dt)``: the :meth:`Trajectory.as_batch` arrays of each trajectory.
 
@@ -386,20 +354,3 @@ def _path_batches(trajectories, dt=None):
 def _join(arrays):
     """``arrays`` joined along axis 1; a single array is returned as it is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
-
-
-def snapshots_from_trajectories(trajectories, dt, meta=None):
-    """The (x_k, x_{k+1}, u_k) columns of every path, path by path.
-
-    ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
-    path or a batch; paths of differing dimensions, or not sampled ``dt``
-    apart, raise InvalidInputError.
-    """
-    batches, _ = _path_batches(trajectories, dt)
-    if not batches:
-        raise InvalidInputError("need at least one trajectory")
-    n, q = batches[0][0].shape[0], batches[0][1].shape[0]
-    x = _join([s[..., :-1].reshape(n, -1) for s, _ in batches])
-    xp = _join([s[..., 1:].reshape(n, -1) for s, _ in batches])
-    u = _join([u.reshape(q, -1) for _, u in batches])
-    return SampleSet(x=x, xp=xp, u=u, dt=dt, meta=dict(meta or {}))

@@ -11,7 +11,9 @@ scoring never branch on the kind of lifting:
   of shape ``(q, T-1)`` or ``(q, M, T-1)`` (longer input windows are cut).
   The result holds the lifts of samples ``history_steps .. T-1`` of every
   window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
-  ``M`` windows lift as the columns of one batch.
+  ``M`` windows lift as the columns of one batch;
+- ``fixed_rows(input_dim)``: the rows of ``A`` and ``B`` in ``z' = A z + B u``
+  that the lifting fixes, and the recovery matrix ``C``.
 
 ``lift_windows`` is ``check_windows`` followed by ``lift_checked``:
 ``check_windows(states, inputs)`` raises on windows of the wrong shape or
@@ -73,10 +75,10 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords`` and ``lift_windows`` with
-    its halves ``check_windows`` and ``lift_checked``. A dictionary needs
-    no history, recovers every plant coordinate, and ignores the inputs of
-    ``lift_windows``.
+    ``history_steps``, ``state_dim``, ``coords``, ``fixed_rows`` and
+    ``lift_windows`` with its halves ``check_windows`` and ``lift_checked``.
+    A dictionary needs no history, recovers every plant coordinate, fixes no
+    row of a model, and ignores the inputs of ``lift_windows``.
     """
 
     n_in: int
@@ -122,8 +124,19 @@ class Dictionary:
         return out.reshape(out.shape[:1] + states.shape[1:])
 
     def lift_windows(self, states, inputs=None):
-        """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T)."""
-        return eval_dictionary(self, states)
+        """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T), in one (n, M*T) call."""
+        s = _columns(self, states)
+        return eval_dictionary(self, s.reshape(s.shape[0], -1)).reshape((self.n_out,) + s.shape[1:])
+
+    def fixed_rows(self, input_dim):
+        """``(n_free, a, b, c)``: no row is fixed, ``a`` and ``b`` are zero, ``c`` is :func:`recovery_matrix`.
+
+        ``a`` and ``b`` are column-major, the layout of the least-squares
+        solution that fills them, by which later products round.
+        """
+        d = self.n_out
+        a, b = np.zeros((d, d), order="F"), np.zeros((d, input_dim), order="F")
+        return d, a, b, recovery_matrix(self)
 
 
 def monomials_dictionary(n, max_order):
@@ -296,3 +309,20 @@ class DelayCoordinates:
     def lift_windows(self, states, inputs):
         """:meth:`lift_checked` of the windows :meth:`check_windows` accepts."""
         return self.lift_checked(*self.check_windows(states, inputs))
+
+    def fixed_rows(self, input_dim):
+        """``(n_free, a, b, c)``: the ``n_embed`` newest-sample rows are free (zero), the rest fixed.
+
+        The fixed rows shift the stored states and inputs one slot older and
+        put ``u_k`` in the newest stored input, so a model is causal by
+        construction; ``c = [I 0]`` reads the newest sample.
+        """
+        if input_dim != self.input_dim:
+            raise InvalidInputError(f"{input_dim} inputs do not match the lifting's {self.input_dim}")
+        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.aug_dim
+        a, b = np.zeros((dim, dim)), np.zeros((dim, q))
+        a[n_e:z_dim, : z_dim - n_e] = np.eye(z_dim - n_e)
+        if self.history_steps:
+            b[z_dim : z_dim + q] = np.eye(q)
+            a[z_dim + q :, z_dim : dim - q] = np.eye(dim - z_dim - q)
+        return n_e, a, b, np.eye(n_e, dim)

@@ -1,17 +1,19 @@
 """Fitting linear operator models with control, and rolling them forward.
 
-All fits reduce to one minimum-norm least-squares regression over lifted
-snapshots; what differs between model kinds is the lifting.
+All fits are one minimum-norm least-squares regression over the lifted
+trajectory batch (:func:`fit_edmdc`); what differs between model kinds is
+the lifting.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Trajectory, _join, _path_batches, check_positive, sample_hash
+from .dynamics import Trajectory, _first_dims, _join, _path_batches, check_positive
 from .errors import InsufficientDataError, InvalidInputError, MissingHistoryError, NoEigenfunctionError
 from .numerics import DEFAULT_SVD_TOL, lstsq_min_norm
 from .observables import (
@@ -20,7 +22,6 @@ from .observables import (
     eval_dictionary,
     eval_gradients,
     identity_dictionary,
-    recovery_matrix,
 )
 
 KIND_DMDC = "dmdc"
@@ -99,94 +100,65 @@ def _regress(reg, target, svd_tol):
     return w, residual
 
 
-def fit_dmdc(data, svd_tol=DEFAULT_SVD_TOL):
-    """Least-squares fit of x' = A x + B u: EDMDc over the state coordinates alone."""
-    model = fit_edmdc(data, identity_dictionary(data.state_dim), svd_tol)
-    model.kind = KIND_DMDC
-    return model
+def _training_hash(batches, dt):
+    """Short content hash of the (x_k, x_{k+1}, u_k) columns of every path and ``dt``, for provenance."""
+    h = hashlib.sha256()
+    states = [s for s, _ in batches]
+    for part in ([s[..., :-1] for s in states], [s[..., 1:] for s in states], [u for _, u in batches]):
+        h.update(_join([a.reshape(len(a), -1) for a in part]).tobytes())
+    h.update(np.float64(dt).tobytes())
+    return h.hexdigest()[:16]
 
 
-def fit_edmdc(data, dic, svd_tol=DEFAULT_SVD_TOL):
-    """DMDc after lifting the snapshots through an observable dictionary."""
-    q, m = data.input_dim, data.n_samples
-    d = dic.n_out
-    if m < d + q:
-        raise InsufficientDataError(f"need at least {d + q} samples, got {m}")
-    c = recovery_matrix(dic)
-    z = dic.lift_windows(data.x)
-    zp = dic.lift_windows(data.xp)
-    reg = np.vstack([z, data.u])
-    w, residual = _regress(reg, zp, svd_tol)
-    return LinearControlModel(
-        a=w[:, :d],
-        b=w[:, d:],
-        c=c,
-        lifting=dic,
-        dt=data.dt,
-        kind=KIND_EDMDC,
-        fit_residual=residual,
-        training_hash=sample_hash(data),
-    )
-
-
-def fit_delay_augmented(trajectories, depth, svd_tol=DEFAULT_SVD_TOL, coords=None):
-    """Fit a causal delay-coordinate model in input-augmented form.
-
-    The augmented state stacks [x_k, ..., x_{k-depth+1}, u_{k-1}, ..., u_{k-depth+1}],
-    states over ``coords`` (default: every state coordinate), as
-    :class:`DelayCoordinates` lifts it. Only the newest-sample block is
-    regressed (on the augmented state and the current input). Every other
-    row of the operator is a structural copy: an identity shift inside the
-    state block, a zero row that receives u_k through the input column, and
-    an identity shift over the stored inputs. Causality therefore holds by
-    construction, with no constrained solve.
+def fit_edmdc(trajectories, lifting, dt, svd_tol=DEFAULT_SVD_TOL):
+    """Fit z' = A z + B u, x = C z on lifted trajectories: every model kind is this fit.
 
     ``trajectories`` is one :class:`Trajectory` or a sequence of them, each a
-    path or a batch; each lifts as one batch, and the columns keep the path
-    order of the input. Paths of differing dimensions or sample spacing
-    raise InvalidInputError; the model's ``dt`` is the first step of the
-    first trajectory.
+    path or a batch, sampled ``dt`` apart; paths of differing dimensions or
+    spacing raise InvalidInputError. Each batch lifts once, through
+    ``lifting.lift_windows``. The lifting's free rows of ``z_{k+1}`` are
+    regressed on ``[z_k; u_k]`` by one minimum-norm least-squares solve, over
+    the columns of all paths in order; ``lifting.fixed_rows`` supplies every
+    other row of A and B, and C. A batch too short to give one pair of
+    lifted states adds no columns; fewer than ``dim + q`` columns in all
+    raise InsufficientDataError.
     """
-    batches, dt = _path_batches(trajectories)
-    if not batches:
-        raise InsufficientDataError("need at least one trajectory")
-    n, q = batches[0][0].shape[0], batches[0][1].shape[0]
-    dc = DelayCoordinates(
-        depth=depth, coords=tuple(range(n)) if coords is None else coords, state_dim=n, input_dim=q
-    )
-    h = dc.history_steps
-    lifted = _join([dc.lift_windows(s[..., :-1], u).reshape(dc.aug_dim, -1) for s, u in batches])
-    inputs = _join([u[..., h:].reshape(q, -1) for _, u in batches])
-    target = _join([s[list(dc.coords), :, h + 1 :].reshape(dc.n_embed, -1) for s, _ in batches])
-    reg = np.vstack([lifted, inputs])
-    n_e = dc.n_embed
-    dim = dc.aug_dim
-    if reg.shape[1] < dim + q:
-        raise InsufficientDataError(
-            f"need at least {dim + q} embedded columns, got {reg.shape[1]}"
-        )
+    _, q = _first_dims(trajectories)
+    batches, dt = _path_batches(trajectories, dt)
+    n_free, a, b, c = lifting.fixed_rows(q)
+    dim, h = a.shape[0], lifting.history_steps
+    batches_used = [(s, u) for s, u in batches if s.shape[-1] > h + 1]
+    n_cols = sum(s.shape[1] * (s.shape[-1] - h - 1) for s, _ in batches_used)
+    if n_cols < dim + q:
+        raise InsufficientDataError(f"need at least {dim + q} lifted columns, got {n_cols}")
+    lifted = [lifting.lift_windows(s, u) for s, u in batches_used]
+    reg = np.vstack([
+        _join([z[..., :-1].reshape(dim, -1) for z in lifted]),
+        _join([u[..., h:].reshape(q, -1) for _, u in batches_used]),
+    ])
+    target = _join([z[:n_free, :, 1:].reshape(n_free, -1) for z in lifted])
     w, residual = _regress(reg, target, svd_tol)
-    a = np.zeros((dim, dim))
-    b = np.zeros((dim, q))
-    a[:n_e] = w[:, :dim]
-    b[:n_e] = w[:, dim:]
-    for j in range(1, dc.depth):
-        a[j * n_e : (j + 1) * n_e, (j - 1) * n_e : j * n_e] = np.eye(n_e)
-    if h:
-        r0 = dc.z_dim
-        b[r0 : r0 + q] = np.eye(q)
-        for j in range(1, h):
-            a[r0 + j * q : r0 + (j + 1) * q, r0 + (j - 1) * q : r0 + j * q] = np.eye(q)
-    c = np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))])
-    return LinearControlModel(
-        a=a,
-        b=b,
-        c=c,
-        lifting=dc,
-        dt=dt,
-        kind=KIND_DELAY_AUGMENTED,
-        fit_residual=residual,
-    )
+    a[:n_free], b[:n_free] = w[:, :dim], w[:, dim:]
+    return LinearControlModel(a=a, b=b, c=c, lifting=lifting, dt=dt, kind=KIND_EDMDC,
+                              fit_residual=residual, training_hash=_training_hash(batches, dt))
+
+
+def fit_dmdc(trajectories, dt, svd_tol=DEFAULT_SVD_TOL):
+    """Least-squares fit of x' = A x + B u: :func:`fit_edmdc` over the state coordinates alone."""
+    dic = identity_dictionary(_first_dims(trajectories)[0])
+    return replace(fit_edmdc(trajectories, dic, dt, svd_tol), kind=KIND_DMDC)
+
+
+def fit_delay_augmented(trajectories, depth, dt, svd_tol=DEFAULT_SVD_TOL, coords=None):
+    """:func:`fit_edmdc` on a causal, input-augmented delay lifting of ``depth`` samples.
+
+    The lifting is :class:`DelayCoordinates` over ``coords`` (default: every
+    state coordinate). Only the newest-sample rows are regressed; the
+    lifting fixes the shifts below them.
+    """
+    n, q = _first_dims(trajectories)
+    lifting = DelayCoordinates(depth, tuple(range(n)) if coords is None else coords, n, q)
+    return replace(fit_edmdc(trajectories, lifting, dt, svd_tol), kind=KIND_DELAY_AUGMENTED)
 
 
 @dataclass(frozen=True)

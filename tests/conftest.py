@@ -8,14 +8,12 @@ from koopmpc import (
     ControlSystem,
     Dictionary,
     LinearControlModel,
-    SampleSet,
     TransitionMatrix,
     Trajectory,
     eval_dictionary,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
-    snapshots_from_trajectories,
 )
 from koopmpc.io import read_json
 
@@ -59,12 +57,17 @@ def read_chain(path):
     return ControlledChain(levels=levels, mats=tuple(mats), partition=BoxPartition(**raw["partition"]))
 
 
+def one_step_paths(x, xp, u, dt=0.1):
+    """The batch of ``m`` one-step paths from the columns of ``x``, ``xp`` (n, m) and ``u`` (q, m)."""
+    return Trajectory([0.0, dt], np.stack([x, xp], axis=-1), np.asarray(u, dtype=float)[..., None])
+
+
 def discrete_linear_samples(m=50, seed=0, dt=0.1, a0=A0, b0=B0):
-    """Noise-free snapshots of x' = a0 x + b0 u with random states and inputs."""
+    """Noise-free one-step paths of x' = a0 x + b0 u from random states and inputs: states (n, m, 2)."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((a0.shape[0], m))
     u = rng.standard_normal((b0.shape[1], m))
-    return SampleSet(x=x, xp=a0 @ x + b0 @ u, u=u, dt=dt)
+    return one_step_paths(x, a0 @ x + b0 @ u, u, dt)
 
 
 def reference_lift(lifting, x, history_states=None, history_inputs=None):
@@ -139,9 +142,9 @@ def linear_plant():
 
 @pytest.fixture(scope="session")
 def vdp_training():
-    """Small forced van der Pol training set shared by the slower tests."""
+    """Small forced van der Pol training set shared by the slower tests: plant, batch and dt."""
     plant = make_vanderpol(0.2)
     trajs, _ = generate_training_trajectories(
         plant, 60, [[-6, 6], [-6, 6]], 1.0, 0.05, product_sines_family(5.0, 10.0), 11
     )
-    return plant, trajs, snapshots_from_trajectories(trajs, 0.05)
+    return plant, trajs, 0.05

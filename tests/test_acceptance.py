@@ -33,7 +33,6 @@ from koopmpc import (
     monomials_dictionary,
     predict_rollout,
     simulate,
-    snapshots_from_trajectories,
 )
 from koopmpc.benchmark import (
     fit_models,
@@ -61,8 +60,8 @@ def report_line(name, ok, detail=""):
 def default_benchmark():
     """Default-configuration plant, fitted models, and validation set (seed 0)."""
     cfg = ExperimentConfig()
-    plant, trajectories, samples = make_training_data(cfg)
-    models = fit_models(cfg, trajectories, samples)
+    plant, trajectories, dt = make_training_data(cfg)
+    models = fit_models(cfg, trajectories, dt)
     validation = make_validation_trajectories(cfg, plant)
     return cfg, plant, models, validation
 
@@ -70,7 +69,7 @@ def default_benchmark():
 def test_criterion_1_exact_linear_recovery():
     t0 = time.time()
     data = discrete_linear_samples(m=50, seed=0)
-    model = fit_dmdc(data)
+    model = fit_dmdc(data, 0.1)
     err_a = float(np.linalg.norm(model.a - A0))
     err_b = float(np.linalg.norm(model.b - B0))
     elapsed = time.time() - t0
@@ -88,7 +87,7 @@ def test_criterion_2_exact_closure_rollout(slow_manifold):
         simulate(slow_manifold, rng.uniform(-1.5, 1.5, 2), ZeroForcing(), 0.1, 0.01)
         for _ in range(40)
     ]
-    model = fit_edmdc(snapshots_from_trajectories(trajs, 0.01), dic)
+    model = fit_edmdc(trajs, dic, 0.01)
     truth = simulate(slow_manifold, [1.2, -0.8], ZeroForcing(), 1.0, 0.01)
     pred = predict_rollout(model, truth.states[:, 0], truth.inputs)
     rms = float(np.sqrt(np.mean((pred.states - truth.states) ** 2)))
@@ -125,8 +124,8 @@ def test_criterion_4_validation_error_ranking():
     for seed in seeds:
         t0 = time.time()
         cfg = config_from_mapping({"seed": seed, "run_mpc_validation": False, "run_mpc_grid": False})
-        plant, trajectories, samples = make_training_data(cfg)
-        models = fit_models(cfg, trajectories, samples)
+        plant, trajectories, dt = make_training_data(cfg)
+        models = fit_models(cfg, trajectories, dt)
         validation = make_validation_trajectories(cfg, plant)
         errors = prediction_errors(models, validation, cfg.prediction_horizon)
         med = {name: float(np.median(errors[name]["rollout_rms"])) for name in models}

@@ -44,11 +44,11 @@ def mpc_cfg(bounds, **overrides):
 
 @pytest.fixture(scope="module")
 def models(vdp_training):
-    _, trajs, samples = vdp_training
+    _, trajs, dt = vdp_training
     return {
-        "dmdc": fit_dmdc(samples),
-        "edmdc": fit_edmdc(samples, monomials_dictionary(2, 3)),
-        "delay": fit_delay_augmented(trajs, 3),
+        "dmdc": fit_dmdc(trajs, dt),
+        "edmdc": fit_edmdc(trajs, monomials_dictionary(2, 3), dt),
+        "delay": fit_delay_augmented(trajs, 3, dt),
     }
 
 
@@ -176,7 +176,7 @@ def test_a_small_table_gives_the_loop_of_a_large_one(vdp_training, models, monke
 
 @pytest.fixture(scope="module")
 def linear_model():
-    return fit_dmdc(discrete_linear_samples(m=60, seed=1))
+    return fit_dmdc(discrete_linear_samples(m=60, seed=1), 0.1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Trajectory batches: one (n, M, T) array from generation through snapshots, fits and scoring."""
+"""Trajectory batches: one (n, M, T) array from generation through fits and scoring."""
 
 import hashlib
 import itertools
@@ -22,7 +22,6 @@ from koopmpc import (
     monomials_dictionary,
     product_sines_family,
     simulate,
-    snapshots_from_trajectories,
 )
 from koopmpc.benchmark import (
     fit_models,
@@ -34,6 +33,7 @@ from koopmpc.cli import main
 from koopmpc.config import ExperimentConfig, config_from_mapping
 from koopmpc.io import read_json, trajectories_from_csv, trajectories_to_csv, write_json
 from conftest import paths
+from fit_reference import snapshot_columns
 
 BOX = np.array([[-3.0, 3.0], [-3.0, 3.0]])
 DT = 0.05
@@ -83,17 +83,18 @@ def truncated(traj, first, stop, n_steps):
 
 
 def fitted(trajectories):
-    """Snapshots and the three model kinds fitted on ``trajectories``."""
-    samples = snapshots_from_trajectories(trajectories, DT)
-    return samples, {
-        "dmdc": fit_dmdc(samples),
-        "edmdc": fit_edmdc(samples, monomials_dictionary(2, 2)),
-        "delay": fit_delay_augmented(trajectories, 2),
+    """The three model kinds fitted on ``trajectories``."""
+    return {
+        "dmdc": fit_dmdc(trajectories, DT),
+        "edmdc": fit_edmdc(trajectories, monomials_dictionary(2, 2), DT),
+        "delay": fit_delay_augmented(trajectories, 2, DT),
     }
 
 
-def assert_same_fits(got, want):
-    (samples, models), (ref_samples, ref_models) = got, want
+def assert_same_fits(trajectories, reference):
+    """``trajectories`` and ``reference`` hold the same snapshot columns and fit the same bits."""
+    samples, ref_samples = snapshot_columns(trajectories, DT), snapshot_columns(reference, DT)
+    models, ref_models = fitted(trajectories), fitted(reference)
     for key in ("x", "xp", "u"):
         assert same_arrays(getattr(samples, key), getattr(ref_samples, key))
     for name, model in models.items():
@@ -135,8 +136,8 @@ class TestBatchAgainstPerPathReference:
             return
 
         singles = paths(batch)
-        assert_same_fits(fitted(batch), fitted(singles))
-        models = fitted(batch)[1]
+        assert_same_fits(batch, singles)
+        models = fitted(batch)
         assert_same_scores(prediction_errors(models, batch, 5), prediction_errors(models, singles, 5))
 
         # Ragged: the first paths cut short, the others whole; either part may be empty.
@@ -144,7 +145,7 @@ class TestBatchAgainstPerPathReference:
         n_short = data.draw(st.integers(8, 20), label="short steps")
         ragged = [truncated(batch, 0, split, n_short), truncated(batch, split, batch.n_paths, 20)]
         ragged_singles = paths(ragged[0]) + paths(ragged[1])
-        assert_same_fits(fitted(ragged), fitted(ragged_singles))
+        assert_same_fits(ragged, ragged_singles)
         assert_same_scores(prediction_errors(models, ragged, 5), prediction_errors(models, ragged_singles, 5))
 
 
@@ -156,10 +157,10 @@ def _path(n=2, q=1, steps=6, dt=0.1, seed=0):
 
 class TestMismatchedTrajectories:
     FITS = {
-        "snapshots": lambda trajs: snapshots_from_trajectories(trajs, 0.1),
-        "delay": lambda trajs: fit_delay_augmented(trajs, 2),
-        "scoring": lambda trajs: prediction_errors({"dmdc": fit_dmdc(snapshots_from_trajectories(
-            [_path(steps=20)], 0.1))}, trajs, 3),
+        # The dmdc fit, which regresses the snapshot pairs of the paths.
+        "snapshots": lambda trajs: fit_dmdc(trajs, 0.1),
+        "delay": lambda trajs: fit_delay_augmented(trajs, 2, 0.1),
+        "scoring": lambda trajs: prediction_errors({"dmdc": fit_dmdc([_path(steps=20)], 0.1)}, trajs, 3),
     }
 
     @pytest.mark.parametrize("fit", sorted(FITS))
@@ -180,16 +181,19 @@ class TestMismatchedTrajectories:
     def test_snapshots_of_a_path_not_dt_apart_raise(self):
         traj = Trajectory(np.arange(4.0), np.zeros((2, 4)), np.zeros((1, 3)))
         with pytest.raises(InvalidInputError, match=r"not 0\.1 apart"):
-            snapshots_from_trajectories(traj, 0.1)
-        assert snapshots_from_trajectories(traj, 1.0).n_samples == 3
+            fit_dmdc(traj, 0.1)
+        assert fit_dmdc(traj, 1.0).dt == 1.0
 
     def test_unevenly_spaced_samples_raise(self):
         traj = Trajectory([0.0, 0.1, 0.3, 0.4], np.zeros((2, 4)), np.zeros((1, 3)))
         with pytest.raises(InvalidInputError, match="apart"):
-            fit_delay_augmented(traj, 1)
+            fit_delay_augmented(traj, 1, 0.1)
 
     def test_the_delay_model_takes_dt_from_the_paths(self):
-        assert fit_delay_augmented([_path(steps=20, dt=0.25), _path(steps=20, dt=0.25)], 2).dt == 0.25
+        both = [_path(steps=20, dt=0.25), _path(steps=20, dt=0.25)]
+        assert fit_delay_augmented(both, 2, 0.25).dt == 0.25
+        with pytest.raises(InvalidInputError, match=r"not 0\.1 apart"):
+            fit_delay_augmented(both, 2, 0.1)
 
 
 class TestBatchLayout:
@@ -268,8 +272,8 @@ RECORDED_CSV_DIGEST = "b4e5349833712d662969fe4f6db8a206512ac6308ae0cb3e2fcf23d0f
 @pytest.fixture(scope="module")
 def default_study():
     cfg = ExperimentConfig()
-    plant, trajectories, samples = make_training_data(cfg)
-    models = fit_models(cfg, trajectories, samples)
+    plant, trajectories, dt = make_training_data(cfg)
+    models = fit_models(cfg, trajectories, dt)
     errors = prediction_errors(models, make_validation_trajectories(cfg, plant), cfg.prediction_horizon)
     return trajectories, models, errors
 
@@ -306,4 +310,16 @@ class TestRecordedBits:
         for name in ("dmdc", "edmdc", "delay"):
             assert main(["fit", str(data), "--model", name, "--out", str(tmp_path / "fit")]) == 0
         saved = read_json(tmp_path / "fit" / "model_delay.json")
-        assert np.array_equal(np.asarray(saved["a"]), fit_delay_augmented(ragged, 5).a)
+        assert np.array_equal(np.asarray(saved["a"]), fit_delay_augmented(ragged, 5, DT).a)
+
+    def test_a_batch_too_short_for_the_delay_lifting_adds_no_columns(self, default_study, tmp_path):
+        batch = default_study[0]
+        ragged = [truncated(batch, 0, 4, 20), truncated(batch, 4, 6, 2)]  # the second has 3 samples
+        data = tmp_path / "data"
+        trajectories_to_csv(ragged, data / "trajectories.csv")
+        write_json({"state_dim": 2, "input_dim": 1, "dt": DT}, data / "manifest.json")
+        for name in ("dmdc", "edmdc", "delay"):
+            assert main(["fit", str(data), "--model", name, "--out", str(tmp_path / "fit")]) == 0
+        saved = read_json(tmp_path / "fit" / "model_delay.json")
+        assert np.array_equal(np.asarray(saved["a"]), fit_delay_augmented(ragged[:1], 5, DT).a)
+        assert saved["training_hash"] == read_json(tmp_path / "fit" / "model_dmdc.json")["training_hash"]

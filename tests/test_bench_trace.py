@@ -34,8 +34,8 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace, monkeypat
     before = [owner.__dict__[attr] for _, owner, attr, _ in bench_trace.TRACED]
     cfg = config_from_mapping({"n_trajectories": 4, "models": ["dmdc"]})
     with bench_trace.Tracer() as tracer:
-        plant, trajectories, samples = kbench.make_training_data(cfg)
-        model = kbench.fit_models(cfg, trajectories, samples)["dmdc"]
+        plant, trajectories, dt = kbench.make_training_data(cfg)
+        model = kbench.fit_models(cfg, trajectories, dt)["dmdc"]
         for _ in range(2):  # two identical loops share one condensation
             kmpc.closed_loop_run(plant, model, kbench.mpc_config_from(cfg), np.ones(2), 0.15, cfg.dt)
     after = [owner.__dict__[attr] for _, owner, attr, _ in bench_trace.TRACED]
@@ -50,6 +50,10 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace, monkeypat
     assert tracer.calls["mpc.is_feasible"] == 0
     assert tracer.calls["sysid.lift"] == 0
     assert tracer.calls["dynamics.rk4_step"] == 6
-    # The fit lifts its x and x' snapshots in one call each.
-    assert tracer.calls["observables.eval_dictionary"] == 2
-    assert tracer.counters["observables.eval_dictionary.cols"] == 2 * samples.n_samples
+    # One fit per fit_models call, lifting the whole training batch once.
+    assert tracer.calls["benchmark.fit_models"] == 1
+    assert tracer.calls["sysid.fit_dmdc"] == 1
+    assert tracer.calls["sysid.fit_edmdc"] == tracer.calls["sysid.fit_delay_augmented"] == 0
+    assert tracer.calls["observables.eval_dictionary"] == 1
+    n_samples = trajectories.n_paths * trajectories.times.size
+    assert tracer.counters["observables.eval_dictionary.cols"] == n_samples

@@ -189,8 +189,8 @@ class TestFitRoundTrip:
         main(["fit", str(data), "--model", "edmdc", "--config", str(cfg), "--out", str(tmp_path)])
         fitted = model_from_json(tmp_path / "model_edmdc.json")
         config = parse_config(cfg)
-        _, trajectories, samples = make_training_data(config)
-        want = fit_models(config, trajectories, samples)["edmdc"]
+        _, trajectories, dt = make_training_data(config)
+        want = fit_models(config, trajectories, dt)["edmdc"]
         assert fitted.training_hash == want.training_hash
         assert np.array_equal(fitted.a, want.a) and np.array_equal(fitted.b, want.b)
 
@@ -764,8 +764,8 @@ class TestPartialStateDelay:
             "delay_full_state": False, "models": ["delay"],
             "run_mpc_validation": False, "run_mpc_grid": False,
         })
-        plant, trajs, samples = make_training_data(cfg)
-        models = fit_models(cfg, trajs, samples)
+        plant, trajs, dt = make_training_data(cfg)
+        models = fit_models(cfg, trajs, dt)
         assert models["delay"].recovered_dim == 1
         validation = make_validation_trajectories(cfg, plant)
         errors = prediction_errors(models, validation, cfg.prediction_horizon)

@@ -209,12 +209,12 @@ def feasibility_case(draw):
 
 @pytest.fixture(scope="module")
 def two_input_model():
-    return fit_dmdc(discrete_linear_samples(m=40, seed=5, b0=np.array([[0.0, 1.0], [1.0, 0.5]])))
+    return fit_dmdc(discrete_linear_samples(m=40, seed=5, b0=np.array([[0.0, 1.0], [1.0, 0.5]])), 0.1)
 
 
 @pytest.fixture(scope="module")
 def one_input_model():
-    return fit_dmdc(discrete_linear_samples(m=40, seed=6))
+    return fit_dmdc(discrete_linear_samples(m=40, seed=6), 0.1)
 
 
 class TestStackedRowCheck:
@@ -326,8 +326,8 @@ def test_stacked_law_is_the_reference_arithmetic(one_input_model, two_input_mode
 @pytest.fixture(scope="module")
 def study_models():
     cfg = ExperimentConfig()
-    plant, trajectories, samples = make_training_data(cfg)
-    return cfg, plant, fit_models(cfg, trajectories, samples)
+    plant, trajectories, dt = make_training_data(cfg)
+    return cfg, plant, fit_models(cfg, trajectories, dt)
 
 
 # Closed loops of 2 s from the default study's models, recorded before the
@@ -398,7 +398,7 @@ class TestNonFiniteClosedLoopInputs:
 
     def test_delay_model_checks_x0_before_its_warm_up(self, vdp_training):
         plant, trajs, _ = vdp_training
-        model = fit_delay_augmented(trajs, 3)
+        model = fit_delay_augmented(trajs, 3, 0.05)
         cfg = MpcConfig(q=np.eye(2), ru=0.1, horizon=3)
         with pytest.raises(InvalidInputError, match="x0 must be finite"):
             closed_loop_run(plant, model, cfg, np.array([np.nan, 0.0]), 1.0, 0.05)

@@ -11,19 +11,19 @@ from koopmpc import (
     DivergenceError,
     ForcingSignal,
     InvalidInputError,
-    SampleSet,
     Trajectory,
+    fit_dmdc,
     generate_training_trajectories,
     make_vanderpol,
     product_sines_family,
     rk4_step,
     simulate,
-    snapshots_from_trajectories,
 )
 from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
 from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
-from conftest import ZeroForcing, paths
+from conftest import ZeroForcing, one_step_paths, paths
+from fit_reference import snapshot_columns
 
 
 class ExpRhs:
@@ -46,7 +46,7 @@ def training_set(sys, n_traj, box, t_end, dt, forcing_family, seed):
     trajectories, _ = generate_training_trajectories(
         sys, n_traj, box, t_end, dt, forcing_family, seed
     )
-    return snapshots_from_trajectories(trajectories, dt)
+    return snapshot_columns(trajectories, dt)
 
 
 class TestVanDerPol:
@@ -231,14 +231,14 @@ class TestSampleTrainingSet:
         data = training_set(
             sys, 200, [[-6, 6], [-6, 6]], 1.0, 0.05, product_sines_family(), 0
         )
-        assert data.n_samples == 4000
+        assert data.x.shape == (2, 4000)
 
     def test_single_step_single_column(self):
         sys = make_vanderpol(0.2)
         data = training_set(
             sys, 1, [[-6, 6], [-6, 6]], 0.05, 0.05, product_sines_family(), 0
         )
-        assert data.n_samples == 1
+        assert data.x.shape == (2, 1)
 
     def test_seed_determinism_is_bitwise(self):
         sys = make_vanderpol(0.2)
@@ -254,7 +254,7 @@ class TestSampleTrainingSet:
         data = training_set(
             sys, 3, [[-6, 6], [-6, 6]], 0.25, 0.05, product_sines_family(), 5
         )
-        for j in range(data.n_samples):
+        for j in range(data.x.shape[1]):
             step = rk4_step(sys, data.x[:, j], data.u[:, j], 0.0, 0.05)
             assert np.array_equal(step, data.xp[:, j])
 
@@ -552,7 +552,9 @@ class TestGenerationTypedErrors:
 
 
 class TestSampleSetTimestep:
+    """The sample spacing a fit is given for its training set."""
+
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_rejects_a_bad_dt(self, dt):
         with pytest.raises(InvalidInputError, match="dt must be positive and finite"):
-            SampleSet(x=np.zeros((2, 3)), xp=np.zeros((2, 3)), u=np.zeros((1, 3)), dt=dt)
+            fit_dmdc(one_step_paths(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3))), dt)

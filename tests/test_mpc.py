@@ -25,7 +25,6 @@ from koopmpc import (
     mpc_step,
     monomials_dictionary,
     simulate,
-    snapshots_from_trajectories,
 )
 from koopmpc.benchmark import fit_models, grid_initial_conditions, make_training_data, mpc_config_from
 from koopmpc.config import ExperimentConfig
@@ -55,20 +54,18 @@ def base_cfg(**overrides):
 
 @pytest.fixture(scope="module")
 def linear_model():
-    return fit_dmdc(discrete_linear_samples(m=60, seed=1))
+    return fit_dmdc(discrete_linear_samples(m=60, seed=1), 0.1)
 
 
 @pytest.fixture(scope="module")
 def vdp_edmdc(vdp_training):
-    _, _, samples = vdp_training
-    return fit_edmdc(samples, monomials_dictionary(2, 3))
+    _, trajs, dt = vdp_training
+    return fit_edmdc(trajs, monomials_dictionary(2, 3), dt)
 
 
 class TestCondenseQp:
     def test_decoupled_inputs_stay_zero(self, linear_model):
-        model = fit_dmdc(
-            discrete_linear_samples(m=60, seed=2)
-        )
+        model = fit_dmdc(discrete_linear_samples(m=60, seed=2), 0.1)
         model.b = np.zeros_like(model.b)
         cfg = base_cfg(horizon=5)
         qp = CondensedMpc(model, cfg).qp(model.lift([1.0, -2.0]), np.zeros(1))
@@ -218,7 +215,7 @@ class TestClosedLoop:
         trajs, _ = generate_training_trajectories(
             linear_plant, 30, [[-2, 2], [-2, 2]], 1.0, 0.05, product_sines_family(1.0, 5.0), 7
         )
-        model = fit_dmdc(snapshots_from_trajectories(trajs, 0.05))
+        model = fit_dmdc(trajs, 0.05)
         result = closed_loop_run(linear_plant, model, base_cfg(), np.zeros(2), 2.0, 0.05)
         assert result.total_cost <= 1e-10
 
@@ -226,7 +223,7 @@ class TestClosedLoop:
         trajs, _ = generate_training_trajectories(
             linear_plant, 30, [[-2, 2], [-2, 2]], 1.0, 0.05, product_sines_family(1.0, 5.0), 7
         )
-        model = fit_dmdc(snapshots_from_trajectories(trajs, 0.05))
+        model = fit_dmdc(trajs, 0.05)
         cfg = base_cfg(u_min=-np.inf, u_max=np.inf, du_min=-np.inf, du_max=np.inf)
         result = closed_loop_run(linear_plant, model, cfg, np.array([2.0, 0.0]), 20.0, 0.05)
         norms = np.linalg.norm(result.trajectory.states, axis=0)
@@ -271,7 +268,7 @@ class TestClosedLoop:
 
     def test_delay_model_warmup(self, vdp_training):
         plant, trajs, _ = vdp_training
-        model = fit_delay_augmented(trajs, 5)
+        model = fit_delay_augmented(trajs, 5, 0.05)
         result = closed_loop_run(plant, model, base_cfg(), np.array([1.5, 0.0]), 3.0, 0.05)
         assert result.warmup_steps == 4
         assert np.all(result.trajectory.inputs[:, :4] == 0.0)
@@ -283,7 +280,7 @@ class TestClosedLoop:
         plant, trajs, _ = vdp_training
         cfg = base_cfg(u_min=2.0, u_max=3.0, du_min=-0.5, du_max=0.5)
         for model, message in (
-            (fit_delay_augmented(trajs, 5), r"warm-up input change \[2\.\] breaks the rate bound"),
+            (fit_delay_augmented(trajs, 5, 0.05), r"warm-up input change \[2\.\] breaks the rate bound"),
             (vdp_edmdc, "constraint set is empty"),
         ):
             with pytest.raises(InfeasibleError, match=f"step 0: {message}") as err:
@@ -293,13 +290,13 @@ class TestClosedLoop:
     def test_warmup_input_within_the_rate_bound_runs(self, vdp_training):
         plant, trajs, _ = vdp_training
         cfg = base_cfg(u_min=0.25, u_max=3.0, du_min=-0.5, du_max=0.5)
-        result = closed_loop_run(plant, fit_delay_augmented(trajs, 5), cfg, np.array([1.0, 0.0]), 1.0, 0.05)
+        result = closed_loop_run(plant, fit_delay_augmented(trajs, 5, 0.05), cfg, np.array([1.0, 0.0]), 1.0, 0.05)
         assert np.all(result.trajectory.inputs[:, :4] == 0.25)
 
     @pytest.mark.parametrize("t_end", [0.05, 0.1, 0.2])
     def test_a_loop_no_longer_than_the_warmup_raises(self, vdp_training, t_end):
         plant, trajs, _ = vdp_training
-        model = fit_delay_augmented(trajs, 5)
+        model = fit_delay_augmented(trajs, 5, 0.05)
         with pytest.raises(InvalidInputError, match="more than the model's 4 warm-up steps"):
             closed_loop_run(plant, model, base_cfg(), np.array([1.5, 0.0]), t_end, 0.05)
         # One step past the warm-up solves one plan.
@@ -459,8 +456,8 @@ def test_degenerate_qp_loop_completes():
     cfg = dataclasses.replace(
         ExperimentConfig(), mu=2.0, u_min=-2.0, u_max=2.0, du_min=-0.5, du_max=0.5,
     )
-    plant, trajectories, samples = make_training_data(cfg)
-    models = fit_models(cfg, trajectories, samples)
+    plant, trajectories, dt = make_training_data(cfg)
+    models = fit_models(cfg, trajectories, dt)
     qp = CondensedMpc(models["edmdc"], mpc_config_from(cfg)).qp(
         models["edmdc"].lift([-4.0, -3.0]), np.zeros(1)
     )
@@ -483,7 +480,7 @@ class TestPartialStateWeights:
     @pytest.fixture(scope="class")
     def x1_delay(self, vdp_training):
         _, trajs, _ = vdp_training
-        return fit_delay_augmented(trajs, 3, coords=(0,))
+        return fit_delay_augmented(trajs, 3, 0.05, coords=(0,))
 
     def test_plant_weight_is_taken_at_recovered_coordinates(self, x1_delay):
         full = base_cfg(q=np.array([[2.0, 0.5], [0.5, 3.0]]), reference=np.array([0.25, -1.0]))
@@ -511,11 +508,11 @@ class TestPartialStateWeights:
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
 def test_nan_measurement_raises_before_the_solver(vdp_training, monkeypatch, kind):
-    plant, trajs, samples = vdp_training
+    plant, trajs, dt = vdp_training
     model = {
-        "dmdc": lambda: fit_dmdc(samples),
-        "edmdc": lambda: fit_edmdc(samples, monomials_dictionary(2, 3)),
-        "delay": lambda: fit_delay_augmented(trajs, 3),
+        "dmdc": lambda: fit_dmdc(trajs, dt),
+        "edmdc": lambda: fit_edmdc(trajs, monomials_dictionary(2, 3), dt),
+        "delay": lambda: fit_delay_augmented(trajs, 3, dt),
     }[kind]()
 
     def unreachable(*args, **kwargs):
@@ -576,8 +573,8 @@ def guess_studies():
         ("mu2", dict(mu=2.0, u_min=-2.0, u_max=2.0, du_min=-0.5, du_max=0.5)),
     ):
         cfg = dataclasses.replace(ExperimentConfig(), ic_grid_n=3, **overrides)
-        plant, trajectories, samples = make_training_data(cfg)
-        out[label] = (cfg, plant, fit_models(cfg, trajectories, samples))
+        plant, trajectories, dt = make_training_data(cfg)
+        out[label] = (cfg, plant, fit_models(cfg, trajectories, dt))
     return out
 
 

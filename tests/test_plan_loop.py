@@ -53,12 +53,12 @@ def mpc_cfg(bounds, **overrides):
 
 @pytest.fixture(scope="module")
 def models(vdp_training):
-    _, trajs, samples = vdp_training
+    _, trajs, dt = vdp_training
     return {
-        "dmdc": fit_dmdc(samples),
-        "edmdc": fit_edmdc(samples, monomials_dictionary(2, 3)),
-        "delay": fit_delay_augmented(trajs, 3),
-        "delay-x1": fit_delay_augmented(trajs, 3, coords=(0,)),
+        "dmdc": fit_dmdc(trajs, dt),
+        "edmdc": fit_edmdc(trajs, monomials_dictionary(2, 3), dt),
+        "delay": fit_delay_augmented(trajs, 3, dt),
+        "delay-x1": fit_delay_augmented(trajs, 3, dt, coords=(0,)),
     }
 
 

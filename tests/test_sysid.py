@@ -21,7 +21,6 @@ from koopmpc import (
     InvalidInputError,
     MissingHistoryError,
     NoEigenfunctionError,
-    SampleSet,
     Trajectory,
     fit_delay_augmented,
     fit_dmdc,
@@ -32,17 +31,19 @@ from koopmpc import (
     mpc_step,
     predict_rollout,
     simulate,
-    snapshots_from_trajectories,
 )
 from koopmpc.dynamics import ForcingSignal
 from koopmpc.sysid import rollout_from_lifted
-from conftest import A0, B0, ZeroForcing, discrete_linear_samples, paths, reference_lift, simulate_discrete
+from conftest import (
+    A0, B0, ZeroForcing, discrete_linear_samples, one_step_paths, paths, reference_lift, simulate_discrete,
+)
+from fit_reference import snapshot_columns
 
 
 class TestFitDmdc:
     def test_exact_recovery(self):
         data = discrete_linear_samples(m=50, seed=0)
-        model = fit_dmdc(data)
+        model = fit_dmdc(data, 0.1)
         assert np.linalg.norm(model.a - A0) < 1e-10
         assert np.linalg.norm(model.b - B0) < 1e-10
         assert np.array_equal(model.c, np.eye(2))
@@ -50,15 +51,15 @@ class TestFitDmdc:
     def test_zero_inputs_kill_input_channel(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 40))
-        data = SampleSet(x=x, xp=A0 @ x, u=np.zeros((1, 40)), dt=0.1)
-        model = fit_dmdc(data)
+        model = fit_dmdc(one_step_paths(x, A0 @ x, np.zeros((1, 40))), 0.1)
         assert np.max(np.abs(model.b)) < 1e-12
         plain = lstsq_min_norm(x.T, (A0 @ x).T).T
         assert np.max(np.abs(model.a - plain)) < 1e-10
 
     def test_equals_the_direct_state_regression_bitwise(self, vdp_training):
-        _, _, data = vdp_training
-        model = fit_dmdc(data)
+        _, trajs, dt = vdp_training
+        model = fit_dmdc(trajs, dt)
+        data = snapshot_columns(trajs, dt)
         w = lstsq_min_norm(np.vstack([data.x, data.u]).T, data.xp.T).T
         assert np.array_equal(model.a, w[:, :2]) and np.array_equal(model.b, w[:, 2:])
         assert model.fit_residual == math.sqrt(float(np.sum(np.square(w @ np.vstack([data.x, data.u]) - data.xp))))
@@ -67,28 +68,24 @@ class TestFitDmdc:
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
-            fit_dmdc(discrete_linear_samples(m=2))
+            fit_dmdc(discrete_linear_samples(m=2), 0.1)
 
     def test_input_scaling_equivariance(self):
         data = discrete_linear_samples(m=60, seed=4)
-        base = fit_dmdc(data)
+        base = fit_dmdc(data, 0.1)
         for s in (0.5, 2.0):
-            scaled = SampleSet(x=data.x, xp=data.xp, u=s * data.u, dt=data.dt)
-            model = fit_dmdc(scaled)
+            model = fit_dmdc(Trajectory(data.times, data.states, s * data.inputs), 0.1)
             assert np.max(np.abs(model.b * s - base.b)) < 1e-8
             assert np.max(np.abs(model.a - base.a)) < 1e-8
 
     def test_training_residual_is_locally_optimal(self):
         rng = np.random.default_rng(12)
-        data = discrete_linear_samples(m=30, seed=3)
-        noisy = SampleSet(
-            x=data.x, xp=data.xp + 0.01 * rng.standard_normal(data.xp.shape),
-            u=data.u, dt=data.dt,
-        )
-        model = fit_dmdc(noisy)
+        data = snapshot_columns(discrete_linear_samples(m=30, seed=3), 0.1)
+        noisy_xp = data.xp + 0.01 * rng.standard_normal(data.xp.shape)
+        model = fit_dmdc(one_step_paths(data.x, noisy_xp, data.u), 0.1)
 
         def residual(a, b):
-            return np.linalg.norm(a @ noisy.x + b @ noisy.u - noisy.xp)
+            return np.linalg.norm(a @ data.x + b @ data.u - noisy_xp)
 
         base = residual(model.a, model.b)
         for _ in range(100):
@@ -102,8 +99,8 @@ class TestFitEdmdc:
     def test_linear_monomials_reduce_to_dmdc(self):
         for seed in range(5):
             data = discrete_linear_samples(m=40, seed=seed)
-            plain = fit_dmdc(data)
-            lifted = fit_edmdc(data, monomials_dictionary(2, 1))
+            plain = fit_dmdc(data, 0.1)
+            lifted = fit_edmdc(data, monomials_dictionary(2, 1), 0.1)
             assert np.max(np.abs(plain.a - lifted.a)) < 1e-12
             assert np.max(np.abs(plain.b - lifted.b)) < 1e-12
 
@@ -116,8 +113,7 @@ class TestFitEdmdc:
         for _ in range(40):
             x0 = rng.uniform(-1.5, 1.5, 2)
             trajs.append(simulate(slow_manifold, x0, ZeroForcing(), 0.1, 0.01))
-        data = snapshots_from_trajectories(trajs, 0.01)
-        model = fit_edmdc(data, dic)
+        model = fit_edmdc(trajs, dic, 0.01)
         truth = simulate(slow_manifold, [1.2, -0.8], ZeroForcing(), 1.0, 0.01)
         pred = predict_rollout(model, truth.states[:, 0], truth.inputs)
         rms = np.sqrt(np.mean((pred.states - truth.states) ** 2))
@@ -125,7 +121,7 @@ class TestFitEdmdc:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            fit_edmdc(discrete_linear_samples(m=4), monomials_dictionary(2, 2))
+            fit_edmdc(discrete_linear_samples(m=4), monomials_dictionary(2, 2), 0.1)
 
     def test_fit_residual_does_not_depend_on_blas_threads(self):
         # The default study's 21 x 4,000 residual is large enough for a
@@ -134,8 +130,8 @@ class TestFitEdmdc:
             "from koopmpc.benchmark import fit_models, make_training_data\n"
             "from koopmpc.config import ExperimentConfig\n"
             "cfg = ExperimentConfig(models=['edmdc'])\n"
-            "_, trajectories, samples = make_training_data(cfg)\n"
-            "print(fit_models(cfg, trajectories, samples)['edmdc'].fit_residual.hex())\n"
+            "_, trajectories, dt = make_training_data(cfg)\n"
+            "print(fit_models(cfg, trajectories, dt)['edmdc'].fit_residual.hex())\n"
         )
         src = str(Path(koopmpc.__file__).resolve().parents[1])
         residuals = []
@@ -161,15 +157,15 @@ class TestFitDelayAugmented:
 
     def test_depth_one_equals_dmdc(self):
         trajs = self._linear_trajs()
-        delay = fit_delay_augmented(trajs, 1)
-        plain = fit_dmdc(snapshots_from_trajectories(trajs, 0.1))
+        delay = fit_delay_augmented(trajs, 1, 0.1)
+        plain = fit_dmdc(trajs, 0.1)
         assert np.array_equal(delay.a, plain.a)
         assert np.array_equal(delay.b, plain.b)
 
     def test_structural_blocks_are_exact(self):
         trajs = self._linear_trajs()
         d = 4
-        model = fit_delay_augmented(trajs, d)
+        model = fit_delay_augmented(trajs, d, 0.1)
         n_e = 2
         z_dim = d * n_e
         a, b = model.a, model.b
@@ -203,7 +199,7 @@ class TestFitDelayAugmented:
             trajs.append(
                 simulate(linear_plant, x0, ForcingSignal.product_sines(1.0, w[0], w[1]), 3.0, 0.05)
             )
-        model = fit_delay_augmented(trajs, 5, coords=(0,))
+        model = fit_delay_augmented(trajs, 5, 0.05, coords=(0,))
         test = simulate(
             linear_plant, [1.0, 0.0], ForcingSignal.product_sines(1.0, 2.0, 3.0), 3.0, 0.05
         )
@@ -229,7 +225,7 @@ class TestFitDelayAugmented:
             u = rng.standard_normal((1, steps))
             states = simulate_discrete(A0, B0, rng.standard_normal(2), u)
             trajs.append(Trajectory(times=np.arange(steps + 1) * 0.1, states=states, inputs=u))
-        model = fit_delay_augmented(trajs, 4, coords=coords)
+        model = fit_delay_augmented(trajs, 4, 0.1, coords=coords)
         # The regression on per-trajectory lift_windows columns, joined by hstack.
         h, rows = model.lifting.history_steps, list(model.lifting.coords)
         reg = np.vstack([
@@ -246,12 +242,12 @@ class TestFitDelayAugmented:
 
     def test_coords_outside_the_state_raise(self):
         with pytest.raises(InvalidInputError, match="coords"):
-            fit_delay_augmented(self._linear_trajs(), 2, coords=(5,))
+            fit_delay_augmented(self._linear_trajs(), 2, 0.1, coords=(5,))
 
     def test_short_trajectory_raises(self):
         trajs = self._linear_trajs(n_traj=1, steps=3)
         with pytest.raises(InsufficientDataError):
-            fit_delay_augmented(trajs, 5)
+            fit_delay_augmented(trajs, 5, 0.1)
 
 
 class TestIdentifyEigenfunctions:
@@ -308,13 +304,13 @@ class TestIdentifyEigenfunctions:
 
 class TestPredictRollout:
     def test_zero_length_input_returns_start(self):
-        model = fit_dmdc(discrete_linear_samples(m=40, seed=1))
+        model = fit_dmdc(discrete_linear_samples(m=40, seed=1), 0.1)
         traj = predict_rollout(model, np.array([0.4, -0.2]), np.zeros((1, 0)))
         assert traj.states.shape == (2, 1)
         assert np.allclose(traj.states[:, 0], [0.4, -0.2])
 
     def test_exact_linear_rollout(self):
-        model = fit_dmdc(discrete_linear_samples(m=50, seed=2))
+        model = fit_dmdc(discrete_linear_samples(m=50, seed=2), 0.1)
         rng = np.random.default_rng(11)
         u = rng.standard_normal((1, 100))
         x0 = np.array([1.0, -1.0])
@@ -324,7 +320,7 @@ class TestPredictRollout:
 
     def test_delay_requires_history(self):
         trajs = TestFitDelayAugmented._linear_trajs()
-        model = fit_delay_augmented(trajs, 3)
+        model = fit_delay_augmented(trajs, 3, 0.1)
         with pytest.raises(MissingHistoryError):
             predict_rollout(model, np.zeros(2), np.zeros((1, 5)))
 
@@ -337,9 +333,9 @@ def _small_study():
     from koopmpc.config import config_from_mapping
 
     cfg = config_from_mapping({"seed": 4, "n_trajectories": 30, "n_validation": 3})
-    plant, trajs, samples = make_training_data(cfg)
-    models = fit_models(cfg, trajs, samples)
-    models["delay-x1"] = fit_delay_augmented(trajs, 5, coords=(0,))
+    plant, trajs, dt = make_training_data(cfg)
+    models = fit_models(cfg, trajs, dt)
+    models["delay-x1"] = fit_delay_augmented(trajs, 5, dt, coords=(0,))
     return models, paths(make_validation_trajectories(cfg, plant))
 
 
