@@ -202,8 +202,9 @@ def cmd_benchmark(args):
     _write_cost_table(report, out / "per_ic_costs.csv")
     elapsed = time.time() - t0
     # Timing and the environment live outside report.json so reports stay byte-reproducible.
-    env = {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-           "numpy": np.__version__, "scipy": scipy.__version__}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {"cpu_count": os.cpu_count(), "blas_threads": {name: os.environ.get(name) for name in threads},
+           "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
     write_json(
         {"wall_time_seconds": elapsed, "stage_seconds": stage_seconds, **env},
         out / "run_info.json",

@@ -316,6 +316,7 @@ def closed_loop_to_csv(result, path):
 
 
 def closed_loop_summary(result, success_threshold):
+    """One closed loop's totals; ``qp_guess_hits`` counts the steps whose plan the table of optimal sets found."""
     final_norm = float(np.linalg.norm(result.final_state))
     return {
         "total_cost": result.total_cost,

@@ -96,9 +96,9 @@ class ActiveSetTable:
     of a zero row appended to ``G``) live in slots of two buffers, so one
     product screens every stored set. A stored law is never changed; the
     least recently recorded set gives up its slot when the table holds
-    ``_ACTIVE_SETS_MAX`` sets. The table only proposes:
-    :meth:`CondensedMpc.plan` accepts a proposal through
-    :func:`verify_active_set`, as it does a guess.
+    ``_ACTIVE_SETS_MAX`` sets. The table is the one warm path of
+    :meth:`CondensedMpc.plan`, and it only proposes: a proposal is accepted
+    only through :func:`verify_active_set`.
     """
 
     def __init__(self, rows, h_inv, slack_map):
@@ -110,13 +110,27 @@ class ActiveSetTable:
         self._laws = self._index = None  # slot buffers, made on the first store
 
     def propose(self, w, slack, tol):
-        """The first stored set whose multipliers are ``>= -tol`` and slacks ``<= tol`` at ``w``, or None.
+        """A stored set whose multipliers are ``>= -tol`` and slacks ``<= tol`` at ``w``, or None.
 
-        ``slack`` is ``s(w)``, the last rows of ``_stack @ w``.
+        ``slack`` is ``s(w)``, the last rows of ``_stack @ w``. The most
+        recently recorded set is checked first, on its own law, since
+        consecutive steps mostly end on the same set; then :meth:`_screen`
+        checks every stored set. A non-finite ``w`` passes no law: the slack
+        a law leaves on each of its own rows, ``s_A - G_AA L_A w``, is then
+        NaN or ``+inf``.
         """
-        count, n = len(self._active), self._n
-        if not count:
+        if not self._active:
             return None
+        slot = self._slots[next(reversed(self._slots))]
+        rows = self._index[slot, : len(self._active[slot])]
+        lam = self._laws[slot, : rows.size] @ w
+        if lam.min() >= -tol and (slack - lam @ self._gram.take(rows, axis=0)).max() <= tol:
+            return self._active[slot]
+        return self._screen(w, slack, tol)
+
+    def _screen(self, w, slack, tol):
+        """The first stored set whose law passes at ``w``, from one product over every slot, or None."""
+        count, n = len(self._active), self._n
         lam = (self._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
         cand = np.flatnonzero((lam >= -tol).all(axis=1))  # a NaN fails
         if cand.size:
@@ -190,7 +204,7 @@ class CondensedMpc:
     model and config hold the same content: :func:`condensed` builds one per
     content and keeps the last few. Its one mutable part is the
     :class:`ActiveSetTable` of the optimal sets its steps have found, which
-    only proposes sets for the same verification a guess gets.
+    only proposes sets for :func:`verify_active_set`.
     """
 
     def __init__(self, model, cfg):
@@ -257,15 +271,6 @@ class CondensedMpc:
         self._rate_shift = np.vstack([emat, -emat])[keep]
         # Rate rows first: only their right-hand sides move with u_prev.
         self._rows, self._rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
-        # Each stacked row as (family, plan entry), families in the order
-        # _constraint_rows stacks them: rate up, rate down, box up, box down.
-        # _row_shift maps a row to its family's row one horizon step earlier,
-        # or to -1 for a row on the first step.
-        masks = np.isfinite([du_max, du_min, self.ub, self.lb])
-        family, entry = np.nonzero(masks)
-        row_of = np.full(masks.shape, -1)
-        row_of[family, entry] = np.arange(family.size)
-        self._row_shift = np.where(entry >= q_in, row_of[family, entry - q_in], -1)
         # The solver's form of the step QP, on the same factor.
         self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
         # Maps w = [z0; 1; u_prev] to the gradient, the unconstrained plan and each row's slack.
@@ -331,10 +336,6 @@ class CondensedMpc:
         """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
         return self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
 
-    def shift_active(self, active):
-        """Rows ``active`` one horizon step earlier, in order; first-step rows drop out."""
-        return tuple(int(r) for r in self._row_shift[list(active)] if r >= 0)
-
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
         """Whether a stacked plan meets every box and rate row to within ``tol``."""
         u_seq = np.asarray(u_seq, dtype=float).reshape(-1)
@@ -346,7 +347,7 @@ class CondensedMpc:
         box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
         return bool(box and (self._rows[:r] @ u_seq <= self._step_rhs(u_prev)[:r] + tol).all())
 
-    def plan(self, z0, u_prev, qp_tol, active_guess=None):
+    def plan(self, z0, u_prev, qp_tol):
         """One step's plan: ``(u, plan, iterations, kkt_residual, active_set, guess_hit)``.
 
         ``z0`` and ``u_prev`` are float vectors of the model's sizes and
@@ -354,10 +355,10 @@ class CondensedMpc:
         checked for finiteness here. ``plan`` is the stacked solution, the
         ``N`` moves of ``q`` inputs one after another, and ``u`` its first
         move clipped to the input box; only ``u`` is checked against the
-        rate bound. A step that leaves the unconstrained law tries
-        ``active_guess``, its shift, then the table's proposal, each through
-        :func:`verify_active_set`, before the cold solve, and records the
-        optimal set it ends on in the table; a table hit reports
+        rate bound. A step that leaves the unconstrained law sends the
+        table's one proposal, if any, to :func:`verify_active_set`, and
+        otherwise (or if that rejects it) runs the cold solve; it records
+        the optimal set it ends on in the table. A verified proposal reports
         ``guess_hit`` and 0 iterations.
 
         Raises:
@@ -375,16 +376,9 @@ class CondensedMpc:
             residual = float(np.abs(self.h @ sol + g).max())
         if not residual <= qp_tol:  # a NaN residual fails too
             qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
-            if active_guess is not None:
-                active = active_guess
+            active = self._table.propose(w, slack, math.sqrt(qp_tol))
+            if active is not None:
                 hit = verify_active_set(qp, active, qp_tol)
-                if hit is None:
-                    active = self.shift_active(active_guess)
-                    hit = verify_active_set(qp, active, qp_tol)
-            if hit is None:
-                active = self._table.propose(w, slack, math.sqrt(qp_tol))
-                if active is not None:
-                    hit = verify_active_set(qp, active, qp_tol)
             if hit is not None:
                 sol, residual = hit
             else:
@@ -450,9 +444,10 @@ class MpcStep:
     ``qp_iterations == 0``, that minimizer's finite stationarity residual
     ``||H u + g||_inf`` as ``kkt_residual``, and no ``active_set``. Any other
     step reports the KKT residual and the active rows (indices into the
-    condensed QP's stacked rows) of its plan: a verified guess or table
-    proposal (``guess_hit``) with 0 iterations, or else the dual active-set
-    solve with its iterations.
+    condensed QP's stacked rows) of its plan: a verified proposal of the
+    condensation's table of optimal sets (``guess_hit``: the table guessed
+    the optimal set) with 0 iterations, or else the dual active-set solve
+    with its iterations.
     """
 
     u: np.ndarray                 # applied input (first element of the plan)
@@ -460,7 +455,7 @@ class MpcStep:
     qp_iterations: int
     kkt_residual: float
     active_set: tuple | None = None  # active rows of the plan; None on the unconstrained law
-    guess_hit: bool = False          # the plan came from a verified guess or table proposal
+    guess_hit: bool = False          # the plan came from a verified table proposal
 
 
 def mpc_step(
@@ -471,7 +466,6 @@ def mpc_step(
     history_states=None,
     history_inputs=None,
     qp_tol=1e-8,
-    active_guess=None,
 ):
     """Solve the horizon problem from a fresh measurement and return the plan.
 
@@ -484,17 +478,15 @@ def mpc_step(
     ``predict_rollout`` of ``input_sequence`` gives those.
 
     The unconstrained minimizer is taken when it meets every stacked box and
-    rate row and its stationarity residual is within ``qp_tol``. Otherwise,
-    if ``active_guess`` (active rows of an earlier plan, say the previous
-    step's) is given, that set and then the same set shifted one horizon step
-    earlier are each checked with one KKT solve, and the first whose plan is
-    optimal within ``qp_tol`` is taken. Next, the condensation's table of
-    optimal sets (:class:`ActiveSetTable`) may propose the first stored set
-    whose explicit law fits this step, checked the same way. A guess or a
-    proposal is only verified, never iterated from. Failing that, the
-    condensed QP, on the same rows, goes to the dual active-set solver,
-    which starts from the unconstrained minimizer. :meth:`CondensedMpc.plan`
-    does this arithmetic.
+    rate row and its stationarity residual is within ``qp_tol``. Otherwise
+    the condensation's table of optimal sets (:class:`ActiveSetTable`) may
+    propose one set whose explicit law fits this step: its most recently
+    recorded set, or else the first stored set that passes its screen. The
+    proposal is checked with one KKT solve and taken if its plan is optimal
+    within ``qp_tol``; it is only verified, never iterated from. Failing
+    that, the condensed QP, on the same rows, goes to the dual active-set
+    solver, which starts from the unconstrained minimizer.
+    :meth:`CondensedMpc.plan` does this arithmetic.
 
     Raises:
         InvalidInputError: the lifted measurement or ``u_prev`` is not
@@ -507,7 +499,7 @@ def mpc_step(
     cond = condensed(model, cfg)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
     z0, u_prev = cond._checked(z0, u_prev)
-    u, plan, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol, active_guess)
+    u, plan, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol)
     q_in = cond.input_dim
     return MpcStep(
         u=u,
@@ -568,9 +560,8 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     at u = 0 clipped to the input box; the move onto that input from
     ``u_prev = 0`` must meet the rate bound, as a planned first move must,
     and ``t_end`` must cover more steps than the warm-up. A step that leaves
-    the unconstrained law first checks the active rows of the last such
-    step's plan as a guess, then the condensation's table of optimal sets
-    (see :func:`mpc_step`).
+    the unconstrained law asks the condensation's table of optimal sets for
+    a proposal before the cold solve (see :func:`mpc_step`).
 
     ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
     lifting's ``check_windows``) are checked once, and the condensation
@@ -581,13 +572,14 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     :func:`mpc_step`, so the loop is bitwise the loop of ``mpc_step`` and
     ``rk4_step`` calls. What can fail only on a step's values is still
     checked every step: a lift that is not finite, the unconstrained law's
-    rows and residual, a guess's KKT residual, the solver's tolerance, the
+    rows and residual, a proposal's KKT residual, the solver's tolerance, the
     first move's rate bound and the plant's divergence.
 
     ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
-    ``guess_hit`` arrays. A step solved by the unconstrained law, a
-    verified guess or a table proposal has 0 iterations and a finite residual; a delay warm-up
-    step, which solves nothing, has 0 iterations and a NaN residual.
+    ``guess_hit`` arrays; ``guess_hit`` marks a plan found by the table. A
+    step solved by the unconstrained law or a verified table proposal has 0
+    iterations and a finite residual; a delay warm-up step, which solves
+    nothing, has 0 iterations and a NaN residual.
 
     Any :class:`KoopmpcError` raised at step ``k`` (a divergence, an
     infeasible horizon problem, a solver that misses ``qp_tol``) keeps its
@@ -616,7 +608,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
     hits = np.zeros(n_steps, dtype=bool)
-    guess = None  # active rows of the last step that left the unconstrained law
     states[:, 0] = x
     u_prev = np.zeros(q_in)
     times = np.arange(n_steps + 1) * dt
@@ -645,9 +636,7 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 cond.check_move(u, u_prev, "warm-up input change")
             else:
                 z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
-                u, _, iters[k], resid[k], active, hits[k] = cond.plan(z0, u_prev, qp_tol, guess)
-                if active is not None:
-                    guess = active
+                u, _, iters[k], resid[k], _, hits[k] = cond.plan(z0, u_prev, qp_tol)
             inputs[:, k] = u
             x = rk4_step(plant, x, u, times[k], dt)
         except KoopmpcError as err:

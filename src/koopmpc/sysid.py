@@ -105,7 +105,7 @@ def _training_hash(batches, dt):
     h = hashlib.sha256()
     states = [s for s, _ in batches]
     for part in ([s[..., :-1] for s in states], [s[..., 1:] for s in states], [u for _, u in batches]):
-        h.update(_join([a.reshape(len(a), -1) for a in part]).tobytes())
+        h.update(_join([a.reshape(len(a), math.prod(a.shape[1:])) for a in part]).tobytes())
     h.update(np.float64(dt).tobytes())
     return h.hexdigest()[:16]
 
@@ -134,7 +134,7 @@ def fit_edmdc(trajectories, lifting, dt, svd_tol=DEFAULT_SVD_TOL):
     lifted = [lifting.lift_windows(s, u) for s, u in batches_used]
     reg = np.vstack([
         _join([z[..., :-1].reshape(dim, -1) for z in lifted]),
-        _join([u[..., h:].reshape(q, -1) for _, u in batches_used]),
+        _join([u[..., h:].reshape(q, u.shape[1] * (u.shape[2] - h)) for _, u in batches_used]),
     ])
     target = _join([z[:n_free, :, 1:].reshape(n_free, -1) for z in lifted])
     w, residual = _regress(reg, target, svd_tol)

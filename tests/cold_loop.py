@@ -1,11 +1,10 @@
-"""Closed loop without active-set guesses or stored laws: the reference the loop is tested against.
+"""Closed loop without stored optimal sets: the reference the loop is tested against.
 
 Every step lifts the measurement, takes the unconstrained law when it meets
 every row and its stationarity residual is within ``qp_tol`` (as
 ``CondensedMpc.plan`` does), and otherwise sends the step's QP straight to
-the cold dual solve, ``solve_qp_info``. Neither an active-set guess nor the
-condensation's table of optimal sets can reach it, and it records nothing
-in that table. It keeps every step's plan, and raises the loop's typed
+the cold dual solve, ``solve_qp_info``. The condensation's table of
+optimal sets cannot reach it, and it records nothing in that table. It keeps every step's plan, and raises the loop's typed
 errors without partial results.
 """
 

@@ -40,7 +40,7 @@ def snapshot_columns(trajectories, dt):
     return SimpleNamespace(
         x=np.concatenate([s[..., :-1].reshape(n, -1) for s, _ in batches], axis=1),
         xp=np.concatenate([s[..., 1:].reshape(n, -1) for s, _ in batches], axis=1),
-        u=np.concatenate([u.reshape(q, -1) for _, u in batches], axis=1),
+        u=np.concatenate([u.reshape(q, u.shape[1] * u.shape[2]) for _, u in batches], axis=1),
         dt=dt,
     )
 
@@ -90,7 +90,7 @@ def reference_fit_delay(trajectories, depth, dt, svd_tol=DEFAULT_SVD_TOL, coords
     if sum(s.shape[1] * (s.shape[-1] - h - 1) for s, _ in used) < dim + q:
         raise InsufficientDataError(f"need at least {dim + q} embedded columns")
     lifted = np.concatenate([dc.lift_windows(s[..., :-1], u).reshape(dim, -1) for s, u in used], axis=1)
-    inputs = np.concatenate([u[..., h:].reshape(q, -1) for _, u in used], axis=1)
+    inputs = np.concatenate([u[..., h:].reshape(q, u.shape[1] * (u.shape[2] - h)) for _, u in used], axis=1)
     target = np.concatenate([s[list(dc.coords), :, h + 1 :].reshape(n_e, -1) for s, _ in used], axis=1)
     reg = np.vstack([lifted, inputs])
     w, residual = regress(reg, target, svd_tol)

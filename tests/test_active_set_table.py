@@ -1,11 +1,13 @@
 """The table of optimal active sets that each condensation keeps.
 
-``CondensedMpc.plan`` asks the table only after the unconstrained law, the
-active-set guess and its shift have failed, and takes its proposal only
-through ``verify_active_set``. So the table may change which path finds a
-plan and how many solver iterations a step reports, not the plan: away from
-degenerate vertices, a loop on a warm table gives the bits of the same loop
-on an empty one.
+The table is the one warm path of ``CondensedMpc.plan``: a step that leaves
+the unconstrained law asks it for one proposal (its most recently recorded
+set if that set's law passes, else the first stored set that passes the
+screen) and takes that proposal only through ``verify_active_set``, before
+the cold solve. So the table may change which path finds a plan and how many
+solver iterations a step reports, not the plan: away from degenerate
+vertices, a loop on a warm table gives the bits of the same loop on an empty
+one.
 """
 
 import numpy as np
@@ -117,7 +119,7 @@ def test_every_table_hit_is_the_plan_verify_active_set_gives(vdp_training, model
     for x0 in [(-3.0, 3.5), (1.5, -2.5), (-0.5, -3.0)]:
         calls.clear()
         closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
-        for cond, (z0, u_prev, qp_tol, _), (_, sol, iterations, residual, active, hit), asked in calls:
+        for cond, (z0, u_prev, qp_tol), (_, sol, iterations, residual, active, hit), asked in calls:
             if not asked or asked[0][1] is None:
                 continue
             (w, proposed), = asked
@@ -197,8 +199,90 @@ def test_a_set_with_dependent_rows_is_never_stored_and_breaks_no_step(linear_mod
     active = tuple(sorted(dependent | set(extra)))
     cond._table.record(active)
     assert len(cond._table._slots) == 0
-    # As a guess, the set may be verified or not; either way the step gets the cold plan.
     z0, u_prev = linear_model.lift(np.array(x)), np.array([u_prev])
-    sol = cond.plan(z0, u_prev, QP_TOL, active_guess=active)[1]
+    sol = cond.plan(z0, u_prev, QP_TOL)[1]
     np.testing.assert_allclose(sol, cold_plan(cond, z0, u_prev, QP_TOL)[0], rtol=0.0, atol=1e-12)
     assert not any(dependent <= set(key) for key in cond._table._slots)
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_a_step_verifies_at_most_one_set(vdp_training, models, monkeypatch, kind):
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg("saturated")
+    verified, steps = [], []
+    verify, plan = koopmpc.mpc.verify_active_set, CondensedMpc.plan
+
+    def counting_verify(qp, active, tol):
+        verified.append(active)
+        return verify(qp, active, tol)
+
+    def counting_plan(cond, *args):
+        before = len(verified)
+        out = plan(cond, *args)
+        steps.append((len(verified) - before, out[4], out[5]))
+        return out
+
+    monkeypatch.setattr(koopmpc.mpc, "verify_active_set", counting_verify)
+    monkeypatch.setattr(CondensedMpc, "plan", counting_plan)
+    for ic in WARM_UP_ICS:
+        closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
+    for calls, active, hit in steps:
+        # A step on the unconstrained law verifies nothing; any other verifies the table's one proposal.
+        assert calls <= (active is not None)
+        assert calls == 1 or not hit
+    assert any(hit for _, _, hit in steps)
+
+
+@pytest.fixture(scope="module")
+def warm_tables(vdp_training, models):
+    """Per kind: a saturated condensation warmed by the WARM_UP_ICS loops, and the ``w`` of each step that asked its table."""
+    plant, out = vdp_training[0], {}
+    propose = ActiveSetTable.propose
+    for kind, model in models.items():
+        asked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(koopmpc.mpc, "_condensations", {})
+            mp.setattr(ActiveSetTable, "propose", lambda self, w, *args: asked.append(w) or propose(self, w, *args))
+            for ic in WARM_UP_ICS:
+                closed_loop_run(plant, model, mpc_cfg("saturated"), np.array(ic), 1.0, DT)
+            out[kind] = condensed(model, mpc_cfg("saturated")), asked
+    return out
+
+
+def screen_passes(table, w, slack, tol):
+    """Per stored slot, whether its law passes at ``w``, by the screen's product over every slot."""
+    count, n = len(table._active), table._n
+    lam = (table._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
+    on_rows = np.zeros((count, table._gram.shape[0]))
+    on_rows[np.arange(count)[:, None], table._index[:count]] = lam
+    return (lam >= -tol).all(axis=1) & (slack - on_rows @ table._gram <= tol).all(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+@settings(max_examples=60, deadline=None)
+@given(
+    step=st.integers(0, 10**6),
+    pick=st.integers(-1, 10**6),
+    scale=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_the_recent_set_is_proposed_only_where_the_screen_passes_it(warm_tables, kind, step, pick, scale, seed, bad):
+    cond, asked = warm_tables[kind]
+    table, n, tol = cond._table, cond.h.shape[0], np.sqrt(QP_TOL)
+    w = asked[step % len(asked)]
+    w = w + scale * np.abs(w).max() * np.random.default_rng(seed).standard_normal(w.size)
+    slack = cond._stack[2 * n :] @ w
+    # Make a stored set the most recent: the one the screen proposes at w (pick -1), or any other.
+    recent = table._screen(w, slack, tol) if pick < 0 else None
+    recent = recent or table._active[pick % len(table._active)]
+    table.record(recent)
+    got, screened = table.propose(w, slack, tol), table._screen(w, slack, tol)
+    assert got in (recent, screened)
+    if got == recent:  # the recent set is proposed only where the screen passes it too
+        assert screen_passes(table, w, slack, tol)[table._slots[tuple(sorted(recent))]]
+        assert screened is not None
+    empty = ActiveSetTable(cond._rows, cond._h_inv, cond._stack[2 * n :])
+    assert empty.propose(w, slack, tol) is None
+    w[seed % w.size] = bad
+    with np.errstate(invalid="ignore"):
+        assert table.propose(w, cond._stack[2 * n :] @ w, tol) is None

@@ -606,6 +606,19 @@ class TestBenchmarkCommand:
         for key in info:
             assert f'"{key}"' not in report
 
+    def test_run_info_records_the_blas_thread_settings(self, tmp_path, monkeypatch):
+        # Read from the environment, as set for the run; an unset variable is null.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_json(out / "run_info.json")["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+        }
+        assert '"blas_threads"' not in (out / "report.json").read_text()
+
     def test_run_info_records_stage_seconds_outside_the_report(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "bench"

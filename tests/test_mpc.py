@@ -472,7 +472,7 @@ def test_degenerate_qp_loop_completes():
         assert result.stage_costs.size == 200, name
         assert np.nanmax(result.solve_stats["kkt_residual"]) <= 1e-8, name
         if name == "edmdc":
-            # Every step left the unconstrained law: the solver ran or a guess was verified.
+            # Every step left the unconstrained law: the solver ran or a proposal was verified.
             assert np.all((result.solve_stats["iterations"] > 0) | result.solve_stats["guess_hit"])
 
 
@@ -617,7 +617,7 @@ class TestActiveSetGuesses:
                 continue
             # Every step planned once, and against a cold solve of the same step.
             assert len(steps) == got.stage_costs.size - got.warmup_steps > 0
-            for cond, (z0, u_prev, qp_tol, _), (_, plan, iterations, _, _, hit) in steps:
+            for cond, (z0, u_prev, qp_tol), (_, plan, iterations, _, _, hit) in steps:
                 cold, cold_iterations = cold_plan(cond, z0, u_prev, qp_tol)[:2]
                 np.testing.assert_allclose(plan, cold, rtol=0.0, atol=1e-12)
                 assert iterations == (0 if hit else cold_iterations)
@@ -698,31 +698,14 @@ class TestActiveSetGuesses:
             hit = verify_active_set(qp, guess)
             assert hit is None or np.allclose(hit[0], plan, rtol=0.0, atol=1e-12)
 
-    def test_a_shifted_guess_on_two_rows_of_one_input_falls_back(self, linear_model):
-        # Rate row 1 (u_1 - u_0) and box row 1 (u_1) shift onto rate row 0 and
-        # box row 0, which both hold u_0 alone: a singular KKT system.
-        cfg = base_cfg(u_min=-0.5, u_max=0.5, du_min=-0.2, du_max=0.2)
-        cond = CondensedMpc(linear_model, cfg)
-        n_rate = cond._rate_bound.size
-        guess = (1, n_rate + 1)
-        assert cond.shift_active(guess) == (0, n_rate)
-        x, u_prev = np.array([3.0, -2.0]), np.array([0.4])
-        qp = cond.factored_qp(cond._gradient(linear_model.lift(x), u_prev), u_prev)
-        assert verify_active_set(qp, (0, n_rate)) is None
-        step = mpc_step(linear_model, x, u_prev, cfg, active_guess=guess)
-        koopmpc.mpc._condensations.clear()  # a cold step, not a hit on the set just recorded
-        cold = mpc_step(linear_model, x, u_prev, cfg)
-        assert not step.guess_hit and step.qp_iterations == cold.qp_iterations > 0
-        assert np.array_equal(step.input_sequence, cold.input_sequence)
-        assert step.active_set == cold.active_set
-
     def test_a_step_reports_how_its_plan_was_found(self, linear_model):
         cfg = base_cfg(u_min=-0.5, u_max=0.5, du_min=-0.2, du_max=0.2)
         x, u_prev = np.array([3.0, -2.0]), np.array([0.4])
         cold = mpc_step(linear_model, x, u_prev, cfg)
         assert not cold.guess_hit and cold.active_set
-        warm = mpc_step(linear_model, x, u_prev, cfg, active_guess=cold.active_set)
+        # The same step again: the table's most recently recorded set is the cold solve's.
+        warm = mpc_step(linear_model, x, u_prev, cfg)
         assert warm.guess_hit and warm.qp_iterations == 0 and warm.active_set == cold.active_set
         assert np.array_equal(warm.input_sequence, cold.input_sequence)
-        free = mpc_step(linear_model, np.zeros(2), np.zeros(1), cfg, active_guess=cold.active_set)
+        free = mpc_step(linear_model, np.zeros(2), np.zeros(1), cfg)
         assert free.active_set is None and not free.guess_hit and free.qp_iterations == 0

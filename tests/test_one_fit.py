@@ -1,5 +1,6 @@
 """Every model kind is one regression over the lifted batch, with the bits of the reference fits."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -91,6 +92,18 @@ def test_one_step_paths_give_the_reference_bits(kind):
         trajs = [trajs, longer]
     fit, reference = fits(kind, 2)
     assert_same_model(fit(trajs), reference(trajs))
+
+
+@pytest.mark.parametrize("kind", [("dmdc",), ("edmdc", 2), ("delay", 2, None)])
+def test_a_plant_without_inputs_fits_every_kind(kind):
+    # A ControlSystem may have no inputs: its (0, M, T - 1) input batch adds no regressor rows.
+    rng = np.random.default_rng(5)
+    trajs = Trajectory(np.arange(10) * DT, rng.standard_normal((2, 10)), np.empty((0, 9)))
+    fit, reference = fits(kind, 2)
+    model, want = fit(trajs), reference(trajs)
+    assert model.b.shape == want.b.shape == (model.lifted_dim, 0)
+    # The bits of the reference, but for the strides of the empty B.
+    assert_same_model(replace(model, b=want.b), want)
 
 
 @pytest.mark.parametrize("fit", [

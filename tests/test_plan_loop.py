@@ -4,9 +4,9 @@
 window with the lifting's ``lift_checked`` and plans with
 ``CondensedMpc.plan``, on a condensation taken from a bounded memo keyed on
 content. The reference here is the same loop spelled out with public
-``mpc_step`` and ``rk4_step`` calls and the same active-set guess handoff;
-the two must agree bit for bit, the error and partial result of a run that
-diverges or whose lift overflows included.
+``mpc_step`` and ``rk4_step`` calls; the two must agree bit for bit, the
+error and partial result of a run that diverges or whose lift overflows
+included.
 """
 
 import copy
@@ -82,7 +82,7 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     rec = dict(stage=np.empty(n_steps), iterations=np.zeros(n_steps, dtype=int),
                kkt=np.full(n_steps, np.nan), hits=np.zeros(n_steps, dtype=bool))
     x = states[:, 0] = np.asarray(x0, dtype=float)
-    u_prev, guess = np.zeros(q_in), None
+    u_prev = np.zeros(q_in)
     error = None
     for k in range(n_steps):
         try:
@@ -90,12 +90,10 @@ def stepwise_loop(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 u = np.clip(np.zeros(q_in), cfg.u_min, cfg.u_max)
             else:
                 step = mpc_step(model, x, u_prev, cfg, history_states=states[:, :k],
-                                history_inputs=inputs[:, :k], qp_tol=qp_tol, active_guess=guess)
+                                history_inputs=inputs[:, :k], qp_tol=qp_tol)
                 u = step.u
                 rec["iterations"][k], rec["kkt"][k], rec["hits"][k] = (
                     step.qp_iterations, step.kkt_residual, step.guess_hit)
-                if step.active_set is not None:
-                    guess = step.active_set
             inputs[:, k] = u
             rec["stage"][k] = _stage_costs(cfg, x[:, None], u[:, None], u_prev[:, None])[0]
             x = rk4_step(plant, x, u, k * dt, dt)
@@ -151,7 +149,7 @@ def test_loop_is_bitwise_the_loop_of_public_steps(vdp_training, models, kind, bo
 )
 def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
     # An unstable plant under a wrong model and saturated inputs: the state
-    # passes DIVERGENCE_LIMIT within the run, after steps on guessed active sets.
+    # passes DIVERGENCE_LIMIT within the run, after steps on proposed active sets.
     plant = ControlSystem(2, 1, LinearRhs(10.0 * np.eye(2), np.array([[0.0], [1.0]])))
     model = LinearControlModel(
         a=1.2 * np.eye(2), b=np.array([[0.0], [0.05]]), c=np.eye(2),
