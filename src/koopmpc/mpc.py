@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .dynamics import Trajectory, _count, _n_steps, check_positive, rk4_step
 from .errors import DivergenceError, InfeasibleError, InvalidInputError, KoopmpcError
-from .numerics import FactoredQp, QpProblem, _constraint_rows, solve_qp_info, verify_active_set
+from .numerics import FactoredQp, QpProblem, _constraint_rows, _verify_on_factor, solve_qp_info
 
 
 @dataclass
@@ -94,11 +94,15 @@ class ActiveSetTable:
 
     ``L_A``, zero-padded to the plan length, and ``A`` (padded with the index
     of a zero row appended to ``G``) live in slots of two buffers, so one
-    product screens every stored set. A stored law is never changed; the
+    product screens every stored set. Each slot also keeps the LU factor of
+    its set's KKT matrix ``[[H, R_A'], [R_A, 0]]``, which depends on the set
+    alone; it is the factor that the cold solve which found the set made,
+    handed to :meth:`record`. A stored law and factor are never changed; the
     least recently recorded set gives up its slot when the table holds
     ``_ACTIVE_SETS_MAX`` sets. The table is the one warm path of
     :meth:`CondensedMpc.plan`, and it only proposes: a proposal is accepted
-    only through :func:`verify_active_set`.
+    only through :meth:`verify`, the set's stored factor with the arithmetic
+    of :func:`verify_active_set`.
     """
 
     def __init__(self, rows, h_inv, slack_map):
@@ -107,6 +111,7 @@ class ActiveSetTable:
         self._slack_map = slack_map
         self._slots = {}  # sorted rows -> slot, least recently recorded first
         self._active = []  # slot -> the rows as recorded
+        self._factors = []  # slot -> (lu, piv) of the set's KKT matrix, rows as recorded
         self._laws = self._index = None  # slot buffers, made on the first store
 
     def propose(self, w, slack, tol):
@@ -132,27 +137,38 @@ class ActiveSetTable:
         """The first stored set whose law passes at ``w``, from one product over every slot, or None."""
         count, n = len(self._active), self._n
         lam = (self._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
-        cand = np.flatnonzero((lam >= -tol).all(axis=1))  # a NaN fails
+        cand = np.flatnonzero(lam.min(axis=1) >= -tol)  # a NaN fails
         if cand.size:
             # Each candidate's multipliers on their rows; padding lands on G's zero row.
             on_rows = np.zeros((cand.size, self._gram.shape[0]))
             on_rows[np.arange(cand.size)[:, None], self._index[cand]] = lam[cand]
-            ok = (slack - on_rows @ self._gram <= tol).all(axis=1)
+            ok = (slack - on_rows @ self._gram).max(axis=1) <= tol
             if ok.any():
                 return self._active[cand[ok.argmax()]]
         return None
 
-    def record(self, active):
-        """Mark ``active`` (an optimal set's rows, at least one) most recent, storing its law if it is new."""
+    def verify(self, qp, active, tol):
+        """:func:`verify_active_set` of a stored set on its stored factor: the same bits, or None.
+
+        ``active`` is a set that :meth:`propose` returned, and ``qp`` the
+        step's problem on the condensation's ``h`` and rows.
+        """
+        return _verify_on_factor(qp, active, self._factors[self._slots[tuple(sorted(active))]], tol)
+
+    def record(self, active, factor=None):
+        """Mark ``active`` (an optimal set's rows, at least one) most recent, storing it if it is new.
+
+        A new set keeps ``factor``, the ``kkt_factor`` that :func:`solve_qp_info` reported with it.
+        """
         key = tuple(sorted(active))
         slot = self._slots.pop(key, None)
         if slot is None:
-            slot = self._store(active)
+            slot = self._store(active, factor)
         if slot is not None:
             self._slots[key] = slot
 
-    def _store(self, active):
-        """Write the law of ``active`` into a free or the least recent slot; None if singular."""
+    def _store(self, active, factor):
+        """Write the law and KKT ``factor`` of ``active`` into a free or the least recent slot; None if singular."""
         rows, n = list(active), self._n
         s = self._gram[np.ix_(rows, rows)]
         chol, info = scipy.linalg.lapack.dpotrf(s)
@@ -166,12 +182,13 @@ class ActiveSetTable:
         if len(self._active) < _ACTIVE_SETS_MAX:
             slot = len(self._active)
             self._active.append(None)
+            self._factors.append(None)
         else:
             slot = self._slots.pop(next(iter(self._slots)))
         k = len(rows)
         self._laws[slot, :k], self._laws[slot, k:] = lam, 0.0
         self._index[slot, :k], self._index[slot, k:] = rows, self._gram.shape[0] - 1
-        self._active[slot] = tuple(active)
+        self._active[slot], self._factors[slot] = tuple(active), factor
         return slot
 
 
@@ -204,7 +221,7 @@ class CondensedMpc:
     model and config hold the same content: :func:`condensed` builds one per
     content and keeps the last few. Its one mutable part is the
     :class:`ActiveSetTable` of the optimal sets its steps have found, which
-    only proposes sets for :func:`verify_active_set`.
+    proposes sets and checks them on their stored KKT factors.
     """
 
     def __init__(self, model, cfg):
@@ -355,9 +372,10 @@ class CondensedMpc:
         checked for finiteness here. ``plan`` is the stacked solution, the
         ``N`` moves of ``q`` inputs one after another, and ``u`` its first
         move clipped to the input box; only ``u`` is checked against the
-        rate bound. A step that leaves the unconstrained law sends the
-        table's one proposal, if any, to :func:`verify_active_set`, and
-        otherwise (or if that rejects it) runs the cold solve; it records
+        rate bound. A step that leaves the unconstrained law checks the
+        table's one proposal, if any, on the set's stored KKT factor
+        (:meth:`ActiveSetTable.verify`, the bits of :func:`verify_active_set`),
+        and otherwise (or if that rejects it) runs the cold solve; it records
         the optimal set it ends on in the table. A verified proposal reports
         ``guess_hit`` and 0 iterations.
 
@@ -371,21 +389,22 @@ class CondensedMpc:
         w = self._w(z0, u_prev)
         out = self._stack @ w
         g, sol, slack = out[:n], out[n : 2 * n], out[2 * n :]
-        iterations, residual, active, hit = 0, np.inf, None, None
+        iterations, residual, active, hit, factor = 0, np.inf, None, None, None
         if (slack <= 0.0).all():
             residual = float(np.abs(self.h @ sol + g).max())
         if not residual <= qp_tol:  # a NaN residual fails too
             qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
             active = self._table.propose(w, slack, math.sqrt(qp_tol))
             if active is not None:
-                hit = verify_active_set(qp, active, qp_tol)
+                hit = self._table.verify(qp, active, qp_tol)
             if hit is not None:
                 sol, residual = hit
             else:
                 sol, info = solve_qp_info(qp, tol=qp_tol)
                 iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
+                factor = info.get("kkt_factor")
             if active:
-                self._table.record(active)
+                self._table.record(active, factor)
         q_in = self.input_dim
         u = sol[:q_in].clip(self.lb[:q_in], self.ub[:q_in])
         self.check_move(u, u_prev, "first planned input change")
@@ -482,10 +501,11 @@ def mpc_step(
     the condensation's table of optimal sets (:class:`ActiveSetTable`) may
     propose one set whose explicit law fits this step: its most recently
     recorded set, or else the first stored set that passes its screen. The
-    proposal is checked with one KKT solve and taken if its plan is optimal
-    within ``qp_tol``; it is only verified, never iterated from. Failing
-    that, the condensed QP, on the same rows, goes to the dual active-set
-    solver, which starts from the unconstrained minimizer.
+    proposal is checked with two triangular solves on the set's stored KKT
+    factor and taken if its plan is optimal within ``qp_tol``; it is only
+    verified, never iterated from. Failing that, the condensed QP, on the
+    same rows, goes to the dual active-set solver, which starts from the
+    unconstrained minimizer.
     :meth:`CondensedMpc.plan` does this arithmetic.
 
     Raises:

@@ -1,8 +1,11 @@
 """Dense linear-algebra and small-scale QP kernels.
 
 The QP solver is Goldfarb and Idnani's dual active-set method, run in the
-coordinates of the Hessian's Cholesky factor. Every routine is a pure
-function of its arguments (no caches, no globals).
+coordinates of the Hessian's Cholesky factor. Its plan comes from one
+equality-constrained KKT solve on the final active rows, split into an LU
+factorization and a solve on that factor, so a caller that meets one set
+of rows often can keep the factor and run only the solve. Every routine is
+a pure function of its arguments (no caches, no globals).
 """
 
 from __future__ import annotations
@@ -295,18 +298,39 @@ def _dual_active_set(qp, tol, max_iter):
     return active, iterations, True
 
 
-def _kkt_point(qp, active, tol, refine_below=math.inf):
-    """``x`` with the ``active`` rows as equalities, and its KKT residual.
+def _kkt_matrix(h, aw):
+    """The KKT matrix ``[[h, aw'], [aw, 0]]`` of ``h`` with the rows ``aw`` as equalities."""
+    n = h.shape[0]
+    kkt = np.zeros((n + aw.shape[0],) * 2)
+    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = h, aw.T, aw
+    return kkt
 
-    The residual is the largest row violation, stationarity error or
-    complementarity error, with negative multipliers clipped to zero. A
-    residual above ``tol`` and at most ``refine_below`` gets one step of
-    iterative refinement: with a large ``g``, rounding in the active rows'
-    slack is magnified by their multipliers.
+
+def _kkt_factor(h, aw):
+    """LU factor ``(lu, piv)`` of :func:`_kkt_matrix`, by LAPACK ``dgetrf``.
+
+    The solver's last step, :func:`verify_active_set` and a caller's stored
+    factor all run this and :func:`_kkt_solve`, so they agree bit for bit.
+    An exactly singular matrix raises ``np.linalg.LinAlgError``.
+    """
+    lu, piv, info = scipy.linalg.lapack.dgetrf(_kkt_matrix(h, aw))
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return lu, piv
+
+
+def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
+    """``x`` with the ``active`` rows (a list) as equalities, and its KKT residual.
+
+    ``factor`` is the :func:`_kkt_factor` of ``qp.h`` and those rows, in the
+    order given; ``dgetrs`` solves on it. The residual is the largest row
+    violation, stationarity error or complementarity error, with negative
+    multipliers clipped to zero. A residual above ``tol`` and at most
+    ``refine_below`` gets one step of iterative refinement: with a large
+    ``g``, rounding in the active rows' slack is magnified by their
+    multipliers.
     """
     n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
-    kkt = np.zeros((n + len(active),) * 2)
-    kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = qp.h, aw.T, aw
     rhs = np.concatenate([-qp.g, bw])
 
     def point(sol):
@@ -315,34 +339,41 @@ def _kkt_point(qp, active, tol, refine_below=math.inf):
         comp = np.abs(lam * (bw - aw @ x)).max(initial=0.0)
         return x, float(max((qp.rows @ x - qp.rhs).max(initial=0.0), stat, comp))
 
-    sol = np.linalg.solve(kkt, rhs)
+    sol = scipy.linalg.lapack.dgetrs(*factor, rhs)[0]
     x, residual = point(sol)
     if tol < residual <= refine_below:
-        x, residual = point(sol + np.linalg.solve(kkt, rhs - kkt @ sol))
+        step = rhs - _kkt_matrix(qp.h, aw) @ sol
+        x, residual = point(sol + scipy.linalg.lapack.dgetrs(*factor, step)[0])
     return x, residual
+
+
+def _verify_on_factor(qp, active, factor, tol):
+    """:func:`verify_active_set` on a given :func:`_kkt_factor` of ``active``'s KKT matrix."""
+    x, residual = _kkt_solve(qp, list(active), factor, tol, refine_below=math.sqrt(tol))
+    return (x, residual) if residual <= tol else None
 
 
 def verify_active_set(qp, active, tol=1e-8):
     """``(x, residual)`` on a guessed active set if that is the optimum, else None.
 
-    The :func:`_kkt_point` solve that :func:`solve_qp_info` ends with, on
-    the ``active`` rows of a :class:`FactoredQp` as equalities. The guess
-    is accepted only if the KKT residual is within ``tol``: every row met,
-    multipliers nonnegative, stationary. ``h`` is positive definite, so an
-    accepted ``x`` is the unique optimum. A miss of at most ``sqrt(tol)``,
-    rounding that the multipliers magnified, gets the solver's refinement
-    step, so the plan is the one :func:`solve_qp_info` would return were
-    its final active rows the guess, bit for bit. A larger miss is a wrong
-    guess, and it is rejected without a second solve.
-    Rows that depend linearly on each other make the KKT system singular;
-    that raises nothing, and such a guess passes only if its solve still
-    meets ``tol``.
+    The :func:`_kkt_factor` and :func:`_kkt_solve` solve that
+    :func:`solve_qp_info` ends with, on the ``active`` rows of a
+    :class:`FactoredQp` as equalities. The guess is accepted only if the KKT
+    residual is within ``tol``: every row met, multipliers nonnegative,
+    stationary. ``h`` is positive definite, so an accepted ``x`` is the
+    unique optimum. A miss of at most ``sqrt(tol)``, rounding that the
+    multipliers magnified, gets the solver's refinement step, so the plan is
+    the one :func:`solve_qp_info` would return were its final active rows
+    the guess, bit for bit. A larger miss is a wrong guess, and it is
+    rejected without a second solve. Rows that depend linearly on each other
+    make the KKT system singular; an exactly singular factor returns None,
+    and any other such guess passes only if its solve still meets ``tol``.
     """
     try:
-        x, residual = _kkt_point(qp, list(active), tol, refine_below=math.sqrt(tol))
+        factor = _kkt_factor(qp.h, qp.rows[list(active)])
     except np.linalg.LinAlgError:
         return None
-    return (x, residual) if residual <= tol else None
+    return _verify_on_factor(qp, active, factor, tol)
 
 
 def solve_qp_info(qp, tol=1e-8, max_iter=None):
@@ -353,8 +384,10 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
     minimizer, add violated rows, need no feasible point. ``x`` comes from one
     equality-constrained solve on the final active rows, and its KKT residual
     (feasibility, stationarity, complementarity) is at most ``tol``. ``info``
-    holds the iterations, that residual and the final active rows (row indices
-    into the stacked rows of :func:`_constraint_rows`, in the order added).
+    holds the iterations, that residual, the final active rows (row indices
+    into the stacked rows of :func:`_constraint_rows`, in the order added) and
+    ``kkt_factor``, the :func:`_kkt_factor` of those rows' KKT matrix, which a
+    caller may keep to check the same rows again with :func:`_verify_on_factor`.
 
     Raises:
         InvalidInputError: ``h`` is not positive definite, or ``tol`` is not
@@ -371,7 +404,8 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
     if max_iter is None:
         max_iter = max(100, 10 * (qp.n + qp.rhs.size))
     active, iterations, converged = _dual_active_set(qp, tol, max_iter)
-    x, residual = _kkt_point(qp, active, tol)
+    factor = _kkt_factor(qp.h, qp.rows[active])
+    x, residual = _kkt_solve(qp, active, factor, tol)
     if not converged or residual > tol:
         raise ConvergenceError(
             f"dual active-set QP {'finished' if converged else 'stopped'} after {iterations} "
@@ -379,4 +413,4 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
             residual=residual,
             best=x,
         )
-    return x, {"iterations": iterations, "kkt_residual": residual, "active": tuple(active)}
+    return x, {"iterations": iterations, "kkt_residual": residual, "active": tuple(active), "kkt_factor": factor}

@@ -3,8 +3,9 @@
 The table is the one warm path of ``CondensedMpc.plan``: a step that leaves
 the unconstrained law asks it for one proposal (its most recently recorded
 set if that set's law passes, else the first stored set that passes the
-screen) and takes that proposal only through ``verify_active_set``, before
-the cold solve. So the table may change which path finds a plan and how many
+screen) and takes that proposal only through the set's stored KKT factor,
+with the arithmetic and bits of ``verify_active_set``, before the cold
+solve. So the table may change which path finds a plan and how many
 solver iterations a step reports, not the plan: away from degenerate
 vertices, a loop on a warm table gives the bits of the same loop on an empty
 one.
@@ -12,10 +13,12 @@ one.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import koopmpc.mpc
+import koopmpc.numerics
 from koopmpc import (
     CondensedMpc,
     MpcConfig,
@@ -26,7 +29,7 @@ from koopmpc import (
     monomials_dictionary,
 )
 from koopmpc.mpc import ActiveSetTable, condensed
-from koopmpc.numerics import verify_active_set
+from koopmpc.numerics import _kkt_factor, verify_active_set
 
 from cold_loop import cold_plan
 from conftest import discrete_linear_samples
@@ -62,6 +65,11 @@ def stored_law(cond, active):
     assert list(table._index[slot, :k]) == list(active)
     lam = table._laws[slot, :k]
     return lam, -(cond._h_inv @ cond._rows[list(active)].T @ lam)
+
+
+def kkt_factor(cond, active):
+    """The KKT factor of ``active``, rows as given, that a cold solve ending on it reports."""
+    return _kkt_factor(cond.h, cond._rows[list(active)])
 
 
 def record_of(result):
@@ -150,10 +158,10 @@ def test_the_table_keeps_the_most_recently_recorded_sets(models, monkeypatch):
     box_up = cond._rows.shape[0] // 2  # rows: rate up, rate down, box up, box down, 15 each
     sets = [(box_up + k,) for k in range(4)] + [(k, box_up + k + 1) for k in range(2)]
     for active in sets[:4]:
-        table.record(active)
+        table.record(active, kkt_factor(cond, active))
     table.record(sets[0])  # recorded again: now the most recent
-    table.record(sets[4])  # evicts sets[1]
-    table.record(sets[5])  # evicts sets[2]
+    table.record(sets[4], kkt_factor(cond, sets[4]))  # evicts sets[1]
+    table.record(sets[5], kkt_factor(cond, sets[5]))  # evicts sets[2]
     kept = [sets[3], sets[0], sets[4], sets[5]]
     assert len(table._slots) == len(table._active) == 4
     assert list(table._slots) == [tuple(sorted(a)) for a in kept]  # least recent first
@@ -161,6 +169,53 @@ def test_the_table_keeps_the_most_recently_recorded_sets(models, monkeypatch):
         slot = table._slots[tuple(sorted(active))]
         assert table._active[slot] == active
         assert list(table._index[slot, : len(active)]) == list(active)
+
+
+def test_exactly_the_stored_slots_hold_factors(models, monkeypatch):
+    monkeypatch.setattr(koopmpc.mpc, "_ACTIVE_SETS_MAX", 4)
+    cond = CondensedMpc(models["dmdc"], mpc_cfg("saturated"))
+    table = cond._table
+    box_up = cond._rows.shape[0] // 2
+    sets = [(box_up + k,) for k in range(4)] + [(k, box_up + k + 1) for k in range(3)]
+    given = {active: kkt_factor(cond, active) for active in sets}
+    for active in sets[:4]:
+        table.record(active, given[active])
+    for active in sets[4:]:  # evicts sets[0], sets[1] and sets[2]
+        table.record(active, given[active])
+    assert len(table._factors) == len(table._active) == len(table._slots) == 4
+    for slot in table._slots.values():  # each slot keeps the factor recorded with its own set
+        assert table._factors[slot] is given[table._active[slot]]
+    for evicted in sets[:3]:
+        assert tuple(sorted(evicted)) not in table._slots
+        assert not any(kept is given[evicted] for kept in table._factors)
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_a_stored_factor_is_the_one_its_cold_solve_made(vdp_training, models, monkeypatch, kind):
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg("saturated")
+    made, reported = [], []
+    solve, factor = koopmpc.mpc.solve_qp_info, koopmpc.numerics._kkt_factor
+
+    def counting_factor(h, aw):
+        made.append(1)
+        return factor(h, aw)
+
+    def recording_solve(qp, tol):
+        before = len(made)
+        x, info = solve(qp, tol=tol)
+        assert len(made) == before + 1  # one factorization per cold solve
+        reported.append(info["kkt_factor"])
+        return x, info
+
+    monkeypatch.setattr(koopmpc.numerics, "_kkt_factor", counting_factor)
+    monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", recording_solve)
+    koopmpc.mpc._condensations.clear()
+    for ic in WARM_UP_ICS:
+        closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
+    table = condensed(model, cfg)._table
+    assert table._slots and len(made) == len(reported)  # a table hit factors nothing
+    for slot in table._slots.values():
+        assert any(table._factors[slot] is f for f in reported)
 
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
@@ -209,11 +264,11 @@ def test_a_set_with_dependent_rows_is_never_stored_and_breaks_no_step(linear_mod
 def test_a_step_verifies_at_most_one_set(vdp_training, models, monkeypatch, kind):
     plant, model, cfg = vdp_training[0], models[kind], mpc_cfg("saturated")
     verified, steps = [], []
-    verify, plan = koopmpc.mpc.verify_active_set, CondensedMpc.plan
+    verify, plan = ActiveSetTable.verify, CondensedMpc.plan
 
-    def counting_verify(qp, active, tol):
+    def counting_verify(table, qp, active, tol):
         verified.append(active)
-        return verify(qp, active, tol)
+        return verify(table, qp, active, tol)
 
     def counting_plan(cond, *args):
         before = len(verified)
@@ -221,7 +276,7 @@ def test_a_step_verifies_at_most_one_set(vdp_training, models, monkeypatch, kind
         steps.append((len(verified) - before, out[4], out[5]))
         return out
 
-    monkeypatch.setattr(koopmpc.mpc, "verify_active_set", counting_verify)
+    monkeypatch.setattr(ActiveSetTable, "verify", counting_verify)
     monkeypatch.setattr(CondensedMpc, "plan", counting_plan)
     for ic in WARM_UP_ICS:
         closed_loop_run(plant, model, cfg, np.array(ic), 1.0, DT)
@@ -286,3 +341,92 @@ def test_the_recent_set_is_proposed_only_where_the_screen_passes_it(warm_tables,
     w[seed % w.size] = bad
     with np.errstate(invalid="ignore"):
         assert table.propose(w, cond._stack[2 * n :] @ w, tol) is None
+
+
+def old_screen(table, w, slack, tol):
+    """:meth:`ActiveSetTable._screen` as it read with ``all`` reductions, kept as the oracle."""
+    count, n = len(table._active), table._n
+    lam = (table._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
+    cand = np.flatnonzero((lam >= -tol).all(axis=1))
+    if cand.size:
+        on_rows = np.zeros((cand.size, table._gram.shape[0]))
+        on_rows[np.arange(cand.size)[:, None], table._index[cand]] = lam[cand]
+        ok = (slack - on_rows @ table._gram <= tol).all(axis=1)
+        if ok.any():
+            return table._active[cand[ok.argmax()]]
+    return None
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+@settings(max_examples=60, deadline=None)
+@given(
+    step=st.integers(0, 10**6),
+    scale=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    bad_slack=st.booleans(),
+)
+def test_the_screen_decides_as_its_all_reductions_did(warm_tables, kind, step, scale, seed, bad, bad_slack):
+    cond, asked = warm_tables[kind]
+    table, n, tol = cond._table, cond.h.shape[0], np.sqrt(QP_TOL)
+    rng = np.random.default_rng(seed)
+    w = asked[step % len(asked)]
+    w = w + scale * np.abs(w).max() * rng.standard_normal(w.size)
+    with np.errstate(invalid="ignore"):
+        slack = cond._stack[2 * n :] @ w
+        if bad is not None:  # a non-finite entry of w, or of the slacks alone
+            if bad_slack:
+                slack[rng.integers(slack.size)] = bad
+            else:
+                w[rng.integers(w.size)] = bad
+                slack = cond._stack[2 * n :] @ w
+        assert table._screen(w, slack, tol) == old_screen(table, w, slack, tol)
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+@settings(max_examples=30, deadline=None)
+@given(
+    step=st.integers(0, 10**6),
+    scale=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+    g_scale=st.sampled_from([1.0, 1e6, 1e8]),
+)
+def test_a_stored_factor_checks_a_set_as_verify_active_set_does(warm_tables, kind, step, scale, seed, g_scale):
+    cond, asked = warm_tables[kind]
+    table, n = cond._table, cond.h.shape[0]
+    w = asked[step % len(asked)]
+    w = w + scale * np.abs(w).max() * np.random.default_rng(seed).standard_normal(w.size)
+    qp = cond.factored_qp(cond._stack[:n] @ w, w[-cond.input_dim :])
+    # Scaling g and the right-hand sides scales the plan and the rounding that
+    # the multipliers magnify, up to near misses that the check refines.
+    qp = qp._replace(g=g_scale * qp.g, rhs=g_scale * qp.rhs)
+    for active in table._active:
+        want, got = verify_active_set(qp, active, QP_TOL), table.verify(qp, active, QP_TOL)
+        if want is None:
+            assert got is None, active
+        else:
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], active
+
+
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_a_near_miss_is_refined_on_the_stored_factor(warm_tables, kind, monkeypatch):
+    cond, asked = warm_tables[kind]
+    table, n = cond._table, cond.h.shape[0]
+    solves, dgetrs = [], scipy.linalg.lapack.dgetrs
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", lambda *args: solves.append(1) or dgetrs(*args))
+    refined = accepted = 0
+    for w in asked:
+        qp = cond.factored_qp(cond._stack[:n] @ w, w[-cond.input_dim :])
+        qp = qp._replace(g=1e8 * qp.g, rhs=1e8 * qp.rhs)
+        active = table.propose(w, cond._stack[2 * n :] @ w, np.sqrt(QP_TOL))
+        if active is None:
+            continue
+        solves.clear()
+        got = table.verify(qp, active, QP_TOL)
+        refined += len(solves) == 2  # the solve and its refinement step
+        want = verify_active_set(qp, active, QP_TOL)
+        assert (got is None) == (want is None)
+        if got is not None:
+            accepted += 1
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    assert refined > 0 and accepted > 0

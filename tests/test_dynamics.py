@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopmpc import (
@@ -142,6 +142,40 @@ class TestRk4:
         sys = ControlSystem(2, 1, ZeroRhs())
         with pytest.raises(DivergenceError):
             rk4_step(sys, np.array([0.0, bad]), np.zeros(1), 0.0, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([
+                    DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT, np.nextafter(DIVERGENCE_LIMIT, np.inf),
+                    -np.nextafter(DIVERGENCE_LIMIT, np.inf), np.nextafter(DIVERGENCE_LIMIT, 0.0), 0.0,
+                ]),
+                st.floats(-2.0 * DIVERGENCE_LIMIT, 2.0 * DIVERGENCE_LIMIT),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        columns=st.integers(0, 3),
+        grow=st.booleans(),
+    )
+    @example(entries=[0.0, np.nan], columns=0, grow=False)
+    @example(entries=[1.0, 2.0, -np.inf, 3.0], columns=2, grow=False)
+    @example(entries=[-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT], columns=1, grow=False)
+    def test_divergence_is_the_elementwise_limit_check(self, entries, columns, grow):
+        # A 1-D state, or a 2-D one of `columns` columns; the zero field returns the state itself.
+        n = len(entries) if columns == 0 else -(-len(entries) // columns)
+        x = np.resize(np.array(entries), n if columns == 0 else (n, columns))
+        sys = ControlSystem(n, 1, ExpRhs() if grow else ZeroRhs())
+        u = np.zeros(1 if columns == 0 else (1, columns))
+        with np.errstate(all="ignore"):
+            want = rk4_update(sys.rhs, x, u, 0.0, 1e-3)
+            if (np.abs(want) <= DIVERGENCE_LIMIT).all():
+                assert rk4_step(sys, x, u, 0.0, 1e-3).tobytes() == want.tobytes()
+            else:
+                with pytest.raises(DivergenceError):
+                    rk4_step(sys, x, u, 0.0, 1e-3)
 
 
 class TestNonFiniteTimesAndStates:

@@ -20,6 +20,7 @@ from koopmpc.numerics import (
     FactoredQp,
     _constraint_rows,
     _dual_active_set,
+    _kkt_factor,
     solve_qp_info,
     verify_active_set,
 )
@@ -499,5 +500,7 @@ class TestVerifyActiveSet:
         qp = FactoredQp.factor(np.eye(2), np.array([-2.0, 0.0]), rows, rhs)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.block([[np.eye(2), rows.T], [rows, np.zeros((2, 2))]]), np.ones(4))
+        with pytest.raises(np.linalg.LinAlgError):  # dgetrf's zero pivot raises as that solve does
+            _kkt_factor(np.eye(2), rows)
         assert verify_active_set(qp, [0, 1]) is None
         assert verify_active_set(qp, [1]) is not None
