@@ -20,10 +20,14 @@ class ControlSystem:
     """A controlled dynamical system.
 
     For ``kind == "flow"`` the callable ``rhs(x, u, t)`` returns the state
-    derivative; for ``kind == "map"`` it returns the next state directly and
-    time is measured in steps. ``rhs`` must accept ``x`` of shape (n,) or
-    (n, m) with ``u`` of matching trailing shape and return the same shape
-    as ``x``.
+    derivative coordinate by coordinate: ``x`` is a sequence of the ``n``
+    state coordinates and ``u`` one of the ``q`` inputs, each a Python float
+    for one state or a row of ``m`` values for ``m`` states (an (n, m) array
+    is such a sequence), and ``rhs`` returns the ``n`` derivatives as a
+    sequence of the same kind. One :func:`rk4_update` thus steps one state on
+    floats and a batch on rows. For ``kind == "map"`` ``rhs`` returns the
+    next state directly, time is measured in steps, and ``x`` is an (n, m)
+    array with ``u`` of matching trailing shape.
     """
 
     state_dim: int
@@ -41,18 +45,17 @@ class ControlSystem:
 class VanDerPolRhs:
     """Forced van der Pol field in first-order form.
 
-    x1' = x2, x2' = mu * (1 - x1^2) * x2 - x1 + u.
+    x1' = x2, x2' = mu * (1 - x1^2) * x2 - x1 + u. It follows the coordinate
+    protocol of :class:`ControlSystem`: two floats or two rows in, the pair
+    ``(x1', x2')`` of the same kind out.
     """
 
     def __init__(self, mu):
         self.mu = float(mu)
 
     def __call__(self, x, u, t):
-        x1, x2 = x[0], x[1]
-        out = np.empty(x.shape)
-        out[0] = x2
-        out[1] = self.mu * (1.0 - x1 * x1) * x2 - x1 + u[0]
-        return out
+        x1, x2 = x
+        return x2, self.mu * (1.0 - x1 * x1) * x2 - x1 + u[0]
 
 
 def make_vanderpol(mu=0.2):
@@ -71,30 +74,45 @@ def check_positive(value, name):
 def rk4_update(rhs, x, u, t, dt):
     """The classical 4th-order Runge-Kutta update of ``x`` with ``u`` held constant.
 
-    Works on one state (n,) or on columns (n, m) alike, with no checks: a
-    batch may carry non-finite columns through.
+    ``x`` and ``u`` are sequences of coordinates, as :class:`ControlSystem`
+    gives them to ``rhs``: Python floats for one state, rows for a batch.
+    Each stage is built coordinate by coordinate, ``x + (dt / 2) * k`` and
+    ``x + dt * k``, and the update is ``x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``
+    in that order, so floats and rows give the same bits. Returns the list
+    of the ``n`` new coordinates, with no checks: a batch may carry
+    non-finite columns through.
     """
+    h = 0.5 * dt
     k1 = rhs(x, u, t)
-    k2 = rhs(x + 0.5 * dt * k1, u, t + 0.5 * dt)
-    k3 = rhs(x + 0.5 * dt * k2, u, t + 0.5 * dt)
-    k4 = rhs(x + dt * k3, u, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([a + h * b for a, b in zip(x, k1)], u, t + h)
+    k3 = rhs([a + h * b for a, b in zip(x, k2)], u, t + h)
+    k4 = rhs([a + dt * b for a, b in zip(x, k3)], u, t + dt)
+    c = dt / 6.0
+    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 def rk4_step(sys, x, u, t, dt):
     """One classical 4th-order Runge-Kutta step with ``u`` held constant.
 
-    Raises DivergenceError when any component of the new state is not within
+    A state of shape (n,) is stepped on the Python floats of ``x.tolist()``
+    and ``u.tolist()``, and an (n, m) state on its rows, through the one
+    :func:`rk4_update`. Returns the new state as an array of ``x``'s shape.
+    Raises DivergenceError when any component of it is not within
     ``DIVERGENCE_LIMIT`` in magnitude, NaN and infinity included.
     """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
     check_positive(dt, "dt")
-    out = rk4_update(sys.rhs, np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, dt)
-    # Python floats: a few entries compare faster than through numpy; NaN fails too.
-    if not all(abs(v) <= DIVERGENCE_LIMIT for v in out.ravel().tolist()):
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    if x.ndim == 1:
+        out = rk4_update(sys.rhs, x.tolist(), u.tolist(), t, dt)
+        within = all(abs(v) <= DIVERGENCE_LIMIT for v in out)  # NaN fails too
+    else:
+        out = rk4_update(sys.rhs, x, u, t, dt)
+        within = all((abs(row) <= DIVERGENCE_LIMIT).all() for row in out)
+    if not within:
         raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
-    return out
+    return np.array(out, dtype=float)
 
 
 @dataclass
@@ -230,9 +248,9 @@ def _integrate_columns(rhs, x0, inputs, times, dt):
     alive = np.ones(x0.shape[1], dtype=bool)
     with np.errstate(all="ignore"):
         for s in range(n_steps):
-            x = rk4_update(rhs, x, inputs[:, :, s], times[s], dt)
+            x = rk4_update(rhs, x, inputs[:, :, s], times[s], dt)  # rows, kept as a list
             states[:, :, s + 1] = x
-            left = alive & ~(np.abs(x) <= DIVERGENCE_LIMIT).all(axis=0)
+            left = alive & ~(np.abs(states[:, :, s + 1]) <= DIVERGENCE_LIMIT).all(axis=0)
             if left.any():
                 steps[left] = s
                 alive &= ~left

@@ -262,6 +262,10 @@ def model_from_json(path):
                                 f"is {raw['lifting']['type']!r} with {model.lifted_dim} coordinates")
     if not isinstance(model.training_hash, (str, type(None))):
         raise InvalidInputError(f"training_hash must be a string, got {model.training_hash!r}")
+    # Products round by memory layout: hold a and b in the layout the fit fills.
+    _, a, b, _ = lifting.fixed_rows(model.input_dim)
+    model.a, model.b = (np.asarray(m, order="F" if np.isfortran(like) else "C")
+                        for m, like in ((model.a, a), (model.b, b)))
     return model
 
 

@@ -298,6 +298,7 @@ class CondensedMpc:
         offset[: self._rate_bound.size, dim + 1 :] = self._rate_shift
         self._stack = np.vstack([gmat, law, self._rows @ law - offset])
         self._one = np.ones(1)
+        self._u_lo, self._u_hi = self.lb[:q_in], self.ub[:q_in]  # the first move's box
         self._du0_hi = float(cfg.du_max) + 1e-7
         self._du0_lo = float(cfg.du_min) - 1e-7
         self.ru = ru
@@ -390,7 +391,7 @@ class CondensedMpc:
         out = self._stack @ w
         g, sol, slack = out[:n], out[n : 2 * n], out[2 * n :]
         iterations, residual, active, hit, factor = 0, np.inf, None, None, None
-        if (slack <= 0.0).all():
+        if slack.max(initial=-np.inf) <= 0.0:  # no rows passes, a NaN slack fails
             residual = float(np.abs(self.h @ sol + g).max())
         if not residual <= qp_tol:  # a NaN residual fails too
             qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
@@ -405,8 +406,7 @@ class CondensedMpc:
                 factor = info.get("kkt_factor")
             if active:
                 self._table.record(active, factor)
-        q_in = self.input_dim
-        u = sol[:q_in].clip(self.lb[:q_in], self.ub[:q_in])
+        u = np.minimum(np.maximum(sol[: self.input_dim], self._u_lo), self._u_hi)  # .clip's bits
         self.check_move(u, u_prev, "first planned input change")
         return u, sol, iterations, residual, active, hit is not None
 

@@ -136,7 +136,8 @@ def fit_edmdc(trajectories, lifting, dt, svd_tol=DEFAULT_SVD_TOL):
         _join([z[..., :-1].reshape(dim, -1) for z in lifted]),
         _join([u[..., h:].reshape(q, u.shape[1] * (u.shape[2] - h)) for _, u in batches_used]),
     ])
-    target = _join([z[:n_free, :, 1:].reshape(n_free, -1) for z in lifted])
+    # One batch of one-step paths gives a strided view, which products round differently.
+    target = np.ascontiguousarray(_join([z[:n_free, :, 1:].reshape(n_free, -1) for z in lifted]))
     w, residual = _regress(reg, target, svd_tol)
     a[:n_free], b[:n_free] = w[:, :dim], w[:, dim:]
     return LinearControlModel(a=a, b=b, c=c, lifting=lifting, dt=dt, kind=KIND_EDMDC,

@@ -175,7 +175,9 @@ _FLOW_BLOCK = 16384
 def _flow_batch(sys, x, level, tau, flow_dt):
     """Flow sample columns for duration tau under a constant input level.
 
-    Non-finite results are tolerated; callers classify them as outside.
+    Non-finite results are tolerated; callers classify them as outside. A
+    flow's RK4 keeps the state as a list of rows between substeps and stacks
+    them once; ``x`` itself is never written.
     """
     u = np.broadcast_to(level[:, None], (level.size, x.shape[1]))
     if sys.kind == "map":
@@ -191,7 +193,7 @@ def _flow_batch(sys, x, level, tau, flow_dt):
         for _ in range(n_sub):
             x = rk4_update(sys.rhs, x, u, t, h)
             t += h
-    return x
+    return np.array(x)
 
 
 def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed, flow_dt=None):
@@ -227,7 +229,7 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
     mats = []
     for lv in levels:
         landed = np.concatenate([
-            locate_many(part, _flow_batch(sys, pts[:, i : i + _FLOW_BLOCK].copy(), lv, tau, flow_dt))
+            locate_many(part, _flow_batch(sys, pts[:, i : i + _FLOW_BLOCK], lv, tau, flow_dt))
             for i in blocks
         ])
         counts = np.zeros((k, k))

@@ -127,8 +127,6 @@ class LinearRhs:
         self.bc = np.asarray(bc, float)
 
     def __call__(self, x, u, t):
-        if x.ndim == 1:
-            return self.ac @ x + self.bc @ u
         return self.ac @ x + self.bc @ u
 
 

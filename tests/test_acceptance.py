@@ -262,7 +262,7 @@ def test_criterion_7_qp_matches_grid_oracle(default_benchmark):
 def test_criterion_8_rk4_order():
     class DecayRhs:
         def __call__(self, x, u, t):
-            return -x
+            return [-v for v in x]
 
     sys = ControlSystem(1, 1, DecayRhs())
     dts = np.array([0.1, 0.05, 0.025, 0.0125])

@@ -194,6 +194,21 @@ class TestFitRoundTrip:
         assert fitted.training_hash == want.training_hash
         assert np.array_equal(fitted.a, want.a) and np.array_equal(fitted.b, want.b)
 
+    def test_a_reloaded_model_drives_the_loops_of_the_fitted_model(self, tmp_path):
+        # A dictionary fit holds a and b column-major; a reload that did not would round differently.
+        from koopmpc import closed_loop_run
+        from koopmpc.benchmark import fit_models, grid_initial_conditions, make_training_data, mpc_config_from
+        from koopmpc.io import model_to_json
+
+        cfg = ExperimentConfig()
+        plant, trajectories, dt = make_training_data(cfg)
+        for kind, model in fit_models(cfg, trajectories, dt).items():
+            model_to_json(model, tmp_path / f"{kind}.json")
+            reloaded = model_from_json(tmp_path / f"{kind}.json")
+            for x0 in grid_initial_conditions(cfg)[:12]:
+                want, got = (closed_loop_run(plant, m, mpc_config_from(cfg), x0, 10.0, dt) for m in (model, reloaded))
+                assert got.total_cost == want.total_cost, (kind, x0)
+
     def test_predict_runs_on_fit_output(self, tmp_path):
         cfg = write_config(tmp_path)
         data = tmp_path / "data"

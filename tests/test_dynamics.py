@@ -19,11 +19,13 @@ from koopmpc import (
     rk4_step,
     simulate,
 )
-from koopmpc.dynamics import DIVERGENCE_LIMIT, rk4_update
+from koopmpc.dynamics import DIVERGENCE_LIMIT, _integrate_columns, rk4_update
 from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
+from koopmpc.transfer import _flow_batch
 from conftest import ZeroForcing, one_step_paths, paths
 from fit_reference import snapshot_columns
+from rk4_reference import reference_rk4_step, reference_vanderpol
 
 
 class ExpRhs:
@@ -38,7 +40,7 @@ class ZeroRhs:
 
 class DecayRhs:
     def __call__(self, x, u, t):
-        return -x
+        return [-v for v in x]
 
 
 def training_set(sys, n_traj, box, t_end, dt, forcing_family, seed):
@@ -77,7 +79,8 @@ class TestVanDerPol:
             u = rng.uniform(-5.0, 5.0, (1, *shape))
             x1, x2 = x[0], x[1]
             want = np.stack([x2, mu * (1.0 - x1 * x1) * x2 - x1 + u[0]])
-            got = rhs(x, u, 0.0)
+            # One state's coordinates are Python floats, a batch's are rows.
+            got = np.array(rhs(*((x.tolist(), u.tolist()) if x.ndim == 1 else (x, u)), 0.0))
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -88,7 +91,7 @@ class TestRk4:
         rng = np.random.default_rng(17)
         x = rng.uniform(-4.0, 4.0, size=(2, 9))
         u = rng.uniform(-5.0, 5.0, size=(1, 9))
-        batch = rk4_update(sys.rhs, x, u, 0.3, 0.05)
+        batch = np.array(rk4_update(sys.rhs, x, u, 0.3, 0.05))
         for k in range(x.shape[1]):
             assert np.array_equal(batch[:, k], rk4_step(sys, x[:, k], u[:, k], 0.3, 0.05))
 
@@ -124,7 +127,7 @@ class TestRk4:
     def test_divergence_raises(self):
         class BlowUp:
             def __call__(self, x, u, t):
-                return x**2
+                return [v * v for v in x]
 
         sys = ControlSystem(1, 1, BlowUp())
         with pytest.raises(DivergenceError):
@@ -170,12 +173,127 @@ class TestRk4:
         sys = ControlSystem(n, 1, ExpRhs() if grow else ZeroRhs())
         u = np.zeros(1 if columns == 0 else (1, columns))
         with np.errstate(all="ignore"):
-            want = rk4_update(sys.rhs, x, u, 0.0, 1e-3)
+            want = np.array(rk4_update(sys.rhs, x, u, 0.0, 1e-3))
             if (np.abs(want) <= DIVERGENCE_LIMIT).all():
                 assert rk4_step(sys, x, u, 0.0, 1e-3).tobytes() == want.tobytes()
             else:
                 with pytest.raises(DivergenceError):
                     rk4_step(sys, x, u, 0.0, 1e-3)
+
+
+# State coordinates: signed zeros, subnormals, the limit and past it, overflow, NaN and inf.
+STATE_COORDINATES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT,
+        np.nextafter(DIVERGENCE_LIMIT, np.inf), 2e6, -1e8, 1e154, -1e200, np.nan, np.inf, -np.inf,
+    ]),
+    st.floats(-5.0, 5.0),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-2.0 * DIVERGENCE_LIMIT, 2.0 * DIVERGENCE_LIMIT),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestCoordinateRk4:
+    """One state runs on Python floats, a batch on rows, with the bits of the array-form step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 2.0, 0.2]), st.floats(-3.0, 3.0)),
+        coords=st.lists(STATE_COORDINATES, min_size=2, max_size=2),
+        u=st.one_of(st.sampled_from([0.0, -0.0, 5.0, -5.0]), st.floats(-10.0, 10.0)),
+        t=st.floats(0.0, 100.0),
+        dt=st.one_of(st.sampled_from([0.05, 0.1]), st.floats(1e-4, 1.0)),
+    )
+    @example(mu=0.0, coords=[0.0, -0.0], u=-0.0, t=0.0, dt=0.05)
+    @example(mu=2.0, coords=[5e-324, -5e-324], u=0.0, t=0.0, dt=0.05)
+    @example(mu=0.2, coords=[np.nan, 0.0], u=1.0, t=0.3, dt=0.05)
+    @example(mu=0.2, coords=[1.0, np.inf], u=-1.0, t=0.3, dt=0.05)
+    @example(mu=0.2, coords=[DIVERGENCE_LIMIT, 0.0], u=0.0, t=0.0, dt=1e-4)
+    def test_rk4_step_is_the_array_step_bitwise(self, mu, coords, u, t, dt):
+        x, u = np.array(coords), np.array([u])
+        sys = make_vanderpol(mu)
+        try:
+            want = reference_rk4_step(reference_vanderpol(mu), x, u, t, dt)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as exc:
+                rk4_step(sys, x, u, t, dt)
+            assert str(exc.value) == str(err)
+        else:
+            got = rk4_step(sys, x, u, t, dt)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(-3.0, 3.0)),
+        coords=st.lists(STATE_COORDINATES, min_size=2, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_an_array_of_states_steps_on_its_rows_as_the_array_step(self, mu, coords, seed):
+        x = np.resize(np.array(coords), (2, -(-len(coords) // 2)))
+        u = np.random.default_rng(seed).uniform(-5.0, 5.0, (1, x.shape[1]))
+        sys = make_vanderpol(mu)
+        with np.errstate(all="ignore"):
+            try:
+                want = reference_rk4_step(reference_vanderpol(mu), x, u, 0.2, 0.05)
+            except DivergenceError as err:
+                with pytest.raises(DivergenceError) as exc:
+                    rk4_step(sys, x, u, 0.2, 0.05)
+                assert str(exc.value) == str(err)
+            else:
+                assert rk4_step(sys, x, u, 0.2, 0.05).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.floats(-1.0, 3.0),
+        m=st.integers(1, 12),
+        n_steps=st.integers(1, 20),
+        scale=st.sampled_from([1.0, 4.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integrated_columns_are_per_column_rk4_steps(self, mu, m, n_steps, scale, seed):
+        # A scale of 40 lets some columns diverge; each column matches until it leaves the limit.
+        rng = np.random.default_rng(seed)
+        sys, dt = make_vanderpol(mu), 0.05
+        x0 = rng.uniform(-scale, scale, (2, m))
+        inputs = rng.uniform(-5.0, 5.0, (1, m, n_steps))
+        times = np.arange(n_steps + 1) * dt
+        states, steps = _integrate_columns(sys.rhs, x0, inputs, times, dt)
+        for j in range(m):
+            x = x0[:, j]
+            for s in range(n_steps):
+                try:
+                    x = rk4_step(sys, x, inputs[:, j, s], times[s], dt)
+                except DivergenceError:
+                    assert steps[j] == s
+                    break
+                assert states[:, j, s + 1].tobytes() == x.tobytes()
+            else:
+                assert steps[j] == n_steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.floats(0.0, 2.0),
+        m=st.integers(1, 12),
+        level=st.floats(-5.0, 5.0),
+        tau=st.sampled_from([0.05, 0.3, 0.5]),
+        flow_dt=st.sampled_from([0.01, 0.03, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flowed_columns_are_per_column_rk4_steps(self, mu, m, level, tau, flow_dt, seed):
+        # Damped plants over the chain's box: every column stays within the limit.
+        sys = make_vanderpol(mu)
+        x0 = np.random.default_rng(seed).uniform(-4.0, 4.0, (2, m))
+        got = _flow_batch(sys, x0.copy(), np.array([level]), tau, flow_dt)
+        n_sub = max(int(round(tau / flow_dt)), 1)
+        h = tau / n_sub
+        for j in range(m):
+            x, t = x0[:, j], 0.0
+            for _ in range(n_sub):
+                x = rk4_step(sys, x, np.array([level]), t, h)
+                t += h
+            assert got[:, j].tobytes() == x.tobytes()
 
 
 class TestNonFiniteTimesAndStates:
@@ -228,7 +346,7 @@ class TestSimulate:
     def test_divergence_carries_partial_trajectory(self):
         class BlowUp:
             def __call__(self, x, u, t):
-                return x**2
+                return [v * v for v in x]
 
         sys = ControlSystem(1, 1, BlowUp())
         with pytest.raises(DivergenceError) as exc:
@@ -351,7 +469,7 @@ class SquareRhs:
     """x' = x^2 + u, column by column: blows up in finite time from x0 > 0."""
 
     def __call__(self, x, u, t):
-        return x * x + u
+        return [a * a + b for a, b in zip(x, u)]
 
 
 class SqrtRhs:

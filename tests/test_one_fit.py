@@ -85,13 +85,15 @@ def test_the_lifted_fit_gives_the_reference_bits(case):
 
 @pytest.mark.parametrize("kind", [("dmdc",), ("edmdc", 2), ("delay", 1, None), ("delay", 3, [0])])
 def test_one_step_paths_give_the_reference_bits(kind):
-    rng = np.random.default_rng(3)
-    trajs = Trajectory([0.0, DT], rng.standard_normal((2, 40, 2)), rng.standard_normal((1, 40, 1)))
-    if kind[0] == "delay" and kind[1] > 1:
-        longer = Trajectory(np.arange(12) * DT, rng.standard_normal((2, 3, 12)), rng.standard_normal((1, 3, 11)))
-        trajs = [trajs, longer]
-    fit, reference = fits(kind, 2)
-    assert_same_model(fit(trajs), reference(trajs))
+    # A 1-D state's one batch of one-step paths lifts to a strided target.
+    for n in (2, 1):
+        rng = np.random.default_rng(3)
+        trajs = Trajectory([0.0, DT], rng.standard_normal((n, 40, 2)), rng.standard_normal((1, 40, 1)))
+        if kind[0] == "delay" and kind[1] > 1:
+            longer = Trajectory(np.arange(12) * DT, rng.standard_normal((n, 3, 12)), rng.standard_normal((1, 3, 11)))
+            trajs = [trajs, longer]
+        fit, reference = fits(kind, n)
+        assert_same_model(fit(trajs), reference(trajs))
 
 
 @pytest.mark.parametrize("kind", [("dmdc",), ("edmdc", 2), ("delay", 2, None)])
