@@ -98,18 +98,23 @@ def rk4_step(sys, x, u, t, dt):
     and ``u.tolist()``, and an (n, m) state on its rows, through the one
     :func:`rk4_update`. Returns the new state as an array of ``x``'s shape.
     Raises DivergenceError when any component of it is not within
-    ``DIVERGENCE_LIMIT`` in magnitude, NaN and infinity included.
+    ``DIVERGENCE_LIMIT`` in magnitude, NaN and infinity included, and when
+    the field's float arithmetic overflows or divides by zero (where arrays
+    would carry an inf or a NaN).
     """
     if sys.kind != "flow":
         raise InvalidInputError("rk4_step requires a continuous-time system")
     check_positive(dt, "dt")
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    if x.ndim == 1:
-        out = rk4_update(sys.rhs, x.tolist(), u.tolist(), t, dt)
-        within = all(abs(v) <= DIVERGENCE_LIMIT for v in out)  # NaN fails too
-    else:
-        out = rk4_update(sys.rhs, x, u, t, dt)
-        within = all((abs(row) <= DIVERGENCE_LIMIT).all() for row in out)
+    try:
+        if x.ndim == 1:
+            out = rk4_update(sys.rhs, x.tolist(), u.tolist(), t, dt)
+            within = all(abs(v) <= DIVERGENCE_LIMIT for v in out)  # NaN fails too
+        else:
+            out = rk4_update(sys.rhs, x, u, t, dt)
+            within = all((abs(row) <= DIVERGENCE_LIMIT).all() for row in out)
+    except (OverflowError, ZeroDivisionError):  # e.g. 1e200 ** 2 or 1.0 / 0.0 on floats
+        within = False
     if not within:
         raise DivergenceError(f"state left |x| <= {DIVERGENCE_LIMIT:.0e} at t={t + dt:.4g}")
     return np.array(out, dtype=float)

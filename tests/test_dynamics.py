@@ -224,6 +224,19 @@ class TestCoordinateRk4:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("field, x0", [
+        (lambda x, u, t: [v**2 for v in x], 1e200),
+        (lambda x, u, t: [1.0 / v for v in x], 0.0),
+    ], ids=["overflow", "division-by-zero"])
+    def test_a_float_arithmetic_error_is_a_divergence_as_on_arrays(self, field, x0):
+        sys = ControlSystem(1, 1, field)
+        x, u = np.array([x0]), np.zeros(1)
+        with pytest.raises(DivergenceError) as exc, np.errstate(all="ignore"):
+            rk4_step(sys, x, u, 0.0, 0.1)
+        with pytest.raises(DivergenceError) as want, np.errstate(all="ignore"):
+            reference_rk4_step(lambda x, u, t: np.array(field(x, u, t)), x, u, 0.0, 0.1)
+        assert str(exc.value) == str(want.value)
+
     @settings(max_examples=100, deadline=None)
     @given(
         mu=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(-3.0, 3.0)),
