@@ -324,14 +324,19 @@ class CondensedMpc:
         return z0, u_prev
 
     def _w(self, z0, u_prev):
-        """``[z0; 1; u_prev]``, the vector ``_stack`` maps; a non-finite ``z0`` raises."""
-        if not np.isfinite(z0).all():
-            raise InvalidInputError("lifted state is not finite")
+        """``[z0; 1; u_prev]``, the step vector ``_stack`` maps."""
         return np.concatenate((z0, self._one, u_prev))
+
+    @staticmethod
+    def _finite(w):
+        """``w``; raises InvalidInputError if an entry is not finite."""
+        if not np.isfinite(w).all():
+            raise InvalidInputError("lifted state is not finite")
+        return w
 
     def _product(self, z0, u_prev):
         """The step's ``[g; -H^{-1} g; rows @ plan - rhs]``; a non-finite ``z0`` raises."""
-        return self._stack @ self._w(z0, u_prev)
+        return self._stack @ self._finite(self._w(z0, u_prev))
 
     def _gradient(self, z0, u_prev):
         """The step's QP gradient, the leading rows of :meth:`_product`."""
@@ -365,12 +370,12 @@ class CondensedMpc:
         box = (self.lb - tol <= u_seq).all() and (u_seq <= self.ub + tol).all()
         return bool(box and (self._rows[:r] @ u_seq <= self._step_rhs(u_prev)[:r] + tol).all())
 
-    def plan(self, z0, u_prev, qp_tol):
+    def plan(self, w, qp_tol):
         """One step's plan: ``(u, plan, iterations, kkt_residual, active_set, guess_hit)``.
 
-        ``z0`` and ``u_prev`` are float vectors of the model's sizes and
-        ``u_prev`` is finite (see :func:`mpc_step` for the rules); ``z0`` is
-        checked for finiteness here. ``plan`` is the stacked solution, the
+        ``w`` is the step vector ``[z0; 1; u_prev]`` (:meth:`_w`) of the
+        model's sizes, checked for finiteness here and not kept (see
+        :func:`mpc_step` for the rules). ``plan`` is the stacked solution, the
         ``N`` moves of ``q`` inputs one after another, and ``u`` its first
         move clipped to the input box; only ``u`` is checked against the
         rate bound. A step that leaves the unconstrained law checks the
@@ -381,14 +386,14 @@ class CondensedMpc:
         ``guess_hit`` and 0 iterations.
 
         Raises:
-            InvalidInputError: ``z0`` is not finite.
+            InvalidInputError: ``w`` is not finite.
             InfeasibleError: the bounds admit no plan, or the first planned
                 input change breaks the rate bound by more than 1e-7.
             ConvergenceError: the solver's plan misses ``qp_tol``.
         """
         n = self.h.shape[0]
-        w = self._w(z0, u_prev)
-        out = self._stack @ w
+        out = self._stack @ self._finite(w)
+        u_prev = w[self.lifted_dim + 1 :]
         g, sol, slack = out[:n], out[n : 2 * n], out[2 * n :]
         iterations, residual, active, hit, factor = 0, np.inf, None, None, None
         if slack.max(initial=-np.inf) <= 0.0:  # no rows passes, a NaN slack fails
@@ -413,8 +418,8 @@ class CondensedMpc:
     def check_move(self, u, u_prev, what):
         """Raise InfeasibleError if ``u - u_prev`` breaks the rate bound by more than 1e-7."""
         du = u - u_prev
-        # Python floats: a few entries compare faster than through numpy.
-        if any(d > self._du0_hi or d < self._du0_lo for d in du.tolist()):
+        # Python floats: a few entries compare faster than through numpy. A NaN fails.
+        if not all(self._du0_lo <= d <= self._du0_hi for d in du.tolist()):
             raise InfeasibleError(f"{what} {du} breaks the rate bound")
 
 
@@ -518,8 +523,7 @@ def mpc_step(
     check_positive(qp_tol, "qp_tol")
     cond = condensed(model, cfg)
     z0 = model.lift(x_measured, history_states=history_states, history_inputs=history_inputs)
-    z0, u_prev = cond._checked(z0, u_prev)
-    u, plan, iterations, residual, active, hit = cond.plan(z0, u_prev, qp_tol)
+    u, plan, iterations, residual, active, hit = cond.plan(cond._w(*cond._checked(z0, u_prev)), qp_tol)
     q_in = cond.input_dim
     return MpcStep(
         u=u,
@@ -585,15 +589,17 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
 
     ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
     lifting's ``check_windows``) are checked once, and the condensation
-    comes from :func:`condensed`. Each step then lifts the window of its
-    last ``history_steps + 1`` states and ``history_steps`` inputs with the
-    lifting's ``lift_checked``, the arithmetic of ``lift_windows``, and
-    solves with :meth:`CondensedMpc.plan`, the arithmetic of
-    :func:`mpc_step`, so the loop is bitwise the loop of ``mpc_step`` and
-    ``rk4_step`` calls. What can fail only on a step's values is still
-    checked every step: a lift that is not finite, the unconstrained law's
-    rows and residual, a proposal's KKT residual, the solver's tolerance, the
-    first move's rate bound and the plant's divergence.
+    comes from :func:`condensed`. The loop keeps one step vector
+    ``w = [z; 1; u_prev]``: every step, warm-up steps included, advances
+    ``z`` to the measured state with the lifting's ``lift_next`` (bitwise
+    the lift of the step's window once the warm-up is over), a step past
+    the warm-up solves from ``w`` with :meth:`CondensedMpc.plan`, the
+    arithmetic of :func:`mpc_step`, and the applied input goes into ``w``'s
+    tail. So the loop is bitwise the loop of ``mpc_step`` and ``rk4_step``
+    calls. What can fail only on a step's values is still checked every
+    step: a lift that is not finite, the unconstrained law's rows and
+    residual, a proposal's KKT residual, the solver's tolerance, the first
+    move's rate bound and the plant's divergence.
 
     ``solve_stats`` holds per-step ``iterations``, ``kkt_residual`` and
     ``guess_hit`` arrays; ``guess_hit`` marks a plan found by the table. A
@@ -624,12 +630,15 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
     model.lifting.check_windows(states, inputs)
-    lift = model.lifting.lift_checked
+    lift_next = model.lifting.lift_next
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)
     hits = np.zeros(n_steps, dtype=bool)
     states[:, 0] = x
-    u_prev = np.zeros(q_in)
+    dim = cond.lifted_dim
+    w = np.zeros(dim + 1 + q_in)
+    w[dim] = 1.0
+    z, u_prev = w[:dim], w[dim + 1 :]  # views: lift_next and the loop write w in place
     times = np.arange(n_steps + 1) * dt
 
     def partial(k):
@@ -651,12 +660,12 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     u_idle = np.clip(np.zeros(q_in), cond.lb[:q_in], cond.ub[:q_in])
     for k in range(n_steps):
         try:
+            lift_next(z, x, u_prev)
             if k < warmup:
                 u = u_idle.copy()
                 cond.check_move(u, u_prev, "warm-up input change")
             else:
-                z0 = lift(states[:, k - warmup : k + 1], inputs[:, k - warmup : k])[:, 0]
-                u, _, iters[k], resid[k], _, hits[k] = cond.plan(z0, u_prev, qp_tol)
+                u, _, iters[k], resid[k], _, hits[k] = cond.plan(w, qp_tol)
             inputs[:, k] = u
             x = rk4_step(plant, x, u, times[k], dt)
         except KoopmpcError as err:
@@ -665,6 +674,6 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
                 err.args = (f"horizon problem failed at step {k}: {err}",) + err.args[1:]
             raise
         states[:, k + 1] = x
-        u_prev = u
+        u_prev[:] = u
 
     return partial(n_steps)

@@ -325,10 +325,10 @@ def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
     ``factor`` is the :func:`_kkt_factor` of ``qp.h`` and those rows, in the
     order given; ``dgetrs`` solves on it. The residual is the largest row
     violation, stationarity error or complementarity error, with negative
-    multipliers clipped to zero. A residual above ``tol`` and at most
-    ``refine_below`` gets one step of iterative refinement: with a large
-    ``g``, rounding in the active rows' slack is magnified by their
-    multipliers.
+    multipliers clipped to zero; it is NaN if any of them is. A residual
+    above ``tol`` and at most ``refine_below`` gets one step of iterative
+    refinement: with a large ``g``, rounding in the active rows' slack is
+    magnified by their multipliers.
     """
     n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
     rhs = np.concatenate([-qp.g, bw])
@@ -337,7 +337,9 @@ def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
         x, lam = sol[:n], np.maximum(sol[n:], 0.0)
         stat = np.abs(qp.h @ x + qp.g + aw.T @ lam).max()
         comp = np.abs(lam * (bw - aw @ x)).max(initial=0.0)
-        return x, float(max((qp.rows @ x - qp.rhs).max(initial=0.0), stat, comp))
+        viol = (qp.rows @ x - qp.rhs).max(initial=0.0)
+        # Python's max keeps a NaN only in first place; the sum of the three is NaN if one is.
+        return x, math.nan if math.isnan(viol + stat + comp) else float(max(viol, stat, comp))
 
     sol = scipy.linalg.lapack.dgetrs(*factor, rhs)[0]
     x, residual = point(sol)
@@ -390,8 +392,9 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
     caller may keep to check the same rows again with :func:`_verify_on_factor`.
 
     Raises:
-        InvalidInputError: ``h`` is not positive definite, or ``tol`` is not
-            positive and finite.
+        InvalidInputError: ``h`` is not positive definite, ``g`` or the
+            rows' right-hand side is not finite, or ``tol`` is not positive
+            and finite.
         InfeasibleError: the constraints admit no point.
         ConvergenceError: ``max_iter`` rows added and dropped did not finish,
             or the residual exceeds ``tol``; carries that ``x`` as ``best``.
@@ -401,12 +404,14 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
         qp = FactoredQp.factor(qp.h, qp.g, *_constraint_rows(qp.a_ineq, qp.b_ineq, qp.lb, qp.ub))
     elif not isinstance(qp, FactoredQp):
         raise InvalidInputError("qp must be a QpProblem or a FactoredQp")
+    if not (np.isfinite(qp.g).all() and np.isfinite(qp.rhs).all()):
+        raise InvalidInputError("the QP's gradient or right-hand side is not finite")
     if max_iter is None:
         max_iter = max(100, 10 * (qp.n + qp.rhs.size))
     active, iterations, converged = _dual_active_set(qp, tol, max_iter)
     factor = _kkt_factor(qp.h, qp.rows[active])
     x, residual = _kkt_solve(qp, active, factor, tol)
-    if not converged or residual > tol:
+    if not (converged and residual <= tol):  # a NaN residual fails
         raise ConvergenceError(
             f"dual active-set QP {'finished' if converged else 'stopped'} after {iterations} "
             f"iterations with KKT residual {residual:.2e} (tolerance {tol:.1e})",

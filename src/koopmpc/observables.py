@@ -12,6 +12,10 @@ scoring never branch on the kind of lifting:
   The result holds the lifts of samples ``history_steps .. T-1`` of every
   window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
   ``M`` windows lift as the columns of one batch;
+- ``lift_next(z, x, u)``: overwrites ``z``, ``(d,)`` or ``(d, M)`` and the
+  lift of the previous sample, with the lift of the newest sample ``x``
+  given ``u``, the input applied since. After ``history_steps + 1`` calls
+  from any ``z``, it is ``lift_checked`` of their window, bit for bit;
 - ``fixed_rows(input_dim)``: the rows of ``A`` and ``B`` in ``z' = A z + B u``
   that the lifting fixes, and the recovery matrix ``C``.
 
@@ -19,9 +23,9 @@ scoring never branch on the kind of lifting:
 ``check_windows(states, inputs)`` raises on windows of the wrong shape or
 length and returns them as float arrays, and ``lift_checked`` is the
 arithmetic alone. A caller that lifts many windows of one checked buffer,
-such as a closed loop lifting one window per step, checks the buffer once
-and calls ``lift_checked`` on its slices. ``lift_checked`` still raises on
-a lift that is not finite, as that depends on the values.
+checks the buffer once and calls ``lift_checked`` on its slices; a closed
+loop advances one lifted state with ``lift_next``. Both still raise on a
+lift that is not finite, as that depends on the values.
 """
 
 from __future__ import annotations
@@ -75,10 +79,10 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords``, ``fixed_rows`` and
-    ``lift_windows`` with its halves ``check_windows`` and ``lift_checked``.
-    A dictionary needs no history, recovers every plant coordinate, fixes no
-    row of a model, and ignores the inputs of ``lift_windows``.
+    ``history_steps``, ``state_dim``, ``coords``, ``fixed_rows``, ``lift_next``
+    and ``lift_windows`` with its halves ``check_windows`` and
+    ``lift_checked``. A dictionary needs no history, recovers every plant
+    coordinate, fixes no row of a model, and ignores the inputs it is given.
     """
 
     n_in: int
@@ -86,6 +90,7 @@ class Dictionary:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", _exponent_matrix(self.n_in, self.exponents))
+        object.__setattr__(self, "_gather", _gather_form(self.exponents))
 
     @property
     def n_out(self):
@@ -116,12 +121,25 @@ class Dictionary:
 
         Raises InvalidInputError if an observable is not finite.
         """
-        flat = states.reshape(states.shape[0], -1)
+        out = self._evaluate(states.reshape(states.shape[0], -1))
+        return out.reshape(out.shape[:1] + states.shape[1:])
+
+    def lift_next(self, z, x, u=None):
+        """Overwrite ``z``, (d,) or (d, M), with the observables of ``x``, (n,) or (n, M); ``u`` is ignored.
+
+        Raises InvalidInputError if an observable is not finite.
+        """
+        if z.ndim == 1:
+            x, z = x[:, None], z[:, None]
+        self._evaluate(x, out=z)
+
+    def _evaluate(self, cols, out=None):
+        """Observables of (n, m) columns -> (d, m), written into ``out`` if given; raises if one is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _monomials(self.exponents, flat)
+            out = _monomials(self._gather, cols, out)
         if not np.isfinite(out).all():
             raise InvalidInputError("dictionary evaluation produced non-finite values")
-        return out.reshape(out.shape[:1] + states.shape[1:])
+        return out
 
     def lift_windows(self, states, inputs=None):
         """Observables at every sample of (n, [M,] T) windows -> (d, [M,] T), in one (n, M*T) call."""
@@ -167,9 +185,29 @@ def _columns(dic, x):
     return x
 
 
-def _monomials(exponents, cols):
-    """prod_j cols[j] ** exponents[:, j]: (d, n) exponents, (n, m) columns -> (d, m)."""
-    return np.multiply.reduce(cols[None, :, :] ** exponents[:, :, None], axis=1)
+def _gather_form(exponents):
+    """Read-only ``(index, powers)`` of (d, n) exponents: ``powers[p, j, 0] = p`` for ``p`` in
+    ``0 .. max``, and ``index[i, j] = exponents[i, j] * n + j`` picks ``cols[j] ** exponents[i, j]``
+    out of the flattened table of those powers."""
+    n = exponents.shape[1]
+    index = exponents * n + np.arange(n)
+    powers = np.repeat(np.arange(exponents.max(initial=0) + 1)[:, None], n, axis=1)[:, :, None]
+    index.flags.writeable = powers.flags.writeable = False
+    return index, powers
+
+
+def _monomials(gather, cols, out=None):
+    """prod_j cols[j] ** e[i, j] from :func:`_gather_form` of (d, n) exponents ``e``: (n, m) columns -> (d, m).
+
+    Each entry is raised to each power once, and the gathered (d, n, m)
+    factors are multiplied along ``n``, into ``out`` if given. The powers are
+    a (p, n, 1) integer array, shaped as per-factor exponents were, so numpy
+    picks the same pow loop (its vectorized and scalar forms can differ in
+    the last bit) and every factor keeps its bits.
+    """
+    index, powers = gather
+    table = (cols[None, :, :] ** powers).reshape(powers.size, cols.shape[1])  # row p * n + j: cols[j] ** p
+    return np.multiply.reduce(table.take(index, axis=0), axis=1, out=out)
 
 
 def eval_dictionary(dic, x):
@@ -191,7 +229,7 @@ def eval_gradients(dic, x):
         rows = e[:, j] != 0
         reduced = e[rows]
         reduced[:, j] -= 1
-        out[rows, j] = e[rows, j, None] * _monomials(reduced, cols)
+        out[rows, j] = e[rows, j, None] * _monomials(_gather_form(reduced), cols)
     return out[:, :, 0] if np.ndim(x) == 1 else out
 
 
@@ -309,6 +347,19 @@ class DelayCoordinates:
     def lift_windows(self, states, inputs):
         """:meth:`lift_checked` of the windows :meth:`check_windows` accepts."""
         return self.lift_checked(*self.check_windows(states, inputs))
+
+    def lift_next(self, z, x, u):
+        """Overwrite ``z``, (aug_dim,) or (aug_dim, M), with the lift one sample on.
+
+        The stored blocks move one slot older, the copy that :meth:`fixed_rows`
+        encodes; ``x[coords]`` and ``u`` (if inputs are stored) fill the newest.
+        """
+        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.aug_dim
+        z[n_e:z_dim] = z[: z_dim - n_e]
+        if dim > z_dim:
+            z[z_dim + q :] = z[z_dim : dim - q]
+            z[z_dim : z_dim + q] = u
+        z[:n_e] = x[list(self.coords)]
 
     def fixed_rows(self, input_dim):
         """``(n_free, a, b, c)``: the ``n_embed`` newest-sample rows are free (zero), the rest fixed.

@@ -110,16 +110,16 @@ def test_every_table_hit_is_the_plan_verify_active_set_gives(vdp_training, model
 
     def recording_propose(self, w, slack, tol):
         active = propose(self, w, slack, tol)
-        proposals.append((w, active))
+        proposals.append((w.copy(), active))  # the loop reuses its step vector
         return active
 
     monkeypatch.setattr(ActiveSetTable, "propose", recording_propose)
     calls, plan = [], CondensedMpc.plan
 
-    def recording_plan(cond, *args):
+    def recording_plan(cond, w, qp_tol):
         proposals.clear()
-        out = plan(cond, *args)
-        calls.append((cond, args, out, list(proposals)))
+        out = plan(cond, w, qp_tol)
+        calls.append((cond, (w.copy(), qp_tol), out, list(proposals)))
         return out
 
     monkeypatch.setattr(CondensedMpc, "plan", recording_plan)
@@ -127,11 +127,12 @@ def test_every_table_hit_is_the_plan_verify_active_set_gives(vdp_training, model
     for x0 in [(-3.0, 3.5), (1.5, -2.5), (-0.5, -3.0)]:
         calls.clear()
         closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
-        for cond, (z0, u_prev, qp_tol), (_, sol, iterations, residual, active, hit), asked in calls:
+        for cond, (w_step, qp_tol), (_, sol, iterations, residual, active, hit), asked in calls:
             if not asked or asked[0][1] is None:
                 continue
+            u_prev = w_step[cond.lifted_dim + 1 :]
             (w, proposed), = asked
-            qp = cond.factored_qp(cond._gradient(z0, u_prev), u_prev)
+            qp = cond.factored_qp(cond._gradient(w_step[: cond.lifted_dim], u_prev), u_prev)
             verified = verify_active_set(qp, proposed, qp_tol)
             if verified is None:  # a rejected proposal: the step went to the cold solve
                 assert not hit and active != proposed
@@ -255,7 +256,7 @@ def test_a_set_with_dependent_rows_is_never_stored_and_breaks_no_step(linear_mod
     cond._table.record(active)
     assert len(cond._table._slots) == 0
     z0, u_prev = linear_model.lift(np.array(x)), np.array([u_prev])
-    sol = cond.plan(z0, u_prev, QP_TOL)[1]
+    sol = cond.plan(cond._w(z0, u_prev), QP_TOL)[1]
     np.testing.assert_allclose(sol, cold_plan(cond, z0, u_prev, QP_TOL)[0], rtol=0.0, atol=1e-12)
     assert not any(dependent <= set(key) for key in cond._table._slots)
 
@@ -296,7 +297,7 @@ def warm_tables(vdp_training, models):
         asked = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(koopmpc.mpc, "_condensations", {})
-            mp.setattr(ActiveSetTable, "propose", lambda self, w, *args: asked.append(w) or propose(self, w, *args))
+            mp.setattr(ActiveSetTable, "propose", lambda self, w, *args: asked.append(w.copy()) or propose(self, w, *args))
             for ic in WARM_UP_ICS:
                 closed_loop_run(plant, model, mpc_cfg("saturated"), np.array(ic), 1.0, DT)
             out[kind] = condensed(model, mpc_cfg("saturated")), asked

@@ -43,7 +43,7 @@ def test_tracer_counts_the_traced_paths_and_restores_them(bench_trace, monkeypat
     assert tracer.calls["dynamics.generate_training_trajectories"] == 1
     assert tracer.calls["mpc.closed_loop_run"] == 2
     assert tracer.calls["mpc.condense"] == 1
-    # A closed-loop step lifts through the lifting's lift_checked and plans
+    # A closed-loop step lifts through the lifting's lift_next and plans
     # through CondensedMpc.plan, not through mpc_step, LinearControlModel.lift,
     # eval_dictionary or is_feasible.
     assert tracer.calls["mpc.mpc_step"] == 0

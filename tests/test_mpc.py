@@ -141,6 +141,25 @@ class TestMpcStep:
             mpc_step(linear_model, np.array([4.0, 4.0]), np.zeros(1), cfg)
         assert len(calls) == 1  # the unconstrained plan broke a bound
 
+    @pytest.mark.parametrize("rate", [0.1, np.inf])
+    def test_a_nan_plan_is_rejected_before_the_plant(self, linear_model, monkeypatch, rate):
+        # NaN compares False either way, so only "lo <= du <= hi" rejects it.
+        calls = []
+
+        def nan_solve(qp, x0=None, tol=1e-8):
+            calls.append(qp)
+            return np.full(qp.n, np.nan), {"iterations": 1, "kkt_residual": 0.0}
+
+        monkeypatch.setattr(koopmpc.mpc, "solve_qp_info", nan_solve)
+        cfg = base_cfg(u_min=-0.1, u_max=0.1, du_min=-rate, du_max=rate)
+        with pytest.raises(InfeasibleError, match="rate bound"):
+            mpc_step(linear_model, np.array([4.0, 4.0]), np.zeros(1), cfg)
+        plant = ControlSystem(2, 1, LinearRhs(-np.eye(2), np.array([[0.0], [1.0]])))
+        with pytest.raises(InfeasibleError, match="step 0: first planned input change") as exc:
+            closed_loop_run(plant, linear_model, cfg, np.array([4.0, 4.0]), 1.0, 0.1)
+        assert exc.value.partial.stage_costs.size == 0
+        assert len(calls) == 2
+
 
 @st.composite
 def bounded_step(draw, **cfg_overrides):
@@ -594,9 +613,9 @@ class TestActiveSetGuesses:
         model, mpc_cfg = models[kind], mpc_config_from(cfg)
         calls, plan_unpatched = [], CondensedMpc.plan
 
-        def recording_plan(cond, *args):
-            out = plan_unpatched(cond, *args)
-            calls.append((cond, args, out))
+        def recording_plan(cond, w, qp_tol):
+            out = plan_unpatched(cond, w, qp_tol)
+            calls.append((cond, (w.copy(), qp_tol), out))  # the loop reuses its step vector
             return out
 
         monkeypatch.setattr(CondensedMpc, "plan", recording_plan)
@@ -617,7 +636,8 @@ class TestActiveSetGuesses:
                 continue
             # Every step planned once, and against a cold solve of the same step.
             assert len(steps) == got.stage_costs.size - got.warmup_steps > 0
-            for cond, (z0, u_prev, qp_tol), (_, plan, iterations, _, _, hit) in steps:
+            for cond, (w, qp_tol), (_, plan, iterations, _, _, hit) in steps:
+                z0, u_prev = w[: cond.lifted_dim], w[cond.lifted_dim + 1 :]
                 cold, cold_iterations = cold_plan(cond, z0, u_prev, qp_tol)[:2]
                 np.testing.assert_allclose(plan, cold, rtol=0.0, atol=1e-12)
                 assert iterations == (0 if hit else cold_iterations)

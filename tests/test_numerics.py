@@ -21,6 +21,7 @@ from koopmpc.numerics import (
     _constraint_rows,
     _dual_active_set,
     _kkt_factor,
+    _kkt_solve,
     solve_qp_info,
     verify_active_set,
 )
@@ -443,6 +444,30 @@ def test_dual_solver_matches_enumeration(case):
         with pytest.raises(ConvergenceError) as exc:
             solve_qp_info(qp, max_iter=info["iterations"] - 1)
         assert exc.value.best.shape == x.shape
+
+
+class TestNonFiniteProblems:
+    # Python's max(0.0, nan, 0.0) is 0.0, so a NaN stationarity error once read as a residual of 0.
+    def test_a_nan_gradient_gives_a_nan_residual(self):
+        qp = FactoredQp.factor(np.eye(2), np.array([np.nan, 0.0]), np.zeros((0, 2)), np.zeros(0))
+        x, residual = _kkt_solve(qp, [], _kkt_factor(qp.h, qp.rows[[]]), 1e-8)
+        assert np.isnan(x[0]) and np.isnan(residual)
+        assert verify_active_set(qp, []) is None
+
+    @pytest.mark.parametrize("rows", [0, 2, 4], ids=["no rows", "upper box", "box"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_gradient_is_rejected(self, rows, entry):
+        # With box rows the dual iteration once met a NaN step and raised UnboundLocalError.
+        box = np.vstack([np.eye(2), -np.eye(2)])[:rows]
+        qp = FactoredQp.factor(np.eye(2), np.array([entry, 0.0]), box, np.ones(rows))
+        with pytest.raises(InvalidInputError, match="gradient or right-hand side is not finite"):
+            solve_qp_info(qp)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_non_finite_right_hand_side_is_rejected(self, entry):
+        qp = FactoredQp.factor(np.eye(2), np.array([-2.0, 0.0]), np.eye(2), np.array([1.0, entry]))
+        with pytest.raises(InvalidInputError, match="gradient or right-hand side is not finite"):
+            solve_qp_info(qp)
 
 
 def test_rejects_hessian_without_cholesky_factor():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from koopmpc import (
 )
 from koopmpc.errors import MissingHistoryError
 from koopmpc.io import model_from_json, model_to_json, read_json, write_json
-from koopmpc.observables import eval_gradients
+from koopmpc.observables import _gather_form, _monomials, eval_gradients
 from conftest import model_on, reference_lift
+from monomial_reference import reference_monomials
 
 
 def make_series(values, q=1):
@@ -127,6 +129,42 @@ class TestEvalAgainstPerRowReference:
         assert np.all(np.abs(eval_gradients(dic, x) - gref) <= rel * np.abs(gref))
         single = eval_gradients(dic, x[:, 0])
         assert np.all(np.abs(single - gref[:, :, 0]) <= rel * np.abs(gref[:, :, 0]))
+
+
+# Entries that stress the arithmetic: NaN, infinities, signed zeros, subnormals and values whose powers overflow.
+SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e60, 1e60, 1e200, 1.0, -1.0])
+
+
+class TestGatherForm:
+    # Column counts on both sides of the sizes where numpy's buffered pow loop
+    # switches between its vectorized and scalar forms (2731 and 8192 here).
+    @given(
+        e=exponent_matrices(),
+        m=st.one_of(st.integers(1, 40), st.sampled_from([2730, 2731, 4200, 8191, 8192, 9000])),
+        layout=st.sampled_from(["contiguous", "strided", "fortran"]),
+        special=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_monomials_are_the_per_factor_powers_bitwise(self, e, m, layout, special, seed):
+        rng = np.random.default_rng(seed)
+        n = e.shape[1]
+        x = rng.uniform(-7.0, 7.0, (n, 2 * m))
+        mask = rng.random(x.shape) < special
+        x[mask] = rng.choice(SPECIAL_ENTRIES, mask.sum())
+        cols = {"contiguous": x[:, :m], "strided": x[:, ::2], "fortran": np.asfortranarray(x)[:, :m]}[layout]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _monomials(_gather_form(e), cols)
+            want = reference_monomials(e, cols)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_default_dictionary_on_one_column_and_on_a_batch(self):
+        dic = monomials_dictionary(2, 5)
+        x = np.random.default_rng(3).uniform(-4.0, 4.0, (2, 20_000))
+        assert eval_dictionary(dic, x).tobytes() == reference_monomials(dic.exponents, x).tobytes()
+        for k in (0, 1, 19_999):
+            col = eval_dictionary(dic, x[:, k])
+            assert col.tobytes() == reference_monomials(dic.exponents, x[:, k : k + 1])[:, 0].tobytes()
 
 
 class TestEvalDictionary:
@@ -369,6 +407,45 @@ class TestLiftingInterface:
             assert got.tobytes() == lifting.lift_windows(*window)[:, 0].tobytes()
             lifted = model.lift(states[:, k], states[:, :k], inputs[:, :k])
             assert got.tobytes() == lifted.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lift_next_from_any_start_is_the_window_lift_bitwise(self, data):
+        # A closed loop advances one lifted state a sample at a time; after
+        # history_steps + 1 calls it must hold lift_checked of the window,
+        # whatever z held before (zeros, or garbage such as NaN).
+        if data.draw(st.booleans(), label="dictionary"):
+            n = data.draw(st.integers(1, 3), label="n")
+            lifting = monomials_dictionary(n, data.draw(st.integers(1, 5), label="order"))
+            q, entries = data.draw(st.integers(0, 2), label="q"), st.sampled_from(SPECIAL_ENTRIES)
+            entries = st.one_of(st.floats(-5.0, 5.0), entries)
+        else:
+            n = data.draw(st.integers(1, 3), label="state_dim")
+            coords = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="coords")
+            q = data.draw(st.integers(0, 2), label="q")
+            lifting = DelayCoordinates(data.draw(st.integers(1, 6), label="depth"), coords, n, q)
+            entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_ENTRIES))
+        h = lifting.history_steps
+        cols = data.draw(st.sampled_from([None, 1, 3]), label="columns")  # None: one (n,) sample per call
+        batch = () if cols is None else (cols,)
+        n_samples = data.draw(st.integers(h + 1, h + 4), label="samples")
+        states = data.draw(arrays(float, (n, *batch, n_samples), elements=entries), label="states")
+        inputs = data.draw(arrays(float, (q, *batch, n_samples - 1), elements=entries), label="inputs")
+        d = getattr(lifting, "aug_dim", None) or lifting.n_out
+        start = data.draw(st.sampled_from([0.0, np.nan, -1e300]), label="start")
+        z = np.full((d + 2, *batch), start)[:d]  # a view, as the loop's slice of its step vector
+        u = np.full((q, *batch), start)  # the input "before" the first sample is never read
+        for k in range(n_samples):
+            try:
+                want = lifting.lift_checked(states[..., : k + 1], inputs[..., :k]) if k >= h else None
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
+                    lifting.lift_next(z, states[..., k], u)
+                return
+            lifting.lift_next(z, states[..., k], u)
+            if want is not None:
+                assert z.tobytes() == want[..., -1].tobytes()
+            u = inputs[..., k] if k < n_samples - 1 else None
 
     def test_kernel_raises_on_an_overflowing_lift(self):
         dic = monomials_dictionary(2, 3)

@@ -1,12 +1,13 @@
 """The closed loop against its per-step public calls, and the shared condensations.
 
-``closed_loop_run`` checks its inputs and buffers once, lifts each step's
-window with the lifting's ``lift_checked`` and plans with
-``CondensedMpc.plan``, on a condensation taken from a bounded memo keyed on
-content. The reference here is the same loop spelled out with public
-``mpc_step`` and ``rk4_step`` calls; the two must agree bit for bit, the
-error and partial result of a run that diverges or whose lift overflows
-included.
+``closed_loop_run`` checks its inputs and buffers once, keeps one step
+vector ``[z; 1; u_prev]`` whose ``z`` the lifting's ``lift_next`` advances
+to each measurement, and plans from it with ``CondensedMpc.plan``, on a
+condensation taken from a bounded memo keyed on content. The reference here
+is the same loop spelled out with public ``mpc_step`` and ``rk4_step``
+calls, each step lifting its whole window afresh; the two must agree bit
+for bit, the error and partial result of a run that diverges or whose lift
+overflows included.
 """
 
 import copy
@@ -168,8 +169,8 @@ def test_a_diverging_loop_fails_as_the_loop_of_public_steps(x0, signs):
 
 @pytest.mark.parametrize("x0", [(1e120, 0.0), (0.0, -1e150), (3e200, 3e200)])
 def test_an_overflowing_lift_fails_as_the_loop_of_public_steps(vdp_training, models, x0):
-    # The loop lifts through the kernel alone, which still rejects a lift
-    # that is not finite, as mpc_step's lift does.
+    # The loop lifts through lift_next, which still rejects a lift that is
+    # not finite, as mpc_step's lift does.
     plant, model, cfg = vdp_training[0], models["edmdc"], mpc_cfg("default")
     with pytest.raises(InvalidInputError) as exc:
         cold_table(closed_loop_run, plant, model, cfg, np.array(x0), 1.0, DT)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "koopmpc"
 
 
@@ -32,15 +34,29 @@ def _is_mutable_container(node):
     return False
 
 
+def _module_level_containers(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    return [
+        f"{name}:{node.lineno}"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and node.value is not None
+        and _is_mutable_container(node.value)
+    ]
+
+
 def test_the_solver_layer_keeps_no_module_level_container():
     """``numerics`` stays free of caches: a table of solved problems belongs to its caller's scope."""
-    tree = ast.parse((SRC / "numerics.py").read_text(encoding="utf-8"))
-    found = []
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
-            if _is_mutable_container(node.value):
-                found.append(f"numerics.py:{node.lineno}")
+    found = _module_level_containers("numerics.py")
     assert not found, f"module-level containers in numerics.py: {found}"
+
+
+# config.py's key lists are constants by use; mpc.py still keeps its condensation memo.
+@pytest.mark.parametrize("name", ["dynamics.py", "observables.py", "sysid.py", "transfer.py"])
+def test_the_model_layers_keep_no_module_level_container(name):
+    """Plants, liftings, fits and chains keep no state between calls either."""
+    found = _module_level_containers(name)
+    assert not found, f"module-level containers in {name}: {found}"
 
 
 def test_the_container_check_sees_each_form():
