@@ -188,10 +188,13 @@ def _columns(dic, x):
 def _gather_form(exponents):
     """Read-only ``(index, powers)`` of (d, n) exponents: ``powers[p, j, 0] = p`` for ``p`` in
     ``0 .. max``, and ``index[i, j] = exponents[i, j] * n + j`` picks ``cols[j] ** exponents[i, j]``
-    out of the flattened table of those powers."""
+    out of the flattened table of those powers. A lone exponent is its table's only power."""
     n = exponents.shape[1]
-    index = exponents * n + np.arange(n)
-    powers = np.repeat(np.arange(exponents.max(initial=0) + 1)[:, None], n, axis=1)[:, :, None]
+    if exponents.size == 1:  # numpy raises by a single exponent on its scalar loop, as it did per factor
+        levels, index = exponents.ravel(), np.zeros_like(exponents)
+    else:
+        levels, index = np.arange(exponents.max(initial=0) + 1), exponents * n + np.arange(n)
+    powers = np.repeat(levels[:, None], n, axis=1)[:, :, None]
     index.flags.writeable = powers.flags.writeable = False
     return index, powers
 

@@ -447,7 +447,7 @@ def test_dual_solver_matches_enumeration(case):
 
 
 class TestNonFiniteProblems:
-    # Python's max(0.0, nan, 0.0) is 0.0, so a NaN stationarity error once read as a residual of 0.
+    # Python's max(0.0, nan, 0.0) is 0.0: the residual must not drop a NaN term.
     def test_a_nan_gradient_gives_a_nan_residual(self):
         qp = FactoredQp.factor(np.eye(2), np.array([np.nan, 0.0]), np.zeros((0, 2)), np.zeros(0))
         x, residual = _kkt_solve(qp, [], _kkt_factor(qp.h, qp.rows[[]]), 1e-8)
@@ -457,7 +457,7 @@ class TestNonFiniteProblems:
     @pytest.mark.parametrize("rows", [0, 2, 4], ids=["no rows", "upper box", "box"])
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_gradient_is_rejected(self, rows, entry):
-        # With box rows the dual iteration once met a NaN step and raised UnboundLocalError.
+        # With rows, a NaN gradient makes NaN steps in the dual iteration, so it is rejected first.
         box = np.vstack([np.eye(2), -np.eye(2)])[:rows]
         qp = FactoredQp.factor(np.eye(2), np.array([entry, 0.0]), box, np.ones(rows))
         with pytest.raises(InvalidInputError, match="gradient or right-hand side is not finite"):

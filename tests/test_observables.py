@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -137,7 +137,8 @@ SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e60, 1
 
 class TestGatherForm:
     # Column counts on both sides of the sizes where numpy's buffered pow loop
-    # switches between its vectorized and scalar forms (2731 and 8192 here).
+    # switches between its vectorized and scalar forms (2,731 and 8,192 columns
+    # with numpy 2.4 on an AVX-512 CPU).
     @given(
         e=exponent_matrices(),
         m=st.one_of(st.integers(1, 40), st.sampled_from([2730, 2731, 4200, 8191, 8192, 9000])),
@@ -146,6 +147,7 @@ class TestGatherForm:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
+    @example(e=np.array([[2]]), m=8, layout="contiguous", special=0.0, seed=107)  # one exponent: numpy's scalar loop
     def test_monomials_are_the_per_factor_powers_bitwise(self, e, m, layout, special, seed):
         rng = np.random.default_rng(seed)
         n = e.shape[1]
@@ -434,7 +436,7 @@ class TestLiftingInterface:
         d = getattr(lifting, "aug_dim", None) or lifting.n_out
         start = data.draw(st.sampled_from([0.0, np.nan, -1e300]), label="start")
         z = np.full((d + 2, *batch), start)[:d]  # a view, as the loop's slice of its step vector
-        u = np.full((q, *batch), start)  # the input "before" the first sample is never read
+        u = np.full((q, *batch), start)  # an input before the first sample leaves z within history_steps calls
         for k in range(n_samples):
             try:
                 want = lifting.lift_checked(states[..., : k + 1], inputs[..., :k]) if k >= h else None
