@@ -182,6 +182,15 @@ def cmd_ulam(args):
     return 0
 
 
+def _blas_build(module):
+    """Name and version of the BLAS that ``module`` (numpy or scipy) bundles, from its build config."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a release without the config dicts
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def cmd_benchmark(args):
     cfg = _load_config(args)
     out = _out_dir(args)
@@ -204,7 +213,8 @@ def cmd_benchmark(args):
     # Timing and the environment live outside report.json so reports stay byte-reproducible.
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {"cpu_count": os.cpu_count(), "blas_threads": {name: os.environ.get(name) for name in threads},
-           "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+           "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+           "blas": {mod.__name__: _blas_build(mod) for mod in (np, scipy)}}
     write_json(
         {"wall_time_seconds": elapsed, "stage_seconds": stage_seconds, **env},
         out / "run_info.json",

@@ -43,12 +43,32 @@ def jsonify(obj):
     return obj
 
 
+_NUMBERS = {int, float}
+
+
+def _render(obj, indent=""):
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a :func:`jsonify` result, nested ``indent`` deep.
+
+    A list of plain ints and finite floats is joined from their ``repr``s,
+    which is what ``json``'s encoder writes for them.
+    """
+    inner = indent + "  "
+    if type(obj) is dict and obj:
+        items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if type(obj) is list and obj:
+        items = map(repr, obj) if set(map(type, obj)) <= _NUMBERS else (_render(v, inner) for v in obj)
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(obj)
+
+
 def write_json(obj, path):
+    """Write ``jsonify(obj)`` with sorted keys and two-space indents, in the
+    bytes of ``json.dump(..., sort_keys=True, indent=2)`` plus a newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonify(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_render(jsonify(obj)) + "\n")
 
 
 def read_json(path):

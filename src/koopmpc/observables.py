@@ -302,6 +302,11 @@ class DelayCoordinates:
         return self.z_dim + self.history_steps * self.input_dim
 
     @property
+    def n_out(self):
+        """Length of a lifted state, as for a :class:`Dictionary`."""
+        return self.aug_dim
+
+    @property
     def history_steps(self):
         """Past steps needed (beyond the current sample) to build a lifted state."""
         return self.depth - 1

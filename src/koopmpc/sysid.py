@@ -50,6 +50,8 @@ class LinearControlModel:
         d = self.a.shape[0]
         if self.a.shape != (d, d) or self.b.shape[0] != d or self.c.shape[1] != d:
             raise InvalidInputError("model matrices have inconsistent shapes")
+        if self.lifting.n_out != d:
+            raise InvalidInputError(f"the lifting gives {self.lifting.n_out} coordinates, but a is {d} x {d}")
         for name in ("a", "b", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"model matrix {name} is not finite")

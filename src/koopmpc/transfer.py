@@ -9,6 +9,13 @@ normalizes over the source box, which forces the column convention.)
 Samples that leave the partition rectangle are routed to an explicit
 absorbing "outside" state appended after the boxes, so columns stay
 stochastic even when the domain is not invariant.
+
+This is Ulam's method, EDMD over box indicators: the counts are the
+regression of the landed samples' boxes on their source boxes. Box j's
+samples come from a generator seeded by (seed, j), whatever the batching;
+every box is drawn into one buffer, and each level's (landed, source) pairs
+are counted by one ``np.bincount``. The RK4 flow of the samples is most of
+the estimator's time.
 """
 
 from __future__ import annotations
@@ -67,12 +74,6 @@ class BoxPartition:
     def widths(self):
         return (self.highs - self.lows) / self.counts
 
-    def box_bounds(self, j):
-        """(low, high) corners of box j in the row-major box ordering."""
-        idx = np.unravel_index(j, tuple(self.counts))
-        lo = self.lows + np.asarray(idx) * self.widths
-        return lo, lo + self.widths
-
 
 def locate_many(part, xs):
     """Box index of each column of ``xs`` (n, m); ``part.outside_index`` if it leaves the rectangle.
@@ -82,16 +83,15 @@ def locate_many(part, xs):
     A column with a non-finite entry is outside.
     """
     xs = np.asarray(xs, dtype=float)
-    finite = np.all(np.isfinite(xs), axis=0)
-    inside = finite & np.all(xs >= part.lows[:, None], axis=0) & np.all(
-        xs <= part.highs[:, None], axis=0
-    )
-    out = np.full(xs.shape[1], part.outside_index, dtype=int)
-    if np.any(inside):
-        rel = (xs[:, inside] - part.lows[:, None]) / part.widths[:, None]
-        idx = np.minimum(np.floor(rel).astype(int), (part.counts - 1)[:, None])
-        out[inside] = np.ravel_multi_index(tuple(idx), tuple(part.counts))
-    return out
+    inside = np.ones(xs.shape[1], dtype=bool)
+    flat = np.zeros(xs.shape[1])
+    # One row at a time: comparisons with NaN are False, and the box index of
+    # an outside column, however large or non-finite, is replaced below.
+    with np.errstate(all="ignore"):
+        for row, lo, hi, width, n in zip(xs, part.lows, part.highs, part.widths, part.counts):
+            inside &= (row >= lo) & (row <= hi)
+            flat = flat * n + np.minimum(np.floor((row - lo) / width), n - 1)
+    return np.where(inside, flat, part.outside_index).astype(int)
 
 
 @dataclass
@@ -196,6 +196,23 @@ def _flow_batch(sys, x, level, tau, flow_dt):
     return np.array(x)
 
 
+def _sample_boxes(part, spb, seed):
+    """``spb`` uniform points per box as a (dim, boxes * spb) array, box j's in columns j*spb onward.
+
+    Box j's points come from its own generator, seeded by ``(seed, j)``, so
+    they do not depend on how many boxes there are or how they are batched.
+    """
+    idx = np.stack(np.unravel_index(np.arange(part.n_boxes), tuple(part.counts)))
+    lo = part.lows[:, None] + idx * part.widths[:, None]
+    span = (lo + part.widths[:, None]) - lo
+    r = np.empty((part.n_boxes, part.dim, spb))
+    for j in range(part.n_boxes):
+        np.random.default_rng(np.random.SeedSequence([seed, j])).random(out=r[j])
+    r *= span.T[:, :, None]
+    r += lo.T[:, :, None]
+    return r.transpose(1, 0, 2).reshape(part.dim, -1)
+
+
 def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed, flow_dt=None):
     """Monte-Carlo transition-matrix estimate per discrete input level.
 
@@ -209,21 +226,21 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
     spb = _count(samples_per_box, "samples_per_box", 1)
     seed = _count(seed, "seed", 0)
     check_positive(tau, "tau")
+    if part.dim != sys.state_dim:
+        raise InvalidInputError(
+            f"partition dimension {part.dim} does not match the plant state dimension {sys.state_dim}"
+        )
     levels = tuple(np.atleast_1d(np.asarray(lv, dtype=float)) for lv in levels)
     for lv in levels:
         if lv.size != sys.input_dim:
             raise InvalidInputError(f"level {lv} does not match the plant input dimension")
+        if not np.all(np.isfinite(lv)):
+            raise InvalidInputError(f"input level {lv} must be finite")
     flow_dt = tau / 10.0 if flow_dt is None else flow_dt
     check_positive(flow_dt, "flow_dt")
     d = part.n_boxes
     k = d + 1
-    pts = np.empty((part.dim, d * spb))
-    for j in range(d):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-        lo, hi = part.box_bounds(j)
-        pts[:, j * spb : (j + 1) * spb] = lo[:, None] + rng.random((part.dim, spb)) * (
-            hi - lo
-        )[:, None]
+    pts = _sample_boxes(part, spb, seed)
     src = np.repeat(np.arange(d), spb)
     blocks = range(0, pts.shape[1], _FLOW_BLOCK)
     mats = []
@@ -232,14 +249,12 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
             locate_many(part, _flow_batch(sys, pts[:, i : i + _FLOW_BLOCK], lv, tau, flow_dt))
             for i in blocks
         ])
-        counts = np.zeros((k, k))
-        np.add.at(counts, (landed, src), 1.0)
+        counts = np.bincount(landed * k + src, minlength=k * k).reshape(k, k)
         p = counts / spb
-        p[:, d] = 0.0
         p[d, d] = 1.0
         col_counts = np.full(k, spb, dtype=float)
         col_counts[d] = 0.0
-        escape = tuple(int(j) for j in range(d) if counts[d, j] == spb)
+        escape = tuple(np.flatnonzero(counts[d, :d] == spb).tolist())
         mats.append(
             TransitionMatrix(
                 p=p, tau=float(tau), counts=col_counts, outside=True, full_escape=escape

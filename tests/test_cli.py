@@ -617,6 +617,11 @@ class TestBenchmarkCommand:
         assert info["cpu_count"] == os.cpu_count()
         assert info["python"] == platform.python_version()
         assert (info["numpy"], info["scipy"]) == (np.__version__, scipy.__version__)
+        # Each of numpy and scipy may bundle its own BLAS build.
+        for module in (np, scipy):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert info["blas"][module.__name__] == {"name": blas["name"], "version": blas["version"]}
+            assert isinstance(blas["version"], str) and blas["version"]
         report = (out / "report.json").read_text()
         for key in info:
             assert f'"{key}"' not in report

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from koopmpc import (
     CondensedMpc,
     DelayCoordinates,
+    Dictionary,
     InvalidInputError,
     LinearControlModel,
     MpcConfig,
@@ -115,24 +116,27 @@ def draw_bound(draw, rng, sign):
 
 @st.composite
 def condensation_case(draw):
-    """A random stable model with 1-3 inputs, weights (maybe on a partial state) and one-sided or infinite bounds."""
-    dim = draw(st.integers(1, 20))
+    """A random stable model with 1-3 inputs, weights (maybe on a partial state) and one-sided or infinite bounds.
+
+    The lifting gives as many coordinates as ``a`` has rows; condensation reads only its coordinates.
+    """
     q_in = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((dim, dim))
-    a /= max(1.0, np.linalg.norm(a, 2)) * rng.uniform(1.0, 1.5)
-    b = rng.standard_normal((dim, q_in))
     plant_dim = draw(st.integers(1, 3))
     if draw(st.booleans()):
         # Partial state: the model recovers some plant coordinates, the weight is on all of them.
         n_coords = draw(st.integers(1, plant_dim))
         coords = tuple(sorted(rng.choice(plant_dim, n_coords, replace=False).tolist()))
-        lifting = DelayCoordinates(1, coords, plant_dim, q_in)
+        lifting = DelayCoordinates(draw(st.integers(1, 4)), coords, plant_dim, q_in)
         ny, q_dim = n_coords, plant_dim
     else:
         ny = q_dim = plant_dim
-        lifting = identity_dictionary(ny)
+        lifting = Dictionary(ny, rng.integers(0, 3, (draw(st.integers(1, 20)), ny)))
+    dim = lifting.n_out
+    a = rng.standard_normal((dim, dim))
+    a /= max(1.0, np.linalg.norm(a, 2)) * rng.uniform(1.0, 1.5)
+    b = rng.standard_normal((dim, q_in))
     c = rng.standard_normal((ny, dim))
     model = LinearControlModel(a=a, b=b, c=c, lifting=lifting, dt=0.1, kind="dmdc")
 

@@ -19,6 +19,7 @@ from koopmpc import (
     MpcConfig,
     InsufficientDataError,
     InvalidInputError,
+    LinearControlModel,
     MissingHistoryError,
     NoEigenfunctionError,
     Trajectory,
@@ -340,6 +341,22 @@ def _small_study():
 
 
 MODEL_NAMES = ("dmdc", "edmdc", "delay", "delay-x1")
+
+
+class TestModelShape:
+    @pytest.mark.parametrize(
+        "lifting, dim",
+        [(koopmpc.identity_dictionary(2), 3), (koopmpc.DelayCoordinates(2, (0, 1), 2, 1), 4)],
+        ids=["dictionary", "delay"],
+    )
+    def test_a_lifting_of_another_length_than_a_raises(self, lifting, dim):
+        # Built, such a model would fail only in closed loop, in a numpy broadcast.
+        ok = LinearControlModel(a=np.eye(lifting.n_out), b=np.ones((lifting.n_out, 1)),
+                                c=np.eye(2, lifting.n_out), lifting=lifting, dt=0.1, kind="test")
+        assert ok.lifted_dim == lifting.n_out
+        with pytest.raises(InvalidInputError, match=f"the lifting gives {lifting.n_out} coordinates, but a is {dim} x {dim}"):
+            LinearControlModel(a=np.eye(dim), b=np.ones((dim, 1)), c=np.eye(2, dim),
+                               lifting=lifting, dt=0.1, kind="test")
 
 
 class TestLiftingInterface:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,9 +17,29 @@ from koopmpc import (
     estimate_controlled_transition,
     invariant_density,
 )
+import koopmpc.transfer as ktransfer
 from koopmpc.dynamics import make_vanderpol
-from koopmpc.io import chain_to_json, jsonify, read_json
+from koopmpc.config import ExperimentConfig
+from koopmpc.io import chain_to_json, jsonify, read_json, write_json
+from koopmpc.numerics import lstsq_min_norm
 from koopmpc.transfer import locate_many
+
+
+def one_hot_boxes(part, xs):
+    """(boxes + 1, m) indicators of the box of each column of ``xs``, tested box by box against its corners.
+
+    A box holds [low, high) along each axis, closed above at the rectangle's
+    top; a column in no box, or not finite, is in the last row.
+    """
+    out = np.zeros((part.n_boxes + 1, xs.shape[1]))
+    width = (part.highs - part.lows) / part.counts
+    for j, idx in enumerate(np.ndindex(*part.counts)):
+        lo = part.lows + np.asarray(idx) * width
+        top = np.asarray(idx) == part.counts - 1
+        above = (xs >= lo[:, None]) & ((xs < (lo + width)[:, None]) | (top[:, None] & (xs <= part.highs[:, None])))
+        out[j] = np.all(above, axis=0)
+    out[-1] = out[:-1].sum(axis=0) == 0
+    return out
 
 
 def locate(part, x):
@@ -27,6 +48,7 @@ def locate(part, x):
 
 from conftest import read_chain
 from test_numerics import gamblers_ruin, slow_leak_chain, sparse_stochastic
+from ulam_reference import reference_estimate, reference_json_text, reference_sample
 
 
 class DoublingMap:
@@ -140,15 +162,41 @@ class TestEstimate:
             ({"flow_dt": -0.1}, "flow_dt must be positive and finite"),
             ({"samples_per_box": 2.5}, "samples_per_box must be an integer >= 1"),
             ({"seed": 1.5}, "seed must be an integer >= 0"),
+            ({"part": BoxPartition.regular([[0.0, 1.0]], [2])},
+             "partition dimension 1 does not match the plant state dimension 2"),
+            ({"part": BoxPartition.regular([[0.0, 1.0]] * 3, [2, 2, 2])},
+             "partition dimension 3 does not match the plant state dimension 2"),
+            ({"levels": [0.0, float("nan")]}, r"input level \[nan\] must be finite"),
         ],
         ids=["nan-tau", "inf-tau", "zero-flow-dt", "nan-flow-dt", "negative-flow-dt",
-             "fractional-samples", "fractional-seed"],
+             "fractional-samples", "fractional-seed", "one-dimensional-partition",
+             "three-dimensional-partition", "nan-level"],
     )
-    def test_bad_argument_raises_naming_it(self, override, message):
+    def test_bad_argument_raises_naming_it(self, override, message, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(ktransfer, "_sample_boxes", never)
         part = BoxPartition.regular([[0.0, 1.0], [0.0, 1.0]], [2, 2])
-        args = dict(tau=0.5, samples_per_box=2, seed=0, flow_dt=0.1) | override
+        args = dict(part=part, levels=[0.0], tau=0.5, samples_per_box=2, seed=0, flow_dt=0.1) | override
         with pytest.raises(InvalidInputError, match=message):
-            estimate_controlled_transition(ControlSystem(2, 1, ZeroRhs()), part, [0.0], **args)
+            estimate_controlled_transition(make_vanderpol(1.0), **args)
+
+    def test_box_indicator_regression_gives_the_counted_matrix(self):
+        # Ulam's method is EDMD over box indicators: regressing the one-hot
+        # boxes of the landed samples on those of their sources gives p^T on
+        # the box columns, with no count taken.
+        part = BoxPartition.regular([[-3.0, 3.0], [-2.0, 2.0]], [5, 4])
+        plant, levels, tau, spb, seed = make_vanderpol(1.0), [-5.0, 5.0], 0.5, 40, 7
+        chain = estimate_controlled_transition(plant, part, levels, tau, spb, seed, flow_dt=0.05)
+        pts = ktransfer._sample_boxes(part, spb, seed)
+        src = one_hot_boxes(part, pts)
+        for lv, mat in zip(levels, chain.mats):
+            dst = one_hot_boxes(part, ktransfer._flow_batch(plant, pts, np.array([lv]), tau, 0.05))
+            assert 0 < dst[-1].sum() < pts.shape[1]  # some samples leave, not all
+            w = lstsq_min_norm(src.T, dst.T)
+            d = part.n_boxes
+            assert np.max(np.abs(w.T[:, :d] - mat.p[:, :d])) <= 1e-14
 
 
 class TestPropagate:
@@ -373,3 +421,119 @@ class TestDensityVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidInputError):
             DensityVector(np.array([0.2, 0.2]))
+
+
+@st.composite
+def partitions(draw, max_side=4):
+    """A partition of dimension 1-3 with 1-``max_side`` boxes per axis over a random rectangle."""
+    dim = draw(st.integers(1, 3))
+    lows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    spans = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)))
+    counts = draw(st.lists(st.integers(1, max_side), min_size=dim, max_size=dim))
+    return BoxPartition(lows=lows, highs=lows + spans, counts=counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(part=partitions(max_side=6), spb=st.integers(1, 30), seed=st.integers(0, 2**63))
+def test_batched_sampling_draws_the_points_of_one_generator_per_box(part, spb, seed):
+    assert np.array_equal(ktransfer._sample_boxes(part, spb, seed), reference_sample(part, spb, seed))
+
+
+class ScrambleMap:
+    """x -> scale * x + shift, optionally snapped to a grid of quarters; entries past ``cut`` become ``bad``."""
+
+    def __init__(self, scale, shift, snap, cut, bad):
+        self.scale, self.shift, self.snap, self.cut, self.bad = scale, shift, snap, cut, bad
+
+    def __call__(self, x, u, t):
+        y = self.scale * x + self.shift + u[0]
+        if self.snap:
+            y = np.round(4.0 * y) / 4.0
+        return np.where(np.abs(x) > self.cut, self.bad, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    spb=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+    scale=st.floats(-2.0, 2.0),
+    shift=st.floats(-1.0, 1.0),
+    snap=st.booleans(),
+    cut=st.floats(0.0, 10.0),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e300]),
+    levels=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+)
+def test_counted_matrices_are_those_of_the_box_by_box_count(data, spb, seed, scale, shift, snap, cut, bad, levels):
+    # Integer corners, so snapped samples land on box boundaries too.
+    dim = data.draw(st.integers(1, 3))
+    lows = np.array(data.draw(st.lists(st.integers(-3, 0), min_size=dim, max_size=dim)), dtype=float)
+    spans = np.array(data.draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)), dtype=float)
+    part = BoxPartition(lows=lows, highs=lows + spans,
+                        counts=data.draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
+    sys = ControlSystem(dim, 1, ScrambleMap(scale, shift, snap, cut, bad), kind="map")
+    chain = estimate_controlled_transition(sys, part, levels, 1, spb, seed)
+    want = reference_estimate(sys, part, levels, 1, spb, seed, flow_dt=0.1)
+    for mat, (p, col_counts, escape) in zip(chain.mats, want, strict=True):
+        assert mat.p.tobytes() == p.tobytes()
+        assert mat.counts.tobytes() == col_counts.tobytes()
+        assert mat.full_escape == escape
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "out.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=json_values | st.dictionaries(st.text(max_size=4), json_values, max_size=5))
+def test_write_json_writes_the_bytes_of_json_dump(obj, json_path):
+    write_json(obj, json_path)
+    assert json_path.read_bytes() == reference_json_text(obj).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arr=st.sampled_from([float, int, bool]).flatmap(
+        lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    )
+)
+def test_write_json_writes_arrays_in_the_bytes_of_json_dump(arr, json_path):
+    obj = {"a": arr, "b": [arr, {"c": arr}], "d": []}
+    write_json(obj, json_path)
+    assert json_path.read_bytes() == reference_json_text(obj).encode("utf-8")
+
+
+# sha256 digests recorded before sampling was batched and counting used
+# bincount: the default chain (``ExperimentConfig()``, 16x16 boxes, three
+# levels), the bytes of its three p matrices and of its three invariant
+# densities in turn, and the bytes of its chain.json.
+RECORDED_CHAIN_DIGESTS = {
+    "p": "62cdce610483e783cc8340defddedc81cb3a77927aa79a545666c54f7af62baa",
+    "densities": "ec428b4c2a169360de440ec219b4280fab70353157e1e42596279fa92111b0c9",
+    "chain.json": "bde8b9df331dc6b41fafadddb48c81c37e413d3acea2ded7e709b7c51a99a137",
+}
+
+
+def test_the_default_chain_keeps_its_recorded_bits(tmp_path):
+    cfg = ExperimentConfig()
+    chain = estimate_controlled_transition(
+        make_vanderpol(cfg.mu), BoxPartition.regular(cfg.ulam_box, cfg.ulam_counts),
+        [np.atleast_1d(lv) for lv in cfg.ulam_levels], cfg.ulam_tau, cfg.ulam_samples_per_box, cfg.seed,
+        flow_dt=cfg.ulam_flow_dt,
+    )
+    p, densities = hashlib.sha256(), hashlib.sha256()
+    for mat in chain.mats:
+        p.update(np.ascontiguousarray(mat.p).tobytes())
+        densities.update(invariant_density(mat).p.tobytes())
+    chain_to_json(chain, tmp_path / "chain.json")
+    got = {"p": p.hexdigest(), "densities": densities.hexdigest(),
+           "chain.json": hashlib.sha256((tmp_path / "chain.json").read_bytes()).hexdigest()}
+    assert got == RECORDED_CHAIN_DIGESTS
