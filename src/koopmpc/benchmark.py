@@ -131,8 +131,9 @@ def prediction_errors(models, trajectories, horizon):
     ``C (A Z + B U)`` product, and rolls all paths forward together. Each
     entry also holds ``predictions``: per path, the (ny, horizon+1)
     recovered states of the rollout from ``start_index``. Paths of differing
-    dimensions or sample spacing, and a model whose predictions are not
-    finite, raise InvalidInputError.
+    dimensions or sample spacing, a model that takes another number of
+    inputs than the paths hold, and a model whose predictions are not
+    finite raise InvalidInputError.
     """
     horizon = _count(horizon, "horizon", 1)
     start = max((model.lifting.history_steps for model in models.values()), default=0)
@@ -154,6 +155,10 @@ def prediction_errors(models, trajectories, horizon):
     u_cols = u.reshape(u.shape[0], -1)
     out = {}
     for name, model in models.items():
+        if model.input_dim != u.shape[0]:
+            raise InvalidInputError(
+                f"model {name!r} takes {model.input_dim} inputs; the trajectories have {u.shape[0]}"
+            )
         coords = list(model.lifting.coords)
         first = start - model.lifting.history_steps
         z = model.lifting.lift_windows(states[:, :, first:end], inputs[:, :, first:end])

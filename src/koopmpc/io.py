@@ -43,7 +43,7 @@ def jsonify(obj):
     return obj
 
 
-_NUMBERS = {int, float}
+_NUMBERS = frozenset({int, float})
 
 
 def _render(obj, indent=""):

@@ -95,9 +95,11 @@ class ActiveSetTable:
     ``L_A``, zero-padded to the plan length, and ``A`` (padded with the index
     of a zero row appended to ``G``) live in slots of two buffers, so one
     product screens every stored set. Each slot also keeps the LU factor of
-    its set's KKT matrix ``[[H, R_A'], [R_A, 0]]``, which depends on the set
-    alone; it is the factor that the cold solve which found the set made,
-    handed to :meth:`record`. A stored law and factor are never changed; the
+    its set's KKT matrix ``[[H, R_A'], [R_A, 0]]`` with the rows in ascending
+    order; it is the factor that the cold solve which found the set made,
+    handed to :meth:`record`. As :func:`solve_qp_info` sorts the rows it
+    factors, that factor has the bits of any later cold solve that ends on
+    the set. A stored law and factor are never changed; the
     least recently recorded set gives up its slot when the table holds
     ``_ACTIVE_SETS_MAX`` sets. The table is the one warm path of
     :meth:`CondensedMpc.plan`, and it only proposes: a proposal is accepted
@@ -110,8 +112,8 @@ class ActiveSetTable:
         self._n = h_inv.shape[0]
         self._slack_map = slack_map
         self._slots = {}  # sorted rows -> slot, least recently recorded first
-        self._active = []  # slot -> the rows as recorded
-        self._factors = []  # slot -> (lu, piv) of the set's KKT matrix, rows as recorded
+        self._active = []  # slot -> the rows, ascending as solve_qp_info reports them
+        self._factors = []  # slot -> (lu, piv) of the set's KKT matrix, rows in that order
         self._laws = self._index = None  # slot buffers, made on the first store
 
     def propose(self, w, slack, tol):
@@ -587,9 +589,10 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
     the unconstrained law asks the condensation's table of optimal sets for
     a proposal before the cold solve (see :func:`mpc_step`).
 
-    ``x0``, ``dt``, ``qp_tol`` and the state and input buffers (through the
-    lifting's ``check_windows``) are checked once, and the condensation
-    comes from :func:`condensed`. The loop keeps one step vector
+    ``x0``, ``dt``, ``qp_tol`` and the plant's state and input counts,
+    which must be the lifting's ``state_dim`` and the model's
+    ``input_dim``, are checked once, before the first step, and the
+    condensation comes from :func:`condensed`. The loop keeps one step vector
     ``w = [z; 1; u_prev]``: every step, warm-up steps included, advances
     ``z`` to the measured state with the lifting's ``lift_next`` (bitwise
     the lift of the step's window once the warm-up is over), a step past
@@ -622,14 +625,18 @@ def closed_loop_run(plant, model, cfg, x0, t_end, dt, qp_tol=1e-8):
             f"t_end covers {n_steps} steps; a closed loop needs more than the "
             f"model's {warmup} warm-up steps"
         )
+    q_in = model.input_dim
+    if (plant.state_dim, plant.input_dim) != (model.lifting.state_dim, q_in):
+        raise InvalidInputError(
+            f"the plant has state_dim {plant.state_dim} and input_dim {plant.input_dim}; the model "
+            f"needs state_dim {model.lifting.state_dim} and input_dim {q_in}"
+        )
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != plant.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the plant's state dimension")
-    q_in = model.input_dim
     cond = condensed(model, cfg)
     states = np.empty((plant.state_dim, n_steps + 1))
     inputs = np.empty((q_in, n_steps))
-    model.lifting.check_windows(states, inputs)
     lift_next = model.lifting.lift_next
     iters = np.zeros(n_steps, dtype=int)
     resid = np.full(n_steps, np.nan)

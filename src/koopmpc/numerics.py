@@ -387,9 +387,12 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
     equality-constrained solve on the final active rows, and its KKT residual
     (feasibility, stationarity, complementarity) is at most ``tol``. ``info``
     holds the iterations, that residual, the final active rows (row indices
-    into the stacked rows of :func:`_constraint_rows`, in the order added) and
+    into the stacked rows of :func:`_constraint_rows`, in ascending order) and
     ``kkt_factor``, the :func:`_kkt_factor` of those rows' KKT matrix, which a
     caller may keep to check the same rows again with :func:`_verify_on_factor`.
+    As the rows are sorted before they are factored, the factor, ``x`` and
+    the residual depend on the final set alone, not on the order in which
+    the solver added its rows.
 
     Raises:
         InvalidInputError: ``h`` is not positive definite, ``g`` or the
@@ -409,6 +412,7 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
     if max_iter is None:
         max_iter = max(100, 10 * (qp.n + qp.rhs.size))
     active, iterations, converged = _dual_active_set(qp, tol, max_iter)
+    active = sorted(active)  # the factor's rounding then depends on the set alone
     factor = _kkt_factor(qp.h, qp.rows[active])
     x, residual = _kkt_solve(qp, active, factor, tol)
     if not (converged and residual <= tol):  # a NaN residual fails

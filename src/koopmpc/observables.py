@@ -6,26 +6,25 @@ scoring never branch on the kind of lifting:
 - ``history_steps``: past steps needed beyond the current sample;
 - ``state_dim``: the plant state dimension it lifts from;
 - ``coords``: the plant coordinates a model on this lifting recovers;
+- ``n_out``: the length ``d`` of a lifted state;
 - ``lift_windows(states, inputs)``: lifted states of sample windows held
   time-last, ``states`` of shape ``(n, T)`` or ``(n, M, T)`` and ``inputs``
   of shape ``(q, T-1)`` or ``(q, M, T-1)`` (longer input windows are cut).
   The result holds the lifts of samples ``history_steps .. T-1`` of every
   window, ``(d, T - history_steps)`` or ``(d, M, T - history_steps)``, so
-  ``M`` windows lift as the columns of one batch;
+  ``M`` windows lift as the columns of one batch. Windows of the wrong
+  shape or length raise;
 - ``lift_next(z, x, u)``: overwrites ``z``, ``(d,)`` or ``(d, M)`` and the
   lift of the previous sample, with the lift of the newest sample ``x``
   given ``u``, the input applied since. After ``history_steps + 1`` calls
-  from any ``z``, it is ``lift_checked`` of their window, bit for bit;
+  from any ``z``, it is ``lift_windows`` of their window, bit for bit. It
+  checks no shape, so a closed loop that checks its plant against the
+  model once can advance its lifted state every step;
 - ``fixed_rows(input_dim)``: the rows of ``A`` and ``B`` in ``z' = A z + B u``
   that the lifting fixes, and the recovery matrix ``C``.
 
-``lift_windows`` is ``check_windows`` followed by ``lift_checked``:
-``check_windows(states, inputs)`` raises on windows of the wrong shape or
-length and returns them as float arrays, and ``lift_checked`` is the
-arithmetic alone. A caller that lifts many windows of one checked buffer,
-checks the buffer once and calls ``lift_checked`` on its slices; a closed
-loop advances one lifted state with ``lift_next``. Both still raise on a
-lift that is not finite, as that depends on the values.
+A dictionary's ``lift_windows`` and ``lift_next`` raise on a lift that is
+not finite, as that depends on the values.
 """
 
 from __future__ import annotations
@@ -79,10 +78,10 @@ class Dictionary:
     """Monomial observables prod_j x_j ** exponents[i, j], one per row.
 
     Implements the lifting interface shared with :class:`DelayCoordinates`:
-    ``history_steps``, ``state_dim``, ``coords``, ``fixed_rows``, ``lift_next``
-    and ``lift_windows`` with its halves ``check_windows`` and
-    ``lift_checked``. A dictionary needs no history, recovers every plant
-    coordinate, fixes no row of a model, and ignores the inputs it is given.
+    ``history_steps``, ``state_dim``, ``coords``, ``n_out``, ``lift_windows``,
+    ``lift_next`` and ``fixed_rows``. A dictionary needs no history, recovers
+    every plant coordinate, fixes no row of a model, and ignores the inputs
+    it is given.
     """
 
     n_in: int
@@ -111,18 +110,6 @@ class Dictionary:
     @property
     def coords(self):
         return tuple(range(self.n_in))
-
-    def check_windows(self, states, inputs=None):
-        """``states`` as a float array with ``n_in`` rows; ``inputs`` are ignored."""
-        return _columns(self, states), inputs
-
-    def lift_checked(self, states, inputs=None):
-        """Observables at every sample of checked (n, [M,] T) windows -> (d, [M,] T).
-
-        Raises InvalidInputError if an observable is not finite.
-        """
-        out = self._evaluate(states.reshape(states.shape[0], -1))
-        return out.reshape(out.shape[:1] + states.shape[1:])
 
     def lift_next(self, z, x, u=None):
         """Overwrite ``z``, (d,) or (d, M), with the observables of ``x``, (n,) or (n, M); ``u`` is ignored.
@@ -219,7 +206,9 @@ def eval_dictionary(dic, x):
     Raises InvalidInputError if ``x`` has another row count or an observable
     is not finite.
     """
-    return dic.lift_checked(*dic.check_windows(x))
+    x = _columns(dic, x)
+    out = dic._evaluate(x.reshape(x.shape[0], -1))
+    return out.reshape(out.shape[:1] + x.shape[1:])
 
 
 def eval_gradients(dic, x):
@@ -298,71 +287,52 @@ class DelayCoordinates:
         return self.depth * self.n_embed
 
     @property
-    def aug_dim(self):
-        return self.z_dim + self.history_steps * self.input_dim
-
-    @property
     def n_out(self):
-        """Length of a lifted state, as for a :class:`Dictionary`."""
-        return self.aug_dim
+        """Length of a lifted state: ``depth`` states over ``coords`` and ``history_steps`` past inputs."""
+        return self.z_dim + self.history_steps * self.input_dim
 
     @property
     def history_steps(self):
         """Past steps needed (beyond the current sample) to build a lifted state."""
         return self.depth - 1
 
-    def check_windows(self, states, inputs):
-        """``states`` and ``inputs`` as float arrays of windows this lifting can lift.
+    def lift_windows(self, states, inputs):
+        """Hankel columns of (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
 
-        A window of ``T`` samples needs ``T > history_steps`` and, when the
-        lifting stores past inputs (``history_steps`` and ``input_dim`` both
-        nonzero), ``T - 1`` inputs per window; otherwise ``inputs`` are
-        ignored.
+        Blocks are stacked newest sample first; the result is
+        (n_out, [M,] T - history_steps). A window of ``T`` samples needs
+        ``T > history_steps`` and, when the lifting stores past inputs
+        (``history_steps`` and ``input_dim`` both nonzero), ``T - 1`` inputs
+        per window; otherwise ``inputs`` are ignored.
         """
         s = np.asarray(states, dtype=float)
         if s.ndim < 2 or s.shape[0] != self.state_dim:
             raise InvalidInputError(f"states of shape {s.shape} do not have {self.state_dim} rows")
-        n_samples = s.shape[-1]
-        if n_samples <= self.history_steps:
+        h, n_samples = self.history_steps, s.shape[-1]
+        if n_samples <= h:
             raise InsufficientDataError(
                 f"a window of {n_samples} samples is too short for depth {self.depth}"
             )
-        if not (self.history_steps and self.input_dim):
-            return s, inputs
-        if inputs is None:
-            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
-        u = np.asarray(inputs, dtype=float)
-        if u.ndim != s.ndim or u.shape[0] != self.input_dim:
-            raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
-        if u.shape[-1] < n_samples - 1:
-            raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
-        return s, u
-
-    def lift_checked(self, states, inputs):
-        """Hankel columns of checked (n, [M,] T) windows: column k lifts sample ``history_steps + k``.
-
-        Blocks are stacked newest sample first; the result is
-        (aug_dim, [M,] T - history_steps).
-        """
-        h = self.history_steps
-        m = states.shape[-1] - h
-        s = states[list(self.coords)]
+        m, s = n_samples - h, s[list(self.coords)]
         blocks = [s[..., h - j : h - j + m] for j in range(self.depth)]
-        if self.input_dim:
-            blocks += [inputs[..., h - j : h - j + m] for j in range(1, self.depth)]
+        if h and self.input_dim:
+            if inputs is None:
+                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+            u = np.asarray(inputs, dtype=float)
+            if u.ndim != s.ndim or u.shape[0] != self.input_dim:
+                raise InvalidInputError(f"inputs of shape {u.shape} do not have {self.input_dim} rows")
+            if u.shape[-1] < n_samples - 1:
+                raise MissingHistoryError(f"need {n_samples - 1} inputs for a window of {n_samples} samples")
+            blocks += [u[..., h - j : h - j + m] for j in range(1, self.depth)]
         return np.concatenate(blocks)
 
-    def lift_windows(self, states, inputs):
-        """:meth:`lift_checked` of the windows :meth:`check_windows` accepts."""
-        return self.lift_checked(*self.check_windows(states, inputs))
-
     def lift_next(self, z, x, u):
-        """Overwrite ``z``, (aug_dim,) or (aug_dim, M), with the lift one sample on.
+        """Overwrite ``z``, (n_out,) or (n_out, M), with the lift one sample on.
 
         The stored blocks move one slot older, the copy that :meth:`fixed_rows`
         encodes; ``x[coords]`` and ``u`` (if inputs are stored) fill the newest.
         """
-        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.aug_dim
+        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.n_out
         z[n_e:z_dim] = z[: z_dim - n_e]
         if dim > z_dim:
             z[z_dim + q :] = z[z_dim : dim - q]
@@ -378,7 +348,7 @@ class DelayCoordinates:
         """
         if input_dim != self.input_dim:
             raise InvalidInputError(f"{input_dim} inputs do not match the lifting's {self.input_dim}")
-        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.aug_dim
+        n_e, z_dim, q, dim = self.n_embed, self.z_dim, self.input_dim, self.n_out
         a, b = np.zeros((dim, dim)), np.zeros((dim, q))
         a[n_e:z_dim, : z_dim - n_e] = np.eye(z_dim - n_e)
         if self.history_steps:

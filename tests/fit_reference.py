@@ -85,7 +85,7 @@ def reference_fit_delay(trajectories, depth, dt, svd_tol=DEFAULT_SVD_TOL, coords
     batches = _batches(trajectories)
     n, q = batches[0][0].shape[0], batches[0][1].shape[0]
     dc = DelayCoordinates(depth, tuple(range(n)) if coords is None else coords, n, q)
-    h, n_e, dim = dc.history_steps, dc.n_embed, dc.aug_dim
+    h, n_e, dim = dc.history_steps, dc.n_embed, dc.n_out
     used = [(s, u) for s, u in batches if s.shape[-1] > h + 1]
     if sum(s.shape[1] * (s.shape[-1] - h - 1) for s, _ in used) < dim + q:
         raise InsufficientDataError(f"need at least {dim + q} embedded columns")

@@ -92,9 +92,11 @@ def test_a_warm_table_changes_no_plan_bit(vdp_training, models, kind, bounds, x0
     warm = closed_loop_run(plant, model, cfg, np.array(x0), 1.0, DT)
     for key, want in record_of(cold).items():
         assert record_of(warm)[key].tobytes() == want.tobytes(), key
-    # A residual sums its active rows' terms in the order of the set verified,
-    # which a proposal takes from the step that first recorded it: from
-    # (4, 0) on the delay model, 1.08e-16 for the cold solve's 9.37e-17.
+    # Both paths take a set's rows in ascending order, but a proposal can be
+    # another optimal set of the vertex with the same plan bits and another
+    # residual: on the saturated delay model from (-3.773, -3.006), step 2
+    # verifies rows (0, 31, 32, 33, 34) at 4.4e-16 where the cold solve ends
+    # on (0, 1, 32, 33, 34) at 2.2e-16.
     kkt = warm.solve_stats["kkt_residual"], cold.solve_stats["kkt_residual"]
     np.testing.assert_allclose(*kkt, rtol=0.0, atol=1e-12)
     assert np.all(np.isnan(kkt[0]) | (kkt[0] <= QP_TOL))

@@ -315,6 +315,32 @@ class TestMalformedModelFile:
 
 
     @staticmethod
+    def _with_two_inputs(path, tmp_path):
+        raw = read_json(path)
+        raw["b"] = [row + row for row in raw["b"]]
+        raw["dims"]["input"] = 2
+        out = tmp_path / "two_inputs.json"
+        out.write_text(json.dumps(raw))
+        return out
+
+    def test_mpc_exits_3_on_a_model_with_more_inputs_than_the_plant(self, fitted_edmdc, tmp_path, capsys):
+        cfg, _, model_path = fitted_edmdc
+        out = tmp_path / "mpc"
+        assert main(["mpc", str(self._with_two_inputs(model_path, tmp_path)), "--config", str(cfg), "--out", str(out)]) == 3
+        assert "input_dim 1; the model needs state_dim 2 and input_dim 2" in capsys.readouterr().err
+        assert not list(out.glob("closed_loop_*"))
+
+    def test_predict_exits_3_on_a_model_with_more_inputs_than_the_data(self, fitted_edmdc, tmp_path, capsys):
+        cfg, data, model_path = fitted_edmdc
+        out = tmp_path / "pred"
+        assert main([
+            "predict", str(self._with_two_inputs(model_path, tmp_path)), str(data),
+            "--config", str(cfg), "--out", str(out),
+        ]) == 3
+        assert "model 'edmdc' takes 2 inputs; the trajectories have 1" in capsys.readouterr().err
+        assert not list(out.glob("predictions_*"))
+
+    @staticmethod
     def _with_null_entry(path, tmp_path, matrix):
         raw = read_json(path)
         raw[matrix][0][0] = None

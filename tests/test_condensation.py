@@ -332,6 +332,7 @@ def study_models():
 # reach 1.9e-10, because its gradient and plan are now rounded separately.
 # The iterations are those of cold solves: a step whose plan the table of
 # optimal sets proposes reports 0, and the cold loop of ``cold_loop.py`` keeps the count.
+# KKT residuals are recorded with each set's rows factored in ascending order.
 RECORDED_LOOPS = [
     ((5.0, 50.0), "dmdc", 0, 645.6810902274366, (-2.2994389561050004, 1.3828516538288358), 12, 1.1102230246251565e-15, 1.7518972383889775e-14),
     ((5.0, 50.0), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.7755575615628914e-16, 6.086710996333622e-15),
@@ -342,7 +343,7 @@ RECORDED_LOOPS = [
     ((5.0, 50.0), "delay", 0, 687.8329040895641, (-2.4673610760015414, 1.283536093534536), 0, 1.8706436399895665e-10, 4.22108899222895e-09),
     ((5.0, 50.0), "delay", 31, 27.275685331184647, (-0.3152251248255675, 0.26124842629019396), 0, 4.028632982766567e-11, 7.132051338398782e-10),
     ((5.0, 50.0), "delay", 60, 212.47480175027226, (1.1710290868383972, -0.8085766211617372), 0, 9.35541644153659e-11, 2.158259187687306e-09),
-    ((1.0, 0.5), "dmdc", 0, 705.3791907346686, (-2.701127648032757, 1.3468611432622621), 379, 8.881784197001252e-16, 1.0352829704629585e-14),
+    ((1.0, 0.5), "dmdc", 0, 705.3791907346686, (-2.701127648032757, 1.3468611432622621), 379, 8.881784197001252e-16, 1.033895191682177e-14),
     ((1.0, 0.5), "dmdc", 31, 26.692738249572592, (-0.12359592488770876, 0.26871215941616133), 0, 2.7755575615628914e-16, 6.086710996333622e-15),
     ((1.0, 0.5), "dmdc", 60, 214.89218656023525, (0.9134361131360482, -1.2907794267862767), 271, 3.3306690738754696e-16, 6.931087648265333e-15),
     ((1.0, 0.5), "edmdc", 0, 702.3971011240465, (-2.6629254850931905, 1.3001944681411066), 346, 8.881784197001252e-16, 8.670147932932082e-15),

@@ -328,6 +328,29 @@ class TestClosedLoop:
         with pytest.raises(InvalidInputError):
             closed_loop_run(plant, vdp_edmdc, base_cfg(), np.zeros(2), 1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "plant_dims, model_inputs, message",
+        [
+            ((2, 1), 2, "state_dim 2 and input_dim 1; the model needs state_dim 2 and input_dim 2"),
+            ((3, 1), 1, "state_dim 3 and input_dim 1; the model needs state_dim 2 and input_dim 1"),
+        ],
+        ids=["model-with-more-inputs", "plant-with-more-states"],
+    )
+    def test_plant_and_model_dimensions_must_match_before_any_step(self, monkeypatch, plant_dims, model_inputs, message):
+        n, q = plant_dims
+        plant = ControlSystem(state_dim=n, input_dim=q, rhs=lambda x, u, t: -x)
+        model = LinearControlModel(
+            a=0.9 * np.eye(2), b=np.full((2, model_inputs), 0.05), c=np.eye(2),
+            lifting=identity_dictionary(2), dt=0.05, kind="test",
+        )
+
+        def no_step(*args):
+            raise AssertionError("the loop took a step")
+
+        monkeypatch.setattr(koopmpc.mpc, "rk4_step", no_step)
+        with pytest.raises(InvalidInputError, match=f"^the plant has {message}$"):
+            closed_loop_run(plant, model, base_cfg(), np.ones(n), 1.0, 0.05)
+
     def test_a_nan_timestep_never_matches(self, vdp_training, vdp_edmdc):
         plant, _, _ = vdp_training
         with pytest.raises(InvalidInputError, match="finite"):
@@ -683,6 +706,28 @@ class TestActiveSetGuesses:
                 np.linalg.norm(want.final_state) < cfg.success_threshold
             )
             assert got.total_cost == pytest.approx(want.total_cost, rel=self.COST_RTOL[study], abs=0.0)
+        assert table_hits > 0
+
+    @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+    def test_a_warm_sweep_at_mu_2_is_the_cold_loop_bit_for_bit(self, kind):
+        # The cold solve factors its final rows in ascending order, so a set
+        # the table stored has the factor of every later cold solve that ends
+        # on it, whichever IC found it first. Away from degenerate vertices
+        # (here at the default bounds) a sweep on one shared table is then
+        # the cold loop of every IC, bit for bit.
+        cfg = dataclasses.replace(ExperimentConfig(), mu=2.0, ic_grid_n=5)
+        plant, trajectories, dt = make_training_data(cfg)
+        model = fit_models(dataclasses.replace(cfg, models=[kind]), trajectories, dt)[kind]
+        mpc_cfg = mpc_config_from(cfg)
+        koopmpc.mpc._condensations.clear()
+        table_hits = 0
+        for x0 in grid_initial_conditions(cfg):
+            got = closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
+            want = cold_closed_loop_run(plant, model, mpc_cfg, x0, 3.0, cfg.dt)
+            assert got.trajectory.states.tobytes() == want.states.tobytes()
+            assert got.trajectory.inputs.tobytes() == want.inputs.tobytes()
+            assert got.stage_costs.tobytes() == want.stage_costs.tobytes()
+            table_hits += int(got.solve_stats["guess_hit"].sum())
         assert table_hits > 0
 
     def test_summary_counts_the_verified_guesses(self, guess_studies):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -19,6 +20,7 @@ from koopmpc import (
     monomials_dictionary,
     recovery_matrix,
 )
+from koopmpc import observables
 from koopmpc.errors import MissingHistoryError
 from koopmpc.io import model_from_json, model_to_json, read_json, write_json
 from koopmpc.observables import _gather_form, _monomials, eval_gradients
@@ -259,7 +261,7 @@ class TestDelayEmbed:
     def test_windows_need_an_input_per_step(self):
         lifting = DelayCoordinates(3, (0,), state_dim=1, input_dim=1)
         states = np.arange(12.0).reshape(1, 2, 6)
-        assert lifting.lift_windows(states, np.ones((1, 2, 5))).shape == (lifting.aug_dim, 2, 4)
+        assert lifting.lift_windows(states, np.ones((1, 2, 5))).shape == (lifting.n_out, 2, 4)
         with pytest.raises(MissingHistoryError, match="need 5 inputs"):
             lifting.lift_windows(states, np.ones((1, 2, 4)))
 
@@ -293,7 +295,7 @@ class TestDelayEmbed:
         # A model file stores the one depth twice, as d1 and d2; each is checked under its own name.
         lifting = DelayCoordinates(2, (0,), state_dim=2, input_dim=1)
         path = tmp_path / "model.json"
-        model_to_json(model_on(lifting, lifting.aug_dim), path)
+        model_to_json(model_on(lifting, lifting.n_out), path)
         raw = read_json(path)
         raw["lifting"].update(d1=d1, d2=d2)
         write_json(raw, path)
@@ -369,13 +371,13 @@ class TestLiftingInterface:
     @settings(max_examples=60, deadline=None)
     def test_delay_window_columns_and_model_lift_match_the_reference(self, depth, coords, extra, data):
         lifting = DelayCoordinates(depth, coords, state_dim=2, input_dim=1)
-        model = model_on(lifting, lifting.aug_dim)
+        model = model_on(lifting, lifting.n_out)
         h = lifting.history_steps
         n_steps = h + extra
         states = data.draw(arrays(float, (2, n_steps + 1), elements=st.floats(-5.0, 5.0)))
         inputs = data.draw(arrays(float, (1, n_steps), elements=st.floats(-5.0, 5.0)))
         z = lifting.lift_windows(states[:, :-1], inputs)
-        assert z.shape == (lifting.aug_dim, n_steps - h)
+        assert z.shape == (lifting.n_out, n_steps - h)
         for k in range(n_steps - h):
             history = dict(history_states=states[:, : k + h], history_inputs=inputs[:, : k + h])
             expected = reference_lift(lifting, states[:, k + h], **history)
@@ -394,17 +396,17 @@ class TestLiftingInterface:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_kernel_on_buffer_slices_is_bitwise_lift_windows(self, lifting, data):
-        # A closed loop checks its (n, T) buffers once, then lifts the window
-        # ending at each column k through lift_checked on buffer slices.
+        # The window ending at each column k of (n, T) buffers, lifted from
+        # slices of the buffers (strided views), is the lift of a copy of
+        # that window and the model's lift of the sample with its history.
         h = lifting.history_steps
         n_steps = data.draw(st.integers(h + 1, h + 8))
         values = st.floats(-1e3, 1e3, allow_subnormal=False)
         states = data.draw(arrays(float, (2, n_steps + 1), elements=values))
         inputs = data.draw(arrays(float, (1, n_steps), elements=values))
-        lifting.check_windows(states, inputs)
-        model = model_on(lifting, getattr(lifting, "aug_dim", None) or lifting.n_out)
+        model = model_on(lifting, lifting.n_out)
         for k in range(h, n_steps + 1):
-            got = lifting.lift_checked(states[:, k - h : k + 1], inputs[:, k - h : k])[:, 0]
+            got = lifting.lift_windows(states[:, k - h : k + 1], inputs[:, k - h : k])[:, 0]
             window = np.array(states[:, k - h : k + 1]), np.array(inputs[:, k - h : k])
             assert got.tobytes() == lifting.lift_windows(*window)[:, 0].tobytes()
             lifted = model.lift(states[:, k], states[:, :k], inputs[:, :k])
@@ -414,7 +416,7 @@ class TestLiftingInterface:
     @settings(max_examples=150, deadline=None)
     def test_lift_next_from_any_start_is_the_window_lift_bitwise(self, data):
         # A closed loop advances one lifted state a sample at a time; after
-        # history_steps + 1 calls it must hold lift_checked of the window,
+        # history_steps + 1 calls it must hold lift_windows of the window,
         # whatever z held before (zeros, or garbage such as NaN).
         if data.draw(st.booleans(), label="dictionary"):
             n = data.draw(st.integers(1, 3), label="n")
@@ -433,13 +435,13 @@ class TestLiftingInterface:
         n_samples = data.draw(st.integers(h + 1, h + 4), label="samples")
         states = data.draw(arrays(float, (n, *batch, n_samples), elements=entries), label="states")
         inputs = data.draw(arrays(float, (q, *batch, n_samples - 1), elements=entries), label="inputs")
-        d = getattr(lifting, "aug_dim", None) or lifting.n_out
+        d = lifting.n_out
         start = data.draw(st.sampled_from([0.0, np.nan, -1e300]), label="start")
         z = np.full((d + 2, *batch), start)[:d]  # a view, as the loop's slice of its step vector
         u = np.full((q, *batch), start)  # an input before the first sample leaves z within history_steps calls
         for k in range(n_samples):
             try:
-                want = lifting.lift_checked(states[..., : k + 1], inputs[..., :k]) if k >= h else None
+                want = lifting.lift_windows(states[..., : k + 1], inputs[..., :k]) if k >= h else None
             except InvalidInputError as exc:
                 with pytest.raises(InvalidInputError, match=f"^{re.escape(str(exc))}$"):
                     lifting.lift_next(z, states[..., k], u)
@@ -452,11 +454,21 @@ class TestLiftingInterface:
     def test_kernel_raises_on_an_overflowing_lift(self):
         dic = monomials_dictionary(2, 3)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            dic.lift_checked(np.array([[1e120], [0.0]]))
+            dic.lift_windows(np.array([[1e120], [0.0]]))
+
+    def test_both_liftings_share_exactly_the_interface_the_module_lists(self):
+        listed = set(re.findall(r"^- ``(\w+)", observables.__doc__, flags=re.M))
+        assert listed == {"history_steps", "state_dim", "coords", "n_out", "lift_windows", "lift_next", "fixed_rows"}
+        dic, delay = monomials_dictionary(2, 2), DelayCoordinates(2, (0,), state_dim=2, input_dim=1)
+        public = [{name for name in dir(obj) if not name.startswith("_")} for obj in (dic, delay)]
+        assert public[0] & public[1] == listed
+        for name in ("lift_windows", "lift_next", "fixed_rows"):
+            params = [list(inspect.signature(getattr(obj, name)).parameters) for obj in (dic, delay)]
+            assert params[0] == params[1], name
 
     def test_delay_lift_without_inputs_needs_no_past_inputs(self):
         lifting = DelayCoordinates(3, (0, 1), state_dim=2, input_dim=0)
-        model = model_on(lifting, lifting.aug_dim, input_dim=0)
+        model = model_on(lifting, lifting.n_out, input_dim=0)
         x, past = np.array([5.0, 6.0]), np.array([[1.0, 3.0], [2.0, 4.0]])
         hand_stacked = [5.0, 6.0, 3.0, 4.0, 1.0, 2.0]  # x_k, x_{k-1}, x_{k-2}
         assert np.array_equal(model.lift(x, past), hand_stacked)
@@ -468,9 +480,9 @@ class TestLiftingInterface:
     def test_model_lift_needs_history_steps_past_states(self, state_dim, input_dim):
         for depth in (2, 3, 4):
             lifting = DelayCoordinates(depth, tuple(range(state_dim)), state_dim, input_dim)
-            model, h = model_on(lifting, lifting.aug_dim, input_dim), lifting.history_steps
+            model, h = model_on(lifting, lifting.n_out, input_dim), lifting.history_steps
             x, inputs = np.ones(state_dim), np.ones((input_dim, h))
-            assert model.lift(x, np.ones((state_dim, h)), inputs).shape == (lifting.aug_dim,)
+            assert model.lift(x, np.ones((state_dim, h)), inputs).shape == (lifting.n_out,)
             for past in (None, np.ones((state_dim, h - 1))):
                 with pytest.raises(MissingHistoryError, match=f"need {h} past states"):
                     model.lift(x, past, inputs)
@@ -478,7 +490,7 @@ class TestLiftingInterface:
     @pytest.mark.parametrize("depth", [2, 4])
     def test_model_lift_needs_history_steps_past_inputs_when_it_stores_inputs(self, depth):
         lifting = DelayCoordinates(depth, (0,), state_dim=2, input_dim=1)
-        model, h = model_on(lifting, lifting.aug_dim), lifting.history_steps
+        model, h = model_on(lifting, lifting.n_out), lifting.history_steps
         x, past = np.ones(2), np.ones((2, h))
         for inputs in (np.ones((1, h - 1)), None):
             with pytest.raises(MissingHistoryError, match="inputs"):
@@ -495,14 +507,14 @@ class TestLiftingInterface:
     )
     def test_model_lift_needs_state_dim_entries(self, lifting):
         h = lifting.history_steps
-        model = model_on(lifting, getattr(lifting, "aug_dim", None) or lifting.n_out)
+        model = model_on(lifting, lifting.n_out)
         with pytest.raises(InvalidInputError, match="x has 3 entries, not 2"):
             model.lift(np.ones(3), np.ones((2, h)), np.ones((1, h)))
 
     @pytest.mark.parametrize("input_dim", [1, 3])
     def test_model_lift_needs_no_inputs_when_it_stores_none(self, input_dim):
         lifting = DelayCoordinates(1, (0, 1), state_dim=2, input_dim=input_dim)
-        model, h = model_on(lifting, lifting.aug_dim, input_dim), lifting.history_steps
+        model, h = model_on(lifting, lifting.n_out, input_dim), lifting.history_steps
         x, past = np.array([1.0, 2.0]), np.arange(2.0 * h).reshape(2, h)
         expected = reference_lift(lifting, x, past)
         assert np.array_equal(model.lift(x, past), expected)

@@ -34,7 +34,12 @@ def _is_mutable_container(node):
     return False
 
 
-def _module_level_containers(name):
+def _targets(node):
+    return {ast.unparse(t) for t in (node.targets if isinstance(node, ast.Assign) else [node.target])}
+
+
+def _module_level_containers(name, allowed=frozenset()):
+    """``file:line`` of each module-level assignment of a mutable container to a name not in ``allowed``."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     return [
         f"{name}:{node.lineno}"
@@ -42,6 +47,7 @@ def _module_level_containers(name):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
         and node.value is not None
         and _is_mutable_container(node.value)
+        and not _targets(node) <= allowed
     ]
 
 
@@ -51,12 +57,21 @@ def test_the_solver_layer_keeps_no_module_level_container():
     assert not found, f"module-level containers in numerics.py: {found}"
 
 
-# config.py's key lists are constants by use; mpc.py still keeps its condensation memo.
-@pytest.mark.parametrize("name", ["dynamics.py", "observables.py", "sysid.py", "transfer.py"])
+# config.py's key lists are constants by use.
+@pytest.mark.parametrize(
+    "name",
+    ["benchmark.py", "cli.py", "dynamics.py", "errors.py", "io.py", "observables.py", "sysid.py", "transfer.py"],
+)
 def test_the_model_layers_keep_no_module_level_container(name):
-    """Plants, liftings, fits and chains keep no state between calls either."""
+    """Plants, liftings, fits, chains, the benchmark, the CLI, errors and file io keep no state between calls either."""
     found = _module_level_containers(name)
     assert not found, f"module-level containers in {name}: {found}"
+
+
+def test_the_condensation_memo_is_the_one_module_level_container_of_mpc():
+    """``mpc.condensed`` keeps the last few condensations in ``_condensations``; nothing else in mpc.py is process-wide."""
+    found = _module_level_containers("mpc.py", allowed={"_condensations"})
+    assert not found, f"module-level containers in mpc.py: {found}"
 
 
 def test_the_container_check_sees_each_form():
@@ -67,3 +82,6 @@ def test_the_container_check_sees_each_form():
     for source in ("a = ()", "a = 1e-10", "a = frozenset()", "a = (1, 2)"):
         (node,) = ast.parse(source).body
         assert not _is_mutable_container(node.value), source
+    for source, names in (("a = b = {}", {"a", "b"}), ("a: dict = {}", {"a"}), ("a.b = {}", {"a.b"})):
+        (node,) = ast.parse(source).body
+        assert _targets(node) == names, source

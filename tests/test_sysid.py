@@ -235,7 +235,7 @@ class TestFitDelayAugmented:
         ])
         target = np.hstack([traj.states[rows, h + 1 :] for traj in trajs])
         w = lstsq_min_norm(reg.T, target.T).T
-        dim, n_e = model.lifting.aug_dim, len(rows)
+        dim, n_e = model.lifting.n_out, len(rows)
         assert np.array_equal(model.a[:n_e], w[:, :dim])
         assert np.array_equal(model.b[:n_e], w[:, dim:])
         assert np.array_equal(model.c, np.hstack([np.eye(n_e), np.zeros((n_e, dim - n_e))]))
@@ -516,6 +516,15 @@ class TestBatchedScoring:
         models, validation = _small_study()
         with pytest.raises(InvalidInputError, match="horizon must be an integer >= 1"):
             prediction_errors(models, validation, horizon)
+
+    @pytest.mark.parametrize("name", ["dmdc", "edmdc"])
+    def test_a_model_with_another_input_count_names_the_model(self, name):
+        from koopmpc.benchmark import prediction_errors
+
+        models, validation = _small_study()
+        wide = dataclasses.replace(models[name], b=np.hstack([models[name].b, models[name].b]))
+        with pytest.raises(InvalidInputError, match=r"^model 'wide' takes 2 inputs; the trajectories have 1$"):
+            prediction_errors({name: models[name], "wide": wide}, validation, 15)
 
     def test_diverging_model_names_the_model_and_the_first_bad_trajectory(self):
         from koopmpc.benchmark import prediction_errors
