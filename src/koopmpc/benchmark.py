@@ -233,12 +233,15 @@ def grid_band_rates(results, n):
     ]
 
 
-def _staged(stage, stage_seconds, fn, *args, **kwargs):
-    """Run one pipeline stage and record its wall seconds in ``stage_seconds``.
+def _staged(stage, timings, fn, *args, **kwargs):
+    """Run one pipeline stage and record its wall and CPU seconds by its name.
 
-    On failure, the error names the stage.
+    ``timings`` is the pair of dicts that receive them. The CPU seconds are
+    those of this process, all its threads together, so a stage whose
+    threads spin shows CPU well above wall. On failure, the error names the
+    stage.
     """
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     try:
         return fn(*args, **kwargs)
     except KoopmpcError as err:
@@ -246,17 +249,19 @@ def _staged(stage, stage_seconds, fn, *args, **kwargs):
         err.args = (f"[stage: {stage}] {err}",) + err.args[1:]
         raise
     finally:
-        stage_seconds[stage] = time.perf_counter() - t0
+        wall, cpu = timings
+        wall[stage] = time.perf_counter() - t0
+        cpu[stage] = time.process_time() - c0
 
 
-def run_benchmark(cfg, stage_seconds=None):
+def run_benchmark(cfg, stage_seconds=None, stage_cpu_seconds=None):
     """Run the configured experiment and return the (JSON-ready) report.
 
     The report carries the resolved config, so it is sufficient on its own to
     re-run the experiment identically. Wall-clock timings are deliberately
-    excluded; two runs with the same config produce identical reports. A
-    ``stage_seconds`` dict, if given, receives the wall seconds of each stage
-    by the stage's name.
+    excluded; two runs with the same config produce identical reports. The
+    ``stage_seconds`` and ``stage_cpu_seconds`` dicts, if given, receive the
+    wall and the process CPU seconds of each stage by the stage's name.
 
     Errors raised mid-run name the failing stage and carry whatever part of
     the report was already assembled in their ``partial_report`` attribute.
@@ -264,21 +269,23 @@ def run_benchmark(cfg, stage_seconds=None):
     if not isinstance(cfg, ExperimentConfig):
         raise InvalidInputError("cfg must be an ExperimentConfig")
     report = {"config": cfg.resolved(), "version": __version__, "seed": cfg.seed}
+    timings = ({} if stage_seconds is None else stage_seconds,
+               {} if stage_cpu_seconds is None else stage_cpu_seconds)
     try:
-        return _run_benchmark_stages(cfg, report, {} if stage_seconds is None else stage_seconds)
+        return _run_benchmark_stages(cfg, report, timings)
     except KoopmpcError as err:
         err.partial_report = report
         raise
 
 
-def _run_benchmark_stages(cfg, report, stage_seconds):
-    plant, trajectories, dt = _staged("training-data", stage_seconds, make_training_data, cfg)
-    models = _staged("model-fitting", stage_seconds, fit_models, cfg, trajectories, dt)
+def _run_benchmark_stages(cfg, report, timings):
+    plant, trajectories, dt = _staged("training-data", timings, make_training_data, cfg)
+    models = _staged("model-fitting", timings, fit_models, cfg, trajectories, dt)
     validation = _staged(
-        "validation-data", stage_seconds, make_validation_trajectories, cfg, plant
+        "validation-data", timings, make_validation_trajectories, cfg, plant
     )
     errors = _staged(
-        "prediction-errors", stage_seconds, prediction_errors,
+        "prediction-errors", timings, prediction_errors,
         models, validation, cfg.prediction_horizon,
     )
     sweeps = []
@@ -313,7 +320,7 @@ def _run_benchmark_stages(cfg, report, stage_seconds):
         entries = {}
         for name in cfg.models:
             results = _staged(
-                f"control-{section}-{name}", stage_seconds, _run_control_sweep,
+                f"control-{section}-{name}", timings, _run_control_sweep,
                 plant, models[name], mpc_cfg, ics, cfg.mpc_t_end, cfg.dt, cfg.success_threshold,
             )
             entries[name] = {

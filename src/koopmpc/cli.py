@@ -195,9 +195,9 @@ def cmd_benchmark(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     t0 = time.time()
-    stage_seconds = {}
+    stage_seconds, stage_cpu_seconds = {}, {}
     try:
-        report, models = run_benchmark(cfg, stage_seconds=stage_seconds)
+        report, models = run_benchmark(cfg, stage_seconds=stage_seconds, stage_cpu_seconds=stage_cpu_seconds)
     except KoopmpcError as err:
         # Retain whatever was assembled before the failing stage.
         partial = getattr(err, "partial_report", None)
@@ -216,7 +216,8 @@ def cmd_benchmark(args):
            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
            "blas": {mod.__name__: _blas_build(mod) for mod in (np, scipy)}}
     write_json(
-        {"wall_time_seconds": elapsed, "stage_seconds": stage_seconds, **env},
+        {"wall_time_seconds": elapsed, "stage_seconds": stage_seconds,
+         "stage_cpu_seconds": stage_cpu_seconds, **env},
         out / "run_info.json",
     )
     print(f"benchmark finished in {elapsed:.1f}s; report at {out / 'report.json'}")

@@ -54,8 +54,16 @@ class VanDerPolRhs:
         self.mu = float(mu)
 
     def __call__(self, x, u, t):
+        # mu * (1 - x1 x1) x2 - x1 + u in that order, each step into the first
+        # temporary: floats rebind, rows are written in place.
         x1, x2 = x
-        return x2, self.mu * (1.0 - x1 * x1) * x2 - x1 + u[0]
+        f = x1 * x1
+        f = 1.0 - f
+        f *= self.mu
+        f *= x2
+        f -= x1
+        f += u[0]
+        return x2, f
 
 
 def make_vanderpol(mu=0.2):
@@ -71,6 +79,9 @@ def check_positive(value, name):
         raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
+_SHAPE_RULE = "each derivative must be a float or an array of its state coordinate's shape"
+
+
 def rk4_update(rhs, x, u, t, dt):
     """The classical 4th-order Runge-Kutta update of ``x`` with ``u`` held constant.
 
@@ -78,17 +89,48 @@ def rk4_update(rhs, x, u, t, dt):
     gives them to ``rhs``: Python floats for one state, rows for a batch.
     Each stage is built coordinate by coordinate, ``x + (dt / 2) * k`` and
     ``x + dt * k``, and the update is ``x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``
-    in that order, so floats and rows give the same bits. Returns the list
-    of the ``n`` new coordinates, with no checks: a batch may carry
-    non-finite columns through.
+    in that order, so floats and rows give the same bits. Each expression is
+    taken in augmented form into its first temporary (``v = s * k; v += x``):
+    a float rebinds and a row is written in place, with the bits of the plain
+    expression, and ``x``, ``u`` and the arrays the field returned are never
+    written. A derivative is a float or an array of its coordinate's shape
+    and dtype; a smaller one cannot take the row's sum in place and raises
+    InvalidInputError. Returns the list of the ``n`` new coordinates, with no
+    checks: a batch may carry non-finite columns through.
     """
     h = 0.5 * dt
     k1 = rhs(x, u, t)
-    k2 = rhs([a + h * b for a, b in zip(x, k1)], u, t + h)
-    k3 = rhs([a + h * b for a, b in zip(x, k2)], u, t + h)
-    k4 = rhs([a + dt * b for a, b in zip(x, k3)], u, t + dt)
+    k2 = rhs(_stage(x, k1, h), u, t + h)
+    k3 = rhs(_stage(x, k2, h), u, t + h)
+    k4 = rhs(_stage(x, k3, dt), u, t + dt)
     c = dt / 6.0
-    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    out = []
+    try:
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4):
+            v = 2.0 * b2
+            v += b1
+            w = 2.0 * b3
+            v += w
+            v += b4
+            v *= c
+            v += a
+            out.append(v)
+    except ValueError as err:
+        raise InvalidInputError(f"{_SHAPE_RULE}: {err}") from err
+    return out
+
+
+def _stage(x, k, s):
+    """The RK4 stage ``[a + s * b for a, b in zip(x, k)]``, each sum taken into ``s * b``."""
+    y = []
+    try:
+        for a, b in zip(x, k):
+            v = s * b
+            v += a
+            y.append(v)
+    except ValueError as err:  # a derivative smaller than its row cannot take the row's sum
+        raise InvalidInputError(f"{_SHAPE_RULE}: {err}") from err
+    return y
 
 
 def rk4_step(sys, x, u, t, dt):

@@ -290,13 +290,13 @@ def model_from_json(path):
 
 
 def _nonzero_triplets(p):
-    """A matrix as its shape and its nonzero entries in (row, col, value) triplets."""
-    rows, cols = np.nonzero(p)
-    return {"shape": p.shape, "rows": rows, "cols": cols, "values": p[rows, cols]}
+    """A canonical ``csr_array`` (a ``TransitionMatrix.p``) as its shape and its entries in row-major (row, col, value) triplets."""
+    rows = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+    return {"shape": p.shape, "rows": rows, "cols": p.indices, "values": p.data}
 
 
 def transition_to_csv(p, path):
-    """One ``row,col,value`` line per nonzero entry, in the order ``chain.json`` uses."""
+    """One ``row,col,value`` line per stored entry of a ``TransitionMatrix.p``, in the order ``chain.json`` uses."""
     t = _nonzero_triplets(p)
     _write_csv(path, ["row", "col", "value"], zip(*(t[k].tolist() for k in ("rows", "cols", "values"))))
 

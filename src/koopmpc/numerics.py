@@ -106,17 +106,21 @@ def stationary_vector(p, start=None):
     to the mass it holds; a periodic class gets the average over its period.
 
     Args:
-        p: square column-stochastic matrix (columns sum to 1, entries >= 0).
+        p: square column-stochastic matrix (columns sum to 1, entries >= 0),
+            dense or ``scipy.sparse``; a sparse one is never densified.
         start: optional starting distribution; defaults to uniform. For
             reducible chains the result depends on the start.
     """
-    a = _as_matrix(p, "p")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise InvalidInputError(f"p must be square, got {a.shape}")
-    if np.min(a) < -1e-12:
+    sparse = scipy.sparse.csr_array(p if scipy.sparse.issparse(p) else _as_matrix(p, "p"), dtype=float, copy=True)
+    n = sparse.shape[0]
+    if sparse.ndim != 2 or sparse.shape[1] != n or n == 0:
+        raise InvalidInputError(f"p must be square, got {sparse.shape}")
+    sparse.sum_duplicates()
+    if not np.all(np.isfinite(sparse.data)):
+        raise InvalidInputError("p contains non-finite entries")
+    if np.min(sparse.data, initial=0.0) < -1e-12:
         raise InvalidInputError("p has negative entries")
-    col_err = np.max(np.abs(a.sum(axis=0) - 1.0))
+    col_err = np.max(np.abs(sparse.sum(axis=0) - 1.0))
     if col_err > 1e-10:
         raise InvalidInputError(f"p is not column-stochastic (column sum error {col_err:.2e})")
     if start is None:
@@ -127,7 +131,8 @@ def stationary_vector(p, start=None):
             raise InvalidInputError("start must be a nonnegative distribution of matching size")
         pi = np.maximum(pi, 0.0)
         pi = pi / pi.sum()
-    sparse = scipy.sparse.csr_array(np.maximum(a, 0.0))
+    np.maximum(sparse.data, 0.0, out=sparse.data)
+    sparse.eliminate_zeros()
     _, labels = scipy.sparse.csgraph.connected_components(sparse, connection="strong")
     rows, cols = sparse.nonzero()  # p[i, j] moves mass from j to i
     rec = ~np.isin(labels, labels[cols[labels[rows] != labels[cols]]])  # states of closed classes

@@ -14,7 +14,10 @@ This is Ulam's method, EDMD over box indicators: the counts are the
 regression of the landed samples' boxes on their source boxes. Box j's
 samples come from a generator seeded by (seed, j), whatever the batching;
 every box is drawn into one buffer, and each level's (landed, source) pairs
-are counted by one ``np.bincount``. The RK4 flow of the samples is most of
+are counted by one ``np.unique`` of their row-major flat indices, which
+gives the level's ``scipy.sparse.csr_array`` directly. A transition matrix
+is kept sparse from the count to its density solve and its file: no
+(boxes + 1)^2 array is ever made. The RK4 flow of the samples is most of
 the estimator's time.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .dynamics import _count, check_positive, rk4_update
 from .errors import InvalidInputError
@@ -98,32 +102,45 @@ def locate_many(part, xs):
 class TransitionMatrix:
     """Column-stochastic transition matrix over a box partition.
 
-    When ``outside`` is set, the final row/column is the appended absorbing
-    outside state. ``counts`` records the per-column source-sample counts of
-    the estimator; ``full_escape`` lists source boxes all of whose samples
-    left the rectangle.
+    ``p`` is stored as a canonical ``scipy.sparse.csr_array`` (sorted column
+    indices, no duplicates, no stored zeros), whether it is given sparse or
+    dense: ``p @ density`` propagates a density and ``p.toarray()`` gives the
+    dense matrix. Only the stored entries are checked. When ``outside`` is
+    set, the final row/column is the appended absorbing outside state.
+    ``counts`` records the per-column source-sample counts of the estimator;
+    ``full_escape`` lists source boxes all of whose samples left the
+    rectangle.
     """
 
-    p: np.ndarray
+    p: scipy.sparse.csr_array
     tau: float
     counts: np.ndarray | None = None
     outside: bool = False
     full_escape: tuple = ()
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        k = self.p.shape[0]
-        if self.p.ndim != 2 or self.p.shape[1] != k:
-            raise InvalidInputError("p must be square")
-        if not np.all(np.isfinite(self.p)):
+        p = self.p if scipy.sparse.issparse(self.p) else np.asarray(self.p, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
+            raise InvalidInputError("p must be a nonempty square matrix")
+        self.p = p = scipy.sparse.csr_array(p, dtype=float, copy=True)  # the caller's arrays stay unwritten
+        p.sum_duplicates()
+        p.eliminate_zeros()
+        k = p.shape[0]
+        if not np.all(np.isfinite(p.data)):
             raise InvalidInputError("transition entries must be finite")
-        if np.min(self.p) < -1e-12 or np.max(self.p) > 1.0 + 1e-12:
+        if np.min(p.data, initial=0.0) < -1e-12 or np.max(p.data, initial=0.0) > 1.0 + 1e-12:
             raise InvalidInputError("transition entries must lie in [0, 1]")
-        sums = self.p.sum(axis=0)
+        sums = p.sum(axis=0)
         used = sums > 0
         if np.any(np.abs(sums[used] - 1.0) > 1e-12):
             raise InvalidInputError("nonempty columns must sum to 1 within 1e-12")
         check_positive(self.tau, "tau")
+        if self.counts is not None and np.shape(self.counts) != (k,):
+            raise InvalidInputError(f"counts must hold one entry per column ({k}), got shape {np.shape(self.counts)}")
+        boxes = k - 1 if self.outside else k
+        self.full_escape = tuple(_count(j, "full_escape entry", 0) for j in self.full_escape)
+        if any(j >= boxes for j in self.full_escape):
+            raise InvalidInputError(f"full_escape entries must be box indices below {boxes}, got {self.full_escape}")
 
     @property
     def dim(self):
@@ -249,15 +266,18 @@ def estimate_controlled_transition(sys, part, levels, tau, samples_per_box, seed
             locate_many(part, _flow_batch(sys, pts[:, i : i + _FLOW_BLOCK], lv, tau, flow_dt))
             for i in blocks
         ])
-        counts = np.bincount(landed * k + src, minlength=k * k).reshape(k, k)
-        p = counts / spb
-        p[d, d] = 1.0
+        keys, hits = np.unique(landed * k + src, return_counts=True)
+        # Flat (row, col) keys sort row-major, and the absorbing (d, d) entry after all of them.
+        keys = np.append(keys, d * k + d)
+        rows_start = np.searchsorted(keys, np.arange(k + 1) * k)
+        p = scipy.sparse.csr_array((np.append(hits / spb, 1.0), keys % k, rows_start), shape=(k, k))
+        escaped = keys[:-1][hits == spb] - d * k  # row d: boxes whose every sample left
         col_counts = np.full(k, spb, dtype=float)
         col_counts[d] = 0.0
-        escape = tuple(np.flatnonzero(counts[d, :d] == spb).tolist())
         mats.append(
             TransitionMatrix(
-                p=p, tau=float(tau), counts=col_counts, outside=True, full_escape=escape
+                p=p, tau=float(tau), counts=col_counts, outside=True,
+                full_escape=tuple(escaped[escaped >= 0].tolist()),
             )
         )
     return ControlledChain(levels=levels, mats=tuple(mats), partition=part)

@@ -200,7 +200,7 @@ def test_criterion_6_transition_chain_properties():
         ControlSystem(1, 1, DoublingMap(), kind="map"), halves, [0.0],
         tau=1, samples_per_box=1000, seed=3,
     )
-    doubling_err = float(np.max(np.abs(doubling.mats[0].p[:2, :2] - 0.5)))
+    doubling_err = float(np.max(np.abs(doubling.mats[0].p.toarray()[:2, :2] - 0.5)))
 
     tm = TransitionMatrix(p=np.array([[0.9, 0.2], [0.1, 0.8]]), tau=1.0)
     pi_err = float(np.max(np.abs(invariant_density(tm).p - [2.0 / 3.0, 1.0 / 3.0])))

@@ -5,6 +5,7 @@ import math
 import os
 import platform
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -577,11 +578,11 @@ class TestUlamCommand:
             with open(out / f"chain_level_{i}.csv", encoding="utf-8") as fh:
                 lines = list(csv.reader(fh))
             assert lines[0] == ["row", "col", "value"]
-            p = np.zeros_like(mat.p)
+            p = np.zeros_like(mat.p.toarray())
             for row, col, value in lines[1:]:
                 p[int(row), int(col)] = float(value)
-            assert len(lines) - 1 == np.count_nonzero(mat.p)
-            assert np.array_equal(p, mat.p)
+            assert len(lines) - 1 == np.count_nonzero(mat.p.toarray())
+            assert np.array_equal(p, mat.p.toarray())
 
     def test_densities_are_normalized_fixed_points_of_their_level(self, tmp_path):
         cfg = write_config(tmp_path, {"ulam_counts": [4, 4], "ulam_samples_per_box": 20})
@@ -681,6 +682,29 @@ class TestBenchmarkCommand:
         assert all(0.0 < seconds < math.inf for seconds in stages.values())
         report = (out / "report.json").read_text()
         assert "stage_seconds" not in report and "training-data" not in report
+
+    def test_run_info_records_stage_cpu_seconds_under_the_stage_names(self, tmp_path):
+        from koopmpc.benchmark import run_benchmark
+        from koopmpc.config import config_from_mapping
+        from koopmpc.io import write_json
+
+        cfg = write_config(tmp_path)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        info = read_json(out / "run_info.json")
+        assert set(info["stage_cpu_seconds"]) == set(info["stage_seconds"])
+        assert all(0.0 <= seconds < math.inf for seconds in info["stage_cpu_seconds"].values())
+        # The report is the one a run without the timing sinks gives, byte for byte.
+        report, _ = run_benchmark(config_from_mapping(dict(SMALL_CONFIG)))
+        write_json(report, tmp_path / "plain.json")
+        assert (out / "report.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_a_stage_records_process_cpu_seconds_apart_from_wall_seconds(self):
+        from koopmpc.benchmark import _staged
+
+        wall, cpu = {}, {}
+        assert _staged("sleep", (wall, cpu), time.sleep, 0.2) is None
+        assert wall["sleep"] >= 0.2 and 0.0 <= cpu["sleep"] < 0.1
 
 
 class TestSchemaStability:

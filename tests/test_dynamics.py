@@ -25,7 +25,7 @@ from koopmpc.mpc import ClosedLoopResult
 from koopmpc.transfer import _flow_batch
 from conftest import ZeroForcing, one_step_paths, paths
 from fit_reference import snapshot_columns
-from rk4_reference import reference_rk4_step, reference_vanderpol
+from rk4_reference import reference_rk4_step, reference_rk4_update, reference_vanderpol
 
 
 class ExpRhs:
@@ -256,6 +256,73 @@ class TestCoordinateRk4:
                 assert str(exc.value) == str(err)
             else:
                 assert rk4_step(sys, x, u, 0.2, 0.05).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 2.0, 0.2]), st.floats(-3.0, 3.0)),
+        coords=st.lists(STATE_COORDINATES, min_size=2, max_size=16),
+        inputs=st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+                        min_size=1, max_size=8),
+        dt=st.one_of(st.sampled_from([0.05, 0.1]), st.floats(1e-4, 1.0)),
+    )
+    @example(mu=0.2, coords=[np.nan, 1.0, np.inf, -np.inf, 1e200, 0.5], inputs=[0.0, np.nan, 1.0], dt=0.05)
+    def test_floats_rows_and_the_array_update_agree_bitwise_on_non_finite_columns(self, mu, coords, inputs, dt):
+        # The update itself, with no divergence check: NaN and inf columns are compared too. A NaN's
+        # sign and payload come from whichever NaN operand x86 arithmetic returns, which follows
+        # operand order and numpy's choice of vector or scalar loop (the array step and the float
+        # step already differ there), so every NaN is compared as the one canonical NaN.
+        x = np.resize(np.array(coords), (2, -(-len(coords) // 2)))
+        u = np.resize(np.array(inputs), (1, x.shape[1]))
+        rhs = make_vanderpol(mu).rhs
+        with np.errstate(all="ignore"):
+            want = reference_rk4_update(reference_vanderpol(mu), x, u, 0.2, dt)
+            rows = np.array(rk4_update(rhs, x, u, 0.2, dt))
+            floats = [np.array(rk4_update(rhs, x[:, j].tolist(), u[:, j].tolist(), 0.2, dt))
+                      for j in range(x.shape[1])]
+        canonical = [np.where(np.isnan(a), np.nan, a).tobytes() for a in (want, rows, np.stack(floats, axis=1))]
+        assert canonical[1] == canonical[0] and canonical[2] == canonical[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(-3.0, 3.0)),
+        coords=st.lists(STATE_COORDINATES, min_size=2, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_update_writes_no_state_input_or_returned_array(self, mu, coords, seed):
+        x = np.resize(np.array(coords), (2, -(-len(coords) // 2)))
+        u = np.random.default_rng(seed).uniform(-5.0, 5.0, (1, x.shape[1]))
+        field, returned = make_vanderpol(mu).rhs, []
+
+        def recording(x, u, t):
+            out = field(x, u, t)
+            returned.extend((v, v.tobytes()) for v in out)
+            return out
+
+        before = x.tobytes(), u.tobytes()
+        with np.errstate(all="ignore"):
+            rk4_update(recording, x, u, 0.0, 0.05)
+        assert (x.tobytes(), u.tobytes()) == before
+        # Van der Pol returns its own input row x2 as the first derivative.
+        assert np.shares_memory(returned[0][0], x)
+        assert all(v.tobytes() == snapshot for v, snapshot in returned)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_a_float_derivative_of_a_row_batch_steps_as_the_full_row(self, m):
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, (2, m))
+        u = np.zeros((1, m))
+        got = rk4_update(lambda x, u, t: (x[1], -1.5), x, u, 0.0, 0.1)
+        want = reference_rk4_update(lambda x, u, t: np.stack([x[1], np.full(x[1].shape, -1.5)]), x, u, 0.0, 0.1)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step", [rk4_update, lambda rhs, x, u, t, dt: rk4_step(ControlSystem(2, 1, rhs), x, u, t, dt)],
+                             ids=["rk4_update", "rk4_step"])
+    def test_a_derivative_smaller_than_its_row_raises_naming_the_rule(self, step):
+        # A (1,) array broadcasts against a row of 5 but cannot take its sum in place.
+        x, u = np.ones((2, 5)), np.zeros((1, 5))
+        with pytest.raises(InvalidInputError, match="each derivative must be a float or an array of its state"):
+            step(lambda x, u, t: (x[1], np.full(1, -1.5)), x, u, 0.0, 0.1)
+        # A (1,) array is a one-column batch's full row, and steps.
+        step(lambda x, u, t: (x[1], np.full(1, -1.5)), x[:, :1], u[:, :1], 0.0, 0.1)
 
     @settings(max_examples=40, deadline=None)
     @given(

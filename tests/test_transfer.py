@@ -1,8 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -20,7 +22,7 @@ from koopmpc import (
 import koopmpc.transfer as ktransfer
 from koopmpc.dynamics import make_vanderpol
 from koopmpc.config import ExperimentConfig
-from koopmpc.io import chain_to_json, jsonify, read_json, write_json
+from koopmpc.io import chain_to_json, jsonify, read_json, transition_to_csv, write_json
 from koopmpc.numerics import lstsq_min_norm
 from koopmpc.transfer import locate_many
 
@@ -103,10 +105,10 @@ class TestEstimate:
         part = BoxPartition.regular([[0.0, 1.0], [0.0, 1.0]], [3, 2])
         sys = ControlSystem(2, 1, ZeroRhs())
         chain = estimate_controlled_transition(sys, part, [0.0], tau=0.5, samples_per_box=20, seed=0)
-        assert np.array_equal(chain.mats[0].p, np.eye(part.n_boxes + 1))
+        assert np.array_equal(chain.mats[0].p.toarray(), np.eye(part.n_boxes + 1))
 
     def test_doubling_map_half_half(self, doubling_chain):
-        p = doubling_chain.mats[0].p
+        p = doubling_chain.mats[0].p.toarray()
         assert np.max(np.abs(p[:2, :2] - 0.5)) < 0.05
         assert np.all(p[2, :2] == 0.0)  # nothing escapes [0, 1)
 
@@ -130,7 +132,7 @@ class TestEstimate:
         chain = estimate_controlled_transition(sys, part, [0.0], tau=1, samples_per_box=50, seed=2)
         mat = chain.mats[0]
         assert mat.full_escape == (0, 1)
-        assert np.all(mat.p[part.outside_index, :2] == 1.0)
+        assert np.all(mat.p.toarray()[part.outside_index, :2] == 1.0)
 
     def test_estimator_consistency_improves_with_samples(self, unit_halves):
         sys = ControlSystem(1, 1, DoublingMap(), kind="map")
@@ -150,7 +152,7 @@ class TestEstimate:
         sys = ControlSystem(1, 1, DoublingMap(), kind="map")
         a = estimate_controlled_transition(sys, unit_halves, [0.0], 1, 200, seed=9)
         b = estimate_controlled_transition(sys, unit_halves, [0.0], 1, 200, seed=9)
-        assert np.array_equal(a.mats[0].p, b.mats[0].p)
+        assert np.array_equal(a.mats[0].p.toarray(), b.mats[0].p.toarray())
 
     @pytest.mark.parametrize(
         "override, message",
@@ -207,7 +209,7 @@ class TestPropagate:
         chain = estimate_controlled_transition(
             ControlSystem(1, 1, ZeroRhs()), part, [0.0], tau=0.5, samples_per_box=50, seed=4
         )
-        assert np.array_equal(chain.mats[0].p, np.eye(4))
+        assert np.array_equal(chain.mats[0].p.toarray(), np.eye(4))
         p = np.array([0.2, 0.3, 0.5, 0.0])
         for _ in range(4):
             p = chain.mats[0].p @ p
@@ -290,7 +292,7 @@ def vdp_chain():
 def assert_same_chain(back, chain):
     assert len(back.mats) == len(chain.mats)
     for got, want in zip(back.mats, chain.mats):
-        assert np.array_equal(got.p, want.p)
+        assert np.array_equal(got.p.toarray(), want.p.toarray())
         assert (got.counts is None) == (want.counts is None)
         assert want.counts is None or np.array_equal(got.counts, want.counts)
         assert got.full_escape == want.full_escape
@@ -322,7 +324,7 @@ class TestChainSerialization:
         path = tmp_path / "chain.json"
         chain_to_json(doubling_chain, path)
         back = read_chain(path)
-        assert np.allclose(back.mats[0].p, doubling_chain.mats[0].p)
+        assert np.allclose(back.mats[0].p.toarray(), doubling_chain.mats[0].p.toarray())
         assert back.mats[0].tau == doubling_chain.mats[0].tau
         assert np.array_equal(back.partition.counts, doubling_chain.partition.counts)
         assert np.allclose(back.levels[0], doubling_chain.levels[0])
@@ -333,7 +335,7 @@ class TestChainSerialization:
         assert_same_chain(read_chain(path), vdp_chain)
         # Only the nonzeros are written.
         level = read_json(path)["matrices"][0]
-        assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p) < vdp_chain.mats[0].dim**2 // 10
+        assert len(level["values"]) == np.count_nonzero(vdp_chain.mats[0].p.toarray()) < vdp_chain.mats[0].dim**2 // 10
 
     @settings(deadline=None, max_examples=50)
     @given(chain=sparse_chains())
@@ -413,6 +415,37 @@ def test_non_finite_entries_raise(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"counts": np.array([1.0, 2.0]), "full_escape": (0.5, 7)}, "counts"),
+        ({"counts": np.ones((3, 1))}, "counts"),
+        ({"full_escape": (0.5,)}, "full_escape"),
+        ({"full_escape": (7,)}, "full_escape"),
+        ({"full_escape": (-1,)}, "full_escape"),
+        ({"full_escape": (2,), "outside": True}, "full_escape"),
+    ],
+    ids=["short-counts", "2-d-counts", "fractional-escape", "escape-past-the-boxes",
+         "negative-escape", "escape-is-the-outside-state"],
+)
+def test_transition_matrix_rejects_a_malformed_field_naming_it(fields, name):
+    with pytest.raises(InvalidInputError, match=name):
+        TransitionMatrix(p=np.eye(3), tau=1.0, **fields)
+
+
+def test_a_sparse_p_is_stored_canonical_without_writing_the_callers_arrays():
+    # Duplicates, unsorted columns and a stored zero, as scipy allows them.
+    data, indices, indptr = np.array([0.25, 0.0, 1.0, 0.25, 0.5]), np.array([1, 0, 0, 1, 1]), np.array([0, 4, 5])
+    given = scipy.sparse.csr_array((data.copy(), indices.copy(), indptr.copy()), shape=(2, 2))
+    tm = TransitionMatrix(p=given, tau=1.0)
+    assert isinstance(tm.p, scipy.sparse.csr_array) and tm.p.has_canonical_format
+    assert tm.p.indptr.tolist() == [0, 2, 3] and tm.p.indices.tolist() == [0, 1, 1]
+    assert np.array_equal(tm.p.toarray(), [[1.0, 0.5], [0.0, 0.5]])
+    assert np.array_equal(given.data, data) and np.array_equal(given.indices, indices)
+    with pytest.raises(InvalidInputError, match="finite"):
+        TransitionMatrix(p=scipy.sparse.csr_array(np.array([[1.0, np.nan], [0.0, 0.0]])), tau=1.0)
+
+
 class TestDensityVector:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
@@ -475,7 +508,7 @@ def test_counted_matrices_are_those_of_the_box_by_box_count(data, spb, seed, sca
     chain = estimate_controlled_transition(sys, part, levels, 1, spb, seed)
     want = reference_estimate(sys, part, levels, 1, spb, seed, flow_dt=0.1)
     for mat, (p, col_counts, escape) in zip(chain.mats, want, strict=True):
-        assert mat.p.tobytes() == p.tobytes()
+        assert mat.p.toarray().tobytes() == p.tobytes()
         assert mat.counts.tobytes() == col_counts.tobytes()
         assert mat.full_escape == escape
 
@@ -531,9 +564,50 @@ def test_the_default_chain_keeps_its_recorded_bits(tmp_path):
     )
     p, densities = hashlib.sha256(), hashlib.sha256()
     for mat in chain.mats:
-        p.update(np.ascontiguousarray(mat.p).tobytes())
+        p.update(mat.p.toarray().tobytes())
         densities.update(invariant_density(mat).p.tobytes())
     chain_to_json(chain, tmp_path / "chain.json")
     got = {"p": p.hexdigest(), "densities": densities.hexdigest(),
            "chain.json": hashlib.sha256((tmp_path / "chain.json").read_bytes()).hexdigest()}
     assert got == RECORDED_CHAIN_DIGESTS
+
+
+@pytest.mark.parametrize("boxes", [16, 24])
+def test_each_level_is_the_csr_of_the_box_by_box_dense_count(boxes):
+    # The study's chain and perfbench's offline one: the stored matrix is the
+    # dense reference's, and so is the CSR structure the density solve gets.
+    cfg = ExperimentConfig()
+    part = BoxPartition.regular(cfg.ulam_box, [boxes, boxes])
+    args = (make_vanderpol(cfg.mu), part, [np.atleast_1d(lv) for lv in cfg.ulam_levels], cfg.ulam_tau,
+            cfg.ulam_samples_per_box, cfg.seed)
+    chain = estimate_controlled_transition(*args, flow_dt=cfg.ulam_flow_dt)
+    want = reference_estimate(*args, flow_dt=cfg.ulam_flow_dt)
+    for mat, (p, col_counts, escape) in zip(chain.mats, want, strict=True):
+        assert isinstance(mat.p, scipy.sparse.csr_array) and mat.p.has_canonical_format
+        assert mat.p.toarray().tobytes() == p.tobytes()
+        dense = scipy.sparse.csr_array(p)
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat.p, key), getattr(dense, key))
+        assert mat.counts.tobytes() == col_counts.tobytes()
+        assert mat.full_escape == escape
+
+
+def test_a_64x64_chain_is_estimated_solved_and_written_without_a_dense_level(tmp_path):
+    # 4,097 states: one dense float level would take 134 MB.
+    cfg = ExperimentConfig()
+    part = BoxPartition.regular(cfg.ulam_box, [64, 64])
+    tracemalloc.start()
+    try:
+        chain = estimate_controlled_transition(
+            make_vanderpol(cfg.mu), part, [np.atleast_1d(lv) for lv in cfg.ulam_levels], cfg.ulam_tau, 4,
+            cfg.seed, flow_dt=cfg.ulam_flow_dt,
+        )
+        densities = [invariant_density(mat) for mat in chain.mats]
+        chain_to_json(chain, tmp_path / "chain.json")
+        for i, mat in enumerate(chain.mats):
+            transition_to_csv(mat.p, tmp_path / f"chain_level_{i}.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert chain.mats[0].dim == 4097 and all(abs(d.p.sum() - 1.0) <= 1e-12 for d in densities)
