@@ -89,7 +89,8 @@ def rk4_update(rhs, x, u, t, dt):
     gives them to ``rhs``: Python floats for one state, rows for a batch.
     Each stage is built coordinate by coordinate, ``x + (dt / 2) * k`` and
     ``x + dt * k``, and the update is ``x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``
-    in that order, so floats and rows give the same bits. Each expression is
+    in that order, so floats and rows give the same bits, NaN payloads aside:
+    NaN positions agree, but a NaN's sign and payload may not. Each expression is
     taken in augmented form into its first temporary (``v = s * k; v += x``):
     a float rebinds and a row is written in place, with the bits of the plain
     expression, and ``x``, ``u`` and the arrays the field returned are never
@@ -306,6 +307,17 @@ def _integrate_columns(rhs, x0, inputs, times, dt):
     return states, steps
 
 
+def _forcing_inputs(forcing, times, input_dim):
+    """``forcing.evaluate(times)``, which must be one row per plant input; none is broadcast."""
+    u = np.asarray(forcing.evaluate(times), dtype=float)
+    if u.shape != (input_dim, times.size):
+        raise InvalidInputError(
+            f"the forcing gives inputs of shape {u.shape} at {times.size} times,"
+            f" not one row per input of the plant's {input_dim}"
+        )
+    return u
+
+
 def simulate(sys, x0, forcing, t_end, dt):
     """Integrate a flow system with zero-order-hold inputs sampled at step starts.
 
@@ -320,7 +332,7 @@ def simulate(sys, x0, forcing, t_end, dt):
     if x.size != sys.state_dim or not np.isfinite(x).all():
         raise InvalidInputError("x0 must be finite and match the system state dimension")
     inputs = np.empty((sys.input_dim, 1, times.size - 1))
-    inputs[:, 0] = forcing.evaluate(times[:-1])
+    inputs[:, 0] = _forcing_inputs(forcing, times[:-1], sys.input_dim)
     states, steps = _integrate_columns(sys.rhs, x[:, np.newaxis], inputs, times, dt)
     k = steps[0]
     traj = Trajectory(times[: k + 1], states[:, 0, : k + 1], inputs[:, 0, :k])
@@ -342,12 +354,89 @@ def _count(value, name, low):
     return index
 
 
+def _index_streams(seed, n):
+    """Yield the generator of each stream ``(seed, k)``, ``k = 0 .. n-1``, seeded in one pass.
+
+    The ``k``-th generator draws exactly what
+    ``np.random.default_rng(np.random.SeedSequence([seed, k]))`` draws. It is
+    one :class:`numpy.random.Generator`, reused: each yield sets its PCG64 to
+    the next stream's seeded state, so a generator is valid only until the
+    next one is yielded. ``seed`` is an int >= 0 (several 32-bit words from
+    2**32 on) and ``n`` an int below 2**32.
+
+    This is O'Neill's ``seed_seq`` as numpy's SeedSequence runs it, over every
+    ``k`` at once in uint32 arithmetic: the entropy words (the seed's, least
+    significant first, then ``k``) are hashed into a 4-word pool and mixed,
+    the pool gives ``generate_state(4, uint64)``, and PCG64 seeds its 128-bit
+    state and increment from those words. Only the last step, on Python
+    ints, and the state setter run once per stream, in place of numpy's
+    Python-level seeding per generator.
+    """
+    if n >= 2**32:
+        raise InvalidInputError(f"at most 2**32 streams are indexed by one word, got {n}")
+    words = []
+    while True:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.zeros((max(len(words) + 1, 4), n), dtype=np.uint32)  # a short one is padded with zeros
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(n, dtype=np.uint32)
+
+    def constants(first, mult, m):  # first, first * mult, ... (mod 2**32): m + 1 of them, as a column
+        c = [first]
+        for _ in range(m):
+            c.append(c[-1] * mult & 0xFFFFFFFF)
+        return np.array(c, dtype=np.uint32)[:, None]
+
+    def hashed(v, table, first, m):  # hash call c XORs table[c] and multiplies by table[c + 1]
+        v = (v ^ table[first : first + m]) * table[first + 1 : first + m + 1]
+        return v ^ v >> 16
+
+    def mixed(x, y):
+        v = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return v ^ v >> 16
+
+    table = constants(0x43B0D7E5, 0x931E8875, 16 + 4 * (entropy.shape[0] - 4))
+    pool = hashed(entropy[:4], table, 0, 4)
+    call = 4
+    for src in range(4):  # every pool word into the other three, which leaves pool[src] as it is
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mixed(pool[dst], hashed(pool[src], table, call, 3))
+        call += 3
+    for word in entropy[4:]:  # entropy beyond the pool mixes into every pool word
+        pool = mixed(pool, hashed(word, table, call, 4))
+        call += 4
+    # generate_state(4, uint64): the same hash of the cycled pool, with constants of its own.
+    state = hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], constants(0x8B51F9DD, 0x58F38DED, 8), 0, 8)
+    state = state.astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (state[0::2] | state[1::2] << np.uint64(32)).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    value = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    mask, mult = (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1; step from 0, add initstate, step.
+        inc = ((c << 65) | (d << 1) | 1) & mask
+        pcg["state"] = ((inc + ((a << 64) | b)) * mult + inc) & mask
+        pcg["inc"] = inc
+        bits.state = value
+        yield rng
+
+
 def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, seed):
     """Simulate ``n_traj`` forced trajectories from uniform initial conditions.
 
-    Each trajectory gets its own generator derived from ``(seed, index)``,
-    which draws its initial condition and then its forcing, so the output does
-    not depend on how trajectories are scheduled. All trajectories are
+    Trajectory ``i`` draws from the stream ``(seed, i)`` of
+    :func:`_index_streams`, the generator of
+    ``default_rng(SeedSequence([seed, i]))``: first its initial condition,
+    into one (n_traj, n) buffer that is mapped into ``box`` once, then its
+    forcing, which ``forcing_family(rng)`` must draw before it returns. The
+    output thus does not depend on how trajectories are scheduled. Each
+    forcing gives one row per plant input (none is broadcast; else
+    InvalidInputError). All trajectories are
     integrated as the columns of one lockstep RK4 run; for a field that
     computes each column on its own (van der Pol does), every trajectory
     equals its own :func:`simulate` call bit for bit. Returns ``(batch,
@@ -367,13 +456,14 @@ def generate_training_trajectories(sys, n_traj, box, t_end, dt, forcing_family, 
     times = _time_grid(sys, t_end, dt)
     if times.size < 2:
         raise InvalidInputError("t_end must cover at least one step")
-    x0 = np.empty((sys.state_dim, n_traj))
+    r = np.empty((n_traj, sys.state_dim))
     inputs = np.empty((sys.input_dim, n_traj, times.size - 1))
-    for i in range(n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        x0[:, i] = box[:, 0] + rng.random(sys.state_dim) * width
-        inputs[:, i] = forcing_family(rng).evaluate(times[:-1])
-    states, steps = _integrate_columns(sys.rhs, x0, inputs, times, dt)
+    for i, rng in enumerate(_index_streams(seed, n_traj)):
+        rng.random(out=r[i])
+        inputs[:, i] = _forcing_inputs(forcing_family(rng), times[:-1], sys.input_dim)
+    r *= width
+    r += box[:, 0]
+    states, steps = _integrate_columns(sys.rhs, np.ascontiguousarray(r.T), inputs, times, dt)
     kept = steps == times.size - 1
     n_divergent = n_traj - int(np.count_nonzero(kept))
     if n_divergent:

@@ -12,8 +12,10 @@ stochastic even when the domain is not invariant.
 
 This is Ulam's method, EDMD over box indicators: the counts are the
 regression of the landed samples' boxes on their source boxes. Box j's
-samples come from a generator seeded by (seed, j), whatever the batching;
-every box is drawn into one buffer, and each level's (landed, source) pairs
+samples come from the stream (seed, j), the generator of
+``default_rng(SeedSequence([seed, j]))``, whatever the batching; every box's
+stream is seeded in one vectorized pass (``dynamics._index_streams``) and
+drawn into one buffer, and each level's (landed, source) pairs
 are counted by one ``np.unique`` of their row-major flat indices, which
 gives the level's ``scipy.sparse.csr_array`` directly. A transition matrix
 is kept sparse from the count to its density solve and its file: no
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .dynamics import _count, check_positive, rk4_update
+from .dynamics import _count, _index_streams, check_positive, rk4_update
 from .errors import InvalidInputError
 from .numerics import stationary_vector
 
@@ -216,15 +218,16 @@ def _flow_batch(sys, x, level, tau, flow_dt):
 def _sample_boxes(part, spb, seed):
     """``spb`` uniform points per box as a (dim, boxes * spb) array, box j's in columns j*spb onward.
 
-    Box j's points come from its own generator, seeded by ``(seed, j)``, so
-    they do not depend on how many boxes there are or how they are batched.
+    Box j's points come from the stream ``(seed, j)`` of
+    :func:`~koopmpc.dynamics._index_streams`, so they do not depend on how
+    many boxes there are or how they are batched.
     """
     idx = np.stack(np.unravel_index(np.arange(part.n_boxes), tuple(part.counts)))
     lo = part.lows[:, None] + idx * part.widths[:, None]
     span = (lo + part.widths[:, None]) - lo
     r = np.empty((part.n_boxes, part.dim, spb))
-    for j in range(part.n_boxes):
-        np.random.default_rng(np.random.SeedSequence([seed, j])).random(out=r[j])
+    for j, rng in enumerate(_index_streams(seed, part.n_boxes)):
+        rng.random(out=r[j])
     r *= span.T[:, :, None]
     r += lo.T[:, :, None]
     return r.transpose(1, 0, 2).reshape(part.dim, -1)

@@ -19,7 +19,7 @@ from koopmpc import (
     rk4_step,
     simulate,
 )
-from koopmpc.dynamics import DIVERGENCE_LIMIT, _integrate_columns, rk4_update
+from koopmpc.dynamics import DIVERGENCE_LIMIT, _index_streams, _integrate_columns, rk4_update
 from koopmpc.io import closed_loop_to_csv, trajectories_from_csv, trajectories_to_csv
 from koopmpc.mpc import ClosedLoopResult
 from koopmpc.transfer import _flow_batch
@@ -651,7 +651,7 @@ class TestLockstepGeneration:
         n_steps=st.integers(1, 25),
         dt=st.sampled_from([0.02, 0.05, 0.1]),
         kinds=st.lists(st.sampled_from(FORCING_KINDS), min_size=1, max_size=4, unique=True),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**128),
     )
     def test_equals_the_per_trajectory_loop_bitwise(
         self, plant, mu, n_traj, lows, widths, n_steps, dt, kinds, seed
@@ -781,6 +781,73 @@ class TestGenerationTypedErrors:
     def test_t_end_must_cover_one_step(self, t_end):
         with pytest.raises(InvalidInputError, match="t_end must cover at least one step"):
             self.gen(t_end=t_end)
+
+
+class TestForcingRows:
+    """A forcing gives one input row per plant input; a short one is not broadcast."""
+
+    TWO_INPUTS = ControlSystem(2, 2, ZeroRhs())
+    BOX = [[-1.0, 1.0], [-1.0, 1.0]]
+
+    def test_generation_rejects_a_one_row_forcing_of_a_two_input_plant(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(1, 10\) at 10 times.* plant's 2"):
+            generate_training_trajectories(self.TWO_INPUTS, 3, self.BOX, 0.5, 0.05, product_sines_family(), 0)
+
+    def test_simulate_rejects_a_one_row_forcing_of_a_two_input_plant(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(1, 10\) at 10 times.* plant's 2"):
+            simulate(self.TWO_INPUTS, [0.0, 0.0], ForcingSignal.product_sines(1.0, 2.0, 3.0), 0.5, 0.05)
+
+    def test_a_two_row_forcing_of_a_one_input_plant_is_rejected_too(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 10\) at 10 times.* plant's 1"):
+            simulate(make_vanderpol(0.2), [0.0, 0.0], ZeroForcing(2), 0.5, 0.05)
+
+    def test_one_row_per_input_runs(self):
+        batch, _ = generate_training_trajectories(
+            self.TWO_INPUTS, 3, self.BOX, 0.5, 0.05, lambda rng: ZeroForcing(2), 0
+        )
+        assert batch.inputs.shape == (2, 3, 10)
+
+
+MIXED_DRAWS = st.lists(st.sampled_from(["random", "normal", "integers", "uniform"]), min_size=1, max_size=6)
+
+
+def draw_all(rng, kinds):
+    """The bytes of one draw of each kind in ``kinds``, in order."""
+    out = []
+    for kind in kinds:
+        if kind == "random":
+            buf = np.empty(3)
+            rng.random(out=buf)
+        elif kind == "normal":
+            buf = rng.normal(0.0, 10.0, size=2)
+        elif kind == "integers":
+            buf = np.concatenate([rng.integers(0, 7, size=3), rng.integers(-5, 2**40, size=2)])
+        else:
+            buf = rng.uniform(-1.0, 3.0, size=2)
+        out.append(buf.tobytes())
+    return out
+
+
+class TestIndexStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**200),
+        n=st.sampled_from([0, 1, 2, 64]),
+        kinds=MIXED_DRAWS,
+    )
+    def test_each_stream_draws_what_its_own_seed_sequence_draws(self, seed, n, kinds):
+        got = [draw_all(rng, kinds) for rng in _index_streams(seed, n)]
+        want = [draw_all(np.random.default_rng(np.random.SeedSequence([seed, k])), kinds) for k in range(n)]
+        assert got == want
+
+    def test_the_generator_is_reused(self):
+        streams = _index_streams(5, 3)
+        first = next(streams)
+        assert all(rng is first for rng in streams)
+
+    def test_more_streams_than_one_word_indexes_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="at most 2\\*\\*32 streams"):
+            next(_index_streams(0, 2**32))
 
 
 class TestSampleSetTimestep:

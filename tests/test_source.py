@@ -85,3 +85,56 @@ def test_the_container_check_sees_each_form():
     for source, names in (("a = b = {}", {"a", "b"}), ("a: dict = {}", {"a"}), ("a.b = {}", {"a.b"})):
         (node,) = ast.parse(source).body
         assert _targets(node) == names, source
+
+
+SEEDING_CALLS = {"SeedSequence", "default_rng", "Generator", "PCG64"}
+SEEDING_FUNCTIONS = {("dynamics.py", "_index_streams"), ("benchmark.py", "derive_seed")}
+
+
+def _seeding_calls(path):
+    """``(file, function, line)`` of each call of a :data:`SEEDING_CALLS` name in ``path``.
+
+    ``function`` is the outermost function the call sits in, or None at module level.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in SEEDING_CALLS:
+                    found.append((path.name, function, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            visit(child, function or inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_only_the_stream_helper_and_derive_seed_seed_generators():
+    """Per-index streams are seeded in one pass by ``dynamics._index_streams``; no loop builds its own."""
+    calls = [call for path in sorted(SRC.glob("*.py")) for call in _seeding_calls(path)]
+    assert calls
+    stray = [f"{name}:{line} in {function}" for name, function, line in calls if (name, function) not in SEEDING_FUNCTIONS]
+    assert not stray, f"generators or seed sequences built outside the stream helper: {stray}"
+
+
+def test_the_seeding_check_sees_each_form(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "g = np.random.default_rng(0)\n"
+        "def f(seed):\n"
+        "    def inner(i):\n"
+        "        return default_rng(np.random.SeedSequence([seed, i]))\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return np.random.Generator(np.random.PCG64(1))\n",
+        encoding="utf-8",
+    )
+    assert sorted(_seeding_calls(source), key=lambda c: c[2]) == [
+        ("m.py", None, 3), ("m.py", "f", 6), ("m.py", "f", 6), ("m.py", "m", 10), ("m.py", "m", 10),
+    ]

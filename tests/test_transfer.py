@@ -467,7 +467,7 @@ def partitions(draw, max_side=4):
 
 
 @settings(max_examples=100, deadline=None)
-@given(part=partitions(max_side=6), spb=st.integers(1, 30), seed=st.integers(0, 2**63))
+@given(part=partitions(max_side=6), spb=st.integers(1, 30), seed=st.integers(0, 2**128))
 def test_batched_sampling_draws_the_points_of_one_generator_per_box(part, spb, seed):
     assert np.array_equal(ktransfer._sample_boxes(part, spb, seed), reference_sample(part, spb, seed))
 
