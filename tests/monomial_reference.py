@@ -3,7 +3,11 @@
 Every factor ``cols[j] ** exponents[i, j]`` is its own power, one (d, n, m)
 broadcast, multiplied along ``n``, as the dictionaries evaluated before they
 raised each coordinate to each power once and gathered the factors.
+:class:`ReferenceDictionary` is a monomial lifting evaluated by that
+expression, for fits and closed loops that must not run the package's lift.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,3 +15,20 @@ import numpy as np
 def reference_monomials(exponents, cols):
     """prod_j cols[j] ** exponents[:, j]: (d, n) exponents, (n, m) columns -> (d, m)."""
     return np.multiply.reduce(cols[None, :, :] ** exponents[:, :, None], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceDictionary:
+    """The lifting of a dictionary's ``exponents`` by :func:`reference_monomials`: ``lift_windows`` only."""
+
+    exponents: np.ndarray  # (d, n)
+
+    n_in = state_dim = property(lambda self: self.exponents.shape[1])
+    n_out = property(lambda self: self.exponents.shape[0])
+    coords = property(lambda self: tuple(range(self.n_in)))
+    history_steps = 0
+
+    def lift_windows(self, states, inputs=None):
+        s = np.asarray(states, dtype=float)
+        z = reference_monomials(self.exponents, s.reshape(s.shape[0], -1))
+        return z.reshape((self.n_out,) + s.shape[1:])
