@@ -24,7 +24,10 @@ scoring never branch on the kind of lifting:
   that the lifting fixes, and the recovery matrix ``C``.
 
 A dictionary's ``lift_windows`` and ``lift_next`` raise on a lift that is
-not finite, as that depends on the values.
+not finite, as that depends on the values. Its powers are repeated products,
+so a state lifts to the same bits alone or among any number of columns. A
+product whose columns must equal the M = 1 path uses a stacked matvec
+(``np.matmul(a, w.T[:, :, None])``), not gemm, whose bits vary with M.
 """
 
 from __future__ import annotations
@@ -173,30 +176,27 @@ def _columns(dic, x):
 
 
 def _gather_form(exponents):
-    """Read-only ``(index, powers)`` of (d, n) exponents: ``powers[p, j, 0] = p`` for ``p`` in
-    ``0 .. max``, and ``index[i, j] = exponents[i, j] * n + j`` picks ``cols[j] ** exponents[i, j]``
-    out of the flattened table of those powers. A lone exponent is its table's only power."""
-    n = exponents.shape[1]
-    if exponents.size == 1:  # numpy raises by a single exponent on its scalar loop, as it did per factor
-        levels, index = exponents.ravel(), np.zeros_like(exponents)
-    else:
-        levels, index = np.arange(exponents.max(initial=0) + 1), exponents * n + np.arange(n)
-    powers = np.repeat(levels[:, None], n, axis=1)[:, :, None]
-    index.flags.writeable = powers.flags.writeable = False
-    return index, powers
+    """``(index, top)`` of (d, n) exponents: ``index[i, j] = exponents[i, j] * n + j`` (read-only) picks
+    ``cols[j] ** exponents[i, j]`` out of the flattened (top + 1, n) table of powers, ``top`` the largest."""
+    index = exponents * exponents.shape[1] + np.arange(exponents.shape[1])
+    index.flags.writeable = False
+    return index, int(exponents.max(initial=0))
 
 
 def _monomials(gather, cols, out=None):
     """prod_j cols[j] ** e[i, j] from :func:`_gather_form` of (d, n) exponents ``e``: (n, m) columns -> (d, m).
 
-    Each entry is raised to each power once, and the gathered (d, n, m)
-    factors are multiplied along ``n``, into ``out`` if given. The powers are
-    a (p, n, 1) integer array, shaped as per-factor exponents were, so numpy
-    picks the same pow loop (its vectorized and scalar forms can differ in
-    the last bit) and every factor keeps its bits.
+    Powers are repeated products, ``x ** p = x ** (p - 1) * x``: one
+    accumulation down a table of a row of ones over ``top`` copies of
+    ``cols``. An IEEE product rounds alike in every loop numpy picks, so a
+    column has the same bits at any batch size. The gathered (d, n, m)
+    factors are multiplied along ``n``, into ``out`` if given.
     """
-    index, powers = gather
-    table = (cols[None, :, :] ** powers).reshape(powers.size, cols.shape[1])  # row p * n + j: cols[j] ** p
+    index, top = gather
+    table = np.empty((top + 1,) + cols.shape)
+    table[0], table[1:] = 1.0, cols
+    np.multiply.accumulate(table, axis=0, out=table)
+    table = table.reshape((top + 1) * cols.shape[0], cols.shape[1])  # row p * n + j: cols[j] ** p
     return np.multiply.reduce(table.take(index, axis=0), axis=1, out=out)
 
 
@@ -219,8 +219,7 @@ def eval_gradients(dic, x):
     out = np.zeros((dic.n_out, dic.n_in, cols.shape[1]))
     for j in range(dic.n_in):
         rows = e[:, j] != 0
-        reduced = e[rows]
-        reduced[:, j] -= 1
+        reduced = e[rows] - (np.arange(dic.n_in) == j)
         out[rows, j] = e[rows, j, None] * _monomials(_gather_form(reduced), cols)
     return out[:, :, 0] if np.ndim(x) == 1 else out
 

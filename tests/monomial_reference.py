@@ -1,15 +1,29 @@
-"""The per-factor monomial expression: the reference the gather form is tested against.
+"""The monomial expressions the gather form is tested against.
 
-Every factor ``cols[j] ** exponents[i, j]`` is its own power, one (d, n, m)
-broadcast, multiplied along ``n``, as the dictionaries evaluated before they
-raised each coordinate to each power once and gathered the factors.
-:class:`ReferenceDictionary` is a monomial lifting evaluated by that
-expression, for fits and closed loops that must not run the package's lift.
+:func:`product_monomials` is the gather form's arithmetic in plain Python
+floats: every power a chain of products, every monomial its factors
+multiplied in coordinate order. :func:`reference_monomials` is the per-factor
+``**`` expression the dictionaries evaluated before their powers became
+products: every factor ``cols[j] ** exponents[i, j]`` its own power, one
+(d, n, m) broadcast multiplied along ``n``. :class:`ReferenceDictionary` is a
+monomial lifting evaluated by that expression, for fits and closed loops that
+must not run the package's lift.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def product_monomials(exponents, cols):
+    """prod_j cols[j] ** exponents[:, j] with ``x ** p = ((1.0 * x) * x) ...``: (d, n) exponents, (n, m) columns -> (d, m)."""
+    out, rows = np.empty((exponents.shape[0], cols.shape[1])), exponents.tolist()
+    for k, col in enumerate(np.asarray(cols, dtype=float).T.tolist()):
+        for i, row in enumerate(rows):
+            factors = [math.prod([x] * p, start=1.0) for x, p in zip(col, row)]
+            out[i, k] = math.prod(factors[1:], start=factors[0])
+    return out
 
 
 def reference_monomials(exponents, cols):

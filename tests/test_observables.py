@@ -25,7 +25,7 @@ from koopmpc.errors import MissingHistoryError
 from koopmpc.io import model_from_json, model_to_json, read_json, write_json
 from koopmpc.observables import _gather_form, _monomials, eval_gradients
 from conftest import model_on, reference_lift
-from monomial_reference import reference_monomials
+from monomial_reference import product_monomials, reference_monomials
 
 
 def make_series(values, q=1):
@@ -137,10 +137,35 @@ class TestEvalAgainstPerRowReference:
 SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e60, 1e60, 1e200, 1.0, -1.0])
 
 
+def _same_bits(got, want):
+    """Bitwise equal arrays, NaN payloads aside: NaNs must sit at the same entries, their bits may differ."""
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+    )
+
+
+def _within_pow_bound(got, exponents, cols):
+    """``got`` is within the rounding bound of the ``**`` form wherever that form is finite and normal.
+
+    A monomial of degree ``D`` over ``n`` coordinates takes at most ``D - 1``
+    products by repeated multiplication, and ``n`` powers (each under one ulp)
+    and ``n - 1`` products by ``**``; each product rounds by at most half an
+    ulp, so the two differ by at most ``(D + 3n) / 2`` ulps relative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_monomials(exponents, cols)
+    bound = (exponents.sum(axis=1) + 3 * exponents.shape[1])[:, None] / 2 * np.finfo(float).eps
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    return bool(np.all(np.abs(got[normal] - want[normal]) <= (bound * np.abs(want))[normal]))
+
+
 class TestGatherForm:
     # Column counts on both sides of the sizes where numpy's buffered pow loop
-    # switches between its vectorized and scalar forms (2,731 and 8,192 columns
-    # with numpy 2.4 on an AVX-512 CPU).
+    # switched between its vectorized and scalar forms (2,731 and 8,192 columns
+    # with numpy 2.4 on an AVX-512 CPU), when the powers were raised by ``**``.
     @given(
         e=exponent_matrices(),
         m=st.one_of(st.integers(1, 40), st.sampled_from([2730, 2731, 4200, 8191, 8192, 9000])),
@@ -149,8 +174,10 @@ class TestGatherForm:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
-    @example(e=np.array([[2]]), m=8, layout="contiguous", special=0.0, seed=107)  # one exponent: numpy's scalar loop
+    @example(e=np.array([[2]]), m=8, layout="contiguous", special=0.0, seed=107)  # one exponent
     def test_monomials_are_the_per_factor_powers_bitwise(self, e, m, layout, special, seed):
+        # Against the repeated products in plain Python on up to 40 columns,
+        # and against the ``**`` form within its rounding bound on all of them.
         rng = np.random.default_rng(seed)
         n = e.shape[1]
         x = rng.uniform(-7.0, 7.0, (n, 2 * m))
@@ -159,16 +186,48 @@ class TestGatherForm:
         cols = {"contiguous": x[:, :m], "strided": x[:, ::2], "fortran": np.asfortranarray(x)[:, :m]}[layout]
         with np.errstate(over="ignore", invalid="ignore"):
             got = _monomials(_gather_form(e), cols)
-            want = reference_monomials(e, cols)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        picks = np.unique(rng.integers(0, m, 40))
+        assert _same_bits(got[:, picks], product_monomials(e, cols[:, picks]))
+        assert _within_pow_bound(got, e, cols)
 
     def test_default_dictionary_on_one_column_and_on_a_batch(self):
         dic = monomials_dictionary(2, 5)
         x = np.random.default_rng(3).uniform(-4.0, 4.0, (2, 20_000))
-        assert eval_dictionary(dic, x).tobytes() == reference_monomials(dic.exponents, x).tobytes()
-        for k in (0, 1, 19_999):
+        batch = eval_dictionary(dic, x)
+        assert _within_pow_bound(batch, dic.exponents, x)
+        for k in (0, 1, 8191, 8192, 19_999):
             col = eval_dictionary(dic, x[:, k])
-            assert col.tobytes() == reference_monomials(dic.exponents, x[:, k : k + 1])[:, 0].tobytes()
+            assert col.tobytes() == batch[:, k].tobytes()
+            assert col.tobytes() == product_monomials(dic.exponents, x[:, k : k + 1])[:, 0].tobytes()
+
+    def test_a_column_lifts_to_the_same_bits_at_any_batch_size(self):
+        # Zeros, infinities and NaNs included: a product of them is NaN or
+        # infinite wherever its one-column lift is, NaN payloads aside.
+        gather = _gather_form(monomials_dictionary(2, 5).exponents)
+        rng = np.random.default_rng(35)
+        x = rng.uniform(-4.0, 4.0, (2, 20_000))
+        mask = rng.random(x.shape) < 0.05
+        x[mask] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], mask.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = np.hstack([_monomials(gather, x[:, k : k + 1]) for k in range(x.shape[1])])
+            for m in (1, 2, 81, 4200, 6000, 8192, 20_000):
+                assert _same_bits(_monomials(gather, x[:, :m]), alone[:, :m]), m
+
+    @pytest.mark.parametrize("lifting", [
+        monomials_dictionary(2, 5),
+        identity_dictionary(2),
+        DelayCoordinates(3, (0, 1), state_dim=2, input_dim=1),
+    ], ids=["edmdc", "dmdc", "delay"])
+    @pytest.mark.parametrize("m", [81, 4200])
+    def test_lift_next_on_a_block_is_its_one_column_calls_bitwise(self, lifting, m):
+        rng = np.random.default_rng(m)
+        z = rng.uniform(-3.0, 3.0, (lifting.n_out, m))
+        x, u = rng.uniform(-3.0, 3.0, (2, m)), rng.uniform(-3.0, 3.0, (1, m))
+        columns = [z[:, k].copy() for k in range(m)]
+        lifting.lift_next(z, x, u)
+        for k, col in enumerate(columns):
+            lifting.lift_next(col, x[:, k], u[:, k])
+        assert z.tobytes() == np.stack(columns, axis=1).tobytes()
 
 
 class TestEvalDictionary:

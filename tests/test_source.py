@@ -138,3 +138,26 @@ def test_the_seeding_check_sees_each_form(tmp_path):
     assert sorted(_seeding_calls(source), key=lambda c: c[2]) == [
         ("m.py", None, 3), ("m.py", "f", 6), ("m.py", "f", 6), ("m.py", "m", 10), ("m.py", "m", 10),
     ]
+
+
+def _power_calls(source):
+    """Line of each ``**``, ``**=``, ``pow(`` and ``power(`` (as ``np.power``) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in {"pow", "power"}:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_dictionary_lift_raises_no_power():
+    """Powers are repeated products: numpy's pow picks its loop by shape, and its loops round differently."""
+    assert _power_calls((SRC / "observables.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_power_check_sees_each_form():
+    source = "import numpy as np\na = x ** 2\na **= 3\nb = np.power(x, 2)\nc = pow(x, 2)\nd = x * x\n"
+    assert _power_calls(source) == [2, 3, 4, 5]
