@@ -9,10 +9,12 @@ become box and inequality rows of one small QP per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import numbers
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -80,8 +82,19 @@ class MpcConfig:
 _ACTIVE_SETS_MAX = 256
 
 
+class _StoredSet(NamedTuple):
+    """What a slot of :class:`ActiveSetTable` keeps of its set, gathered once when it is stored."""
+
+    active: tuple       # the rows, in the order recorded (ascending, as solve_qp_info reports them)
+    index: np.ndarray   # the same rows as an index array
+    law: np.ndarray     # L_A, a (|A|, dim + 1 + q) view of the slot's law
+    gram: np.ndarray    # G_A, the set's rows of G
+    rows: np.ndarray    # R_A, the set's constraint rows
+    factor: tuple       # (lu, piv) of the set's KKT matrix, rows in ascending order
+
+
 class ActiveSetTable:
-    """The optimal active sets a condensation has met, each with its explicit law.
+    """The optimal active sets a condensation has met, each with its explicit law, by slot.
 
     Partial enumeration (Pannocchia, Rawlings & Wright 2007): on a set ``A``
     of independent rows ``R_A``, the multipliers are linear in
@@ -94,83 +107,91 @@ class ActiveSetTable:
 
     ``L_A``, zero-padded to the plan length, and ``A`` (padded with the index
     of a zero row appended to ``G``) live in slots of two buffers, so one
-    product screens every stored set. Each slot also keeps the LU factor of
-    its set's KKT matrix ``[[H, R_A'], [R_A, 0]]`` with the rows in ascending
-    order; it is the factor that the cold solve which found the set made,
-    handed to :meth:`record`. As :func:`solve_qp_info` sorts the rows it
-    factors, that factor has the bits of any later cold solve that ends on
-    the set. A stored law and factor are never changed; the
-    least recently recorded set gives up its slot when the table holds
-    ``_ACTIVE_SETS_MAX`` sets. The table is the one warm path of
-    :meth:`CondensedMpc.plan`, and it only proposes: a proposal is accepted
-    only through :meth:`verify`, the set's stored factor with the arithmetic
-    of :func:`verify_active_set`.
+    product screens every stored set. A set is addressed by its slot, and the
+    slot's :class:`_StoredSet` keeps the blocks that every later check of the
+    set reads: its law, its rows of ``G``, its constraint rows and the LU
+    factor of its KKT matrix ``[[H, R_A'], [R_A, 0]]`` with the rows in
+    ascending order. That factor is the one the cold solve which found the
+    set made, handed to :meth:`record`; as :func:`solve_qp_info` sorts the
+    rows it factors, it has the bits of any later cold solve that ends on
+    the set. A stored set is never changed; the least recently used set
+    gives up its slot when the table holds ``_ACTIVE_SETS_MAX`` sets. The
+    table is the one warm path of :meth:`CondensedMpc.plan`, and it only
+    proposes: a proposal is accepted only through :meth:`verify`, the set's
+    stored factor with the arithmetic of :func:`verify_active_set`.
     """
 
     def __init__(self, rows, h_inv, slack_map):
+        self._rows = rows
         self._gram = np.vstack([rows @ h_inv @ rows.T, np.zeros(rows.shape[0])])
         self._n = h_inv.shape[0]
         self._slack_map = slack_map
-        self._slots = {}  # sorted rows -> slot, least recently recorded first
-        self._active = []  # slot -> the rows, ascending as solve_qp_info reports them
-        self._factors = []  # slot -> (lu, piv) of the set's KKT matrix, rows in that order
+        self._slots = {}  # the sorted rows -> slot
+        self._sets = []  # slot -> its _StoredSet
+        self._used = []  # slot -> when it was last stored, verified or solved again
+        self._clock = itertools.count()
+        self._recent = None  # the slot used last
         self._laws = self._index = None  # slot buffers, made on the first store
 
     def propose(self, w, slack, tol):
-        """A stored set whose multipliers are ``>= -tol`` and slacks ``<= tol`` at ``w``, or None.
+        """The slot of a stored set whose multipliers are ``>= -tol`` and slacks ``<= tol`` at ``w``, or None.
 
         ``slack`` is ``s(w)``, the last rows of ``_stack @ w``. The most
-        recently recorded set is checked first, on its own law, since
+        recently used set is checked first, on its own law, since
         consecutive steps mostly end on the same set; then :meth:`_screen`
         checks every stored set. A non-finite ``w`` passes no law: the slack
         a law leaves on each of its own rows, ``s_A - G_AA L_A w``, is then
         NaN or ``+inf``.
         """
-        if not self._active:
+        if self._recent is None:
             return None
-        slot = self._slots[next(reversed(self._slots))]
-        rows = self._index[slot, : len(self._active[slot])]
-        lam = self._laws[slot, : rows.size] @ w
-        if lam.min() >= -tol and (slack - lam @ self._gram.take(rows, axis=0)).max() <= tol:
-            return self._active[slot]
+        stored = self._sets[self._recent]
+        lam = stored.law @ w
+        if lam.min() >= -tol and (slack - lam @ stored.gram).max() <= tol:
+            return self._recent
         return self._screen(w, slack, tol)
 
     def _screen(self, w, slack, tol):
-        """The first stored set whose law passes at ``w``, from one product over every slot, or None."""
-        count, n = len(self._active), self._n
+        """The first slot whose law passes at ``w``, from one product over every slot, or None."""
+        count, n = len(self._sets), self._n
         lam = (self._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
-        cand = np.flatnonzero(lam.min(axis=1) >= -tol)  # a NaN fails
+        cand = np.flatnonzero((lam >= -tol).all(axis=1))  # a NaN fails
         if cand.size:
             # Each candidate's multipliers on their rows; padding lands on G's zero row.
             on_rows = np.zeros((cand.size, self._gram.shape[0]))
             on_rows[np.arange(cand.size)[:, None], self._index[cand]] = lam[cand]
-            ok = (slack - on_rows @ self._gram).max(axis=1) <= tol
+            ok = (slack - on_rows @ self._gram <= tol).all(axis=1)
             if ok.any():
-                return self._active[cand[ok.argmax()]]
+                return int(cand[ok.argmax()])
         return None
 
-    def verify(self, qp, active, tol):
-        """:func:`verify_active_set` of a stored set on its stored factor: the same bits, or None.
+    def verify(self, qp, slot, tol):
+        """:func:`verify_active_set` of the set in ``slot`` on its stored factor: the same bits, or None.
 
-        ``active`` is a set that :meth:`propose` returned, and ``qp`` the
-        step's problem on the condensation's ``h`` and rows.
+        ``qp`` is the step's problem on the condensation's ``h`` and rows.
         """
-        return _verify_on_factor(qp, active, self._factors[self._slots[tuple(sorted(active))]], tol)
+        stored = self._sets[slot]
+        return _verify_on_factor(qp, stored.index, stored.rows, stored.factor, tol)
+
+    def use(self, slot):
+        """Mark the set in ``slot`` most recently used; returns its rows."""
+        self._used[slot] = next(self._clock)
+        self._recent = slot
+        return self._sets[slot].active
 
     def record(self, active, factor=None):
-        """Mark ``active`` (an optimal set's rows, at least one) most recent, storing it if it is new.
+        """Mark ``active`` (an optimal set's rows, at least one) most recently used, storing it if it is new.
 
         A new set keeps ``factor``, the ``kkt_factor`` that :func:`solve_qp_info` reported with it.
         """
-        key = tuple(sorted(active))
-        slot = self._slots.pop(key, None)
+        slot = self._slots.get(tuple(sorted(active)))
         if slot is None:
             slot = self._store(active, factor)
         if slot is not None:
-            self._slots[key] = slot
+            self.use(slot)
 
     def _store(self, active, factor):
-        """Write the law and KKT ``factor`` of ``active`` into a free or the least recent slot; None if singular."""
+        """Write the set ``active`` into a free or the least recently used slot; None if singular."""
         rows, n = list(active), self._n
         s = self._gram[np.ix_(rows, rows)]
         chol, info = scipy.linalg.lapack.dpotrf(s)
@@ -181,16 +202,20 @@ class ActiveSetTable:
         if self._laws is None:
             self._laws = _unpaged((_ACTIVE_SETS_MAX, n, lam.shape[1]), float)
             self._index = _unpaged((_ACTIVE_SETS_MAX, n), np.intp)
-        if len(self._active) < _ACTIVE_SETS_MAX:
-            slot = len(self._active)
-            self._active.append(None)
-            self._factors.append(None)
+        if len(self._sets) < _ACTIVE_SETS_MAX:
+            slot = len(self._sets)
+            self._sets.append(None)
+            self._used.append(None)
         else:
-            slot = self._slots.pop(next(iter(self._slots)))
+            slot = min(range(len(self._used)), key=self._used.__getitem__)
+            del self._slots[tuple(sorted(self._sets[slot].active))]
         k = len(rows)
         self._laws[slot, :k], self._laws[slot, k:] = lam, 0.0
         self._index[slot, :k], self._index[slot, k:] = rows, self._gram.shape[0] - 1
-        self._active[slot], self._factors[slot] = tuple(active), factor
+        self._sets[slot] = _StoredSet(
+            tuple(active), self._index[slot, :k], self._laws[slot, :k], self._gram[rows], self._rows[rows], factor
+        )
+        self._slots[tuple(sorted(active))] = slot
         return slot
 
 
@@ -290,8 +315,8 @@ class CondensedMpc:
         self._rate_shift = np.vstack([emat, -emat])[keep]
         # Rate rows first: only their right-hand sides move with u_prev.
         self._rows, self._rhs = _constraint_rows(self.a_ineq, self._rate_bound, self.lb, self.ub)
-        # The solver's form of the step QP, on the same factor.
-        self._qp = FactoredQp(self.h, None, self._rows, self._rhs, u_inv, self._rows @ u_inv)
+        # The solver's form of the step QP (factored_qp), on the same factor.
+        self._u_inv, self._rows_u = u_inv, self._rows @ u_inv
         # Maps w = [z0; 1; u_prev] to the gradient, the unconstrained plan and each row's slack.
         gmat = np.hstack([self.g_state, self.g_const[:, None], self.g_uprev])
         law = -(self._h_inv @ gmat)
@@ -308,7 +333,7 @@ class CondensedMpc:
         self.horizon = n
         self.input_dim = q_in
         self.lifted_dim = dim
-        for arr in (*vars(self).values(), *self._qp):
+        for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         self._table = ActiveSetTable(self._rows, self._h_inv, self._stack[2 * n * q_in :])
@@ -359,7 +384,7 @@ class CondensedMpc:
 
     def factored_qp(self, g, u_prev):
         """The step's QP for gradient ``g`` in the solver's form; no input is checked."""
-        return self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
+        return FactoredQp(self.h, g, self._rows, self._step_rhs(u_prev), self._u_inv, self._rows_u)
 
     def is_feasible(self, u_seq, u_prev, tol=1e-9):
         """Whether a stacked plan meets every box and rate row to within ``tol``."""
@@ -380,12 +405,13 @@ class CondensedMpc:
         :func:`mpc_step` for the rules). ``plan`` is the stacked solution, the
         ``N`` moves of ``q`` inputs one after another, and ``u`` its first
         move clipped to the input box; only ``u`` is checked against the
-        rate bound. A step that leaves the unconstrained law checks the
-        table's one proposal, if any, on the set's stored KKT factor
-        (:meth:`ActiveSetTable.verify`, the bits of :func:`verify_active_set`),
-        and otherwise (or if that rejects it) runs the cold solve; it records
-        the optimal set it ends on in the table. A verified proposal reports
-        ``guess_hit`` and 0 iterations.
+        rate bound. A step that leaves the unconstrained law builds its
+        :meth:`factored_qp` and checks the slot the table proposes, if any,
+        on that set's stored rows and KKT factor (:meth:`ActiveSetTable.verify`,
+        the bits of :func:`verify_active_set`); a verified slot is marked most
+        recently used and reports ``guess_hit`` and 0 iterations. Otherwise (or
+        if the check rejects it) the step runs the cold solve and records the
+        optimal set it ends on in the table.
 
         Raises:
             InvalidInputError: ``w`` is not finite.
@@ -397,22 +423,22 @@ class CondensedMpc:
         out = self._stack @ self._finite(w)
         u_prev = w[self.lifted_dim + 1 :]
         g, sol, slack = out[:n], out[n : 2 * n], out[2 * n :]
-        iterations, residual, active, hit, factor = 0, np.inf, None, None, None
+        iterations, residual, active, hit = 0, np.inf, None, None
         if slack.max(initial=-np.inf) <= 0.0:  # no rows passes, a NaN slack fails
             residual = float(np.abs(self.h @ sol + g).max())
         if not residual <= qp_tol:  # a NaN residual fails too
-            qp = self._qp._replace(g=g, rhs=self._step_rhs(u_prev))
-            active = self._table.propose(w, slack, math.sqrt(qp_tol))
-            if active is not None:
-                hit = self._table.verify(qp, active, qp_tol)
+            qp, table = self.factored_qp(g, u_prev), self._table
+            slot = table.propose(w, slack, math.sqrt(qp_tol))
+            if slot is not None:
+                hit = table.verify(qp, slot, qp_tol)
             if hit is not None:
                 sol, residual = hit
+                active = table.use(slot)
             else:
                 sol, info = solve_qp_info(qp, tol=qp_tol)
                 iterations, residual, active = info["iterations"], info["kkt_residual"], info.get("active")
-                factor = info.get("kkt_factor")
-            if active:
-                self._table.record(active, factor)
+                if active:
+                    table.record(active, info.get("kkt_factor"))
         u = np.minimum(np.maximum(sol[: self.input_dim], self._u_lo), self._u_hi)  # .clip's bits
         self.check_move(u, u_prev, "first planned input change")
         return u, sol, iterations, residual, active, hit is not None
@@ -507,7 +533,7 @@ def mpc_step(
     rate row and its stationarity residual is within ``qp_tol``. Otherwise
     the condensation's table of optimal sets (:class:`ActiveSetTable`) may
     propose one set whose explicit law fits this step: its most recently
-    recorded set, or else the first stored set that passes its screen. The
+    used set, or else the first stored set that passes its screen. The
     proposal is checked with two triangular solves on the set's stored KKT
     factor and taken if its plan is optimal within ``qp_tol``; it is only
     verified, never iterated from. Failing that, the condensed QP, on the

@@ -324,10 +324,11 @@ def _kkt_factor(h, aw):
     return lu, piv
 
 
-def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
-    """``x`` with the ``active`` rows (a list) as equalities, and its KKT residual.
+def _kkt_solve(qp, active, aw, factor, tol, refine_below=math.inf):
+    """``x`` with the ``active`` rows (a list or index array) as equalities, and its KKT residual.
 
-    ``factor`` is the :func:`_kkt_factor` of ``qp.h`` and those rows, in the
+    ``aw`` is ``qp.rows[active]``, which the caller gathers once, and
+    ``factor`` the :func:`_kkt_factor` of ``qp.h`` and those rows, in the
     order given; ``dgetrs`` solves on it. The residual is the largest row
     violation, stationarity error or complementarity error, with negative
     multipliers clipped to zero; it is NaN if any of them is. A residual
@@ -335,7 +336,7 @@ def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
     refinement: with a large ``g``, rounding in the active rows' slack is
     magnified by their multipliers.
     """
-    n, aw, bw = qp.n, qp.rows[active], qp.rhs[active]
+    n, bw = qp.n, qp.rhs[active]
     rhs = np.concatenate([-qp.g, bw])
 
     def point(sol):
@@ -354,9 +355,9 @@ def _kkt_solve(qp, active, factor, tol, refine_below=math.inf):
     return x, residual
 
 
-def _verify_on_factor(qp, active, factor, tol):
-    """:func:`verify_active_set` on a given :func:`_kkt_factor` of ``active``'s KKT matrix."""
-    x, residual = _kkt_solve(qp, list(active), factor, tol, refine_below=math.sqrt(tol))
+def _verify_on_factor(qp, active, aw, factor, tol):
+    """:func:`verify_active_set` on the ``active`` rows ``aw`` and a given :func:`_kkt_factor` of their KKT matrix."""
+    x, residual = _kkt_solve(qp, active, aw, factor, tol, refine_below=math.sqrt(tol))
     return (x, residual) if residual <= tol else None
 
 
@@ -376,11 +377,13 @@ def verify_active_set(qp, active, tol=1e-8):
     make the KKT system singular; an exactly singular factor returns None,
     and any other such guess passes only if its solve still meets ``tol``.
     """
+    active = list(active)
+    aw = qp.rows[active]
     try:
-        factor = _kkt_factor(qp.h, qp.rows[list(active)])
+        factor = _kkt_factor(qp.h, aw)
     except np.linalg.LinAlgError:
         return None
-    return _verify_on_factor(qp, active, factor, tol)
+    return _verify_on_factor(qp, active, aw, factor, tol)
 
 
 def solve_qp_info(qp, tol=1e-8, max_iter=None):
@@ -418,8 +421,9 @@ def solve_qp_info(qp, tol=1e-8, max_iter=None):
         max_iter = max(100, 10 * (qp.n + qp.rhs.size))
     active, iterations, converged = _dual_active_set(qp, tol, max_iter)
     active = sorted(active)  # the factor's rounding then depends on the set alone
-    factor = _kkt_factor(qp.h, qp.rows[active])
-    x, residual = _kkt_solve(qp, active, factor, tol)
+    aw = qp.rows[active]
+    factor = _kkt_factor(qp.h, aw)
+    x, residual = _kkt_solve(qp, active, aw, factor, tol)
     if not (converged and residual <= tol):  # a NaN residual fails
         raise ConvergenceError(
             f"dual active-set QP {'finished' if converged else 'stopped'} after {iterations} "

@@ -33,6 +33,7 @@ product whose columns must equal the M = 1 path uses a stacked matvec
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,14 +120,17 @@ class Dictionary:
 
         Raises InvalidInputError if an observable is not finite.
         """
-        if z.ndim == 1:
-            x, z = x[:, None], z[:, None]
-        self._evaluate(x, out=z)
+        if z.ndim == 1:  # one state on Python floats: the bits of its column in a batch
+            values = [*_monomials(self._gather, x.tolist())]
+            if not all(map(math.isfinite, values)):
+                raise InvalidInputError("dictionary evaluation produced non-finite values")
+            z[:] = values
+        else:
+            self._evaluate(x, out=z)
 
     def _evaluate(self, cols, out=None):
         """Observables of (n, m) columns -> (d, m), written into ``out`` if given; raises if one is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _monomials(self._gather, cols, out)
+        out = _monomial_rows(self._gather, cols, out)
         if not np.isfinite(out).all():
             raise InvalidInputError("dictionary evaluation produced non-finite values")
         return out
@@ -176,28 +180,44 @@ def _columns(dic, x):
 
 
 def _gather_form(exponents):
-    """``(index, top)`` of (d, n) exponents: ``index[i, j] = exponents[i, j] * n + j`` (read-only) picks
-    ``cols[j] ** exponents[i, j]`` out of the flattened (top + 1, n) table of powers, ``top`` the largest."""
+    """``(index, top)`` of (d, n) exponents: ``index[i]`` is ``(first, rest)``, the places
+    ``exponents[i, j] * n + j`` of ``coords[j] ** exponents[i, j]`` for ``j = 0`` and ``j > 0`` in
+    the flat table of powers that :func:`_monomials` builds; ``top`` is the largest exponent."""
     index = exponents * exponents.shape[1] + np.arange(exponents.shape[1])
-    index.flags.writeable = False
-    return index, int(exponents.max(initial=0))
+    return [(row[0], tuple(row[1:])) for row in index.tolist()], int(exponents.max(initial=0))
 
 
-def _monomials(gather, cols, out=None):
-    """prod_j cols[j] ** e[i, j] from :func:`_gather_form` of (d, n) exponents ``e``: (n, m) columns -> (d, m).
+def _monomials(gather, coords):
+    """prod_j coords[j] ** e[i, j] from :func:`_gather_form` of (d, n) exponents ``e``, yielded for i = 0 .. d-1.
 
-    Powers are repeated products, ``x ** p = x ** (p - 1) * x``: one
-    accumulation down a table of a row of ones over ``top`` copies of
-    ``cols``. An IEEE product rounds alike in every loop numpy picks, so a
-    column has the same bits at any batch size. The gathered (d, n, m)
-    factors are multiplied along ``n``, into ``out`` if given.
+    ``coords`` is a sequence of the ``n`` coordinates, as ``rk4_update``
+    takes them: Python floats for one state, rows for a batch. Powers are
+    repeated products, ``x ** p = x ** (p - 1) * x``, in a table that starts
+    with a ``1.0`` per coordinate; each monomial multiplies its factors from
+    that table left to right. An IEEE product rounds alike for a float and
+    in every loop numpy picks, so a state has the same bits alone or among
+    any number of columns. A monomial of degree 0 is the float ``1.0``.
     """
     index, top = gather
-    table = np.empty((top + 1,) + cols.shape)
-    table[0], table[1:] = 1.0, cols
-    np.multiply.accumulate(table, axis=0, out=table)
-    table = table.reshape((top + 1) * cols.shape[0], cols.shape[1])  # row p * n + j: cols[j] ** p
-    return np.multiply.reduce(table.take(index, axis=0), axis=1, out=out)
+    n = len(coords)
+    table = [1.0] * n  # entry p * n + j: coords[j] ** p
+    for _ in range(top):
+        table += [power * x for power, x in zip(table[-n:], coords)]
+    for first, rest in index:
+        value = table[first]
+        for k in rest:
+            value = value * table[k]
+        yield value
+
+
+def _monomial_rows(gather, cols, out=None):
+    """:func:`_monomials` of the rows of (n, m) ``cols``, written into the rows of ``out``, (d, m), made if not given."""
+    if out is None:
+        out = np.empty((len(gather[0]), cols.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, value in zip(out, _monomials(gather, list(cols))):
+            row[...] = value
+    return out
 
 
 def eval_dictionary(dic, x):
@@ -220,7 +240,7 @@ def eval_gradients(dic, x):
     for j in range(dic.n_in):
         rows = e[:, j] != 0
         reduced = e[rows] - (np.arange(dic.n_in) == j)
-        out[rows, j] = e[rows, j, None] * _monomials(_gather_form(reduced), cols)
+        out[rows, j] = e[rows, j, None] * _monomial_rows(_gather_form(reduced), cols)
     return out[:, :, 0] if np.ndim(x) == 1 else out
 
 

@@ -1,14 +1,15 @@
 """The table of optimal active sets that each condensation keeps.
 
 The table is the one warm path of ``CondensedMpc.plan``: a step that leaves
-the unconstrained law asks it for one proposal (its most recently recorded
-set if that set's law passes, else the first stored set that passes the
-screen) and takes that proposal only through the set's stored KKT factor,
+the unconstrained law asks it for one proposal, a slot (its most recently
+used set if that set's law passes, else the first stored set that passes the
+screen), and takes that proposal only through the set's stored KKT factor,
 with the arithmetic and bits of ``verify_active_set``, before the cold
 solve. So the table may change which path finds a plan and how many
 solver iterations a step reports, not the plan: away from degenerate
 vertices, a loop on a warm table gives the bits of the same loop on an empty
-one.
+one. :class:`ReferenceTable` is the table as it read when a set was
+addressed by its rows; the table must propose the sets it proposes.
 """
 
 import numpy as np
@@ -62,8 +63,9 @@ def stored_law(cond, active):
     table = cond._table
     slot = table._slots[tuple(sorted(active))]
     k = len(active)
-    assert list(table._index[slot, :k]) == list(active)
+    assert list(table._index[slot, :k]) == list(active) == list(table._sets[slot].index)
     lam = table._laws[slot, :k]
+    assert table._sets[slot].law.tobytes() == lam.tobytes()
     return lam, -(cond._h_inv @ cond._rows[list(active)].T @ lam)
 
 
@@ -74,6 +76,95 @@ def kkt_factor(cond, active):
 
 def record_of(result):
     return dict(states=result.trajectory.states, inputs=result.trajectory.inputs, stage=result.stage_costs)
+
+
+def active_in(table, slot):
+    """The rows of the set in ``slot``, or None for no slot."""
+    return None if slot is None else table._sets[slot].active
+
+
+def by_use(table):
+    """The stored sets' sorted rows, least recently used first."""
+    return sorted(table._slots, key=lambda key: table._used[table._slots[key]])
+
+
+class ReferenceTable:
+    """The table's proposals as they read when a stored set was addressed by its rows: the oracle.
+
+    ``propose`` returns a set, the most recently recorded one if its law
+    passes, else the first slot's that passes :meth:`_screen`, which reduces
+    with ``min`` and ``max``. Slots are filled and given up as the table
+    does, least recently recorded first. Factors are not kept.
+    """
+
+    def __init__(self, rows, h_inv, slack_map):
+        self._gram = np.vstack([rows @ h_inv @ rows.T, np.zeros(rows.shape[0])])
+        self._n = h_inv.shape[0]
+        self._slack_map = slack_map
+        self._slots = {}  # sorted rows -> slot, least recently recorded first
+        self._active = []  # slot -> the rows
+        self._laws = self._index = None
+
+    @classmethod
+    def of(cls, table):
+        """A reference holding ``table``'s sets in their slots and order of use, on its buffers."""
+        ref = cls.__new__(cls)
+        ref._gram, ref._n, ref._slack_map = table._gram, table._n, table._slack_map
+        ref._active = [stored.active for stored in table._sets]
+        ref._slots = {key: table._slots[key] for key in by_use(table)}
+        ref._laws, ref._index = table._laws, table._index
+        return ref
+
+    def propose(self, w, slack, tol):
+        if not self._active:
+            return None
+        slot = self._slots[next(reversed(self._slots))]
+        rows = self._index[slot, : len(self._active[slot])]
+        lam = self._laws[slot, : rows.size] @ w
+        if lam.min() >= -tol and (slack - lam @ self._gram.take(rows, axis=0)).max() <= tol:
+            return self._active[slot]
+        return self._screen(w, slack, tol)
+
+    def _screen(self, w, slack, tol):
+        count, n = len(self._active), self._n
+        lam = (self._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
+        cand = np.flatnonzero(lam.min(axis=1) >= -tol)
+        if cand.size:
+            on_rows = np.zeros((cand.size, self._gram.shape[0]))
+            on_rows[np.arange(cand.size)[:, None], self._index[cand]] = lam[cand]
+            ok = (slack - on_rows @ self._gram).max(axis=1) <= tol
+            if ok.any():
+                return self._active[cand[ok.argmax()]]
+        return None
+
+    def record(self, active):
+        key = tuple(sorted(active))
+        slot = self._slots.pop(key, None)
+        if slot is None:
+            slot = self._store(active)
+        if slot is not None:
+            self._slots[key] = slot
+
+    def _store(self, active):
+        rows, n = list(active), self._n
+        s = self._gram[np.ix_(rows, rows)]
+        chol, info = scipy.linalg.lapack.dpotrf(s)
+        if len(rows) > n or info or np.diag(chol).min() ** 2 <= 1e-12 * np.diag(s).max():
+            return None
+        lam = scipy.linalg.lapack.dpotrs(chol, self._slack_map[rows])[0]
+        if self._laws is None:
+            self._laws = np.zeros((koopmpc.mpc._ACTIVE_SETS_MAX, n, lam.shape[1]))
+            self._index = np.zeros((koopmpc.mpc._ACTIVE_SETS_MAX, n), np.intp)
+        if len(self._active) < koopmpc.mpc._ACTIVE_SETS_MAX:
+            slot = len(self._active)
+            self._active.append(None)
+        else:
+            slot = self._slots.pop(next(iter(self._slots)))
+        k = len(rows)
+        self._laws[slot, :k], self._laws[slot, k:] = lam, 0.0
+        self._index[slot, :k], self._index[slot, k:] = rows, self._gram.shape[0] - 1
+        self._active[slot] = tuple(active)
+        return slot
 
 
 @pytest.mark.parametrize("bounds", sorted(BOUNDS))
@@ -111,9 +202,10 @@ def test_every_table_hit_is_the_plan_verify_active_set_gives(vdp_training, model
     proposals, propose = [], ActiveSetTable.propose
 
     def recording_propose(self, w, slack, tol):
-        active = propose(self, w, slack, tol)
-        proposals.append((w.copy(), active))  # the loop reuses its step vector
-        return active
+        slot = propose(self, w, slack, tol)
+        # The loop reuses its step vector, and a later step may store another set in the slot.
+        proposals.append((w.copy(), active_in(self, slot)))
+        return slot
 
     monkeypatch.setattr(ActiveSetTable, "propose", recording_propose)
     calls, plan = [], CondensedMpc.plan
@@ -166,12 +258,17 @@ def test_the_table_keeps_the_most_recently_recorded_sets(models, monkeypatch):
     table.record(sets[4], kkt_factor(cond, sets[4]))  # evicts sets[1]
     table.record(sets[5], kkt_factor(cond, sets[5]))  # evicts sets[2]
     kept = [sets[3], sets[0], sets[4], sets[5]]
-    assert len(table._slots) == len(table._active) == 4
-    assert list(table._slots) == [tuple(sorted(a)) for a in kept]  # least recent first
-    for active in kept:  # every slot holds its own set's law
+    assert len(table._slots) == len(table._sets) == 4
+    assert by_use(table) == [tuple(sorted(a)) for a in kept]  # least recent first
+    assert table._recent == table._slots[tuple(sorted(kept[-1]))]
+    for active in kept:  # every slot holds its own set's law and the blocks gathered for it
         slot = table._slots[tuple(sorted(active))]
-        assert table._active[slot] == active
-        assert list(table._index[slot, : len(active)]) == list(active)
+        stored, k = table._sets[slot], len(active)
+        assert stored.active == active
+        assert list(table._index[slot, :k]) == list(active) == list(stored.index)
+        assert stored.law.tobytes() == table._laws[slot, :k].tobytes()
+        assert stored.gram.tobytes() == table._gram[list(active)].tobytes()
+        assert stored.rows.tobytes() == cond._rows[list(active)].tobytes()
 
 
 def test_exactly_the_stored_slots_hold_factors(models, monkeypatch):
@@ -185,12 +282,12 @@ def test_exactly_the_stored_slots_hold_factors(models, monkeypatch):
         table.record(active, given[active])
     for active in sets[4:]:  # evicts sets[0], sets[1] and sets[2]
         table.record(active, given[active])
-    assert len(table._factors) == len(table._active) == len(table._slots) == 4
+    assert len(table._sets) == len(table._used) == len(table._slots) == 4
     for slot in table._slots.values():  # each slot keeps the factor recorded with its own set
-        assert table._factors[slot] is given[table._active[slot]]
+        assert table._sets[slot].factor is given[table._sets[slot].active]
     for evicted in sets[:3]:
         assert tuple(sorted(evicted)) not in table._slots
-        assert not any(kept is given[evicted] for kept in table._factors)
+        assert not any(kept.factor is given[evicted] for kept in table._sets)
 
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
@@ -218,7 +315,7 @@ def test_a_stored_factor_is_the_one_its_cold_solve_made(vdp_training, models, mo
     table = condensed(model, cfg)._table
     assert table._slots and len(made) == len(reported)  # a table hit factors nothing
     for slot in table._slots.values():
-        assert any(table._factors[slot] is f for f in reported)
+        assert any(table._sets[slot].factor is f for f in reported)
 
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
@@ -269,9 +366,9 @@ def test_a_step_verifies_at_most_one_set(vdp_training, models, monkeypatch, kind
     verified, steps = [], []
     verify, plan = ActiveSetTable.verify, CondensedMpc.plan
 
-    def counting_verify(table, qp, active, tol):
-        verified.append(active)
-        return verify(table, qp, active, tol)
+    def counting_verify(table, qp, slot, tol):
+        verified.append(slot)
+        return verify(table, qp, slot, tol)
 
     def counting_plan(cond, *args):
         before = len(verified)
@@ -308,7 +405,7 @@ def warm_tables(vdp_training, models):
 
 def screen_passes(table, w, slack, tol):
     """Per stored slot, whether its law passes at ``w``, by the screen's product over every slot."""
-    count, n = len(table._active), table._n
+    count, n = len(table._sets), table._n
     lam = (table._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
     on_rows = np.zeros((count, table._gram.shape[0]))
     on_rows[np.arange(count)[:, None], table._index[:count]] = lam
@@ -332,32 +429,19 @@ def test_the_recent_set_is_proposed_only_where_the_screen_passes_it(warm_tables,
     slack = cond._stack[2 * n :] @ w
     # Make a stored set the most recent: the one the screen proposes at w (pick -1), or any other.
     recent = table._screen(w, slack, tol) if pick < 0 else None
-    recent = recent or table._active[pick % len(table._active)]
-    table.record(recent)
+    if recent is None:
+        recent = pick % len(table._sets)
+    table.use(recent)
     got, screened = table.propose(w, slack, tol), table._screen(w, slack, tol)
     assert got in (recent, screened)
     if got == recent:  # the recent set is proposed only where the screen passes it too
-        assert screen_passes(table, w, slack, tol)[table._slots[tuple(sorted(recent))]]
+        assert screen_passes(table, w, slack, tol)[recent]
         assert screened is not None
     empty = ActiveSetTable(cond._rows, cond._h_inv, cond._stack[2 * n :])
     assert empty.propose(w, slack, tol) is None
     w[seed % w.size] = bad
     with np.errstate(invalid="ignore"):
         assert table.propose(w, cond._stack[2 * n :] @ w, tol) is None
-
-
-def old_screen(table, w, slack, tol):
-    """:meth:`ActiveSetTable._screen` as it read with ``all`` reductions, kept as the oracle."""
-    count, n = len(table._active), table._n
-    lam = (table._laws[:count].reshape(count * n, -1) @ w).reshape(count, n)
-    cand = np.flatnonzero((lam >= -tol).all(axis=1))
-    if cand.size:
-        on_rows = np.zeros((cand.size, table._gram.shape[0]))
-        on_rows[np.arange(cand.size)[:, None], table._index[cand]] = lam[cand]
-        ok = (slack - on_rows @ table._gram <= tol).all(axis=1)
-        if ok.any():
-            return table._active[cand[ok.argmax()]]
-    return None
 
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
@@ -383,7 +467,9 @@ def test_the_screen_decides_as_its_all_reductions_did(warm_tables, kind, step, s
             else:
                 w[rng.integers(w.size)] = bad
                 slack = cond._stack[2 * n :] @ w
-        assert table._screen(w, slack, tol) == old_screen(table, w, slack, tol)
+        # The screen reduces with all(); the reference with min() and max().
+        assert active_in(table, table._screen(w, slack, tol)) == ReferenceTable.of(table)._screen(w, slack, tol)
+        assert active_in(table, table.propose(w, slack, tol)) == ReferenceTable.of(table).propose(w, slack, tol)
 
 
 @pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
@@ -403,8 +489,9 @@ def test_a_stored_factor_checks_a_set_as_verify_active_set_does(warm_tables, kin
     # Scaling g and the right-hand sides scales the plan and the rounding that
     # the multipliers magnify, up to near misses that the check refines.
     qp = qp._replace(g=g_scale * qp.g, rhs=g_scale * qp.rhs)
-    for active in table._active:
-        want, got = verify_active_set(qp, active, QP_TOL), table.verify(qp, active, QP_TOL)
+    for slot, stored in enumerate(table._sets):
+        active = stored.active
+        want, got = verify_active_set(qp, active, QP_TOL), table.verify(qp, slot, QP_TOL)
         if want is None:
             assert got is None, active
         else:
@@ -421,15 +508,63 @@ def test_a_near_miss_is_refined_on_the_stored_factor(warm_tables, kind, monkeypa
     for w in asked:
         qp = cond.factored_qp(cond._stack[:n] @ w, w[-cond.input_dim :])
         qp = qp._replace(g=1e8 * qp.g, rhs=1e8 * qp.rhs)
-        active = table.propose(w, cond._stack[2 * n :] @ w, np.sqrt(QP_TOL))
-        if active is None:
+        slot = table.propose(w, cond._stack[2 * n :] @ w, np.sqrt(QP_TOL))
+        if slot is None:
             continue
         solves.clear()
-        got = table.verify(qp, active, QP_TOL)
+        got = table.verify(qp, slot, QP_TOL)
         refined += len(solves) == 2  # the solve and its refinement step
-        want = verify_active_set(qp, active, QP_TOL)
+        want = verify_active_set(qp, table._sets[slot].active, QP_TOL)
         assert (got is None) == (want is None)
         if got is not None:
             accepted += 1
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
     assert refined > 0 and accepted > 0
+
+
+GRID_ICS = [(a, b) for a in (-4.0, -1.5, 1.5, 4.0) for b in (-4.0, 0.0, 4.0)]
+
+
+@pytest.mark.parametrize("size", [3, 8, 256])
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("kind", ["dmdc", "edmdc", "delay"])
+def test_the_table_proposes_what_the_reference_table_proposes(vdp_training, models, monkeypatch, kind, bounds, size):
+    # With 3 or 8 slots, sets are given up and their slots reused all along.
+    plant, model, cfg = vdp_training[0], models[kind], mpc_cfg(bounds)
+    monkeypatch.setattr(koopmpc.mpc, "_ACTIVE_SETS_MAX", size)
+    monkeypatch.setattr(koopmpc.mpc, "_condensations", {})
+    got, want, orders, references = [], [], [], {}
+    screened = 0
+    propose, plan = ActiveSetTable.propose, CondensedMpc.plan
+
+    def recording_propose(table, w, slack, tol):
+        nonlocal screened
+        recent = table._recent
+        slot = propose(table, w, slack, tol)
+        screened += slot not in (None, recent)
+        got.append(active_in(table, slot))
+        return slot
+
+    def shadowed_plan(cond, w, qp_tol):
+        n = cond.h.shape[0]
+        ref = references.setdefault(id(cond), ReferenceTable(cond._rows, cond._h_inv, cond._stack[2 * n :]))
+        asked = len(got)
+        out = plan(cond, w, qp_tol)
+        if len(got) > asked:  # the step asked its table; the reference, before this step's record
+            want.append(ref.propose(w, (cond._stack @ w)[2 * n :], np.sqrt(qp_tol)))
+        if out[4]:
+            ref.record(out[4])
+        orders.append((by_use(cond._table), list(ref._slots)))  # least recently used first
+        return out
+
+    monkeypatch.setattr(ActiveSetTable, "propose", recording_propose)
+    monkeypatch.setattr(CondensedMpc, "plan", shadowed_plan)
+    for ic in WARM_UP_ICS + GRID_ICS:
+        closed_loop_run(plant, model, cfg, np.array(ic), 2.0, DT)
+    assert got == want
+    assert all(mine == theirs for mine, theirs in orders)
+    if bounds == "saturated":
+        stored = len(condensed(model, cfg)._table._sets)
+        assert stored == size if size < 256 else stored > 8
+        assert sum(active is not None for active in got) > stored
+        assert screened > 0 or size == 3

@@ -450,7 +450,7 @@ class TestNonFiniteProblems:
     # Python's max(0.0, nan, 0.0) is 0.0: the residual must not drop a NaN term.
     def test_a_nan_gradient_gives_a_nan_residual(self):
         qp = FactoredQp.factor(np.eye(2), np.array([np.nan, 0.0]), np.zeros((0, 2)), np.zeros(0))
-        x, residual = _kkt_solve(qp, [], _kkt_factor(qp.h, qp.rows[[]]), 1e-8)
+        x, residual = _kkt_solve(qp, [], qp.rows[[]], _kkt_factor(qp.h, qp.rows[[]]), 1e-8)
         assert np.isnan(x[0]) and np.isnan(residual)
         assert verify_active_set(qp, []) is None
 

@@ -23,7 +23,7 @@ from koopmpc import (
 from koopmpc import observables
 from koopmpc.errors import MissingHistoryError
 from koopmpc.io import model_from_json, model_to_json, read_json, write_json
-from koopmpc.observables import _gather_form, _monomials, eval_gradients
+from koopmpc.observables import _gather_form, _monomial_rows, eval_gradients
 from conftest import model_on, reference_lift
 from monomial_reference import product_monomials, reference_monomials
 
@@ -185,7 +185,7 @@ class TestGatherForm:
         x[mask] = rng.choice(SPECIAL_ENTRIES, mask.sum())
         cols = {"contiguous": x[:, :m], "strided": x[:, ::2], "fortran": np.asfortranarray(x)[:, :m]}[layout]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _monomials(_gather_form(e), cols)
+            got = _monomial_rows(_gather_form(e), cols)
         picks = np.unique(rng.integers(0, m, 40))
         assert _same_bits(got[:, picks], product_monomials(e, cols[:, picks]))
         assert _within_pow_bound(got, e, cols)
@@ -209,9 +209,9 @@ class TestGatherForm:
         mask = rng.random(x.shape) < 0.05
         x[mask] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], mask.sum())
         with np.errstate(over="ignore", invalid="ignore"):
-            alone = np.hstack([_monomials(gather, x[:, k : k + 1]) for k in range(x.shape[1])])
+            alone = np.hstack([_monomial_rows(gather, x[:, k : k + 1]) for k in range(x.shape[1])])
             for m in (1, 2, 81, 4200, 6000, 8192, 20_000):
-                assert _same_bits(_monomials(gather, x[:, :m]), alone[:, :m]), m
+                assert _same_bits(_monomial_rows(gather, x[:, :m]), alone[:, :m]), m
 
     @pytest.mark.parametrize("lifting", [
         monomials_dictionary(2, 5),
@@ -228,6 +228,47 @@ class TestGatherForm:
         for k, col in enumerate(columns):
             lifting.lift_next(col, x[:, k], u[:, k])
         assert z.tobytes() == np.stack(columns, axis=1).tobytes()
+
+
+@st.composite
+def dictionaries_with_a_constant(draw):
+    """A dictionary of n in 1..4 inputs, exponents 0..5 per coordinate, holding an all-zero row."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=8))
+    rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    return Dictionary(n, np.array(rows))
+
+
+class TestOneStateLift:
+    # lift_next on a (d,) z takes the Python-float path; lift_windows the rows of a batch.
+    @given(dic=dictionaries_with_a_constant(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_state_is_its_column_of_a_batch_bitwise(self, dic, data):
+        m = data.draw(st.integers(1, 6))
+        x = data.draw(arrays(float, (dic.n_in, m), elements=st.floats(-1e3, 1e3)))
+        k = data.draw(st.integers(0, m - 1))
+        batch = dic.lift_windows(x)
+        z = np.full(dic.n_out, np.nan)
+        dic.lift_next(z, x[:, k])
+        assert z.tobytes() == batch[:, k].tobytes()
+        assert z.tobytes() == product_monomials(dic.exponents, x[:, k : k + 1])[:, 0].tobytes()
+        assert _within_pow_bound(batch, dic.exponents, x)
+
+    @given(dic=dictionaries_with_a_constant(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_an_overflowing_monomial_raises_on_both_paths(self, dic, data):
+        m = data.draw(st.integers(1, 6))
+        x = data.draw(arrays(float, (dic.n_in, m), elements=st.floats(-3.0, 3.0)))
+        k = data.draw(st.integers(0, m - 1))
+        x[:, k] = 1e200  # a monomial of degree 2 or more overflows
+        overflows = dic.exponents.sum(axis=1).max() >= 2
+        z = np.zeros(dic.n_out)
+        for lift in (lambda: dic.lift_next(z, x[:, k]), lambda: dic.lift_windows(x)):
+            if overflows:
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    lift()
+            else:
+                lift()
 
 
 class TestEvalDictionary:
